@@ -9,7 +9,7 @@ and safe to share across threads.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -51,10 +51,16 @@ class ReasoningGraph:
     The adjacency matrix is a CSR array with a zero diagonal, exact
     symmetry, and non-negative weights. ``validate`` re-checks all of
     these invariants and is called by every constructor in this module.
+
+    ``prepared`` holds the pipeline's per-graph work (see
+    `pipeline.prepare_graph`), keyed by Laplacian kind and seed. That
+    cache relies on the graph never changing: mutating ``nodes`` or
+    ``adjacency`` in place would leave it stale.
     """
 
     nodes: tuple[NodeMeta, ...]
     adjacency: sp.csr_array
+    prepared: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def node_count(self) -> int:
@@ -173,7 +179,11 @@ def similarity_adjacency(
 
 @dataclass(frozen=True)
 class LaplacianMatrix:
-    """A combinatorial or normalized graph Laplacian with its degree vector."""
+    """A combinatorial or normalized graph Laplacian with its degree vector.
+
+    A prepared graph shares one instance across queries and training
+    runs, so its arrays must never be modified in place.
+    """
 
     kind: str
     matrix: sp.csr_array

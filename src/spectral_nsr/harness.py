@@ -22,8 +22,6 @@ from .rules import builtin_template
 from .spectral import chebyshev_filter, estimate_lambda_max, fit_chebyshev, vertex_signal
 from .symbolic import Clause, KnowledgeBase, detect_conflicts, forward_chain, load_kb, save_kb
 
-TASK_FAMILIES = ("transitive", "kinship", "conflict")
-
 
 @dataclass(frozen=True)
 class SyntheticTask:
@@ -365,11 +363,6 @@ def evaluate(pipeline, tasks, measure_latency: bool = True, warmup: int = 3) -> 
         latency_median_ms=float(np.median(latencies)) if measure_latency else None,
         latency_p95_ms=float(np.percentile(latencies, 95)) if measure_latency else None,
     )
-
-
-def accuracy_only(pipeline, tasks) -> float:
-    """Accuracy without latency plumbing (used by the training loop)."""
-    return evaluate(pipeline, tasks, measure_latency=False).accuracy
 
 
 @dataclass(frozen=True)

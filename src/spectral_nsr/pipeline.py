@@ -9,23 +9,21 @@ chains to the answer set with proof traces.
 
 from __future__ import annotations
 
-import json
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .errors import BadParams, FormatError, SpectralNsrError
-from .graph import COMBINATORIAL, NORMALIZED, LaplacianMatrix, ReasoningGraph, combinatorial_laplacian, normalized_laplacian
+from .graph import COMBINATORIAL, NORMALIZED, LaplacianMatrix, NodeMeta, ReasoningGraph, combinatorial_laplacian, normalized_laplacian
 from .rules import SpectralRule, load_rules, rule_coefficients
 from .spectral import (
     ChebyshevFilter,
     FrequencyResponse,
     GraphSignal,
     chebyshev_filter,
-    chebyshev_stack,
     eigendecompose,
     estimate_lambda_max,
     exact_filter,
@@ -217,6 +215,67 @@ def build_laplacian(cfg: PipelineConfig, graph: ReasoningGraph) -> LaplacianMatr
     return combinatorial_laplacian(graph)
 
 
+@dataclass(eq=False)
+class PreparedGraph:
+    """What the Chebyshev path needs of a graph apart from the signal.
+
+    The rule coefficient rows and the node -> atom map also depend on the
+    rules or the knowledge base, so each keeps only the last one asked
+    for. Each slot is replaced by a single assignment, so a concurrent
+    reader sees either the old pair or the new one, never a mix.
+    """
+
+    # the graph's nodes rather than the graph: a reference back to the
+    # graph would form a cycle and delay freeing it until a gc pass
+    nodes: tuple[NodeMeta, ...]
+    laplacian: LaplacianMatrix
+    lambda_max: float
+    _rows: tuple = field(default=(None, None), init=False, repr=False)
+    _atoms: tuple = field(default=(None, None), init=False, repr=False)
+
+    def coefficient_rows(self, rules: tuple[SpectralRule, ...], order: int) -> np.ndarray:
+        """Read-only ``rule_coefficients`` rows, reused while ``(rules, order)`` stays equal."""
+        key, rows = self._rows
+        if key != (rules, order):
+            rows = rule_coefficients(rules, self.lambda_max, order)
+            rows.setflags(write=False)
+            self._rows = ((rules, order), rows)
+        return rows
+
+    def atom_map(self, kb: KnowledgeBase) -> dict[int, str]:
+        """Node id -> label for every node labelled with a declared atom of ``kb``.
+
+        Reused while ``kb`` is the same object; callers must not mutate it.
+        """
+        cached, mapping = self._atoms
+        if cached is not kb:
+            mapping = _atom_map(self.nodes, kb)
+            self._atoms = (kb, mapping)
+        return mapping
+
+
+def _atom_map(nodes, kb: KnowledgeBase) -> dict[int, str]:
+    return {m.id: m.label for m in nodes if m.label in kb.declared}
+
+
+def prepare_graph(cfg: PipelineConfig, graph: ReasoningGraph) -> PreparedGraph:
+    """The graph's `PreparedGraph` for ``cfg``'s Laplacian kind and seed.
+
+    Built on first use and kept on the graph itself, so it is freed with
+    the graph. A preparation that raises is not kept; its error carries
+    the stage tag ``laplacian`` or ``spectral``.
+    """
+    key = (cfg.laplacian, cfg.seed)
+    prepared = graph.prepared.get(key)
+    if prepared is None:
+        with _stage("laplacian"):
+            lap = build_laplacian(cfg, graph)
+        with _stage("spectral"):
+            lambda_max = max(estimate_lambda_max(lap, seed=cfg.seed), 1e-12)
+        prepared = graph.prepared[key] = PreparedGraph(graph.nodes, lap, lambda_max)
+    return prepared
+
+
 def run_pipeline(
     cfg: PipelineConfig,
     graph: ReasoningGraph,
@@ -230,41 +289,41 @@ def run_pipeline(
     and forward chaining, in that order.
 
     ``mapping`` defaults to node label -> atom for every node whose label
-    is a declared atom of ``kb``. Module errors propagate with a ``stage``
-    tag attached.
+    is a declared atom of ``kb``. The Chebyshev path takes the Laplacian,
+    ``lambda_max``, rule rows and default mapping from `prepare_graph`.
+    Module errors propagate with a ``stage`` tag attached.
     """
     rules = tuple(rules)
     if params is None:
         params = init_params(cfg, n_rules=len(rules))
-    if mapping is None:
-        declared = set(kb.atoms)
-        mapping = {m.id: m.label for m in graph.nodes if m.label in declared}
 
-    with _stage("laplacian"):
-        lap = build_laplacian(cfg, graph)
-
-    with _stage("spectral"):
-        if cfg.path == "exact":
+    if cfg.path == "exact":
+        if mapping is None:
+            mapping = _atom_map(graph.nodes, kb)
+        with _stage("laplacian"):
+            lap = build_laplacian(cfg, graph)
+        with _stage("spectral"):
             basis = eigendecompose(lap, limit=cfg.crossover)
             lambda_max = float(max(basis.eigenvalues[-1], 1e-12))
             xhat = gft(basis, x0)
-        else:
-            basis = None
-            lambda_max = max(estimate_lambda_max(lap, seed=cfg.seed), 1e-12)
-            xhat = None
+    else:
+        prepared = prepare_graph(cfg, graph)
+        if mapping is None:
+            mapping = prepared.atom_map(kb)
+        lap, lambda_max = prepared.laplacian, prepared.lambda_max
+        basis = xhat = None
 
     with _stage("rules"):
         bprime = x0
         if rules:
             weights = params["rule_weights"]
-            coeff_rows = rule_coefficients(rules, lambda_max, cfg.order)
             if cfg.path == "exact":
                 gains = np.zeros_like(basis.eigenvalues)
                 for w, rule in zip(weights, rules):
                     gains = gains + w * rule.template(basis.eigenvalues)
                 bprime = vertex_signal(basis.eigenvectors @ (gains * (basis.eigenvectors.T @ bprime.values)))
             else:
-                total = ChebyshevFilter(weights @ coeff_rows, lambda_max)
+                total = ChebyshevFilter(weights @ prepared.coefficient_rows(rules, cfg.order), lambda_max)
                 bprime = chebyshev_filter(lap, total, bprime)
 
     with _stage("filter"):
@@ -307,7 +366,10 @@ class Pipeline:
     """A configuration bound to parameters and a rule set.
 
     Instances are immutable in use: `run` and `run_task` are pure apart
-    from wall-clock reads, so one pipeline can serve many threads.
+    from wall-clock reads and the `PreparedGraph` kept on each graph, so
+    one pipeline can serve many threads. Concurrent first queries on the
+    same graph may each compute its prepared entry; one of the equal
+    results is kept, which is harmless.
     """
 
     def __init__(

@@ -8,6 +8,7 @@ the least fixed point together with replayable proof traces.
 
 from __future__ import annotations
 
+import copy
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -112,34 +113,57 @@ class Clause:
 
 @dataclass(frozen=True)
 class KnowledgeBase:
-    """Atoms, Horn clauses, base facts, and mutually exclusive atom pairs."""
+    """Atoms, Horn clauses, base facts, and mutually exclusive atom pairs.
+
+    ``declared`` (the atom set) and ``by_premise`` (body atom -> indices
+    of the clauses it appears in) are built once, shared by every
+    `with_facts` copy, and read by binding, chaining and the pipeline's
+    cached node -> atom map. All of that relies on the KB never being
+    changed after construction.
+    """
 
     atoms: tuple[str, ...]
     clauses: tuple[Clause, ...] = ()
     facts: frozenset[str] = frozenset()
     exclusive: tuple[tuple[str, str], ...] = ()
+    declared: frozenset[str] = field(init=False, repr=False, compare=False)
+    by_premise: dict[str, tuple[int, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "atoms", tuple(self.atoms))
         object.__setattr__(self, "clauses", tuple(self.clauses))
         object.__setattr__(self, "facts", frozenset(self.facts))
         object.__setattr__(self, "exclusive", tuple((a, b) for a, b in self.exclusive))
-        declared = set(self.atoms)
+        declared = frozenset(self.atoms)
         if len(declared) != len(self.atoms):
             raise BadParams("duplicate atom declarations")
-        for c in self.clauses:
+        by_premise: dict[str, list[int]] = {}
+        for idx, c in enumerate(self.clauses):
             missing = ({c.head} | c.body) - declared
             if missing:
                 raise BadParams(f"clause {c.clause_id} references undeclared atoms {sorted(missing)}")
-        bad_facts = self.facts - declared
-        if bad_facts:
-            raise BadParams(f"facts reference undeclared atoms {sorted(bad_facts)}")
+            for atom in c.body:
+                by_premise.setdefault(atom, []).append(idx)
+        self._check_facts(self.facts, declared)
         for a, b in self.exclusive:
             if a not in declared or b not in declared:
                 raise BadParams(f"exclusive pair ({a}, {b}) references undeclared atoms")
+        object.__setattr__(self, "declared", declared)
+        object.__setattr__(self, "by_premise", {atom: tuple(idx) for atom, idx in by_premise.items()})
+
+    @staticmethod
+    def _check_facts(facts: frozenset[str], declared: frozenset[str]) -> None:
+        bad_facts = facts - declared
+        if bad_facts:
+            raise BadParams(f"facts reference undeclared atoms {sorted(bad_facts)}")
 
     def with_facts(self, extra) -> "KnowledgeBase":
-        return KnowledgeBase(self.atoms, self.clauses, self.facts | set(extra), self.exclusive)
+        """This KB with ``extra`` added to its facts; only the new facts are checked."""
+        extra = frozenset(extra)
+        self._check_facts(extra, self.declared)
+        out = copy.copy(self)
+        object.__setattr__(out, "facts", self.facts | extra)
+        return out
 
 
 @dataclass(frozen=True)
@@ -160,12 +184,11 @@ def bind_predicates(p: PredicateSet, kb: KnowledgeBase, mapping: dict[int, str])
     at 0.5 first.
     """
     new_facts = set()
-    declared = set(kb.atoms)
     for node in p.true_nodes():
         if node not in mapping:
             raise UnmappedNode(f"node {node} is true but has no atom mapping")
         atom = mapping[node]
-        if atom not in declared:
+        if atom not in kb.declared:
             raise BadParams(f"node {node} maps to undeclared atom {atom!r}")
         new_facts.add(atom)
     return kb.with_facts(new_facts)
@@ -180,11 +203,6 @@ def forward_chain(kb: KnowledgeBase) -> tuple[frozenset[str], dict[str, ProofTra
     replayable trace per closure atom (facts get empty traces).
     """
     remaining = {idx: len(c.body) for idx, c in enumerate(kb.clauses)}
-    by_premise: dict[str, list[int]] = {}
-    for idx, c in enumerate(kb.clauses):
-        for atom in c.body:
-            by_premise.setdefault(atom, []).append(idx)
-
     closure = set(kb.facts)
     justification: dict[str, tuple[str, tuple[str, ...]]] = {}
     queue: deque[str] = deque(sorted(kb.facts))
@@ -201,35 +219,36 @@ def forward_chain(kb: KnowledgeBase) -> tuple[frozenset[str], dict[str, ProofTra
             fire(idx)
     while queue:
         atom = queue.popleft()
-        for idx in by_premise.get(atom, ()):
+        for idx in kb.by_premise.get(atom, ()):
             remaining[idx] -= 1
             if remaining[idx] == 0:
                 fire(idx)
 
-    traces: dict[str, ProofTrace] = {}
-    for atom in sorted(closure):
-        traces[atom] = _build_trace(atom, kb.facts, justification)
+    traces = {
+        atom: ProofTrace(atom) if atom in kb.facts else _build_trace(atom, kb.facts, justification)
+        for atom in sorted(closure)
+    }
     return frozenset(closure), traces
 
 
 def _build_trace(atom, facts, justification) -> ProofTrace:
-    if atom in facts:
-        return ProofTrace(atom)
     steps: list[tuple[str, tuple[str, ...]]] = []
-    seen = set(facts)
+    # derived atoms already in ``steps``; facts are checked by membership,
+    # never copied, since there may be far more of them than steps
+    done: set[str] = set()
     stack: list[tuple[str, bool]] = [(atom, False)]
     while stack:
         current, expanded = stack.pop()
-        if current in seen:
+        if current in facts or current in done:
             continue
         cid, premises = justification[current]
         if expanded:
-            seen.add(current)
+            done.add(current)
             steps.append((cid, premises))
         else:
             stack.append((current, True))
             for p in premises:
-                if p not in seen:
+                if p not in facts and p not in done:
                     stack.append((p, False))
     return ProofTrace(atom, tuple(steps))
 

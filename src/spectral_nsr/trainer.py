@@ -26,10 +26,16 @@ from .errors import (
     ShapeMismatch,
 )
 from .harness import SyntheticTask, TaskSplits, evaluate
-from .pipeline import Pipeline, PipelineConfig, build_laplacian, init_params
-from .rules import SpectralRule, rule_coefficients
-from .spectral import chebyshev_stack, estimate_lambda_max, softmax
+from .pipeline import Pipeline, PipelineConfig, init_params, prepare_graph
+from .rules import SpectralRule
+from .spectral import chebyshev_stack, softmax
 from .symbolic import PredicateSet
+
+# prepare_graph makes these calls now; the names stay on this module
+# because perfbench's layer tracer looks them up and wraps them here
+from .pipeline import build_laplacian  # noqa: F401
+from .rules import rule_coefficients  # noqa: F401
+from .spectral import estimate_lambda_max  # noqa: F401
 
 PARAM_GROUPS = {
     "theta": "spectral",
@@ -229,9 +235,9 @@ class TaskContext:
 
 
 def prepare_context(task: SyntheticTask, cfg: PipelineConfig, rules: tuple[SpectralRule, ...]) -> TaskContext:
-    lap = build_laplacian(cfg, task.graph)
-    lam_max = max(estimate_lambda_max(lap, seed=cfg.seed), 1e-12)
-    rows = rule_coefficients(rules, lam_max, cfg.order) if rules else None
+    prepared = prepare_graph(cfg, task.graph)
+    lap, lam_max = prepared.laplacian, prepared.lambda_max
+    rows = prepared.coefficient_rows(rules, cfg.order) if rules else None
     x0 = np.asarray(task.x0, dtype=np.float64)
     stack = chebyshev_stack(lap, lam_max, x0, cfg.order)
     nodes = np.asarray(sorted(task.labels), dtype=np.int64)

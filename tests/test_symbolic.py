@@ -307,3 +307,86 @@ def test_forward_chain_always_contains_facts_and_terminates(seed):
     assert set(traces) == set(closure)
     for atom in closure:
         assert replay_trace(kb, traces[atom])
+
+
+def reference_forward_chain(kb: KnowledgeBase) -> dict[str, ProofTrace]:
+    """Traces by a plain re-implementation of forward_chain's firing order.
+
+    Atoms are popped in queue order (sorted facts, then heads as they are
+    derived); a clause fires when the last of its premises is popped,
+    clauses in declaration order. Each trace is a post-order walk over the
+    justifying clauses, premises visited last to first, skipping facts and
+    atoms already placed.
+    """
+    closure = set(kb.facts)
+    justification = {}
+    queue = sorted(kb.facts)
+
+    def fire(clause):
+        if clause.head not in closure:
+            closure.add(clause.head)
+            justification[clause.head] = (clause.clause_id, tuple(sorted(clause.body)))
+            queue.append(clause.head)
+
+    for clause in kb.clauses:
+        if not clause.body:
+            fire(clause)
+    popped = set()
+    for atom in queue:  # grows while iterating
+        popped.add(atom)
+        for clause in kb.clauses:
+            if atom in clause.body and clause.body <= popped:
+                fire(clause)
+
+    def trace(atom):
+        steps, placed = [], set()
+
+        def visit(a):
+            if a in kb.facts or a in placed:
+                return
+            clause_id, premises = justification[a]
+            for p in reversed(premises):
+                visit(p)
+            placed.add(a)
+            steps.append((clause_id, premises))
+
+        visit(atom)
+        return ProofTrace(atom, tuple(steps))
+
+    return {atom: trace(atom) for atom in closure}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**31 - 1))
+def test_traces_on_kbs_with_many_facts(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(20, 120))
+    atoms = [f"a{i}" for i in range(n)]
+    clauses = []
+    for k in range(int(rng.integers(n // 2, 3 * n))):
+        head = atoms[int(rng.integers(0, n))]
+        body = frozenset(atoms[int(i)] for i in rng.integers(0, n, size=int(rng.integers(0, 4))))
+        clauses.append(Clause(f"c{k}", head, body - {head}))
+    facts = frozenset(a for a in atoms if rng.random() < rng.uniform(0.2, 0.8))
+    kb = KnowledgeBase(tuple(atoms), tuple(clauses), facts)
+    heads = {c.clause_id: c.head for c in clauses}
+
+    closure, traces = forward_chain(kb)
+    assert traces == reference_forward_chain(kb)
+    for atom in closure:
+        trace = traces[atom]
+        assert replay_trace(kb, trace)
+        step_heads = [heads[clause_id] for clause_id, _ in trace.steps]
+        assert not set(step_heads) & facts
+        assert len(set(trace.steps)) == len(trace.steps)
+        assert len(set(step_heads)) == len(step_heads)
+
+
+def test_with_facts_shares_indexes_and_checks_new_facts():
+    kb = KnowledgeBase(("A", "B"), (Clause("c0", "B", frozenset({"A"})),))
+    bound = kb.with_facts({"A"})
+    assert bound.facts == frozenset({"A"}) and kb.facts == frozenset()
+    assert bound.declared is kb.declared and bound.by_premise is kb.by_premise
+    assert bound == KnowledgeBase(kb.atoms, kb.clauses, frozenset({"A"}))
+    with pytest.raises(BadParams, match="undeclared"):
+        kb.with_facts({"Z"})
