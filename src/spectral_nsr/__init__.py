@@ -1,11 +1,14 @@
 """Spectral neuro-symbolic reasoning over weighted knowledge graphs.
 
-The library filters belief signals in the Laplacian eigenbasis with
-learnable Chebyshev polynomial filters and spectral rule templates, then
-thresholds the result into predicates for a forward-chaining Horn-clause
-engine. Includes an analytic-gradient Adam trainer, synthetic reasoning
-task generators, and a benchmarking/evaluation harness; the ``spectral-nsr``
-command exposes all of it.
+The library filters belief signals in the Laplacian spectrum with
+spectral rule templates and a learnable Chebyshev polynomial filter, both
+evaluated as polynomials of the Laplacian, then thresholds the result
+into predicates for a forward-chaining Horn-clause engine. A dense
+eigenbasis (`eigendecompose`, `gft`, `exact_filter`) is kept as the
+reference the polynomial filters are checked against. Includes an
+analytic-gradient Adam trainer, synthetic reasoning task generators, and
+a benchmarking/evaluation harness; the ``spectral-nsr`` command exposes
+all of it.
 """
 
 from .errors import NumericalError, SpectralNsrError, ValidationError
@@ -20,15 +23,13 @@ from .graph import (
     similarity_adjacency,
 )
 from .harness import EvalReport, SyntheticTask, TaskSplits, evaluate, gen_dataset, gen_kinship, gen_transitive, scaling_benchmark
-from .pipeline import Pipeline, PipelineConfig, PipelineOutput, run_pipeline
-from .rules import RuleOperator, SpectralRule, apply_rule, builtin_template, compose_rules, rule_operator
+from .pipeline import Pipeline, PipelineConfig, PipelineOutput, mixed_theta, run_pipeline
+from .rules import SpectralRule, builtin_template, rule_coefficients
 from .spectral import (
-    BandGate,
     ChebyshevFilter,
     FrequencyResponse,
     GraphSignal,
     SpectralBasis,
-    band_gate_combine,
     chebyshev_filter,
     eigendecompose,
     estimate_lambda_max,
@@ -67,7 +68,6 @@ __all__ = [
     "GraphSignal",
     "FrequencyResponse",
     "ChebyshevFilter",
-    "BandGate",
     "eigendecompose",
     "gft",
     "igft",
@@ -75,13 +75,9 @@ __all__ = [
     "estimate_lambda_max",
     "chebyshev_filter",
     "fit_chebyshev",
-    "band_gate_combine",
     "sample_response",
     "SpectralRule",
-    "RuleOperator",
-    "rule_operator",
-    "apply_rule",
-    "compose_rules",
+    "rule_coefficients",
     "builtin_template",
     "ThresholdConfig",
     "PredicateSet",
@@ -108,6 +104,7 @@ __all__ = [
     "PipelineConfig",
     "PipelineOutput",
     "run_pipeline",
+    "mixed_theta",
 ]
 
 __version__ = "0.1.0"

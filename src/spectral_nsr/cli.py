@@ -18,20 +18,16 @@ import numpy as np
 from . import harness, trainer
 from .errors import NumericalError, SpectralNsrError, ValidationError
 from .graph import load_graph
-from .pipeline import REFERENCE_LAMBDA_MAX, Pipeline, PipelineConfig, build_laplacian
-from .rules import load_rules
+from .pipeline import PipelineConfig, build_laplacian
 from .spectral import (
-    GraphSignal,
     chebyshev_filter,
     eigendecompose,
-    estimate_lambda_max,
     exact_filter,
     gft,
     load_filter,
     load_signal,
     sample_response,
     save_signal,
-    vertex_signal,
 )
 from .symbolic import forward_chain, format_closure, load_kb
 

@@ -65,28 +65,12 @@ class NonFiniteResponse(NumericalError):
     pass
 
 
-class MixedOrders(ValidationError):
-    pass
-
-
-class MixedLambdaMax(ValidationError):
-    pass
-
-
 class OutOfRange(ValidationError):
     pass
 
 
 # rules
-class NoBasisAvailable(ValidationError):
-    pass
-
-
 class EmptyRuleSet(ValidationError):
-    pass
-
-
-class MixedScopes(ValidationError):
     pass
 
 

@@ -1,17 +1,18 @@
 """Three-stage reasoning pipeline and its plain-text configuration.
 
-Stage 1 builds the Laplacian of the reasoning graph. Stage 2 composes
-rule templates, applies the learned polynomial filter (optionally mixed
-by the band gate), all in the spectral domain. Stage 3 thresholds the
-filtered beliefs into predicates, binds them as facts, and forward
-chains to the answer set with proof traces.
+Stage 1 builds the Laplacian of the reasoning graph. Stage 2 applies the
+weighted sum of the rule templates and then the learned filter (mixed by
+the band gate when there are several bands), both as Chebyshev
+polynomials of the Laplacian, so no eigenbasis is formed. Stage 3
+thresholds the filtered beliefs into predicates, binds them as facts, and
+forward chains to the answer set with proof traces.
 """
 
 from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -24,11 +25,8 @@ from .spectral import (
     FrequencyResponse,
     GraphSignal,
     chebyshev_filter,
-    eigendecompose,
     estimate_lambda_max,
-    exact_filter,
     fit_chebyshev,
-    gft,
     sample_response,
     softmax,
     uniform_band_filters,
@@ -56,18 +54,23 @@ REFERENCE_LAMBDA_MAX = 2.0
 
 GATE_DIM = 8
 
-_CONFIG_FIELDS = (
-    ("laplacian", str),
-    ("order", int),
-    ("bands", int),
-    ("rules", str),
-    ("threshold_mode", str),
-    ("tau", float),
-    ("alpha", float),
-    ("crossover", int),
-    ("path", str),
-    ("seed", int),
-)
+
+def retired_config_key(key: str, value) -> bool:
+    """True for a retired key that is dropped on load.
+
+    Older config files and checkpoints carry ``crossover`` and ``path``,
+    the settings of a dense-eigenbasis pipeline path that no longer
+    exists. ``crossover`` and ``path=chebyshev`` are dropped. Any other
+    ``path`` raises `FormatError`: running an exact-path config on the
+    Chebyshev path would silently change its answers.
+    """
+    if key == "crossover":
+        return True
+    if key != "path":
+        return False
+    if value != "chebyshev":
+        raise FormatError(f"path={value!r} is no longer supported; only the Chebyshev path remains")
+    return True
 
 
 @dataclass(frozen=True)
@@ -81,8 +84,6 @@ class PipelineConfig:
     threshold_mode: str = LOGISTIC
     tau: float = 0.5
     alpha: float = 8.0
-    crossover: int = 512
-    path: str = "chebyshev"
     seed: int = 0
 
     def __post_init__(self):
@@ -92,25 +93,21 @@ class PipelineConfig:
             raise BadParams("order must be >= 0")
         if self.bands < 1:
             raise BadParams("bands must be >= 1")
-        if self.crossover < 1:
-            raise BadParams("crossover must be >= 1")
         if self.threshold_mode not in (HARD, LOGISTIC):
             raise BadParams(f"unknown threshold mode {self.threshold_mode!r}")
-        if self.path not in ("exact", "chebyshev"):
-            raise BadParams(f"unknown filtering path {self.path!r}")
 
     def to_text(self) -> str:
         lines = []
-        for name, _ in _CONFIG_FIELDS:
-            value = getattr(self, name)
+        for f in fields(self):
+            value = getattr(self, f.name)
             if isinstance(value, float):
                 value = repr(value)
-            lines.append(f"{name}={value}")
+            lines.append(f"{f.name}={value}")
         return "\n".join(lines) + "\n"
 
     @classmethod
     def from_text(cls, text: str) -> "PipelineConfig":
-        known = {name: typ for name, typ in _CONFIG_FIELDS}
+        known = {f.name: type(f.default) for f in fields(cls)}
         values = {}
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
@@ -119,6 +116,8 @@ class PipelineConfig:
             if "=" not in line:
                 raise FormatError(f"line {lineno}: expected key=value, got {line!r}")
             key, val = (part.strip() for part in line.split("=", 1))
+            if retired_config_key(key, val):
+                continue
             if key not in known:
                 raise FormatError(f"line {lineno}: unknown config key {key!r}")
             try:
@@ -175,15 +174,23 @@ def init_params(cfg: PipelineConfig, n_rules: int = 0) -> dict[str, np.ndarray]:
     return params
 
 
-def combined_filter(params: dict[str, np.ndarray], lambda_max: float) -> ChebyshevFilter:
-    """Gate-mixed coefficients bound to a concrete spectrum bound."""
+def mixed_theta(params: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray | None]:
+    """The band gate: theta* = sum_b alpha_b theta_b with alpha = softmax(s @ q).
+
+    Returns (theta*, alpha). A single band passes through unmixed and has
+    no gate weights (alpha is None). Valid because the filter output is
+    linear in its coefficients.
+    """
     theta = params["theta"]
     if theta.shape[0] == 1:
-        mixed = theta[0]
-    else:
-        alpha = softmax(params["s"] @ params["q"])
-        mixed = alpha @ theta
-    return ChebyshevFilter(mixed, lambda_max)
+        return theta[0], None
+    alpha = softmax(params["s"] @ params["q"])
+    return alpha @ theta, alpha
+
+
+def combined_filter(params: dict[str, np.ndarray], lambda_max: float) -> ChebyshevFilter:
+    """Gate-mixed coefficients bound to a concrete spectrum bound."""
+    return ChebyshevFilter(mixed_theta(params)[0], lambda_max)
 
 
 @dataclass(frozen=True)
@@ -196,7 +203,6 @@ class PipelineOutput:
     traces: dict[str, ProofTrace]
     response_grid: np.ndarray
     response_values: np.ndarray
-    xhat: GraphSignal | None = None
 
 
 @contextmanager
@@ -217,7 +223,7 @@ def build_laplacian(cfg: PipelineConfig, graph: ReasoningGraph) -> LaplacianMatr
 
 @dataclass(eq=False)
 class PreparedGraph:
-    """What the Chebyshev path needs of a graph apart from the signal.
+    """What the pipeline needs of a graph apart from the signal.
 
     The rule coefficient rows and the node -> atom map also depend on the
     rules or the knowledge base, so each keeps only the last one asked
@@ -249,13 +255,9 @@ class PreparedGraph:
         """
         cached, mapping = self._atoms
         if cached is not kb:
-            mapping = _atom_map(self.nodes, kb)
+            mapping = {m.id: m.label for m in self.nodes if m.label in kb.declared}
             self._atoms = (kb, mapping)
         return mapping
-
-
-def _atom_map(nodes, kb: KnowledgeBase) -> dict[int, str]:
-    return {m.id: m.label for m in nodes if m.label in kb.declared}
 
 
 def prepare_graph(cfg: PipelineConfig, graph: ReasoningGraph) -> PreparedGraph:
@@ -289,49 +291,28 @@ def run_pipeline(
     and forward chaining, in that order.
 
     ``mapping`` defaults to node label -> atom for every node whose label
-    is a declared atom of ``kb``. The Chebyshev path takes the Laplacian,
-    ``lambda_max``, rule rows and default mapping from `prepare_graph`.
-    Module errors propagate with a ``stage`` tag attached.
+    is a declared atom of ``kb``. The Laplacian, ``lambda_max``, rule rows
+    and default mapping come from `prepare_graph`. Module errors propagate
+    with a ``stage`` tag attached.
     """
     rules = tuple(rules)
     if params is None:
         params = init_params(cfg, n_rules=len(rules))
 
-    if cfg.path == "exact":
-        if mapping is None:
-            mapping = _atom_map(graph.nodes, kb)
-        with _stage("laplacian"):
-            lap = build_laplacian(cfg, graph)
-        with _stage("spectral"):
-            basis = eigendecompose(lap, limit=cfg.crossover)
-            lambda_max = float(max(basis.eigenvalues[-1], 1e-12))
-            xhat = gft(basis, x0)
-    else:
-        prepared = prepare_graph(cfg, graph)
-        if mapping is None:
-            mapping = prepared.atom_map(kb)
-        lap, lambda_max = prepared.laplacian, prepared.lambda_max
-        basis = xhat = None
+    prepared = prepare_graph(cfg, graph)
+    if mapping is None:
+        mapping = prepared.atom_map(kb)
+    lap, lambda_max = prepared.laplacian, prepared.lambda_max
 
     with _stage("rules"):
         bprime = x0
         if rules:
-            weights = params["rule_weights"]
-            if cfg.path == "exact":
-                gains = np.zeros_like(basis.eigenvalues)
-                for w, rule in zip(weights, rules):
-                    gains = gains + w * rule.template(basis.eigenvalues)
-                bprime = vertex_signal(basis.eigenvectors @ (gains * (basis.eigenvectors.T @ bprime.values)))
-            else:
-                total = ChebyshevFilter(weights @ prepared.coefficient_rows(rules, cfg.order), lambda_max)
-                bprime = chebyshev_filter(lap, total, bprime)
+            total = ChebyshevFilter(params["rule_weights"] @ prepared.coefficient_rows(rules, cfg.order), lambda_max)
+            bprime = chebyshev_filter(lap, total, bprime)
 
     with _stage("filter"):
         filt = combined_filter(params, lambda_max)
-        if cfg.path == "exact":
-            y = exact_filter(basis, filt.response(), bprime)
-        else:
-            y = chebyshev_filter(lap, filt, bprime)
+        y = chebyshev_filter(lap, filt, bprime)
 
     with _stage("threshold"):
         tau = params["tau"]
@@ -358,7 +339,6 @@ def run_pipeline(
         traces=traces,
         response_grid=grid,
         response_values=response_values,
-        xhat=xhat,
     )
 
 

@@ -2,9 +2,10 @@
 
 A rule is a frequency response phi_r(lambda) with a non-negative weight:
 transitive-style rules live at low frequencies (smooth propagation),
-conflict-detection rules at high frequencies (local contrast). Grounding
-turns the template into a linear operator on belief vectors, either as a
-dense matrix in the eigenbasis or as a Chebyshev filter bound to a graph.
+conflict-detection rules at high frequencies (local contrast). The
+pipeline and the trainer ground rules through `rule_coefficients`: each
+template becomes a row of Chebyshev coefficients at the graph's
+lambda_max, and a weighted sum of the rows is one polynomial filter.
 """
 
 from __future__ import annotations
@@ -14,30 +15,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    BadParams,
-    DimensionMismatch,
-    EmptyRuleSet,
-    FormatError,
-    MixedScopes,
-    NoBasisAvailable,
-    NonFiniteResponse,
-)
-from .graph import LaplacianMatrix
-from .spectral import (
-    ChebyshevFilter,
-    FrequencyResponse,
-    GraphSignal,
-    SpectralBasis,
-    chebyshev_filter,
-    estimate_lambda_max,
-    fit_chebyshev,
-    vertex_signal,
-)
+from .errors import BadParams, EmptyRuleSet, FormatError
+from .spectral import FrequencyResponse, fit_chebyshev
 
 RULE_KINDS = ("low-pass", "high-pass", "band-pass", "heat-kernel", "custom")
-
-DEFAULT_FIT_ORDER = 16
 
 
 def builtin_template(kind: str, lambda_max: float, **params) -> FrequencyResponse:
@@ -88,168 +69,16 @@ def builtin_template(kind: str, lambda_max: float, **params) -> FrequencyRespons
 
 @dataclass(frozen=True)
 class SpectralRule:
-    """A frequency template phi_r with weight w_r and optional node scope."""
+    """A frequency template phi_r with weight w_r; it acts on the whole graph."""
 
     rule_id: str
     template: FrequencyResponse
     weight: float = 1.0
-    scope: frozenset[int] | None = None
     kind: str = "custom"
 
     def __post_init__(self):
         if self.weight < 0.0:
             raise BadParams(f"rule {self.rule_id}: weight must be >= 0, got {self.weight}")
-        if self.scope is not None:
-            object.__setattr__(self, "scope", frozenset(int(i) for i in self.scope))
-
-
-@dataclass(frozen=True)
-class RuleOperator:
-    """Grounded rule: a dense matrix or a Chebyshev filter bound to a graph.
-
-    ``provenance`` records (rule_id, weight) for every rule folded in.
-    """
-
-    dense: np.ndarray | None
-    chebyshev: ChebyshevFilter | None
-    laplacian: LaplacianMatrix | None
-    scope: frozenset[int] | None
-    provenance: tuple[tuple[str, float], ...]
-    response: FrequencyResponse | None = None
-
-    @property
-    def node_count(self) -> int:
-        if self.dense is not None:
-            return self.dense.shape[0]
-        return self.laplacian.node_count
-
-
-def _scoped_dense(phi: np.ndarray, scope: frozenset[int]) -> np.ndarray:
-    # mask outside-scope rows/cols before and after filtering; out-of-scope
-    # nodes pass through unchanged
-    n = phi.shape[0]
-    mask = np.zeros(n)
-    mask[list(scope)] = 1.0
-    out = phi * mask[:, None] * mask[None, :]
-    out[np.arange(n), np.arange(n)] += 1.0 - mask
-    return out
-
-
-def rule_operator(
-    rule: SpectralRule,
-    basis: SpectralBasis | None = None,
-    laplacian: LaplacianMatrix | None = None,
-    lambda_max: float | None = None,
-    order: int = DEFAULT_FIT_ORDER,
-) -> RuleOperator:
-    """Ground a rule as Phi_r = U phi_r(Lambda) U^T.
-
-    With a basis the operator is exact and dense. Without one, a
-    Laplacian is required and the template is fit by a degree-``order``
-    Chebyshev filter (lambda_max estimated when not supplied).
-    """
-    if basis is not None:
-        gains = rule.template(basis.eigenvalues)
-        if not np.isfinite(gains).all():
-            raise NonFiniteResponse(f"rule {rule.rule_id}: template non-finite on the spectrum")
-        phi = (basis.eigenvectors * gains) @ basis.eigenvectors.T
-        if rule.scope is not None:
-            phi = _scoped_dense(phi, rule.scope)
-        return RuleOperator(
-            dense=phi,
-            chebyshev=None,
-            laplacian=None,
-            scope=rule.scope,
-            provenance=((rule.rule_id, rule.weight),),
-            response=rule.template,
-        )
-    if laplacian is not None:
-        if lambda_max is None:
-            lambda_max = estimate_lambda_max(laplacian)
-        lambda_max = max(float(lambda_max), 1e-12)
-        filt = fit_chebyshev(rule.template, order, lambda_max)
-        return RuleOperator(
-            dense=None,
-            chebyshev=filt,
-            laplacian=laplacian,
-            scope=rule.scope,
-            provenance=((rule.rule_id, rule.weight),),
-            response=rule.template,
-        )
-    raise NoBasisAvailable("rule_operator needs a basis (dense path) or a laplacian (Chebyshev path)")
-
-
-def apply_rule(op: RuleOperator, b: GraphSignal) -> GraphSignal:
-    """b' = Phi_r b; linear in b."""
-    if len(b) != op.node_count:
-        raise DimensionMismatch(f"signal length {len(b)} != {op.node_count}")
-    if op.dense is not None:
-        return vertex_signal(op.dense @ b.values)
-    if op.scope is None:
-        return chebyshev_filter(op.laplacian, op.chebyshev, b)
-    mask = np.zeros(op.node_count)
-    mask[list(op.scope)] = 1.0
-    inner = chebyshev_filter(op.laplacian, op.chebyshev, vertex_signal(mask * b.values))
-    return vertex_signal(mask * inner.values + (1.0 - mask) * b.values)
-
-
-def compose_rules(
-    rules: list[SpectralRule] | tuple[SpectralRule, ...],
-    basis: SpectralBasis | None = None,
-    laplacian: LaplacianMatrix | None = None,
-    lambda_max: float | None = None,
-    order: int = DEFAULT_FIT_ORDER,
-) -> RuleOperator:
-    """Phi_total = sum_r w_r Phi_r, collapsed into one operator.
-
-    Because every Phi_r is diagonal in the shared basis, the sum is a
-    single response phi_total(lambda) = sum_r w_r phi_r(lambda) and the
-    composition costs one filtering pass. Scoped rules are rejected:
-    composing across differing subgraphs has no single defensible
-    semantics here.
-    """
-    rules = tuple(rules)
-    if not rules:
-        raise EmptyRuleSet("compose_rules needs at least one rule")
-    scoped = [r.rule_id for r in rules if r.scope is not None]
-    if scoped:
-        raise MixedScopes(f"composition requires full-graph scopes; scoped rules: {scoped}")
-    provenance = tuple((r.rule_id, float(r.weight)) for r in rules)
-
-    def total(lam, _rules=rules):
-        lam = np.asarray(lam, dtype=np.float64)
-        acc = np.zeros_like(lam)
-        for r in _rules:
-            acc = acc + r.weight * r.template(lam)
-        return acc
-
-    response = FrequencyResponse(total, kind="custom")
-    if basis is not None:
-        gains = response(basis.eigenvalues)
-        if not np.isfinite(gains).all():
-            raise NonFiniteResponse("composed template non-finite on the spectrum")
-        phi = (basis.eigenvectors * gains) @ basis.eigenvectors.T
-        return RuleOperator(
-            dense=phi, chebyshev=None, laplacian=None, scope=None, provenance=provenance, response=response
-        )
-    if laplacian is not None:
-        if lambda_max is None:
-            lambda_max = estimate_lambda_max(laplacian)
-        lambda_max = max(float(lambda_max), 1e-12)
-        # fit per rule and sum coefficients: least squares is linear in the
-        # target, so this equals fitting the combined response
-        theta = np.zeros(order + 1)
-        for r in rules:
-            theta = theta + r.weight * fit_chebyshev(r.template, order, lambda_max).coefficients
-        return RuleOperator(
-            dense=None,
-            chebyshev=ChebyshevFilter(theta, lambda_max),
-            laplacian=laplacian,
-            scope=None,
-            provenance=provenance,
-            response=response,
-        )
-    raise NoBasisAvailable("compose_rules needs a basis (dense path) or a laplacian (Chebyshev path)")
 
 
 def rule_coefficients(
@@ -259,8 +88,10 @@ def rule_coefficients(
 ) -> np.ndarray:
     """Per-rule Chebyshev coefficient rows (R, order+1) at a given lambda_max.
 
-    Weighted sums of these rows reproduce compose_rules on the Chebyshev
-    path; the trainer uses them because the output is linear in w_r.
+    ``weights @ rows`` is the coefficient vector of the composed filter
+    sum_r w_r phi_r: the least-squares fit is linear in its target, so
+    summing the rows equals fitting the summed response. The output is
+    linear in w_r, which is what the trainer differentiates.
     """
     if not rules:
         raise EmptyRuleSet("rule_coefficients needs at least one rule")
@@ -270,9 +101,11 @@ def rule_coefficients(
 
 # ---------------------------------------------------------------------------
 # rule file DSL, one rule per line:
-#   rule <id> kind=<low-pass|high-pass|band-pass|heat|custom> w=<float> [params...] [scope=<id,...>]
+#   rule <id> kind=<low-pass|high-pass|band-pass|heat|custom> w=<float> [params...]
 # params: beta= (low-pass), t= (heat), center=/sigma= (band-pass),
-# gain= (high-pass), file= (custom: CSV of lambda,value samples)
+# gain= (high-pass), file= (custom: CSV of lambda,value samples).
+# Every rule acts on the whole graph; any other key, scope= included,
+# is a FormatError.
 # ---------------------------------------------------------------------------
 
 _FLOAT_PARAMS = ("beta", "t", "center", "sigma", "gain", "w")
@@ -323,12 +156,6 @@ def parse_rules(text: str, lambda_max: float, base_dir: str | Path = ".") -> lis
             weight = float(kv.pop("w", "1.0"))
         except ValueError as exc:
             raise FormatError(f"line {lineno}: malformed weight") from exc
-        scope = None
-        if "scope" in kv:
-            try:
-                scope = frozenset(int(s) for s in kv.pop("scope").split(","))
-            except ValueError as exc:
-                raise FormatError(f"line {lineno}: malformed scope") from exc
         if kind == "custom":
             if "file" not in kv:
                 raise FormatError(f"line {lineno}: custom rule {rule_id} needs file=")
@@ -345,7 +172,7 @@ def parse_rules(text: str, lambda_max: float, base_dir: str | Path = ".") -> lis
         if kv:
             raise FormatError(f"line {lineno}: unknown keys {sorted(kv)}")
         kind_tag = "heat-kernel" if kind == "heat" else kind
-        rules.append(SpectralRule(rule_id, template, weight=weight, scope=scope, kind=kind_tag))
+        rules.append(SpectralRule(rule_id, template, weight=weight, kind=kind_tag))
     return rules
 
 

@@ -1,18 +1,19 @@
 """Spectral machinery: eigenbasis, graph Fourier transforms, and filters.
 
-Two filtering routes are provided. The exact route diagonalizes the
+Two filtering routes are provided. The Chebyshev route, which the
+pipeline and the trainer use, evaluates a polynomial response with K
+sparse matrix-vector products and never materializes the basis, so it
+scales linearly in the edge count. The exact route diagonalizes the
 Laplacian and applies an arbitrary frequency response in the eigenbasis;
-it is limited to graphs small enough for a dense eigendecomposition. The
-Chebyshev route evaluates a polynomial response with K sparse
-matrix-vector products and never materializes the basis, so it scales
-linearly in the edge count.
+it is limited to graphs small enough for a dense eigendecomposition and
+serves as the reference the Chebyshev route is checked against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable
 
 import json
 
@@ -25,8 +26,6 @@ from .errors import (
     DimensionMismatch,
     DomainMismatch,
     FormatError,
-    MixedLambdaMax,
-    MixedOrders,
     NonFiniteResponse,
     OutOfRange,
     TooLarge,
@@ -343,57 +342,6 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     z = z - z.max()
     e = np.exp(z)
     return e / e.sum()
-
-
-@dataclass(frozen=True)
-class BandGate:
-    """Softmax gate over per-band filters.
-
-    Band b carries a signature vector s_b; a query vector q scores each
-    band and the softmax of the scores mixes the band filters into one.
-    """
-
-    filters: tuple[ChebyshevFilter, ...]
-    signatures: np.ndarray
-    query: np.ndarray
-
-    def __post_init__(self):
-        if len(self.filters) < 1:
-            raise BadParams("band gate needs at least one band")
-        sig = np.asarray(self.signatures, dtype=np.float64)
-        q = np.asarray(self.query, dtype=np.float64).reshape(-1)
-        if sig.ndim != 2 or sig.shape[0] != len(self.filters):
-            raise DimensionMismatch(f"signatures shape {sig.shape} != ({len(self.filters)}, d_g)")
-        if sig.shape[1] != q.shape[0]:
-            raise DimensionMismatch(f"query width {q.shape[0]} != signature width {sig.shape[1]}")
-        object.__setattr__(self, "signatures", sig)
-        object.__setattr__(self, "query", q)
-
-    @property
-    def band_count(self) -> int:
-        return len(self.filters)
-
-    def gate_weights(self) -> np.ndarray:
-        return softmax(self.signatures @ self.query)
-
-
-def band_gate_combine(gate: BandGate) -> ChebyshevFilter:
-    """Mix band filters into one: theta* = sum_b alpha_b theta_b.
-
-    Valid because the response is linear in the coefficients; requires
-    all bands to share the polynomial order and lambda_max.
-    """
-    orders = {f.order for f in gate.filters}
-    if len(orders) != 1:
-        raise MixedOrders(f"band filters mix orders {sorted(orders)}")
-    lmaxes = {f.lambda_max for f in gate.filters}
-    if len(lmaxes) != 1:
-        raise MixedLambdaMax(f"band filters mix lambda_max values {sorted(lmaxes)}")
-    alpha = gate.gate_weights()
-    theta = np.zeros(gate.filters[0].order + 1)
-    for a, f in zip(alpha, gate.filters):
-        theta = theta + a * f.coefficients
-    return ChebyshevFilter(theta, gate.filters[0].lambda_max)
 
 
 def uniform_band_filters(band_count: int, order: int, lambda_max: float) -> tuple[ChebyshevFilter, ...]:

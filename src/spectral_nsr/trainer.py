@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -22,11 +22,12 @@ from .errors import (
     BadParams,
     DivergedLoss,
     EmptyLabels,
+    FormatError,
     NonFiniteGradient,
     ShapeMismatch,
 )
 from .harness import SyntheticTask, TaskSplits, evaluate
-from .pipeline import Pipeline, PipelineConfig, init_params, prepare_graph
+from .pipeline import GATE_DIM, Pipeline, PipelineConfig, mixed_theta, prepare_graph, retired_config_key
 from .rules import SpectralRule
 from .spectral import chebyshev_stack, softmax
 from .symbolic import PredicateSet
@@ -247,14 +248,6 @@ def prepare_context(task: SyntheticTask, cfg: PipelineConfig, rules: tuple[Spect
     return TaskContext(lam_max, lap, rows, x0, stack, nodes, values)
 
 
-def _mixed_theta(params: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray | None]:
-    theta = params["theta"]
-    if theta.shape[0] == 1:
-        return theta[0], None
-    alpha = softmax(params["s"] @ params["q"])
-    return alpha @ theta, alpha
-
-
 def task_loss_and_grads(
     ctx: TaskContext,
     params: dict[str, np.ndarray],
@@ -274,7 +267,7 @@ def task_loss_and_grads(
         bprime = ctx.x0
         b_stack = ctx.x0_stack
 
-    theta_star, _ = _mixed_theta(params)
+    theta_star, _ = mixed_theta(params)
     y = b_stack @ theta_star
 
     tau = params["tau"]
@@ -363,10 +356,7 @@ class Checkpoint:
         payload = {
             "format": "spectral-nsr-checkpoint",
             "version": 1,
-            "config": {k: getattr(self.config, k) for k in (
-                "laplacian", "order", "bands", "rules", "threshold_mode",
-                "tau", "alpha", "crossover", "path", "seed",
-            )},
+            "config": asdict(self.config),
             "params": {k: np.asarray(v).tolist() for k, v in self.params.items()},
             "optimizer": {
                 "step": self.optimizer["step"],
@@ -379,15 +369,27 @@ class Checkpoint:
 
     @classmethod
     def from_json(cls, text: str) -> "Checkpoint":
-        payload = json.loads(text)
-        cfg = PipelineConfig(**payload["config"])
-        params = {k: np.asarray(v, dtype=np.float64) for k, v in payload["params"].items()}
-        optimizer = {
-            "step": int(payload["optimizer"]["step"]),
-            "m": {k: np.asarray(v, dtype=np.float64) for k, v in payload["optimizer"]["m"].items()},
-            "v": {k: np.asarray(v, dtype=np.float64) for k, v in payload["optimizer"]["v"].items()},
-        }
-        return cls(cfg, params, optimizer, payload["metadata"])
+        """Parse a checkpoint; malformed content raises `FormatError`."""
+        try:
+            payload = json.loads(text)
+            config = {k: v for k, v in payload["config"].items() if not retired_config_key(k, v)}
+            missing = sorted({f.name for f in fields(PipelineConfig)} - set(config))
+            if missing:
+                raise FormatError(f"checkpoint config misses {missing}")
+            cfg = PipelineConfig(**config)
+            params = _arrays(payload["params"])
+            optimizer = {
+                "step": int(payload["optimizer"]["step"]),
+                "m": _arrays(payload["optimizer"]["m"]),
+                "v": _arrays(payload["optimizer"]["v"]),
+            }
+            metadata = payload["metadata"]
+        except KeyError as exc:
+            raise FormatError(f"checkpoint is missing key {exc}") from exc
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise FormatError(f"malformed checkpoint: {exc}") from exc
+        _check_param_shapes(cfg, params)
+        return cls(cfg, params, optimizer, metadata)
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(self.to_json() + "\n")
@@ -398,6 +400,28 @@ class Checkpoint:
 
     def pipeline(self, rules: list[SpectralRule] | None = None) -> Pipeline:
         return Pipeline(self.config, rules=rules, params=self.params)
+
+
+def _arrays(values: dict) -> dict[str, np.ndarray]:
+    out = {}
+    for name, value in values.items():
+        arr = np.asarray(value, dtype=np.float64)
+        if not np.isfinite(arr).all():
+            raise FormatError(f"array {name!r} has non-numeric or non-finite entries")
+        out[name] = arr
+    return out
+
+
+def _check_param_shapes(cfg: PipelineConfig, params: dict[str, np.ndarray]) -> None:
+    missing = sorted(set(PARAM_GROUPS) - set(params))
+    if missing:
+        raise FormatError(f"checkpoint params miss {missing}")
+    expected = {"theta": (cfg.bands, cfg.order + 1), "s": (cfg.bands, GATE_DIM), "q": (GATE_DIM,)}
+    for name, shape in expected.items():
+        if params[name].shape != shape:
+            raise FormatError(f"param {name!r} has shape {params[name].shape}, config needs {shape}")
+    if params["rule_weights"].ndim != 1:
+        raise FormatError(f"param 'rule_weights' must be 1-D, got shape {params['rule_weights'].shape}")
 
 
 @dataclass

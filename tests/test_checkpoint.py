@@ -1,0 +1,118 @@
+import json
+from dataclasses import asdict, fields
+from pathlib import Path
+
+import numpy as np
+import pytest
+from click.testing import CliRunner
+
+from spectral_nsr.cli import main
+from spectral_nsr.errors import FormatError
+from spectral_nsr.pipeline import PipelineConfig
+from spectral_nsr.trainer import Checkpoint
+
+REFERENCE = Path(__file__).parent / "data" / "reference_checkpoint.json"
+
+
+def reference_payload():
+    return json.loads(REFERENCE.read_text())
+
+
+def corrupt(edit):
+    payload = reference_payload()
+    edit(payload)
+    return json.dumps(payload)
+
+
+class TestConfigSchema:
+    def test_eight_fields(self):
+        assert [f.name for f in fields(PipelineConfig)] == [
+            "laplacian", "order", "bands", "rules", "threshold_mode", "tau", "alpha", "seed",
+        ]
+
+    def test_text_round_trip(self):
+        cfg = PipelineConfig(laplacian="normalized", order=3, bands=2, rules="r.txt", tau=0.25, alpha=4.5, seed=9)
+        assert PipelineConfig.from_text(cfg.to_text()) == cfg
+
+    def test_retired_keys_are_dropped(self):
+        text = "order=3\ncrossover=64\npath=chebyshev\n"
+        assert PipelineConfig.from_text(text) == PipelineConfig(order=3)
+
+    def test_exact_path_rejected(self):
+        with pytest.raises(FormatError):
+            PipelineConfig.from_text("order=3\npath=exact\n")
+
+    def test_unknown_key_rejected(self):
+        with pytest.raises(FormatError):
+            PipelineConfig.from_text("crossovers=64\n")
+
+
+class TestCheckpointFormat:
+    def test_reference_checkpoint_loads_without_retired_keys(self):
+        assert {"crossover", "path"} <= set(reference_payload()["config"])
+        ckpt = Checkpoint.load(REFERENCE)
+        assert ckpt.config == PipelineConfig(rules="tests/data/reference_rules.txt", tau=0.4)
+        assert set(json.loads(ckpt.to_json())["config"]) == {f.name for f in fields(PipelineConfig)}
+
+    def test_round_trip(self):
+        ckpt = Checkpoint.load(REFERENCE)
+        back = Checkpoint.from_json(ckpt.to_json())
+        assert back.config == ckpt.config
+        assert back.metadata == ckpt.metadata
+        assert back.optimizer["step"] == ckpt.optimizer["step"]
+        for group in ("m", "v"):
+            assert back.optimizer[group].keys() == ckpt.optimizer[group].keys()
+            for key, value in ckpt.optimizer[group].items():
+                assert np.array_equal(back.optimizer[group][key], value)
+        assert back.params.keys() == ckpt.params.keys()
+        for key, value in ckpt.params.items():
+            assert np.array_equal(back.params[key], value)
+        assert json.loads(back.to_json())["config"] == asdict(ckpt.config)
+
+    def test_exact_path_rejected(self):
+        with pytest.raises(FormatError):
+            Checkpoint.from_json(corrupt(lambda p: p["config"].update(path="exact")))
+
+    def test_truncated_json(self):
+        with pytest.raises(FormatError):
+            Checkpoint.from_json(REFERENCE.read_text()[:200])
+
+    @pytest.mark.parametrize("where", [("metadata",), ("config", "order"), ("params", "theta"), ("optimizer", "step")])
+    def test_missing_key(self, where):
+        def drop(payload):
+            *path, last = where
+            for key in path:
+                payload = payload[key]
+            del payload[last]
+
+        with pytest.raises(FormatError):
+            Checkpoint.from_json(corrupt(drop))
+
+    @pytest.mark.parametrize("value", [["a", "b"], [None], [[1.0], [1.0, 2.0]], {"x": 1.0}])
+    def test_non_numeric_array(self, value):
+        with pytest.raises(FormatError):
+            Checkpoint.from_json(corrupt(lambda p: p["params"].update(rule_weights=value)))
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("theta", [[0.5, 0.1, 0.0]]),  # width 3 under order=5
+            ("theta", [[0.0] * 6, [0.0] * 6]),  # two bands under bands=1
+            ("s", [[0.0] * 7]),
+            ("q", [0.0] * 9),
+            ("rule_weights", [[0.5, 0.5]]),
+        ],
+    )
+    def test_param_shape_disagrees_with_config(self, name, value):
+        with pytest.raises(FormatError):
+            Checkpoint.from_json(corrupt(lambda p: p["params"].update({name: value})))
+
+    def test_inspect_ckpt_exit_codes(self, tmp_path):
+        runner = CliRunner()
+        assert runner.invoke(main, ["inspect-ckpt", "--ckpt", str(REFERENCE)]).exit_code == 0
+        bad = tmp_path / "bad.json"
+        for text in (REFERENCE.read_text()[:200], corrupt(lambda p: p["params"].update(theta=[[0.5, 0.1, 0.0]]))):
+            bad.write_text(text)
+            result = runner.invoke(main, ["inspect-ckpt", "--ckpt", str(bad)])
+            assert result.exit_code == 1
+            assert isinstance(result.exception, SystemExit)

@@ -1,129 +1,123 @@
 import numpy as np
 import pytest
 
-from spectral_nsr.errors import (
-    BadParams,
-    EmptyRuleSet,
-    FormatError,
-    MixedScopes,
-    NoBasisAvailable,
-)
+from spectral_nsr.errors import BadParams, EmptyRuleSet, FormatError
 from spectral_nsr.graph import combinatorial_laplacian
-from spectral_nsr.rules import (
-    SpectralRule,
-    apply_rule,
-    builtin_template,
-    compose_rules,
-    load_rules,
-    parse_rules,
-    rule_coefficients,
-    rule_operator,
+from spectral_nsr.rules import SpectralRule, builtin_template, load_rules, parse_rules, rule_coefficients
+from spectral_nsr.spectral import (
+    ChebyshevFilter,
+    FrequencyResponse,
+    chebyshev_filter,
+    eigendecompose,
+    exact_filter,
+    fit_chebyshev,
+    sample_response,
+    vertex_signal,
 )
-from spectral_nsr.spectral import FrequencyResponse, eigendecompose, estimate_lambda_max, vertex_signal
 
 from conftest import random_graph
+
+ORDER = 16
 
 
 @pytest.fixture
 def basis30(rng):
+    """A 30-node graph's Laplacian and its dense eigenbasis, the oracle."""
     g = random_graph(rng, 30, density=0.2)
     lap = combinatorial_laplacian(g)
     return lap, eigendecompose(lap)
 
 
-def unit_rule(rule_id="r", weight=1.0, scope=None):
-    return SpectralRule(rule_id, FrequencyResponse(lambda lam: np.ones_like(lam)), weight, scope)
+def top(basis):
+    return max(float(basis.eigenvalues[-1]), 1e-9)
+
+
+def unit_rule(rule_id="r", weight=1.0):
+    return SpectralRule(rule_id, FrequencyResponse(lambda lam: np.ones_like(lam)), weight)
+
+
+def rule_filter(rules, lam_max, order=ORDER, weights=None):
+    """The pipeline's composed rule filter: weights @ rule_coefficients rows."""
+    if weights is None:
+        weights = np.array([r.weight for r in rules])
+    return ChebyshevFilter(weights @ rule_coefficients(tuple(rules), lam_max, order), lam_max)
+
+
+def apply(lap, filt, b):
+    return chebyshev_filter(lap, filt, vertex_signal(b)).values
+
+
+def operator_matrix(lap, filt):
+    return np.column_stack([apply(lap, filt, e) for e in np.eye(lap.node_count)])
+
+
+def sup_error(filt, template):
+    grid = np.linspace(0.0, filt.lambda_max, 512)
+    return np.abs(sample_response(filt, grid) - template(grid)).max()
 
 
 class TestRuleOperator:
     def test_identity_template(self, basis30):
-        _, basis = basis30
-        op = rule_operator(unit_rule(), basis=basis)
-        assert np.abs(op.dense - np.eye(30)).max() <= 1e-9
+        lap, basis = basis30
+        op = operator_matrix(lap, rule_filter([unit_rule()], top(basis)))
+        assert np.abs(op - np.eye(30)).max() <= 1e-9
 
     def test_lambda_template_reconstructs_laplacian(self, basis30):
         lap, basis = basis30
-        op = rule_operator(SpectralRule("lam", FrequencyResponse(lambda lam: lam)), basis=basis)
-        assert np.abs(op.dense - lap.matrix.toarray()).max() <= 1e-7
+        op = operator_matrix(lap, rule_filter([SpectralRule("lam", FrequencyResponse(lambda lam: lam))], top(basis)))
+        assert np.abs(op - lap.matrix.toarray()).max() <= 1e-7
 
     def test_low_pass_matches_dense_oracle(self, basis30, rng):
         lap, basis = basis30
-        rule = SpectralRule("lp", FrequencyResponse(lambda lam: 1.0 / (1.0 + lam)))
-        op = rule_operator(rule, basis=basis)
+        template = FrequencyResponse(lambda lam: 1.0 / (1.0 + lam))
+        filt = rule_filter([SpectralRule("lp", template)], top(basis))
         b = rng.standard_normal(30)
-        vals, vecs = np.linalg.eigh(lap.matrix.toarray())
-        oracle = vecs @ np.diag(1.0 / (1.0 + vals)) @ vecs.T @ b
-        assert np.abs(apply_rule(op, vertex_signal(b)).values - oracle).max() <= 1e-8
+        oracle = exact_filter(basis, template, vertex_signal(b)).values
+        assert np.abs(apply(lap, filt, b) - oracle).max() <= sup_error(filt, template) * np.linalg.norm(b) + 1e-9
 
-    def test_dense_operator_symmetric(self, basis30, rng):
-        _, basis = basis30
-        op = rule_operator(SpectralRule("h", FrequencyResponse(lambda lam: np.exp(-lam))), basis=basis)
-        assert np.abs(op.dense - op.dense.T).max() <= 1e-9
+    def test_dense_operator_symmetric(self, basis30):
+        lap, basis = basis30
+        op = operator_matrix(lap, rule_filter([SpectralRule("h", FrequencyResponse(lambda lam: np.exp(-lam)))], top(basis)))
+        assert np.abs(op - op.T).max() <= 1e-12
 
     def test_operator_eigenvalues_equal_template(self, basis30):
-        _, basis = basis30
+        lap, basis = basis30
         template = FrequencyResponse(lambda lam: 1.0 / (1.0 + 2.0 * lam))
-        op = rule_operator(SpectralRule("lp", template), basis=basis)
-        got = np.sort(np.linalg.eigvalsh(op.dense))
-        want = np.sort(template(basis.eigenvalues))
-        assert np.abs(got - want).max() <= 1e-7
-
-    def test_requires_basis_or_laplacian(self):
-        with pytest.raises(NoBasisAvailable):
-            rule_operator(unit_rule())
+        filt = rule_filter([SpectralRule("lp", template)], top(basis))
+        op = operator_matrix(lap, filt)
+        got = np.sort(np.linalg.eigvalsh((op + op.T) / 2.0))
+        # the operator's eigenvalues are the fitted response on the spectrum,
+        # which is the template up to the fit's sup error
+        assert np.abs(got - np.sort(sample_response(filt, basis.eigenvalues))).max() <= 1e-9
+        assert np.abs(got - np.sort(template(basis.eigenvalues))).max() <= sup_error(filt, template) + 1e-9
 
     def test_chebyshev_path_agrees_with_dense(self, basis30, rng):
         lap, basis = basis30
-        lam_max = max(float(basis.eigenvalues[-1]), 1e-9)
         template = FrequencyResponse(lambda lam: np.exp(-0.7 * lam))
-        rule = SpectralRule("heat", template)
-        dense_op = rule_operator(rule, basis=basis)
-        cheb_op = rule_operator(rule, laplacian=lap, lambda_max=lam_max, order=24)
+        filt = rule_filter([SpectralRule("heat", template)], top(basis), order=24)
         b = rng.standard_normal(30)
-        dense_out = apply_rule(dense_op, vertex_signal(b)).values
-        cheb_out = apply_rule(cheb_op, vertex_signal(b)).values
+        dense_out = exact_filter(basis, template, vertex_signal(b)).values
         # agreement bounded by the fit's sampled sup-norm error
-        from spectral_nsr.spectral import sample_response
-
-        grid = np.linspace(0, lam_max, 512)
-        fit_err = np.abs(sample_response(cheb_op.chebyshev, grid) - template(grid)).max()
-        assert np.abs(dense_out - cheb_out).max() <= fit_err * np.linalg.norm(b) + 1e-9
-
-    def test_scope_masking_passes_outside_through(self, basis30, rng):
-        _, basis = basis30
-        scope = frozenset(range(10))
-        rule = SpectralRule("scoped", FrequencyResponse(lambda lam: np.exp(-lam)), scope=scope)
-        op = rule_operator(rule, basis=basis)
-        b = rng.standard_normal(30)
-        out = apply_rule(op, vertex_signal(b)).values
-        assert np.allclose(out[10:], b[10:], atol=1e-12)
-        # inside-scope result only sees the masked signal
-        unscoped = rule_operator(SpectralRule("u", rule.template), basis=basis)
-        masked = b.copy()
-        masked[10:] = 0.0
-        inner = (unscoped.dense @ masked)[:10]
-        assert np.allclose(out[:10], inner, atol=1e-10)
+        assert np.abs(dense_out - apply(lap, filt, b)).max() <= sup_error(filt, template) * np.linalg.norm(b) + 1e-9
 
 
 class TestApplyRule:
     def test_identity(self, basis30, rng):
-        _, basis = basis30
-        op = rule_operator(unit_rule(), basis=basis)
+        lap, basis = basis30
         b = rng.standard_normal(30)
-        assert np.abs(apply_rule(op, vertex_signal(b)).values - b).max() <= 1e-9
+        assert np.abs(apply(lap, rule_filter([unit_rule()], top(basis)), b) - b).max() <= 1e-9
 
     def test_zero_signal(self, basis30):
-        _, basis = basis30
-        op = rule_operator(unit_rule(), basis=basis)
-        assert np.allclose(apply_rule(op, vertex_signal(np.zeros(30))).values, 0.0, atol=0)
+        lap, basis = basis30
+        assert np.allclose(apply(lap, rule_filter([unit_rule()], top(basis)), np.zeros(30)), 0.0, atol=0)
 
     def test_linearity(self, basis30, rng):
-        _, basis = basis30
-        op = rule_operator(SpectralRule("h", FrequencyResponse(lambda lam: np.exp(-lam))), basis=basis)
+        lap, basis = basis30
+        filt = rule_filter([SpectralRule("h", FrequencyResponse(lambda lam: np.exp(-lam)))], top(basis))
         b1, b2 = rng.standard_normal(30), rng.standard_normal(30)
         a = 1.7
-        lhs = apply_rule(op, vertex_signal(a * b1 + b2)).values
-        rhs = a * apply_rule(op, vertex_signal(b1)).values + apply_rule(op, vertex_signal(b2)).values
+        lhs = apply(lap, filt, a * b1 + b2)
+        rhs = a * apply(lap, filt, b1) + apply(lap, filt, b2)
         assert np.abs(lhs - rhs).max() <= 1e-10 * max(np.abs(rhs).max(), 1.0)
 
 
@@ -135,65 +129,61 @@ class TestComposeRules:
             SpectralRule("band", builtin_template("band-pass", lam_max), weight=1.1),
         ]
 
-    def test_single_rule_equals_rule_operator(self, basis30, rng):
+    def test_single_rule_equals_rule_operator(self, basis30):
         _, basis = basis30
-        rule = SpectralRule("lp", FrequencyResponse(lambda lam: 1.0 / (1.0 + lam)), weight=1.0)
-        composed = compose_rules([rule], basis=basis)
-        single = rule_operator(rule, basis=basis)
-        assert np.abs(composed.dense - single.dense).max() <= 1e-12
+        template = FrequencyResponse(lambda lam: 1.0 / (1.0 + lam))
+        composed = rule_filter([SpectralRule("lp", template, weight=1.0)], top(basis))
+        single = fit_chebyshev(template, ORDER, top(basis))
+        assert np.array_equal(composed.coefficients, single.coefficients)
 
-    def test_two_half_weight_copies_equal_one(self, basis30):
-        _, basis = basis30
+    def test_two_half_weight_copies_equal_one(self, basis30, rng):
+        lap, basis = basis30
         template = FrequencyResponse(lambda lam: np.exp(-lam))
-        halves = [SpectralRule("a", template, 0.5), SpectralRule("b", template, 0.5)]
-        one = rule_operator(SpectralRule("c", template, 1.0), basis=basis)
-        composed = compose_rules(halves, basis=basis)
-        assert np.abs(composed.dense - one.dense).max() <= 1e-12
+        halves = rule_filter([SpectralRule("a", template, 0.5), SpectralRule("b", template, 0.5)], top(basis))
+        one = rule_filter([SpectralRule("c", template, 1.0)], top(basis))
+        assert np.abs(halves.coefficients - one.coefficients).max() <= 1e-12
+        b = rng.standard_normal(30)
+        assert np.abs(apply(lap, halves, b) - apply(lap, one, b)).max() <= 1e-12 * max(np.linalg.norm(b), 1.0)
 
     def test_matches_term_by_term_application(self, basis30, rng):
         lap, basis = basis30
-        lam_max = max(float(basis.eigenvalues[-1]), 1e-9)
-        rules = self.three_rules(lam_max)
-        composed = compose_rules(rules, basis=basis)
-        ops = [rule_operator(r, basis=basis) for r in rules]
+        rules = self.three_rules(top(basis))
+        composed = rule_filter(rules, top(basis))
+        singles = [rule_filter([r], top(basis), weights=np.ones(1)) for r in rules]
         for _ in range(50):
             b = rng.standard_normal(30)
-            direct = apply_rule(composed, vertex_signal(b)).values
-            summed = sum(r.weight * apply_rule(op, vertex_signal(b)).values for r, op in zip(rules, ops))
-            assert np.abs(direct - summed).max() <= 1e-9
+            summed = sum(r.weight * apply(lap, f, b) for r, f in zip(rules, singles))
+            assert np.abs(apply(lap, composed, b) - summed).max() <= 1e-9
 
     def test_weight_scaling_scales_contribution(self, basis30, rng):
-        _, basis = basis30
+        lap, basis = basis30
         template = FrequencyResponse(lambda lam: np.exp(-lam))
         other = SpectralRule("other", FrequencyResponse(lambda lam: np.ones_like(lam)), weight=1.0)
         b = rng.standard_normal(30)
         c = 3.0
-        base = compose_rules([SpectralRule("r", template, 1.0), other], basis=basis)
-        scaled = compose_rules([SpectralRule("r", template, c), other], basis=basis)
-        base_out = apply_rule(base, vertex_signal(b)).values
-        scaled_out = apply_rule(scaled, vertex_signal(b)).values
-        other_out = apply_rule(rule_operator(other, basis=basis), vertex_signal(b)).values
+        base_out = apply(lap, rule_filter([SpectralRule("r", template, 1.0), other], top(basis)), b)
+        scaled_out = apply(lap, rule_filter([SpectralRule("r", template, c), other], top(basis)), b)
+        other_out = apply(lap, rule_filter([other], top(basis)), b)
         assert np.allclose(scaled_out - other_out, c * (base_out - other_out), atol=1e-9)
 
-    def test_empty_rule_set(self, basis30):
-        _, basis = basis30
+    def test_empty_rule_set(self):
         with pytest.raises(EmptyRuleSet):
-            compose_rules([], basis=basis)
+            rule_coefficients((), 2.0, ORDER)
 
-    def test_scoped_rules_rejected(self, basis30):
+    def test_scoped_rules_rejected(self):
+        # every rule acts on the whole graph, so a scope is an unknown key
+        with pytest.raises(FormatError):
+            parse_rules("rule s kind=low-pass w=1.0 scope=1,2\n", 2.0)
+
+    def test_chebyshev_path_coefficient_sum(self, basis30):
         _, basis = basis30
-        scoped = unit_rule("s", scope=frozenset({1, 2}))
-        with pytest.raises(MixedScopes):
-            compose_rules([scoped, unit_rule()], basis=basis)
-
-    def test_chebyshev_path_coefficient_sum(self, basis30, rng):
-        lap, basis = basis30
-        lam_max = max(float(basis.eigenvalues[-1]), 1e-9)
+        lam_max = top(basis)
         rules = self.three_rules(lam_max)
-        composed = compose_rules(rules, laplacian=lap, lambda_max=lam_max, order=12)
-        rows = rule_coefficients(tuple(rules), lam_max, 12)
         weights = np.array([r.weight for r in rules])
-        assert np.allclose(composed.chebyshev.coefficients, weights @ rows, atol=1e-12)
+        total = FrequencyResponse(lambda lam: sum(r.weight * r.template(lam) for r in rules))
+        # least squares is linear in its target: summed rows fit the summed response
+        fitted = fit_chebyshev(total, 12, lam_max).coefficients
+        assert np.allclose(weights @ rule_coefficients(tuple(rules), lam_max, 12), fitted, atol=1e-12)
 
 
 class TestBuiltinTemplates:
@@ -231,12 +221,11 @@ class TestBuiltinTemplates:
 
 class TestRuleDsl:
     def test_parse_basic(self):
-        text = "rule r1 kind=low-pass w=0.5 beta=2.0\nrule r2 kind=heat w=1.5 t=0.2 scope=0,3,5\n"
+        text = "rule r1 kind=low-pass w=0.5 beta=2.0\nrule r2 kind=heat w=1.5 t=0.2\n"
         rules = parse_rules(text, 2.0)
         assert [r.rule_id for r in rules] == ["r1", "r2"]
         assert rules[0].weight == 0.5
         assert rules[0].kind == "low-pass"
-        assert rules[1].scope == frozenset({0, 3, 5})
         assert rules[1].kind == "heat-kernel"
         assert rules[1].template(np.array([1.0]))[0] == pytest.approx(np.exp(-0.2))
 

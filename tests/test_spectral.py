@@ -7,19 +7,16 @@ from spectral_nsr.errors import (
     BadParams,
     DimensionMismatch,
     DomainMismatch,
-    MixedLambdaMax,
-    MixedOrders,
     NonFiniteResponse,
     OutOfRange,
     TooLarge,
 )
 from spectral_nsr.graph import build_graph, combinatorial_laplacian, normalized_laplacian
+from spectral_nsr.pipeline import combined_filter, mixed_theta
 from spectral_nsr.spectral import (
-    BandGate,
     ChebyshevFilter,
     FrequencyResponse,
     GraphSignal,
-    band_gate_combine,
     chebyshev_filter,
     chebyshev_stack,
     eigendecompose,
@@ -358,59 +355,40 @@ class TestSampleResponse:
             sample_response(filt, [1.5])
 
 
+def gate_params(rng, bands, width, query=None):
+    return {
+        "theta": rng.standard_normal((bands, width)),
+        "s": rng.standard_normal((bands, 8)),
+        "q": rng.standard_normal(8) if query is None else query,
+    }
+
+
 class TestBandGate:
     def test_single_band_passthrough(self, rng):
-        filt = ChebyshevFilter(rng.standard_normal(5), 2.0)
-        gate = BandGate((filt,), rng.standard_normal((1, 8)), rng.standard_normal(8))
-        assert np.allclose(gate.gate_weights(), [1.0], atol=0)
-        combined = band_gate_combine(gate)
-        assert np.allclose(combined.coefficients, filt.coefficients, atol=0)
+        params = gate_params(rng, 1, 5)
+        theta_star, alpha = mixed_theta(params)
+        assert alpha is None
+        assert np.array_equal(theta_star, params["theta"][0])
+        assert np.array_equal(combined_filter(params, 2.0).coefficients, params["theta"][0])
 
     def test_zero_query_is_uniform_average(self, rng):
-        filters = tuple(ChebyshevFilter(rng.standard_normal(4), 2.0) for _ in range(3))
-        gate = BandGate(filters, rng.standard_normal((3, 8)), np.zeros(8))
-        assert np.allclose(gate.gate_weights(), 1.0 / 3.0, atol=1e-12)
-        combined = band_gate_combine(gate)
-        mean = np.mean([f.coefficients for f in filters], axis=0)
-        assert np.allclose(combined.coefficients, mean, atol=1e-12)
+        params = gate_params(rng, 3, 4, query=np.zeros(8))
+        theta_star, alpha = mixed_theta(params)
+        assert np.allclose(alpha, 1.0 / 3.0, atol=1e-12)
+        assert np.allclose(theta_star, params["theta"].mean(axis=0), atol=1e-12)
 
     def test_combined_response_is_weighted_sum(self, rng):
-        filters = tuple(ChebyshevFilter(rng.standard_normal(6), 3.0) for _ in range(3))
-        sig = rng.standard_normal((3, 8))
-        q = rng.standard_normal(8)
-        gate = BandGate(filters, sig, q)
-        combined = band_gate_combine(gate)
-        alpha = gate.gate_weights()
+        params = gate_params(rng, 3, 6)
+        _, alpha = mixed_theta(params)
+        combined = combined_filter(params, 3.0)
         grid = np.linspace(0, 3.0, 64)
-        direct = sum(a * sample_response(f, grid) for a, f in zip(alpha, filters))
+        direct = sum(a * sample_response(ChebyshevFilter(t, 3.0), grid) for a, t in zip(alpha, params["theta"]))
         assert np.abs(sample_response(combined, grid) - direct).max() <= 1e-12
 
     def test_gate_weights_normalized(self, rng):
-        sig = rng.standard_normal((4, 8))
-        gate = BandGate(
-            tuple(ChebyshevFilter([1.0], 1.0) for _ in range(4)), sig, rng.standard_normal(8)
-        )
-        alpha = gate.gate_weights()
+        _, alpha = mixed_theta(gate_params(rng, 4, 1))
         assert np.all(alpha >= 0)
         assert abs(alpha.sum() - 1.0) <= 1e-12
-
-    def test_mixed_orders(self):
-        gate = BandGate(
-            (ChebyshevFilter([1.0], 1.0), ChebyshevFilter([1.0, 0.0], 1.0)),
-            np.zeros((2, 8)),
-            np.zeros(8),
-        )
-        with pytest.raises(MixedOrders):
-            band_gate_combine(gate)
-
-    def test_mixed_lambda_max(self):
-        gate = BandGate(
-            (ChebyshevFilter([1.0], 1.0), ChebyshevFilter([1.0], 2.0)),
-            np.zeros((2, 8)),
-            np.zeros(8),
-        )
-        with pytest.raises(MixedLambdaMax):
-            band_gate_combine(gate)
 
     def test_uniform_band_filters_cover_spectrum(self):
         filters = uniform_band_filters(4, 8, 2.0)

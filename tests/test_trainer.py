@@ -15,6 +15,7 @@ from spectral_nsr.pipeline import (
     PipelineConfig,
     init_params,
     initial_filter_response,
+    run_pipeline,
 )
 from spectral_nsr.rules import SpectralRule, builtin_template, rule_coefficients
 from spectral_nsr.spectral import (
@@ -23,6 +24,7 @@ from spectral_nsr.spectral import (
     estimate_lambda_max,
     fit_chebyshev,
     sample_response,
+    vertex_signal,
 )
 from spectral_nsr.symbolic import PredicateSet
 from spectral_nsr.trainer import (
@@ -36,6 +38,7 @@ from spectral_nsr.trainer import (
     grad_threshold,
     init_adam,
     loss,
+    prepare_context,
     task_loss_and_grads,
     train,
 )
@@ -368,6 +371,23 @@ class TestTrainLoop:
             TrainRun(max_epochs=51)
         with pytest.raises(BadParams):
             TrainRun(patience=0)
+
+
+class TestForwardAgreement:
+    @pytest.mark.parametrize("laplacian", ["combinatorial", "normalized"])
+    @pytest.mark.parametrize("bands", [1, 3])
+    def test_pipeline_loss_equals_trainer_loss(self, laplacian, bands):
+        # inference and training run separate forward passes; pin them together
+        cfg = PipelineConfig(laplacian=laplacian, bands=bands, tau=0.4)
+        rules = tuple(reference_rules())
+        params = init_params(cfg, n_rules=len(rules))
+        params["rule_weights"] = np.array([0.7, 0.3])
+        tasks = gen_dataset("transitive", 4, seed=2) + gen_dataset("kinship", 4, seed=2)
+        for task in tasks:
+            out = run_pipeline(cfg, task.graph, vertex_signal(task.x0), rules, task.kb, params=params)
+            expected = loss(out.predicates, task.labels)
+            got, _ = task_loss_and_grads(prepare_context(task, cfg, rules), params, cfg.order)
+            assert got == pytest.approx(expected, rel=1e-12, abs=0), task.task_id
 
 
 class TestLowPassInit:
