@@ -258,15 +258,34 @@ def save_task(task: SyntheticTask, directory: str | Path) -> None:
 
 
 def load_task(directory: str | Path, task_id: str, family: str, depth: int, seed: int) -> SyntheticTask:
+    """One task's files; a missing or malformed file raises `FormatError`."""
     d = Path(directory)
-    graph = load_graph_text(d / f"{task_id}.graph.txt")
-    kb = load_kb(d / f"{task_id}.kb.txt")
-    x0 = np.asarray([float(s) for s in (d / f"{task_id}.x0.csv").read_text().split()], dtype=np.float64)
+    try:
+        graph = load_graph_text(d / f"{task_id}.graph.txt")
+        kb = load_kb(d / f"{task_id}.kb.txt")
+        x0_path = d / f"{task_id}.x0.csv"
+        x0_text = x0_path.read_text()
+        labels_path = d / f"{task_id}.labels.csv"
+        labels_text = labels_path.read_text()
+    except OSError as exc:
+        raise FormatError(f"{d}: cannot read task {task_id!r}: {exc}") from exc
+    try:
+        x0 = np.asarray([float(s) for s in x0_text.split()], dtype=np.float64)
+    except ValueError as exc:
+        raise FormatError(f"{x0_path}: malformed signal value: {exc}") from exc
+    if x0.shape[0] != graph.node_count:
+        raise FormatError(f"{x0_path}: {x0.shape[0]} values for {graph.node_count} nodes")
     labels = {}
-    for line in (d / f"{task_id}.labels.csv").read_text().splitlines():
-        if line.strip():
-            i, lab = line.split(",")
-            labels[int(i)] = int(lab)
+    for lineno, line in enumerate(labels_text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            i, lab = (int(part) for part in line.split(","))
+        except ValueError as exc:
+            raise FormatError(f"{labels_path}:{lineno}: expected node,label, got {line!r}") from exc
+        if not 0 <= i < graph.node_count or lab not in (0, 1):
+            raise FormatError(f"{labels_path}:{lineno}: node {i} label {lab} is not a 0/1 label of a graph node")
+        labels[i] = lab
     node_atoms = {m.id: m.label for m in graph.nodes}
     return SyntheticTask(task_id, family, depth, seed, graph, x0, kb, node_atoms, labels)
 
@@ -287,20 +306,43 @@ def save_dataset(tasks: list[SyntheticTask], directory: str | Path, splits: tupl
 
 
 def load_dataset(directory: str | Path) -> tuple[list[SyntheticTask], tuple[int, int, int] | None]:
+    """Tasks and optional split sizes of a dataset directory.
+
+    A missing or malformed manifest or task file raises `FormatError`.
+    """
     d = Path(directory)
     manifest_path = d / "manifest.json"
     if not manifest_path.exists():
         raise FormatError(f"{d}: missing manifest.json")
-    manifest = json.loads(manifest_path.read_text())
-    tasks = [
-        load_task(d, entry["task_id"], entry["family"], int(entry["depth"]), int(entry["seed"]))
-        for entry in manifest["tasks"]
-    ]
-    splits = None
-    if "splits" in manifest:
-        s = manifest["splits"]
-        splits = (int(s["train"]), int(s["val"]), int(s["test"]))
-    return tasks, splits
+    try:
+        manifest = json.loads(manifest_path.read_text())
+        entries = [
+            (
+                _manifest_field(entry, "task_id", str),
+                _manifest_field(entry, "family", str),
+                _manifest_field(entry, "depth", int),
+                _manifest_field(entry, "seed", int),
+            )
+            for entry in manifest["tasks"]
+        ]
+        splits = None
+        if "splits" in manifest:
+            splits = tuple(_manifest_field(manifest["splits"], key, int) for key in ("train", "val", "test"))
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{manifest_path}: malformed JSON: {exc}") from exc
+    except KeyError as exc:
+        raise FormatError(f"{manifest_path}: missing key {exc}") from exc
+    except TypeError as exc:
+        raise FormatError(f"{manifest_path}: malformed manifest: {exc}") from exc
+    return [load_task(d, *entry) for entry in entries], splits
+
+
+def _manifest_field(entry: dict, key: str, kind: type):
+    """``entry[key]``, which must be a JSON value of type ``kind`` (no bool for int)."""
+    value = entry[key]
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise TypeError(f"{key} must be {kind.__name__}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -330,24 +372,30 @@ class EvalReport:
 def evaluate(pipeline, tasks, measure_latency: bool = True, warmup: int = 3) -> EvalReport:
     """Run a pipeline over tasks and score against the oracle labels.
 
-    A query is one task run; the first ``warmup`` runs are excluded from
-    the latency statistics. ``pipeline`` only needs a ``run_task``
-    method, so test doubles plug in directly.
+    With ``measure_latency`` each task is one timed query (``run_task``),
+    and the first ``warmup`` runs are excluded from the latency
+    statistics. Without it, all tasks run as one block (``run_tasks``:
+    stage 2 once for the block, stage 3 per task), which gives the same
+    answers. ``pipeline`` only needs those two methods.
     """
     tasks = list(tasks)
     if not tasks:
         raise EmptyDataset("evaluate needs at least one task")
+    latencies = []
     if measure_latency:
         for task in tasks[: min(warmup, len(tasks))]:
             pipeline.run_task(task)
+        outputs = []
+        for task in tasks:
+            start = time.perf_counter()
+            outputs.append(pipeline.run_task(task))
+            latencies.append((time.perf_counter() - start) * 1e3)
+    else:
+        outputs = pipeline.run_tasks(tasks)
     correct = 0
     total = 0
     consistent = 0
-    latencies = []
-    for task in tasks:
-        start = time.perf_counter()
-        out = pipeline.run_task(task)
-        latencies.append((time.perf_counter() - start) * 1e3)
+    for task, out in zip(tasks, outputs, strict=True):
         answers = set(out.answers)
         for node, label in task.labels.items():
             predicted = int(task.node_atoms[node] in answers)

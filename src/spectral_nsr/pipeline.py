@@ -13,17 +13,21 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
+from functools import cached_property, lru_cache
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
-from .errors import BadParams, FormatError, SpectralNsrError
+from .errors import BadParams, DimensionMismatch, DomainMismatch, FormatError, SpectralNsrError
 from .graph import COMBINATORIAL, NORMALIZED, LaplacianMatrix, NodeMeta, ReasoningGraph, combinatorial_laplacian, normalized_laplacian
 from .rules import SpectralRule, load_rules, rule_coefficients
 from .spectral import (
+    VERTEX,
     ChebyshevFilter,
     FrequencyResponse,
     GraphSignal,
+    block_diagonal,
     chebyshev_filter,
     estimate_lambda_max,
     fit_chebyshev,
@@ -53,6 +57,9 @@ SEED_ENV_VAR = "SPECTRAL_NSR_SEED"
 REFERENCE_LAMBDA_MAX = 2.0
 
 GATE_DIM = 8
+
+# samples of the exported response curve over [0, lambda_max]
+RESPONSE_POINTS = 64
 
 
 def retired_config_key(key: str, value) -> bool:
@@ -149,6 +156,17 @@ def initial_filter_response() -> FrequencyResponse:
     return FrequencyResponse(lambda lam: np.exp(-0.5 * np.asarray(lam)), kind="low-pass")
 
 
+@lru_cache(maxsize=None)
+def _initial_theta(bands: int, order: int) -> np.ndarray:
+    """Initial theta rows; fitted once per (bands, order), read-only."""
+    if bands == 1:
+        theta = fit_chebyshev(initial_filter_response(), order, REFERENCE_LAMBDA_MAX).coefficients[None, :]
+    else:
+        theta = np.stack([f.coefficients for f in uniform_band_filters(bands, order, REFERENCE_LAMBDA_MAX)], axis=0)
+    theta.setflags(write=False)
+    return theta
+
+
 def init_params(cfg: PipelineConfig, n_rules: int = 0) -> dict[str, np.ndarray]:
     """Trainable parameter dictionary for a pipeline configuration.
 
@@ -158,13 +176,8 @@ def init_params(cfg: PipelineConfig, n_rules: int = 0) -> dict[str, np.ndarray]:
     global scalar unless the trainer swaps in a per-node vector.
     """
     rng = np.random.default_rng(cfg.seed)
-    if cfg.bands == 1:
-        theta = fit_chebyshev(initial_filter_response(), cfg.order, REFERENCE_LAMBDA_MAX).coefficients[None, :]
-    else:
-        band_filters = uniform_band_filters(cfg.bands, cfg.order, REFERENCE_LAMBDA_MAX)
-        theta = np.stack([f.coefficients for f in band_filters], axis=0)
     params = {
-        "theta": theta,
+        "theta": _initial_theta(cfg.bands, cfg.order).copy(),
         "rule_weights": np.full(n_rules, 1.0 / n_rules) if n_rules else np.zeros(0),
         "q": rng.standard_normal(GATE_DIM),
         "s": rng.standard_normal((cfg.bands, GATE_DIM)),
@@ -188,21 +201,35 @@ def mixed_theta(params: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray |
     return alpha @ theta, alpha
 
 
-def combined_filter(params: dict[str, np.ndarray], lambda_max: float) -> ChebyshevFilter:
-    """Gate-mixed coefficients bound to a concrete spectrum bound."""
+def combined_filter(params: dict[str, np.ndarray], lambda_max: float | np.ndarray) -> ChebyshevFilter:
+    """Gate-mixed coefficients bound to a concrete spectrum bound (one per node on a block)."""
     return ChebyshevFilter(mixed_theta(params)[0], lambda_max)
 
 
 @dataclass(frozen=True)
 class PipelineOutput:
-    """Everything a pipeline run produces, including the interpretability export."""
+    """Everything a pipeline run produces, including the interpretability export.
+
+    The export is the learned filter's response on this graph: the
+    gate-mixed coefficients ``theta_star`` over [0, ``lambda_max``]. Its
+    sampled curve is computed on first access, so callers that never read
+    it (evaluation, validation) do not pay for it.
+    """
 
     y: GraphSignal
     predicates: PredicateSet
     answers: tuple[str, ...]
     traces: dict[str, ProofTrace]
-    response_grid: np.ndarray
-    response_values: np.ndarray
+    theta_star: np.ndarray
+    lambda_max: float
+
+    @cached_property
+    def response_grid(self) -> np.ndarray:
+        return np.linspace(0.0, self.lambda_max, RESPONSE_POINTS)
+
+    @cached_property
+    def response_values(self) -> np.ndarray:
+        return sample_response(ChebyshevFilter(self.theta_star, self.lambda_max), self.response_grid)
 
 
 @contextmanager
@@ -280,13 +307,13 @@ def prepare_graph(cfg: PipelineConfig, graph: ReasoningGraph) -> PreparedGraph:
 
 def run_pipeline(
     cfg: PipelineConfig,
-    graph: ReasoningGraph,
-    x0: GraphSignal,
+    graph: ReasoningGraph | Sequence[ReasoningGraph],
+    x0: GraphSignal | Sequence[GraphSignal],
     rules: list[SpectralRule] | tuple[SpectralRule, ...],
-    kb: KnowledgeBase,
+    kb: KnowledgeBase | Sequence[KnowledgeBase],
     params: dict[str, np.ndarray] | None = None,
-    mapping: dict[int, str] | None = None,
-) -> PipelineOutput:
+    mapping: dict[int, str] | Sequence[dict[int, str] | None] | None = None,
+) -> PipelineOutput | list[PipelineOutput]:
     """Execute rule composition, learned filtering, thresholding, binding,
     and forward chaining, in that order.
 
@@ -294,59 +321,100 @@ def run_pipeline(
     is a declared atom of ``kb``. The Laplacian, ``lambda_max``, rule rows
     and default mapping come from `prepare_graph`. Module errors propagate
     with a ``stage`` tag attached.
+
+    Several graphs run as one block when ``graph`` is a list, with ``x0``,
+    ``kb`` and ``mapping`` lists of one entry per graph (``mapping`` may
+    stay None). They are stacked block-diagonally (`block_diagonal`), so
+    the rule filter and the learned filter each make one Chebyshev
+    recurrence for all of them, each node keeping its own graph's
+    ``lambda_max`` and rule coefficients; stage 3 runs per graph. A list
+    of outputs comes back, each bit for bit the one its graph gives alone.
+    One graph is a block of one: nothing is assembled and ``lambda_max``
+    stays a scalar.
     """
     rules = tuple(rules)
     if params is None:
         params = init_params(cfg, n_rules=len(rules))
+    if isinstance(graph, ReasoningGraph):
+        return _run_block(cfg, [graph], [x0], rules, [kb], params, [mapping])[0]
+    return _run_block(cfg, graph, x0, rules, kb, params, [None] * len(graph) if mapping is None else mapping)
 
-    prepared = prepare_graph(cfg, graph)
-    if mapping is None:
-        mapping = prepared.atom_map(kb)
-    lap, lambda_max = prepared.laplacian, prepared.lambda_max
+
+def _run_block(
+    cfg: PipelineConfig,
+    graphs: Sequence[ReasoningGraph],
+    signals: Sequence[GraphSignal],
+    rules: tuple[SpectralRule, ...],
+    kbs: Sequence[KnowledgeBase],
+    params: dict[str, np.ndarray],
+    mappings: Sequence[dict[int, str] | None],
+) -> list[PipelineOutput]:
+    prepared = [prepare_graph(cfg, graph) for graph in graphs]
+    lap, lambda_max, starts = block_diagonal(
+        [p.laplacian for p in prepared], [p.lambda_max for p in prepared]
+    )
 
     with _stage("rules"):
-        bprime = x0
+        bprime = _block_signal(signals, starts)
         if rules:
-            total = ChebyshevFilter(params["rule_weights"] @ prepared.coefficient_rows(rules, cfg.order), lambda_max)
-            bprime = chebyshev_filter(lap, total, bprime)
+            rows = [params["rule_weights"] @ p.coefficient_rows(rules, cfg.order) for p in prepared]
+            coefficients = rows[0] if len(rows) == 1 else np.repeat(np.stack(rows), np.diff(starts), axis=0)
+            bprime = chebyshev_filter(lap, ChebyshevFilter(coefficients, lambda_max), bprime)
 
     with _stage("filter"):
         filt = combined_filter(params, lambda_max)
-        y = chebyshev_filter(lap, filt, bprime)
+        y = chebyshev_filter(lap, filt, bprime).values
 
     with _stage("threshold"):
         tau = params["tau"]
         tau_value = float(tau[0]) if tau.shape == (1,) else tau
         if cfg.threshold_mode == LOGISTIC:
             tcfg = ThresholdConfig(LOGISTIC, tau_value, float(params["alpha"]))
-            predicates = soft_threshold(y, tcfg)
         else:
             tcfg = ThresholdConfig(HARD, tau_value)
-            predicates = hard_threshold(y, tcfg)
+    threshold = soft_threshold if cfg.threshold_mode == LOGISTIC else hard_threshold
 
-    with _stage("bind"):
-        bound = bind_predicates(predicates, kb, mapping)
+    outputs = []
+    for lo, hi, p, kb, mapping in zip(starts[:-1], starts[1:], prepared, kbs, mappings, strict=True):
+        y_graph = vertex_signal(y[lo:hi])
+        with _stage("threshold"):
+            predicates = threshold(y_graph, tcfg)
+        with _stage("bind"):
+            bound = bind_predicates(predicates, kb, p.atom_map(kb) if mapping is None else mapping)
+        with _stage("chain"):
+            closure, traces = forward_chain(bound)
+        outputs.append(
+            PipelineOutput(y_graph, predicates, tuple(sorted(closure)), traces, filt.coefficients, p.lambda_max)
+        )
+    return outputs
 
-    with _stage("chain"):
-        closure, traces = forward_chain(bound)
 
-    grid = np.linspace(0.0, lambda_max, 64)
-    response_values = sample_response(filt, grid)
-    return PipelineOutput(
-        y=y,
-        predicates=predicates,
-        answers=tuple(sorted(closure)),
-        traces=traces,
-        response_grid=grid,
-        response_values=response_values,
-    )
+def _block_signal(signals: Sequence[GraphSignal], starts: np.ndarray) -> GraphSignal:
+    """The graphs' signals end to end, each checked against its own graph."""
+    if len(signals) == 1:
+        return signals[0]
+    for i, signal in enumerate(signals):
+        if signal.domain != VERTEX:
+            raise DomainMismatch("the pipeline expects vertex-domain signals")
+        if len(signal) != starts[i + 1] - starts[i]:
+            raise DimensionMismatch(f"signal {i} has length {len(signal)}, its graph {starts[i + 1] - starts[i]} nodes")
+    return vertex_signal(np.concatenate([signal.values for signal in signals]))
+
+
+def _read_rule_file(path: str) -> list[SpectralRule]:
+    """The config's rule file, with ``path`` resolved against the working
+    directory; an unreadable file raises `FormatError` naming the path tried."""
+    try:
+        return load_rules(path, REFERENCE_LAMBDA_MAX)
+    except OSError as exc:
+        raise FormatError(f"cannot read rules file {path!r} (tried {Path(path).absolute()}): {exc.strerror}") from exc
 
 
 class Pipeline:
     """A configuration bound to parameters and a rule set.
 
-    Instances are immutable in use: `run` and `run_task` are pure apart
-    from wall-clock reads and the `PreparedGraph` kept on each graph, so
+    Instances are immutable in use: `run`, `run_task` and `run_tasks` are
+    pure apart from the `PreparedGraph` kept on each graph, so
     one pipeline can serve many threads. Concurrent first queries on the
     same graph may each compute its prepared entry; one of the equal
     results is kept, which is harmless.
@@ -360,7 +428,7 @@ class Pipeline:
     ):
         self.cfg = cfg
         if rules is None:
-            rules = load_rules(cfg.rules, REFERENCE_LAMBDA_MAX) if cfg.rules else []
+            rules = _read_rule_file(cfg.rules) if cfg.rules else []
         self.rules = tuple(rules)
         self.params = params if params is not None else init_params(cfg, n_rules=len(self.rules))
 
@@ -376,6 +444,22 @@ class Pipeline:
     def run_task(self, task) -> PipelineOutput:
         """Run a synthetic task (harness protocol)."""
         return self.run(task.graph, vertex_signal(task.x0), task.kb, mapping=dict(task.node_atoms))
+
+    def run_tasks(self, tasks) -> list[PipelineOutput]:
+        """Run synthetic tasks as one block (see `run_pipeline`).
+
+        Output i is bit for bit ``run_task(tasks[i])``.
+        """
+        tasks = list(tasks)
+        return run_pipeline(
+            self.cfg,
+            [task.graph for task in tasks],
+            [vertex_signal(task.x0) for task in tasks],
+            self.rules,
+            [task.kb for task in tasks],
+            params=self.params,
+            mapping=[dict(task.node_atoms) for task in tasks],
+        )
 
     def with_params(self, params: dict[str, np.ndarray]) -> "Pipeline":
         return Pipeline(self.cfg, rules=list(self.rules), params=params)

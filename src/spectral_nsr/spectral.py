@@ -13,11 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Sequence
 
 import json
 
 import numpy as np
+import scipy.sparse as sp
 from numpy.polynomial import chebyshev as npcheb
 
 from .errors import (
@@ -227,42 +228,92 @@ class ChebyshevFilter:
     """Polynomial filter h(lambda) = sum_k theta_k T_k(lambda~).
 
     ``lambda_max`` fixes the rescaling lambda~ = 2 lambda / lambda_max - 1
-    that maps the spectrum into [-1, 1].
+    that maps the spectrum into [-1, 1]. On graphs stacked block-diagonally
+    (`block_diagonal`) each graph keeps its own rescaling and filter:
+    ``lambda_max`` then holds one value per node, and ``coefficients`` may
+    hold one row per node.
     """
 
     coefficients: np.ndarray
-    lambda_max: float
+    lambda_max: float | np.ndarray
 
     def __post_init__(self):
-        coeffs = np.asarray(self.coefficients, dtype=np.float64).reshape(-1)
-        if coeffs.size == 0:
+        coeffs = np.asarray(self.coefficients, dtype=np.float64)
+        if coeffs.ndim != 2:
+            coeffs = coeffs.reshape(-1)
+        if coeffs.shape[-1] == 0:
             raise BadParams("filter needs at least one coefficient")
         if not np.isfinite(coeffs).all():
             raise BadParams("filter coefficients must be finite")
-        if not self.lambda_max > 0.0:
+        lam = self.lambda_max
+        if isinstance(lam, np.ndarray) and lam.ndim:
+            lam = lam.astype(np.float64, copy=False)
+            if lam.ndim > 1 or not (lam > 0.0).all():
+                raise BadParams(f"lambda_max must be positive, got {self.lambda_max}")
+        elif not lam > 0.0:
             raise BadParams(f"lambda_max must be positive, got {self.lambda_max}")
+        else:
+            lam = float(lam)
         object.__setattr__(self, "coefficients", coeffs)
-        object.__setattr__(self, "lambda_max", float(self.lambda_max))
+        object.__setattr__(self, "lambda_max", lam)
 
     @property
     def order(self) -> int:
-        return self.coefficients.size - 1
+        return self.coefficients.shape[-1] - 1
 
     def response(self) -> FrequencyResponse:
         return FrequencyResponse(lambda lam: sample_response(self, lam), kind="custom")
 
 
-def _shifted_apply(matrix, lambda_max: float, x: np.ndarray) -> np.ndarray:
-    # L~ x = (2 / lambda_max) L x - x, one sparse product
+def _shifted_apply(matrix, lambda_max, x: np.ndarray) -> np.ndarray:
+    # L~ x = (2 / lambda_max) L x - x, one sparse product; a per-node
+    # lambda_max scales each row by its own graph's bound
     return (2.0 / lambda_max) * (matrix @ x) - x
 
 
-def chebyshev_stack(lap: LaplacianMatrix, lambda_max: float, x: np.ndarray, order: int) -> np.ndarray:
+def block_diagonal(
+    laplacians: Sequence[LaplacianMatrix], lambda_maxes: Sequence[float]
+) -> tuple[LaplacianMatrix, float | np.ndarray, np.ndarray]:
+    """Several graphs as one system, for one Chebyshev recurrence over all.
+
+    Returns the block-diagonal Laplacian (the graphs' CSR arrays,
+    offset-concatenated in order), each node's own graph's lambda_max, and
+    where each graph's nodes start, followed by the total node count. The
+    rescaling L~ = diag(2 / lambda_max) L - I then keeps every graph's
+    spectrum in [-1, 1], and each row of a product is the one its graph
+    gives alone. A single graph comes back as it is, with its scalar
+    lambda_max: nothing is assembled.
+    """
+    if len(laplacians) != len(lambda_maxes) or not laplacians:
+        raise BadParams(f"{len(laplacians)} Laplacians for {len(lambda_maxes)} lambda_max values")
+    mats = [lap.matrix for lap in laplacians]
+    sizes = np.fromiter((m.shape[0] for m in mats), np.int64, len(mats))
+    starts = np.concatenate(([0], np.cumsum(sizes)))
+    if len(mats) == 1:
+        return laplacians[0], lambda_maxes[0], starts
+    kinds = {lap.kind for lap in laplacians}
+    if len(kinds) != 1:
+        raise BadParams(f"cannot stack Laplacians of kinds {sorted(kinds)}")
+    nnz = np.fromiter((m.indptr[-1] for m in mats), np.int64, len(mats))
+    nnz_starts = np.concatenate(([0], np.cumsum(nnz)))
+    indptr = np.concatenate([m.indptr[:-1] for m in mats] + [nnz_starts[-1:]])
+    indptr[:-1] += np.repeat(nnz_starts[:-1], sizes)
+    indices = np.concatenate([m.indices for m in mats]) + np.repeat(starts[:-1], nnz)
+    data = np.concatenate([m.data for m in mats])
+    n = int(starts[-1])
+    matrix = sp.csr_array((data, indices, indptr), shape=(n, n))
+    degrees = np.concatenate([lap.degrees for lap in laplacians])
+    lambda_max = np.repeat(np.asarray(lambda_maxes, dtype=np.float64), sizes)
+    return LaplacianMatrix(kinds.pop(), matrix, degrees), lambda_max, starts
+
+
+def chebyshev_stack(lap: LaplacianMatrix, lambda_max, x: np.ndarray, order: int) -> np.ndarray:
     """Columns T_k(L~) x for k = 0..order, via the three-term recurrence.
 
     Costs exactly ``order`` sparse matrix-vector products. The stack is
     reused by the trainer: the filter output is linear in the
-    coefficients, so d y / d theta_k is column k.
+    coefficients, so d y / d theta_k is column k. ``lambda_max`` is a
+    scalar, or one value per node on a block (`block_diagonal`).
     """
     if order < 0:
         raise BadParams("order must be non-negative")
@@ -280,13 +331,18 @@ def chebyshev_filter(lap: LaplacianMatrix, filt: ChebyshevFilter, x: GraphSignal
 
     Requires filt.lambda_max >= the true largest eigenvalue; otherwise
     the rescaled spectrum leaves [-1, 1] and the recurrence may diverge
-    (caller contract, see estimate_lambda_max).
+    (caller contract, see estimate_lambda_max). A per-node filter gives
+    each node its own coefficient row and rescaling.
     """
     if x.domain != VERTEX:
         raise DomainMismatch("chebyshev_filter expects a vertex-domain signal")
     if len(x) != lap.node_count:
         raise DimensionMismatch(f"signal length {len(x)} != {lap.node_count}")
-    theta = filt.coefficients
+    # row k holds theta_k: one scalar, or one value per node
+    theta = filt.coefficients.T
+    for values in (theta[0], filt.lambda_max):
+        if np.ndim(values) and values.shape[0] != len(x):
+            raise DimensionMismatch(f"filter has {values.shape[0]} node rows for a signal of length {len(x)}")
     prev = x.values
     y = theta[0] * prev
     if filt.order >= 1:
@@ -328,6 +384,8 @@ def fit_chebyshev(
 
 def sample_response(filt: ChebyshevFilter, grid) -> np.ndarray:
     """Evaluate h(lambda) on a grid inside [0, lambda_max]."""
+    if filt.coefficients.ndim == 2 or np.ndim(filt.lambda_max):
+        raise BadParams("a per-node filter has no single response")
     lam = np.asarray(grid, dtype=np.float64)
     if lam.size:
         lo, hi = float(lam.min()), float(lam.max())
@@ -379,7 +437,10 @@ def save_filter(filt: ChebyshevFilter, path: str | Path) -> None:
 def load_filter(path: str | Path) -> ChebyshevFilter:
     try:
         payload = json.loads(Path(path).read_text())
-        return ChebyshevFilter(np.asarray(payload["coefficients"], dtype=np.float64), float(payload["lambda_max"]))
+        coefficients = np.asarray(payload["coefficients"], dtype=np.float64)
+        if coefficients.ndim != 1:
+            raise ValueError(f"coefficients must be a flat list, got shape {coefficients.shape}")
+        return ChebyshevFilter(coefficients, float(payload["lambda_max"]))
     except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         raise FormatError(f"{path}: malformed filter JSON: {exc}") from exc
 

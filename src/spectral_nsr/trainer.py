@@ -29,7 +29,7 @@ from .errors import (
 from .harness import SyntheticTask, TaskSplits, evaluate
 from .pipeline import GATE_DIM, Pipeline, PipelineConfig, mixed_theta, prepare_graph, retired_config_key
 from .rules import SpectralRule
-from .spectral import chebyshev_stack, softmax
+from .spectral import block_diagonal, chebyshev_stack, softmax
 from .symbolic import PredicateSet
 
 # prepare_graph makes these calls now; the names stay on this module
@@ -67,21 +67,23 @@ def loss(p_soft: PredicateSet, labels: dict[int, int]) -> float:
         raise BadParams("loss expects a soft predicate set")
     idx = np.asarray(sorted(labels), dtype=np.int64)
     targets = np.asarray([float(labels[i]) for i in sorted(labels)])
-    return _bce(p_soft.values[idx], targets)
+    return _bce(p_soft.values[idx], targets, np.zeros(1, dtype=np.int64), np.asarray([idx.size]))[0]
 
 
-def _bce(p: np.ndarray, targets: np.ndarray) -> float:
+def _bce(p: np.ndarray, targets: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> tuple[float, np.ndarray]:
+    """Sum over tasks of each task's mean BCE, and its derivative in p.
+
+    ``starts`` and ``counts`` give each task's run of labels. The
+    derivative is zero wherever the clip is active, as the clipped loss is.
+    """
     clipped = np.clip(p, PROB_CLIP, 1.0 - PROB_CLIP)
-    return float(-np.mean(targets * np.log(clipped) + (1.0 - targets) * np.log(1.0 - clipped)))
-
-
-def _bce_upstream(p: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """d(loss)/dp, zero wherever the clip is active (matches the clipped loss)."""
-    m = p.shape[0]
+    terms = targets * np.log(clipped) + (1.0 - targets) * np.log(1.0 - clipped)
+    value = float(-(np.add.reduceat(terms, starts) / counts).sum())
     inside = (p > PROB_CLIP) & (p < 1.0 - PROB_CLIP)
-    out = np.zeros_like(p)
-    out[inside] = (p[inside] - targets[inside]) / (p[inside] * (1.0 - p[inside])) / m
-    return out
+    per_label = np.repeat(counts, counts)
+    upstream = np.zeros_like(p)
+    upstream[inside] = (p[inside] - targets[inside]) / (p[inside] * (1.0 - p[inside])) / per_label[inside]
+    return value, upstream
 
 
 # ---------------------------------------------------------------------------
@@ -98,13 +100,30 @@ def grad_theta(stack: np.ndarray, upstream: np.ndarray) -> np.ndarray:
     return stack.T @ upstream
 
 
-def grad_rule_weights(coeff_rows: np.ndarray, x_stack: np.ndarray, upstream_bprime: np.ndarray) -> np.ndarray:
-    """d(loss)/d(w_r) for b' = sum_r w_r C_r x; C_r given as coefficient rows."""
+def grad_rule_weights(
+    coeff_rows: np.ndarray,
+    x_stack: np.ndarray,
+    upstream_bprime: np.ndarray,
+    node_starts: np.ndarray | None = None,
+) -> np.ndarray:
+    """d(loss)/d(w_r) for b' = sum_r w_r C_r x; C_r given as coefficient rows.
+
+    On a block, ``coeff_rows`` holds one (rules, order + 1) array per task
+    and ``node_starts`` where each task's rows of ``x_stack`` begin: each
+    task's projection meets its own rows.
+    """
     coeff_rows = np.asarray(coeff_rows)
-    projected = grad_theta(x_stack, upstream_bprime)
-    if coeff_rows.ndim != 2 or coeff_rows.shape[1] != projected.shape[0]:
-        raise ShapeMismatch(f"coefficient rows {coeff_rows.shape} incompatible with stack order")
-    return coeff_rows @ projected
+    x_stack = np.asarray(x_stack)
+    upstream_bprime = np.asarray(upstream_bprime).reshape(-1)
+    if x_stack.ndim != 2 or x_stack.shape[0] != upstream_bprime.shape[0]:
+        raise ShapeMismatch(f"stack {x_stack.shape} incompatible with upstream {upstream_bprime.shape}")
+    starts = np.zeros(1, dtype=np.int64) if node_starts is None else np.asarray(node_starts)
+    rows = coeff_rows[None] if coeff_rows.ndim == 2 else coeff_rows
+    if rows.ndim != 3 or rows.shape[0] != starts.shape[0] or rows.shape[2] != x_stack.shape[1]:
+        raise ShapeMismatch(f"coefficient rows {coeff_rows.shape} incompatible with stack order or task count")
+    # per task: <upstream_t, T_k(L~) x_t> for every k, summed over the task's nodes
+    projected = np.add.reduceat(x_stack * upstream_bprime[:, None], starts, axis=0)
+    return np.einsum("trk,tk->r", rows, projected)
 
 
 def grad_gate(
@@ -224,15 +243,25 @@ def adam_step(
 
 @dataclass
 class TaskContext:
-    """Per-task quantities that do not depend on the trainable parameters."""
+    """Quantities of one task, or of a block of tasks, that do not depend on
+    the trainable parameters.
 
-    lambda_max: float
+    A block (`stack_contexts`) stacks its tasks block-diagonally: the
+    Laplacian is block-diagonal, ``lambda_max`` holds each node's own
+    task's value, ``coeff_rows`` one (rules, order + 1) array per task,
+    and ``label_nodes`` ascend through the stacked nodes.
+    ``node_starts`` says where each task's nodes begin; it stays None for
+    a single task.
+    """
+
+    lambda_max: float | np.ndarray
     laplacian: object
     coeff_rows: np.ndarray | None
     x0: np.ndarray
     x0_stack: np.ndarray
     label_nodes: np.ndarray
     label_values: np.ndarray
+    node_starts: np.ndarray | None = None
 
 
 def prepare_context(task: SyntheticTask, cfg: PipelineConfig, rules: tuple[SpectralRule, ...]) -> TaskContext:
@@ -248,20 +277,65 @@ def prepare_context(task: SyntheticTask, cfg: PipelineConfig, rules: tuple[Spect
     return TaskContext(lam_max, lap, rows, x0, stack, nodes, values)
 
 
+def stack_contexts(contexts: list[TaskContext]) -> TaskContext:
+    """One context for a minibatch of single-task contexts, stacked block-diagonally.
+
+    Offset-concatenates the tasks' cached CSR arrays, ``x0`` and
+    ``x0_stack`` (see `block_diagonal`); a single context comes back as it
+    is.
+    """
+    if any(ctx.node_starts is not None for ctx in contexts):
+        raise BadParams("only single-task contexts can be stacked")
+    if len(contexts) == 1:
+        return contexts[0]
+    if len({ctx.coeff_rows is None for ctx in contexts}) > 1:
+        raise BadParams("cannot stack contexts with and without rules")
+    lap, lambda_max, starts = block_diagonal(
+        [ctx.laplacian for ctx in contexts], [ctx.lambda_max for ctx in contexts]
+    )
+    counts = np.fromiter((ctx.label_nodes.size for ctx in contexts), np.int64, len(contexts))
+    return TaskContext(
+        lambda_max,
+        lap,
+        None if contexts[0].coeff_rows is None else np.stack([ctx.coeff_rows for ctx in contexts]),
+        np.concatenate([ctx.x0 for ctx in contexts]),
+        np.concatenate([ctx.x0_stack for ctx in contexts]),
+        np.concatenate([ctx.label_nodes for ctx in contexts]) + np.repeat(starts[:-1], counts),
+        np.concatenate([ctx.label_values for ctx in contexts]),
+        node_starts=starts[:-1],
+    )
+
+
 def task_loss_and_grads(
-    ctx: TaskContext,
+    ctx: TaskContext | list[TaskContext],
     params: dict[str, np.ndarray],
     order: int,
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Loss and full analytic gradient for one task."""
-    n = ctx.x0.shape[0]
-    weights = params["rule_weights"]
-    if ctx.coeff_rows is not None and weights.shape[0] != ctx.coeff_rows.shape[0]:
-        raise ShapeMismatch(f"{weights.shape[0]} rule weights for {ctx.coeff_rows.shape[0]} rules")
+    """Loss and full analytic gradient for one task or a block of tasks.
 
-    if ctx.coeff_rows is not None:
-        c_total = weights @ ctx.coeff_rows
-        bprime = ctx.x0_stack @ c_total
+    A list of single-task contexts is stacked into one block first
+    (`stack_contexts`). A block's loss is the sum of its tasks' mean BCE,
+    so its value and gradients are the sums of those of its tasks.
+    """
+    if not isinstance(ctx, TaskContext):
+        ctx = stack_contexts(ctx)
+    n = ctx.x0.shape[0]
+    if ctx.node_starts is None:
+        node_starts = label_starts = np.zeros(1, dtype=np.int64)
+    else:
+        node_starts = ctx.node_starts
+        label_starts = np.searchsorted(ctx.label_nodes, node_starts)
+    sizes = np.diff(node_starts, append=n)
+    tasks = sizes.shape[0]
+    weights = params["rule_weights"]
+    # one (rules, order + 1) array of coefficient rows per task
+    rows = ctx.coeff_rows[None] if ctx.coeff_rows is not None and ctx.coeff_rows.ndim == 2 else ctx.coeff_rows
+    if rows is not None and weights.shape[0] != rows.shape[1]:
+        raise ShapeMismatch(f"{weights.shape[0]} rule weights for {rows.shape[1]} rules")
+
+    if rows is not None:
+        c_node = np.repeat(weights @ rows, sizes, axis=0)
+        bprime = np.einsum("nk,nk->n", ctx.x0_stack, c_node)
         b_stack = chebyshev_stack(ctx.laplacian, ctx.lambda_max, bprime, order)
     else:
         bprime = ctx.x0
@@ -271,17 +345,21 @@ def task_loss_and_grads(
     y = b_stack @ theta_star
 
     tau = params["tau"]
-    tau_vec = np.full(n, float(tau[0])) if tau.shape == (1,) else tau
-    if tau_vec.shape[0] != n:
-        raise ShapeMismatch(f"tau length {tau_vec.shape[0]} != {n} nodes")
+    if tau.shape == (1,):
+        tau_vec = np.full(n, float(tau[0]))
+    elif np.all(sizes == tau.shape[0]):
+        tau_vec = np.tile(tau, tasks)
+    else:
+        raise ShapeMismatch(f"tau length {tau.shape[0]} != {sizes.tolist()} nodes")
     steepness = float(params["alpha"])
     p = expit(steepness * (y - tau_vec))
 
     p_label = p[ctx.label_nodes]
-    value = _bce(p_label, ctx.label_values)
+    counts = np.diff(label_starts, append=ctx.label_nodes.size)
+    value, upstream_label = _bce(p_label, ctx.label_values, label_starts, counts)
 
     upstream_p = np.zeros(n)
-    upstream_p[ctx.label_nodes] = _bce_upstream(p_label, ctx.label_values)
+    upstream_p[ctx.label_nodes] = upstream_label
     d_y, d_tau_vec, d_alpha = grad_threshold(y, tau_vec, steepness, p, upstream_p)
 
     g_theta_star = grad_theta(b_stack, d_y)
@@ -292,10 +370,10 @@ def task_loss_and_grads(
     else:
         d_theta, d_q, d_s = grad_gate(params["theta"], params["q"], params["s"], g_theta_star)
 
-    if ctx.coeff_rows is not None:
+    if rows is not None:
         # d loss / d b' = H_{theta*} (d loss / d y): the filter is symmetric
         upstream_b = chebyshev_stack(ctx.laplacian, ctx.lambda_max, d_y, order) @ theta_star
-        d_w = grad_rule_weights(ctx.coeff_rows, ctx.x0_stack, upstream_b)
+        d_w = grad_rule_weights(rows, ctx.x0_stack, upstream_b, node_starts)
     else:
         d_w = np.zeros_like(weights)
 
@@ -304,7 +382,7 @@ def task_loss_and_grads(
         "rule_weights": d_w,
         "q": d_q,
         "s": d_s,
-        "tau": np.asarray([d_tau_vec.sum()]) if tau.shape == (1,) else d_tau_vec,
+        "tau": np.asarray([d_tau_vec.sum()]) if tau.shape == (1,) else d_tau_vec.reshape(tasks, -1).sum(axis=0),
         "alpha": np.asarray(d_alpha),
     }
     return value, grads
@@ -462,10 +540,15 @@ def train(
     warm_start: dict[str, np.ndarray] | None = None,
 ) -> TrainResult:
     """Epoch loop with per-epoch validation, early stopping, and the
-    highest-accuracy (tie: lowest-latency, then earliest) checkpoint.
+    checkpoint of highest validation accuracy (ties: the earliest epoch).
 
-    ``warm_start`` resumes from existing parameters (e.g. a loaded
-    checkpoint) instead of the low-pass initialization.
+    Each minibatch is one `task_loss_and_grads` call on its tasks stacked
+    block-diagonally, and each epoch's validation one block run
+    (`evaluate` without latency). The latency probe is recorded in the
+    history and the checkpoint metadata but never picks the checkpoint,
+    so a run is reproducible. ``warm_start`` resumes from existing
+    parameters (e.g. a loaded checkpoint) instead of the low-pass
+    initialization.
     """
     if not splits.train or not splits.val:
         raise BadParams("training needs non-empty train and val splits")
@@ -480,7 +563,6 @@ def train(
     history: list[EpochMetrics] = []
     trajectory: list[dict[str, np.ndarray]] = []
     best: Checkpoint | None = None
-    best_key: tuple[float, float] | None = None
     epochs_since_improvement = 0
     stopped_epoch = 0
 
@@ -489,22 +571,12 @@ def train(
         losses = []
         for start in range(0, len(order), run.batch_size):
             batch = order[start : start + run.batch_size]
-            acc_grads: dict[str, np.ndarray] | None = None
-            batch_loss = 0.0
-            for idx in batch:
-                value, grads = task_loss_and_grads(contexts[idx], params, cfg.order)
-                if not np.isfinite(value):
-                    raise DivergedLoss(f"loss diverged on task index {int(idx)}")
-                batch_loss += value
-                if acc_grads is None:
-                    acc_grads = {k: np.array(g, dtype=np.float64) for k, g in grads.items()}
-                else:
-                    for k, g in grads.items():
-                        acc_grads[k] += g
+            value, grads = task_loss_and_grads([contexts[i] for i in batch], params, cfg.order)
+            if not np.isfinite(value):
+                raise DivergedLoss(f"loss diverged on the minibatch of task indices {batch.tolist()}")
             scale = 1.0 / len(batch)
-            acc_grads = {k: g * scale for k, g in acc_grads.items()}
-            params = adam_step(params, acc_grads, state)
-            losses.append(batch_loss * scale)
+            params = adam_step(params, {k: g * scale for k, g in grads.items()}, state)
+            losses.append(value * scale)
         train_loss = float(np.mean(losses))
 
         pipe = Pipeline(cfg, rules=rules, params=params)
@@ -513,12 +585,10 @@ def train(
         history.append(EpochMetrics(epoch, train_loss, val_accuracy, latency))
         trajectory.append({k: np.array(v) for k, v in params.items()})
 
-        key = (val_accuracy, -(latency if latency is not None else 0.0))
-        improved = best_key is None or val_accuracy > best_key[0] or (
-            val_accuracy == best_key[0] and latency is not None and -latency > best_key[1]
-        )
-        if improved:
-            best_key = key
+        # early stopping counts epochs since the last new accuracy maximum,
+        # which is also the checkpoint kept
+        if best is None or val_accuracy > best.metadata["val_accuracy"]:
+            epochs_since_improvement = 0
             best = Checkpoint(
                 config=cfg,
                 params={k: np.array(v) for k, v in params.items()},
@@ -535,9 +605,6 @@ def train(
                     "rule_ids": [r.rule_id for r in rules],
                 },
             )
-        # early stopping counts epochs since the last new accuracy maximum
-        if epoch == 1 or val_accuracy > max(h.val_accuracy for h in history[:-1]):
-            epochs_since_improvement = 0
         else:
             epochs_since_improvement += 1
         stopped_epoch = epoch

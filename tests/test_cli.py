@@ -1,0 +1,164 @@
+"""The CLI end to end, and malformed datasets and rule files as exit code 1."""
+
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+from click.testing import CliRunner
+
+from spectral_nsr.cli import main
+from spectral_nsr.errors import FormatError
+from spectral_nsr.harness import gen_dataset, load_dataset, save_dataset
+from spectral_nsr.pipeline import Pipeline, PipelineConfig
+from spectral_nsr.trainer import Checkpoint
+
+DATA = Path(__file__).parent / "data"
+
+
+def invoke(*args):
+    return CliRunner().invoke(main, [str(a) for a in args])
+
+
+@pytest.fixture
+def dataset(tmp_path):
+    out = tmp_path / "data"
+    result = invoke("gen", "--n", 30, "--depth", 4, "--seed", 3, "--splits", "20,5,5", "--out", out)
+    assert result.exit_code == 0, result.output
+    return out
+
+
+@pytest.fixture
+def config(tmp_path):
+    path = tmp_path / "run.cfg"
+    PipelineConfig(tau=0.4, rules=str(DATA / "reference_rules.txt")).save(path)
+    return path
+
+
+class TestEndToEnd:
+    def test_gen_train_eval_inspect(self, tmp_path, dataset, config):
+        ckpt = tmp_path / "ckpt.json"
+        result = invoke("train", "--config", config, "--data", dataset, "--out", ckpt, "--epochs", 2)
+        assert result.exit_code == 0, result.output
+        result = invoke("eval", "--ckpt", ckpt, "--data", dataset, "--no-latency")
+        assert result.exit_code == 0, result.output
+        report = json.loads(result.output)
+        assert report["n_tasks"] == 5 and "latency_median_ms" not in report
+        result = invoke("inspect-ckpt", "--ckpt", ckpt)
+        assert result.exit_code == 0, result.output
+        assert "epoch:" in result.output
+
+    def test_training_twice_picks_the_same_checkpoint(self, tmp_path, dataset, config):
+        paths = [tmp_path / "a.json", tmp_path / "b.json"]
+        for path in paths:
+            result = invoke("train", "--config", config, "--data", dataset, "--out", path, "--epochs", 3)
+            assert result.exit_code == 0, result.output
+        a, b = (Checkpoint.load(path) for path in paths)
+        assert a.metadata["epoch"] == b.metadata["epoch"]
+        assert a.metadata["val_accuracy"] == b.metadata["val_accuracy"]
+        for key, value in a.params.items():
+            assert np.array_equal(value, b.params[key]), key
+
+    def test_truncated_manifest_is_a_json_error_record(self, tmp_path, dataset):
+        manifest = dataset / "manifest.json"
+        manifest.write_text(manifest.read_text()[:100])
+        result = invoke("eval", "--ckpt", DATA / "reference_checkpoint.json", "--data", dataset, "--json-errors")
+        assert result.exit_code == 1
+        record = json.loads(result.stderr.strip().splitlines()[-1])
+        assert record["error"] == "FormatError" and "manifest.json" in record["message"]
+
+    def test_missing_rules_file_exits_one(self, tmp_path, monkeypatch, dataset):
+        # the reference checkpoint names its rules file relative to the repository root
+        monkeypatch.chdir(tmp_path)
+        result = invoke("eval", "--ckpt", DATA / "reference_checkpoint.json", "--data", dataset, "--json-errors")
+        assert result.exit_code == 1
+        record = json.loads(result.stderr.strip().splitlines()[-1])
+        assert record["error"] == "FormatError"
+        assert str(tmp_path / "tests" / "data" / "reference_rules.txt") in record["message"]
+
+
+class TestMissingRules:
+    def test_pipeline_names_the_path_it_tried(self, tmp_path):
+        with pytest.raises(FormatError, match="nowhere.txt"):
+            Pipeline(PipelineConfig(rules=str(tmp_path / "nowhere.txt")))
+
+
+@pytest.fixture
+def saved(tmp_path):
+    out = tmp_path / "set"
+    tasks = gen_dataset("transitive", 3, seed=1)
+    save_dataset(tasks, out, splits=(1, 1, 1))
+    return out, tasks
+
+
+def edit_manifest(directory, change):
+    path = directory / "manifest.json"
+    manifest = json.loads(path.read_text())
+    change(manifest)
+    path.write_text(json.dumps(manifest))
+
+
+class TestMalformedDataset:
+    def test_round_trip(self, saved):
+        out, tasks = saved
+        loaded, splits = load_dataset(out)
+        assert splits == (1, 1, 1)
+        assert [t.task_id for t in loaded] == [t.task_id for t in tasks]
+        assert all(np.array_equal(a.x0, b.x0) and a.labels == b.labels for a, b in zip(loaded, tasks))
+
+    def test_bad_json(self, saved):
+        out, _ = saved
+        (out / "manifest.json").write_text('{"tasks": [')
+        with pytest.raises(FormatError, match="malformed JSON"):
+            load_dataset(out)
+
+    def test_missing_key(self, saved):
+        out, _ = saved
+        edit_manifest(out, lambda m: m["tasks"][0].pop("family"))
+        with pytest.raises(FormatError, match="family"):
+            load_dataset(out)
+
+    def test_missing_tasks(self, saved):
+        out, _ = saved
+        edit_manifest(out, lambda m: m.pop("tasks"))
+        with pytest.raises(FormatError, match="tasks"):
+            load_dataset(out)
+
+    @pytest.mark.parametrize("key, value", [("depth", 2.5), ("depth", "3"), ("seed", None), ("seed", True)])
+    def test_non_integer_depth_or_seed(self, saved, key, value):
+        out, _ = saved
+        edit_manifest(out, lambda m: m["tasks"][1].__setitem__(key, value))
+        with pytest.raises(FormatError, match=key):
+            load_dataset(out)
+
+    def test_non_integer_split(self, saved):
+        out, _ = saved
+        edit_manifest(out, lambda m: m["splits"].__setitem__("val", "1"))
+        with pytest.raises(FormatError, match="val"):
+            load_dataset(out)
+
+    def test_malformed_x0(self, saved):
+        out, tasks = saved
+        (out / f"{tasks[0].task_id}.x0.csv").write_text("0.5\nabc\n")
+        with pytest.raises(FormatError, match="x0.csv"):
+            load_dataset(out)
+
+    def test_x0_of_the_wrong_length(self, saved):
+        out, tasks = saved
+        path = out / f"{tasks[0].task_id}.x0.csv"
+        path.write_text(path.read_text() + "0.0\n")
+        with pytest.raises(FormatError, match="values for"):
+            load_dataset(out)
+
+    @pytest.mark.parametrize("line", ["1", "1,2,3", "x,1", "1,2", "999,1"])
+    def test_malformed_labels(self, saved, line):
+        out, tasks = saved
+        (out / f"{tasks[2].task_id}.labels.csv").write_text(f"0,1\n{line}\n")
+        with pytest.raises(FormatError, match="labels.csv:2"):
+            load_dataset(out)
+
+    def test_missing_task_file(self, saved):
+        out, tasks = saved
+        (out / f"{tasks[1].task_id}.kb.txt").unlink()
+        with pytest.raises(FormatError, match=tasks[1].task_id):
+            load_dataset(out)
