@@ -78,10 +78,11 @@ def gen_cmd(family, depth, width, count, seed, splits, out_dir):
     tasks = harness.gen_dataset(family, count, seed=seed, max_depth=depth, width=width)
     split_sizes = None
     if splits:
-        parts = [int(p) for p in splits.split(",")]
-        if len(parts) != 3:
-            raise ValidationError("--splits needs three comma-separated sizes")
-        split_sizes = (parts[0], parts[1], parts[2])
+        try:
+            n_train, n_val, n_test = (int(p) for p in splits.split(","))
+        except ValueError as exc:
+            raise ValidationError(f"--splits needs three comma-separated integer sizes, got {splits!r}") from exc
+        split_sizes = (n_train, n_val, n_test)
         harness.split_dataset(tasks, split_sizes)  # validates the sizes
     harness.save_dataset(tasks, out_dir, splits=split_sizes)
     click.echo(f"wrote {len(tasks)} {family} tasks to {out_dir}")
@@ -139,7 +140,7 @@ def eval_cmd(ckpt_path, data_dir, report_path, split, no_latency):
     else:
         tasks = list(getattr(_load_splits(data_dir), split))
     report = harness.evaluate(pipe, tasks, measure_latency=not no_latency)
-    text = report.to_json(include_latency=not no_latency)
+    text = report.to_json()
     if report_path:
         Path(report_path).write_text(text + "\n")
     click.echo(text)

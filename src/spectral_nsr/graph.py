@@ -83,6 +83,10 @@ class ReasoningGraph:
             if meta.id != idx:
                 raise IndexOutOfRange(f"node ids must be dense in [0, {n}); got {meta.id} at {idx}")
         if a.nnz:
+            bad = np.flatnonzero(~np.isfinite(a.data))
+            if bad.size:
+                row = int(np.searchsorted(a.indptr, bad[0], side="right")) - 1
+                raise BadParams(f"edge ({row}, {a.indices[bad[0]]}) has non-finite weight {a.data[bad[0]]}")
             if a.data.min() < 0.0:
                 raise NegativeWeight("adjacency contains a negative weight")
             if np.abs(a.diagonal()).max() > 0.0:
@@ -96,7 +100,8 @@ def build_graph(nodes: Sequence[NodeMeta], edges: Iterable[tuple[int, int, float
     """Assemble a symmetric adjacency from an edge list.
 
     Each entry (i, j, w) contributes w to both A[i][j] and A[j][i];
-    duplicate entries are summed.
+    duplicate entries are summed. A negative or non-finite weight raises
+    a `ValidationError` naming its edge.
     """
     metas = tuple(nodes)
     n = len(metas)
@@ -306,7 +311,7 @@ def load_graph_json(path: str | Path) -> ReasoningGraph:
         payload = json.loads(Path(path).read_text())
         nodes = [NodeMeta(int(m["id"]), m.get("kind", "proposition"), m.get("label", "")) for m in payload["nodes"]]
         edges = [(int(i), int(j), float(w)) for i, j, w in payload["edges"]]
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: malformed graph JSON: {exc}") from exc
     nodes.sort(key=lambda m: m.id)
     return build_graph(nodes, edges)

@@ -12,20 +12,35 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
 from .errors import BadParams, EmptyDataset, FormatError
 from .graph import NodeMeta, ReasoningGraph, build_graph, combinatorial_laplacian, load_graph_text, save_graph_text
 from .rules import builtin_template
-from .spectral import chebyshev_filter, estimate_lambda_max, fit_chebyshev, vertex_signal
+from .spectral import chebyshev_filter, estimate_lambda_max, fit_chebyshev, load_signal, save_signal, vertex_signal
 from .symbolic import Clause, KnowledgeBase, detect_conflicts, forward_chain, load_kb, save_kb
+
+# belief mass drawn for each distractor's seed node
+DISTRACTOR_BELIEF = (0.05, 0.2)
+
+# tasks `evaluate` runs once, untimed, before it times its queries
+LATENCY_WARMUP = 3
+
+# mean node degree of `random_sparse_laplacian`
+RANDOM_GRAPH_DEGREE = 8
 
 
 @dataclass(frozen=True)
 class SyntheticTask:
-    """One reasoning episode: graph, initial beliefs, KB, and oracle labels."""
+    """One reasoning episode: graph, initial beliefs, KB, and oracle labels.
+
+    Each node stands for the atom its label names; the pipeline binds it
+    from the graph itself (`PreparedGraph.atom_map`).
+    """
 
     task_id: str
     family: str
@@ -34,16 +49,20 @@ class SyntheticTask:
     graph: ReasoningGraph
     x0: np.ndarray
     kb: KnowledgeBase
-    node_atoms: dict[int, str]
     labels: dict[int, int]
 
+    @cached_property
+    def node_atoms(self) -> MappingProxyType:
+        """Read-only node id -> atom view of the graph's labels, built on first use."""
+        return MappingProxyType({m.id: m.label for m in self.graph.nodes})
 
-def _closure_labels(kb: KnowledgeBase, true_facts: set[str], node_atoms: dict[int, str], query_nodes) -> dict[int, int]:
+
+def _closure_labels(kb: KnowledgeBase, true_facts: set[str], nodes: list[NodeMeta], query_nodes) -> dict[int, int]:
     closure, _ = forward_chain(kb.with_facts(true_facts))
-    return {i: int(node_atoms[i] in closure) for i in query_nodes}
+    return {i: int(nodes[i].label in closure) for i in query_nodes}
 
 
-def gen_transitive(depth: int, width: int = 2, seed: int = 0, noise: tuple[float, float] = (0.05, 0.2)) -> SyntheticTask:
+def gen_transitive(depth: int, width: int = 2, seed: int = 0) -> SyntheticTask:
     """Implication chain P0 -> ... -> P<depth> with noise-seeded distractor chains.
 
     The signal carries unit mass on the chain's base fact and small noise
@@ -88,26 +107,15 @@ def gen_transitive(depth: int, width: int = 2, seed: int = 0, noise: tuple[float
     x0 = np.zeros(len(nodes))
     x0[chain[0]] = float(rng.uniform(0.8, 1.0))  # evidence strength varies per task
     for idx in noise_nodes:
-        x0[idx] = float(rng.uniform(*noise))
+        x0[idx] = float(rng.uniform(*DISTRACTOR_BELIEF))
 
     kb = KnowledgeBase(tuple(atoms), tuple(clauses))
-    node_atoms = {m.id: m.label for m in nodes}
-    queries = [i for i in node_atoms if i != chain[0]]
-    labels = _closure_labels(kb, {"P0"}, node_atoms, queries)
-    return SyntheticTask(
-        task_id=f"transitive-d{depth}-s{seed}",
-        family="transitive",
-        depth=depth,
-        seed=seed,
-        graph=graph,
-        x0=x0,
-        kb=kb,
-        node_atoms=node_atoms,
-        labels=labels,
-    )
+    queries = [i for i in range(len(nodes)) if i != chain[0]]
+    labels = _closure_labels(kb, {"P0"}, nodes, queries)
+    return SyntheticTask(f"transitive-d{depth}-s{seed}", "transitive", depth, seed, graph, x0, kb, labels)
 
 
-def gen_kinship(chain_length: int, seed: int = 0, noise: tuple[float, float] = (0.05, 0.2)) -> SyntheticTask:
+def gen_kinship(chain_length: int, seed: int = 0) -> SyntheticTask:
     """Pedigree-chain composition task (ancestry depth k from parent links).
 
     Relation instances are grounded as proposition nodes: anc1_i_j is a
@@ -163,29 +171,18 @@ def gen_kinship(chain_length: int, seed: int = 0, noise: tuple[float, float] = (
     x0 = np.zeros(len(nodes))
     for i in range(chain_length):
         x0[true_index[(1, i)]] = 1.0
-        x0[decoy_index[(1, i)]] = float(rng.uniform(*noise))
+        x0[decoy_index[(1, i)]] = float(rng.uniform(*DISTRACTOR_BELIEF))
 
     exclusive = tuple(
         (nodes[true_index[key]].label, nodes[decoy_index[key]].label) for key in sorted(true_index)
     )
     kb = KnowledgeBase(tuple(atoms), tuple(clauses), frozenset(), exclusive)
-    node_atoms = {m.id: m.label for m in nodes}
     true_parent_atoms = {nodes[true_index[(1, i)]].label for i in range(chain_length)}
     queries = sorted(
         [idx for key, idx in true_index.items() if key[0] >= 2] + list(decoy_index.values())
     )
-    labels = _closure_labels(kb, true_parent_atoms, node_atoms, queries)
-    return SyntheticTask(
-        task_id=f"kinship-l{chain_length}-s{seed}",
-        family="kinship",
-        depth=chain_length,
-        seed=seed,
-        graph=graph,
-        x0=x0,
-        kb=kb,
-        node_atoms=node_atoms,
-        labels=labels,
-    )
+    labels = _closure_labels(kb, true_parent_atoms, nodes, queries)
+    return SyntheticTask(f"kinship-l{chain_length}-s{seed}", "kinship", chain_length, seed, graph, x0, kb, labels)
 
 
 @dataclass(frozen=True)
@@ -228,8 +225,8 @@ def gen_dataset(
 def split_dataset(tasks: list[SyntheticTask], sizes: tuple[int, int, int]) -> TaskSplits:
     """Slice a task list into disjoint train/val/test splits by position."""
     n_train, n_val, n_test = sizes
-    if n_train + n_val + n_test > len(tasks):
-        raise BadParams(f"splits {sizes} exceed {len(tasks)} tasks")
+    if min(sizes) < 0 or n_train + n_val + n_test > len(tasks):
+        raise BadParams(f"splits {sizes} are negative or exceed {len(tasks)} tasks")
     return TaskSplits(
         train=tuple(tasks[:n_train]),
         val=tuple(tasks[n_train : n_train + n_val]),
@@ -252,7 +249,7 @@ def save_task(task: SyntheticTask, directory: str | Path) -> None:
     d.mkdir(parents=True, exist_ok=True)
     save_graph_text(task.graph, d / f"{task.task_id}.graph.txt")
     save_kb(task.kb, d / f"{task.task_id}.kb.txt")
-    (d / f"{task.task_id}.x0.csv").write_text("\n".join(repr(float(v)) for v in task.x0) + "\n")
+    save_signal(vertex_signal(task.x0), d / f"{task.task_id}.x0.csv")
     label_lines = [f"{i},{task.labels[i]}" for i in sorted(task.labels)]
     (d / f"{task.task_id}.labels.csv").write_text("\n".join(label_lines) + "\n")
 
@@ -264,15 +261,11 @@ def load_task(directory: str | Path, task_id: str, family: str, depth: int, seed
         graph = load_graph_text(d / f"{task_id}.graph.txt")
         kb = load_kb(d / f"{task_id}.kb.txt")
         x0_path = d / f"{task_id}.x0.csv"
-        x0_text = x0_path.read_text()
+        x0 = load_signal(x0_path).values
         labels_path = d / f"{task_id}.labels.csv"
         labels_text = labels_path.read_text()
     except OSError as exc:
         raise FormatError(f"{d}: cannot read task {task_id!r}: {exc}") from exc
-    try:
-        x0 = np.asarray([float(s) for s in x0_text.split()], dtype=np.float64)
-    except ValueError as exc:
-        raise FormatError(f"{x0_path}: malformed signal value: {exc}") from exc
     if x0.shape[0] != graph.node_count:
         raise FormatError(f"{x0_path}: {x0.shape[0]} values for {graph.node_count} nodes")
     labels = {}
@@ -286,8 +279,7 @@ def load_task(directory: str | Path, task_id: str, family: str, depth: int, seed
         if not 0 <= i < graph.node_count or lab not in (0, 1):
             raise FormatError(f"{labels_path}:{lineno}: node {i} label {lab} is not a 0/1 label of a graph node")
         labels[i] = lab
-    node_atoms = {m.id: m.label for m in graph.nodes}
-    return SyntheticTask(task_id, family, depth, seed, graph, x0, kb, node_atoms, labels)
+    return SyntheticTask(task_id, family, depth, seed, graph, x0, kb, labels)
 
 
 def save_dataset(tasks: list[SyntheticTask], directory: str | Path, splits: tuple[int, int, int] | None = None) -> None:
@@ -356,34 +348,36 @@ class EvalReport:
     latency_median_ms: float | None
     latency_p95_ms: float | None
 
-    def to_json(self, include_latency: bool = True) -> str:
+    def to_json(self) -> str:
+        """The report as one JSON object; the latency keys appear only when latency was measured."""
         payload = {
             "accuracy": self.accuracy,
             "consistency": self.consistency,
             "n_tasks": self.n_tasks,
             "n_queries": self.n_queries,
         }
-        if include_latency:
+        if self.latency_median_ms is not None:
             payload["latency_median_ms"] = self.latency_median_ms
             payload["latency_p95_ms"] = self.latency_p95_ms
         return json.dumps(payload, sort_keys=True)
 
 
-def evaluate(pipeline, tasks, measure_latency: bool = True, warmup: int = 3) -> EvalReport:
+def evaluate(pipeline, tasks, measure_latency: bool = True) -> EvalReport:
     """Run a pipeline over tasks and score against the oracle labels.
 
     With ``measure_latency`` each task is one timed query (``run_task``),
-    and the first ``warmup`` runs are excluded from the latency
-    statistics. Without it, all tasks run as one block (``run_tasks``:
-    stage 2 once for the block, stage 3 per task), which gives the same
-    answers. ``pipeline`` only needs those two methods.
+    after untimed runs of the first ``LATENCY_WARMUP`` tasks. Without it,
+    all tasks run as one block (``run_tasks``: stage 2 once for the
+    block, stage 3 per task), which gives the same answers, and the
+    report's latency fields are None. ``pipeline`` only needs those two
+    methods.
     """
     tasks = list(tasks)
     if not tasks:
         raise EmptyDataset("evaluate needs at least one task")
     latencies = []
     if measure_latency:
-        for task in tasks[: min(warmup, len(tasks))]:
+        for task in tasks[:LATENCY_WARMUP]:
             pipeline.run_task(task)
         outputs = []
         for task in tasks:
@@ -425,10 +419,10 @@ class ScalingResult:
     slope: float | None
 
 
-def random_sparse_laplacian(n_edges: int, seed: int = 0, degree: int = 8):
-    """Random graph with roughly ``n_edges`` edges and mean degree ``degree``."""
+def random_sparse_laplacian(n_edges: int, seed: int = 0):
+    """Random graph with roughly ``n_edges`` edges and mean degree ``RANDOM_GRAPH_DEGREE``."""
     rng = np.random.default_rng(seed)
-    n = max(int(n_edges // (degree // 2)), 16)
+    n = max(int(n_edges // (RANDOM_GRAPH_DEGREE // 2)), 16)
     i = rng.integers(0, n, size=n_edges)
     j = rng.integers(0, n, size=n_edges)
     keep = i != j

@@ -10,7 +10,7 @@ forward chains to the answer set with proof traces.
 
 from __future__ import annotations
 
-import os
+import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from functools import cached_property, lru_cache
@@ -48,8 +48,6 @@ from .symbolic import (
     hard_threshold,
     soft_threshold,
 )
-
-SEED_ENV_VAR = "SPECTRAL_NSR_SEED"
 
 # reference interval used when parsing rule files and fitting the initial
 # low-pass filter; per-graph application rescales by the estimated
@@ -94,12 +92,21 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # bool passes for an int, so it is refused by name
+        accepted = {int: numbers.Integral, float: numbers.Real, str: str}
+        for f in fields(self):
+            value, kind = getattr(self, f.name), type(f.default)
+            if isinstance(value, bool) or not isinstance(value, accepted[kind]):
+                raise BadParams(f"{f.name} must be {kind.__name__}, got {value!r}")
+            object.__setattr__(self, f.name, kind(value))
         if self.laplacian not in (COMBINATORIAL, NORMALIZED):
             raise BadParams(f"unknown laplacian kind {self.laplacian!r}")
         if self.order < 0:
             raise BadParams("order must be >= 0")
         if self.bands < 1:
             raise BadParams("bands must be >= 1")
+        if self.seed < 0:
+            raise BadParams("seed must be >= 0")
         if self.threshold_mode not in (HARD, LOGISTIC):
             raise BadParams(f"unknown threshold mode {self.threshold_mode!r}")
 
@@ -131,12 +138,6 @@ class PipelineConfig:
                 values[key] = known[key](val)
             except ValueError as exc:
                 raise FormatError(f"line {lineno}: malformed value for {key}") from exc
-        env_seed = os.environ.get(SEED_ENV_VAR)
-        if env_seed is not None:
-            try:
-                values["seed"] = int(env_seed)
-            except ValueError as exc:
-                raise FormatError(f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}") from exc
         return cls(**values)
 
     def save(self, path: str | Path) -> None:
@@ -312,32 +313,31 @@ def run_pipeline(
     rules: list[SpectralRule] | tuple[SpectralRule, ...],
     kb: KnowledgeBase | Sequence[KnowledgeBase],
     params: dict[str, np.ndarray] | None = None,
-    mapping: dict[int, str] | Sequence[dict[int, str] | None] | None = None,
 ) -> PipelineOutput | list[PipelineOutput]:
     """Execute rule composition, learned filtering, thresholding, binding,
     and forward chaining, in that order.
 
-    ``mapping`` defaults to node label -> atom for every node whose label
-    is a declared atom of ``kb``. The Laplacian, ``lambda_max``, rule rows
-    and default mapping come from `prepare_graph`. Module errors propagate
-    with a ``stage`` tag attached.
+    A node binds to the atom its label names when ``kb`` declares it; a
+    true node whose label ``kb`` does not declare raises `UnmappedNode`.
+    The Laplacian, ``lambda_max``, rule rows and that node -> atom map
+    come from `prepare_graph`. Module errors propagate with a ``stage``
+    tag attached.
 
-    Several graphs run as one block when ``graph`` is a list, with ``x0``,
-    ``kb`` and ``mapping`` lists of one entry per graph (``mapping`` may
-    stay None). They are stacked block-diagonally (`block_diagonal`), so
-    the rule filter and the learned filter each make one Chebyshev
-    recurrence for all of them, each node keeping its own graph's
-    ``lambda_max`` and rule coefficients; stage 3 runs per graph. A list
-    of outputs comes back, each bit for bit the one its graph gives alone.
-    One graph is a block of one: nothing is assembled and ``lambda_max``
-    stays a scalar.
+    Several graphs run as one block when ``graph`` is a list, with ``x0``
+    and ``kb`` lists of one entry per graph. They are stacked
+    block-diagonally (`block_diagonal`), so the rule filter and the
+    learned filter each make one Chebyshev recurrence for all of them,
+    each node keeping its own graph's ``lambda_max`` and rule
+    coefficients; stage 3 runs per graph. A list of outputs comes back,
+    each bit for bit the one its graph gives alone. One graph is a block
+    of one: nothing is assembled and ``lambda_max`` stays a scalar.
     """
     rules = tuple(rules)
     if params is None:
         params = init_params(cfg, n_rules=len(rules))
     if isinstance(graph, ReasoningGraph):
-        return _run_block(cfg, [graph], [x0], rules, [kb], params, [mapping])[0]
-    return _run_block(cfg, graph, x0, rules, kb, params, [None] * len(graph) if mapping is None else mapping)
+        return _run_block(cfg, [graph], [x0], rules, [kb], params)[0]
+    return _run_block(cfg, graph, x0, rules, kb, params)
 
 
 def _run_block(
@@ -347,7 +347,6 @@ def _run_block(
     rules: tuple[SpectralRule, ...],
     kbs: Sequence[KnowledgeBase],
     params: dict[str, np.ndarray],
-    mappings: Sequence[dict[int, str] | None],
 ) -> list[PipelineOutput]:
     prepared = [prepare_graph(cfg, graph) for graph in graphs]
     lap, lambda_max, starts = block_diagonal(
@@ -375,12 +374,12 @@ def _run_block(
     threshold = soft_threshold if cfg.threshold_mode == LOGISTIC else hard_threshold
 
     outputs = []
-    for lo, hi, p, kb, mapping in zip(starts[:-1], starts[1:], prepared, kbs, mappings, strict=True):
+    for lo, hi, p, kb in zip(starts[:-1], starts[1:], prepared, kbs, strict=True):
         y_graph = vertex_signal(y[lo:hi])
         with _stage("threshold"):
             predicates = threshold(y_graph, tcfg)
         with _stage("bind"):
-            bound = bind_predicates(predicates, kb, p.atom_map(kb) if mapping is None else mapping)
+            bound = bind_predicates(predicates, kb, p.atom_map(kb))
         with _stage("chain"):
             closure, traces = forward_chain(bound)
         outputs.append(
@@ -431,19 +430,16 @@ class Pipeline:
             rules = _read_rule_file(cfg.rules) if cfg.rules else []
         self.rules = tuple(rules)
         self.params = params if params is not None else init_params(cfg, n_rules=len(self.rules))
+        weights = np.shape(self.params["rule_weights"])
+        if weights != (len(self.rules),):
+            raise BadParams(f"rule_weights shape {weights} does not fit {len(self.rules)} rules")
 
-    def run(
-        self,
-        graph: ReasoningGraph,
-        x0: GraphSignal,
-        kb: KnowledgeBase,
-        mapping: dict[int, str] | None = None,
-    ) -> PipelineOutput:
-        return run_pipeline(self.cfg, graph, x0, self.rules, kb, params=self.params, mapping=mapping)
+    def run(self, graph: ReasoningGraph, x0: GraphSignal, kb: KnowledgeBase) -> PipelineOutput:
+        return run_pipeline(self.cfg, graph, x0, self.rules, kb, params=self.params)
 
     def run_task(self, task) -> PipelineOutput:
         """Run a synthetic task (harness protocol)."""
-        return self.run(task.graph, vertex_signal(task.x0), task.kb, mapping=dict(task.node_atoms))
+        return self.run(task.graph, vertex_signal(task.x0), task.kb)
 
     def run_tasks(self, tasks) -> list[PipelineOutput]:
         """Run synthetic tasks as one block (see `run_pipeline`).
@@ -458,8 +454,4 @@ class Pipeline:
             self.rules,
             [task.kb for task in tasks],
             params=self.params,
-            mapping=[dict(task.node_atoms) for task in tasks],
         )
-
-    def with_params(self, params: dict[str, np.ndarray]) -> "Pipeline":
-        return Pipeline(self.cfg, rules=list(self.rules), params=params)

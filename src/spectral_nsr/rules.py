@@ -18,8 +18,6 @@ import numpy as np
 from .errors import BadParams, EmptyRuleSet, FormatError
 from .spectral import FrequencyResponse, fit_chebyshev
 
-RULE_KINDS = ("low-pass", "high-pass", "band-pass", "heat-kernel", "custom")
-
 
 def builtin_template(kind: str, lambda_max: float, **params) -> FrequencyResponse:
     """Parametric response families used by the rule DSL.
@@ -112,8 +110,12 @@ _FLOAT_PARAMS = ("beta", "t", "center", "sigma", "gain", "w")
 
 
 def _custom_response(path: Path) -> FrequencyResponse:
+    try:
+        text = path.read_text()
+    except OSError as exc:
+        raise FormatError(f"cannot read custom response file {str(path)!r}: {exc.strerror}") from exc
     lams, vals = [], []
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

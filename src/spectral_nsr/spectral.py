@@ -35,6 +35,9 @@ from .graph import NORMALIZED, LaplacianMatrix
 
 DENSE_LIMIT = 512
 
+# Chebyshev nodes `fit_chebyshev` samples a response at (more if the order needs them)
+FIT_NODES = 256
+
 VERTEX = "vertex"
 SPECTRAL = "spectral"
 
@@ -70,8 +73,8 @@ def spectral_signal(values) -> GraphSignal:
 class FrequencyResponse:
     """Real response g(lambda) over [0, lambda_max].
 
-    ``fn`` should accept numpy arrays; scalar-only callables are handled
-    by falling back to per-element evaluation.
+    ``fn`` is vectorised: it maps an array of frequencies to an array of
+    the same shape. Any other result raises `BadParams`.
     """
 
     fn: Callable
@@ -79,13 +82,9 @@ class FrequencyResponse:
 
     def __call__(self, lam) -> np.ndarray:
         lam = np.asarray(lam, dtype=np.float64)
-        try:
-            out = np.asarray(self.fn(lam), dtype=np.float64)
-            if out.shape != lam.shape:
-                raise TypeError
-        except (TypeError, ValueError):
-            out = np.asarray([float(self.fn(float(v))) for v in lam.reshape(-1)])
-            out = out.reshape(lam.shape)
+        out = np.asarray(self.fn(lam), dtype=np.float64)
+        if out.shape != lam.shape:
+            raise BadParams(f"{self.kind} response gave shape {out.shape} for frequencies of shape {lam.shape}")
         return out
 
 
@@ -358,7 +357,6 @@ def fit_chebyshev(
     response: FrequencyResponse,
     order: int,
     lambda_max: float,
-    num_nodes: int = 256,
 ) -> ChebyshevFilter:
     """Least-squares Chebyshev fit of a response over [0, lambda_max].
 
@@ -370,7 +368,7 @@ def fit_chebyshev(
         raise BadParams("order must be non-negative")
     if not lambda_max > 0.0:
         raise BadParams(f"lambda_max must be positive, got {lambda_max}")
-    m = max(num_nodes, order + 1)
+    m = max(FIT_NODES, order + 1)
     t = np.cos(np.pi * (np.arange(m) + 0.5) / m)
     lam = (t + 1.0) * (lambda_max / 2.0)
     targets = response(lam)
@@ -449,7 +447,7 @@ def save_signal(x: GraphSignal, path: str | Path) -> None:
     Path(path).write_text("\n".join(repr(float(v)) for v in x.values) + "\n")
 
 
-def load_signal(path: str | Path, domain: str = VERTEX) -> GraphSignal:
+def load_signal(path: str | Path) -> GraphSignal:
     vals = []
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
@@ -459,4 +457,7 @@ def load_signal(path: str | Path, domain: str = VERTEX) -> GraphSignal:
             vals.append(float(line))
         except ValueError as exc:
             raise FormatError(f"{path}:{lineno}: malformed signal value {line!r}") from exc
-    return GraphSignal(np.asarray(vals, dtype=np.float64), domain)
+    try:
+        return vertex_signal(np.asarray(vals, dtype=np.float64))
+    except BadParams as exc:
+        raise FormatError(f"{path}: {exc}") from exc

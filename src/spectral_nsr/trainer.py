@@ -11,7 +11,6 @@ updates; rule weights are clamped non-negative after every step.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -52,6 +51,11 @@ PARAM_GROUPS = {
 LEARNING_RATES = {"spectral": 5e-4, "embedding": 1e-5}
 
 PROB_CLIP = 1e-7
+
+# Adam's moment decay rates and denominator guard
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -188,9 +192,6 @@ class AdamState:
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     learning_rates: dict[str, float] = field(default_factory=lambda: dict(LEARNING_RATES))
 
 
@@ -224,12 +225,12 @@ def adam_step(
     out: dict[str, np.ndarray] = {}
     for name, value in params.items():
         g = np.asarray(grads.get(name, np.zeros_like(value)), dtype=np.float64)
-        state.m[name] = state.beta1 * state.m[name] + (1.0 - state.beta1) * g
-        state.v[name] = state.beta2 * state.v[name] + (1.0 - state.beta2) * g * g
-        m_hat = state.m[name] / (1.0 - state.beta1**t)
-        v_hat = state.v[name] / (1.0 - state.beta2**t)
+        state.m[name] = ADAM_BETA1 * state.m[name] + (1.0 - ADAM_BETA1) * g
+        state.v[name] = ADAM_BETA2 * state.v[name] + (1.0 - ADAM_BETA2) * g * g
+        m_hat = state.m[name] / (1.0 - ADAM_BETA1**t)
+        v_hat = state.v[name] / (1.0 - ADAM_BETA2**t)
         lr = state.learning_rates[PARAM_GROUPS.get(name, "spectral")]
-        updated = value - lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        updated = value - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         if name == "rule_weights":
             updated = np.maximum(updated, 0.0)
         out[name] = updated
@@ -464,7 +465,7 @@ class Checkpoint:
             metadata = payload["metadata"]
         except KeyError as exc:
             raise FormatError(f"checkpoint is missing key {exc}") from exc
-        except (AttributeError, TypeError, ValueError) as exc:
+        except (AttributeError, OverflowError, TypeError, ValueError) as exc:
             raise FormatError(f"malformed checkpoint: {exc}") from exc
         _check_param_shapes(cfg, params)
         return cls(cfg, params, optimizer, metadata)
@@ -494,12 +495,13 @@ def _check_param_shapes(cfg: PipelineConfig, params: dict[str, np.ndarray]) -> N
     missing = sorted(set(PARAM_GROUPS) - set(params))
     if missing:
         raise FormatError(f"checkpoint params miss {missing}")
-    expected = {"theta": (cfg.bands, cfg.order + 1), "s": (cfg.bands, GATE_DIM), "q": (GATE_DIM,)}
+    expected = {"theta": (cfg.bands, cfg.order + 1), "s": (cfg.bands, GATE_DIM), "q": (GATE_DIM,), "alpha": ()}
     for name, shape in expected.items():
         if params[name].shape != shape:
             raise FormatError(f"param {name!r} has shape {params[name].shape}, config needs {shape}")
-    if params["rule_weights"].ndim != 1:
-        raise FormatError(f"param 'rule_weights' must be 1-D, got shape {params['rule_weights'].shape}")
+    for name, least in (("rule_weights", 0), ("tau", 1)):
+        if params[name].ndim != 1 or params[name].size < least:
+            raise FormatError(f"param {name!r} must be 1-D of length >= {least}, got shape {params[name].shape}")
 
 
 @dataclass
@@ -508,20 +510,6 @@ class TrainResult:
     history: list[EpochMetrics]
     trajectory: list[dict[str, np.ndarray]]
     stopped_epoch: int
-
-
-def _probe_latency(pipe: Pipeline, tasks, probe: int, reps: int = 3) -> float | None:
-    """Median per-query wall time over a validation subset, in ms."""
-    if probe < 1:
-        return None
-    subset = list(tasks)[: min(probe, len(tasks))]
-    times = []
-    for _ in range(reps):
-        for task in subset:
-            start = time.perf_counter()
-            pipe.run_task(task)
-            times.append((time.perf_counter() - start) * 1e3)
-    return float(np.median(times))
 
 
 def history_csv(history: list[EpochMetrics]) -> str:
@@ -544,11 +532,12 @@ def train(
 
     Each minibatch is one `task_loss_and_grads` call on its tasks stacked
     block-diagonally, and each epoch's validation one block run
-    (`evaluate` without latency). The latency probe is recorded in the
-    history and the checkpoint metadata but never picks the checkpoint,
-    so a run is reproducible. ``warm_start`` resumes from existing
-    parameters (e.g. a loaded checkpoint) instead of the low-pass
-    initialization.
+    (`evaluate` without latency). The latency probe, `evaluate`'s median
+    latency on the first ``run.latency_probe`` validation tasks (none at
+    0), is recorded in the history and the checkpoint metadata but never
+    picks the checkpoint, so a run is reproducible. ``warm_start``
+    resumes from existing parameters (e.g. a loaded checkpoint) instead
+    of the low-pass initialization.
     """
     if not splits.train or not splits.val:
         raise BadParams("training needs non-empty train and val splits")
@@ -581,7 +570,7 @@ def train(
 
         pipe = Pipeline(cfg, rules=rules, params=params)
         val_accuracy = evaluate(pipe, splits.val, measure_latency=False).accuracy
-        latency = _probe_latency(pipe, splits.val, run.latency_probe)
+        latency = evaluate(pipe, splits.val[: run.latency_probe]).latency_median_ms if run.latency_probe > 0 else None
         history.append(EpochMetrics(epoch, train_loss, val_accuracy, latency))
         trajectory.append({k: np.array(v) for k, v in params.items()})
 

@@ -7,11 +7,13 @@ import pytest
 from click.testing import CliRunner
 
 from spectral_nsr.cli import main
-from spectral_nsr.errors import FormatError
+from spectral_nsr.errors import BadParams, FormatError
+from spectral_nsr.harness import gen_dataset, save_dataset
 from spectral_nsr.pipeline import PipelineConfig
 from spectral_nsr.trainer import Checkpoint
 
 REFERENCE = Path(__file__).parent / "data" / "reference_checkpoint.json"
+RULES = REFERENCE.parent / "reference_rules.txt"
 
 
 def reference_payload():
@@ -45,6 +47,20 @@ class TestConfigSchema:
     def test_unknown_key_rejected(self):
         with pytest.raises(FormatError):
             PipelineConfig.from_text("crossovers=64\n")
+
+    def test_seed_comes_only_from_the_text(self, monkeypatch):
+        monkeypatch.setenv("SPECTRAL_NSR_SEED", "7")
+        assert PipelineConfig.from_text("seed=3\n").seed == 3
+        assert PipelineConfig.from_text("order=3\n").seed == 0
+
+    @pytest.mark.parametrize("field, value", [("order", "5"), ("bands", 1.5), ("tau", None), ("seed", True), ("seed", -1)])
+    def test_field_types_and_seed_sign(self, field, value):
+        with pytest.raises(BadParams, match=field):
+            PipelineConfig(**{field: value})
+
+    def test_integer_float_fields_become_floats(self):
+        cfg = PipelineConfig(tau=1, alpha=np.float64(4.0), seed=np.int64(2))
+        assert (type(cfg.tau), type(cfg.alpha), type(cfg.seed)) == (float, float, int)
 
 
 class TestCheckpointFormat:
@@ -106,6 +122,20 @@ class TestCheckpointFormat:
     def test_param_shape_disagrees_with_config(self, name, value):
         with pytest.raises(FormatError):
             Checkpoint.from_json(corrupt(lambda p: p["params"].update({name: value})))
+
+    @pytest.mark.parametrize(
+        "name, value, error",
+        [("alpha", [8.0, 8.0], "FormatError"), ("rule_weights", [0.3, 0.3, 0.3], "BadParams")],
+    )
+    def test_params_that_do_not_fit_exit_one_from_eval(self, tmp_path, name, value, error):
+        ckpt = tmp_path / "ckpt.json"
+        ckpt.write_text(corrupt(lambda p: (p["config"].update(rules=str(RULES)), p["params"].update({name: value}))))
+        data = tmp_path / "data"
+        save_dataset(gen_dataset("transitive", 3, seed=1), data, splits=(1, 1, 1))
+        result = CliRunner().invoke(main, ["eval", "--ckpt", str(ckpt), "--data", str(data), "--json-errors"])
+        assert result.exit_code == 1
+        record = json.loads(result.stderr.strip().splitlines()[-1])
+        assert record["error"] == error and name in record["message"]
 
     def test_inspect_ckpt_exit_codes(self, tmp_path):
         runner = CliRunner()

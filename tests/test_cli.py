@@ -67,6 +67,25 @@ class TestEndToEnd:
         record = json.loads(result.stderr.strip().splitlines()[-1])
         assert record["error"] == "FormatError" and "manifest.json" in record["message"]
 
+    @pytest.mark.parametrize("splits", ["4,x,1", "4,1", "-1,4,1"])
+    def test_malformed_splits_exit_one(self, tmp_path, splits):
+        result = invoke("gen", "--n", 6, "--splits", splits, "--out", tmp_path / "d", "--json-errors")
+        assert result.exit_code == 1
+        record = json.loads(result.stderr.strip().splitlines()[-1])
+        assert "splits" in record["message"]
+
+    def test_non_finite_edge_weight_exits_one(self, dataset):
+        tasks, _ = load_dataset(dataset)
+        path = dataset / f"{tasks[-1].task_id}.graph.txt"
+        lines = path.read_text().splitlines()
+        first_edge = next(i for i, line in enumerate(lines) if line.startswith("edge"))
+        lines[first_edge] = " ".join(lines[first_edge].split()[:3] + ["nan"])
+        path.write_text("\n".join(lines) + "\n")
+        result = invoke("eval", "--ckpt", DATA / "reference_checkpoint.json", "--data", dataset, "--json-errors")
+        assert result.exit_code == 1
+        record = json.loads(result.stderr.strip().splitlines()[-1])
+        assert record["error"] == "BadParams" and "non-finite weight" in record["message"]
+
     def test_missing_rules_file_exits_one(self, tmp_path, monkeypatch, dataset):
         # the reference checkpoint names its rules file relative to the repository root
         monkeypatch.chdir(tmp_path)

@@ -224,6 +224,26 @@ class TestFileFormats:
         with pytest.raises(FormatError):
             load_graph_text(path)
 
+    @pytest.mark.parametrize("weight", ["nan", "inf"])
+    def test_text_non_finite_weight(self, tmp_path, weight):
+        path = tmp_path / "g.txt"
+        path.write_text(f"N 3\nnode 0 entity a\nnode 1 entity b\nnode 2 entity c\nedge 0 1 1.0\nedge 1 2 {weight}\n")
+        with pytest.raises(BadParams, match=r"edge \(1, 2\) has non-finite weight"):
+            load_graph_text(path)
+
+    @pytest.mark.parametrize("weight", ["NaN", "Infinity"])
+    def test_json_non_finite_weight(self, tmp_path, weight):
+        path = tmp_path / "g.json"
+        path.write_text(f'{{"nodes": [{{"id": 0}}, {{"id": 1}}], "edges": [[0, 1, {weight}]]}}')
+        with pytest.raises(BadParams, match=r"edge \(0, 1\) has non-finite weight"):
+            load_graph_json(path)
+
+    def test_json_infinite_node_id(self, tmp_path):
+        path = tmp_path / "g.json"
+        path.write_text('{"nodes": [{"id": Infinity}], "edges": []}')
+        with pytest.raises(FormatError):
+            load_graph_json(path)
+
     def test_embeddings_round_trip(self, tmp_path, rng):
         emb = NodeEmbedding(rng.standard_normal((5, 3)))
         path = tmp_path / "emb.csv"

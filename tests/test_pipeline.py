@@ -1,11 +1,12 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from spectral_nsr import pipeline
-from spectral_nsr.errors import BadParams, ConvergenceFailure
+from spectral_nsr.errors import BadParams, ConvergenceFailure, UnmappedNode
 from spectral_nsr.harness import evaluate, gen_dataset, gen_transitive, split_dataset
 from spectral_nsr.pipeline import REFERENCE_LAMBDA_MAX, PipelineConfig, run_pipeline
 from spectral_nsr.rules import load_rules
@@ -61,6 +62,34 @@ class TestGolden:
     def test_reference_checkpoint_validation_accuracy(self):
         splits = split_dataset(gen_dataset("transitive", 1000, seed=0), (800, 100, 100))
         assert evaluate(reference_pipeline(), splits.val, measure_latency=False).accuracy == 1.0
+
+
+class TestBinding:
+    def test_true_node_with_an_undeclared_label(self):
+        # P0 carries the evidence, so it thresholds true; this KB does not declare it
+        task = gen_transitive(3, width=2, seed=0)
+        atoms = tuple(a for a in task.kb.atoms if a != "P0")
+        kb = KnowledgeBase(atoms, tuple(c for c in task.kb.clauses if "P0" not in c.body))
+        pipe = reference_pipeline()
+        for run_one in (pipe.run_task, lambda t: pipe.run_tasks([t])):
+            with pytest.raises(UnmappedNode) as info:
+                run_one(replace(task, kb=kb))
+            assert info.value.stage == "bind"
+
+    def test_node_atoms_is_a_read_only_view_of_the_labels(self):
+        task = gen_transitive(2, width=1, seed=3)
+        assert task.node_atoms == {m.id: m.label for m in task.graph.nodes}
+        assert task.node_atoms is task.node_atoms
+        with pytest.raises(TypeError):
+            task.node_atoms[0] = "X"
+
+
+class TestEvalReport:
+    @pytest.mark.parametrize("measure", [True, False])
+    def test_latency_keys_exactly_when_measured(self, measure):
+        report = evaluate(reference_pipeline(), gen_dataset("transitive", 4, seed=2), measure_latency=measure)
+        latency = {"latency_median_ms", "latency_p95_ms"} if measure else set()
+        assert set(json.loads(report.to_json())) == {"accuracy", "consistency", "n_tasks", "n_queries"} | latency
 
 
 class TestPreparedGraph:

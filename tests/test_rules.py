@@ -234,6 +234,11 @@ class TestRuleDsl:
         rules = parse_rules("rule c kind=custom w=1 file=resp.csv\n", 2.0, base_dir=tmp_path)
         assert rules[0].template(np.array([0.5]))[0] == pytest.approx(0.75)
 
+    @pytest.mark.parametrize("name", ["missing.csv", "."])
+    def test_unreadable_custom_file(self, tmp_path, name):
+        with pytest.raises(FormatError, match="custom response file"):
+            parse_rules(f"rule c kind=custom w=1 file={name}\n", 2.0, base_dir=tmp_path)
+
     def test_load_rules_file(self, tmp_path):
         path = tmp_path / "rules.txt"
         path.write_text("# comment\nrule lp kind=low-pass w=1.0\n")

@@ -171,6 +171,14 @@ class TestExactFilter:
             exact_filter(basis, bad, vertex_signal(np.ones(6)))
 
 
+    def test_scalar_response_is_rejected(self):
+        scalar = FrequencyResponse(lambda lam: 2.5)
+        with pytest.raises(BadParams, match="shape"):
+            scalar(np.linspace(0.0, 2.0, 5))
+        with pytest.raises(BadParams):
+            fit_chebyshev(scalar, 3, 2.0)
+
+
 class TestEstimateLambdaMax:
     def test_k2_unit_weight(self):
         g = build_graph(make_nodes(2), [(0, 1, 1.0)])
