@@ -14,13 +14,11 @@ all of it.
 from .errors import NumericalError, SpectralNsrError, ValidationError
 from .graph import (
     LaplacianMatrix,
-    NodeEmbedding,
     NodeMeta,
     ReasoningGraph,
     build_graph,
     combinatorial_laplacian,
     normalized_laplacian,
-    similarity_adjacency,
 )
 from .harness import EvalReport, SyntheticTask, TaskSplits, evaluate, gen_dataset, gen_kinship, gen_transitive, scaling_benchmark
 from .pipeline import Pipeline, PipelineConfig, PipelineOutput, mixed_theta, run_pipeline
@@ -58,10 +56,8 @@ __all__ = [
     "NumericalError",
     "ReasoningGraph",
     "NodeMeta",
-    "NodeEmbedding",
     "LaplacianMatrix",
     "build_graph",
-    "similarity_adjacency",
     "combinatorial_laplacian",
     "normalized_laplacian",
     "SpectralBasis",

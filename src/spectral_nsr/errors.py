@@ -40,10 +40,6 @@ class SelfLoop(ValidationError):
     pass
 
 
-class ZeroVector(ValidationError):
-    pass
-
-
 # spectral machinery
 class ConvergenceFailure(NumericalError):
     pass

@@ -22,7 +22,6 @@ from .errors import (
     IndexOutOfRange,
     NegativeWeight,
     SelfLoop,
-    ZeroVector,
 )
 
 NODE_KINDS = ("entity", "fact", "proposition")
@@ -131,58 +130,6 @@ def build_graph(nodes: Sequence[NodeMeta], edges: Iterable[tuple[int, int, float
 
 
 @dataclass(frozen=True)
-class NodeEmbedding:
-    """Per-node real feature vectors, one row per node."""
-
-    vectors: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.vectors, dtype=np.float64)
-        if v.ndim != 2:
-            raise BadParams(f"embedding matrix must be 2-D, got shape {v.shape}")
-        if not np.isfinite(v).all():
-            raise BadParams("embedding contains non-finite entries")
-        object.__setattr__(self, "vectors", v)
-
-    @property
-    def node_count(self) -> int:
-        return self.vectors.shape[0]
-
-
-def similarity_adjacency(
-    emb: NodeEmbedding,
-    threshold: float,
-    nodes: Sequence[NodeMeta] | None = None,
-) -> ReasoningGraph:
-    """Cosine-similarity graph with sparsification threshold.
-
-    A_ij = cos(v_i, v_j) whenever the cosine clears the threshold and
-    i != j, else 0. Negative cosines are clamped to 0 so all weights stay
-    in [0, 1] (Laplacian theory assumes non-negative weights).
-    """
-    if not 0.0 <= threshold <= 1.0:
-        raise BadParams(f"threshold must lie in [0, 1], got {threshold}")
-    v = emb.vectors
-    n = v.shape[0]
-    norms = np.linalg.norm(v, axis=1)
-    zero = np.flatnonzero(norms == 0.0)
-    if zero.size:
-        raise ZeroVector(f"node {int(zero[0])} has a zero embedding vector")
-    unit = v / norms[:, None]
-    cos = unit @ unit.T
-    np.clip(cos, 0.0, 1.0, out=cos)
-    cos[cos < threshold] = 0.0
-    np.fill_diagonal(cos, 0.0)
-    if nodes is None:
-        nodes = tuple(NodeMeta(i, "proposition", f"n{i}") for i in range(n))
-    adj = sp.csr_array(cos)
-    adj.eliminate_zeros()
-    g = ReasoningGraph(tuple(nodes), adj)
-    g.validate()
-    return g
-
-
-@dataclass(frozen=True)
 class LaplacianMatrix:
     """A combinatorial or normalized graph Laplacian with its degree vector.
 
@@ -245,7 +192,6 @@ def normalized_laplacian(g: ReasoningGraph) -> LaplacianMatrix:
 #   node <id> <kind> <label>
 #   edge <i> <j> <weight>
 # JSON equivalent: {"nodes": [{"id", "kind", "label"}, ...], "edges": [[i, j, w], ...]}
-# Embeddings: CSV, one row of floats per node, no header.
 # ---------------------------------------------------------------------------
 
 
@@ -324,25 +270,3 @@ def load_graph(path: str | Path) -> ReasoningGraph:
         return load_graph_json(p)
     return load_graph_text(p)
 
-
-def save_embeddings(emb: NodeEmbedding, path: str | Path) -> None:
-    lines = [",".join(repr(float(x)) for x in row) for row in emb.vectors]
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def load_embeddings(path: str | Path) -> NodeEmbedding:
-    rows = []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            rows.append([float(tok) for tok in line.split(",")])
-        except ValueError as exc:
-            raise FormatError(f"{path}:{lineno}: malformed embedding row") from exc
-    if not rows:
-        raise FormatError(f"{path}: empty embedding file")
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
-        raise FormatError(f"{path}: inconsistent row widths {sorted(widths)}")
-    return NodeEmbedding(np.asarray(rows, dtype=np.float64))

@@ -10,6 +10,7 @@ forward chains to the answer set with proof traces.
 
 from __future__ import annotations
 
+import math
 import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
@@ -49,9 +50,12 @@ from .symbolic import (
     soft_threshold,
 )
 
-# reference interval used when parsing rule files and fitting the initial
-# low-pass filter; per-graph application rescales by the estimated
-# lambda_max, so only the response *shape* is fixed here
+# interval rule files are parsed on and the initial learned filter is
+# fitted on. The learned filter keeps its coefficients on every graph, so
+# only its shape is fixed and each graph stretches it over its own
+# [0, lambda_max]. A rule template is a function of the absolute
+# eigenvalue instead: `rule_coefficients` refits it at each graph's
+# lambda_max, and a graph sees the part of the curve its spectrum reaches
 REFERENCE_LAMBDA_MAX = 2.0
 
 GATE_DIM = 8
@@ -98,6 +102,8 @@ class PipelineConfig:
             value, kind = getattr(self, f.name), type(f.default)
             if isinstance(value, bool) or not isinstance(value, accepted[kind]):
                 raise BadParams(f"{f.name} must be {kind.__name__}, got {value!r}")
+            if kind is float and not math.isfinite(value):
+                raise BadParams(f"{f.name} must be finite, got {value!r}")
             object.__setattr__(self, f.name, kind(value))
         if self.laplacian not in (COMBINATORIAL, NORMALIZED):
             raise BadParams(f"unknown laplacian kind {self.laplacian!r}")

@@ -10,6 +10,7 @@ lambda_max, and a weighted sum of the rows is one polynomial filter.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -125,6 +126,8 @@ def _custom_response(path: Path) -> FrequencyResponse:
             vals.append(float(b))
         except ValueError as exc:
             raise FormatError(f"{path}:{lineno}: malformed sample {line!r}") from exc
+        if not (math.isfinite(lams[-1]) and math.isfinite(vals[-1])):
+            raise FormatError(f"{path}:{lineno}: sample {line!r} is not finite")
     if len(lams) < 2:
         raise FormatError(f"{path}: custom response needs >= 2 samples")
     lam = np.asarray(lams)
@@ -132,6 +135,16 @@ def _custom_response(path: Path) -> FrequencyResponse:
     idx = np.argsort(lam)
     lam, val = lam[idx], val[idx]
     return FrequencyResponse(lambda x: np.interp(np.asarray(x), lam, val), kind="custom")
+
+
+def _finite_float(text: str, what: str, lineno: int) -> float:
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise FormatError(f"line {lineno}: malformed {what}") from exc
+    if not math.isfinite(value):
+        raise FormatError(f"line {lineno}: {what} must be finite, got {text!r}")
+    return value
 
 
 def parse_rules(text: str, lambda_max: float, base_dir: str | Path = ".") -> list[SpectralRule]:
@@ -154,10 +167,7 @@ def parse_rules(text: str, lambda_max: float, base_dir: str | Path = ".") -> lis
         kind = kv.pop("kind", None)
         if kind is None:
             raise FormatError(f"line {lineno}: rule {rule_id} is missing kind=")
-        try:
-            weight = float(kv.pop("w", "1.0"))
-        except ValueError as exc:
-            raise FormatError(f"line {lineno}: malformed weight") from exc
+        weight = _finite_float(kv.pop("w", "1.0"), "weight", lineno)
         if kind == "custom":
             if "file" not in kv:
                 raise FormatError(f"line {lineno}: custom rule {rule_id} needs file=")
@@ -166,10 +176,7 @@ def parse_rules(text: str, lambda_max: float, base_dir: str | Path = ".") -> lis
             params = {}
             for key in list(kv):
                 if key in _FLOAT_PARAMS:
-                    try:
-                        params[key] = float(kv.pop(key))
-                    except ValueError as exc:
-                        raise FormatError(f"line {lineno}: malformed param {key}") from exc
+                    params[key] = _finite_float(kv.pop(key), f"param {key}", lineno)
             template = builtin_template(kind, lambda_max, **params)
         if kv:
             raise FormatError(f"line {lineno}: unknown keys {sorted(kv)}")

@@ -86,6 +86,31 @@ class TestEndToEnd:
         record = json.loads(result.stderr.strip().splitlines()[-1])
         assert record["error"] == "BadParams" and "non-finite weight" in record["message"]
 
+    @pytest.mark.parametrize("setting", ["tau=nan", "alpha=inf", "tau=-inf"])
+    def test_non_finite_config_value_exits_one(self, tmp_path, dataset, config, setting):
+        config.write_text(config.read_text() + setting + "\n")
+        result = invoke("train", "--config", config, "--data", dataset, "--out", tmp_path / "c.json",
+                        "--epochs", 2, "--json-errors")
+        assert result.exit_code == 1
+        record = json.loads(result.stderr.strip().splitlines()[-1])
+        assert record["error"] == "BadParams" and "finite" in record["message"]
+
+    @pytest.mark.parametrize("rule", [
+        "rule r kind=low-pass w=0.5 beta=nan",
+        "rule r kind=low-pass w=nan beta=1.0",
+        "rule r kind=band-pass w=0.5 sigma=inf",
+    ])
+    def test_non_finite_rule_value_exits_one(self, tmp_path, dataset, rule):
+        rules = tmp_path / "rules.txt"
+        rules.write_text(rule + "\n")
+        config = tmp_path / "run.cfg"
+        PipelineConfig(rules=str(rules)).save(config)
+        result = invoke("train", "--config", config, "--data", dataset, "--out", tmp_path / "c.json",
+                        "--epochs", 2, "--json-errors")
+        assert result.exit_code == 1
+        record = json.loads(result.stderr.strip().splitlines()[-1])
+        assert record["error"] == "FormatError" and "finite" in record["message"]
+
     def test_missing_rules_file_exits_one(self, tmp_path, monkeypatch, dataset):
         # the reference checkpoint names its rules file relative to the repository root
         monkeypatch.chdir(tmp_path)

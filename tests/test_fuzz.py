@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spectral_nsr.errors import SpectralNsrError
+from spectral_nsr.errors import BadParams, FormatError, SpectralNsrError
 from spectral_nsr.graph import load_graph_json, load_graph_text
 from spectral_nsr.harness import gen_transitive
 from spectral_nsr.pipeline import REFERENCE_LAMBDA_MAX, PipelineConfig
@@ -31,6 +31,7 @@ VALUES = [
     "0", "1", "2", "3", "-1", "0.5", "1e999", "nan", "inf", "-inf", "99999999999999999999", "x", "", "a", "b",
     ".", "reference_rules.txt", "missing.csv",
 ]
+NON_FINITE = ["nan", "inf", "-inf", "1e999", "NaN", "-Infinity"]
 KEYS = [
     "kind", "w", "beta", "t", "center", "sigma", "gain", "file", "scope", "laplacian", "order", "bands", "rules",
     "threshold_mode", "tau", "alpha", "seed", "crossover", "path",
@@ -48,7 +49,7 @@ SCALAR = st.one_of(
     st.none(),
     st.booleans(),
     st.integers(-2, 12),
-    st.sampled_from([0.5, -1.0, 8.0, 1e300, float("nan"), float("inf"), 10**30]),
+    st.sampled_from([0.5, -1.0, 8.0, 1e300, float("nan"), float("inf"), float("-inf"), 10**30]),
     st.sampled_from(VALUES + WORDS),
 )
 JSON_KEYS = ["nodes", "edges", "id", "kind", "label", "config", "params", "optimizer", "metadata", "step", "m", "v"]
@@ -96,6 +97,32 @@ class TestParsers:
         path.write_text(json.dumps(payload))
         only_package_errors(load_graph_json, path)
         only_package_errors(Checkpoint.from_json, json.dumps(payload))
+
+
+class TestNonFinite:
+    """A non-finite number is malformed input wherever a setting takes a float."""
+
+    @pytest.mark.parametrize("token", NON_FINITE)
+    def test_config(self, token):
+        for key in ("tau", "alpha"):
+            with pytest.raises(BadParams, match="finite"):
+                PipelineConfig.from_text(f"{key}={token}")
+
+    @pytest.mark.parametrize("token", NON_FINITE)
+    def test_rules(self, token):
+        lines = [f"rule r kind=low-pass w={token}", f"rule r kind=custom w={token} file=x.csv"]
+        lines += [f"rule r kind={kind} {key}={token}" for kind, key in
+                  [("low-pass", "beta"), ("heat", "t"), ("band-pass", "center"), ("band-pass", "sigma"),
+                   ("high-pass", "gain")]]
+        for line in lines:
+            with pytest.raises(FormatError, match="finite"):
+                parse_rules(line, REFERENCE_LAMBDA_MAX)
+
+    def test_custom_response_samples(self, scratch):
+        path = scratch / "response.csv"
+        path.write_text("0.0,1.0\n1.0,nan\n")
+        with pytest.raises(FormatError, match="not finite"):
+            parse_rules("rule r kind=custom file=response.csv", REFERENCE_LAMBDA_MAX, base_dir=scratch)
 
 
 REFERENCE = json.loads((DATA / "reference_checkpoint.json").read_text())

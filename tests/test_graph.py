@@ -7,22 +7,17 @@ from spectral_nsr.errors import (
     IndexOutOfRange,
     NegativeWeight,
     SelfLoop,
-    ZeroVector,
 )
 from spectral_nsr.graph import (
-    NodeEmbedding,
     NodeMeta,
     build_graph,
     combinatorial_laplacian,
-    load_embeddings,
     load_graph,
     load_graph_json,
     load_graph_text,
     normalized_laplacian,
-    save_embeddings,
     save_graph_json,
     save_graph_text,
-    similarity_adjacency,
 )
 
 from conftest import make_nodes, path_graph, random_graph
@@ -71,52 +66,6 @@ class TestBuildGraph:
     def test_bad_node_kind(self):
         with pytest.raises(BadParams):
             NodeMeta(0, "widget", "x")
-
-
-class TestSimilarityAdjacency:
-    def test_identical_embeddings_give_unit_weight(self):
-        emb = NodeEmbedding(np.array([[1.0, 2.0], [1.0, 2.0]]))
-        g = similarity_adjacency(emb, 0.5)
-        assert g.adjacency[0, 1] == pytest.approx(1.0)
-
-    def test_orthogonal_embeddings_give_zero(self):
-        emb = NodeEmbedding(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        g = similarity_adjacency(emb, 0.0)
-        assert g.adjacency.nnz == 0
-
-    def test_matches_brute_force_cosine(self, rng):
-        vectors = rng.standard_normal((8, 4))
-        emb = NodeEmbedding(vectors)
-        g = similarity_adjacency(emb, 0.3)
-        adj = g.adjacency.toarray()
-        for i in range(8):
-            for j in range(8):
-                if i == j:
-                    expected = 0.0
-                else:
-                    cos = float(vectors[i] @ vectors[j]) / (
-                        np.linalg.norm(vectors[i]) * np.linalg.norm(vectors[j])
-                    )
-                    cos = min(max(cos, 0.0), 1.0)
-                    expected = cos if cos >= 0.3 else 0.0
-                assert adj[i, j] == pytest.approx(expected, abs=1e-12)
-
-    def test_zero_vector_reports_node(self):
-        emb = NodeEmbedding(np.array([[1.0, 0.0], [0.0, 0.0]]))
-        with pytest.raises(ZeroVector, match="node 1"):
-            similarity_adjacency(emb, 0.1)
-
-    def test_bad_threshold(self):
-        emb = NodeEmbedding(np.ones((2, 2)))
-        with pytest.raises(BadParams):
-            similarity_adjacency(emb, 1.5)
-
-    def test_permutation_equivariance(self, rng):
-        vectors = rng.standard_normal((10, 3))
-        perm = rng.permutation(10)
-        a = similarity_adjacency(NodeEmbedding(vectors), 0.2).adjacency.toarray()
-        b = similarity_adjacency(NodeEmbedding(vectors[perm]), 0.2).adjacency.toarray()
-        assert np.allclose(a[np.ix_(perm, perm)], b, atol=0)
 
 
 class TestCombinatorialLaplacian:
@@ -243,16 +192,3 @@ class TestFileFormats:
         path.write_text('{"nodes": [{"id": Infinity}], "edges": []}')
         with pytest.raises(FormatError):
             load_graph_json(path)
-
-    def test_embeddings_round_trip(self, tmp_path, rng):
-        emb = NodeEmbedding(rng.standard_normal((5, 3)))
-        path = tmp_path / "emb.csv"
-        save_embeddings(emb, path)
-        back = load_embeddings(path)
-        assert np.array_equal(back.vectors, emb.vectors)
-
-    def test_embeddings_ragged_rows(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("1.0,2.0\n3.0\n")
-        with pytest.raises(FormatError):
-            load_embeddings(path)

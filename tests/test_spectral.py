@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,9 +12,13 @@ from spectral_nsr.errors import (
     OutOfRange,
     TooLarge,
 )
+from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+
 from spectral_nsr.graph import build_graph, combinatorial_laplacian, normalized_laplacian
+from spectral_nsr.harness import gen_dataset, random_sparse_laplacian
 from spectral_nsr.pipeline import combined_filter, mixed_theta
 from spectral_nsr.spectral import (
+    DENSE_BOUND_LIMIT,
     ChebyshevFilter,
     FrequencyResponse,
     GraphSignal,
@@ -195,12 +200,56 @@ class TestEstimateLambdaMax:
         lap = combinatorial_laplacian(g)
         est = estimate_lambda_max(lap)
         true = float(np.linalg.eigvalsh(lap.matrix.toarray()).max())
-        assert est >= true * (1 - 1e-3)
+        assert est >= true
         assert abs(est - true) / true <= 0.0101
 
     def test_edgeless(self):
         g = build_graph(make_nodes(3), [])
         assert estimate_lambda_max(combinatorial_laplacian(g)) == 0.0
+
+    @pytest.mark.parametrize("family", ["transitive", "kinship"])
+    def test_bound_holds_on_every_generated_task(self, family):
+        for task in gen_dataset(family, 200, seed=5):
+            for lap in (combinatorial_laplacian(task.graph), normalized_laplacian(task.graph)):
+                true = float(np.linalg.eigvalsh(lap.matrix.toarray())[-1])
+                assert estimate_lambda_max(lap) >= true, (task.task_id, lap.kind)
+
+    @pytest.mark.parametrize("n", [DENSE_BOUND_LIMIT // 2, DENSE_BOUND_LIMIT, DENSE_BOUND_LIMIT + 1, 3 * DENSE_BOUND_LIMIT])
+    def test_bound_holds_on_both_sides_of_the_crossover(self, rng, n):
+        for trial in range(3):
+            g = random_graph(rng, n, density=float(rng.uniform(0.02, 0.2)))
+            for lap in (combinatorial_laplacian(g), normalized_laplacian(g)):
+                true = float(np.linalg.eigvalsh(lap.matrix.toarray())[-1])
+                est = estimate_lambda_max(lap, seed=trial)
+                assert true <= est <= true * (1 + 1e-2), (n, trial, lap.kind)
+
+    def test_lanczos_bound_on_a_large_sparse_graph(self):
+        g, comb = random_sparse_laplacian(100_000, seed=0)
+        assert g.edge_count() > 90_000
+        for lap in (comb, normalized_laplacian(g)):
+            # ARPACK run to machine precision stands in for the dense oracle
+            true = float(eigsh(lap.matrix, k=1, which="LA", return_eigenvectors=False)[0])
+            est = estimate_lambda_max(lap)
+            assert true <= est <= true * (1 + 1e-2), lap.kind
+
+    def test_unconverged_lanczos_gives_gershgorin(self, rng, monkeypatch):
+        def fail(*args, **kwargs):
+            raise ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0)))
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", fail)
+        g = random_graph(rng, DENSE_BOUND_LIMIT + 20, density=0.1)
+        comb = combinatorial_laplacian(g)
+        assert estimate_lambda_max(comb) == pytest.approx(2.0 * comb.degrees.max(), rel=1e-12)
+        assert estimate_lambda_max(normalized_laplacian(g)) == 2.0
+
+    def test_failed_dense_solve_gives_gershgorin(self, rng, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("no convergence")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        g = random_graph(rng, 20)
+        comb = combinatorial_laplacian(g)
+        assert estimate_lambda_max(comb) == pytest.approx(2.0 * comb.degrees.max(), rel=1e-12)
 
 
 class TestChebyshevFilter:
