@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from spectral_nsr.errors import (
     BadParams,
@@ -12,8 +13,6 @@ from spectral_nsr.errors import (
     OutOfRange,
     TooLarge,
 )
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
-
 from spectral_nsr.graph import build_graph, combinatorial_laplacian, normalized_laplacian
 from spectral_nsr.harness import gen_dataset, random_sparse_laplacian
 from spectral_nsr.pipeline import combined_filter, mixed_theta
