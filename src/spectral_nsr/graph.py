@@ -145,43 +145,106 @@ class LaplacianMatrix:
     def node_count(self) -> int:
         return self.matrix.shape[0]
 
-    def validate(self, tol: float = 1e-12) -> None:
+    def validate(self, tol: float = 1e-12, starts: np.ndarray | None = None) -> None:
+        """Check symmetry, and zero row sums for the combinatorial kind, to
+        ``tol`` times the largest absolute entry (at least 1).
+
+        On graphs stacked block-diagonally, ``starts`` says where each
+        graph's nodes begin, ending with the node count; each graph is then
+        held to its own largest entry, not to the block's.
+        """
         m = self.matrix
-        asym = m - m.T
-        scale = max(np.abs(m.data).max() if m.nnz else 0.0, 1.0)
-        if asym.nnz and np.abs(asym.data).max() > tol * scale:
+        n = m.shape[0]
+        sizes = np.diff([0, n] if starts is None else starts)
+        graph_of_row = np.repeat(np.arange(sizes.size), sizes)
+        scale = np.ones(sizes.size)
+        np.maximum.at(scale, graph_of_row[_entry_rows(m)], np.abs(m.data))
+        row_tol = tol * scale[graph_of_row]
+        asym = sp.csr_array(m - m.T)
+        if asym.nnz and (np.abs(asym.data) > row_tol[_entry_rows(asym)]).any():
             raise BadParams(f"{self.kind} Laplacian is not symmetric")
         if self.kind == COMBINATORIAL:
             rows = np.asarray(np.abs(m.sum(axis=1))).reshape(-1)
-            if rows.size and rows.max() > tol * scale:
+            if (rows > row_tol).any():
                 raise BadParams("combinatorial Laplacian rows do not sum to 0")
+
+
+def _entry_rows(m: sp.csr_array) -> np.ndarray:
+    """The row of each stored entry of a CSR array."""
+    return np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
+
+
+def stack_csr(mats: Sequence[sp.csr_array]) -> tuple[sp.csr_array, np.ndarray]:
+    """Square CSR arrays as one block-diagonal array, and where each block's
+    rows start, followed by the total row count.
+
+    The arrays are offset-concatenated in order, so each row keeps its
+    entries and their order. A single array comes back as it is.
+    """
+    sizes = np.fromiter((m.shape[0] for m in mats), np.int64, len(mats))
+    starts = np.concatenate(([0], np.cumsum(sizes)))
+    if len(mats) == 1:
+        return mats[0], starts
+    nnz = np.fromiter((m.indptr[-1] for m in mats), np.int64, len(mats))
+    nnz_starts = np.concatenate(([0], np.cumsum(nnz)))
+    indptr = np.concatenate([m.indptr[:-1] for m in mats] + [nnz_starts[-1:]])
+    indptr[:-1] += np.repeat(nnz_starts[:-1], sizes)
+    indices = np.concatenate([m.indices for m in mats]) + np.repeat(starts[:-1], nnz)
+    data = np.concatenate([m.data for m in mats])
+    n = int(starts[-1])
+    return sp.csr_array((data, indices, indptr), shape=(n, n)), starts
+
+
+def laplacians(graphs: Sequence[ReasoningGraph], kind: str) -> list[LaplacianMatrix]:
+    """Each graph's Laplacian of ``kind``, built for all of them in one pass.
+
+    The adjacencies are stacked block-diagonally (`stack_csr`), the
+    Laplacian is formed and validated once for the block, each graph held
+    to its own scale, and each graph's rows are sliced back out. Every
+    step acts row by row, so each result equals the graph's own build bit
+    for bit; one graph is built as it is, with nothing stacked or sliced.
+
+    The combinatorial kind is L = D - A. The normalized kind is
+    I - D^{-1/2} A D^{-1/2}, where isolated nodes are self-normalized:
+    their row keeps diagonal 1 and zero off-diagonals, which keeps the
+    spectrum inside [0, 2].
+    """
+    if kind not in (COMBINATORIAL, NORMALIZED):
+        raise BadParams(f"unknown laplacian kind {kind!r}")
+    adjacency, starts = stack_csr([g.adjacency for g in graphs])
+    d = np.asarray(adjacency.sum(axis=1), dtype=np.float64).reshape(-1)
+    if kind == COMBINATORIAL:
+        lap = sp.csr_array(sp.diags_array(d, format="csr") - adjacency)
+    else:
+        with np.errstate(divide="ignore"):
+            dinv = np.where(d > 0.0, 1.0 / np.sqrt(np.where(d > 0.0, d, 1.0)), 0.0)
+        scaled = adjacency.multiply(dinv[:, None]).multiply(dinv[None, :])
+        lap = sp.eye_array(d.size, format="csr") - sp.csr_array(scaled)
+        lap = sp.csr_array((lap + lap.T) * 0.5)  # restore exact symmetry lost to fp rounding
+    block = LaplacianMatrix(kind, lap, d)
+    block.validate(starts=starts)
+    if len(graphs) == 1:
+        return [block]
+    out = []
+    offsets = lap.indptr[starts]
+    for g, lo, hi, first, last in zip(graphs, starts[:-1], starts[1:], offsets[:-1], offsets[1:]):
+        # each graph's index type is its adjacency's, as its own build keeps it
+        index_dtype = g.adjacency.indices.dtype
+        indptr = (lap.indptr[lo : hi + 1] - first).astype(index_dtype)
+        indices = (lap.indices[first:last] - lo).astype(index_dtype)
+        matrix = sp.csr_array((lap.data[first:last].copy(), indices, indptr), shape=(hi - lo, hi - lo))
+        out.append(LaplacianMatrix(kind, matrix, d[lo:hi].copy()))
+    return out
 
 
 def combinatorial_laplacian(g: ReasoningGraph) -> LaplacianMatrix:
     """L = D - A."""
-    d = g.degrees()
-    lap = sp.diags_array(d, format="csr") - g.adjacency
-    out = LaplacianMatrix(COMBINATORIAL, sp.csr_array(lap), d)
-    out.validate()
-    return out
+    return laplacians([g], COMBINATORIAL)[0]
 
 
 def normalized_laplacian(g: ReasoningGraph) -> LaplacianMatrix:
-    """Normalized Laplacian I - D^{-1/2} A D^{-1/2}.
-
-    Isolated nodes are self-normalized: their row keeps diagonal 1 and
-    zero off-diagonals, which keeps the spectrum inside [0, 2].
-    """
-    d = g.degrees()
-    n = g.node_count
-    with np.errstate(divide="ignore"):
-        dinv = np.where(d > 0.0, 1.0 / np.sqrt(np.where(d > 0.0, d, 1.0)), 0.0)
-    scaled = g.adjacency.multiply(dinv[:, None]).multiply(dinv[None, :])
-    lap = sp.eye_array(n, format="csr") - sp.csr_array(scaled)
-    lap = sp.csr_array((lap + lap.T) * 0.5)  # restore exact symmetry lost to fp rounding
-    out = LaplacianMatrix(NORMALIZED, lap, d)
-    out.validate()
-    return out
+    """Normalized Laplacian I - D^{-1/2} A D^{-1/2}; see `laplacians`."""
+    return laplacians([g], NORMALIZED)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BadParams, DimensionMismatch, DomainMismatch, FormatError, SpectralNsrError
-from .graph import COMBINATORIAL, NORMALIZED, LaplacianMatrix, NodeMeta, ReasoningGraph, combinatorial_laplacian, normalized_laplacian
+from .graph import COMBINATORIAL, NORMALIZED, LaplacianMatrix, NodeMeta, ReasoningGraph, laplacians
 from .rules import SpectralRule, load_rules, rule_coefficients
 from .spectral import (
     VERTEX,
@@ -249,20 +249,27 @@ def _stage(name: str):
         raise
 
 
-def build_laplacian(cfg: PipelineConfig, graph: ReasoningGraph) -> LaplacianMatrix:
-    if cfg.laplacian == NORMALIZED:
-        return normalized_laplacian(graph)
-    return combinatorial_laplacian(graph)
+def build_laplacian(
+    cfg: PipelineConfig, graph: ReasoningGraph | Sequence[ReasoningGraph]
+) -> LaplacianMatrix | list[LaplacianMatrix]:
+    """The graph's Laplacian of ``cfg``'s kind; a list of graphs gives a
+    list of Laplacians, built in one pass (`graph.laplacians`)."""
+    if isinstance(graph, ReasoningGraph):
+        return laplacians([graph], cfg.laplacian)[0]
+    return laplacians(graph, cfg.laplacian)
 
 
 @dataclass(eq=False)
 class PreparedGraph:
     """What the pipeline needs of a graph apart from the signal.
 
-    The rule coefficient rows and the node -> atom map also depend on the
-    rules or the knowledge base, so each keeps only the last one asked
-    for. Each slot is replaced by a single assignment, so a concurrent
-    reader sees either the old pair or the new one, never a mix.
+    `prepare_graph` builds it for every cold graph of a block in one pass:
+    one Laplacian build, one bound call and one rule fit for the block,
+    each graph keeping exactly what it would get alone. The rule
+    coefficient rows and the node -> atom map also depend on the rules or
+    the knowledge base, so each keeps only the last one asked for. Each
+    slot is replaced by a single assignment, so a concurrent reader sees
+    either the old pair or the new one, never a mix.
     """
 
     # the graph's nodes rather than the graph: a reference back to the
@@ -294,21 +301,47 @@ class PreparedGraph:
         return mapping
 
 
-def prepare_graph(cfg: PipelineConfig, graph: ReasoningGraph) -> PreparedGraph:
-    """The graph's `PreparedGraph` for ``cfg``'s Laplacian kind and seed.
+def prepare_graph(
+    cfg: PipelineConfig,
+    graph: ReasoningGraph | Sequence[ReasoningGraph],
+    rules: tuple[SpectralRule, ...] = (),
+) -> PreparedGraph | list[PreparedGraph]:
+    """The graph's `PreparedGraph` for ``cfg``'s Laplacian kind and seed,
+    with its coefficient rows for ``rules`` at ``cfg.order`` when rules
+    are given.
 
     Built on first use and kept on the graph itself, so it is freed with
-    the graph. A preparation that raises is not kept; its error carries
-    the stage tag ``laplacian`` or ``spectral``.
+    the graph. A list of graphs gives a list, and all of them that are not
+    prepared yet are prepared together: one `build_laplacian` call, one
+    `estimate_lambda_max` call and, for the graphs whose rows are stale,
+    one `rule_coefficients` call, each result bit for bit what the graph
+    gets alone. A preparation that raises keeps nothing for any graph of
+    the block; its error carries the stage tag ``laplacian`` or
+    ``spectral`` (``rules`` for the fit).
     """
+    if isinstance(graph, ReasoningGraph):
+        return prepare_graph(cfg, [graph], rules)[0]
     key = (cfg.laplacian, cfg.seed)
-    prepared = graph.prepared.get(key)
-    if prepared is None:
+    # a graph listed twice is prepared once
+    cold = list({id(g): g for g in graph if key not in g.prepared}.values())
+    if cold:
         with _stage("laplacian"):
-            lap = build_laplacian(cfg, graph)
+            laps = build_laplacian(cfg, cold)
         with _stage("spectral"):
-            lambda_max = max(estimate_lambda_max(lap, seed=cfg.seed), 1e-12)
-        prepared = graph.prepared[key] = PreparedGraph(graph.nodes, lap, lambda_max)
+            bounds = estimate_lambda_max(laps, seed=cfg.seed)
+        for g, lap, bound in zip(cold, laps, bounds, strict=True):
+            g.prepared[key] = PreparedGraph(g.nodes, lap, max(bound, 1e-12))
+    prepared = [g.prepared[key] for g in graph]
+    if rules:
+        rules = tuple(rules)
+        fit_key = (rules, cfg.order)
+        stale = list({id(p): p for p in prepared if p._rows[0] != fit_key}.values())
+        if stale:
+            with _stage("rules"):
+                rows = rule_coefficients(rules, np.array([p.lambda_max for p in stale]), cfg.order)
+            rows.setflags(write=False)
+            for p, own in zip(stale, rows, strict=True):
+                p._rows = (fit_key, own)
     return prepared
 
 
@@ -354,7 +387,7 @@ def _run_block(
     kbs: Sequence[KnowledgeBase],
     params: dict[str, np.ndarray],
 ) -> list[PipelineOutput]:
-    prepared = [prepare_graph(cfg, graph) for graph in graphs]
+    prepared = prepare_graph(cfg, graphs, rules)
     lap, lambda_max, starts = block_diagonal(
         [p.laplacian for p in prepared], [p.lambda_max for p in prepared]
     )

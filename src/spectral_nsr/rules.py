@@ -6,6 +6,10 @@ conflict-detection rules at high frequencies (local contrast). The
 pipeline and the trainer ground rules through `rule_coefficients`: each
 template becomes a row of Chebyshev coefficients at the graph's
 lambda_max, and a weighted sum of the rows is one polynomial filter.
+The fit is least squares at Chebyshev nodes, which has a closed form:
+one fixed linear map per order takes a template's samples to its row
+(`spectral.fit_coefficients`). So every graph of a block is fitted in one
+call, each graph getting the rows it would get alone.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import BadParams, EmptyRuleSet, FormatError
-from .spectral import FrequencyResponse, fit_chebyshev
+from .spectral import FrequencyResponse, fit_coefficients
 
 
 def builtin_template(kind: str, lambda_max: float, **params) -> FrequencyResponse:
@@ -38,21 +42,23 @@ def builtin_template(kind: str, lambda_max: float, **params) -> FrequencyRespons
     if kind == "low-pass":
         reject_unknown({"beta"})
         beta = float(params.get("beta", 1.0))
-        if beta <= 0.0:
-            raise BadParams(f"low-pass beta must be > 0, got {beta}")
+        if not 0.0 < beta < math.inf:
+            raise BadParams(f"low-pass beta must be finite and > 0, got {beta}")
         return FrequencyResponse(lambda lam: 1.0 / (1.0 + beta * lam), kind="low-pass")
     if kind == "high-pass":
         reject_unknown({"gain"})
         gain = float(params.get("gain", 1.0))
-        if gain <= 0.0:
-            raise BadParams(f"high-pass gain must be > 0, got {gain}")
+        if not 0.0 < gain < math.inf:
+            raise BadParams(f"high-pass gain must be finite and > 0, got {gain}")
         return FrequencyResponse(lambda lam: gain * np.asarray(lam) / lambda_max, kind="high-pass")
     if kind == "band-pass":
         reject_unknown({"center", "sigma"})
         center = float(params.get("center", lambda_max / 2.0))
         sigma = float(params.get("sigma", lambda_max / 10.0))
-        if sigma <= 0.0:
-            raise BadParams(f"band-pass sigma must be > 0, got {sigma}")
+        if not math.isfinite(center):
+            raise BadParams(f"band-pass center must be finite, got {center}")
+        if not 0.0 < sigma < math.inf:
+            raise BadParams(f"band-pass sigma must be finite and > 0, got {sigma}")
         return FrequencyResponse(
             lambda lam: np.exp(-((np.asarray(lam) - center) ** 2) / (2.0 * sigma**2)),
             kind="band-pass",
@@ -60,8 +66,8 @@ def builtin_template(kind: str, lambda_max: float, **params) -> FrequencyRespons
     if kind in ("heat-kernel", "heat"):
         reject_unknown({"t"})
         t = float(params.get("t", 1.0))
-        if t <= 0.0:
-            raise BadParams(f"heat-kernel t must be > 0, got {t}")
+        if not 0.0 < t < math.inf:
+            raise BadParams(f"heat-kernel t must be finite and > 0, got {t}")
         return FrequencyResponse(lambda lam: np.exp(-t * np.asarray(lam)), kind="heat-kernel")
     raise BadParams(f"unknown template kind {kind!r}")
 
@@ -76,13 +82,13 @@ class SpectralRule:
     kind: str = "custom"
 
     def __post_init__(self):
-        if self.weight < 0.0:
-            raise BadParams(f"rule {self.rule_id}: weight must be >= 0, got {self.weight}")
+        if not 0.0 <= self.weight < math.inf:
+            raise BadParams(f"rule {self.rule_id}: weight must be finite and >= 0, got {self.weight}")
 
 
 def rule_coefficients(
     rules: tuple[SpectralRule, ...],
-    lambda_max: float,
+    lambda_max: float | np.ndarray,
     order: int,
 ) -> np.ndarray:
     """Per-rule Chebyshev coefficient rows (R, order+1) at a given lambda_max.
@@ -91,11 +97,14 @@ def rule_coefficients(
     sum_r w_r phi_r: the least-squares fit is linear in its target, so
     summing the rows equals fitting the summed response. The output is
     linear in w_r, which is what the trainer differentiates.
+
+    A vector of G bounds fits every graph of a block in one call and
+    gives (G, R, order+1), each graph's rows bit for bit those its bound
+    gives alone (`fit_coefficients`).
     """
     if not rules:
         raise EmptyRuleSet("rule_coefficients needs at least one rule")
-    rows = [fit_chebyshev(r.template, order, lambda_max).coefficients for r in rules]
-    return np.stack(rows, axis=0)
+    return fit_coefficients([r.template for r in rules], order, lambda_max)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,9 @@ the Chebyshev route is checked against.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -33,7 +35,7 @@ from .errors import (
     OutOfRange,
     TooLarge,
 )
-from .graph import NORMALIZED, LaplacianMatrix
+from .graph import NORMALIZED, LaplacianMatrix, stack_csr
 
 DENSE_LIMIT = 512
 
@@ -49,6 +51,11 @@ LANCZOS_TOL = 1e-3
 
 # Chebyshev nodes `fit_chebyshev` samples a response at (more if the order needs them)
 FIT_NODES = 256
+
+# the largest stacked array, in bytes, that `estimate_lambda_max` and
+# `fit_coefficients` build at once; a larger block goes in chunks, so its
+# transient memory stays bounded (each graph's result is the same)
+STACK_BYTES = 1 << 18
 
 VERTEX = "vertex"
 SPECTRAL = "spectral"
@@ -191,7 +198,9 @@ def exact_filter(basis: SpectralBasis, response: FrequencyResponse, x: GraphSign
     return vertex_signal(basis.eigenvectors @ (gains * (basis.eigenvectors.T @ x.values)))
 
 
-def estimate_lambda_max(lap: LaplacianMatrix, seed: int = 0) -> float:
+def estimate_lambda_max(
+    lap: LaplacianMatrix | Sequence[LaplacianMatrix], seed: int = 0
+) -> float | list[float]:
     """An upper bound on the largest eigenvalue, for the Chebyshev rescaling.
 
     Up to `DENSE_BOUND_LIMIT` nodes the top eigenvalue comes from a dense
@@ -203,19 +212,63 @@ def estimate_lambda_max(lap: LaplacianMatrix, seed: int = 0) -> float:
     it is capped at the Gershgorin row-sum bound, and at 2 for a
     normalized Laplacian. A solver that does not converge gives that cap,
     which always holds.
+
+    A list of Laplacians gives a list of bounds, each the one its
+    Laplacian gives alone. The dense ones of each node count are stacked
+    into one array and take one ``eigvalsh`` call (per `STACK_BYTES`).
     """
+    if isinstance(lap, LaplacianMatrix):
+        return estimate_lambda_max([lap], seed)[0]
+    bounds = [0.0] * len(lap)
+    dense_groups = defaultdict(list)
+    for i, one in enumerate(lap):
+        n = one.node_count
+        if n == 0 or one.matrix.nnz == 0:
+            continue
+        if n <= DENSE_BOUND_LIMIT:
+            dense_groups[n].append(i)
+        else:
+            bounds[i] = _lanczos_bound(one, seed)
+    for n, members in dense_groups.items():
+        step = max(1, STACK_BYTES // (8 * n * n))
+        for start in range(0, len(members), step):
+            chunk = members[start : start + step]
+            for i, bound in zip(chunk, _dense_bounds([lap[i] for i in chunk], n), strict=True):
+                bounds[i] = bound
+    return bounds
+
+
+def _dense_bounds(laps: list[LaplacianMatrix], n: int) -> list[float]:
+    """The dense-path bounds of ``n``-node Laplacians, from one stacked ``eigvalsh``."""
+    mats = [lap.matrix for lap in laps]
+    # scatter into one (graphs, n, n) array; bincount sums duplicate
+    # entries in order, as toarray does
+    rows = np.repeat(np.arange(len(mats) * n), np.concatenate([np.diff(m.indptr) for m in mats]))
+    cols = np.concatenate([m.indices for m in mats])
+    data = np.concatenate([m.data for m in mats])
+    dense = np.bincount(rows * n + cols, weights=data, minlength=len(mats) * n * n).reshape(-1, n, n)
+    norm1 = np.abs(dense).sum(axis=1).max(axis=1)
+    try:
+        top = np.linalg.eigvalsh(dense)[:, -1]
+    except np.linalg.LinAlgError:
+        top = [_top_eigenvalue(matrix) for matrix in dense]
+    return [
+        _gershgorin(lap, float(norm)) if t is None else float(t) + n * np.finfo(np.float64).eps * float(norm)
+        for lap, t, norm in zip(laps, top, norm1, strict=True)
+    ]
+
+
+def _top_eigenvalue(dense: np.ndarray) -> float | None:
+    """The top eigenvalue of one dense symmetric matrix, or None if ``eigvalsh`` fails."""
+    try:
+        return float(np.linalg.eigvalsh(dense)[-1])
+    except np.linalg.LinAlgError:
+        return None
+
+
+def _lanczos_bound(lap: LaplacianMatrix, seed: int) -> float:
     m = lap.matrix
     n = m.shape[0]
-    if n == 0 or m.nnz == 0:
-        return 0.0
-    if n <= DENSE_BOUND_LIMIT:
-        dense = m.toarray()
-        norm1 = float(np.abs(dense).sum(axis=0).max())
-        try:
-            top = float(np.linalg.eigvalsh(dense)[-1])
-        except np.linalg.LinAlgError:
-            return _gershgorin(lap, norm1)
-        return top + n * np.finfo(np.float64).eps * norm1
     # imported here: the module adds about 8 MB of resident memory
     from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
@@ -299,24 +352,14 @@ def block_diagonal(
     """
     if len(laplacians) != len(lambda_maxes) or not laplacians:
         raise BadParams(f"{len(laplacians)} Laplacians for {len(lambda_maxes)} lambda_max values")
-    mats = [lap.matrix for lap in laplacians]
-    sizes = np.fromiter((m.shape[0] for m in mats), np.int64, len(mats))
-    starts = np.concatenate(([0], np.cumsum(sizes)))
-    if len(mats) == 1:
+    matrix, starts = stack_csr([lap.matrix for lap in laplacians])
+    if len(laplacians) == 1:
         return laplacians[0], lambda_maxes[0], starts
     kinds = {lap.kind for lap in laplacians}
     if len(kinds) != 1:
         raise BadParams(f"cannot stack Laplacians of kinds {sorted(kinds)}")
-    nnz = np.fromiter((m.indptr[-1] for m in mats), np.int64, len(mats))
-    nnz_starts = np.concatenate(([0], np.cumsum(nnz)))
-    indptr = np.concatenate([m.indptr[:-1] for m in mats] + [nnz_starts[-1:]])
-    indptr[:-1] += np.repeat(nnz_starts[:-1], sizes)
-    indices = np.concatenate([m.indices for m in mats]) + np.repeat(starts[:-1], nnz)
-    data = np.concatenate([m.data for m in mats])
-    n = int(starts[-1])
-    matrix = sp.csr_array((data, indices, indptr), shape=(n, n))
     degrees = np.concatenate([lap.degrees for lap in laplacians])
-    lambda_max = np.repeat(np.asarray(lambda_maxes, dtype=np.float64), sizes)
+    lambda_max = np.repeat(np.asarray(lambda_maxes, dtype=np.float64), np.diff(starts))
     return LaplacianMatrix(kinds.pop(), matrix, degrees), lambda_max, starts
 
 
@@ -367,6 +410,70 @@ def chebyshev_filter(lap: LaplacianMatrix, filt: ChebyshevFilter, x: GraphSignal
     return vertex_signal(y)
 
 
+@lru_cache(maxsize=None)
+def _fit_operator(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Chebyshev nodes a fit samples at, and the map from samples to coefficients.
+
+    At the m nodes t_j = cos(pi (j + 1/2) / m), the polynomials T_k of
+    degree k < m are discretely orthogonal: sum_j T_k(t_j) T_l(t_j) is m
+    for k = l = 0, m / 2 for k = l > 0, and 0 otherwise. So with V the
+    Chebyshev-Vandermonde matrix at the nodes, V^T V is diagonal, and the
+    least-squares coefficients are theta = diag(1/m, 2/m, ..., 2/m) V^T f.
+    Both arrays are read-only.
+    """
+    m = max(FIT_NODES, order + 1)
+    t = np.cos(np.pi * (np.arange(m) + 0.5) / m)
+    weights = np.full(order + 1, 2.0 / m)
+    weights[0] = 1.0 / m
+    operator = weights[:, None] * npcheb.chebvander(t, order).T
+    t.setflags(write=False)
+    operator.setflags(write=False)
+    return t, operator
+
+
+def fit_coefficients(
+    responses: Sequence[FrequencyResponse],
+    order: int,
+    lambda_max: float | np.ndarray,
+) -> np.ndarray:
+    """Least-squares Chebyshev coefficients of each response over [0, lambda_max].
+
+    Samples every response at the Chebyshev nodes mapped into the
+    interval and applies the closed-form least-squares operator
+    (`_fit_operator`); any polynomial of degree <= order is recovered
+    exactly (up to rounding). A scalar ``lambda_max`` gives one row per
+    response, (R, order + 1). A vector of G bounds gives (G, R, order + 1),
+    fitted in chunks of `STACK_BYTES` of samples per response, where each
+    graph's rows are bit for bit those its bound gives alone: every sample
+    is computed elementwise and every fit is its own matrix-vector product.
+    """
+    if order < 0:
+        raise BadParams("order must be non-negative")
+    lam_max = np.asarray(lambda_max, dtype=np.float64)
+    if lam_max.ndim > 1 or not (lam_max > 0.0).all():
+        raise BadParams(f"lambda_max must be positive, got {lambda_max}")
+    t, operator = _fit_operator(order)
+    bounds = np.atleast_1d(lam_max)
+    step = max(1, STACK_BYTES // t.nbytes)
+    chunks = [_fit_chunk(responses, t, operator, bounds[i : i + step]) for i in range(0, bounds.size, step)]
+    out = np.concatenate(chunks)
+    return out if lam_max.ndim else out[0]
+
+
+def _fit_chunk(
+    responses: Sequence[FrequencyResponse], t: np.ndarray, operator: np.ndarray, bounds: np.ndarray
+) -> np.ndarray:
+    """(graphs, responses, order + 1) coefficients for a chunk of bounds."""
+    lam = (t + 1.0) * (bounds[:, None] / 2.0)
+    rows = []
+    for response in responses:
+        targets = response(lam)
+        if not np.isfinite(targets).all():
+            raise NonFiniteResponse(f"response is non-finite at lambda={lam[~np.isfinite(targets)][0]}")
+        rows.append(np.matmul(operator, targets[..., None])[..., 0])
+    return np.stack(rows, axis=1)
+
+
 def fit_chebyshev(
     response: FrequencyResponse,
     order: int,
@@ -374,24 +481,12 @@ def fit_chebyshev(
 ) -> ChebyshevFilter:
     """Least-squares Chebyshev fit of a response over [0, lambda_max].
 
-    Samples the target at Chebyshev nodes mapped into the interval and
-    solves the discrete least-squares problem; any polynomial of degree
-    <= order is recovered exactly (up to rounding).
+    The response is sampled at Chebyshev nodes mapped into the interval,
+    where least squares has a closed form (`_fit_operator`). This is
+    `fit_coefficients` for one response, the routine that also fits every
+    rule template (`rules.rule_coefficients`).
     """
-    if order < 0:
-        raise BadParams("order must be non-negative")
-    if not lambda_max > 0.0:
-        raise BadParams(f"lambda_max must be positive, got {lambda_max}")
-    m = max(FIT_NODES, order + 1)
-    t = np.cos(np.pi * (np.arange(m) + 0.5) / m)
-    lam = (t + 1.0) * (lambda_max / 2.0)
-    targets = response(lam)
-    if not np.isfinite(targets).all():
-        bad = lam[~np.isfinite(targets)][0]
-        raise NonFiniteResponse(f"response is non-finite at lambda={bad}")
-    vander = npcheb.chebvander(t, order)
-    theta, *_ = np.linalg.lstsq(vander, targets, rcond=None)
-    return ChebyshevFilter(theta, lambda_max)
+    return ChebyshevFilter(fit_coefficients([response], order, lambda_max)[0], lambda_max)
 
 
 def sample_response(filt: ChebyshevFilter, grid) -> np.ndarray:

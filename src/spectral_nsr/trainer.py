@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 from scipy.special import expit
@@ -26,7 +27,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .harness import SyntheticTask, TaskSplits, evaluate
-from .pipeline import GATE_DIM, Pipeline, PipelineConfig, mixed_theta, prepare_graph, retired_config_key
+from .pipeline import GATE_DIM, Pipeline, PipelineConfig, PreparedGraph, mixed_theta, prepare_graph, retired_config_key
 from .rules import SpectralRule
 from .spectral import block_diagonal, chebyshev_stack, softmax
 from .symbolic import PredicateSet
@@ -265,12 +266,22 @@ class TaskContext:
     node_starts: np.ndarray | None = None
 
 
-def prepare_context(task: SyntheticTask, cfg: PipelineConfig, rules: tuple[SpectralRule, ...]) -> TaskContext:
-    prepared = prepare_graph(cfg, task.graph)
+def prepare_context(
+    task: SyntheticTask | Sequence[SyntheticTask], cfg: PipelineConfig, rules: tuple[SpectralRule, ...]
+) -> TaskContext | list[TaskContext]:
+    """The task's `TaskContext`; a list of tasks gives a list of contexts,
+    their graphs prepared together (`prepare_graph`)."""
+    if isinstance(task, SyntheticTask):
+        return prepare_context([task], cfg, rules)[0]
+    prepared = prepare_graph(cfg, [t.graph for t in task], rules)
+    return [_context(t, p, cfg.order, rules) for t, p in zip(task, prepared, strict=True)]
+
+
+def _context(task: SyntheticTask, prepared: PreparedGraph, order: int, rules: tuple[SpectralRule, ...]) -> TaskContext:
     lap, lam_max = prepared.laplacian, prepared.lambda_max
-    rows = prepared.coefficient_rows(rules, cfg.order) if rules else None
+    rows = prepared.coefficient_rows(rules, order) if rules else None
     x0 = np.asarray(task.x0, dtype=np.float64)
-    stack = chebyshev_stack(lap, lam_max, x0, cfg.order)
+    stack = chebyshev_stack(lap, lam_max, x0, order)
     nodes = np.asarray(sorted(task.labels), dtype=np.int64)
     values = np.asarray([float(task.labels[i]) for i in sorted(task.labels)])
     if nodes.size == 0:
@@ -546,7 +557,9 @@ def train(
     start = warm_start if warm_start is not None else pipe0.params
     params = {k: np.array(v, dtype=np.float64) for k, v in start.items()}
     state = init_adam(params, run.learning_rates)
-    contexts = [prepare_context(task, cfg, tuple(rules)) for task in splits.train]
+    # the training split is prepared as one block here, the validation
+    # split as one block by the first epoch's validation run
+    contexts = prepare_context(splits.train, cfg, tuple(rules))
     rng = np.random.default_rng(run.seed)
 
     history: list[EpochMetrics] = []

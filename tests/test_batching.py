@@ -1,22 +1,29 @@
 """Block-diagonal batching: a block of graphs gives what each graph gives alone."""
 
 from dataclasses import replace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import chebyshev as npcheb
 
+from spectral_nsr import spectral
 from spectral_nsr.errors import BadParams, DimensionMismatch, FormatError
-from spectral_nsr.graph import COMBINATORIAL, NORMALIZED
+from spectral_nsr.graph import COMBINATORIAL, NORMALIZED, NodeMeta, build_graph
 from spectral_nsr.harness import evaluate, gen_dataset, gen_kinship, gen_transitive
 from spectral_nsr.pipeline import REFERENCE_LAMBDA_MAX, Pipeline, PipelineConfig, init_params, prepare_graph
-from spectral_nsr.rules import SpectralRule, builtin_template
+from spectral_nsr.rules import SpectralRule, builtin_template, rule_coefficients
 from spectral_nsr.spectral import (
+    DENSE_BOUND_LIMIT,
+    FIT_NODES,
     ChebyshevFilter,
     block_diagonal,
     chebyshev_filter,
     chebyshev_stack,
+    estimate_lambda_max,
     load_filter,
     sample_response,
     vertex_signal,
@@ -101,6 +108,95 @@ def contexts_and_params(bands, rng, vector_tau=False):
         tasks = [task for task in gen_dataset("transitive", 40, seed=4) if task.graph.node_count == 8]
         params["tau"] = rng.uniform(0.1, 0.4, size=8)
     return [prepare_context(task, cfg, rules) for task in tasks], params, cfg.order
+
+
+def sparse_graph(n, seed, isolated=0):
+    """A random graph of ``n`` nodes with about 2n weighted edges; its last
+    ``isolated`` nodes have none."""
+    rng = np.random.default_rng(seed)
+    ends = rng.integers(0, max(n - isolated, 1), size=(2 * n, 2)).tolist()
+    pairs = {tuple(sorted(p)) for p in ends if p[0] != p[1]}
+    edges = [(i, j, float(rng.uniform(0.1, 2.0))) for i, j in sorted(pairs)]
+    return build_graph([NodeMeta(i, "proposition", f"n{i}") for i in range(n)], edges)
+
+
+def preparation_block(specs, big, order_seed):
+    """Task graphs, random graphs on both sides of DENSE_BOUND_LIMIT, an
+    edgeless graph and one with an isolated node, in a shuffled order."""
+    graphs = [task.graph for task in make_tasks(specs)]
+    graphs += [sparse_graph(n, seed) for n, seed in big]
+    graphs += [sparse_graph(6, 0, isolated=6), sparse_graph(12, order_seed, isolated=1)]
+    return [graphs[i] for i in np.random.default_rng(order_seed).permutation(len(graphs))]
+
+
+def laplacian_oracle(graph, kind):
+    """The per-graph Laplacian, formed as the pipeline formed it before blocks."""
+    d = graph.degrees()
+    if kind == COMBINATORIAL:
+        return sp.csr_array(sp.diags_array(d, format="csr") - graph.adjacency)
+    with np.errstate(divide="ignore"):
+        dinv = np.where(d > 0.0, 1.0 / np.sqrt(np.where(d > 0.0, d, 1.0)), 0.0)
+    scaled = graph.adjacency.multiply(dinv[:, None]).multiply(dinv[None, :])
+    lap = sp.eye_array(graph.node_count, format="csr") - sp.csr_array(scaled)
+    return sp.csr_array((lap + lap.T) * 0.5)
+
+
+def lstsq_rows(rules, lambda_max, order):
+    """Rule rows by a least-squares solve at the fit's Chebyshev nodes."""
+    m = max(FIT_NODES, order + 1)
+    t = np.cos(np.pi * (np.arange(m) + 0.5) / m)
+    lam = (t + 1.0) * (lambda_max / 2.0)
+    vander = npcheb.chebvander(t, order)
+    return np.stack([np.linalg.lstsq(vander, rule.template(lam), rcond=None)[0] for rule in rules])
+
+
+def template_bank():
+    return rule_bank() + (
+        SpectralRule(
+            "band", builtin_template("band-pass", REFERENCE_LAMBDA_MAX, center=1.0, sigma=0.3), kind="band-pass"
+        ),
+        SpectralRule("heat", builtin_template("heat-kernel", REFERENCE_LAMBDA_MAX, t=0.7), kind="heat-kernel"),
+    )
+
+
+class TestBlockPreparation:
+    @settings(max_examples=15, deadline=None)
+    @given(
+        specs=task_specs,
+        big=st.lists(st.tuples(st.integers(DENSE_BOUND_LIMIT + 1, 300), st.integers(0, 2**16)), max_size=3),
+        laplacian=st.sampled_from([COMBINATORIAL, NORMALIZED]),
+        order=st.sampled_from([3, 5]),
+        order_seed=st.integers(0, 2**16),
+        # a few kilobytes split the block's bounds and fits into many chunks
+        stack_bytes=st.sampled_from([4096, spectral.STACK_BYTES]),
+    )
+    def test_block_equals_each_graph_alone(self, specs, big, laplacian, order, order_seed, stack_bytes):
+        cfg = PipelineConfig(laplacian=laplacian, order=order)
+        rules = template_bank()
+        # separate graph objects, so that each side prepares its own
+        with patch.object(spectral, "STACK_BYTES", stack_bytes):
+            block = prepare_graph(cfg, preparation_block(specs, big, order_seed), rules)
+        graphs = preparation_block(specs, big, order_seed)
+        alone = [prepare_graph(cfg, graph, rules) for graph in graphs]
+        assert len({p.laplacian.node_count > DENSE_BOUND_LIMIT for p in block}) == (2 if big else 1)
+        for b, a, graph in zip(block, alone, graphs, strict=True):
+            oracle = laplacian_oracle(graph, laplacian)
+            for matrix in (b.laplacian.matrix, a.laplacian.matrix):
+                assert matrix.shape == oracle.shape
+                for name in ("data", "indices", "indptr"):
+                    got, want = getattr(matrix, name), getattr(oracle, name)
+                    assert got.dtype == want.dtype and np.array_equal(got, want), name
+            assert np.array_equal(b.laplacian.degrees, graph.degrees())
+            assert np.array_equal(a.laplacian.degrees, graph.degrees())
+            assert b.lambda_max == a.lambda_max == max(estimate_lambda_max(a.laplacian), 1e-12)
+            if 0 < graph.node_count <= DENSE_BOUND_LIMIT and oracle.nnz:
+                dense = oracle.toarray()
+                pad = graph.node_count * np.finfo(np.float64).eps * float(np.abs(dense).sum(axis=0).max())
+                assert b.lambda_max == float(np.linalg.eigvalsh(dense)[-1]) + pad
+            rows = b.coefficient_rows(rules, order)
+            assert np.array_equal(rows, a.coefficient_rows(rules, order))
+            assert np.array_equal(rows, rule_coefficients(rules, b.lambda_max, order))
+            assert np.abs(rows - lstsq_rows(rules, b.lambda_max, order)).max() <= 1e-12
 
 
 class TestBlockGradients:

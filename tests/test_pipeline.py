@@ -7,10 +7,11 @@ import pytest
 
 from spectral_nsr import pipeline
 from spectral_nsr.errors import BadParams, ConvergenceFailure, UnmappedNode
+from spectral_nsr.graph import COMBINATORIAL, LaplacianMatrix, combinatorial_laplacian
 from spectral_nsr.harness import evaluate, gen_dataset, gen_transitive, split_dataset
-from spectral_nsr.pipeline import REFERENCE_LAMBDA_MAX, PipelineConfig, run_pipeline
+from spectral_nsr.pipeline import REFERENCE_LAMBDA_MAX, Pipeline, PipelineConfig, run_pipeline
 from spectral_nsr.rules import load_rules
-from spectral_nsr.spectral import vertex_signal
+from spectral_nsr.spectral import block_diagonal, vertex_signal
 from spectral_nsr.symbolic import KnowledgeBase
 from spectral_nsr.trainer import Checkpoint, TrainRun, train
 
@@ -62,6 +63,24 @@ class TestGolden:
     def test_reference_checkpoint_validation_accuracy(self):
         splits = split_dataset(gen_dataset("transitive", 1000, seed=0), (800, 100, 100))
         assert evaluate(reference_pipeline(), splits.val, measure_latency=False).accuracy == 1.0
+
+
+class TestBlockValidation:
+    def test_each_graph_is_held_to_its_own_scale(self):
+        heavy = combinatorial_laplacian(gen_transitive(3, width=2, seed=1).graph)
+        heavy = LaplacianMatrix(COMBINATORIAL, heavy.matrix * 1e6, heavy.degrees * 1e6)
+        light = combinatorial_laplacian(gen_transitive(2, width=2, seed=2).graph)
+        # one diagonal entry off by 1e-9: within the heavy graph's tolerance, not its own
+        matrix = light.matrix.copy()
+        matrix[0, 0] += 1e-9
+        light = LaplacianMatrix(COMBINATORIAL, matrix, light.degrees)
+        heavy.validate()
+        with pytest.raises(BadParams, match="rows do not sum to 0"):
+            light.validate()
+        block, _, starts = block_diagonal([heavy, light], [1.0, 1.0])
+        block.validate()  # the block's own scale lets the light graph through
+        with pytest.raises(BadParams, match="rows do not sum to 0"):
+            block.validate(starts=starts)
 
 
 class TestBinding:
@@ -154,14 +173,30 @@ class TestPreparedGraph:
             raise error("injected")
 
         monkeypatch.setattr(pipeline, name, fail)
+        block = [gen_transitive(2, width=2, seed=6), task, gen_transitive(4, width=1, seed=7)]
         for _ in range(2):
             with pytest.raises(error) as info:
                 run(PipelineConfig(), task, ())
             assert info.value.stage == stage
             assert not task.graph.prepared
+            with pytest.raises(error) as info:
+                Pipeline(PipelineConfig()).run_tasks(block)
+            assert info.value.stage == stage
+            assert not any(t.graph.prepared for t in block)
         monkeypatch.setattr(pipeline, name, original)
         run(PipelineConfig(), task, ())
         assert list(task.graph.prepared) == [(PipelineConfig().laplacian, 0)]
+        Pipeline(PipelineConfig()).run_tasks(block)
+        assert all(list(t.graph.prepared) == [(PipelineConfig().laplacian, 0)] for t in block)
+
+    def test_block_prepares_in_one_call_per_layer(self, calls):
+        pipe = reference_pipeline()
+        tasks = gen_dataset("transitive", 5, seed=8) + gen_dataset("kinship", 5, seed=8)
+        # a graph listed twice is prepared once
+        pipe.run_tasks(tasks + tasks[:2])
+        assert calls == dict.fromkeys(PREPARATION, 1)
+        pipe.run_tasks(tasks)
+        assert calls == dict.fromkeys(PREPARATION, 1)
 
     def test_training_twice_on_the_same_splits(self, calls):
         def splits():
@@ -172,9 +207,10 @@ class TestPreparedGraph:
         train_run = TrainRun(max_epochs=3, batch_size=16, patience=3, seed=7, latency_probe=0)
         shared = splits()
         results = [train(cfg, shared, train_run, rules=rules)]
-        assert calls == dict.fromkeys(PREPARATION, 60)
+        # one block preparation for the training split, one for the validation split
+        assert calls == dict.fromkeys(PREPARATION, 2)
         results.append(train(cfg, shared, train_run, rules=rules))
-        assert calls == dict.fromkeys(PREPARATION, 60)
+        assert calls == dict.fromkeys(PREPARATION, 2)
         results.append(train(cfg, splits(), train_run, rules=rules))
         reference = results[-1]
         for result in results[:-1]:

@@ -262,3 +262,23 @@ class TestRuleDsl:
     def test_negative_weight_rejected(self):
         with pytest.raises(BadParams):
             SpectralRule("r", FrequencyResponse(lambda lam: lam), weight=-0.1)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize(
+        "kind, param",
+        [
+            ("low-pass", "beta"),
+            ("heat-kernel", "t"),
+            ("band-pass", "center"),
+            ("band-pass", "sigma"),
+            ("high-pass", "gain"),
+        ],
+    )
+    def test_non_finite_template_param_rejected(self, kind, param, value):
+        with pytest.raises(BadParams, match=param):
+            builtin_template(kind, 2.0, **{param: value})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_weight_rejected(self, value):
+        with pytest.raises(BadParams, match="weight"):
+            SpectralRule("r", FrequencyResponse(lambda lam: lam), weight=value)
