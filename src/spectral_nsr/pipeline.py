@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from functools import cached_property, lru_cache
@@ -220,13 +221,15 @@ class PipelineOutput:
     The export is the learned filter's response on this graph: the
     gate-mixed coefficients ``theta_star`` over [0, ``lambda_max``]. Its
     sampled curve is computed on first access, so callers that never read
-    it (evaluation, validation) do not pay for it.
+    it (evaluation, validation) do not pay for it. ``traces`` is read
+    lazily in the same way: a read-only mapping from each answer atom to
+    its proof trace, which builds a trace only when it is looked up.
     """
 
     y: GraphSignal
     predicates: PredicateSet
     answers: tuple[str, ...]
-    traces: dict[str, ProofTrace]
+    traces: Mapping[str, ProofTrace]
     theta_star: np.ndarray
     lambda_max: float
 

@@ -3,13 +3,17 @@
 Filtered belief signals are mapped to discrete predicates by hard or
 logistic thresholding; true predicates become facts of a propositional
 Horn-clause knowledge base, and a semi-naive forward chainer computes
-the least fixed point together with replayable proof traces.
+the least fixed point together with replayable proof traces. The chainer
+queues only the facts that are premises of some clause, and records one
+justifying clause per derived atom; a proof trace is built from those
+justifications only when it is read, since most callers read none.
 """
 
 from __future__ import annotations
 
 import copy
 from collections import deque
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -76,9 +80,7 @@ class PredicateSet:
 
     def true_nodes(self) -> list[int]:
         """Nodes held true; soft sets cut at the logistic midpoint 0.5."""
-        if self.soft:
-            return [int(i) for i in np.flatnonzero(self.values > 0.5)]
-        return [int(i) for i in np.flatnonzero(self.values)]
+        return np.flatnonzero(self.values > 0.5 if self.soft else self.values).tolist()
 
 
 def hard_threshold(y: GraphSignal, cfg: ThresholdConfig) -> PredicateSet:
@@ -161,6 +163,10 @@ class KnowledgeBase:
         """This KB with ``extra`` added to its facts; only the new facts are checked."""
         extra = frozenset(extra)
         self._check_facts(extra, self.declared)
+        return self._plus_checked_facts(extra)
+
+    def _plus_checked_facts(self, extra: frozenset[str]) -> "KnowledgeBase":
+        """`with_facts` for a caller that has checked ``extra`` against ``declared``."""
         out = copy.copy(self)
         object.__setattr__(out, "facts", self.facts | extra)
         return out
@@ -180,41 +186,44 @@ class ProofTrace:
 def bind_predicates(p: PredicateSet, kb: KnowledgeBase, mapping: dict[int, str]) -> KnowledgeBase:
     """Insert thresholded-true nodes into the KB as facts.
 
-    The mapping must cover every true node; soft predicate sets are cut
-    at 0.5 first.
+    The mapping must cover every true node and name declared atoms; soft
+    predicate sets are cut at 0.5 first. The lowest true node that breaks
+    either condition decides the error.
     """
-    new_facts = set()
-    for node in p.true_nodes():
+    nodes = p.true_nodes()
+    atoms = list(map(mapping.get, nodes))
+    new_facts = frozenset(atoms)
+    if not new_facts <= kb.declared:
+        bad = new_facts - kb.declared
+        node, atom = next((node, atom) for node, atom in zip(nodes, atoms) if atom in bad)
         if node not in mapping:
             raise UnmappedNode(f"node {node} is true but has no atom mapping")
-        atom = mapping[node]
-        if atom not in kb.declared:
-            raise BadParams(f"node {node} maps to undeclared atom {atom!r}")
-        new_facts.add(atom)
-    return kb.with_facts(new_facts)
+        raise BadParams(f"node {node} maps to undeclared atom {atom!r}")
+    return kb._plus_checked_facts(new_facts)
 
 
-def forward_chain(kb: KnowledgeBase) -> tuple[frozenset[str], dict[str, ProofTrace]]:
+def forward_chain(kb: KnowledgeBase) -> tuple[frozenset[str], Mapping[str, ProofTrace]]:
     """Least fixed point of the clause set over the facts.
 
     Semi-naive: each clause keeps a count of unsatisfied premises and
     fires exactly once, when the count reaches zero, so total work is
-    linear in the sum of clause body sizes. Returns the closure and one
-    replayable trace per closure atom (facts get empty traces).
+    linear in the sum of clause body sizes. The queue starts with the
+    facts that are premises of some clause, in sorted order; popping any
+    other fact would decrement nothing. Returns the closure and a
+    read-only mapping from each closure atom to its replayable trace
+    (facts get empty traces), which builds a trace only when it is read.
     """
-    remaining = {idx: len(c.body) for idx, c in enumerate(kb.clauses)}
-    closure = set(kb.facts)
+    remaining = [len(c.body) for c in kb.clauses]
     justification: dict[str, tuple[str, tuple[str, ...]]] = {}
-    queue: deque[str] = deque(sorted(kb.facts))
+    queue: deque[str] = deque(sorted(kb.facts.intersection(kb.by_premise)))
 
     def fire(idx: int) -> None:
-        head = kb.clauses[idx].head
-        if head not in closure:
-            closure.add(head)
-            justification[head] = (kb.clauses[idx].clause_id, tuple(sorted(kb.clauses[idx].body)))
-            queue.append(head)
+        clause = kb.clauses[idx]
+        if clause.head not in kb.facts and clause.head not in justification:
+            justification[clause.head] = (clause.clause_id, tuple(sorted(clause.body)))
+            queue.append(clause.head)
 
-    for idx, count in remaining.items():
+    for idx, count in enumerate(remaining):
         if count == 0:
             fire(idx)
     while queue:
@@ -224,11 +233,41 @@ def forward_chain(kb: KnowledgeBase) -> tuple[frozenset[str], dict[str, ProofTra
             if remaining[idx] == 0:
                 fire(idx)
 
-    traces = {
-        atom: ProofTrace(atom) if atom in kb.facts else _build_trace(atom, kb.facts, justification)
-        for atom in sorted(closure)
-    }
-    return frozenset(closure), traces
+    closure = kb.facts.union(justification)
+    return closure, _LazyTraces(closure, kb.facts, justification)
+
+
+class _LazyTraces(Mapping):
+    """Closure atom -> `ProofTrace`, each trace built when it is read.
+
+    Iterates in sorted atom order; ``len`` and ``in`` read the closure.
+    """
+
+    def __init__(
+        self,
+        closure: frozenset[str],
+        facts: frozenset[str],
+        justification: dict[str, tuple[str, tuple[str, ...]]],
+    ):
+        self._closure = closure
+        self._facts = facts
+        self._justification = justification
+
+    def __getitem__(self, atom: str) -> ProofTrace:
+        if atom in self._facts:
+            return ProofTrace(atom)
+        if atom not in self._justification:
+            raise KeyError(atom)
+        return _build_trace(atom, self._facts, self._justification)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(sorted(self._closure))
+
+    def __len__(self) -> int:
+        return len(self._closure)
+
+    def __contains__(self, atom: object) -> bool:
+        return atom in self._closure
 
 
 def _build_trace(atom, facts, justification) -> ProofTrace:
@@ -346,7 +385,7 @@ def save_kb(kb: KnowledgeBase, path: str | Path) -> None:
 
 def format_closure(
     closure: frozenset[str],
-    traces: dict[str, ProofTrace] | None = None,
+    traces: Mapping[str, ProofTrace] | None = None,
     kb: KnowledgeBase | None = None,
 ) -> str:
     """Human-readable closure listing, optionally with indented trace steps."""

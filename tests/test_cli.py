@@ -121,6 +121,34 @@ class TestEndToEnd:
         assert str(tmp_path / "tests" / "data" / "reference_rules.txt") in record["message"]
 
 
+class TestChain:
+    KB = (
+        "atom A\natom B\natom C\natom D\natom E\natom F\natom G\natom H\n"
+        "clause B :- A\nclause C :- A\nclause D :- B, C\nclause F :- D, E\n"
+        "clause G :-\nclause H :- G, F\nclause E :- H\n"
+        "fact A\nfact E\n"
+    )
+    CLOSURE = "A\nB\nC\nD\nE\nF\nG\nH\n"
+    TRACED = (
+        "A\n"
+        "B\n  c0: A => B\n"
+        "C\n  c1: A => C\n"
+        "D\n  c1: A => C\n  c0: A => B\n  c2: B, C => D\n"
+        "E\n"
+        "F\n  c1: A => C\n  c0: A => B\n  c2: B, C => D\n  c3: D, E => F\n"
+        "G\n  c4:  => G\n"
+        "H\n  c4:  => G\n  c1: A => C\n  c0: A => B\n  c2: B, C => D\n  c3: D, E => F\n  c5: F, G => H\n"
+    )
+
+    @pytest.mark.parametrize("flags, expected", [((), CLOSURE), (("--trace",), TRACED)])
+    def test_golden_output(self, tmp_path, flags, expected):
+        kb = tmp_path / "kb.txt"
+        kb.write_text(self.KB)
+        result = invoke("chain", "--kb", kb, *flags)
+        assert result.exit_code == 0, result.output
+        assert result.stdout == expected
+
+
 class TestMissingRules:
     def test_pipeline_names_the_path_it_tried(self, tmp_path):
         with pytest.raises(FormatError, match="nowhere.txt"):

@@ -28,3 +28,20 @@ def test_small_tasks_screen_calls_the_library(monkeypatch):
     task = harness.gen_transitive(3, width=2, seed=0)
     assert small._screen(task) is task
     assert small.screened == []
+
+
+def test_large_graph_checks_pass_on_a_small_graph(monkeypatch):
+    """The large_graph checks, trace replay included, pass on a scaled-down graph."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+    import workloads
+
+    large = workloads.LargeGraph(PERFBENCH.parent, seed=1, sizes=workloads.Sizes(setups=1, edges=2000, clauses=50))
+    large.setup(tracing.Tracer())
+    replayed = 0
+    for _ in range(3):
+        query = large.next_query()
+        checked = large.check(query, large.answer(query))
+        assert checked.problem is None
+        replayed += checked.tally["replayed"]
+    assert replayed > 0

@@ -1,11 +1,16 @@
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spectral_nsr import symbolic
 from spectral_nsr.errors import BadParams, FormatError, UnmappedNode
+from spectral_nsr.harness import evaluate, gen_dataset
+from spectral_nsr.pipeline import REFERENCE_LAMBDA_MAX
+from spectral_nsr.rules import load_rules
 from spectral_nsr.spectral import vertex_signal
 from spectral_nsr.symbolic import (
     Clause,
@@ -25,6 +30,9 @@ from spectral_nsr.symbolic import (
     serialize_kb,
     soft_threshold,
 )
+from spectral_nsr.trainer import Checkpoint
+
+DATA = Path(__file__).parent / "data"
 
 
 def brute_force_minimal_model(kb: KnowledgeBase) -> frozenset:
@@ -166,6 +174,19 @@ class TestBindPredicates:
         with pytest.raises(UnmappedNode):
             bind_predicates(p, kb, {})
 
+    @pytest.mark.parametrize(
+        "mapping, error, message",
+        [
+            ({2: "A", 3: "Z"}, UnmappedNode, "node 1 "),  # node 1 unmapped, node 3 undeclared
+            ({1: "Z", 2: "A"}, BadParams, "node 1 maps to undeclared atom 'Z'"),  # node 3 unmapped
+            ({1: "B", 2: "Y", 3: "Z"}, BadParams, "node 2 maps to undeclared atom 'Y'"),
+        ],
+    )
+    def test_lowest_faulty_node_decides_the_error(self, mapping, error, message):
+        p = PredicateSet(np.array([False, True, True, True]), soft=False)
+        with pytest.raises(error, match=message):
+            bind_predicates(p, self.kb3(), mapping)
+
 
 class TestForwardChain:
     def test_single_step(self):
@@ -228,6 +249,80 @@ class TestForwardChain:
         # premises not in facts: replay must fail
         bogus = ProofTrace("B", (("c0", ("A",)),))
         assert not replay_trace(kb, bogus)
+
+
+class TestTracesMapping:
+    def chain(self):
+        clauses = (
+            Clause("c0", "B", frozenset({"A"})),
+            Clause("c1", "D", frozenset({"B", "C"})),
+            Clause("c2", "E", frozenset({"F"})),
+        )
+        return forward_chain(KnowledgeBase(("A", "B", "C", "D", "E", "F"), clauses, frozenset({"C", "A"})))
+
+    def test_reads_like_a_plain_dict(self):
+        closure, traces = self.chain()
+        assert len(traces) == len(closure) == 4
+        assert list(traces) == ["A", "B", "C", "D"]
+        assert "B" in traces and "E" not in traces and "F" not in traces
+        for missing in ("E", "F", "nowhere"):
+            with pytest.raises(KeyError):
+                traces[missing]
+        assert traces.get("E") is None
+        expected = {
+            "A": ProofTrace("A"),
+            "B": ProofTrace("B", (("c0", ("A",)),)),
+            "C": ProofTrace("C"),
+            "D": ProofTrace("D", (("c0", ("A",)), ("c1", ("B", "C")))),
+        }
+        assert traces == expected and expected == traces
+        assert dict(traces) == expected
+        assert traces != {**expected, "E": ProofTrace("E")}
+
+    def test_read_only(self):
+        _, traces = self.chain()
+        with pytest.raises(TypeError):
+            traces["B"] = ProofTrace("B")
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """Atoms whose trace `symbolic._build_trace` built, in call order."""
+    atoms = []
+    original = symbolic._build_trace
+
+    def counting(atom, facts, justification):
+        atoms.append(atom)
+        return original(atom, facts, justification)
+
+    monkeypatch.setattr(symbolic, "_build_trace", counting)
+    return atoms
+
+
+class TestTracesBuiltOnRead:
+    def test_only_the_trace_read_is_built(self, built):
+        n = 400
+        atoms = tuple(f"a{i}" for i in range(n))
+        clauses = tuple(Clause(f"c{i}", atoms[i + 1], frozenset({atoms[i]})) for i in range(n // 2, n - 1))
+        facts = frozenset(atoms[: n // 2 + 1])
+        closure, traces = forward_chain(KnowledgeBase(atoms, clauses, facts))
+        assert closure == frozenset(atoms) and built == []
+        assert traces["a0"] == ProofTrace("a0") and built == []
+        assert len(traces["a210"].steps) == 10
+        assert built == ["a210"]
+
+    def test_an_evaluate_block_builds_none(self, built):
+        rules = load_rules(DATA / "reference_rules.txt", REFERENCE_LAMBDA_MAX)
+        pipe = Checkpoint.load(DATA / "reference_checkpoint.json").pipeline(rules=rules)
+        tasks = gen_dataset("transitive", 6, seed=3)
+        assert evaluate(pipe, tasks, measure_latency=False).accuracy > 0.5
+        assert built == []
+        task, out = tasks[1], pipe.run_tasks(tasks)[1]
+        derived = set(out.answers) - {task.node_atoms[i] for i in out.predicates.true_nodes()}
+        assert derived and built == []
+        for atom in out.answers:
+            out.traces[atom]
+        assert sorted(built) == sorted(derived)
 
 
 class TestDetectConflicts:
