@@ -7,8 +7,7 @@ into predicates for a forward-chaining Horn-clause engine. A dense
 eigenbasis (`eigendecompose`, `gft`, `exact_filter`) is kept as the
 reference the polynomial filters are checked against. Includes an
 analytic-gradient Adam trainer, synthetic reasoning task generators, and
-a benchmarking/evaluation harness; the ``spectral-nsr`` command exposes
-all of it.
+an evaluation harness; the ``spectral-nsr`` command exposes all of it.
 """
 
 from .errors import NumericalError, SpectralNsrError, ValidationError
@@ -20,7 +19,7 @@ from .graph import (
     combinatorial_laplacian,
     normalized_laplacian,
 )
-from .harness import EvalReport, SyntheticTask, TaskSplits, evaluate, gen_dataset, gen_kinship, gen_transitive, scaling_benchmark
+from .harness import EvalReport, SyntheticTask, TaskSplits, evaluate, gen_dataset, gen_kinship, gen_transitive
 from .pipeline import Pipeline, PipelineConfig, PipelineOutput, mixed_theta, run_pipeline
 from .rules import SpectralRule, builtin_template, rule_coefficients
 from .spectral import (
@@ -95,7 +94,6 @@ __all__ = [
     "gen_kinship",
     "gen_dataset",
     "evaluate",
-    "scaling_benchmark",
     "Pipeline",
     "PipelineConfig",
     "PipelineOutput",

@@ -1,8 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 validation error (bad inputs or files), 2
-numerical failure. With --json-errors a machine-readable error object is
-printed to stderr instead of the human-readable message.
+Exit codes: 0 success, 1 validation error (bad arguments, inputs or
+files), 2 numerical failure. With --json-errors a machine-readable error
+object is printed to stderr instead of the human-readable message.
 """
 
 from __future__ import annotations
@@ -58,7 +58,21 @@ def json_errors_option(fn):
     return click.option("--json-errors", is_flag=True, help="Emit machine-readable errors on stderr.")(fn)
 
 
-@click.group()
+class _Context(click.Context):
+    """Turns click's usage errors (exit 2 in click) into validation errors:
+    every parse error of the group or a command leaves through this context."""
+
+    def __exit__(self, exc_type, exc_value, tb):
+        if isinstance(exc_value, click.UsageError):
+            exc_value.exit_code = 1
+        return super().__exit__(exc_type, exc_value, tb)
+
+
+class _Group(click.Group):
+    context_class = _Context
+
+
+@click.group(cls=_Group)
 def main():
     """Spectral neuro-symbolic reasoning toolkit."""
 
@@ -185,6 +199,8 @@ def filter_cmd(graph_path, signal_path, filter_path, laplacian, route, out_path,
 @handle_errors
 def response_cmd(filter_path, grid, out_path):
     """Export (lambda, h(lambda)) pairs for response inspection."""
+    if grid < 1:
+        raise ValidationError(f"--grid must be >= 1, got {grid}")
     filt = load_filter(filter_path)
     lams = np.linspace(0.0, filt.lambda_max, grid)
     values = sample_response(filt, lams)
@@ -203,30 +219,6 @@ def chain_cmd(kb_path, trace):
     kb = load_kb(kb_path)
     closure, traces = forward_chain(kb)
     click.echo(format_closure(closure, traces if trace else None, kb=kb), nl=False)
-
-
-@main.command("bench-scaling")
-@click.option("--sizes", default="1e3,1e4,1e5", help="Comma-separated edge counts.")
-@click.option("--k", "order", type=int, default=5)
-@click.option("--seed", type=int, default=0)
-@click.option("--out", "out_path", default=None, type=click.Path(dir_okay=False))
-@json_errors_option
-@handle_errors
-def bench_cmd(sizes, order, seed, out_path):
-    """Time the Chebyshev filter across graph sizes and fit the slope."""
-    try:
-        size_list = [int(float(s)) for s in sizes.split(",")]
-    except ValueError as exc:
-        raise ValidationError(f"malformed --sizes {sizes!r}") from exc
-    result = harness.scaling_benchmark(size_list, order=order, seed=seed)
-    lines = ["edges,median_seconds"]
-    for row in result.rows:
-        lines.append(f"{row.edges},{row.median_seconds!r}")
-        click.echo(f"|E|={row.edges:>9}  median {row.median_seconds * 1e3:10.4f} ms")
-    if result.slope is not None:
-        click.echo(f"log-log slope: {result.slope:.3f}")
-    if out_path:
-        Path(out_path).write_text("\n".join(lines) + "\n")
 
 
 @main.command("inspect-ckpt")

@@ -1,4 +1,4 @@
-"""Synthetic reasoning tasks, evaluation, and the edge-scaling benchmark.
+"""Synthetic reasoning tasks and their evaluation.
 
 Tasks mirror the structure of multi-hop deduction and kinship
 composition benchmarks at desk scale: a seeded implication chain the
@@ -20,8 +20,7 @@ import numpy as np
 
 from .errors import BadParams, EmptyDataset, FormatError
 from .graph import NodeMeta, ReasoningGraph, build_graph, combinatorial_laplacian, load_graph_text, save_graph_text
-from .rules import builtin_template
-from .spectral import chebyshev_filter, estimate_lambda_max, fit_chebyshev, load_signal, save_signal, vertex_signal
+from .spectral import load_signal, save_signal, vertex_signal
 from .symbolic import Clause, KnowledgeBase, detect_conflicts, forward_chain, load_kb, save_kb
 
 # belief mass drawn for each distractor's seed node
@@ -205,8 +204,8 @@ def gen_dataset(
     ``max_depth``; seed partitioning keeps any two datasets with
     different base seeds disjoint.
     """
-    if n < 1:
-        raise BadParams("n must be >= 1")
+    if n < 1 or max_depth < 1:
+        raise BadParams(f"n and max_depth must be >= 1, got {n} and {max_depth}")
     if family not in ("transitive", "kinship"):
         raise BadParams(f"unknown task family {family!r}")
     tasks = []
@@ -390,12 +389,11 @@ def evaluate(pipeline, tasks, measure_latency: bool = True) -> EvalReport:
     total = 0
     consistent = 0
     for task, out in zip(tasks, outputs, strict=True):
-        answers = set(out.answers)
         for node, label in task.labels.items():
-            predicted = int(task.node_atoms[node] in answers)
+            predicted = int(task.node_atoms[node] in out.closure)
             correct += int(predicted == label)
             total += 1
-        if not detect_conflicts(task.kb, frozenset(answers)):
+        if not detect_conflicts(task.kb, out.closure):
             consistent += 1
     return EvalReport(
         accuracy=correct / total if total else 0.0,
@@ -405,18 +403,6 @@ def evaluate(pipeline, tasks, measure_latency: bool = True) -> EvalReport:
         latency_median_ms=float(np.median(latencies)) if measure_latency else None,
         latency_p95_ms=float(np.percentile(latencies, 95)) if measure_latency else None,
     )
-
-
-@dataclass(frozen=True)
-class ScalingRow:
-    edges: int
-    median_seconds: float
-
-
-@dataclass(frozen=True)
-class ScalingResult:
-    rows: tuple[ScalingRow, ...]
-    slope: float | None
 
 
 def random_sparse_laplacian(n_edges: int, seed: int = 0):
@@ -431,44 +417,3 @@ def random_sparse_laplacian(n_edges: int, seed: int = 0):
     nodes = [NodeMeta(k, "proposition", f"n{k}") for k in range(n)]
     g = build_graph(nodes, zip(i.tolist(), j.tolist(), w.tolist()))
     return g, combinatorial_laplacian(g)
-
-
-def _median_call_time(fn, target_total: float = 0.1, max_reps: int = 200) -> float:
-    fn()  # warm caches before measuring
-    start = time.perf_counter()
-    fn()
-    single = max(time.perf_counter() - start, 1e-9)
-    reps = int(min(max(target_total / single, 3), max_reps))
-    samples = []
-    for _ in range(5):
-        start = time.perf_counter()
-        for _ in range(reps):
-            fn()
-        samples.append((time.perf_counter() - start) / reps)
-    return float(np.median(samples))
-
-
-def scaling_benchmark(sizes, order: int = 5, seed: int = 0) -> ScalingResult:
-    """Median Chebyshev filter time vs edge count, with the log-log slope.
-
-    The filter evaluation costs ``order`` sparse matrix-vector products,
-    so the fitted slope should sit near 1.
-    """
-    sizes = [int(s) for s in sizes]
-    if sorted(sizes) != sizes:
-        raise BadParams("sizes must be ascending")
-    rows = []
-    for idx, target in enumerate(sizes):
-        g, lap = random_sparse_laplacian(target, seed=seed + idx)
-        lam_max = estimate_lambda_max(lap, seed=seed)
-        filt = fit_chebyshev(builtin_template("low-pass", lam_max, beta=1.0), order, max(lam_max, 1e-6))
-        rng = np.random.default_rng(seed + 1000 + idx)
-        x = vertex_signal(rng.standard_normal(lap.node_count))
-        t = _median_call_time(lambda: chebyshev_filter(lap, filt, x))
-        rows.append(ScalingRow(edges=g.edge_count(), median_seconds=t))
-    slope = None
-    if len(rows) >= 2:
-        logs_e = np.log([r.edges for r in rows])
-        logs_t = np.log([r.median_seconds for r in rows])
-        slope = float(np.polyfit(logs_e, logs_t, 1)[0])
-    return ScalingResult(tuple(rows), slope)

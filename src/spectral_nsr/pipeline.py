@@ -180,8 +180,8 @@ def init_params(cfg: PipelineConfig, n_rules: int = 0) -> dict[str, np.ndarray]:
 
     theta rows hold per-band filter coefficients (low-pass fit for a
     single band, band-indicator fits otherwise); rule weights start
-    uniform at 1/R; gate vectors are seeded standard normals; tau is a
-    global scalar unless the trainer swaps in a per-node vector.
+    uniform at 1/R; gate vectors are seeded standard normals; tau holds
+    the one threshold of every node.
     """
     rng = np.random.default_rng(cfg.seed)
     params = {
@@ -221,17 +221,21 @@ class PipelineOutput:
     The export is the learned filter's response on this graph: the
     gate-mixed coefficients ``theta_star`` over [0, ``lambda_max``]. Its
     sampled curve is computed on first access, so callers that never read
-    it (evaluation, validation) do not pay for it. ``traces`` is read
-    lazily in the same way: a read-only mapping from each answer atom to
-    its proof trace, which builds a trace only when it is looked up.
+    it (evaluation, validation) do not pay for it; so are ``answers``, the
+    sorted ``closure``, and ``traces``, a read-only mapping from each
+    answer atom to its proof trace that builds a trace only when read.
     """
 
     y: GraphSignal
     predicates: PredicateSet
-    answers: tuple[str, ...]
+    closure: frozenset[str]
     traces: Mapping[str, ProofTrace]
     theta_star: np.ndarray
     lambda_max: float
+
+    @cached_property
+    def answers(self) -> tuple[str, ...]:
+        return tuple(sorted(self.closure))
 
     @cached_property
     def response_grid(self) -> np.ndarray:
@@ -408,11 +412,9 @@ def _run_block(
 
     with _stage("threshold"):
         tau = params["tau"]
-        tau_value = float(tau[0]) if tau.shape == (1,) else tau
-        if cfg.threshold_mode == LOGISTIC:
-            tcfg = ThresholdConfig(LOGISTIC, tau_value, float(params["alpha"]))
-        else:
-            tcfg = ThresholdConfig(HARD, tau_value)
+        if tau.shape != (1,):
+            raise BadParams(f"tau must have shape (1,), got {tau.shape}")
+        tcfg = ThresholdConfig(cfg.threshold_mode, float(tau[0]), float(params["alpha"]))
     threshold = soft_threshold if cfg.threshold_mode == LOGISTIC else hard_threshold
 
     outputs = []
@@ -424,9 +426,7 @@ def _run_block(
             bound = bind_predicates(predicates, kb, p.atom_map(kb))
         with _stage("chain"):
             closure, traces = forward_chain(bound)
-        outputs.append(
-            PipelineOutput(y_graph, predicates, tuple(sorted(closure)), traces, filt.coefficients, p.lambda_max)
-        )
+        outputs.append(PipelineOutput(y_graph, predicates, closure, traces, filt.coefficients, p.lambda_max))
     return outputs
 
 

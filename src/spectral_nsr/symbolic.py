@@ -20,12 +20,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import expit
 
-from .errors import (
-    BadParams,
-    DimensionMismatch,
-    FormatError,
-    UnmappedNode,
-)
+from .errors import BadParams, FormatError, UnmappedNode
 from .spectral import GraphSignal
 
 HARD = "hard"
@@ -34,10 +29,10 @@ LOGISTIC = "logistic"
 
 @dataclass(frozen=True)
 class ThresholdConfig:
-    """Threshold tau (global scalar or per-node vector) plus logistic steepness."""
+    """One threshold tau for every node, plus the logistic steepness."""
 
     mode: str = HARD
-    tau: float | np.ndarray = 0.5
+    tau: float = 0.5
     alpha: float = 1.0
 
     def __post_init__(self):
@@ -45,18 +40,7 @@ class ThresholdConfig:
             raise BadParams(f"unknown threshold mode {self.mode!r}")
         if self.mode == LOGISTIC and not self.alpha > 0.0:
             raise BadParams(f"logistic mode needs alpha > 0, got {self.alpha}")
-        tau = np.asarray(self.tau, dtype=np.float64)
-        if tau.ndim > 1:
-            raise BadParams("tau must be a scalar or a 1-D vector")
-        object.__setattr__(self, "tau", tau)
-
-    def tau_for(self, n: int) -> np.ndarray:
-        tau = self.tau
-        if tau.ndim == 0:
-            return np.full(n, float(tau))
-        if tau.shape[0] != n:
-            raise DimensionMismatch(f"per-node tau length {tau.shape[0]} != {n}")
-        return tau
+        object.__setattr__(self, "tau", float(self.tau))
 
 
 @dataclass(frozen=True)
@@ -87,16 +71,14 @@ def hard_threshold(y: GraphSignal, cfg: ThresholdConfig) -> PredicateSet:
     """p_i = [y_i > tau]; ties fall on the false side (strict inequality)."""
     if cfg.mode != HARD:
         raise BadParams("hard_threshold requires hard mode")
-    tau = cfg.tau_for(len(y))
-    return PredicateSet(y.values > tau, soft=False)
+    return PredicateSet(y.values > cfg.tau, soft=False)
 
 
 def soft_threshold(y: GraphSignal, cfg: ThresholdConfig) -> PredicateSet:
-    """p_i = sigmoid(alpha * (y_i - tau_i)), overflow-safe."""
+    """p_i = sigmoid(alpha * (y_i - tau)), overflow-safe."""
     if cfg.mode != LOGISTIC:
         raise BadParams("soft_threshold requires logistic mode")
-    tau = cfg.tau_for(len(y))
-    return PredicateSet(expit(cfg.alpha * (y.values - tau)), soft=True)
+    return PredicateSet(expit(cfg.alpha * (y.values - cfg.tau)), soft=True)
 
 
 @dataclass(frozen=True)

@@ -3,15 +3,15 @@
 Every gradient is analytic: the filter output is linear in the Chebyshev
 coefficients and rule weights, the gate is a softmax over scalar scores,
 and the threshold is a logistic, so the whole stage-2/3 chain
-differentiates in closed form. Adam with per-group learning rates
-(spectral parameters fast, embedding-side parameters slow) drives the
-updates; rule weights are clamped non-negative after every step.
+differentiates in closed form. Adam with per-group learning rates (filter
+and rule weights fast, gate and threshold slow) drives the updates; rule
+weights are clamped non-negative after every step.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -41,15 +41,15 @@ from .spectral import estimate_lambda_max  # noqa: F401
 PARAM_GROUPS = {
     "theta": "spectral",
     "rule_weights": "spectral",
-    "q": "embedding",
-    "s": "embedding",
-    "tau": "embedding",
-    "alpha": "embedding",
+    "q": "gate_threshold",
+    "s": "gate_threshold",
+    "tau": "gate_threshold",
+    "alpha": "gate_threshold",
 }
 
-# per-group learning rates: spectral parameters are far more sensitive
-# than the embedding-side group, hence the two scales
-LEARNING_RATES = {"spectral": 5e-4, "embedding": 1e-5}
+# per-group learning rates: the filter coefficients and rule weights are
+# far more sensitive than the band gate and the threshold, hence two scales
+LEARNING_RATES = {"spectral": 5e-4, "gate_threshold": 1e-5}
 
 PROB_CLIP = 1e-7
 
@@ -193,14 +193,12 @@ class AdamState:
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     step: int = 0
-    learning_rates: dict[str, float] = field(default_factory=lambda: dict(LEARNING_RATES))
 
 
-def init_adam(params: dict[str, np.ndarray], learning_rates: dict[str, float] | None = None) -> AdamState:
+def init_adam(params: dict[str, np.ndarray]) -> AdamState:
     return AdamState(
         m={k: np.zeros_like(np.asarray(v, dtype=np.float64)) for k, v in params.items()},
         v={k: np.zeros_like(np.asarray(v, dtype=np.float64)) for k, v in params.items()},
-        learning_rates=dict(learning_rates) if learning_rates is not None else dict(LEARNING_RATES),
     )
 
 
@@ -230,7 +228,7 @@ def adam_step(
         state.v[name] = ADAM_BETA2 * state.v[name] + (1.0 - ADAM_BETA2) * g * g
         m_hat = state.m[name] / (1.0 - ADAM_BETA1**t)
         v_hat = state.v[name] / (1.0 - ADAM_BETA2**t)
-        lr = state.learning_rates[PARAM_GROUPS.get(name, "spectral")]
+        lr = LEARNING_RATES[PARAM_GROUPS.get(name, "spectral")]
         updated = value - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         if name == "rule_weights":
             updated = np.maximum(updated, 0.0)
@@ -338,7 +336,6 @@ def task_loss_and_grads(
         node_starts = ctx.node_starts
         label_starts = np.searchsorted(ctx.label_nodes, node_starts)
     sizes = np.diff(node_starts, append=n)
-    tasks = sizes.shape[0]
     weights = params["rule_weights"]
     # one (rules, order + 1) array of coefficient rows per task
     rows = ctx.coeff_rows[None] if ctx.coeff_rows is not None and ctx.coeff_rows.ndim == 2 else ctx.coeff_rows
@@ -357,12 +354,9 @@ def task_loss_and_grads(
     y = b_stack @ theta_star
 
     tau = params["tau"]
-    if tau.shape == (1,):
-        tau_vec = np.full(n, float(tau[0]))
-    elif np.all(sizes == tau.shape[0]):
-        tau_vec = np.tile(tau, tasks)
-    else:
-        raise ShapeMismatch(f"tau length {tau.shape[0]} != {sizes.tolist()} nodes")
+    if tau.shape != (1,):
+        raise ShapeMismatch(f"tau must have shape (1,), got {tau.shape}")
+    tau_vec = np.full(n, float(tau[0]))
     steepness = float(params["alpha"])
     p = expit(steepness * (y - tau_vec))
 
@@ -394,7 +388,7 @@ def task_loss_and_grads(
         "rule_weights": d_w,
         "q": d_q,
         "s": d_s,
-        "tau": np.asarray([d_tau_vec.sum()]) if tau.shape == (1,) else d_tau_vec.reshape(tasks, -1).sum(axis=0),
+        "tau": np.asarray([d_tau_vec.sum()]),
         "alpha": np.asarray(d_alpha),
     }
     return value, grads
@@ -413,7 +407,6 @@ class TrainRun:
     batch_size: int = 32
     patience: int = 5
     seed: int = 0
-    learning_rates: dict[str, float] | None = None
     latency_probe: int = 20
 
     def __post_init__(self):
@@ -506,13 +499,13 @@ def _check_param_shapes(cfg: PipelineConfig, params: dict[str, np.ndarray]) -> N
     missing = sorted(set(PARAM_GROUPS) - set(params))
     if missing:
         raise FormatError(f"checkpoint params miss {missing}")
-    expected = {"theta": (cfg.bands, cfg.order + 1), "s": (cfg.bands, GATE_DIM), "q": (GATE_DIM,), "alpha": ()}
+    expected = {"theta": (cfg.bands, cfg.order + 1), "s": (cfg.bands, GATE_DIM), "q": (GATE_DIM,),
+                "tau": (1,), "alpha": ()}
     for name, shape in expected.items():
         if params[name].shape != shape:
             raise FormatError(f"param {name!r} has shape {params[name].shape}, config needs {shape}")
-    for name, least in (("rule_weights", 0), ("tau", 1)):
-        if params[name].ndim != 1 or params[name].size < least:
-            raise FormatError(f"param {name!r} must be 1-D of length >= {least}, got shape {params[name].shape}")
+    if params["rule_weights"].ndim != 1:
+        raise FormatError(f"param 'rule_weights' must be 1-D, got shape {params['rule_weights'].shape}")
 
 
 @dataclass
@@ -556,7 +549,7 @@ def train(
     rules = list(pipe0.rules)
     start = warm_start if warm_start is not None else pipe0.params
     params = {k: np.array(v, dtype=np.float64) for k, v in start.items()}
-    state = init_adam(params, run.learning_rates)
+    state = init_adam(params)
     # the training split is prepared as one block here, the validation
     # split as one block by the first epoch's validation run
     contexts = prepare_context(splits.train, cfg, tuple(rules))

@@ -96,17 +96,13 @@ class TestBlockPipeline:
             Pipeline(PipelineConfig()).run_tasks([short, tasks[1]])
 
 
-def contexts_and_params(bands, rng, vector_tau=False):
+def contexts_and_params(bands, rng):
     """Task contexts of a mixed block, and randomised parameters."""
     cfg = PipelineConfig(bands=bands, tau=0.4)
     rules = rule_bank()
     tasks = gen_dataset("transitive", 5, seed=4) + gen_dataset("kinship", 4, seed=4)
     params = random_params(cfg, len(rules), rng)
     params["alpha"] = np.asarray(rng.uniform(2.0, 6.0))
-    if vector_tau:
-        # one threshold per node needs tasks of one size
-        tasks = [task for task in gen_dataset("transitive", 40, seed=4) if task.graph.node_count == 8]
-        params["tau"] = rng.uniform(0.1, 0.4, size=8)
     return [prepare_context(task, cfg, rules) for task in tasks], params, cfg.order
 
 
@@ -201,9 +197,8 @@ class TestBlockPreparation:
 
 class TestBlockGradients:
     @pytest.mark.parametrize("bands", [1, 3])
-    @pytest.mark.parametrize("vector_tau", [False, True])
-    def test_block_is_the_sum_over_tasks(self, rng, bands, vector_tau):
-        contexts, params, order = contexts_and_params(bands, rng, vector_tau=vector_tau)
+    def test_block_is_the_sum_over_tasks(self, rng, bands):
+        contexts, params, order = contexts_and_params(bands, rng)
         assert len(contexts) >= 2
         value, grads = task_loss_and_grads(contexts, params, order)
         singles = [task_loss_and_grads(ctx, params, order) for ctx in contexts]

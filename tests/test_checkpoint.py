@@ -117,6 +117,10 @@ class TestCheckpointFormat:
             ("s", [[0.0] * 7]),
             ("q", [0.0] * 9),
             ("rule_weights", [[0.5, 0.5]]),
+            # one threshold for every node, shape (1,)
+            ("tau", 0.4),
+            ("tau", [[0.4]]),
+            ("tau", []),
         ],
     )
     def test_param_shape_disagrees_with_config(self, name, value):
@@ -125,7 +129,11 @@ class TestCheckpointFormat:
 
     @pytest.mark.parametrize(
         "name, value, error",
-        [("alpha", [8.0, 8.0], "FormatError"), ("rule_weights", [0.3, 0.3, 0.3], "BadParams")],
+        [
+            ("alpha", [8.0, 8.0], "FormatError"),
+            ("rule_weights", [0.3, 0.3, 0.3], "BadParams"),
+            ("tau", [0.4, 0.4], "FormatError"),
+        ],
     )
     def test_params_that_do_not_fit_exit_one_from_eval(self, tmp_path, name, value, error):
         ckpt = tmp_path / "ckpt.json"

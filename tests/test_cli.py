@@ -11,6 +11,7 @@ from spectral_nsr.cli import main
 from spectral_nsr.errors import FormatError
 from spectral_nsr.harness import gen_dataset, load_dataset, save_dataset
 from spectral_nsr.pipeline import Pipeline, PipelineConfig
+from spectral_nsr.spectral import ChebyshevFilter, save_filter
 from spectral_nsr.trainer import Checkpoint
 
 DATA = Path(__file__).parent / "data"
@@ -119,6 +120,35 @@ class TestEndToEnd:
         record = json.loads(result.stderr.strip().splitlines()[-1])
         assert record["error"] == "FormatError"
         assert str(tmp_path / "tests" / "data" / "reference_rules.txt") in record["message"]
+
+
+class TestBadArguments:
+    """Every bad argument is a validation error: exit 1, never 2, which
+    stands for numerical failure."""
+
+    @pytest.mark.parametrize("args, error", [
+        ("gen --family transitive --depth 0 --out {tmp}/d --json-errors", "BadParams"),
+        ("response --grid -1 --filter {tmp}/filter.json --out {tmp}/r.csv --json-errors", "ValidationError"),
+        # click's usage errors print click's own message, not a record
+        ("gen --n abc --out {tmp}/d --json-errors", None),
+        ("gen --family nope --out {tmp}/d", None),
+        ("--bogus", None),
+        ("nosuch", None),
+    ], ids=["depth-0", "grid-negative", "n-not-an-int", "unknown-family", "unknown-option", "unknown-command"])
+    def test_exit_one(self, tmp_path, args, error):
+        save_filter(ChebyshevFilter(np.array([1.0, 0.5]), 2.0), tmp_path / "filter.json")
+        result = invoke(*args.format(tmp=tmp_path).split())
+        assert result.exit_code == 1, result.output
+        if error is None:
+            assert "Error:" in result.stderr
+        else:
+            record = json.loads(result.stderr.strip().splitlines()[-1])
+            assert record["error"] == error and record["stage"] is None
+
+    def test_help_lists_no_scaling_benchmark(self):
+        result = invoke("--help")
+        assert result.exit_code == 0
+        assert "bench-scaling" not in result.output and "response" in result.output
 
 
 class TestChain:

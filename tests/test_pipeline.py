@@ -103,6 +103,38 @@ class TestBinding:
             task.node_atoms[0] = "X"
 
 
+class TestOutput:
+    def test_answers_are_the_sorted_closure_built_on_read(self):
+        out = reference_pipeline().run_task(gen_transitive(3, width=2, seed=0))
+        assert isinstance(out.closure, frozenset)
+        assert "answers" not in vars(out)
+        assert out.answers == tuple(sorted(out.closure))
+        assert out.answers is out.answers
+
+    def test_evaluate_sorts_no_answers(self):
+        pipe = reference_pipeline()
+        outputs = []
+
+        class Recording:
+            def run_tasks(self, tasks):
+                outputs.extend(pipe.run_tasks(tasks))
+                return outputs
+
+        evaluate(Recording(), gen_dataset("kinship", 4, seed=2), measure_latency=False)
+        assert len(outputs) == 4
+        assert not any("answers" in vars(out) for out in outputs)
+
+    def test_tau_is_one_threshold(self):
+        # a per-node threshold is refused, even one that fits the graph
+        task = gen_transitive(3, width=2, seed=0)
+        params = reference_pipeline().params
+        for tau in ([0.4, 0.4], np.full(task.graph.node_count, 0.4)):
+            with pytest.raises(BadParams, match="tau") as info:
+                run_pipeline(PipelineConfig(), task.graph, vertex_signal(task.x0), (), task.kb,
+                             params={**params, "rule_weights": np.zeros(0), "tau": np.asarray(tau)})
+            assert info.value.stage == "threshold"
+
+
 class TestEvalReport:
     @pytest.mark.parametrize("measure", [True, False])
     def test_latency_keys_exactly_when_measured(self, measure):

@@ -78,10 +78,10 @@ class TestHardThreshold:
 
     def test_matches_scalar_loop(self, rng):
         y = rng.standard_normal(40)
-        tau = rng.standard_normal(40)
+        tau = float(rng.standard_normal())
         p = hard_threshold(vertex_signal(y), ThresholdConfig("hard", tau))
         for i in range(40):
-            assert bool(p.values[i]) == (y[i] > tau[i])
+            assert bool(p.values[i]) == (y[i] > tau)
 
     def test_wrong_mode(self):
         with pytest.raises(BadParams):
