@@ -32,11 +32,17 @@ from .spectral import (
 from .symbolic import forward_chain, format_closure, load_kb
 
 
+JSON_ERRORS = "--json-errors"
+
+
+def _print_record(error: str, message: str, stage: str | None) -> None:
+    print(json.dumps({"error": error, "message": message, "stage": stage}, sort_keys=True), file=sys.stderr)
+
+
 def _fail(exc: SpectralNsrError, json_errors: bool) -> int:
     code = 2 if isinstance(exc, NumericalError) else 1
     if json_errors:
-        payload = {"error": type(exc).__name__, "message": str(exc), "stage": exc.stage}
-        print(json.dumps(payload, sort_keys=True), file=sys.stderr)
+        _print_record(type(exc).__name__, str(exc), exc.stage)
     else:
         stage = f" [stage: {exc.stage}]" if exc.stage else ""
         print(f"error: {exc}{stage}", file=sys.stderr)
@@ -55,21 +61,33 @@ def handle_errors(fn):
 
 
 def json_errors_option(fn):
-    return click.option("--json-errors", is_flag=True, help="Emit machine-readable errors on stderr.")(fn)
+    return click.option(JSON_ERRORS, is_flag=True, help="Emit machine-readable errors on stderr.")(fn)
 
 
 class _Context(click.Context):
     """Turns click's usage errors (exit 2 in click) into validation errors:
-    every parse error of the group or a command leaves through this context."""
+    every parse error of the group or a command leaves through this context.
+    When the command line asks for ``--json-errors``, the error is printed
+    as a record with the error ``UsageError`` and no stage instead."""
 
     def __exit__(self, exc_type, exc_value, tb):
-        if isinstance(exc_value, click.UsageError):
+        suppressed = super().__exit__(exc_type, exc_value, tb)
+        if isinstance(exc_value, click.UsageError) and not suppressed:
             exc_value.exit_code = 1
-        return super().__exit__(exc_type, exc_value, tb)
+            if self.meta.get(JSON_ERRORS):
+                _print_record("UsageError", exc_value.format_message(), None)
+                raise click.exceptions.Exit(1) from exc_value
+        return suppressed
 
 
 class _Group(click.Group):
     context_class = _Context
+
+    def parse_args(self, ctx: click.Context, args: list[str]) -> list[str]:
+        # the flag may come after the argument that fails to parse, so it
+        # is looked for in the raw arguments; meta is shared with subcommands
+        ctx.meta[JSON_ERRORS] = JSON_ERRORS in args
+        return super().parse_args(ctx, args)
 
 
 @click.group(cls=_Group)

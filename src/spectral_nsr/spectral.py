@@ -411,6 +411,27 @@ def chebyshev_filter(lap: LaplacianMatrix, filt: ChebyshevFilter, x: GraphSignal
 
 
 @lru_cache(maxsize=None)
+def product_operator(order: int) -> np.ndarray:
+    """The map from two order-``order`` Chebyshev series to their product.
+
+    Row j (order + 1) + k holds the coefficients of T_j T_k =
+    (T_{j+k} + T_{|j-k|}) / 2 over T_0..T_{2 order}, so for coefficient
+    vectors a and b, ``np.outer(a, b).ravel() @ product_operator(order)``
+    is ``numpy.polynomial.chebyshev.chebmul(a, b)`` padded to 2 order + 1
+    entries. Two filters of the same rescaled Laplacian applied one after
+    the other are thus one filter of twice the order. Read-only.
+    """
+    if order < 0:
+        raise BadParams("order must be non-negative")
+    j, k = np.divmod(np.arange((order + 1) ** 2), order + 1)
+    operator = np.zeros(((order + 1) ** 2, 2 * order + 1))
+    np.add.at(operator, (np.arange(j.size), j + k), 0.5)
+    np.add.at(operator, (np.arange(j.size), np.abs(j - k)), 0.5)
+    operator.setflags(write=False)
+    return operator
+
+
+@lru_cache(maxsize=None)
 def _fit_operator(order: int) -> tuple[np.ndarray, np.ndarray]:
     """The Chebyshev nodes a fit samples at, and the map from samples to coefficients.
 

@@ -1,11 +1,16 @@
 """Gradient training of filter, rule, gate, and threshold parameters.
 
-Every gradient is analytic: the filter output is linear in the Chebyshev
-coefficients and rule weights, the gate is a softmax over scalar scores,
-and the threshold is a logistic, so the whole stage-2/3 chain
-differentiates in closed form. Adam with per-group learning rates (filter
-and rule weights fast, gate and threshold slow) drives the updates; rule
-weights are clamped non-negative after every step.
+Every gradient is analytic: the rule filter and the learned filter are
+polynomials in the same rescaled Laplacian, so for a fixed signal the
+filter output is one polynomial of twice the order whose coefficients are
+bilinear in the rule and filter coefficients; the gate is a softmax over
+scalar scores, and the threshold is a logistic, so the whole stage-2/3
+chain differentiates in closed form. `prepare_context` computes the
+Chebyshev columns of that polynomial once per training split, and a
+training step is dense algebra on their labelled rows, with no sparse
+product. Adam with per-group learning rates (filter and rule weights
+fast, gate and threshold slow) drives the updates; rule weights are
+clamped non-negative after every step.
 """
 
 from __future__ import annotations
@@ -18,8 +23,10 @@ from typing import Sequence
 import numpy as np
 from scipy.special import expit
 
+from . import spectral
 from .errors import (
     BadParams,
+    DimensionMismatch,
     DivergedLoss,
     EmptyLabels,
     FormatError,
@@ -27,9 +34,9 @@ from .errors import (
     ShapeMismatch,
 )
 from .harness import SyntheticTask, TaskSplits, evaluate
-from .pipeline import GATE_DIM, Pipeline, PipelineConfig, PreparedGraph, mixed_theta, prepare_graph, retired_config_key
+from .pipeline import GATE_DIM, Pipeline, PipelineConfig, mixed_theta, prepare_graph, retired_config_key
 from .rules import SpectralRule
-from .spectral import block_diagonal, chebyshev_stack, softmax
+from .spectral import block_diagonal, chebyshev_stack, product_operator, softmax
 from .symbolic import PredicateSet
 
 # prepare_graph makes these calls now; the names stay on this module
@@ -105,32 +112,6 @@ def grad_theta(stack: np.ndarray, upstream: np.ndarray) -> np.ndarray:
     return stack.T @ upstream
 
 
-def grad_rule_weights(
-    coeff_rows: np.ndarray,
-    x_stack: np.ndarray,
-    upstream_bprime: np.ndarray,
-    node_starts: np.ndarray | None = None,
-) -> np.ndarray:
-    """d(loss)/d(w_r) for b' = sum_r w_r C_r x; C_r given as coefficient rows.
-
-    On a block, ``coeff_rows`` holds one (rules, order + 1) array per task
-    and ``node_starts`` where each task's rows of ``x_stack`` begin: each
-    task's projection meets its own rows.
-    """
-    coeff_rows = np.asarray(coeff_rows)
-    x_stack = np.asarray(x_stack)
-    upstream_bprime = np.asarray(upstream_bprime).reshape(-1)
-    if x_stack.ndim != 2 or x_stack.shape[0] != upstream_bprime.shape[0]:
-        raise ShapeMismatch(f"stack {x_stack.shape} incompatible with upstream {upstream_bprime.shape}")
-    starts = np.zeros(1, dtype=np.int64) if node_starts is None else np.asarray(node_starts)
-    rows = coeff_rows[None] if coeff_rows.ndim == 2 else coeff_rows
-    if rows.ndim != 3 or rows.shape[0] != starts.shape[0] or rows.shape[2] != x_stack.shape[1]:
-        raise ShapeMismatch(f"coefficient rows {coeff_rows.shape} incompatible with stack order or task count")
-    # per task: <upstream_t, T_k(L~) x_t> for every k, summed over the task's nodes
-    projected = np.add.reduceat(x_stack * upstream_bprime[:, None], starts, axis=0)
-    return np.einsum("trk,tk->r", rows, projected)
-
-
 def grad_gate(
     theta: np.ndarray,
     q: np.ndarray,
@@ -197,8 +178,8 @@ class AdamState:
 
 def init_adam(params: dict[str, np.ndarray]) -> AdamState:
     return AdamState(
-        m={k: np.zeros_like(np.asarray(v, dtype=np.float64)) for k, v in params.items()},
-        v={k: np.zeros_like(np.asarray(v, dtype=np.float64)) for k, v in params.items()},
+        m={k: np.zeros(np.shape(v)) for k, v in params.items()},
+        v={k: np.zeros(np.shape(v)) for k, v in params.items()},
     )
 
 
@@ -241,147 +222,178 @@ def adam_step(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class TaskContext:
-    """Quantities of one task, or of a block of tasks, that do not depend on
-    the trainable parameters.
+    """What training needs of a set of tasks apart from the trainable parameters.
 
-    A block (`stack_contexts`) stacks its tasks block-diagonally: the
-    Laplacian is block-diagonal, ``lambda_max`` holds each node's own
-    task's value, ``coeff_rows`` one (rules, order + 1) array per task,
-    and ``label_nodes`` ascend through the stacked nodes.
-    ``node_starts`` says where each task's nodes begin; it stays None for
-    a single task.
+    The rule filter (coefficients c_t = w R_t) and the learned filter
+    (theta*) are polynomials in the same rescaled Laplacian L~ of a task,
+    so together they are the one polynomial chebmul(theta*, c_t) of twice
+    the order (`product_operator`); x0 and L~ are fixed, so the columns
+    T_0(L~) x0 .. T_D(L~) x0 are computed once. ``stack`` holds their rows
+    at every labelled node of every task in turn, bit for bit those of the
+    task's own `chebyshev_stack`: D is twice the filter order with rules
+    and the filter order without. ``label_values`` are those nodes'
+    labels, ``label_starts`` says where each task's rows begin, followed
+    by their count, and ``coeff_rows`` holds each task's (rules,
+    order + 1) rule coefficient rows, or None without rules. All arrays
+    are read-only.
     """
 
-    lambda_max: float | np.ndarray
-    laplacian: object
-    coeff_rows: np.ndarray | None
-    x0: np.ndarray
-    x0_stack: np.ndarray
-    label_nodes: np.ndarray
+    stack: np.ndarray
     label_values: np.ndarray
-    node_starts: np.ndarray | None = None
+    label_starts: np.ndarray
+    coeff_rows: np.ndarray | None
+
+    @property
+    def task_count(self) -> int:
+        return self.label_starts.size - 1
 
 
 def prepare_context(
-    task: SyntheticTask | Sequence[SyntheticTask], cfg: PipelineConfig, rules: tuple[SpectralRule, ...]
-) -> TaskContext | list[TaskContext]:
-    """The task's `TaskContext`; a list of tasks gives a list of contexts,
-    their graphs prepared together (`prepare_graph`)."""
-    if isinstance(task, SyntheticTask):
-        return prepare_context([task], cfg, rules)[0]
-    prepared = prepare_graph(cfg, [t.graph for t in task], rules)
-    return [_context(t, p, cfg.order, rules) for t, p in zip(task, prepared, strict=True)]
+    tasks: SyntheticTask | Sequence[SyntheticTask], cfg: PipelineConfig, rules: tuple[SpectralRule, ...]
+) -> TaskContext:
+    """The `TaskContext` of the tasks; one task gives a context of one.
 
-
-def _context(task: SyntheticTask, prepared: PreparedGraph, order: int, rules: tuple[SpectralRule, ...]) -> TaskContext:
-    lap, lam_max = prepared.laplacian, prepared.lambda_max
-    rows = prepared.coefficient_rows(rules, order) if rules else None
-    x0 = np.asarray(task.x0, dtype=np.float64)
-    stack = chebyshev_stack(lap, lam_max, x0, order)
-    nodes = np.asarray(sorted(task.labels), dtype=np.int64)
-    values = np.asarray([float(task.labels[i]) for i in sorted(task.labels)])
-    if nodes.size == 0:
-        raise EmptyLabels(f"task {task.task_id} has no labels")
-    return TaskContext(lam_max, lap, rows, x0, stack, nodes, values)
-
-
-def stack_contexts(contexts: list[TaskContext]) -> TaskContext:
-    """One context for a minibatch of single-task contexts, stacked block-diagonally.
-
-    Offset-concatenates the tasks' cached CSR arrays, ``x0`` and
-    ``x0_stack`` (see `block_diagonal`); a single context comes back as it
-    is.
+    Their graphs are prepared together (`prepare_graph`), then stacked
+    block-diagonally (`block_diagonal`) in runs of consecutive tasks whose
+    stack fits in `STACK_BYTES` (at least one task each), and each run
+    makes one `chebyshev_stack` call, of which only the labelled rows are
+    kept.
     """
-    if any(ctx.node_starts is not None for ctx in contexts):
-        raise BadParams("only single-task contexts can be stacked")
-    if len(contexts) == 1:
-        return contexts[0]
-    if len({ctx.coeff_rows is None for ctx in contexts}) > 1:
-        raise BadParams("cannot stack contexts with and without rules")
-    lap, lambda_max, starts = block_diagonal(
-        [ctx.laplacian for ctx in contexts], [ctx.lambda_max for ctx in contexts]
+    if isinstance(tasks, SyntheticTask):
+        tasks = [tasks]
+    prepared = prepare_graph(cfg, [t.graph for t in tasks], rules)
+    degree = 2 * cfg.order if rules else cfg.order
+    sizes = [p.laplacian.node_count for p in prepared]
+    node_starts = np.cumsum([0, *sizes])
+    nodes, values, label_starts = _labels(tasks, sizes)
+    x0 = np.concatenate([_signal(t, n) for t, n in zip(tasks, sizes, strict=True)])
+    kept = []
+    for lo, hi in _runs(sizes, spectral.STACK_BYTES // (8 * (degree + 1))):
+        lap, lambda_max, _ = block_diagonal(
+            [p.laplacian for p in prepared[lo:hi]], [p.lambda_max for p in prepared[lo:hi]]
+        )
+        stack = chebyshev_stack(lap, lambda_max, x0[node_starts[lo] : node_starts[hi]], degree)
+        kept.append(stack[nodes[label_starts[lo] : label_starts[hi]] - node_starts[lo]])
+    ctx = TaskContext(
+        np.concatenate(kept),
+        values,
+        label_starts,
+        np.stack([p.coefficient_rows(tuple(rules), cfg.order) for p in prepared]) if rules else None,
     )
-    counts = np.fromiter((ctx.label_nodes.size for ctx in contexts), np.int64, len(contexts))
-    return TaskContext(
-        lambda_max,
-        lap,
-        None if contexts[0].coeff_rows is None else np.stack([ctx.coeff_rows for ctx in contexts]),
-        np.concatenate([ctx.x0 for ctx in contexts]),
-        np.concatenate([ctx.x0_stack for ctx in contexts]),
-        np.concatenate([ctx.label_nodes for ctx in contexts]) + np.repeat(starts[:-1], counts),
-        np.concatenate([ctx.label_values for ctx in contexts]),
-        node_starts=starts[:-1],
-    )
+    for array in (ctx.stack, ctx.label_values, ctx.label_starts, ctx.coeff_rows):
+        if array is not None:
+            array.setflags(write=False)
+    return ctx
+
+
+def _runs(sizes: list[int], limit: int):
+    """[lo, hi) runs of consecutive sizes that sum to at most ``limit``, or of one size."""
+    lo, total = 0, 0
+    for i, n in enumerate(sizes):
+        if i > lo and total + n > limit:
+            yield lo, i
+            lo, total = i, 0
+        total += n
+    yield lo, len(sizes)
+
+
+def _labels(tasks: Sequence[SyntheticTask], sizes: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every task's labelled nodes in ascending order, as positions in the
+    tasks' nodes laid end to end; their labels; and where each task's
+    labels start, followed by their count."""
+    nodes: list[int] = []
+    values: list[int] = []
+    starts = [0]
+    offset = 0
+    for task, n in zip(tasks, sizes, strict=True):
+        own = sorted(task.labels)
+        if not own:
+            raise EmptyLabels(f"task {task.task_id} has no labels")
+        if own[0] < 0 or own[-1] >= n:
+            raise BadParams(f"task {task.task_id} labels nodes outside its {n} nodes")
+        nodes.extend([offset + i for i in own])
+        values.extend([task.labels[i] for i in own])
+        starts.append(len(nodes))
+        offset += n
+    return np.array(nodes, dtype=np.int64), np.array(values, dtype=np.float64), np.array(starts, dtype=np.int64)
+
+
+def _signal(task: SyntheticTask, n: int) -> np.ndarray:
+    x0 = np.asarray(task.x0, dtype=np.float64)
+    if x0.shape != (n,):
+        raise DimensionMismatch(f"task {task.task_id}: signal of shape {x0.shape} for {n} nodes")
+    return x0
 
 
 def task_loss_and_grads(
-    ctx: TaskContext | list[TaskContext],
+    ctx: TaskContext,
     params: dict[str, np.ndarray],
     order: int,
+    tasks: np.ndarray | None = None,
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Loss and full analytic gradient for one task or a block of tasks.
+    """Loss and full analytic gradient over the context's tasks, or over
+    the tasks indexed by ``tasks`` (a minibatch).
 
-    A list of single-task contexts is stacked into one block first
-    (`stack_contexts`). A block's loss is the sum of its tasks' mean BCE,
-    so its value and gradients are the sums of those of its tasks.
+    The loss is the sum of the tasks' mean BCE, so its value and
+    gradients are the sums of those of its tasks. Only dense algebra on
+    the context's rows X runs: y = X v_t with v_t = chebmul(theta*, c_t).
+    With P_t = X_t^T (d loss / d y) per task, d theta* = sum_t B(c_t) P_t
+    and d c_t = B(theta*) P_t, where B(a) is the matrix of multiplying by
+    the series a (`product_operator`).
     """
-    if not isinstance(ctx, TaskContext):
-        ctx = stack_contexts(ctx)
-    n = ctx.x0.shape[0]
-    if ctx.node_starts is None:
-        node_starts = label_starts = np.zeros(1, dtype=np.int64)
+    rows, x, values = ctx.coeff_rows, ctx.stack, ctx.label_values
+    if tasks is None:
+        starts, counts = ctx.label_starts[:-1], np.diff(ctx.label_starts)
     else:
-        node_starts = ctx.node_starts
-        label_starts = np.searchsorted(ctx.label_nodes, node_starts)
-    sizes = np.diff(node_starts, append=n)
-    weights = params["rule_weights"]
-    # one (rules, order + 1) array of coefficient rows per task
-    rows = ctx.coeff_rows[None] if ctx.coeff_rows is not None and ctx.coeff_rows.ndim == 2 else ctx.coeff_rows
-    if rows is not None and weights.shape[0] != rows.shape[1]:
-        raise ShapeMismatch(f"{weights.shape[0]} rule weights for {rows.shape[1]} rules")
-
-    if rows is not None:
-        c_node = np.repeat(weights @ rows, sizes, axis=0)
-        bprime = np.einsum("nk,nk->n", ctx.x0_stack, c_node)
-        b_stack = chebyshev_stack(ctx.laplacian, ctx.lambda_max, bprime, order)
-    else:
-        bprime = ctx.x0
-        b_stack = ctx.x0_stack
+        tasks = np.asarray(tasks, dtype=np.int64)
+        starts = ctx.label_starts[tasks]
+        counts = ctx.label_starts[tasks + 1] - starts
+        # one gather of the tasks' label runs, laid end to end
+        runs = np.cumsum(counts) - counts
+        picked = np.repeat(starts - runs, counts) + np.arange(runs[-1] + counts[-1])
+        x, values, starts = x[picked], values[picked], runs
+        rows = None if rows is None else rows[tasks]
 
     theta_star, _ = mixed_theta(params)
-    y = b_stack @ theta_star
+    weights = params["rule_weights"]
+    degree = order if rows is None else 2 * order
+    if theta_star.shape != (order + 1,) or x.shape[1] != degree + 1:
+        raise ShapeMismatch(f"filter of order {order} for theta {params['theta'].shape} and stack {x.shape}")
+    if rows is None:
+        y = x @ theta_star
+    else:
+        if weights.shape[0] != rows.shape[1]:
+            raise ShapeMismatch(f"{weights.shape[0]} rule weights for {rows.shape[1]} rules")
+        product = product_operator(order).reshape(order + 1, order + 1, degree + 1)
+        coeffs = weights @ rows
+        # c @ by_theta = chebmul(theta*, c)
+        by_theta = (theta_star @ product.reshape(order + 1, -1)).reshape(order + 1, degree + 1)
+        y = np.einsum("nm,nm->n", x, np.repeat(coeffs @ by_theta, counts, axis=0))
 
     tau = params["tau"]
     if tau.shape != (1,):
         raise ShapeMismatch(f"tau must have shape (1,), got {tau.shape}")
-    tau_vec = np.full(n, float(tau[0]))
+    tau_vec = np.full(y.shape[0], float(tau[0]))
     steepness = float(params["alpha"])
     p = expit(steepness * (y - tau_vec))
-
-    p_label = p[ctx.label_nodes]
-    counts = np.diff(label_starts, append=ctx.label_nodes.size)
-    value, upstream_label = _bce(p_label, ctx.label_values, label_starts, counts)
-
-    upstream_p = np.zeros(n)
-    upstream_p[ctx.label_nodes] = upstream_label
+    value, upstream_p = _bce(p, values, starts, counts)
     d_y, d_tau_vec, d_alpha = grad_threshold(y, tau_vec, steepness, p, upstream_p)
 
-    g_theta_star = grad_theta(b_stack, d_y)
+    if rows is None:
+        g_theta_star = grad_theta(x, d_y)
+        d_w = np.zeros_like(weights)
+    else:
+        projected = np.add.reduceat(x * d_y[:, None], starts, axis=0)
+        g_theta_star = np.einsum("jkm,km->j", product, coeffs.T @ projected)
+        d_w = np.einsum("trk,tk->r", rows, projected @ by_theta.T)
     if params["theta"].shape[0] == 1:
         d_theta = g_theta_star[None, :]
         d_q = np.zeros_like(params["q"])
         d_s = np.zeros_like(params["s"])
     else:
         d_theta, d_q, d_s = grad_gate(params["theta"], params["q"], params["s"], g_theta_star)
-
-    if rows is not None:
-        # d loss / d b' = H_{theta*} (d loss / d y): the filter is symmetric
-        upstream_b = chebyshev_stack(ctx.laplacian, ctx.lambda_max, d_y, order) @ theta_star
-        d_w = grad_rule_weights(rows, ctx.x0_stack, upstream_b, node_starts)
-    else:
-        d_w = np.zeros_like(weights)
 
     grads = {
         "theta": d_theta,
@@ -472,6 +484,7 @@ class Checkpoint:
         except (AttributeError, OverflowError, TypeError, ValueError) as exc:
             raise FormatError(f"malformed checkpoint: {exc}") from exc
         _check_param_shapes(cfg, params)
+        _check_optimizer(optimizer, params)
         return cls(cfg, params, optimizer, metadata)
 
     def save(self, path: str | Path) -> None:
@@ -508,6 +521,19 @@ def _check_param_shapes(cfg: PipelineConfig, params: dict[str, np.ndarray]) -> N
         raise FormatError(f"param 'rule_weights' must be 1-D, got shape {params['rule_weights'].shape}")
 
 
+def _check_optimizer(optimizer: dict, params: dict[str, np.ndarray]) -> None:
+    """The Adam state must hold one moment of each parameter's shape, per moment."""
+    if optimizer["step"] < 0:
+        raise FormatError(f"optimizer step must be >= 0, got {optimizer['step']}")
+    for moment in ("m", "v"):
+        arrays = optimizer[moment]
+        if arrays.keys() != params.keys():
+            raise FormatError(f"optimizer {moment!r} holds {sorted(arrays)}, params {sorted(params)}")
+        for name, value in arrays.items():
+            if value.shape != params[name].shape:
+                raise FormatError(f"optimizer {moment!r} of {name!r} has shape {value.shape}, param {params[name].shape}")
+
+
 @dataclass
 class TrainResult:
     checkpoint: Checkpoint
@@ -534,8 +560,8 @@ def train(
     """Epoch loop with per-epoch validation, early stopping, and the
     checkpoint of highest validation accuracy (ties: the earliest epoch).
 
-    Each minibatch is one `task_loss_and_grads` call on its tasks stacked
-    block-diagonally, and each epoch's validation one block run
+    Each minibatch is one `task_loss_and_grads` call on the rows of its
+    tasks in the split's one context, and each epoch's validation one block run
     (`evaluate` without latency). The latency probe, `evaluate`'s median
     latency on the first ``run.latency_probe`` validation tasks (none at
     0), is recorded in the history and the checkpoint metadata but never
@@ -550,9 +576,10 @@ def train(
     start = warm_start if warm_start is not None else pipe0.params
     params = {k: np.array(v, dtype=np.float64) for k, v in start.items()}
     state = init_adam(params)
-    # the training split is prepared as one block here, the validation
-    # split as one block by the first epoch's validation run
-    contexts = prepare_context(splits.train, cfg, tuple(rules))
+    # the training split is prepared and its Chebyshev stack made once
+    # here, the validation split prepared as one block by the first
+    # epoch's validation run
+    context = prepare_context(splits.train, cfg, tuple(rules))
     rng = np.random.default_rng(run.seed)
 
     history: list[EpochMetrics] = []
@@ -562,23 +589,26 @@ def train(
     stopped_epoch = 0
 
     for epoch in range(1, run.max_epochs + 1):
-        order = rng.permutation(len(contexts))
+        order = rng.permutation(context.task_count)
         losses = []
         for start in range(0, len(order), run.batch_size):
             batch = order[start : start + run.batch_size]
-            value, grads = task_loss_and_grads([contexts[i] for i in batch], params, cfg.order)
+            value, grads = task_loss_and_grads(context, params, cfg.order, batch)
             if not np.isfinite(value):
                 raise DivergedLoss(f"loss diverged on the minibatch of task indices {batch.tolist()}")
             scale = 1.0 / len(batch)
             params = adam_step(params, {k: g * scale for k, g in grads.items()}, state)
             losses.append(value * scale)
-        train_loss = float(np.mean(losses))
+        # np.mean's sum and division, without its per-call dispatch
+        train_loss = float(np.add.reduce(losses) / len(losses))
 
         pipe = Pipeline(cfg, rules=rules, params=params)
         val_accuracy = evaluate(pipe, splits.val, measure_latency=False).accuracy
         latency = evaluate(pipe, splits.val[: run.latency_probe]).latency_median_ms if run.latency_probe > 0 else None
         history.append(EpochMetrics(epoch, train_loss, val_accuracy, latency))
-        trajectory.append({k: np.array(v) for k, v in params.items()})
+        # adam_step returns new arrays and replaces the moments, so no
+        # array is written after it is stored: shallow copies suffice
+        trajectory.append(dict(params))
 
         # early stopping counts epochs since the last new accuracy maximum,
         # which is also the checkpoint kept
@@ -586,12 +616,8 @@ def train(
             epochs_since_improvement = 0
             best = Checkpoint(
                 config=cfg,
-                params={k: np.array(v) for k, v in params.items()},
-                optimizer={
-                    "step": state.step,
-                    "m": {k: np.array(v) for k, v in state.m.items()},
-                    "v": {k: np.array(v) for k, v in state.v.items()},
-                },
+                params=dict(params),
+                optimizer={"step": state.step, "m": dict(state.m), "v": dict(state.v)},
                 metadata={
                     "epoch": epoch,
                     "val_accuracy": val_accuracy,

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from spectral_nsr.graph import NodeMeta, ReasoningGraph, build_graph
+from spectral_nsr.harness import SyntheticTask
+from spectral_nsr.symbolic import KnowledgeBase
 
 
 def make_nodes(n, kind="proposition"):
@@ -23,6 +25,11 @@ def random_graph(rng, n, density=0.2, max_weight=1.0):
     if not edges:
         edges.append((0, 1, 1.0))
     return build_graph(make_nodes(n), edges)
+
+
+def graph_task(graph, x0, labels):
+    """A task on ``graph`` with signal ``x0`` and node -> 0/1 ``labels``, for the trainer."""
+    return SyntheticTask("graph", "random", 0, 0, graph, np.asarray(x0, dtype=np.float64), KnowledgeBase(()), labels)
 
 
 @pytest.fixture

@@ -10,11 +10,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import chebyshev as npcheb
 
-from spectral_nsr import spectral
+from spectral_nsr import spectral, trainer
 from spectral_nsr.errors import BadParams, DimensionMismatch, FormatError
 from spectral_nsr.graph import COMBINATORIAL, NORMALIZED, NodeMeta, build_graph
 from spectral_nsr.harness import evaluate, gen_dataset, gen_kinship, gen_transitive
-from spectral_nsr.pipeline import REFERENCE_LAMBDA_MAX, Pipeline, PipelineConfig, init_params, prepare_graph
+from spectral_nsr.pipeline import (
+    REFERENCE_LAMBDA_MAX,
+    Pipeline,
+    PipelineConfig,
+    init_params,
+    mixed_theta,
+    prepare_graph,
+)
 from spectral_nsr.rules import SpectralRule, builtin_template, rule_coefficients
 from spectral_nsr.spectral import (
     DENSE_BOUND_LIMIT,
@@ -25,11 +32,14 @@ from spectral_nsr.spectral import (
     chebyshev_stack,
     estimate_lambda_max,
     load_filter,
+    product_operator,
     sample_response,
     vertex_signal,
 )
 from spectral_nsr.symbolic import HARD, LOGISTIC
-from spectral_nsr.trainer import TaskContext, prepare_context, stack_contexts, task_loss_and_grads
+from spectral_nsr.trainer import prepare_context, task_loss_and_grads
+
+from conftest import graph_task
 
 FD_STEP = 1e-6
 
@@ -96,14 +106,14 @@ class TestBlockPipeline:
             Pipeline(PipelineConfig()).run_tasks([short, tasks[1]])
 
 
-def contexts_and_params(bands, rng):
-    """Task contexts of a mixed block, and randomised parameters."""
+def split_and_params(bands, rng):
+    """The tasks of a mixed split, their context, and randomised parameters."""
     cfg = PipelineConfig(bands=bands, tau=0.4)
     rules = rule_bank()
     tasks = gen_dataset("transitive", 5, seed=4) + gen_dataset("kinship", 4, seed=4)
     params = random_params(cfg, len(rules), rng)
     params["alpha"] = np.asarray(rng.uniform(2.0, 6.0))
-    return [prepare_context(task, cfg, rules) for task in tasks], params, cfg.order
+    return tasks, prepare_context(tasks, cfg, rules), params, cfg.order
 
 
 def sparse_graph(n, seed, isolated=0):
@@ -198,10 +208,11 @@ class TestBlockPreparation:
 class TestBlockGradients:
     @pytest.mark.parametrize("bands", [1, 3])
     def test_block_is_the_sum_over_tasks(self, rng, bands):
-        contexts, params, order = contexts_and_params(bands, rng)
-        assert len(contexts) >= 2
-        value, grads = task_loss_and_grads(contexts, params, order)
-        singles = [task_loss_and_grads(ctx, params, order) for ctx in contexts]
+        tasks, split, params, order = split_and_params(bands, rng)
+        assert split.task_count >= 2
+        value, grads = task_loss_and_grads(split, params, order)
+        singles = [task_loss_and_grads(prepare_context(task, PipelineConfig(bands=bands), rule_bank()), params, order)
+                   for task in tasks]
         assert value == pytest.approx(sum(v for v, _ in singles), rel=1e-12, abs=0)
         for key, grad in grads.items():
             expected = sum(g[key] for _, g in singles)
@@ -209,10 +220,10 @@ class TestBlockGradients:
             assert np.abs(grad - expected).max() <= 1e-12 * scale, key
 
     def test_finite_differences_on_a_block(self, rng):
-        contexts, params, order = contexts_and_params(3, rng)
-        block = stack_contexts(contexts[:4])
-        assert len({ctx.x0.shape[0] for ctx in contexts[:4]}) >= 3
-        _, analytic = task_loss_and_grads(block, params, order)
+        tasks, split, params, order = split_and_params(3, rng)
+        batch = rng.permutation(split.task_count)[:4]
+        assert len({tasks[i].graph.node_count for i in batch}) >= 3
+        _, analytic = task_loss_and_grads(split, params, order, batch)
         for key in ("theta", "rule_weights", "q", "s", "tau", "alpha"):
             base = {k: np.array(v, dtype=np.float64) for k, v in params.items()}
             flat = base[key].reshape(-1)
@@ -220,9 +231,9 @@ class TestBlockGradients:
             for i in range(flat.size):
                 orig = flat[i]
                 flat[i] = orig + FD_STEP
-                up, _ = task_loss_and_grads(block, base, order)
+                up, _ = task_loss_and_grads(split, base, order, batch)
                 flat[i] = orig - FD_STEP
-                down, _ = task_loss_and_grads(block, base, order)
+                down, _ = task_loss_and_grads(split, base, order, batch)
                 flat[i] = orig
                 fd[i] = (up - down) / (2 * FD_STEP)
             ga = np.asarray(analytic[key], dtype=np.float64).reshape(-1)
@@ -231,20 +242,80 @@ class TestBlockGradients:
                 assert np.linalg.norm(ga - fd) / scale <= 1e-5, key
 
     def test_single_context_is_its_own_block(self, rng):
-        contexts, params, order = contexts_and_params(1, rng)
-        assert stack_contexts(contexts[:1]) is contexts[0]
-        assert task_loss_and_grads(contexts[:1], params, order)[0] == task_loss_and_grads(contexts[0], params, order)[0]
+        # a batch of one task of the split is that task's own context, bit for bit
+        tasks, split, params, order = split_and_params(1, rng)
+        for i, task in enumerate(tasks):
+            value, grads = task_loss_and_grads(split, params, order, [i])
+            alone, alone_grads = task_loss_and_grads(prepare_context(task, PipelineConfig(), rule_bank()), params, order)
+            assert value == alone
+            for key, grad in grads.items():
+                assert np.array_equal(grad, alone_grads[key]), key
 
-    def test_blocks_do_not_nest(self, rng):
-        contexts, _, _ = contexts_and_params(1, rng)
+    @pytest.mark.parametrize("with_rules", [False, True])
+    def test_split_rows_are_each_tasks_own(self, with_rules):
+        cfg = PipelineConfig(laplacian=NORMALIZED, order=4)
+        rules = rule_bank() if with_rules else ()
+        degree = 2 * cfg.order if with_rules else cfg.order
+        tasks = make_tasks([("transitive", 5, 1), ("kinship", 4, 2), ("transitive", 2, 3), ("kinship", 3, 4)] * 3)
+        limit = 8 * (degree + 1) * 40
+        spy = patch.object(trainer, "chebyshev_stack", wraps=trainer.chebyshev_stack)
+        # a few hundred bytes split the split into many runs
+        with patch.object(spectral, "STACK_BYTES", limit), spy as stack_calls:
+            split = prepare_context(tasks, cfg, rules)
+        assert stack_calls.call_count > 1
+        for (_, lambda_max, x, order), _ in stack_calls.call_args_list:
+            # a run is within the limit, or one task alone (a scalar lambda_max)
+            assert order == degree and (x.size * (degree + 1) * 8 <= limit or np.ndim(lambda_max) == 0)
+        assert split.task_count == len(tasks) and split.stack.shape[1] == degree + 1
+        for i, task in enumerate(tasks):
+            p = prepare_graph(cfg, task.graph, rules)
+            nodes = np.asarray(sorted(task.labels))
+            lo, hi = split.label_starts[i], split.label_starts[i + 1]
+            own = chebyshev_stack(p.laplacian, p.lambda_max, task.x0, degree)[nodes]
+            assert np.array_equal(split.stack[lo:hi], own)
+            assert split.label_values[lo:hi].tolist() == [task.labels[n] for n in nodes.tolist()]
+            if with_rules:
+                assert np.array_equal(split.coeff_rows[i], p.coefficient_rows(rules, cfg.order))
+        assert split.coeff_rows is None or not split.coeff_rows.flags.writeable
+        assert not split.stack.flags.writeable
+
+    def test_tasks_must_fit_their_graphs(self):
+        task = gen_transitive(2, seed=3)
+        with pytest.raises(DimensionMismatch):
+            prepare_context(replace(task, x0=task.x0[:-1]), PipelineConfig(), ())
         with pytest.raises(BadParams):
-            stack_contexts([stack_contexts(contexts[:2]), contexts[2]])
+            prepare_context(replace(task, labels={**task.labels, task.graph.node_count: 1}), PipelineConfig(), ())
 
-    def test_positional_context_still_builds(self, rng):
-        ctx = prepare_context(gen_transitive(2, seed=3), PipelineConfig(), ())
-        again = TaskContext(ctx.lambda_max, ctx.laplacian, None, ctx.x0, ctx.x0_stack, ctx.label_nodes, ctx.label_values)
-        params = init_params(PipelineConfig())
-        assert task_loss_and_grads(again, params, 5)[0] == task_loss_and_grads(ctx, params, 5)[0]
+
+class TestComposedFilter:
+    @pytest.mark.parametrize("laplacian", [COMBINATORIAL, NORMALIZED])
+    @pytest.mark.parametrize("bands", [1, 3])
+    @pytest.mark.parametrize("count", [1, 6], ids=["single", "block"])
+    def test_one_polynomial_equals_two_filters(self, laplacian, bands, count):
+        # the trainer's order-2K forward: the split's stack rows times
+        # chebmul(theta*, c_t), against the pipeline's two recurrences
+        rng = np.random.default_rng(count * bands)
+        cfg = PipelineConfig(laplacian=laplacian, bands=bands)
+        rules = rule_bank()
+        params = random_params(cfg, len(rules), rng)
+        theta_star, _ = mixed_theta(params)
+        tasks = []
+        for _ in range(count):
+            n = int(rng.integers(5, 40))
+            graph = sparse_graph(n, int(rng.integers(2**16)))
+            tasks.append(graph_task(graph, rng.uniform(0.0, 1.0, n), {i: i % 2 for i in range(n)}))
+        split = prepare_context(tasks, cfg, rules)
+        prepared = prepare_graph(cfg, [task.graph for task in tasks], rules)
+        lap, lambda_max, starts = block_diagonal([p.laplacian for p in prepared], [p.lambda_max for p in prepared])
+        coeffs = params["rule_weights"] @ split.coeff_rows
+        sizes = np.diff(starts)
+        x0 = vertex_signal(np.concatenate([task.x0 for task in tasks]))
+        rule_filter = ChebyshevFilter(coeffs[0] if count == 1 else np.repeat(coeffs, sizes, axis=0), lambda_max)
+        two_filters = chebyshev_filter(lap, ChebyshevFilter(theta_star, lambda_max), chebyshev_filter(lap, rule_filter, x0))
+        composed = np.stack([np.outer(theta_star, c).ravel() @ product_operator(cfg.order) for c in coeffs])
+        one_polynomial = np.einsum("nm,nm->n", split.stack, np.repeat(composed, sizes, axis=0))
+        scale = np.abs(two_filters.values).max()
+        assert np.abs(one_polynomial - two_filters.values).max() <= 1e-12 * scale
 
 
 class TestBlockEvaluate:

@@ -136,14 +136,42 @@ class TestCheckpointFormat:
         ],
     )
     def test_params_that_do_not_fit_exit_one_from_eval(self, tmp_path, name, value, error):
+        def edit(payload):
+            payload["config"].update(rules=str(RULES))
+            # the Adam moments keep the shape of the params, so only the params disagree
+            for group in (payload["params"], payload["optimizer"]["m"], payload["optimizer"]["v"]):
+                group[name] = value
+
         ckpt = tmp_path / "ckpt.json"
-        ckpt.write_text(corrupt(lambda p: (p["config"].update(rules=str(RULES)), p["params"].update({name: value}))))
+        ckpt.write_text(corrupt(edit))
         data = tmp_path / "data"
         save_dataset(gen_dataset("transitive", 3, seed=1), data, splits=(1, 1, 1))
         result = CliRunner().invoke(main, ["eval", "--ckpt", str(ckpt), "--data", str(data), "--json-errors"])
         assert result.exit_code == 1
         record = json.loads(result.stderr.strip().splitlines()[-1])
         assert record["error"] == error and name in record["message"]
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda o: o["m"].pop("theta"),
+            lambda o: o["v"].update(extra=[0.0]),
+            lambda o: o["m"].update(q=[0.0] * 7),
+            lambda o: o["v"].update(theta=[[0.0] * 5]),
+            lambda o: o.update(step=-1),
+        ],
+        ids=["missing", "extra", "short-q", "narrow-theta", "negative-step"],
+    )
+    def test_optimizer_state_must_fit_params(self, tmp_path, edit):
+        ckpt = tmp_path / "ckpt.json"
+        ckpt.write_text(corrupt(lambda p: (p["config"].update(rules=str(RULES)), edit(p["optimizer"]))))
+        with pytest.raises(FormatError, match="optimizer"):
+            Checkpoint.load(ckpt)
+        data = tmp_path / "data"
+        save_dataset(gen_dataset("transitive", 3, seed=1), data, splits=(1, 1, 1))
+        result = CliRunner().invoke(main, ["eval", "--ckpt", str(ckpt), "--data", str(data), "--json-errors"])
+        assert result.exit_code == 1
+        assert json.loads(result.stderr.strip().splitlines()[-1])["error"] == "FormatError"
 
     def test_inspect_ckpt_exit_codes(self, tmp_path):
         runner = CliRunner()

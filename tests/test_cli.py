@@ -129,8 +129,8 @@ class TestBadArguments:
     @pytest.mark.parametrize("args, error", [
         ("gen --family transitive --depth 0 --out {tmp}/d --json-errors", "BadParams"),
         ("response --grid -1 --filter {tmp}/filter.json --out {tmp}/r.csv --json-errors", "ValidationError"),
-        # click's usage errors print click's own message, not a record
-        ("gen --n abc --out {tmp}/d --json-errors", None),
+        # click's usage errors print a record too when it is asked for
+        ("gen --n abc --out {tmp}/d --json-errors", "UsageError"),
         ("gen --family nope --out {tmp}/d", None),
         ("--bogus", None),
         ("nosuch", None),
@@ -144,6 +144,8 @@ class TestBadArguments:
         else:
             record = json.loads(result.stderr.strip().splitlines()[-1])
             assert record["error"] == error and record["stage"] is None
+            if error == "UsageError":
+                assert "'--n'" in record["message"] and "Error:" not in result.stderr
 
     def test_help_lists_no_scaling_benchmark(self):
         result = invoke("--help")

@@ -45,3 +45,28 @@ def test_large_graph_checks_pass_on_a_small_graph(monkeypatch):
         assert checked.problem is None
         replayed += checked.tally["replayed"]
     assert replayed > 0
+
+
+def test_train_checks_pass_at_tiny_size(monkeypatch):
+    """The train workload at the self-test's sizes answers twice the same way,
+    and a traced run records the trainer's preparation and step."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import selftest
+    import tracing
+    import workloads
+
+    sizes = workloads.Sizes(**selftest.TINY)
+    train = workloads.Train(PERFBENCH.parent, seed=1, sizes=sizes)
+    train.setup(tracing.NullTracer())
+    keys = []
+    for _ in range(2):
+        query = train.next_query()
+        checked = train.check(query, train.answer(query))
+        assert checked.problem is None
+        keys.append(checked.key)
+    assert keys[0] == keys[1]
+
+    result = workloads.run("train", PERFBENCH.parent, seed=1, seconds=0.05, trace=True, sizes=sizes)
+    assert result.failed == 0, result.problems
+    assert result.metrics["trainer.prepare_ms"] > 0.0 and result.metrics["trainer.grad_ms"] > 0.0
+    assert result.metrics["trainer.grad_calls"] > 0

@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import chebyshev as npcheb
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from spectral_nsr.errors import (
@@ -30,6 +31,7 @@ from spectral_nsr.spectral import (
     gft,
     igft,
     load_filter,
+    product_operator,
     sample_response,
     save_filter,
     softmax,
@@ -340,6 +342,31 @@ class TestChebyshevFilter:
         for k in range(2, 5):
             t_prev, t_cur = t_cur, 2 * shifted @ t_cur - t_prev
             assert np.allclose(stack[:, k], t_cur, atol=1e-12)
+
+
+class TestProductOperator:
+    @pytest.mark.parametrize("order", range(9))
+    def test_equals_chebmul(self, order):
+        operator = product_operator(order)
+        assert operator.shape == ((order + 1) ** 2, 2 * order + 1) and not operator.flags.writeable
+        assert product_operator(order) is operator
+        eye = np.eye(order + 1)
+        for j in range(order + 1):
+            for k in range(order + 1):
+                want = np.zeros(2 * order + 1)
+                got = npcheb.chebmul(eye[j], eye[k])
+                want[: got.size] = got
+                assert np.array_equal(operator[j * (order + 1) + k], want), (j, k)
+        rng = np.random.default_rng(order)
+        for _ in range(5):
+            a, b = rng.standard_normal((2, order + 1))
+            want = npcheb.chebmul(a, b)
+            got = np.outer(a, b).ravel() @ operator
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_negative_order(self):
+        with pytest.raises(BadParams):
+            product_operator(-1)
 
 
 class TestFitChebyshev:

@@ -7,7 +7,6 @@ from spectral_nsr.errors import (
     NonFiniteGradient,
     ShapeMismatch,
 )
-from spectral_nsr.graph import combinatorial_laplacian
 from spectral_nsr.harness import gen_dataset, split_dataset
 from spectral_nsr.pipeline import (
     REFERENCE_LAMBDA_MAX,
@@ -15,26 +14,18 @@ from spectral_nsr.pipeline import (
     PipelineConfig,
     init_params,
     initial_filter_response,
+    prepare_graph,
     run_pipeline,
 )
-from spectral_nsr.rules import SpectralRule, builtin_template, rule_coefficients
-from spectral_nsr.spectral import (
-    ChebyshevFilter,
-    chebyshev_stack,
-    estimate_lambda_max,
-    fit_chebyshev,
-    sample_response,
-    vertex_signal,
-)
+from spectral_nsr.rules import SpectralRule, builtin_template
+from spectral_nsr.spectral import fit_chebyshev, sample_response, vertex_signal
 from spectral_nsr.symbolic import PredicateSet
 from spectral_nsr.trainer import (
     LEARNING_RATES,
     AdamState,
-    TaskContext,
     TrainRun,
     adam_step,
     grad_gate,
-    grad_rule_weights,
     grad_theta,
     grad_threshold,
     init_adam,
@@ -44,7 +35,7 @@ from spectral_nsr.trainer import (
     train,
 )
 
-from conftest import random_graph
+from conftest import graph_task, random_graph
 
 FD_STEP = 1e-5
 
@@ -52,19 +43,17 @@ FD_STEP = 1e-5
 def make_instance(rng, n=12, order=4, bands=1, n_rules=2):
     """Random task context plus randomized parameters for gradient checks."""
     g = random_graph(rng, n, density=0.3)
-    lap = combinatorial_laplacian(g)
-    lam_max = max(estimate_lambda_max(lap), 1e-9)
+    cfg = PipelineConfig(order=order, bands=bands)
+    lam_max = prepare_graph(cfg, g).lambda_max
     rules = tuple(
         SpectralRule(f"r{i}", builtin_template("heat-kernel", lam_max, t=0.3 + 0.4 * i), weight=1.0)
         for i in range(n_rules)
     )
-    rows = rule_coefficients(rules, lam_max, order) if rules else None
     x0 = rng.uniform(0.0, 1.0, size=n)
-    stack = chebyshev_stack(lap, lam_max, x0, order)
     labeled = rng.permutation(n)[: max(n // 2, 2)]
     label_nodes = np.sort(labeled)
-    label_values = rng.integers(0, 2, size=label_nodes.size).astype(float)
-    ctx = TaskContext(lam_max, lap, rows, x0, stack, label_nodes, label_values)
+    label_values = rng.integers(0, 2, size=label_nodes.size)
+    ctx = prepare_context(graph_task(g, x0, dict(zip(label_nodes.tolist(), label_values.tolist()))), cfg, rules)
     params = {
         "theta": rng.standard_normal((bands, order + 1)) * 0.5,
         "rule_weights": rng.uniform(0.2, 1.0, size=n_rules),
@@ -155,10 +144,6 @@ class TestGradRuleWeights:
         ctx, params, order = make_instance(rng, n_rules=3)
         check_gradients(ctx, params, order, ["rule_weights"])
 
-    def test_shape_mismatch(self, rng):
-        with pytest.raises(ShapeMismatch):
-            grad_rule_weights(rng.standard_normal((2, 4)), rng.standard_normal((6, 5)), rng.standard_normal(6))
-
 
 class TestGradGate:
     def test_single_band_zero_gate_gradient(self, rng):
@@ -188,7 +173,7 @@ class TestGradThreshold:
 
     def test_tau_must_be_one_threshold(self, rng):
         ctx, params, order = make_instance(rng)
-        params["tau"] = np.full(ctx.x0.shape[0], 0.3)
+        params["tau"] = np.full(12, 0.3)
         with pytest.raises(ShapeMismatch, match="tau"):
             task_loss_and_grads(ctx, params, order)
 
