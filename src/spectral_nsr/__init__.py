@@ -47,7 +47,7 @@ from .symbolic import (
     hard_threshold,
     soft_threshold,
 )
-from .trainer import Checkpoint, TrainRun, adam_step, train
+from .trainer import AdamState, Checkpoint, TrainRun, adam_step, train
 
 __all__ = [
     "SpectralNsrError",
@@ -85,6 +85,7 @@ __all__ = [
     "detect_conflicts",
     "Checkpoint",
     "TrainRun",
+    "AdamState",
     "adam_step",
     "train",
     "SyntheticTask",

@@ -165,30 +165,33 @@ def initial_filter_response() -> FrequencyResponse:
 
 
 @lru_cache(maxsize=None)
-def _initial_theta(bands: int, order: int) -> np.ndarray:
-    """Initial theta rows; fitted once per (bands, order), read-only."""
+def _initial_arrays(bands: int, order: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Initial theta rows and gate vectors q and s; made once per (bands, order, seed), read-only."""
     if bands == 1:
         theta = fit_chebyshev(initial_filter_response(), order, REFERENCE_LAMBDA_MAX).coefficients[None, :]
     else:
         theta = np.stack([f.coefficients for f in uniform_band_filters(bands, order, REFERENCE_LAMBDA_MAX)], axis=0)
-    theta.setflags(write=False)
-    return theta
+    rng = np.random.default_rng(seed)
+    arrays = theta, rng.standard_normal(GATE_DIM), rng.standard_normal((bands, GATE_DIM))
+    for array in arrays:
+        array.setflags(write=False)
+    return arrays
 
 
-def init_params(cfg: PipelineConfig, n_rules: int = 0) -> dict[str, np.ndarray]:
+def init_params(cfg: PipelineConfig, rules: Sequence[SpectralRule] = ()) -> dict[str, np.ndarray]:
     """Trainable parameter dictionary for a pipeline configuration.
 
     theta rows hold per-band filter coefficients (low-pass fit for a
-    single band, band-indicator fits otherwise); rule weights start
-    uniform at 1/R; gate vectors are seeded standard normals; tau holds
-    the one threshold of every node.
+    single band, band-indicator fits otherwise); rule weights start at
+    each rule's ``weight`` (its ``w=``); gate vectors are seeded standard
+    normals; tau holds the one threshold of every node.
     """
-    rng = np.random.default_rng(cfg.seed)
+    theta, q, s = _initial_arrays(cfg.bands, cfg.order, cfg.seed)
     params = {
-        "theta": _initial_theta(cfg.bands, cfg.order).copy(),
-        "rule_weights": np.full(n_rules, 1.0 / n_rules) if n_rules else np.zeros(0),
-        "q": rng.standard_normal(GATE_DIM),
-        "s": rng.standard_normal((cfg.bands, GATE_DIM)),
+        "theta": theta.copy(),
+        "rule_weights": np.asarray([rule.weight for rule in rules], dtype=np.float64),
+        "q": q.copy(),
+        "s": s.copy(),
         "tau": np.asarray([cfg.tau], dtype=np.float64),
         "alpha": np.asarray(cfg.alpha, dtype=np.float64),
     }
@@ -380,7 +383,7 @@ def run_pipeline(
     """
     rules = tuple(rules)
     if params is None:
-        params = init_params(cfg, n_rules=len(rules))
+        params = init_params(cfg, rules)
     if isinstance(graph, ReasoningGraph):
         return _run_block(cfg, [graph], [x0], rules, [kb], params)[0]
     return _run_block(cfg, graph, x0, rules, kb, params)
@@ -471,7 +474,7 @@ class Pipeline:
         if rules is None:
             rules = _read_rule_file(cfg.rules) if cfg.rules else []
         self.rules = tuple(rules)
-        self.params = params if params is not None else init_params(cfg, n_rules=len(self.rules))
+        self.params = params if params is not None else init_params(cfg, self.rules)
         weights = np.shape(self.params["rule_weights"])
         if weights != (len(self.rules),):
             raise BadParams(f"rule_weights shape {weights} does not fit {len(self.rules)} rules")

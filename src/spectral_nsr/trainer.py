@@ -8,15 +8,20 @@ scalar scores, and the threshold is a logistic, so the whole stage-2/3
 chain differentiates in closed form. `prepare_context` computes the
 Chebyshev columns of that polynomial once per training split, and a
 training step is dense algebra on their labelled rows, with no sparse
-product. Adam with per-group learning rates (filter and rule weights
-fast, gate and threshold slow) drives the updates; rule weights are
-clamped non-negative after every step.
+product. Adam with a learning rate per parameter (filter and rule weights
+fast, gate and threshold slow) drives the updates on the parameters laid
+end to end in one vector (`AdamState`); rule weights are clamped
+non-negative after every step. A checkpoint keeps the parameters and how
+they were selected, not the optimizer state.
 """
 
 from __future__ import annotations
 
 import json
+import math
+from bisect import bisect_right
 from dataclasses import asdict, dataclass, fields
+from itertools import accumulate
 from pathlib import Path
 from typing import Sequence
 
@@ -37,7 +42,6 @@ from .harness import SyntheticTask, TaskSplits, evaluate
 from .pipeline import GATE_DIM, Pipeline, PipelineConfig, mixed_theta, prepare_graph, retired_config_key
 from .rules import SpectralRule
 from .spectral import block_diagonal, chebyshev_stack, product_operator, softmax
-from .symbolic import PredicateSet
 
 # prepare_graph makes these calls now; the names stay on this module
 # because perfbench's layer tracer looks them up and wraps them here
@@ -45,18 +49,10 @@ from .pipeline import build_laplacian  # noqa: F401
 from .rules import rule_coefficients  # noqa: F401
 from .spectral import estimate_lambda_max  # noqa: F401
 
-PARAM_GROUPS = {
-    "theta": "spectral",
-    "rule_weights": "spectral",
-    "q": "gate_threshold",
-    "s": "gate_threshold",
-    "tau": "gate_threshold",
-    "alpha": "gate_threshold",
-}
-
-# per-group learning rates: the filter coefficients and rule weights are
-# far more sensitive than the band gate and the threshold, hence two scales
-LEARNING_RATES = {"spectral": 5e-4, "gate_threshold": 1e-5}
+# the learning rate of each parameter: the filter coefficients and rule
+# weights are far more sensitive than the band gate and the threshold,
+# hence two scales
+LEARNING_RATES = {"theta": 5e-4, "rule_weights": 5e-4, "q": 1e-5, "s": 1e-5, "tau": 1e-5, "alpha": 1e-5}
 
 PROB_CLIP = 1e-7
 
@@ -69,17 +65,6 @@ ADAM_EPS = 1e-8
 # ---------------------------------------------------------------------------
 # loss
 # ---------------------------------------------------------------------------
-
-
-def loss(p_soft: PredicateSet, labels: dict[int, int]) -> float:
-    """Mean binary cross-entropy over labeled nodes, probabilities clipped."""
-    if not labels:
-        raise EmptyLabels("loss needs at least one labeled node")
-    if not p_soft.soft:
-        raise BadParams("loss expects a soft predicate set")
-    idx = np.asarray(sorted(labels), dtype=np.int64)
-    targets = np.asarray([float(labels[i]) for i in sorted(labels)])
-    return _bce(p_soft.values[idx], targets, np.zeros(1, dtype=np.int64), np.asarray([idx.size]))[0]
 
 
 def _bce(p: np.ndarray, targets: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> tuple[float, np.ndarray]:
@@ -167,54 +152,63 @@ def grad_threshold(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class AdamState:
-    """First/second moment accumulators plus the shared step count."""
+    """Adam over the parameters laid end to end in one float64 vector.
 
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
-    step: int = 0
-
-
-def init_adam(params: dict[str, np.ndarray]) -> AdamState:
-    return AdamState(
-        m={k: np.zeros(np.shape(v)) for k, v in params.items()},
-        v={k: np.zeros(np.shape(v)) for k, v in params.items()},
-    )
-
-
-def adam_step(
-    params: dict[str, np.ndarray],
-    grads: dict[str, np.ndarray],
-    state: AdamState,
-) -> dict[str, np.ndarray]:
-    """One bias-corrected Adam update with per-group learning rates.
-
-    Aborts (without touching the state) on any non-finite gradient.
-    Rule weights are clamped at zero after the step.
+    ``flat`` is a copy of the given parameter arrays in their order
+    (``names``), and ``params`` maps each name to a view of ``flat`` in
+    the parameter's shape, so `adam_step` updates every parameter in
+    place. ``rates`` is each element's learning rate, ``clamp`` the view
+    of the rule weights (empty without them), and ``m`` and ``v`` the
+    moments of ``flat``. Nothing of it is saved: a checkpoint holds the
+    parameters only.
     """
-    for name, g in grads.items():
-        if name not in params:
-            raise ShapeMismatch(f"gradient for unknown parameter {name!r}")
-        if not np.isfinite(np.asarray(g)).all():
-            raise NonFiniteGradient(f"non-finite gradient for parameter {name!r}")
-        if np.asarray(params[name]).shape != np.asarray(g).shape:
-            raise ShapeMismatch(f"parameter {name!r}: shape {params[name].shape} vs gradient {np.asarray(g).shape}")
+
+    def __init__(self, params: dict[str, np.ndarray]):
+        self.names = tuple(params)
+        sizes = [value.size for value in params.values()]
+        self.ends = list(accumulate(sizes))
+        self.flat = np.concatenate(list(params.values()), axis=None, dtype=np.float64)
+        self.params = {
+            name: self.flat[end - size : end].reshape(value.shape)
+            for (name, value), size, end in zip(params.items(), sizes, self.ends)
+        }
+        self.rates = np.repeat([LEARNING_RATES[name] for name in params], sizes)
+        self.clamp = self.params.get("rule_weights", self.flat[:0])
+        self.m, self.v = np.zeros((2, self.flat.size))
+        self.step = 0
+
+
+def adam_step(state: AdamState, grads: dict[str, np.ndarray], scale: float = 1.0) -> None:
+    """One bias-corrected Adam update of ``state.flat`` in place with the
+    gradient ``grads`` times ``scale``, at each element's rate in ``state.rates``.
+
+    ``grads`` holds one array per parameter, in the order of
+    ``state.params``, and is laid end to end once. A gradient of another
+    layout, or with a non-finite entry (named by its parameter), aborts
+    without touching the state. Rule weights are clamped at zero after
+    the step.
+    """
+    if tuple(grads) != state.names:
+        raise ShapeMismatch(f"gradients for {list(grads)}, parameters {list(state.names)}")
+    grad = np.concatenate(list(grads.values()), axis=None, dtype=np.float64)
+    if grad.shape != state.flat.shape:
+        raise ShapeMismatch(f"gradients of {grad.size} entries for {state.flat.size} parameters")
+    grad *= scale
+    finite = np.isfinite(grad)
+    if not finite.all():
+        name = state.names[bisect_right(state.ends, np.argmin(finite))]
+        raise NonFiniteGradient(f"non-finite gradient for parameter {name!r}")
     state.step += 1
     t = state.step
-    out: dict[str, np.ndarray] = {}
-    for name, value in params.items():
-        g = np.asarray(grads.get(name, np.zeros_like(value)), dtype=np.float64)
-        state.m[name] = ADAM_BETA1 * state.m[name] + (1.0 - ADAM_BETA1) * g
-        state.v[name] = ADAM_BETA2 * state.v[name] + (1.0 - ADAM_BETA2) * g * g
-        m_hat = state.m[name] / (1.0 - ADAM_BETA1**t)
-        v_hat = state.v[name] / (1.0 - ADAM_BETA2**t)
-        lr = LEARNING_RATES[PARAM_GROUPS.get(name, "spectral")]
-        updated = value - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-        if name == "rule_weights":
-            updated = np.maximum(updated, 0.0)
-        out[name] = updated
-    return out
+    state.m *= ADAM_BETA1
+    state.m += (1.0 - ADAM_BETA1) * grad
+    state.v *= ADAM_BETA2
+    state.v += (1.0 - ADAM_BETA2) * grad * grad
+    m_hat = state.m / (1.0 - ADAM_BETA1**t)
+    v_hat = state.v / (1.0 - ADAM_BETA2**t)
+    state.flat -= state.rates * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    np.maximum(state.clamp, 0.0, out=state.clamp)
 
 
 # ---------------------------------------------------------------------------
@@ -440,11 +434,14 @@ class EpochMetrics:
 
 @dataclass
 class Checkpoint:
-    """Parameters, optimizer state, and selection metadata, as JSON."""
+    """Parameters and selection metadata, as JSON.
+
+    Older files also hold Adam's state under ``optimizer``; nothing reads
+    it, so it is dropped on load.
+    """
 
     config: PipelineConfig
     params: dict[str, np.ndarray]
-    optimizer: dict
     metadata: dict
 
     def to_json(self) -> str:
@@ -453,11 +450,6 @@ class Checkpoint:
             "version": 1,
             "config": asdict(self.config),
             "params": {k: np.asarray(v).tolist() for k, v in self.params.items()},
-            "optimizer": {
-                "step": self.optimizer["step"],
-                "m": {k: np.asarray(v).tolist() for k, v in self.optimizer["m"].items()},
-                "v": {k: np.asarray(v).tolist() for k, v in self.optimizer["v"].items()},
-            },
             "metadata": self.metadata,
         }
         return json.dumps(payload, sort_keys=True, indent=1)
@@ -472,20 +464,17 @@ class Checkpoint:
             if missing:
                 raise FormatError(f"checkpoint config misses {missing}")
             cfg = PipelineConfig(**config)
-            params = _arrays(payload["params"])
-            optimizer = {
-                "step": int(payload["optimizer"]["step"]),
-                "m": _arrays(payload["optimizer"]["m"]),
-                "v": _arrays(payload["optimizer"]["v"]),
-            }
+            params = {name: np.asarray(value, dtype=np.float64) for name, value in payload["params"].items()}
             metadata = payload["metadata"]
         except KeyError as exc:
             raise FormatError(f"checkpoint is missing key {exc}") from exc
         except (AttributeError, OverflowError, TypeError, ValueError) as exc:
             raise FormatError(f"malformed checkpoint: {exc}") from exc
+        for name, value in params.items():
+            if not np.isfinite(value).all():
+                raise FormatError(f"param {name!r} has non-finite entries")
         _check_param_shapes(cfg, params)
-        _check_optimizer(optimizer, params)
-        return cls(cfg, params, optimizer, metadata)
+        return cls(cfg, params, metadata)
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(self.to_json() + "\n")
@@ -498,18 +487,8 @@ class Checkpoint:
         return Pipeline(self.config, rules=rules, params=self.params)
 
 
-def _arrays(values: dict) -> dict[str, np.ndarray]:
-    out = {}
-    for name, value in values.items():
-        arr = np.asarray(value, dtype=np.float64)
-        if not np.isfinite(arr).all():
-            raise FormatError(f"array {name!r} has non-numeric or non-finite entries")
-        out[name] = arr
-    return out
-
-
 def _check_param_shapes(cfg: PipelineConfig, params: dict[str, np.ndarray]) -> None:
-    missing = sorted(set(PARAM_GROUPS) - set(params))
+    missing = sorted(set(LEARNING_RATES) - set(params))
     if missing:
         raise FormatError(f"checkpoint params miss {missing}")
     expected = {"theta": (cfg.bands, cfg.order + 1), "s": (cfg.bands, GATE_DIM), "q": (GATE_DIM,),
@@ -519,19 +498,6 @@ def _check_param_shapes(cfg: PipelineConfig, params: dict[str, np.ndarray]) -> N
             raise FormatError(f"param {name!r} has shape {params[name].shape}, config needs {shape}")
     if params["rule_weights"].ndim != 1:
         raise FormatError(f"param 'rule_weights' must be 1-D, got shape {params['rule_weights'].shape}")
-
-
-def _check_optimizer(optimizer: dict, params: dict[str, np.ndarray]) -> None:
-    """The Adam state must hold one moment of each parameter's shape, per moment."""
-    if optimizer["step"] < 0:
-        raise FormatError(f"optimizer step must be >= 0, got {optimizer['step']}")
-    for moment in ("m", "v"):
-        arrays = optimizer[moment]
-        if arrays.keys() != params.keys():
-            raise FormatError(f"optimizer {moment!r} holds {sorted(arrays)}, params {sorted(params)}")
-        for name, value in arrays.items():
-            if value.shape != params[name].shape:
-                raise FormatError(f"optimizer {moment!r} of {name!r} has shape {value.shape}, param {params[name].shape}")
 
 
 @dataclass
@@ -555,7 +521,6 @@ def train(
     splits: TaskSplits,
     run: TrainRun,
     rules: list[SpectralRule] | None = None,
-    warm_start: dict[str, np.ndarray] | None = None,
 ) -> TrainResult:
     """Epoch loop with per-epoch validation, early stopping, and the
     checkpoint of highest validation accuracy (ties: the earliest epoch).
@@ -565,17 +530,15 @@ def train(
     (`evaluate` without latency). The latency probe, `evaluate`'s median
     latency on the first ``run.latency_probe`` validation tasks (none at
     0), is recorded in the history and the checkpoint metadata but never
-    picks the checkpoint, so a run is reproducible. ``warm_start``
-    resumes from existing parameters (e.g. a loaded checkpoint) instead
-    of the low-pass initialization.
+    picks the checkpoint, so a run is reproducible. Training starts from
+    `init_params`: the low-pass filter, and each rule's ``w=`` as its
+    weight.
     """
     if not splits.train or not splits.val:
         raise BadParams("training needs non-empty train and val splits")
     pipe0 = Pipeline(cfg, rules=rules)
     rules = list(pipe0.rules)
-    start = warm_start if warm_start is not None else pipe0.params
-    params = {k: np.array(v, dtype=np.float64) for k, v in start.items()}
-    state = init_adam(params)
+    state = AdamState(pipe0.params)
     # the training split is prepared and its Chebyshev stack made once
     # here, the validation split prepared as one block by the first
     # epoch's validation run
@@ -593,22 +556,22 @@ def train(
         losses = []
         for start in range(0, len(order), run.batch_size):
             batch = order[start : start + run.batch_size]
-            value, grads = task_loss_and_grads(context, params, cfg.order, batch)
-            if not np.isfinite(value):
+            value, grads = task_loss_and_grads(context, state.params, cfg.order, batch)
+            if not math.isfinite(value):
                 raise DivergedLoss(f"loss diverged on the minibatch of task indices {batch.tolist()}")
             scale = 1.0 / len(batch)
-            params = adam_step(params, {k: g * scale for k, g in grads.items()}, state)
+            adam_step(state, grads, scale)
             losses.append(value * scale)
         # np.mean's sum and division, without its per-call dispatch
         train_loss = float(np.add.reduce(losses) / len(losses))
 
-        pipe = Pipeline(cfg, rules=rules, params=params)
+        # the steps write the parameters in place: what is kept is a copy
+        snapshot = {name: value.copy() for name, value in state.params.items()}
+        pipe = Pipeline(cfg, rules=rules, params=snapshot)
         val_accuracy = evaluate(pipe, splits.val, measure_latency=False).accuracy
         latency = evaluate(pipe, splits.val[: run.latency_probe]).latency_median_ms if run.latency_probe > 0 else None
         history.append(EpochMetrics(epoch, train_loss, val_accuracy, latency))
-        # adam_step returns new arrays and replaces the moments, so no
-        # array is written after it is stored: shallow copies suffice
-        trajectory.append(dict(params))
+        trajectory.append(snapshot)
 
         # early stopping counts epochs since the last new accuracy maximum,
         # which is also the checkpoint kept
@@ -616,8 +579,7 @@ def train(
             epochs_since_improvement = 0
             best = Checkpoint(
                 config=cfg,
-                params=dict(params),
-                optimizer={"step": state.step, "m": dict(state.m), "v": dict(state.v)},
+                params=snapshot,
                 metadata={
                     "epoch": epoch,
                     "val_accuracy": val_accuracy,

@@ -67,7 +67,7 @@ def rule_bank():
 
 
 def random_params(cfg, n_rules, rng):
-    params = init_params(cfg, n_rules=n_rules)
+    params = init_params(cfg)
     params["theta"] = params["theta"] + 0.1 * rng.standard_normal(params["theta"].shape)
     params["rule_weights"] = rng.uniform(0.2, 1.0, size=n_rules)
     return params

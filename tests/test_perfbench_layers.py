@@ -70,3 +70,17 @@ def test_train_checks_pass_at_tiny_size(monkeypatch):
     assert result.failed == 0, result.problems
     assert result.metrics["trainer.prepare_ms"] > 0.0 and result.metrics["trainer.grad_ms"] > 0.0
     assert result.metrics["trainer.grad_calls"] > 0
+
+
+def test_traced_train_times_every_adam_step(monkeypatch):
+    """A traced train run at the self-test's sizes records the Adam layer,
+    one step per gradient."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import selftest
+    import workloads
+
+    sizes = workloads.Sizes(**selftest.TINY)
+    result = workloads.run("train", PERFBENCH.parent, seed=1, seconds=0.05, trace=True, sizes=sizes)
+    assert result.failed == 0, result.problems
+    assert result.metrics["trainer.adam_ms"] > 0.0
+    assert result.metrics["trainer.adam_steps"] == result.metrics["trainer.grad_calls"] > 0

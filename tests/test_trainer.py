@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from spectral_nsr import trainer
 from spectral_nsr.errors import (
     BadParams,
+    DivergedLoss,
     EmptyLabels,
     NonFiniteGradient,
     ShapeMismatch,
@@ -19,17 +21,15 @@ from spectral_nsr.pipeline import (
 )
 from spectral_nsr.rules import SpectralRule, builtin_template
 from spectral_nsr.spectral import fit_chebyshev, sample_response, vertex_signal
-from spectral_nsr.symbolic import PredicateSet
 from spectral_nsr.trainer import (
     LEARNING_RATES,
     AdamState,
     TrainRun,
+    _bce,
     adam_step,
     grad_gate,
     grad_theta,
     grad_threshold,
-    init_adam,
-    loss,
     prepare_context,
     task_loss_and_grads,
     train,
@@ -92,30 +92,40 @@ def check_gradients(ctx, params, order, keys, rel_tol=1e-5):
         assert rel <= rel_tol, f"{key}: relative error {rel}"
 
 
+def one_task_bce(p, targets):
+    p = np.asarray(p, dtype=np.float64)
+    return _bce(p, np.asarray(targets, dtype=np.float64), np.array([0]), np.array([p.size]))
+
+
 class TestLoss:
     def test_half_everywhere_is_ln2(self):
-        p = PredicateSet(np.full(10, 0.5), soft=True)
-        labels = {i: i % 2 for i in range(10)}
-        assert loss(p, labels) == pytest.approx(np.log(2.0), abs=1e-12)
+        value, _ = one_task_bce(np.full(10, 0.5), [i % 2 for i in range(10)])
+        assert value == pytest.approx(np.log(2.0), abs=1e-12)
 
     def test_perfect_prediction_is_clip_scale(self):
-        p = PredicateSet(np.array([1.0, 0.0, 1.0]), soft=True)
-        labels = {0: 1, 1: 0, 2: 1}
-        assert loss(p, labels) == pytest.approx(1e-7, rel=1e-3)
+        value, upstream = one_task_bce([1.0, 0.0, 1.0], [1, 0, 1])
+        assert value == pytest.approx(1e-7, rel=1e-3)
+        # the clip is active everywhere, so is the zero derivative
+        assert np.array_equal(upstream, np.zeros(3))
 
     def test_matches_scalar_loop(self, rng):
+        # two tasks of 12 and 8 labels: the sum of each task's mean
         values = rng.uniform(0.0, 1.0, size=20)
-        labels = {i: int(rng.integers(0, 2)) for i in range(20)}
-        p = PredicateSet(values, soft=True)
-        acc = 0.0
-        for i in range(20):
-            q = min(max(values[i], 1e-7), 1 - 1e-7)
-            acc += -(labels[i] * np.log(q) + (1 - labels[i]) * np.log(1 - q))
-        assert loss(p, labels) == pytest.approx(acc / 20, abs=1e-12)
+        targets = rng.integers(0, 2, size=20).astype(np.float64)
+        expected = 0.0
+        for lo, hi in ((0, 12), (12, 20)):
+            acc = 0.0
+            for i in range(lo, hi):
+                q = min(max(values[i], 1e-7), 1 - 1e-7)
+                acc += -(targets[i] * np.log(q) + (1 - targets[i]) * np.log(1 - q))
+            expected += acc / (hi - lo)
+        value, _ = _bce(values, targets, np.array([0, 12]), np.array([12, 8]))
+        assert value == pytest.approx(expected, abs=1e-12)
 
-    def test_empty_labels(self):
+    def test_empty_labels(self, rng):
+        task = graph_task(random_graph(rng, 6, density=0.5), np.full(6, 0.5), {})
         with pytest.raises(EmptyLabels):
-            loss(PredicateSet(np.array([0.5]), soft=True), {})
+            prepare_context(task, PipelineConfig(), ())
 
 
 class TestGradTheta:
@@ -205,32 +215,30 @@ class TestGradientSuiteKeystone:
 
 class TestAdam:
     def test_zero_gradient_keeps_params(self):
-        params = {"theta": np.array([[1.0, 2.0]])}
-        state = init_adam(params)
-        out = adam_step(params, {"theta": np.zeros((1, 2))}, state)
-        assert np.array_equal(out["theta"], params["theta"])
+        state = AdamState({"theta": np.array([[1.0, 2.0]])})
+        adam_step(state, {"theta": np.zeros((1, 2))})
+        assert np.array_equal(state.params["theta"], [[1.0, 2.0]])
         assert state.step == 1
 
     def test_constant_gradient_update_magnitude_approaches_lr(self):
         # one parameter of each group steps by its group's rate
-        params = {"theta": np.array([0.0]), "tau": np.array([0.4])}
-        state = init_adam(params)
+        state = AdamState({"theta": np.array([0.0]), "tau": np.array([0.4])})
         g = {"theta": np.array([0.37]), "tau": np.array([-2.5])}
-        prev = params
         for _ in range(10):
-            new = adam_step(prev, g, state)
-            step_sizes = {name: abs(new[name][0] - prev[name][0]) for name in params}
-            prev = new
-        assert step_sizes["theta"] == pytest.approx(LEARNING_RATES["spectral"], rel=1e-6)
-        assert step_sizes["tau"] == pytest.approx(LEARNING_RATES["gate_threshold"], rel=1e-6)
+            prev = state.flat.copy()
+            adam_step(state, g)
+        step_sizes = np.abs(state.flat - prev)
+        assert step_sizes[0] == pytest.approx(LEARNING_RATES["theta"], rel=1e-6)
+        assert step_sizes[1] == pytest.approx(LEARNING_RATES["tau"], rel=1e-6)
 
     def test_three_steps_match_manual_arithmetic(self):
-        lr, b1, b2, eps = LEARNING_RATES["spectral"], 0.9, 0.999, 1e-8
+        lr, b1, b2, eps = LEARNING_RATES["theta"], 0.9, 0.999, 1e-8
         x = 0.5
         gs = [0.2, -0.05, 0.11]
         m = v = 0.0
         expected = []
         for t, g in enumerate(gs, start=1):
+            g = g * 0.25
             m = b1 * m + (1 - b1) * g
             v = b2 * v + (1 - b2) * g * g
             m_hat = m / (1 - b1**t)
@@ -238,37 +246,61 @@ class TestAdam:
             x = x - lr * m_hat / (np.sqrt(v_hat) + eps)
             expected.append(x)
 
-        params = {"theta": np.array([0.5])}
-        state = init_adam(params)
+        state = AdamState({"theta": np.array([0.5])})
         for g, want in zip(gs, expected):
-            params = adam_step(params, {"theta": np.array([g])}, state)
-            assert params["theta"][0] == pytest.approx(want, abs=1e-12)
+            adam_step(state, {"theta": np.array([g])}, 0.25)
+            assert state.params["theta"][0] == pytest.approx(want, abs=1e-12)
 
     def test_rule_weights_clamped_non_negative(self):
-        # a weight below one step of the rule weights' rate
-        params = {"rule_weights": np.array([0.1 * LEARNING_RATES["spectral"]])}
-        state = init_adam(params)
-        out = adam_step(params, {"rule_weights": np.array([1.0])}, state)
-        assert out["rule_weights"][0] == 0.0
+        # a weight below one step of the rule weights' rate, between two
+        # parameters the clamp must not reach
+        state = AdamState({
+            "theta": np.array([0.0]),
+            "rule_weights": np.array([0.1 * LEARNING_RATES["rule_weights"]]),
+            "tau": np.array([0.0]),
+        })
+        adam_step(state, {"theta": np.array([1.0]), "rule_weights": np.array([1.0]), "tau": np.array([1.0])})
+        assert state.params["rule_weights"][0] == 0.0
+        assert state.params["theta"][0] < 0.0 and state.params["tau"][0] < 0.0
 
     def test_non_finite_gradient(self):
-        params = {"theta": np.array([1.0])}
-        state = init_adam(params)
-        with pytest.raises(NonFiniteGradient, match="theta"):
-            adam_step(params, {"theta": np.array([np.nan])}, state)
+        state = AdamState({"theta": np.array([[1.0, 2.0]]), "rule_weights": np.zeros(0), "tau": np.array([0.4])})
+        for theta, tau, name in (([[0.1, 0.2]], [np.nan], "tau"), ([[np.inf, 0.2]], [0.3], "theta")):
+            with pytest.raises(NonFiniteGradient, match=name):
+                adam_step(state, {"theta": np.array(theta), "rule_weights": np.zeros(0), "tau": np.array(tau)})
         assert state.step == 0
+        assert state.flat.tolist() == [1.0, 2.0, 0.4]
+        assert not state.m.any() and not state.v.any()
 
     def test_unknown_gradient_key(self):
-        params = {"theta": np.array([1.0])}
-        state = init_adam(params)
-        with pytest.raises(ShapeMismatch):
-            adam_step(params, {"bogus": np.array([1.0])}, state)
+        state = AdamState({"theta": np.array([1.0]), "tau": np.array([0.4])})
+        for grads in (
+            {"bogus": np.array([1.0]), "tau": np.array([1.0])},
+            {"tau": np.array([1.0]), "theta": np.array([1.0])},
+            {"theta": np.array([1.0, 2.0]), "tau": np.array([1.0])},
+        ):
+            with pytest.raises(ShapeMismatch):
+                adam_step(state, grads)
+        assert state.step == 0
+
+    def test_params_are_views_of_one_vector(self):
+        params = init_params(PipelineConfig(bands=3), reference_rules())
+        state = AdamState(params)
+        for name, value in state.params.items():
+            assert np.array_equal(value, params[name]) and value.shape == np.shape(params[name])
+            assert np.shares_memory(value, state.flat) and not np.shares_memory(value, params[name])
+        assert np.array_equal(np.concatenate(list(params.values()), axis=None), state.flat)
+        before = {name: value.copy() for name, value in state.params.items()}
+        adam_step(state, {name: np.ones(np.shape(value)) for name, value in params.items()})
+        assert all(not np.array_equal(state.params[name], before[name]) for name in before if before[name].size)
 
 
 def reference_rules():
     return [
-        SpectralRule("transitive", builtin_template("low-pass", REFERENCE_LAMBDA_MAX, beta=1.0), kind="low-pass"),
-        SpectralRule("conflict", builtin_template("high-pass", REFERENCE_LAMBDA_MAX), kind="high-pass"),
+        SpectralRule(
+            "transitive", builtin_template("low-pass", REFERENCE_LAMBDA_MAX, beta=1.0), weight=0.5, kind="low-pass"
+        ),
+        SpectralRule("conflict", builtin_template("high-pass", REFERENCE_LAMBDA_MAX), weight=0.5, kind="high-pass"),
     ]
 
 
@@ -327,16 +359,31 @@ class TestTrainLoop:
         acc = evaluate(loaded.pipeline(rules=rules), splits.val, measure_latency=False).accuracy
         assert acc == result.checkpoint.metadata["val_accuracy"]
 
-    def test_diverged_loss_raises(self):
-        from spectral_nsr.errors import DivergedLoss
-
+    def test_diverged_loss_raises(self, monkeypatch):
+        step = trainer.task_loss_and_grads
+        monkeypatch.setattr(trainer, "task_loss_and_grads", lambda *args: (np.nan, step(*args)[1]))
         cfg = PipelineConfig(tau=0.4)
-        splits = small_splits(40)
         run = TrainRun(max_epochs=1, batch_size=8, seed=0, latency_probe=0)
-        poisoned = Pipeline(cfg).params
-        poisoned["theta"] = np.full_like(poisoned["theta"], np.nan)
         with pytest.raises(DivergedLoss):
-            train(cfg, splits, run, warm_start=poisoned)
+            train(cfg, small_splits(40), run)
+
+    def test_kept_parameters_are_copies(self):
+        # the epoch-1 snapshot and the checkpoint (epoch 1 validates at 1.0)
+        # of a 3-epoch run are bit for bit a 1-epoch run's, so the later
+        # steps wrote none of them
+        cfg = PipelineConfig(tau=0.4)
+        splits = small_splits()
+        one, three = (
+            train(cfg, splits, TrainRun(max_epochs=epochs, batch_size=16, patience=3, seed=0, latency_probe=0))
+            for epochs in (1, 3)
+        )
+        assert len(three.history) == 3 and three.checkpoint.metadata["epoch"] == 1
+        pairs = ((one.trajectory[0], three.trajectory[0]), (one.checkpoint.params, three.checkpoint.params))
+        for kept_one, kept_three in pairs:
+            assert kept_one.keys() == kept_three.keys()
+            for key in kept_one:
+                assert np.array_equal(kept_one[key], kept_three[key]), key
+        assert not np.array_equal(three.trajectory[0]["theta"], three.trajectory[2]["theta"])
 
     def test_run_validation(self):
         with pytest.raises(BadParams):
@@ -354,12 +401,15 @@ class TestForwardAgreement:
         # inference and training run separate forward passes; pin them together
         cfg = PipelineConfig(laplacian=laplacian, bands=bands, tau=0.4)
         rules = tuple(reference_rules())
-        params = init_params(cfg, n_rules=len(rules))
+        params = init_params(cfg, rules)
         params["rule_weights"] = np.array([0.7, 0.3])
         tasks = gen_dataset("transitive", 4, seed=2) + gen_dataset("kinship", 4, seed=2)
         for task in tasks:
             out = run_pipeline(cfg, task.graph, vertex_signal(task.x0), rules, task.kb, params=params)
-            expected = loss(out.predicates, task.labels)
+            nodes = sorted(task.labels)
+            p = np.clip(out.predicates.values[nodes], 1e-7, 1 - 1e-7)
+            targets = np.array([task.labels[i] for i in nodes], dtype=np.float64)
+            expected = -np.mean(targets * np.log(p) + (1 - targets) * np.log(1 - p))
             got, _ = task_loss_and_grads(prepare_context(task, cfg, rules), params, cfg.order)
             assert got == pytest.approx(expected, rel=1e-12, abs=0), task.task_id
 
@@ -373,8 +423,13 @@ class TestLowPassInit:
 
     def test_init_params_shapes(self):
         cfg = PipelineConfig(order=5, bands=3)
-        params = init_params(cfg, n_rules=2)
+        params = init_params(cfg, reference_rules())
         assert params["theta"].shape == (3, 6)
         assert params["rule_weights"].tolist() == [0.5, 0.5]
         assert params["s"].shape == (3, 8)
         assert params["tau"].shape == (1,)
+
+    def test_rule_weights_start_at_w(self, tmp_path):
+        rules = tmp_path / "rules.txt"
+        rules.write_text("rule smooth kind=low-pass w=0.2 beta=1.0\nrule sharp kind=high-pass w=0.9\n")
+        assert Pipeline(PipelineConfig(rules=str(rules))).params["rule_weights"].tolist() == [0.2, 0.9]
