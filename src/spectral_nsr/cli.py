@@ -140,7 +140,7 @@ def _load_splits(data_dir: str) -> harness.TaskSplits:
 @json_errors_option
 @handle_errors
 def train_cmd(config_path, data_dir, ckpt_path, metrics_path, epochs, batch_size, patience):
-    """Train filter/rule/gate/threshold parameters on a dataset."""
+    """Train filter/rule/threshold parameters on a dataset."""
     cfg = PipelineConfig.load(config_path)
     splits = _load_splits(data_dir)
     run = trainer.TrainRun(max_epochs=epochs, batch_size=batch_size, patience=patience, seed=cfg.seed)

@@ -1,11 +1,11 @@
 """Three-stage reasoning pipeline and its plain-text configuration.
 
 Stage 1 builds the Laplacian of the reasoning graph. Stage 2 applies the
-weighted sum of the rule templates and then the learned filter (mixed by
-the band gate when there are several bands), both as Chebyshev
-polynomials of the Laplacian, so no eigenbasis is formed. Stage 3
-thresholds the filtered beliefs into predicates, binds them as facts, and
-forward chains to the answer set with proof traces.
+weighted sum of the rule templates and then the learned filter, one
+coefficient vector, both as Chebyshev polynomials of the Laplacian, so no
+eigenbasis is formed. Stage 3 thresholds the filtered beliefs into
+predicates, binds them as facts, and forward chains to the answer set
+with proof traces.
 """
 
 from __future__ import annotations
@@ -34,8 +34,6 @@ from .spectral import (
     estimate_lambda_max,
     fit_chebyshev,
     sample_response,
-    softmax,
-    uniform_band_filters,
     vertex_signal,
 )
 from .symbolic import (
@@ -59,8 +57,6 @@ from .symbolic import (
 # lambda_max, and a graph sees the part of the curve its spectrum reaches
 REFERENCE_LAMBDA_MAX = 2.0
 
-GATE_DIM = 8
-
 # samples of the exported response curve over [0, lambda_max]
 RESPONSE_POINTS = 64
 
@@ -70,17 +66,19 @@ def retired_config_key(key: str, value) -> bool:
 
     Older config files and checkpoints carry ``crossover`` and ``path``,
     the settings of a dense-eigenbasis pipeline path that no longer
-    exists. ``crossover`` and ``path=chebyshev`` are dropped. Any other
-    ``path`` raises `FormatError`: running an exact-path config on the
-    Chebyshev path would silently change its answers.
+    exists, and ``bands``, the band count of a retired gate over several
+    learned filters. ``crossover``, ``path=chebyshev`` and ``bands=1``
+    (text or number) are dropped. Any other ``path`` or ``bands`` raises
+    `FormatError`: running such a config on the one Chebyshev filter
+    would silently change its answers.
     """
     if key == "crossover":
         return True
-    if key != "path":
-        return False
-    if value != "chebyshev":
+    if key == "path" and value != "chebyshev":
         raise FormatError(f"path={value!r} is no longer supported; only the Chebyshev path remains")
-    return True
+    if key == "bands" and str(value) != "1":
+        raise FormatError(f"bands={value!r} is no longer supported; the band gate is retired")
+    return key in ("path", "bands")
 
 
 @dataclass(frozen=True)
@@ -89,11 +87,12 @@ class PipelineConfig:
 
     laplacian: str = COMBINATORIAL
     order: int = 5
-    bands: int = 1
     rules: str = ""
     threshold_mode: str = LOGISTIC
     tau: float = 0.5
     alpha: float = 8.0
+    # draws the Lanczos start vector of graphs above DENSE_BOUND_LIMIT nodes
+    # (`estimate_lambda_max`); `spectral-nsr train` also shuffles with it
     seed: int = 0
 
     def __post_init__(self):
@@ -110,8 +109,6 @@ class PipelineConfig:
             raise BadParams(f"unknown laplacian kind {self.laplacian!r}")
         if self.order < 0:
             raise BadParams("order must be >= 0")
-        if self.bands < 1:
-            raise BadParams("bands must be >= 1")
         if self.seed < 0:
             raise BadParams("seed must be >= 0")
         if self.threshold_mode not in (HARD, LOGISTIC):
@@ -165,64 +162,39 @@ def initial_filter_response() -> FrequencyResponse:
 
 
 @lru_cache(maxsize=None)
-def _initial_arrays(bands: int, order: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Initial theta rows and gate vectors q and s; made once per (bands, order, seed), read-only."""
-    if bands == 1:
-        theta = fit_chebyshev(initial_filter_response(), order, REFERENCE_LAMBDA_MAX).coefficients[None, :]
-    else:
-        theta = np.stack([f.coefficients for f in uniform_band_filters(bands, order, REFERENCE_LAMBDA_MAX)], axis=0)
-    rng = np.random.default_rng(seed)
-    arrays = theta, rng.standard_normal(GATE_DIM), rng.standard_normal((bands, GATE_DIM))
-    for array in arrays:
-        array.setflags(write=False)
-    return arrays
+def _initial_theta(order: int) -> np.ndarray:
+    """The low-pass fit of `initial_filter_response`; made once per order, read-only."""
+    theta = fit_chebyshev(initial_filter_response(), order, REFERENCE_LAMBDA_MAX).coefficients
+    theta.setflags(write=False)
+    return theta
 
 
 def init_params(cfg: PipelineConfig, rules: Sequence[SpectralRule] = ()) -> dict[str, np.ndarray]:
     """Trainable parameter dictionary for a pipeline configuration.
 
-    theta rows hold per-band filter coefficients (low-pass fit for a
-    single band, band-indicator fits otherwise); rule weights start at
-    each rule's ``weight`` (its ``w=``); gate vectors are seeded standard
-    normals; tau holds the one threshold of every node.
+    theta holds the learned filter's order + 1 coefficients (the low-pass
+    fit); rule weights start at each rule's ``weight`` (its ``w=``); tau
+    holds the one threshold of every node.
     """
-    theta, q, s = _initial_arrays(cfg.bands, cfg.order, cfg.seed)
-    params = {
-        "theta": theta.copy(),
+    return {
+        "theta": _initial_theta(cfg.order).copy(),
         "rule_weights": np.asarray([rule.weight for rule in rules], dtype=np.float64),
-        "q": q.copy(),
-        "s": s.copy(),
         "tau": np.asarray([cfg.tau], dtype=np.float64),
         "alpha": np.asarray(cfg.alpha, dtype=np.float64),
     }
-    return params
-
-
-def mixed_theta(params: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray | None]:
-    """The band gate: theta* = sum_b alpha_b theta_b with alpha = softmax(s @ q).
-
-    Returns (theta*, alpha). A single band passes through unmixed and has
-    no gate weights (alpha is None). Valid because the filter output is
-    linear in its coefficients.
-    """
-    theta = params["theta"]
-    if theta.shape[0] == 1:
-        return theta[0], None
-    alpha = softmax(params["s"] @ params["q"])
-    return alpha @ theta, alpha
 
 
 def combined_filter(params: dict[str, np.ndarray], lambda_max: float | np.ndarray) -> ChebyshevFilter:
-    """Gate-mixed coefficients bound to a concrete spectrum bound (one per node on a block)."""
-    return ChebyshevFilter(mixed_theta(params)[0], lambda_max)
+    """The learned coefficients bound to a concrete spectrum bound (one per node on a block)."""
+    return ChebyshevFilter(params["theta"], lambda_max)
 
 
 @dataclass(frozen=True)
 class PipelineOutput:
     """Everything a pipeline run produces, including the interpretability export.
 
-    The export is the learned filter's response on this graph: the
-    gate-mixed coefficients ``theta_star`` over [0, ``lambda_max``]. Its
+    The export is the learned filter's response on this graph: its
+    coefficients ``theta_star`` over [0, ``lambda_max``]. Its
     sampled curve is computed on first access, so callers that never read
     it (evaluation, validation) do not pay for it; so are ``answers``, the
     sorted ``closure``, and ``traces``, a read-only mapping from each

@@ -28,8 +28,16 @@ def builtin_template(kind: str, lambda_max: float, **params) -> FrequencyRespons
     """Parametric response families used by the rule DSL.
 
     low-pass 1/(1 + beta*lambda); high-pass gain*lambda/lambda_max;
-    band-pass exp(-(lambda-center)^2 / (2 sigma^2)); heat-kernel
-    exp(-t*lambda). All are bounded on [0, lambda_max].
+    band-pass exp(-(lambda-center)^2 / (2 sigma^2)), centre lambda_max/2
+    and sigma lambda_max/10 by default; heat-kernel exp(-t*lambda).
+
+    Each is a function of the absolute eigenvalue lambda. ``lambda_max``
+    is the bound the template is built at, for a rule file the parse-time
+    `pipeline.REFERENCE_LAMBDA_MAX` of 2.0, not the bound of the graph it
+    is later fitted on. Low-pass, band-pass and heat-kernel stay in
+    [0, 1] for every lambda >= 0. High-pass is gain at lambda =
+    ``lambda_max`` and keeps rising above it: on a graph with top
+    eigenvalue 6 a rule parsed at 2.0 reaches 3 * gain.
     """
     if not lambda_max > 0.0:
         raise BadParams(f"lambda_max must be positive, got {lambda_max}")
@@ -113,7 +121,10 @@ def rule_coefficients(
 # params: beta= (low-pass), t= (heat), center=/sigma= (band-pass),
 # gain= (high-pass), file= (custom: CSV of lambda,value samples).
 # Every rule acts on the whole graph; any other key, scope= included,
-# is a FormatError.
+# is a FormatError. A template is a curve over the absolute eigenvalue:
+# the high-pass slope gain/lambda_max and the band-pass defaults use the
+# lambda_max given to parse_rules (2.0 for a config's rule file), and
+# each graph samples the curve up to its own lambda_max.
 # ---------------------------------------------------------------------------
 
 _FLOAT_PARAMS = ("beta", "t", "center", "sigma", "gain", "w")

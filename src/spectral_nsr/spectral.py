@@ -523,35 +523,6 @@ def sample_response(filt: ChebyshevFilter, grid) -> np.ndarray:
     return np.asarray(npcheb.chebval(t, filt.coefficients), dtype=np.float64)
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    z = np.asarray(logits, dtype=np.float64)
-    z = z - z.max()
-    e = np.exp(z)
-    return e / e.sum()
-
-
-def uniform_band_filters(band_count: int, order: int, lambda_max: float) -> tuple[ChebyshevFilter, ...]:
-    """Initial band filters: degree-``order`` fits of the indicator of each
-    of ``band_count`` uniform sub-intervals of [0, lambda_max]."""
-    if band_count < 1:
-        raise BadParams("band_count must be >= 1")
-    edges = np.linspace(0.0, lambda_max, band_count + 1)
-    filters = []
-    for b in range(band_count):
-        lo, hi = edges[b], edges[b + 1]
-        closed_hi = hi if b == band_count - 1 else None
-
-        def indicator(lam, lo=lo, hi=hi, closed_hi=closed_hi):
-            lam = np.asarray(lam)
-            inside = (lam >= lo) & (lam < hi)
-            if closed_hi is not None:
-                inside |= lam >= closed_hi
-            return inside.astype(np.float64)
-
-        filters.append(fit_chebyshev(FrequencyResponse(indicator, kind="band-pass"), order, lambda_max))
-    return tuple(filters)
-
-
 # ---------------------------------------------------------------------------
 # file formats: filter JSON and signal CSV
 # ---------------------------------------------------------------------------
@@ -563,6 +534,9 @@ def save_filter(filt: ChebyshevFilter, path: str | Path) -> None:
 
 
 def load_filter(path: str | Path) -> ChebyshevFilter:
+    """The filter a `save_filter` file holds; malformed or invalid content
+    (no coefficients, a non-finite one, ``lambda_max`` not positive) raises
+    `FormatError` naming the file."""
     try:
         payload = json.loads(Path(path).read_text())
         coefficients = np.asarray(payload["coefficients"], dtype=np.float64)
@@ -571,6 +545,8 @@ def load_filter(path: str | Path) -> ChebyshevFilter:
         return ChebyshevFilter(coefficients, float(payload["lambda_max"]))
     except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         raise FormatError(f"{path}: malformed filter JSON: {exc}") from exc
+    except BadParams as exc:
+        raise FormatError(f"{path}: invalid filter: {exc}") from exc
 
 
 def save_signal(x: GraphSignal, path: str | Path) -> None:

@@ -1,17 +1,16 @@
-"""Gradient training of filter, rule, gate, and threshold parameters.
+"""Gradient training of filter, rule, and threshold parameters.
 
 Every gradient is analytic: the rule filter and the learned filter are
 polynomials in the same rescaled Laplacian, so for a fixed signal the
 filter output is one polynomial of twice the order whose coefficients are
-bilinear in the rule and filter coefficients; the gate is a softmax over
-scalar scores, and the threshold is a logistic, so the whole stage-2/3
-chain differentiates in closed form. `prepare_context` computes the
-Chebyshev columns of that polynomial once per training split, and a
-training step is dense algebra on their labelled rows, with no sparse
-product. Adam with a learning rate per parameter (filter and rule weights
-fast, gate and threshold slow) drives the updates on the parameters laid
-end to end in one vector (`AdamState`); rule weights are clamped
-non-negative after every step. A checkpoint keeps the parameters and how
+bilinear in the rule and filter coefficients, and the threshold is a
+logistic, so the whole stage-2/3 chain differentiates in closed form.
+`prepare_context` computes the Chebyshev columns of that polynomial once
+per training split, and a training step is dense algebra on their
+labelled rows, with no sparse product. Adam with a learning rate per
+parameter (filter and rule weights fast, threshold slow) drives the
+updates on the parameters laid end to end in one vector (`AdamState`);
+rule weights are clamped non-negative after every step. A checkpoint keeps the parameters and how
 they were selected, not the optimizer state.
 """
 
@@ -39,9 +38,9 @@ from .errors import (
     ShapeMismatch,
 )
 from .harness import SyntheticTask, TaskSplits, evaluate
-from .pipeline import GATE_DIM, Pipeline, PipelineConfig, mixed_theta, prepare_graph, retired_config_key
+from .pipeline import Pipeline, PipelineConfig, prepare_graph, retired_config_key
 from .rules import SpectralRule
-from .spectral import block_diagonal, chebyshev_stack, product_operator, softmax
+from .spectral import block_diagonal, chebyshev_stack, product_operator
 
 # prepare_graph makes these calls now; the names stay on this module
 # because perfbench's layer tracer looks them up and wraps them here
@@ -50,9 +49,8 @@ from .rules import rule_coefficients  # noqa: F401
 from .spectral import estimate_lambda_max  # noqa: F401
 
 # the learning rate of each parameter: the filter coefficients and rule
-# weights are far more sensitive than the band gate and the threshold,
-# hence two scales
-LEARNING_RATES = {"theta": 5e-4, "rule_weights": 5e-4, "q": 1e-5, "s": 1e-5, "tau": 1e-5, "alpha": 1e-5}
+# weights are far more sensitive than the threshold, hence two scales
+LEARNING_RATES = {"theta": 5e-4, "rule_weights": 5e-4, "tau": 1e-5, "alpha": 1e-5}
 
 PROB_CLIP = 1e-7
 
@@ -95,33 +93,6 @@ def grad_theta(stack: np.ndarray, upstream: np.ndarray) -> np.ndarray:
     if stack.ndim != 2 or stack.shape[0] != upstream.shape[0]:
         raise ShapeMismatch(f"stack {stack.shape} incompatible with upstream {upstream.shape}")
     return stack.T @ upstream
-
-
-def grad_gate(
-    theta: np.ndarray,
-    q: np.ndarray,
-    s: np.ndarray,
-    grad_theta_star: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients for the band gate theta* = sum_b softmax(s @ q)_b theta_b.
-
-    Returns (d theta, d q, d s). For a single band the softmax is
-    constant 1, so the gate vectors receive zero gradient.
-    """
-    theta = np.asarray(theta)
-    grad_theta_star = np.asarray(grad_theta_star).reshape(-1)
-    if theta.ndim != 2 or theta.shape[1] != grad_theta_star.shape[0]:
-        raise ShapeMismatch(f"theta {theta.shape} incompatible with upstream {grad_theta_star.shape}")
-    if theta.shape[0] != s.shape[0]:
-        raise ShapeMismatch(f"theta has {theta.shape[0]} bands, signatures {s.shape[0]}")
-    alpha = softmax(s @ q)
-    d_theta = alpha[:, None] * grad_theta_star[None, :]
-    d_alpha = theta @ grad_theta_star
-    # softmax Jacobian: d alpha_b / d logit_c = alpha_b (delta_bc - alpha_c)
-    d_logits = alpha * (d_alpha - float(alpha @ d_alpha))
-    d_q = s.T @ d_logits
-    d_s = d_logits[:, None] * q[None, :]
-    return d_theta, d_q, d_s
 
 
 def grad_threshold(
@@ -221,8 +192,8 @@ class TaskContext:
     """What training needs of a set of tasks apart from the trainable parameters.
 
     The rule filter (coefficients c_t = w R_t) and the learned filter
-    (theta*) are polynomials in the same rescaled Laplacian L~ of a task,
-    so together they are the one polynomial chebmul(theta*, c_t) of twice
+    (theta) are polynomials in the same rescaled Laplacian L~ of a task,
+    so together they are the one polynomial chebmul(theta, c_t) of twice
     the order (`product_operator`); x0 and L~ are fixed, so the columns
     T_0(L~) x0 .. T_D(L~) x0 are computed once. ``stack`` holds their rows
     at every labelled node of every task in turn, bit for bit those of the
@@ -332,9 +303,9 @@ def task_loss_and_grads(
 
     The loss is the sum of the tasks' mean BCE, so its value and
     gradients are the sums of those of its tasks. Only dense algebra on
-    the context's rows X runs: y = X v_t with v_t = chebmul(theta*, c_t).
-    With P_t = X_t^T (d loss / d y) per task, d theta* = sum_t B(c_t) P_t
-    and d c_t = B(theta*) P_t, where B(a) is the matrix of multiplying by
+    the context's rows X runs: y = X v_t with v_t = chebmul(theta, c_t).
+    With P_t = X_t^T (d loss / d y) per task, d theta = sum_t B(c_t) P_t
+    and d c_t = B(theta) P_t, where B(a) is the matrix of multiplying by
     the series a (`product_operator`).
     """
     rows, x, values = ctx.coeff_rows, ctx.stack, ctx.label_values
@@ -350,20 +321,19 @@ def task_loss_and_grads(
         x, values, starts = x[picked], values[picked], runs
         rows = None if rows is None else rows[tasks]
 
-    theta_star, _ = mixed_theta(params)
-    weights = params["rule_weights"]
+    theta, weights = params["theta"], params["rule_weights"]
     degree = order if rows is None else 2 * order
-    if theta_star.shape != (order + 1,) or x.shape[1] != degree + 1:
-        raise ShapeMismatch(f"filter of order {order} for theta {params['theta'].shape} and stack {x.shape}")
+    if theta.shape != (order + 1,) or x.shape[1] != degree + 1:
+        raise ShapeMismatch(f"filter of order {order} for theta {theta.shape} and stack {x.shape}")
     if rows is None:
-        y = x @ theta_star
+        y = x @ theta
     else:
         if weights.shape[0] != rows.shape[1]:
             raise ShapeMismatch(f"{weights.shape[0]} rule weights for {rows.shape[1]} rules")
         product = product_operator(order).reshape(order + 1, order + 1, degree + 1)
         coeffs = weights @ rows
-        # c @ by_theta = chebmul(theta*, c)
-        by_theta = (theta_star @ product.reshape(order + 1, -1)).reshape(order + 1, degree + 1)
+        # c @ by_theta = chebmul(theta, c)
+        by_theta = (theta @ product.reshape(order + 1, -1)).reshape(order + 1, degree + 1)
         y = np.einsum("nm,nm->n", x, np.repeat(coeffs @ by_theta, counts, axis=0))
 
     tau = params["tau"]
@@ -376,24 +346,16 @@ def task_loss_and_grads(
     d_y, d_tau_vec, d_alpha = grad_threshold(y, tau_vec, steepness, p, upstream_p)
 
     if rows is None:
-        g_theta_star = grad_theta(x, d_y)
+        d_theta = grad_theta(x, d_y)
         d_w = np.zeros_like(weights)
     else:
         projected = np.add.reduceat(x * d_y[:, None], starts, axis=0)
-        g_theta_star = np.einsum("jkm,km->j", product, coeffs.T @ projected)
+        d_theta = np.einsum("jkm,km->j", product, coeffs.T @ projected)
         d_w = np.einsum("trk,tk->r", rows, projected @ by_theta.T)
-    if params["theta"].shape[0] == 1:
-        d_theta = g_theta_star[None, :]
-        d_q = np.zeros_like(params["q"])
-        d_s = np.zeros_like(params["s"])
-    else:
-        d_theta, d_q, d_s = grad_gate(params["theta"], params["q"], params["s"], g_theta_star)
 
     grads = {
         "theta": d_theta,
         "rule_weights": d_w,
-        "q": d_q,
-        "s": d_s,
         "tau": np.asarray([d_tau_vec.sum()]),
         "alpha": np.asarray(d_alpha),
     }
@@ -437,7 +399,10 @@ class Checkpoint:
     """Parameters and selection metadata, as JSON.
 
     Older files also hold Adam's state under ``optimizer``; nothing reads
-    it, so it is dropped on load.
+    it, so it is dropped on load. Files from before the band gate was
+    retired say ``bands=1`` and hold theta as one (1, order + 1) row and
+    the gate vectors ``s`` and ``q``, which a single band never read:
+    theta becomes its row and ``s`` and ``q`` are dropped.
     """
 
     config: PipelineConfig
@@ -459,6 +424,7 @@ class Checkpoint:
         """Parse a checkpoint; malformed content raises `FormatError`."""
         try:
             payload = json.loads(text)
+            gated = "bands" in payload["config"]
             config = {k: v for k, v in payload["config"].items() if not retired_config_key(k, v)}
             missing = sorted({f.name for f in fields(PipelineConfig)} - set(config))
             if missing:
@@ -473,6 +439,11 @@ class Checkpoint:
         for name, value in params.items():
             if not np.isfinite(value).all():
                 raise FormatError(f"param {name!r} has non-finite entries")
+        if gated:
+            params.pop("s", None)
+            params.pop("q", None)
+            if "theta" in params and params["theta"].shape == (1, cfg.order + 1):
+                params["theta"] = params["theta"][0]
         _check_param_shapes(cfg, params)
         return cls(cfg, params, metadata)
 
@@ -491,8 +462,7 @@ def _check_param_shapes(cfg: PipelineConfig, params: dict[str, np.ndarray]) -> N
     missing = sorted(set(LEARNING_RATES) - set(params))
     if missing:
         raise FormatError(f"checkpoint params miss {missing}")
-    expected = {"theta": (cfg.bands, cfg.order + 1), "s": (cfg.bands, GATE_DIM), "q": (GATE_DIM,),
-                "tau": (1,), "alpha": ()}
+    expected = {"theta": (cfg.order + 1,), "tau": (1,), "alpha": ()}
     for name, shape in expected.items():
         if params[name].shape != shape:
             raise FormatError(f"param {name!r} has shape {params[name].shape}, config needs {shape}")

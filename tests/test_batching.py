@@ -19,7 +19,6 @@ from spectral_nsr.pipeline import (
     Pipeline,
     PipelineConfig,
     init_params,
-    mixed_theta,
     prepare_graph,
 )
 from spectral_nsr.rules import SpectralRule, builtin_template, rule_coefficients
@@ -78,13 +77,12 @@ class TestBlockPipeline:
     @given(
         specs=task_specs,
         laplacian=st.sampled_from([COMBINATORIAL, NORMALIZED]),
-        bands=st.sampled_from([1, 3]),
         with_rules=st.booleans(),
         mode=st.sampled_from([HARD, LOGISTIC]),
         seed=st.integers(0, 2**16),
     )
-    def test_block_equals_each_task_alone(self, specs, laplacian, bands, with_rules, mode, seed):
-        cfg = PipelineConfig(laplacian=laplacian, bands=bands, threshold_mode=mode, tau=0.4)
+    def test_block_equals_each_task_alone(self, specs, laplacian, with_rules, mode, seed):
+        cfg = PipelineConfig(laplacian=laplacian, threshold_mode=mode, tau=0.4)
         rules = rule_bank() if with_rules else ()
         pipe = Pipeline(cfg, rules=list(rules), params=random_params(cfg, len(rules), np.random.default_rng(seed)))
         # separate task objects, so that the block prepares its graphs itself
@@ -106,9 +104,9 @@ class TestBlockPipeline:
             Pipeline(PipelineConfig()).run_tasks([short, tasks[1]])
 
 
-def split_and_params(bands, rng):
+def split_and_params(rng):
     """The tasks of a mixed split, their context, and randomised parameters."""
-    cfg = PipelineConfig(bands=bands, tau=0.4)
+    cfg = PipelineConfig(tau=0.4)
     rules = rule_bank()
     tasks = gen_dataset("transitive", 5, seed=4) + gen_dataset("kinship", 4, seed=4)
     params = random_params(cfg, len(rules), rng)
@@ -206,12 +204,11 @@ class TestBlockPreparation:
 
 
 class TestBlockGradients:
-    @pytest.mark.parametrize("bands", [1, 3])
-    def test_block_is_the_sum_over_tasks(self, rng, bands):
-        tasks, split, params, order = split_and_params(bands, rng)
+    def test_block_is_the_sum_over_tasks(self, rng):
+        tasks, split, params, order = split_and_params(rng)
         assert split.task_count >= 2
         value, grads = task_loss_and_grads(split, params, order)
-        singles = [task_loss_and_grads(prepare_context(task, PipelineConfig(bands=bands), rule_bank()), params, order)
+        singles = [task_loss_and_grads(prepare_context(task, PipelineConfig(), rule_bank()), params, order)
                    for task in tasks]
         assert value == pytest.approx(sum(v for v, _ in singles), rel=1e-12, abs=0)
         for key, grad in grads.items():
@@ -220,11 +217,11 @@ class TestBlockGradients:
             assert np.abs(grad - expected).max() <= 1e-12 * scale, key
 
     def test_finite_differences_on_a_block(self, rng):
-        tasks, split, params, order = split_and_params(3, rng)
+        tasks, split, params, order = split_and_params(rng)
         batch = rng.permutation(split.task_count)[:4]
         assert len({tasks[i].graph.node_count for i in batch}) >= 3
         _, analytic = task_loss_and_grads(split, params, order, batch)
-        for key in ("theta", "rule_weights", "q", "s", "tau", "alpha"):
+        for key in ("theta", "rule_weights", "tau", "alpha"):
             base = {k: np.array(v, dtype=np.float64) for k, v in params.items()}
             flat = base[key].reshape(-1)
             fd = np.zeros_like(flat)
@@ -243,7 +240,7 @@ class TestBlockGradients:
 
     def test_single_context_is_its_own_block(self, rng):
         # a batch of one task of the split is that task's own context, bit for bit
-        tasks, split, params, order = split_and_params(1, rng)
+        tasks, split, params, order = split_and_params(rng)
         for i, task in enumerate(tasks):
             value, grads = task_loss_and_grads(split, params, order, [i])
             alone, alone_grads = task_loss_and_grads(prepare_context(task, PipelineConfig(), rule_bank()), params, order)
@@ -289,16 +286,15 @@ class TestBlockGradients:
 
 class TestComposedFilter:
     @pytest.mark.parametrize("laplacian", [COMBINATORIAL, NORMALIZED])
-    @pytest.mark.parametrize("bands", [1, 3])
     @pytest.mark.parametrize("count", [1, 6], ids=["single", "block"])
-    def test_one_polynomial_equals_two_filters(self, laplacian, bands, count):
+    def test_one_polynomial_equals_two_filters(self, laplacian, count):
         # the trainer's order-2K forward: the split's stack rows times
-        # chebmul(theta*, c_t), against the pipeline's two recurrences
-        rng = np.random.default_rng(count * bands)
-        cfg = PipelineConfig(laplacian=laplacian, bands=bands)
+        # chebmul(theta, c_t), against the pipeline's two recurrences
+        rng = np.random.default_rng(count)
+        cfg = PipelineConfig(laplacian=laplacian)
         rules = rule_bank()
         params = random_params(cfg, len(rules), rng)
-        theta_star, _ = mixed_theta(params)
+        theta = params["theta"]
         tasks = []
         for _ in range(count):
             n = int(rng.integers(5, 40))
@@ -311,8 +307,8 @@ class TestComposedFilter:
         sizes = np.diff(starts)
         x0 = vertex_signal(np.concatenate([task.x0 for task in tasks]))
         rule_filter = ChebyshevFilter(coeffs[0] if count == 1 else np.repeat(coeffs, sizes, axis=0), lambda_max)
-        two_filters = chebyshev_filter(lap, ChebyshevFilter(theta_star, lambda_max), chebyshev_filter(lap, rule_filter, x0))
-        composed = np.stack([np.outer(theta_star, c).ravel() @ product_operator(cfg.order) for c in coeffs])
+        two_filters = chebyshev_filter(lap, ChebyshevFilter(theta, lambda_max), chebyshev_filter(lap, rule_filter, x0))
+        composed = np.stack([np.outer(theta, c).ravel() @ product_operator(cfg.order) for c in coeffs])
         one_polynomial = np.einsum("nm,nm->n", split.stack, np.repeat(composed, sizes, axis=0))
         scale = np.abs(two_filters.values).max()
         assert np.abs(one_polynomial - two_filters.values).max() <= 1e-12 * scale

@@ -27,22 +27,27 @@ def corrupt(edit):
 
 
 class TestConfigSchema:
-    def test_eight_fields(self):
+    def test_seven_fields(self):
         assert [f.name for f in fields(PipelineConfig)] == [
-            "laplacian", "order", "bands", "rules", "threshold_mode", "tau", "alpha", "seed",
+            "laplacian", "order", "rules", "threshold_mode", "tau", "alpha", "seed",
         ]
 
     def test_text_round_trip(self):
-        cfg = PipelineConfig(laplacian="normalized", order=3, bands=2, rules="r.txt", tau=0.25, alpha=4.5, seed=9)
+        cfg = PipelineConfig(laplacian="normalized", order=3, rules="r.txt", tau=0.25, alpha=4.5, seed=9)
         assert PipelineConfig.from_text(cfg.to_text()) == cfg
 
     def test_retired_keys_are_dropped(self):
-        text = "order=3\ncrossover=64\npath=chebyshev\n"
+        text = "order=3\ncrossover=64\npath=chebyshev\nbands=1\n"
         assert PipelineConfig.from_text(text) == PipelineConfig(order=3)
 
     def test_exact_path_rejected(self):
         with pytest.raises(FormatError):
             PipelineConfig.from_text("order=3\npath=exact\n")
+
+    @pytest.mark.parametrize("value", ["0", "2", "3", "1.0", "one"])
+    def test_band_gate_rejected(self, value):
+        with pytest.raises(FormatError, match="band gate is retired"):
+            PipelineConfig.from_text(f"order=3\nbands={value}\n")
 
     def test_unknown_key_rejected(self):
         with pytest.raises(FormatError):
@@ -53,7 +58,7 @@ class TestConfigSchema:
         assert PipelineConfig.from_text("seed=3\n").seed == 3
         assert PipelineConfig.from_text("order=3\n").seed == 0
 
-    @pytest.mark.parametrize("field, value", [("order", "5"), ("bands", 1.5), ("tau", None), ("seed", True), ("seed", -1)])
+    @pytest.mark.parametrize("field, value", [("order", "5"), ("order", 1.5), ("tau", None), ("seed", True), ("seed", -1)])
     def test_field_types_and_seed_sign(self, field, value):
         with pytest.raises(BadParams, match=field):
             PipelineConfig(**{field: value})
@@ -65,10 +70,34 @@ class TestConfigSchema:
 
 class TestCheckpointFormat:
     def test_reference_checkpoint_loads_without_retired_keys(self):
-        assert {"crossover", "path"} <= set(reference_payload()["config"])
+        assert {"crossover", "path", "bands"} <= set(reference_payload()["config"])
         ckpt = Checkpoint.load(REFERENCE)
         assert ckpt.config == PipelineConfig(rules="tests/data/reference_rules.txt", tau=0.4)
         assert set(json.loads(ckpt.to_json())["config"]) == {f.name for f in fields(PipelineConfig)}
+
+    @pytest.mark.parametrize("bands", [1, "1"], ids=["number", "text"])
+    def test_gated_checkpoint_keeps_its_one_theta_row(self, bands):
+        # files from before the band gate was retired hold theta as one row
+        # and the gate vectors s and q, which a single band never read
+        reference = reference_payload()
+        assert reference["config"]["bands"] == 1 and {"s", "q"} <= set(reference["params"])
+        ckpt = Checkpoint.from_json(corrupt(lambda p: p["config"].update(bands=bands)))
+        assert sorted(ckpt.params) == ["alpha", "rule_weights", "tau", "theta"]
+        assert np.array_equal(ckpt.params["theta"], np.asarray(reference["params"]["theta"][0]))
+        assert set(json.loads(ckpt.to_json())["params"]) == set(ckpt.params)
+
+    def test_only_a_gated_checkpoint_holds_theta_as_a_row(self):
+        def ungated(payload):
+            del payload["config"]["bands"]
+            del payload["params"]["s"], payload["params"]["q"]
+
+        with pytest.raises(FormatError, match="theta"):
+            Checkpoint.from_json(corrupt(ungated))
+
+    @pytest.mark.parametrize("value", [2, 0, "2", 1.5, None, [1]], ids=["2", "0", "text-2", "1.5", "null", "list"])
+    def test_band_gate_rejected(self, value):
+        with pytest.raises(FormatError, match="band gate is retired"):
+            Checkpoint.from_json(corrupt(lambda p: p["config"].update(bands=value)))
 
     def test_round_trip(self):
         ckpt = Checkpoint.load(REFERENCE)
@@ -108,9 +137,9 @@ class TestCheckpointFormat:
         "name, value",
         [
             ("theta", [[0.5, 0.1, 0.0]]),  # width 3 under order=5
-            ("theta", [[0.0] * 6, [0.0] * 6]),  # two bands under bands=1
-            ("s", [[0.0] * 7]),
-            ("q", [0.0] * 9),
+            ("theta", [[0.0] * 6, [0.0] * 6]),  # two rows
+            ("theta", [[[0.0] * 6]]),
+            ("alpha", [8.0]),
             ("rule_weights", [[0.5, 0.5]]),
             # one threshold for every node, shape (1,)
             ("tau", 0.4),
@@ -167,10 +196,20 @@ class TestCheckpointFormat:
         reference = reference_payload()
         assert reference["optimizer"]["step"] > 0
         ckpt = Checkpoint.from_json(corrupt(lambda p: edit(p["optimizer"])))
-        assert ckpt.params.keys() == reference["params"].keys()
-        for name, value in reference["params"].items():
+        # the file's gate vectors go too, and its one theta row is the filter
+        expected = {name: value for name, value in reference["params"].items() if name not in ("s", "q")}
+        expected["theta"] = expected["theta"][0]
+        assert ckpt.params.keys() == expected.keys()
+        for name, value in expected.items():
             assert np.array_equal(ckpt.params[name], np.asarray(value, dtype=np.float64)), name
         assert "optimizer" not in json.loads(ckpt.to_json())
+
+    def test_inspect_ckpt_lists_no_gate_vectors(self):
+        result = CliRunner().invoke(main, ["inspect-ckpt", "--ckpt", str(REFERENCE)])
+        assert result.exit_code == 0, result.output
+        params = result.output.split("params:\n")[1].split("metadata:")[0]
+        assert [line.split(":")[0].strip() for line in params.splitlines()] == ["alpha", "rule_weights", "tau", "theta"]
+        assert "theta: shape [6]" in params
 
     def test_inspect_ckpt_exit_codes(self, tmp_path):
         runner = CliRunner()

@@ -9,9 +9,10 @@ from click.testing import CliRunner
 
 from spectral_nsr.cli import main
 from spectral_nsr.errors import FormatError
-from spectral_nsr.harness import gen_dataset, load_dataset, save_dataset
+from spectral_nsr.graph import save_graph_text
+from spectral_nsr.harness import gen_dataset, gen_transitive, load_dataset, save_dataset
 from spectral_nsr.pipeline import Pipeline, PipelineConfig
-from spectral_nsr.spectral import ChebyshevFilter, save_filter
+from spectral_nsr.spectral import ChebyshevFilter, save_filter, save_signal, vertex_signal
 from spectral_nsr.trainer import Checkpoint
 
 DATA = Path(__file__).parent / "data"
@@ -151,6 +152,62 @@ class TestBadArguments:
         result = invoke("--help")
         assert result.exit_code == 0
         assert "bench-scaling" not in result.output and "response" in result.output
+
+
+class TestRetiredBandGate:
+    """``bands=1`` is dropped on load; any other band count is malformed input."""
+
+    def last_record(self, result):
+        assert result.exit_code == 1, result.output
+        return json.loads(result.stderr.strip().splitlines()[-1])
+
+    def test_gated_config_exits_one_from_train(self, tmp_path, dataset, config):
+        config.write_text(config.read_text() + "bands=3\n")
+        result = invoke("train", "--config", config, "--data", dataset, "--out", tmp_path / "c.json",
+                        "--epochs", 1, "--json-errors")
+        record = self.last_record(result)
+        assert record["error"] == "FormatError" and "band gate is retired" in record["message"]
+        assert not (tmp_path / "c.json").exists()
+
+    def test_gated_checkpoint_exits_one_from_eval(self, tmp_path, dataset):
+        payload = json.loads((DATA / "reference_checkpoint.json").read_text())
+        payload["config"].update(bands=2, rules=str(DATA / "reference_rules.txt"))
+        ckpt = tmp_path / "gated.json"
+        ckpt.write_text(json.dumps(payload))
+        record = self.last_record(invoke("eval", "--ckpt", ckpt, "--data", dataset, "--no-latency", "--json-errors"))
+        assert record["error"] == "FormatError" and "bands=2" in record["message"]
+
+    def test_single_band_still_loads(self, tmp_path, dataset, config):
+        config.write_text(config.read_text() + "bands=1\n")
+        ckpt = tmp_path / "c.json"
+        result = invoke("train", "--config", config, "--data", dataset, "--out", ckpt, "--epochs", 1)
+        assert result.exit_code == 0, result.output
+        assert "bands" not in json.loads(ckpt.read_text())["config"]
+        payload = json.loads((DATA / "reference_checkpoint.json").read_text())
+        assert payload["config"]["bands"] == 1
+        payload["config"]["rules"] = str(DATA / "reference_rules.txt")
+        reference = tmp_path / "reference.json"
+        reference.write_text(json.dumps(payload))
+        result = invoke("eval", "--ckpt", reference, "--data", dataset, "--no-latency")
+        assert result.exit_code == 0, result.output
+
+
+class TestInvalidFilterFile:
+    @pytest.mark.parametrize("text", [
+        '{"lambda_max": -1, "coefficients": [1.0]}',
+        '{"lambda_max": 2.0, "coefficients": []}',
+        '{"lambda_max": 2.0, "coefficients": [NaN]}',
+    ], ids=["negative-bound", "no-coefficients", "nan-coefficient"])
+    def test_filter_exits_one(self, tmp_path, text):
+        task = gen_transitive(3, seed=0)
+        save_graph_text(task.graph, tmp_path / "g.txt")
+        save_signal(vertex_signal(task.x0), tmp_path / "x.csv")
+        (tmp_path / "f.json").write_text(text)
+        result = invoke("filter", "--graph", tmp_path / "g.txt", "--signal", tmp_path / "x.csv",
+                        "--filter", tmp_path / "f.json", "--out", tmp_path / "y.csv", "--json-errors")
+        assert result.exit_code == 1, result.output
+        record = json.loads(result.stderr.strip().splitlines()[-1])
+        assert record["error"] == "FormatError" and "f.json" in record["message"]
 
 
 class TestChain:

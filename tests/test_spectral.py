@@ -10,13 +10,14 @@ from spectral_nsr.errors import (
     BadParams,
     DimensionMismatch,
     DomainMismatch,
+    FormatError,
     NonFiniteResponse,
     OutOfRange,
     TooLarge,
 )
 from spectral_nsr.graph import build_graph, combinatorial_laplacian, normalized_laplacian
 from spectral_nsr.harness import gen_dataset, random_sparse_laplacian
-from spectral_nsr.pipeline import combined_filter, mixed_theta
+from spectral_nsr.pipeline import combined_filter
 from spectral_nsr.spectral import (
     DENSE_BOUND_LIMIT,
     ChebyshevFilter,
@@ -34,9 +35,7 @@ from spectral_nsr.spectral import (
     product_operator,
     sample_response,
     save_filter,
-    softmax,
     spectral_signal,
-    uniform_band_filters,
     vertex_signal,
 )
 
@@ -438,47 +437,13 @@ class TestSampleResponse:
             sample_response(filt, [1.5])
 
 
-def gate_params(rng, bands, width, query=None):
-    return {
-        "theta": rng.standard_normal((bands, width)),
-        "s": rng.standard_normal((bands, 8)),
-        "q": rng.standard_normal(8) if query is None else query,
-    }
-
-
-class TestBandGate:
-    def test_single_band_passthrough(self, rng):
-        params = gate_params(rng, 1, 5)
-        theta_star, alpha = mixed_theta(params)
-        assert alpha is None
-        assert np.array_equal(theta_star, params["theta"][0])
-        assert np.array_equal(combined_filter(params, 2.0).coefficients, params["theta"][0])
-
-    def test_zero_query_is_uniform_average(self, rng):
-        params = gate_params(rng, 3, 4, query=np.zeros(8))
-        theta_star, alpha = mixed_theta(params)
-        assert np.allclose(alpha, 1.0 / 3.0, atol=1e-12)
-        assert np.allclose(theta_star, params["theta"].mean(axis=0), atol=1e-12)
-
-    def test_combined_response_is_weighted_sum(self, rng):
-        params = gate_params(rng, 3, 6)
-        _, alpha = mixed_theta(params)
-        combined = combined_filter(params, 3.0)
-        grid = np.linspace(0, 3.0, 64)
-        direct = sum(a * sample_response(ChebyshevFilter(t, 3.0), grid) for a, t in zip(alpha, params["theta"]))
-        assert np.abs(sample_response(combined, grid) - direct).max() <= 1e-12
-
-    def test_gate_weights_normalized(self, rng):
-        _, alpha = mixed_theta(gate_params(rng, 4, 1))
-        assert np.all(alpha >= 0)
-        assert abs(alpha.sum() - 1.0) <= 1e-12
-
-    def test_uniform_band_filters_cover_spectrum(self):
-        filters = uniform_band_filters(4, 8, 2.0)
-        grid = np.linspace(0, 2.0, 128)
-        total = sum(sample_response(f, grid) for f in filters)
-        # indicators of a partition sum to one; fits inherit that up to fit error
-        assert np.abs(total - 1.0).max() < 0.2
+class TestLearnedFilter:
+    def test_combined_filter_is_theta_at_the_bound(self, rng):
+        params = {"theta": rng.standard_normal(5)}
+        filt = combined_filter(params, 2.0)
+        assert np.array_equal(filt.coefficients, params["theta"]) and filt.lambda_max == 2.0
+        per_node = combined_filter(params, np.full(4, 3.0))
+        assert np.array_equal(per_node.coefficients, params["theta"]) and per_node.lambda_max.shape == (4,)
 
 
 class TestFilterIO:
@@ -489,6 +454,24 @@ class TestFilterIO:
         back = load_filter(path)
         assert np.array_equal(back.coefficients, filt.coefficients)
         assert back.lambda_max == filt.lambda_max
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"lambda_max": -1, "coefficients": [1.0, 0.5]}',
+            '{"lambda_max": 0, "coefficients": [1.0]}',
+            '{"lambda_max": NaN, "coefficients": [1.0]}',
+            '{"lambda_max": 2.0, "coefficients": []}',
+            '{"lambda_max": 2.0, "coefficients": [1.0, NaN]}',
+            '{"lambda_max": 2.0, "coefficients": [Infinity]}',
+        ],
+        ids=["negative-bound", "zero-bound", "nan-bound", "no-coefficients", "nan-coefficient", "inf-coefficient"],
+    )
+    def test_invalid_filter_is_a_format_error(self, tmp_path, text):
+        path = tmp_path / "f.json"
+        path.write_text(text)
+        with pytest.raises(FormatError, match="f.json"):
+            load_filter(path)
 
 
 @settings(max_examples=25, deadline=None)

@@ -27,7 +27,6 @@ from spectral_nsr.trainer import (
     TrainRun,
     _bce,
     adam_step,
-    grad_gate,
     grad_theta,
     grad_threshold,
     prepare_context,
@@ -40,10 +39,10 @@ from conftest import graph_task, random_graph
 FD_STEP = 1e-5
 
 
-def make_instance(rng, n=12, order=4, bands=1, n_rules=2):
+def make_instance(rng, n=12, order=4, n_rules=2):
     """Random task context plus randomized parameters for gradient checks."""
     g = random_graph(rng, n, density=0.3)
-    cfg = PipelineConfig(order=order, bands=bands)
+    cfg = PipelineConfig(order=order)
     lam_max = prepare_graph(cfg, g).lambda_max
     rules = tuple(
         SpectralRule(f"r{i}", builtin_template("heat-kernel", lam_max, t=0.3 + 0.4 * i), weight=1.0)
@@ -55,10 +54,8 @@ def make_instance(rng, n=12, order=4, bands=1, n_rules=2):
     label_values = rng.integers(0, 2, size=label_nodes.size)
     ctx = prepare_context(graph_task(g, x0, dict(zip(label_nodes.tolist(), label_values.tolist()))), cfg, rules)
     params = {
-        "theta": rng.standard_normal((bands, order + 1)) * 0.5,
+        "theta": rng.standard_normal(order + 1) * 0.5,
         "rule_weights": rng.uniform(0.2, 1.0, size=n_rules),
-        "q": rng.standard_normal(8),
-        "s": rng.standard_normal((bands, 8)),
         "tau": np.asarray([rng.uniform(0.1, 0.4)]),
         "alpha": np.asarray(rng.uniform(2.0, 6.0)),
     }
@@ -155,27 +152,6 @@ class TestGradRuleWeights:
         check_gradients(ctx, params, order, ["rule_weights"])
 
 
-class TestGradGate:
-    def test_single_band_zero_gate_gradient(self, rng):
-        ctx, params, order = make_instance(rng, bands=1)
-        _, grads = task_loss_and_grads(ctx, params, order)
-        assert np.array_equal(grads["q"], np.zeros(8))
-        assert np.array_equal(grads["s"], np.zeros((1, 8)))
-
-    def test_equal_band_filters_kill_query_gradient(self, rng):
-        theta_row = rng.standard_normal(5)
-        theta = np.stack([theta_row, theta_row])
-        q = rng.standard_normal(8)
-        s = rng.standard_normal((2, 8))
-        d_theta, d_q, d_s = grad_gate(theta, q, s, rng.standard_normal(5))
-        assert np.abs(d_q).max() <= 1e-15
-        assert np.abs(d_s).max() <= 1e-15
-
-    def test_finite_differences(self, rng):
-        ctx, params, order = make_instance(rng, bands=3)
-        check_gradients(ctx, params, order, ["theta", "q", "s"])
-
-
 class TestGradThreshold:
     def test_finite_differences_scalar_tau(self, rng):
         ctx, params, order = make_instance(rng)
@@ -196,20 +172,16 @@ class TestGradientSuiteKeystone:
     def test_all_gradients_many_instances(self, rng):
         # the module's keystone property: analytic == finite differences
         for trial in range(8):
-            bands = 1 if trial % 2 == 0 else 2
             n_rules = (0, 2, 3)[trial % 3]
             ctx, params, order = make_instance(
                 rng,
                 n=int(rng.integers(8, 18)),
                 order=int(rng.integers(2, 6)),
-                bands=bands,
                 n_rules=n_rules,
             )
             keys = ["theta", "tau", "alpha"]
             if n_rules:
                 keys.append("rule_weights")
-            if bands > 1:
-                keys += ["q", "s"]
             check_gradients(ctx, params, order, keys)
 
 
@@ -284,7 +256,7 @@ class TestAdam:
         assert state.step == 0
 
     def test_params_are_views_of_one_vector(self):
-        params = init_params(PipelineConfig(bands=3), reference_rules())
+        params = init_params(PipelineConfig(), reference_rules())
         state = AdamState(params)
         for name, value in state.params.items():
             assert np.array_equal(value, params[name]) and value.shape == np.shape(params[name])
@@ -333,6 +305,27 @@ class TestTrainLoop:
         curve = [h.val_accuracy for h in result.history]
         assert all(a < b for a, b in zip(curve, curve[1:]))
         assert np.allclose(curve, frozen, atol=0.02)
+
+    def test_seed7_parameters_regression(self):
+        # frozen before the band gate was retired, from the theta row of
+        # the then (1, order + 1) parameter: the final parameters and the
+        # per-epoch losses of a short run
+        frozen = {
+            "theta": [0.6390910351686607, -0.31879371651208216, 0.044697016633371826, -0.009152735861075813,
+                      0.006184282350942907, -0.00592681076615745],
+            "rule_weights": [0.5059804511312201, 0.49402430520988216],
+            "tau": [0.39988037159813034],
+            "alpha": 7.999880621108152,
+        }
+        frozen_losses = [0.985459502497241, 0.9931556092354576, 0.9894724660641517]
+        cfg = PipelineConfig(tau=0.4)
+        run = TrainRun(max_epochs=3, batch_size=16, patience=3, seed=7, latency_probe=0)
+        result = train(cfg, small_splits(), run, rules=reference_rules())
+        final = result.trajectory[-1]
+        assert final.keys() == frozen.keys()
+        for key, value in frozen.items():
+            assert np.allclose(final[key], value, rtol=1e-10, atol=0), key
+        assert np.allclose([h.train_loss for h in result.history], frozen_losses, rtol=1e-10, atol=0)
 
     def test_fixed_seed_trajectories_bit_identical(self):
         cfg = PipelineConfig(tau=0.4)
@@ -396,10 +389,9 @@ class TestTrainLoop:
 
 class TestForwardAgreement:
     @pytest.mark.parametrize("laplacian", ["combinatorial", "normalized"])
-    @pytest.mark.parametrize("bands", [1, 3])
-    def test_pipeline_loss_equals_trainer_loss(self, laplacian, bands):
+    def test_pipeline_loss_equals_trainer_loss(self, laplacian):
         # inference and training run separate forward passes; pin them together
-        cfg = PipelineConfig(laplacian=laplacian, bands=bands, tau=0.4)
+        cfg = PipelineConfig(laplacian=laplacian, tau=0.4)
         rules = tuple(reference_rules())
         params = init_params(cfg, rules)
         params["rule_weights"] = np.array([0.7, 0.3])
@@ -422,12 +414,13 @@ class TestLowPassInit:
         assert np.all(np.diff(values) <= 1e-12)
 
     def test_init_params_shapes(self):
-        cfg = PipelineConfig(order=5, bands=3)
+        cfg = PipelineConfig(order=5)
         params = init_params(cfg, reference_rules())
-        assert params["theta"].shape == (3, 6)
+        assert list(params) == ["theta", "rule_weights", "tau", "alpha"]
+        assert params["theta"].shape == (6,)
         assert params["rule_weights"].tolist() == [0.5, 0.5]
-        assert params["s"].shape == (3, 8)
         assert params["tau"].shape == (1,)
+        assert params["alpha"].shape == ()
 
     def test_rule_weights_start_at_w(self, tmp_path):
         rules = tmp_path / "rules.txt"
