@@ -104,9 +104,9 @@ class TestBlockPipeline:
             Pipeline(PipelineConfig()).run_tasks([short, tasks[1]])
 
 
-def split_and_params(rng):
+def split_and_params(rng, order=PipelineConfig.order):
     """The tasks of a mixed split, their context, and randomised parameters."""
-    cfg = PipelineConfig(tau=0.4)
+    cfg = PipelineConfig(order=order, tau=0.4)
     rules = rule_bank()
     tasks = gen_dataset("transitive", 5, seed=4) + gen_dataset("kinship", 4, seed=4)
     params = random_params(cfg, len(rules), rng)
@@ -204,11 +204,12 @@ class TestBlockPreparation:
 
 
 class TestBlockGradients:
-    def test_block_is_the_sum_over_tasks(self, rng):
-        tasks, split, params, order = split_and_params(rng)
+    @pytest.mark.parametrize("order", [1, 3, 5])
+    def test_block_is_the_sum_over_tasks(self, rng, order):
+        tasks, split, params, order = split_and_params(rng, order)
         assert split.task_count >= 2
         value, grads = task_loss_and_grads(split, params, order)
-        singles = [task_loss_and_grads(prepare_context(task, PipelineConfig(), rule_bank()), params, order)
+        singles = [task_loss_and_grads(prepare_context(task, PipelineConfig(order=order), rule_bank()), params, order)
                    for task in tasks]
         assert value == pytest.approx(sum(v for v, _ in singles), rel=1e-12, abs=0)
         for key, grad in grads.items():
@@ -286,12 +287,13 @@ class TestBlockGradients:
 
 class TestComposedFilter:
     @pytest.mark.parametrize("laplacian", [COMBINATORIAL, NORMALIZED])
+    @pytest.mark.parametrize("order", [1, 3, 5])
     @pytest.mark.parametrize("count", [1, 6], ids=["single", "block"])
-    def test_one_polynomial_equals_two_filters(self, laplacian, count):
+    def test_one_polynomial_equals_two_filters(self, laplacian, order, count):
         # the trainer's order-2K forward: the split's stack rows times
         # chebmul(theta, c_t), against the pipeline's two recurrences
-        rng = np.random.default_rng(count)
-        cfg = PipelineConfig(laplacian=laplacian)
+        rng = np.random.default_rng(count * order)
+        cfg = PipelineConfig(laplacian=laplacian, order=order)
         rules = rule_bank()
         params = random_params(cfg, len(rules), rng)
         theta = params["theta"]

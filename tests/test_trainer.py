@@ -389,9 +389,10 @@ class TestTrainLoop:
 
 class TestForwardAgreement:
     @pytest.mark.parametrize("laplacian", ["combinatorial", "normalized"])
-    def test_pipeline_loss_equals_trainer_loss(self, laplacian):
+    @pytest.mark.parametrize("order", [1, 3, 5])
+    def test_pipeline_loss_equals_trainer_loss(self, laplacian, order):
         # inference and training run separate forward passes; pin them together
-        cfg = PipelineConfig(laplacian=laplacian, tau=0.4)
+        cfg = PipelineConfig(laplacian=laplacian, order=order, tau=0.4)
         rules = tuple(reference_rules())
         params = init_params(cfg, rules)
         params["rule_weights"] = np.array([0.7, 0.3])
