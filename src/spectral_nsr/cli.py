@@ -251,8 +251,9 @@ def inspect_cmd(ckpt_path):
         click.echo(f"  {line}")
     click.echo("params:")
     for name, value in sorted(ckpt.params.items()):
-        arr = np.asarray(value)
-        click.echo(f"  {name}: shape {list(arr.shape)}, |max| {np.abs(arr).max():.6g}")
+        # a checkpoint trained without rules holds no rule weights
+        peak = f", |max| {np.abs(value).max():.6g}" if value.size else ""
+        click.echo(f"  {name}: shape {list(value.shape)}{peak}")
     click.echo("metadata:")
     for key, value in sorted(ckpt.metadata.items()):
         click.echo(f"  {key}: {value}")

@@ -366,8 +366,8 @@ def evaluate(pipeline, tasks, measure_latency: bool = True) -> EvalReport:
 
     With ``measure_latency`` each task is one timed query (``run_task``),
     after untimed runs of the first ``LATENCY_WARMUP`` tasks. Without it,
-    all tasks run as one block (``run_tasks``: stage 2 once for the
-    block, stage 3 per task), which gives the same answers, and the
+    all tasks run as one block (``run_tasks``: stage 2 as one Chebyshev
+    recurrence for the block, stage 3 per task), which gives the same answers, and the
     report's latency fields are None. ``pipeline`` only needs those two
     methods.
     """

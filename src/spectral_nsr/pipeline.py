@@ -1,8 +1,8 @@
 """Three-stage reasoning pipeline and its plain-text configuration.
 
 Stage 1 builds the Laplacian of the reasoning graph. Stage 2 applies the
-weighted sum of the rule templates and then the learned filter, one
-coefficient vector, both as Chebyshev polynomials of the Laplacian, so no
+weighted sum of the rule templates and the learned filter as one
+Chebyshev polynomial of the Laplacian (`filter_coefficients`), so no
 eigenbasis is formed. Stage 3 thresholds the filtered beliefs into
 predicates, binds them as facts, and forward chains to the answer set
 with proof traces.
@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BadParams, DimensionMismatch, DomainMismatch, FormatError, SpectralNsrError
+from .errors import BadParams, DimensionMismatch, DomainMismatch, FormatError, ShapeMismatch, SpectralNsrError
 from .graph import COMBINATORIAL, NORMALIZED, LaplacianMatrix, NodeMeta, ReasoningGraph, laplacians
 from .rules import SpectralRule, load_rules, rule_coefficients
 from .spectral import (
@@ -34,6 +34,7 @@ from .spectral import (
     estimate_lambda_max,
     fit_chebyshev,
     sample_response,
+    series_operator,
     vertex_signal,
 )
 from .symbolic import (
@@ -184,9 +185,29 @@ def init_params(cfg: PipelineConfig, rules: Sequence[SpectralRule] = ()) -> dict
     }
 
 
-def combined_filter(params: dict[str, np.ndarray], lambda_max: float | np.ndarray) -> ChebyshevFilter:
-    """The learned coefficients bound to a concrete spectrum bound (one per node on a block)."""
-    return ChebyshevFilter(params["theta"], lambda_max)
+def filter_coefficients(params: dict[str, np.ndarray], rows: np.ndarray | None = None) -> np.ndarray:
+    """The Chebyshev coefficients of stage 2: ``theta`` without rules. With
+    rules, ``rows`` stacks each graph's rule rows R_g as (graphs, rules,
+    order + 1); the rule and learned filters are polynomials of the same
+    rescaled Laplacian, so each graph gets one row chebmul(theta, w R_g),
+    its own product, the same bits in a block of any size."""
+    theta = params["theta"]
+    if rows is None:
+        return theta
+    weights = params["rule_weights"]
+    if weights.shape != rows.shape[-2:-1] or theta.shape != rows.shape[-1:]:
+        raise ShapeMismatch(f"theta {theta.shape} and rule_weights {weights.shape} for rule rows {rows.shape}")
+    return np.matmul((weights @ rows)[..., None, :], series_operator(theta))[..., 0, :]
+
+
+def combined_filter(params: dict[str, np.ndarray], lambda_max, rows=None, starts=None) -> ChebyshevFilter:
+    """`filter_coefficients` bound to a spectrum bound; on a block (one
+    ``lambda_max`` per node, ``starts`` from `block_diagonal`) each node
+    takes its own graph's row."""
+    coefficients = filter_coefficients(params, rows)
+    if coefficients.ndim == 2:
+        coefficients = np.repeat(coefficients, np.diff(starts), axis=0) if np.ndim(lambda_max) else coefficients[0]
+    return ChebyshevFilter(coefficients, lambda_max)
 
 
 @dataclass(frozen=True)
@@ -335,8 +356,8 @@ def run_pipeline(
     kb: KnowledgeBase | Sequence[KnowledgeBase],
     params: dict[str, np.ndarray] | None = None,
 ) -> PipelineOutput | list[PipelineOutput]:
-    """Execute rule composition, learned filtering, thresholding, binding,
-    and forward chaining, in that order.
+    """Execute the filter (`combined_filter`), thresholding, binding and
+    forward chaining, in that order.
 
     A node binds to the atom its label names when ``kb`` declares it; a
     true node whose label ``kb`` does not declare raises `UnmappedNode`.
@@ -346,12 +367,12 @@ def run_pipeline(
 
     Several graphs run as one block when ``graph`` is a list, with ``x0``
     and ``kb`` lists of one entry per graph. They are stacked
-    block-diagonally (`block_diagonal`), so the rule filter and the
-    learned filter each make one Chebyshev recurrence for all of them,
-    each node keeping its own graph's ``lambda_max`` and rule
-    coefficients; stage 3 runs per graph. A list of outputs comes back,
-    each bit for bit the one its graph gives alone. One graph is a block
-    of one: nothing is assembled and ``lambda_max`` stays a scalar.
+    block-diagonally (`block_diagonal`), so stage 2 makes one Chebyshev
+    recurrence for all of them, each node keeping its own graph's
+    ``lambda_max`` and coefficients; stage 3 runs per graph. A list of
+    outputs comes back, each bit for bit the one its graph gives alone.
+    One graph is a block of one: nothing is assembled and ``lambda_max``
+    stays a scalar.
     """
     rules = tuple(rules)
     if params is None:
@@ -374,16 +395,10 @@ def _run_block(
         [p.laplacian for p in prepared], [p.lambda_max for p in prepared]
     )
 
-    with _stage("rules"):
-        bprime = _block_signal(signals, starts)
-        if rules:
-            rows = [params["rule_weights"] @ p.coefficient_rows(rules, cfg.order) for p in prepared]
-            coefficients = rows[0] if len(rows) == 1 else np.repeat(np.stack(rows), np.diff(starts), axis=0)
-            bprime = chebyshev_filter(lap, ChebyshevFilter(coefficients, lambda_max), bprime)
-
     with _stage("filter"):
-        filt = combined_filter(params, lambda_max)
-        y = chebyshev_filter(lap, filt, bprime).values
+        x = _block_signal(signals, starts)
+        rows = np.stack([p.coefficient_rows(rules, cfg.order) for p in prepared]) if rules else None
+        y = chebyshev_filter(lap, combined_filter(params, lambda_max, rows, starts), x).values
 
     with _stage("threshold"):
         tau = params["tau"]
@@ -401,7 +416,7 @@ def _run_block(
             bound = bind_predicates(predicates, kb, p.atom_map(kb))
         with _stage("chain"):
             closure, traces = forward_chain(bound)
-        outputs.append(PipelineOutput(y_graph, predicates, closure, traces, filt.coefficients, p.lambda_max))
+        outputs.append(PipelineOutput(y_graph, predicates, closure, traces, params["theta"], p.lambda_max))
     return outputs
 
 

@@ -431,6 +431,12 @@ def product_operator(order: int) -> np.ndarray:
     return operator
 
 
+def series_operator(theta: np.ndarray) -> np.ndarray:
+    """B(theta): ``c @ series_operator(theta)`` is ``chebmul(theta, c)``, padded as in `product_operator`."""
+    order = theta.shape[0] - 1
+    return (theta @ product_operator(order).reshape(order + 1, -1)).reshape(order + 1, 2 * order + 1)
+
+
 @lru_cache(maxsize=None)
 def _fit_operator(order: int) -> tuple[np.ndarray, np.ndarray]:
     """The Chebyshev nodes a fit samples at, and the map from samples to coefficients.

@@ -1,17 +1,16 @@
 """Gradient training of filter, rule, and threshold parameters.
 
-Every gradient is analytic: the rule filter and the learned filter are
-polynomials in the same rescaled Laplacian, so for a fixed signal the
-filter output is one polynomial of twice the order whose coefficients are
-bilinear in the rule and filter coefficients, and the threshold is a
-logistic, so the whole stage-2/3 chain differentiates in closed form.
-`prepare_context` computes the Chebyshev columns of that polynomial once
-per training split, and a training step is dense algebra on their
-labelled rows, with no sparse product. Adam with a learning rate per
-parameter (filter and rule weights fast, threshold slow) drives the
+Every gradient is analytic. Stage 2 is the pipeline's own one polynomial
+(`pipeline.filter_coefficients`): with rules, its coefficients
+chebmul(theta, w R) are bilinear in the rule and filter coefficients, and
+the threshold is a logistic, so the whole stage-2/3 chain differentiates
+in closed form. `prepare_context` computes the Chebyshev columns of that
+polynomial once per training split, and a training step is dense algebra
+on their labelled rows, with no sparse product. Adam with a learning rate
+per parameter (filter and rule weights fast, threshold slow) drives the
 updates on the parameters laid end to end in one vector (`AdamState`);
-rule weights are clamped non-negative after every step. A checkpoint keeps the parameters and how
-they were selected, not the optimizer state.
+rule weights are clamped non-negative after every step. A checkpoint
+keeps the parameters and how they were selected, not the optimizer state.
 """
 
 from __future__ import annotations
@@ -38,9 +37,9 @@ from .errors import (
     ShapeMismatch,
 )
 from .harness import SyntheticTask, TaskSplits, evaluate
-from .pipeline import Pipeline, PipelineConfig, prepare_graph, retired_config_key
+from .pipeline import Pipeline, PipelineConfig, filter_coefficients, prepare_graph, retired_config_key
 from .rules import SpectralRule
-from .spectral import block_diagonal, chebyshev_stack, product_operator
+from .spectral import block_diagonal, chebyshev_stack, product_operator, series_operator
 
 # prepare_graph makes these calls now; the names stay on this module
 # because perfbench's layer tracer looks them up and wraps them here
@@ -79,43 +78,6 @@ def _bce(p: np.ndarray, targets: np.ndarray, starts: np.ndarray, counts: np.ndar
     upstream = np.zeros_like(p)
     upstream[inside] = (p[inside] - targets[inside]) / (p[inside] * (1.0 - p[inside])) / per_label[inside]
     return value, upstream
-
-
-# ---------------------------------------------------------------------------
-# analytic gradients
-# ---------------------------------------------------------------------------
-
-
-def grad_theta(stack: np.ndarray, upstream: np.ndarray) -> np.ndarray:
-    """d(loss)/d(theta_k) = <upstream, T_k(L~) x>, reusing the forward stack."""
-    stack = np.asarray(stack)
-    upstream = np.asarray(upstream).reshape(-1)
-    if stack.ndim != 2 or stack.shape[0] != upstream.shape[0]:
-        raise ShapeMismatch(f"stack {stack.shape} incompatible with upstream {upstream.shape}")
-    return stack.T @ upstream
-
-
-def grad_threshold(
-    y: np.ndarray,
-    tau: np.ndarray,
-    alpha: float,
-    p: np.ndarray,
-    upstream_p: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Chain d(loss)/dp through p = sigmoid(alpha (y - tau)).
-
-    Returns (d loss/d y, d loss/d tau, d loss/d alpha); tau gradient is
-    per-node and may be summed for a shared scalar threshold.
-    """
-    y = np.asarray(y).reshape(-1)
-    tau = np.asarray(tau).reshape(-1)
-    if y.shape != p.shape or y.shape != upstream_p.shape or tau.shape != y.shape:
-        raise ShapeMismatch("threshold gradient shapes disagree")
-    dz = upstream_p * p * (1.0 - p)
-    d_y = alpha * dz
-    d_tau = -alpha * dz
-    d_alpha = float(dz @ (y - tau))
-    return d_y, d_tau, d_alpha
 
 
 # ---------------------------------------------------------------------------
@@ -191,18 +153,16 @@ def adam_step(state: AdamState, grads: dict[str, np.ndarray], scale: float = 1.0
 class TaskContext:
     """What training needs of a set of tasks apart from the trainable parameters.
 
-    The rule filter (coefficients c_t = w R_t) and the learned filter
-    (theta) are polynomials in the same rescaled Laplacian L~ of a task,
-    so together they are the one polynomial chebmul(theta, c_t) of twice
-    the order (`product_operator`); x0 and L~ are fixed, so the columns
-    T_0(L~) x0 .. T_D(L~) x0 are computed once. ``stack`` holds their rows
-    at every labelled node of every task in turn, bit for bit those of the
-    task's own `chebyshev_stack`: D is twice the filter order with rules
-    and the filter order without. ``label_values`` are those nodes'
-    labels, ``label_starts`` says where each task's rows begin, followed
-    by their count, and ``coeff_rows`` holds each task's (rules,
-    order + 1) rule coefficient rows, or None without rules. All arrays
-    are read-only.
+    Stage 2 is one polynomial of a task's rescaled Laplacian L~, whose
+    coefficients `pipeline.filter_coefficients` gives; x0 and L~ are
+    fixed, so the columns T_0(L~) x0 .. T_D(L~) x0 are computed once.
+    ``stack`` holds their rows at every labelled node of every task in
+    turn, bit for bit those of the task's own `chebyshev_stack`: D is
+    twice the filter order with rules and the filter order without.
+    ``label_values`` are those nodes' labels, ``label_starts`` says where
+    each task's rows begin, followed by their count, and ``coeff_rows``
+    holds each task's (rules, order + 1) rule coefficient rows, or None
+    without rules. All arrays are read-only.
     """
 
     stack: np.ndarray
@@ -303,10 +263,12 @@ def task_loss_and_grads(
 
     The loss is the sum of the tasks' mean BCE, so its value and
     gradients are the sums of those of its tasks. Only dense algebra on
-    the context's rows X runs: y = X v_t with v_t = chebmul(theta, c_t).
-    With P_t = X_t^T (d loss / d y) per task, d theta = sum_t B(c_t) P_t
-    and d c_t = B(theta) P_t, where B(a) is the matrix of multiplying by
-    the series a (`product_operator`).
+    the context's rows X runs: y = X v_t, with v_t the coefficients
+    inference runs (`pipeline.filter_coefficients`). With rules, v_t =
+    chebmul(theta, c_t) for c_t = w R_t; with P_t = X_t^T (d loss / d y)
+    per task, d theta = sum_t B(c_t) P_t and d c_t = B(theta) P_t, where
+    B(a) is the matrix of multiplying by the series a
+    (`spectral.series_operator`).
     """
     rows, x, values = ctx.coeff_rows, ctx.stack, ctx.label_values
     if tasks is None:
@@ -325,41 +287,33 @@ def task_loss_and_grads(
     degree = order if rows is None else 2 * order
     if theta.shape != (order + 1,) or x.shape[1] != degree + 1:
         raise ShapeMismatch(f"filter of order {order} for theta {theta.shape} and stack {x.shape}")
-    if rows is None:
-        y = x @ theta
-    else:
-        if weights.shape[0] != rows.shape[1]:
-            raise ShapeMismatch(f"{weights.shape[0]} rule weights for {rows.shape[1]} rules")
-        product = product_operator(order).reshape(order + 1, order + 1, degree + 1)
-        coeffs = weights @ rows
-        # c @ by_theta = chebmul(theta, c)
-        by_theta = (theta @ product.reshape(order + 1, -1)).reshape(order + 1, degree + 1)
-        y = np.einsum("nm,nm->n", x, np.repeat(coeffs @ by_theta, counts, axis=0))
+    v = filter_coefficients(params, rows)
+    y = x @ v if rows is None else np.einsum("nm,nm->n", x, np.repeat(v, counts, axis=0))
 
     tau = params["tau"]
     if tau.shape != (1,):
         raise ShapeMismatch(f"tau must have shape (1,), got {tau.shape}")
-    tau_vec = np.full(y.shape[0], float(tau[0]))
-    steepness = float(params["alpha"])
-    p = expit(steepness * (y - tau_vec))
+    tau, steepness = float(tau[0]), float(params["alpha"])
+    p = expit(steepness * (y - tau))
     value, upstream_p = _bce(p, values, starts, counts)
-    d_y, d_tau_vec, d_alpha = grad_threshold(y, tau_vec, steepness, p, upstream_p)
+    dz = upstream_p * p * (1.0 - p)  # d loss / d (alpha (y - tau))
+    d_y = steepness * dz
 
     if rows is None:
-        d_theta = grad_theta(x, d_y)
+        d_theta = x.T @ d_y
         d_w = np.zeros_like(weights)
     else:
         projected = np.add.reduceat(x * d_y[:, None], starts, axis=0)
-        d_theta = np.einsum("jkm,km->j", product, coeffs.T @ projected)
-        d_w = np.einsum("trk,tk->r", rows, projected @ by_theta.T)
+        product = product_operator(order).reshape(order + 1, order + 1, degree + 1)
+        d_theta = np.einsum("jkm,km->j", product, (weights @ rows).T @ projected)
+        d_w = np.einsum("trk,tk->r", rows, projected @ series_operator(theta).T)
 
-    grads = {
+    return value, {
         "theta": d_theta,
         "rule_weights": d_w,
-        "tau": np.asarray([d_tau_vec.sum()]),
-        "alpha": np.asarray(d_alpha),
+        "tau": np.asarray([(-steepness * dz).sum()]),
+        "alpha": np.asarray(float(dz @ (y - tau))),
     }
-    return value, grads
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +356,8 @@ class Checkpoint:
     it, so it is dropped on load. Files from before the band gate was
     retired say ``bands=1`` and hold theta as one (1, order + 1) row and
     the gate vectors ``s`` and ``q``, which a single band never read:
-    theta becomes its row and ``s`` and ``q`` are dropped.
+    theta becomes its row and ``s`` and ``q`` are dropped. Any other
+    parameter (``s`` and ``q`` too, without ``bands``) is a `FormatError`.
     """
 
     config: PipelineConfig
@@ -462,6 +417,9 @@ def _check_param_shapes(cfg: PipelineConfig, params: dict[str, np.ndarray]) -> N
     missing = sorted(set(LEARNING_RATES) - set(params))
     if missing:
         raise FormatError(f"checkpoint params miss {missing}")
+    unknown = sorted(set(params) - set(LEARNING_RATES))
+    if unknown:
+        raise FormatError(f"checkpoint params hold unknown {unknown}")
     expected = {"theta": (cfg.order + 1,), "tau": (1,), "alpha": ()}
     for name, shape in expected.items():
         if params[name].shape != shape:

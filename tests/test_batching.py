@@ -26,16 +26,18 @@ from spectral_nsr.spectral import (
     DENSE_BOUND_LIMIT,
     FIT_NODES,
     ChebyshevFilter,
+    FrequencyResponse,
     block_diagonal,
     chebyshev_filter,
     chebyshev_stack,
+    eigendecompose,
     estimate_lambda_max,
+    exact_filter,
     load_filter,
-    product_operator,
     sample_response,
     vertex_signal,
 )
-from spectral_nsr.symbolic import HARD, LOGISTIC
+from spectral_nsr.symbolic import HARD, LOGISTIC, KnowledgeBase
 from spectral_nsr.trainer import prepare_context, task_loss_and_grads
 
 from conftest import graph_task
@@ -102,6 +104,16 @@ class TestBlockPipeline:
         short = replace(tasks[0], x0=tasks[0].x0[:-1])
         with pytest.raises(DimensionMismatch):
             Pipeline(PipelineConfig()).run_tasks([short, tasks[1]])
+
+    @pytest.mark.parametrize("with_rules", [False, True])
+    def test_mismatched_signal_carries_stage_filter(self, with_rules):
+        tasks = make_tasks([("transitive", 2, 1), ("kinship", 3, 2)])
+        short = replace(tasks[0], x0=tasks[0].x0[:-1])
+        pipe = Pipeline(PipelineConfig(), rules=list(rule_bank() if with_rules else ()))
+        for run in (lambda: pipe.run_tasks([short, tasks[1]]), lambda: pipe.run_task(short)):
+            with pytest.raises(DimensionMismatch) as info:
+                run()
+            assert info.value.stage == "filter"
 
 
 def split_and_params(rng, order=PipelineConfig.order):
@@ -285,35 +297,84 @@ class TestBlockGradients:
             prepare_context(replace(task, labels={**task.labels, task.graph.node_count: 1}), PipelineConfig(), ())
 
 
+def declared_task(graph, x0):
+    """A task on ``graph`` whose KB declares every node's label, so that any node may threshold true."""
+    task = graph_task(graph, x0, {})
+    return replace(task, kb=KnowledgeBase(tuple(m.label for m in graph.nodes)))
+
+
+def random_tasks(rng, count, max_nodes=40):
+    tasks = []
+    for _ in range(count):
+        n = int(rng.integers(5, max_nodes + 1))
+        tasks.append(declared_task(sparse_graph(n, int(rng.integers(2**16))), rng.uniform(0.0, 1.0, n)))
+    return tasks
+
+
 class TestComposedFilter:
+    """Stage 2 runs the rule filter and the learned filter as one polynomial of twice the order."""
+
     @pytest.mark.parametrize("laplacian", [COMBINATORIAL, NORMALIZED])
     @pytest.mark.parametrize("order", [1, 3, 5])
     @pytest.mark.parametrize("count", [1, 6], ids=["single", "block"])
     def test_one_polynomial_equals_two_filters(self, laplacian, order, count):
-        # the trainer's order-2K forward: the split's stack rows times
-        # chebmul(theta, c_t), against the pipeline's two recurrences
+        # the reference is the former stage 2: the rule filter's recurrence,
+        # then the learned filter's on its output
         rng = np.random.default_rng(count * order)
         cfg = PipelineConfig(laplacian=laplacian, order=order)
         rules = rule_bank()
-        params = random_params(cfg, len(rules), rng)
-        theta = params["theta"]
-        tasks = []
-        for _ in range(count):
-            n = int(rng.integers(5, 40))
-            graph = sparse_graph(n, int(rng.integers(2**16)))
-            tasks.append(graph_task(graph, rng.uniform(0.0, 1.0, n), {i: i % 2 for i in range(n)}))
-        split = prepare_context(tasks, cfg, rules)
-        prepared = prepare_graph(cfg, [task.graph for task in tasks], rules)
-        lap, lambda_max, starts = block_diagonal([p.laplacian for p in prepared], [p.lambda_max for p in prepared])
-        coeffs = params["rule_weights"] @ split.coeff_rows
-        sizes = np.diff(starts)
-        x0 = vertex_signal(np.concatenate([task.x0 for task in tasks]))
-        rule_filter = ChebyshevFilter(coeffs[0] if count == 1 else np.repeat(coeffs, sizes, axis=0), lambda_max)
-        two_filters = chebyshev_filter(lap, ChebyshevFilter(theta, lambda_max), chebyshev_filter(lap, rule_filter, x0))
-        composed = np.stack([np.outer(theta, c).ravel() @ product_operator(cfg.order) for c in coeffs])
-        one_polynomial = np.einsum("nm,nm->n", split.stack, np.repeat(composed, sizes, axis=0))
-        scale = np.abs(two_filters.values).max()
-        assert np.abs(one_polynomial - two_filters.values).max() <= 1e-12 * scale
+        pipe = Pipeline(cfg, rules=list(rules), params=random_params(cfg, len(rules), rng))
+        tasks = random_tasks(rng, count)
+        outputs = pipe.run_tasks(tasks)
+        for task, out in zip(tasks, outputs, strict=True):
+            p = prepare_graph(cfg, task.graph, rules)
+            coeffs = pipe.params["rule_weights"] @ p.coefficient_rows(rules, order)
+            ruled = chebyshev_filter(p.laplacian, ChebyshevFilter(coeffs, p.lambda_max), vertex_signal(task.x0))
+            two_filters = chebyshev_filter(p.laplacian, ChebyshevFilter(pipe.params["theta"], p.lambda_max), ruled)
+            scale = np.abs(two_filters.values).max()
+            assert np.abs(out.y.values - two_filters.values).max() <= 1e-12 * scale
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        laplacian=st.sampled_from([COMBINATORIAL, NORMALIZED]),
+        order=st.sampled_from([1, 3, 5]),
+        with_rules=st.booleans(),
+        count=st.integers(1, 4),
+        seed=st.integers(0, 2**16),
+    )
+    def test_pipeline_equals_dense_oracle(self, laplacian, order, with_rules, count, seed):
+        # the exact filter with the product of the two sampled responses, in
+        # each graph's eigenbasis
+        rng = np.random.default_rng(seed)
+        cfg = PipelineConfig(laplacian=laplacian, order=order)
+        rules = rule_bank() if with_rules else ()
+        pipe = Pipeline(cfg, rules=list(rules), params=random_params(cfg, len(rules), rng))
+        tasks = random_tasks(rng, count)
+        for task, out in zip(tasks, pipe.run_tasks(tasks), strict=True):
+            p = prepare_graph(cfg, task.graph, rules)
+            learned = ChebyshevFilter(pipe.params["theta"], p.lambda_max)
+            if with_rules:
+                coeffs = pipe.params["rule_weights"] @ p.coefficient_rows(rules, order)
+                ruled = ChebyshevFilter(coeffs, p.lambda_max)
+                response = FrequencyResponse(lambda lam: sample_response(learned, lam) * sample_response(ruled, lam))
+            else:
+                response = learned.response()
+            want = exact_filter(eigendecompose(p.laplacian), response, vertex_signal(task.x0)).values
+            assert np.abs(out.y.values - want).max() <= 1e-12 * max(np.abs(want).max(), 1.0)
+
+    @pytest.mark.parametrize("with_rules", [False, True])
+    @pytest.mark.parametrize("order", [1, 3, 5])
+    @pytest.mark.parametrize("count", [1, 6], ids=["single", "block"])
+    def test_one_recurrence_of_twice_the_order(self, with_rules, order, count):
+        cfg = PipelineConfig(order=order)
+        rules = rule_bank() if with_rules else ()
+        pipe = Pipeline(cfg, rules=list(rules))
+        tasks = random_tasks(np.random.default_rng(order), count)
+        # prepared first, so that only stage 2 runs under the spy
+        prepare_graph(cfg, [task.graph for task in tasks], rules)
+        with patch.object(spectral, "_shifted_apply", wraps=spectral._shifted_apply) as products:
+            pipe.run_tasks(tasks)
+        assert products.call_count == (2 * order if with_rules else order)
 
 
 class TestBlockEvaluate:

@@ -26,6 +26,23 @@ def corrupt(edit):
     return json.dumps(payload)
 
 
+def extra_param(payload):
+    payload["params"]["bogus"] = [0.0]
+
+
+def ungated_with_gate_vectors(payload):
+    # the gate vectors without the bands key that says the file is gated
+    del payload["config"]["bands"]
+    payload["params"]["theta"] = payload["params"]["theta"][0]
+
+
+@pytest.fixture(params=[(extra_param, ["bogus"]), (ungated_with_gate_vectors, ["q", "s"])], ids=["bogus", "s-q"])
+def unknown(request):
+    """An edit of the reference checkpoint that leaves params it does not
+    know, and their names."""
+    return request.param
+
+
 class TestConfigSchema:
     def test_seven_fields(self):
         assert [f.name for f in fields(PipelineConfig)] == [
@@ -93,6 +110,27 @@ class TestCheckpointFormat:
 
         with pytest.raises(FormatError, match="theta"):
             Checkpoint.from_json(corrupt(ungated))
+
+    def test_unknown_params_rejected(self, unknown):
+        edit, names = unknown
+        with pytest.raises(FormatError, match="unknown") as info:
+            Checkpoint.from_json(corrupt(edit))
+        assert all(repr(name) in str(info.value) for name in names)
+
+    @pytest.mark.parametrize("command", ["eval", "inspect-ckpt"])
+    def test_unknown_params_exit_one(self, tmp_path, unknown, command):
+        edit, names = unknown
+        ckpt = tmp_path / "ckpt.json"
+        ckpt.write_text(corrupt(edit))
+        args = [command, "--ckpt", str(ckpt), "--json-errors"]
+        if command == "eval":
+            data = tmp_path / "data"
+            save_dataset(gen_dataset("transitive", 3, seed=1), data, splits=(1, 1, 1))
+            args += ["--data", str(data)]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 1
+        record = json.loads(result.stderr.strip().splitlines()[-1])
+        assert record["error"] == "FormatError" and all(repr(name) in record["message"] for name in names)
 
     @pytest.mark.parametrize("value", [2, 0, "2", 1.5, None, [1]], ids=["2", "0", "text-2", "1.5", "null", "list"])
     def test_band_gate_rejected(self, value):

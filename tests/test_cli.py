@@ -50,6 +50,18 @@ class TestEndToEnd:
         assert result.exit_code == 0, result.output
         assert "epoch:" in result.output
 
+    def test_inspect_ckpt_without_rules(self, tmp_path, dataset):
+        # a checkpoint trained without rules holds an empty rule_weights
+        config = tmp_path / "plain.cfg"
+        PipelineConfig(tau=0.4).save(config)
+        ckpt = tmp_path / "ckpt.json"
+        result = invoke("train", "--config", config, "--data", dataset, "--out", ckpt, "--epochs", 1)
+        assert result.exit_code == 0, result.output
+        result = invoke("inspect-ckpt", "--ckpt", ckpt)
+        assert result.exit_code == 0, result.output
+        assert "  rule_weights: shape [0]\n" in result.output
+        assert "  theta: shape [6], |max| " in result.output
+
     def test_training_twice_picks_the_same_checkpoint(self, tmp_path, dataset, config):
         paths = [tmp_path / "a.json", tmp_path / "b.json"]
         for path in paths:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -63,6 +64,20 @@ class TestGolden:
     def test_reference_checkpoint_validation_accuracy(self):
         splits = split_dataset(gen_dataset("transitive", 1000, seed=0), (800, 100, 100))
         assert evaluate(reference_pipeline(), splits.val, measure_latency=False).accuracy == 1.0
+
+    def test_reference_checkpoint_answers_hash(self):
+        """The reference parameters' answers on 400 transitive and 400 kinship
+        tasks under three configs: the checkpoint's own, the normalized
+        Laplacian, and the hard threshold. The digest was generated before
+        the rule and learned filters ran as one polynomial at inference, by
+        the two-recurrence stage 2, and pins the answers across that change."""
+        pipe = reference_pipeline()
+        tasks = gen_dataset("transitive", 400, seed=5) + gen_dataset("kinship", 400, seed=5)
+        digest = hashlib.sha256()
+        for cfg in (pipe.cfg, replace(pipe.cfg, laplacian="normalized"), replace(pipe.cfg, threshold_mode="hard")):
+            for out in Pipeline(cfg, rules=list(pipe.rules), params=pipe.params).run_tasks(tasks):
+                digest.update((" ".join(out.answers) + "\n").encode())
+        assert digest.hexdigest() == "e6b7436c28bc9deeb7a6afac9d4714786443667c5fe869dbec1f943ef8b14a42"
 
 
 class TestBlockValidation:

@@ -33,6 +33,7 @@ from spectral_nsr.spectral import (
     igft,
     load_filter,
     product_operator,
+    series_operator,
     sample_response,
     save_filter,
     spectral_signal,
@@ -366,6 +367,19 @@ class TestProductOperator:
     def test_negative_order(self):
         with pytest.raises(BadParams):
             product_operator(-1)
+
+    @pytest.mark.parametrize("order", [0, 1, 3, 5])
+    def test_series_operator_multiplies_by_theta(self, order):
+        rng = np.random.default_rng(order)
+        theta = rng.standard_normal(order + 1)
+        operator = series_operator(theta)
+        assert operator.shape == (order + 1, 2 * order + 1)
+        for _ in range(5):
+            c = rng.standard_normal(order + 1)
+            want = np.zeros(2 * order + 1)
+            got = npcheb.chebmul(theta, c)
+            want[: got.size] = got
+            assert np.abs(c @ operator - want).max() <= 1e-13 * np.abs(want).max()
 
 
 class TestFitChebyshev:

@@ -27,8 +27,6 @@ from spectral_nsr.trainer import (
     TrainRun,
     _bce,
     adam_step,
-    grad_theta,
-    grad_threshold,
     prepare_context,
     task_loss_and_grads,
     train,
@@ -126,21 +124,6 @@ class TestLoss:
 
 
 class TestGradTheta:
-    def test_zero_upstream(self, rng):
-        stack = rng.standard_normal((10, 5))
-        assert np.array_equal(grad_theta(stack, np.zeros(10)), np.zeros(5))
-
-    def test_order_zero_is_inner_product(self, rng):
-        x = rng.standard_normal(8)
-        upstream = rng.standard_normal(8)
-        g = grad_theta(x[:, None], upstream)
-        assert g.shape == (1,)
-        assert g[0] == pytest.approx(float(upstream @ x), abs=1e-12)
-
-    def test_shape_mismatch(self, rng):
-        with pytest.raises(ShapeMismatch):
-            grad_theta(rng.standard_normal((5, 3)), rng.standard_normal(4))
-
     def test_finite_differences(self, rng):
         ctx, params, order = make_instance(rng)
         check_gradients(ctx, params, order, ["theta"])
@@ -162,10 +145,6 @@ class TestGradThreshold:
         params["tau"] = np.full(12, 0.3)
         with pytest.raises(ShapeMismatch, match="tau"):
             task_loss_and_grads(ctx, params, order)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatch):
-            grad_threshold(np.zeros(3), np.zeros(2), 1.0, np.zeros(3), np.zeros(3))
 
 
 class TestGradientSuiteKeystone:
