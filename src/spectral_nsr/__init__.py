@@ -40,7 +40,6 @@ from .symbolic import (
     KnowledgeBase,
     PredicateSet,
     ProofTrace,
-    ThresholdConfig,
     bind_predicates,
     detect_conflicts,
     forward_chain,
@@ -74,7 +73,6 @@ __all__ = [
     "SpectralRule",
     "rule_coefficients",
     "builtin_template",
-    "ThresholdConfig",
     "PredicateSet",
     "KnowledgeBase",
     "ProofTrace",

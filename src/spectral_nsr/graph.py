@@ -131,7 +131,7 @@ def build_graph(nodes: Sequence[NodeMeta], edges: Iterable[tuple[int, int, float
 
 @dataclass(frozen=True)
 class LaplacianMatrix:
-    """A combinatorial or normalized graph Laplacian with its degree vector.
+    """A combinatorial or normalized graph Laplacian.
 
     A prepared graph shares one instance across queries and training
     runs, so its arrays must never be modified in place.
@@ -139,7 +139,6 @@ class LaplacianMatrix:
 
     kind: str
     matrix: sp.csr_array
-    degrees: np.ndarray
 
     @property
     def node_count(self) -> int:
@@ -221,7 +220,7 @@ def laplacians(graphs: Sequence[ReasoningGraph], kind: str) -> list[LaplacianMat
         scaled = adjacency.multiply(dinv[:, None]).multiply(dinv[None, :])
         lap = sp.eye_array(d.size, format="csr") - sp.csr_array(scaled)
         lap = sp.csr_array((lap + lap.T) * 0.5)  # restore exact symmetry lost to fp rounding
-    block = LaplacianMatrix(kind, lap, d)
+    block = LaplacianMatrix(kind, lap)
     block.validate(starts=starts)
     if len(graphs) == 1:
         return [block]
@@ -233,7 +232,7 @@ def laplacians(graphs: Sequence[ReasoningGraph], kind: str) -> list[LaplacianMat
         indptr = (lap.indptr[lo : hi + 1] - first).astype(index_dtype)
         indices = (lap.indices[first:last] - lo).astype(index_dtype)
         matrix = sp.csr_array((lap.data[first:last].copy(), indices, indptr), shape=(hi - lo, hi - lo))
-        out.append(LaplacianMatrix(kind, matrix, d[lo:hi].copy()))
+        out.append(LaplacianMatrix(kind, matrix))
     return out
 
 

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BadParams, DimensionMismatch, DomainMismatch, FormatError, ShapeMismatch, SpectralNsrError
+from .errors import BadParams, DimensionMismatch, DomainMismatch, FormatError, SpectralNsrError
 from .graph import COMBINATORIAL, NORMALIZED, LaplacianMatrix, NodeMeta, ReasoningGraph, laplacians
 from .rules import SpectralRule, load_rules, rule_coefficients
 from .spectral import (
@@ -43,19 +43,18 @@ from .symbolic import (
     KnowledgeBase,
     PredicateSet,
     ProofTrace,
-    ThresholdConfig,
     bind_predicates,
     forward_chain,
     hard_threshold,
     soft_threshold,
 )
 
-# interval rule files are parsed on and the initial learned filter is
-# fitted on. The learned filter keeps its coefficients on every graph, so
-# only its shape is fixed and each graph stretches it over its own
-# [0, lambda_max]. A rule template is a function of the absolute
-# eigenvalue instead: `rule_coefficients` refits it at each graph's
-# lambda_max, and a graph sees the part of the curve its spectrum reaches
+# the end of the reference interval that rule files are parsed on and the
+# initial learned filter is fitted on. The learned filter keeps its
+# coefficients on every graph, so only its shape is fixed and each graph
+# stretches it over its own [0, lambda_max]. A rule template is a function
+# of the absolute eigenvalue instead: `rule_coefficients` refits it at each
+# graph's lambda_max, and a graph sees the part of the curve its spectrum reaches
 REFERENCE_LAMBDA_MAX = 2.0
 
 # samples of the exported response curve over [0, lambda_max]
@@ -185,19 +184,36 @@ def init_params(cfg: PipelineConfig, rules: Sequence[SpectralRule] = ()) -> dict
     }
 
 
+def check_params(cfg: PipelineConfig, params: Mapping[str, np.ndarray], rule_count: int | None) -> Mapping:
+    """``params``, if it holds exactly the names `init_params` gives, each finite
+    and shaped as there: theta (order + 1,), rule_weights (``rule_count``,) or
+    1-D for None, tau (1,), alpha (). Otherwise `BadParams` names the parameter."""
+    shapes = {"theta": (cfg.order + 1,), "rule_weights": (rule_count,), "tau": (1,), "alpha": ()}
+    if params.keys() != shapes.keys():
+        missing, unknown = sorted(shapes.keys() - params.keys()), sorted(params.keys() - shapes.keys())
+        raise BadParams(f"params miss {missing} and hold unknown {unknown}")
+    if rule_count is None:  # a 1-D array is one whose shape is its size
+        shapes["rule_weights"] = (np.size(params["rule_weights"]),)
+    for name, shape in shapes.items():
+        if np.shape(params[name]) != shape:
+            raise BadParams(f"param {name!r} has shape {np.shape(params[name])}, needs {shape}")
+    # one test of all entries, as this runs on every query; the culprit is named on failure
+    if not np.isfinite(np.concatenate(list(params.values()), axis=None)).all():
+        name = next(name for name, value in params.items() if not np.isfinite(value).all())
+        raise BadParams(f"param {name!r} has non-finite entries")
+    return params
+
+
 def filter_coefficients(params: dict[str, np.ndarray], rows: np.ndarray | None = None) -> np.ndarray:
     """The Chebyshev coefficients of stage 2: ``theta`` without rules. With
     rules, ``rows`` stacks each graph's rule rows R_g as (graphs, rules,
     order + 1); the rule and learned filters are polynomials of the same
     rescaled Laplacian, so each graph gets one row chebmul(theta, w R_g),
-    its own product, the same bits in a block of any size."""
-    theta = params["theta"]
+    its own product, the same bits in a block of any size. ``params``
+    must pass `check_params` for the rows' rule count and order."""
     if rows is None:
-        return theta
-    weights = params["rule_weights"]
-    if weights.shape != rows.shape[-2:-1] or theta.shape != rows.shape[-1:]:
-        raise ShapeMismatch(f"theta {theta.shape} and rule_weights {weights.shape} for rule rows {rows.shape}")
-    return np.matmul((weights @ rows)[..., None, :], series_operator(theta))[..., 0, :]
+        return params["theta"]
+    return np.matmul((params["rule_weights"] @ rows)[..., None, :], series_operator(params["theta"]))[..., 0, :]
 
 
 def combined_filter(params: dict[str, np.ndarray], lambda_max, rows=None, starts=None) -> ChebyshevFilter:
@@ -363,7 +379,7 @@ def run_pipeline(
     true node whose label ``kb`` does not declare raises `UnmappedNode`.
     The Laplacian, ``lambda_max``, rule rows and that node -> atom map
     come from `prepare_graph`. Module errors propagate with a ``stage``
-    tag attached.
+    tag attached; passed ``params`` are checked first (`check_params`).
 
     Several graphs run as one block when ``graph`` is a list, with ``x0``
     and ``kb`` lists of one entry per graph. They are stacked
@@ -375,8 +391,7 @@ def run_pipeline(
     stays a scalar.
     """
     rules = tuple(rules)
-    if params is None:
-        params = init_params(cfg, rules)
+    params = init_params(cfg, rules) if params is None else check_params(cfg, params, len(rules))
     if isinstance(graph, ReasoningGraph):
         return _run_block(cfg, [graph], [x0], rules, [kb], params)[0]
     return _run_block(cfg, graph, x0, rules, kb, params)
@@ -400,18 +415,13 @@ def _run_block(
         rows = np.stack([p.coefficient_rows(rules, cfg.order) for p in prepared]) if rules else None
         y = chebyshev_filter(lap, combined_filter(params, lambda_max, rows, starts), x).values
 
-    with _stage("threshold"):
-        tau = params["tau"]
-        if tau.shape != (1,):
-            raise BadParams(f"tau must have shape (1,), got {tau.shape}")
-        tcfg = ThresholdConfig(cfg.threshold_mode, float(tau[0]), float(params["alpha"]))
-    threshold = soft_threshold if cfg.threshold_mode == LOGISTIC else hard_threshold
-
+    tau, alpha = float(params["tau"][0]), float(params["alpha"])
+    logistic = cfg.threshold_mode == LOGISTIC
     outputs = []
     for lo, hi, p, kb in zip(starts[:-1], starts[1:], prepared, kbs, strict=True):
         y_graph = vertex_signal(y[lo:hi])
         with _stage("threshold"):
-            predicates = threshold(y_graph, tcfg)
+            predicates = soft_threshold(y_graph, tau, alpha) if logistic else hard_threshold(y_graph, tau)
         with _stage("bind"):
             bound = bind_predicates(predicates, kb, p.atom_map(kb))
         with _stage("chain"):
@@ -442,7 +452,7 @@ def _read_rule_file(path: str) -> list[SpectralRule]:
 
 
 class Pipeline:
-    """A configuration bound to parameters and a rule set.
+    """A configuration bound to a rule set and `init_params` or parameters that pass `check_params`.
 
     Instances are immutable in use: `run`, `run_task` and `run_tasks` are
     pure apart from the `PreparedGraph` kept on each graph, so
@@ -461,10 +471,7 @@ class Pipeline:
         if rules is None:
             rules = _read_rule_file(cfg.rules) if cfg.rules else []
         self.rules = tuple(rules)
-        self.params = params if params is not None else init_params(cfg, self.rules)
-        weights = np.shape(self.params["rule_weights"])
-        if weights != (len(self.rules),):
-            raise BadParams(f"rule_weights shape {weights} does not fit {len(self.rules)} rules")
+        self.params = init_params(cfg, self.rules) if params is None else check_params(cfg, params, len(self.rules))
 
     def run(self, graph: ReasoningGraph, x0: GraphSignal, kb: KnowledgeBase) -> PipelineOutput:
         return run_pipeline(self.cfg, graph, x0, self.rules, kb, params=self.params)

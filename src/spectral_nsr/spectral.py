@@ -358,9 +358,8 @@ def block_diagonal(
     kinds = {lap.kind for lap in laplacians}
     if len(kinds) != 1:
         raise BadParams(f"cannot stack Laplacians of kinds {sorted(kinds)}")
-    degrees = np.concatenate([lap.degrees for lap in laplacians])
     lambda_max = np.repeat(np.asarray(lambda_maxes, dtype=np.float64), np.diff(starts))
-    return LaplacianMatrix(kinds.pop(), matrix, degrees), lambda_max, starts
+    return LaplacianMatrix(kinds.pop(), matrix), lambda_max, starts
 
 
 def chebyshev_stack(lap: LaplacianMatrix, lambda_max, x: np.ndarray, order: int) -> np.ndarray:

@@ -28,22 +28,6 @@ LOGISTIC = "logistic"
 
 
 @dataclass(frozen=True)
-class ThresholdConfig:
-    """One threshold tau for every node, plus the logistic steepness."""
-
-    mode: str = HARD
-    tau: float = 0.5
-    alpha: float = 1.0
-
-    def __post_init__(self):
-        if self.mode not in (HARD, LOGISTIC):
-            raise BadParams(f"unknown threshold mode {self.mode!r}")
-        if self.mode == LOGISTIC and not self.alpha > 0.0:
-            raise BadParams(f"logistic mode needs alpha > 0, got {self.alpha}")
-        object.__setattr__(self, "tau", float(self.tau))
-
-
-@dataclass(frozen=True)
 class PredicateSet:
     """Per-node truth assignment: booleans (hard) or probabilities (soft)."""
 
@@ -67,18 +51,16 @@ class PredicateSet:
         return np.flatnonzero(self.values > 0.5 if self.soft else self.values).tolist()
 
 
-def hard_threshold(y: GraphSignal, cfg: ThresholdConfig) -> PredicateSet:
+def hard_threshold(y: GraphSignal, tau: float) -> PredicateSet:
     """p_i = [y_i > tau]; ties fall on the false side (strict inequality)."""
-    if cfg.mode != HARD:
-        raise BadParams("hard_threshold requires hard mode")
-    return PredicateSet(y.values > cfg.tau, soft=False)
+    return PredicateSet(y.values > tau, soft=False)
 
 
-def soft_threshold(y: GraphSignal, cfg: ThresholdConfig) -> PredicateSet:
-    """p_i = sigmoid(alpha * (y_i - tau)), overflow-safe."""
-    if cfg.mode != LOGISTIC:
-        raise BadParams("soft_threshold requires logistic mode")
-    return PredicateSet(expit(cfg.alpha * (y.values - cfg.tau)), soft=True)
+def soft_threshold(y: GraphSignal, tau: float, alpha: float) -> PredicateSet:
+    """p_i = sigmoid(alpha * (y_i - tau)), overflow-safe; alpha must be positive."""
+    if not alpha > 0.0:
+        raise BadParams(f"the logistic threshold needs alpha > 0, got {alpha}")
+    return PredicateSet(expit(alpha * (y.values - tau)), soft=True)
 
 
 @dataclass(frozen=True)

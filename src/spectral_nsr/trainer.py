@@ -37,7 +37,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .harness import SyntheticTask, TaskSplits, evaluate
-from .pipeline import Pipeline, PipelineConfig, filter_coefficients, prepare_graph, retired_config_key
+from .pipeline import Pipeline, PipelineConfig, check_params, filter_coefficients, prepare_graph, retired_config_key
 from .rules import SpectralRule
 from .spectral import block_diagonal, chebyshev_stack, product_operator, series_operator
 
@@ -285,15 +285,12 @@ def task_loss_and_grads(
 
     theta, weights = params["theta"], params["rule_weights"]
     degree = order if rows is None else 2 * order
-    if theta.shape != (order + 1,) or x.shape[1] != degree + 1:
-        raise ShapeMismatch(f"filter of order {order} for theta {theta.shape} and stack {x.shape}")
+    if x.shape[1] != degree + 1:
+        raise ShapeMismatch(f"filter of order {order} for stack {x.shape}")
     v = filter_coefficients(params, rows)
     y = x @ v if rows is None else np.einsum("nm,nm->n", x, np.repeat(v, counts, axis=0))
 
-    tau = params["tau"]
-    if tau.shape != (1,):
-        raise ShapeMismatch(f"tau must have shape (1,), got {tau.shape}")
-    tau, steepness = float(tau[0]), float(params["alpha"])
+    tau, steepness = float(params["tau"][0]), float(params["alpha"])
     p = expit(steepness * (y - tau))
     value, upstream_p = _bce(p, values, starts, counts)
     dz = upstream_p * p * (1.0 - p)  # d loss / d (alpha (y - tau))
@@ -350,7 +347,8 @@ class EpochMetrics:
 
 @dataclass
 class Checkpoint:
-    """Parameters and selection metadata, as JSON.
+    """Parameters and selection metadata, as JSON under `HEADER`. The params pass
+    `check_params` for any rule count; the metadata's ``rule_ids`` name their rules.
 
     Older files also hold Adam's state under ``optimizer``; nothing reads
     it, so it is dropped on load. Files from before the band gate was
@@ -360,14 +358,15 @@ class Checkpoint:
     parameter (``s`` and ``q`` too, without ``bands``) is a `FormatError`.
     """
 
+    HEADER = {"format": "spectral-nsr-checkpoint", "version": 1}
+
     config: PipelineConfig
     params: dict[str, np.ndarray]
     metadata: dict
 
     def to_json(self) -> str:
         payload = {
-            "format": "spectral-nsr-checkpoint",
-            "version": 1,
+            **self.HEADER,
             "config": asdict(self.config),
             "params": {k: np.asarray(v).tolist() for k, v in self.params.items()},
             "metadata": self.metadata,
@@ -379,6 +378,8 @@ class Checkpoint:
         """Parse a checkpoint; malformed content raises `FormatError`."""
         try:
             payload = json.loads(text)
+            if {key: payload[key] for key in cls.HEADER} != cls.HEADER:
+                raise FormatError(f"not a checkpoint file: its format and version must be {cls.HEADER}")
             gated = "bands" in payload["config"]
             config = {k: v for k, v in payload["config"].items() if not retired_config_key(k, v)}
             missing = sorted({f.name for f in fields(PipelineConfig)} - set(config))
@@ -391,15 +392,18 @@ class Checkpoint:
             raise FormatError(f"checkpoint is missing key {exc}") from exc
         except (AttributeError, OverflowError, TypeError, ValueError) as exc:
             raise FormatError(f"malformed checkpoint: {exc}") from exc
-        for name, value in params.items():
-            if not np.isfinite(value).all():
-                raise FormatError(f"param {name!r} has non-finite entries")
+        rule_ids = metadata.get("rule_ids", []) if isinstance(metadata, dict) else None
+        if not isinstance(rule_ids, list) or not all(isinstance(rule_id, str) for rule_id in rule_ids):
+            raise FormatError(f"checkpoint metadata must be an object whose rule_ids are strings, got {metadata!r}")
         if gated:
             params.pop("s", None)
             params.pop("q", None)
             if "theta" in params and params["theta"].shape == (1, cfg.order + 1):
                 params["theta"] = params["theta"][0]
-        _check_param_shapes(cfg, params)
+        try:
+            check_params(cfg, params, None)
+        except BadParams as exc:
+            raise FormatError(f"checkpoint {exc}") from exc
         return cls(cfg, params, metadata)
 
     def save(self, path: str | Path) -> None:
@@ -410,22 +414,12 @@ class Checkpoint:
         return cls.from_json(Path(path).read_text())
 
     def pipeline(self, rules: list[SpectralRule] | None = None) -> Pipeline:
-        return Pipeline(self.config, rules=rules, params=self.params)
-
-
-def _check_param_shapes(cfg: PipelineConfig, params: dict[str, np.ndarray]) -> None:
-    missing = sorted(set(LEARNING_RATES) - set(params))
-    if missing:
-        raise FormatError(f"checkpoint params miss {missing}")
-    unknown = sorted(set(params) - set(LEARNING_RATES))
-    if unknown:
-        raise FormatError(f"checkpoint params hold unknown {unknown}")
-    expected = {"theta": (cfg.order + 1,), "tau": (1,), "alpha": ()}
-    for name, shape in expected.items():
-        if params[name].shape != shape:
-            raise FormatError(f"param {name!r} has shape {params[name].shape}, config needs {shape}")
-    if params["rule_weights"].ndim != 1:
-        raise FormatError(f"param 'rule_weights' must be 1-D, got shape {params['rule_weights'].shape}")
+        """The pipeline on ``rules`` (default: the config's), which must be the ``rule_ids``, in order."""
+        pipe = Pipeline(self.config, rules=rules, params=self.params)
+        ids = [rule.rule_id for rule in pipe.rules]
+        if ids != self.metadata.get("rule_ids", ids):
+            raise FormatError(f"checkpoint was trained on rules {self.metadata['rule_ids']}, not on {ids}")
+        return pipe
 
 
 @dataclass

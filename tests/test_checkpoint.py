@@ -9,7 +9,8 @@ from click.testing import CliRunner
 from spectral_nsr.cli import main
 from spectral_nsr.errors import BadParams, FormatError
 from spectral_nsr.harness import gen_dataset, save_dataset, split_dataset
-from spectral_nsr.pipeline import PipelineConfig
+from spectral_nsr.pipeline import REFERENCE_LAMBDA_MAX, PipelineConfig
+from spectral_nsr.rules import load_rules
 from spectral_nsr.trainer import Checkpoint, TrainRun, train
 
 REFERENCE = Path(__file__).parent / "data" / "reference_checkpoint.json"
@@ -211,6 +212,34 @@ class TestCheckpointFormat:
         record = json.loads(result.stderr.strip().splitlines()[-1])
         assert record["error"] == error and name in record["message"]
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda p: p.update(metadata=["epoch", 12]),
+            lambda p: p.update(metadata="epoch 12"),
+            lambda p: p.update(metadata=None),
+            lambda p: p.update(format="not-a-checkpoint"),
+            lambda p: p.update(version=99),
+            lambda p: p.pop("format"),
+            lambda p: p.pop("version"),
+            lambda p: p["metadata"].update(rule_ids="transitive"),
+            lambda p: p["metadata"].update(rule_ids=[1, 2]),
+            lambda p: p["metadata"].update(rule_ids=None),
+        ],
+        ids=[
+            "metadata-list", "metadata-string", "metadata-null", "format", "version", "no-format", "no-version",
+            "rule-ids-string", "rule-ids-numbers", "rule-ids-null",
+        ],
+    )
+    def test_malformed_header_or_metadata_exits_one(self, tmp_path, edit):
+        ckpt = tmp_path / "ckpt.json"
+        ckpt.write_text(corrupt(edit))
+        result = CliRunner().invoke(main, ["inspect-ckpt", "--ckpt", str(ckpt), "--json-errors"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        record = json.loads(result.stderr.strip().splitlines()[-1])
+        assert record["error"] == "FormatError"
+
     def test_trained_checkpoint_has_no_optimizer_state(self):
         tasks = gen_dataset("transitive", 12, seed=1)
         run = TrainRun(max_epochs=1, batch_size=4, seed=0, latency_probe=0)
@@ -258,3 +287,38 @@ class TestCheckpointFormat:
             result = runner.invoke(main, ["inspect-ckpt", "--ckpt", str(bad)])
             assert result.exit_code == 1
             assert isinstance(result.exception, SystemExit)
+
+
+def swapped_reference_rules(directory):
+    """The reference rules with their two lines swapped, where the reference
+    checkpoint's relative ``rules=`` path resolves from ``directory``."""
+    path = directory / "tests" / "data" / RULES.name
+    path.parent.mkdir(parents=True)
+    lines = [line for line in RULES.read_text().splitlines() if line.startswith("rule ")]
+    assert len(lines) == 2
+    path.write_text("\n".join(reversed(lines)) + "\n")
+    return path
+
+
+class TestRuleIds:
+    """A checkpoint's rule weights belong to the rules its metadata names, in order."""
+
+    def test_rules_in_another_order_exit_one_from_eval(self, tmp_path, monkeypatch):
+        data = tmp_path / "data"
+        save_dataset(gen_dataset("transitive", 3, seed=1), data, splits=(1, 1, 1))
+        monkeypatch.chdir(tmp_path)
+        swapped_reference_rules(tmp_path)
+        args = ["eval", "--ckpt", str(REFERENCE), "--data", str(data), "--no-latency", "--json-errors"]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 1
+        record = json.loads(result.stderr.strip().splitlines()[-1])
+        assert record["error"] == "FormatError"
+        assert "['transitive', 'conflict']" in record["message"]
+        assert "['conflict', 'transitive']" in record["message"]
+
+    def test_a_checkpoint_without_rule_ids_still_runs(self, tmp_path):
+        # with nothing to compare against, any two rules fit its two weights
+        ckpt = Checkpoint.from_json(corrupt(lambda p: p["metadata"].pop("rule_ids")))
+        assert "rule_ids" not in ckpt.metadata
+        pipe = ckpt.pipeline(rules=load_rules(swapped_reference_rules(tmp_path), REFERENCE_LAMBDA_MAX))
+        pipe.run_task(gen_dataset("transitive", 1, seed=1)[0])

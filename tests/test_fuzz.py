@@ -128,7 +128,11 @@ class TestNonFinite:
 REFERENCE = json.loads((DATA / "reference_checkpoint.json").read_text())
 # independent of the working directory
 REFERENCE["config"]["rules"] = str(DATA / "reference_rules.txt")
-FIELDS = [(section, key) for section in ("config", "params", "optimizer") for key in REFERENCE[section]]
+# a field is its path in the checkpoint: the header keys, the metadata as a
+# whole, and every key of the config, params, optimizer and metadata
+FIELDS = [("format",), ("version",), ("metadata",)] + [
+    (section, key) for section in ("config", "params", "optimizer", "metadata") for key in REFERENCE[section]
+]
 TASK = gen_transitive(3, width=2, seed=0)
 
 
@@ -144,6 +148,9 @@ class TestMutatedCheckpoint:
     @given(field=st.sampled_from(FIELDS), value=JSON)
     def test_one_field_changed(self, field, value):
         payload = copy.deepcopy(REFERENCE)
-        section, key = field
-        payload[section][key] = value
+        *sections, key = field
+        target = payload
+        for section in sections:
+            target = target[section]
+        target[key] = value
         only_package_errors(run_checkpoint, json.dumps(payload))

@@ -16,6 +16,17 @@ def test_benchmark_tracer_finds_every_layer(monkeypatch):
         tracer.restore()
 
 
+def test_reference_pipeline_runs_the_rules_its_checkpoint_names(monkeypatch):
+    """The benchmark's reference pipeline passes the checkpoint's rule-id check."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+    from spectral_nsr.trainer import Checkpoint
+
+    root = PERFBENCH.parent
+    pipe = workloads._reference_pipeline(root)
+    assert [rule.rule_id for rule in pipe.rules] == Checkpoint.load(root / workloads.CHECKPOINT).metadata["rule_ids"]
+
+
 def test_small_tasks_screen_calls_the_library(monkeypatch):
     """The benchmark's task screen calls the library directly; a generated task passes it untouched."""
     monkeypatch.syspath_prepend(str(PERFBENCH))

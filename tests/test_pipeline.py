@@ -1,17 +1,27 @@
 import hashlib
 import json
+import re
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from spectral_nsr import pipeline
-from spectral_nsr.errors import BadParams, ConvergenceFailure, UnmappedNode
+from spectral_nsr.errors import BadParams, ConvergenceFailure, FormatError, UnmappedNode
 from spectral_nsr.graph import COMBINATORIAL, LaplacianMatrix, combinatorial_laplacian
 from spectral_nsr.harness import evaluate, gen_dataset, gen_transitive, split_dataset
-from spectral_nsr.pipeline import REFERENCE_LAMBDA_MAX, Pipeline, PipelineConfig, run_pipeline
-from spectral_nsr.rules import load_rules
+from spectral_nsr.pipeline import (
+    REFERENCE_LAMBDA_MAX,
+    Pipeline,
+    PipelineConfig,
+    check_params,
+    init_params,
+    run_pipeline,
+)
+from spectral_nsr.rules import SpectralRule, builtin_template, load_rules
 from spectral_nsr.spectral import block_diagonal, vertex_signal
 from spectral_nsr.symbolic import KnowledgeBase
 from spectral_nsr.trainer import Checkpoint, TrainRun, train
@@ -83,12 +93,12 @@ class TestGolden:
 class TestBlockValidation:
     def test_each_graph_is_held_to_its_own_scale(self):
         heavy = combinatorial_laplacian(gen_transitive(3, width=2, seed=1).graph)
-        heavy = LaplacianMatrix(COMBINATORIAL, heavy.matrix * 1e6, heavy.degrees * 1e6)
+        heavy = LaplacianMatrix(COMBINATORIAL, heavy.matrix * 1e6)
         light = combinatorial_laplacian(gen_transitive(2, width=2, seed=2).graph)
         # one diagonal entry off by 1e-9: within the heavy graph's tolerance, not its own
         matrix = light.matrix.copy()
         matrix[0, 0] += 1e-9
-        light = LaplacianMatrix(COMBINATORIAL, matrix, light.degrees)
+        light = LaplacianMatrix(COMBINATORIAL, matrix)
         heavy.validate()
         with pytest.raises(BadParams, match="rows do not sum to 0"):
             light.validate()
@@ -140,14 +150,101 @@ class TestOutput:
         assert not any("answers" in vars(out) for out in outputs)
 
     def test_tau_is_one_threshold(self):
-        # a per-node threshold is refused, even one that fits the graph
+        # a per-node threshold is refused, even one that fits the graph,
+        # before any stage runs
         task = gen_transitive(3, width=2, seed=0)
         params = reference_pipeline().params
         for tau in ([0.4, 0.4], np.full(task.graph.node_count, 0.4)):
             with pytest.raises(BadParams, match="tau") as info:
                 run_pipeline(PipelineConfig(), task.graph, vertex_signal(task.x0), (), task.kb,
                              params={**params, "rule_weights": np.zeros(0), "tau": np.asarray(tau)})
-            assert info.value.stage == "threshold"
+            assert info.value.stage is None
+
+
+PARAM_NAMES = ("theta", "rule_weights", "tau", "alpha")
+PARAM_FAULTS = ("shape", "nan", "inf", "extra", "missing")
+
+
+def low_pass_rules(count):
+    return tuple(
+        SpectralRule(f"r{i}", builtin_template("low-pass", REFERENCE_LAMBDA_MAX, beta=1.0 + i), kind="low-pass")
+        for i in range(count)
+    )
+
+
+def with_fault(params, name, fault):
+    """``params`` with one fault at ``name``, and the name a refusal must give."""
+    params = dict(params)
+    if fault == "extra":
+        params["bogus"] = np.zeros(1)
+        return params, "bogus"
+    if fault == "missing":
+        del params[name]
+    elif fault == "shape":
+        params[name] = params[name][None]
+    else:
+        value = params[name].copy()
+        value.flat[-1] = np.nan if fault == "nan" else np.inf
+        params[name] = value
+    return params, name
+
+
+class TestCheckParams:
+    """`check_params` is the one definition of a valid parameter set, and
+    every way a parameter set enters the program applies it."""
+
+    TASK = gen_transitive(3, width=2, seed=0)
+
+    def run(self, cfg, rules, params):
+        return run_pipeline(cfg, self.TASK.graph, vertex_signal(self.TASK.x0), rules, self.TASK.kb, params=params)
+
+    @settings(max_examples=30, deadline=None)
+    @given(order=st.integers(0, 6), rule_count=st.integers(0, 3))
+    def test_init_params_pass_everywhere(self, order, rule_count):
+        cfg, rules = PipelineConfig(order=order), low_pass_rules(rule_count)
+        params = init_params(cfg, rules)
+        check_params(cfg, params, rule_count)
+        check_params(cfg, params, None)
+        assert Pipeline(cfg, list(rules), params).params is params
+        self.run(cfg, rules, params)
+        loaded = Checkpoint.from_json(Checkpoint(cfg, params, {}).to_json()).params
+        assert all(np.array_equal(loaded[name], params[name]) for name in PARAM_NAMES)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        order=st.integers(0, 6),
+        rule_count=st.integers(0, 3),
+        name=st.sampled_from(PARAM_NAMES),
+        fault=st.sampled_from(PARAM_FAULTS),
+    )
+    def test_one_fault_is_refused_everywhere(self, order, rule_count, name, fault):
+        # no entry to make non-finite in the rule weights of no rules
+        assume(fault not in ("nan", "inf") or name != "rule_weights" or rule_count)
+        cfg, rules = PipelineConfig(order=order), low_pass_rules(rule_count)
+        params, named = with_fault(init_params(cfg, rules), name, fault)
+        named = re.escape(repr(named))
+        refusals = (
+            lambda: check_params(cfg, params, rule_count),
+            lambda: Pipeline(cfg, list(rules), params),
+            lambda: self.run(cfg, rules, params),
+        )
+        for refuse in refusals:
+            with pytest.raises(BadParams, match=named) as info:
+                refuse()
+            assert info.value.stage is None
+        if fault == "extra":
+            with pytest.raises(BadParams, match="unknown"):
+                check_params(cfg, params, rule_count)
+        with pytest.raises(FormatError, match=named):
+            Checkpoint.from_json(Checkpoint(cfg, params, {}).to_json())
+
+    def test_rule_weights_must_fit_the_rules(self):
+        cfg, rules = PipelineConfig(), low_pass_rules(2)
+        params = {**init_params(cfg, rules), "rule_weights": np.full(3, 0.5)}
+        check_params(cfg, params, None)  # a checkpoint's rules are not read yet
+        for refuse in (lambda: Pipeline(cfg, list(rules), params), lambda: self.run(cfg, rules, params)):
+            with pytest.raises(BadParams, match="'rule_weights'"):
+                refuse()
 
 
 class TestEvalReport:

@@ -17,7 +17,6 @@ from spectral_nsr.symbolic import (
     KnowledgeBase,
     PredicateSet,
     ProofTrace,
-    ThresholdConfig,
     bind_predicates,
     detect_conflicts,
     format_closure,
@@ -69,59 +68,52 @@ def random_kb(rng, max_atoms=10, max_clauses=15):
 
 class TestHardThreshold:
     def test_basic_indicator(self):
-        p = hard_threshold(vertex_signal([0.9, 0.1]), ThresholdConfig("hard", 0.5))
+        p = hard_threshold(vertex_signal([0.9, 0.1]), 0.5)
         assert p.values.tolist() == [True, False]
 
     def test_tie_is_false(self):
-        p = hard_threshold(vertex_signal([0.5]), ThresholdConfig("hard", 0.5))
+        p = hard_threshold(vertex_signal([0.5]), 0.5)
         assert not p.values[0]
 
     def test_matches_scalar_loop(self, rng):
         y = rng.standard_normal(40)
         tau = float(rng.standard_normal())
-        p = hard_threshold(vertex_signal(y), ThresholdConfig("hard", tau))
+        p = hard_threshold(vertex_signal(y), tau)
         for i in range(40):
             assert bool(p.values[i]) == (y[i] > tau)
-
-    def test_wrong_mode(self):
-        with pytest.raises(BadParams):
-            hard_threshold(vertex_signal([0.0]), ThresholdConfig("logistic", 0.5, alpha=1.0))
 
 
 class TestSoftThreshold:
     def test_midpoint(self):
-        p = soft_threshold(vertex_signal([0.3]), ThresholdConfig("logistic", 0.3, alpha=2.0))
+        p = soft_threshold(vertex_signal([0.3]), 0.3, 2.0)
         assert p.values[0] == pytest.approx(0.5)
 
     def test_saturation(self):
-        p = soft_threshold(vertex_signal([20.0]), ThresholdConfig("logistic", 0.0, alpha=1.0))
+        p = soft_threshold(vertex_signal([20.0]), 0.0, 1.0)
         assert p.values[0] >= 1.0 - 1e-6
 
     def test_sigma_of_one(self):
-        p = soft_threshold(vertex_signal([0.5]), ThresholdConfig("logistic", 0.0, alpha=2.0))
+        p = soft_threshold(vertex_signal([0.5]), 0.0, 2.0)
         assert p.values[0] == pytest.approx(1.0 / (1.0 + np.exp(-1.0)), abs=1e-12)
 
     def test_overflow_safe(self):
-        cfg = ThresholdConfig("logistic", 0.0, alpha=1e6)
-        p = soft_threshold(vertex_signal([-100.0, 100.0]), cfg)
+        p = soft_threshold(vertex_signal([-100.0, 100.0]), 0.0, 1e6)
         assert p.values[0] == 0.0
         assert p.values[1] == 1.0
 
     def test_monotone_in_y(self, rng):
-        cfg = ThresholdConfig("logistic", 0.2, alpha=3.0)
         y = np.sort(rng.standard_normal(30))
-        p = soft_threshold(vertex_signal(y), cfg)
+        p = soft_threshold(vertex_signal(y), 0.2, 3.0)
         assert np.all(np.diff(p.values) >= 0)
 
     def test_derivative_matches_finite_differences(self, rng):
         alpha, tau = 2.5, 0.1
-        cfg = ThresholdConfig("logistic", tau, alpha=alpha)
         y = rng.uniform(-1, 1, size=20)
         h = 1e-6
-        up = soft_threshold(vertex_signal(y + h), cfg).values
-        down = soft_threshold(vertex_signal(y - h), cfg).values
+        up = soft_threshold(vertex_signal(y + h), tau, alpha).values
+        down = soft_threshold(vertex_signal(y - h), tau, alpha).values
         fd = (up - down) / (2 * h)
-        p = soft_threshold(vertex_signal(y), cfg).values
+        p = soft_threshold(vertex_signal(y), tau, alpha).values
         analytic = alpha * p * (1 - p)
         assert np.abs(fd - analytic).max() <= 1e-6 * np.abs(analytic).max()
 
@@ -129,13 +121,13 @@ class TestSoftThreshold:
         y = rng.uniform(-1, 1, size=200)
         tau = 0.1
         keep = np.abs(y - tau) >= 1e-3
-        hard = hard_threshold(vertex_signal(y), ThresholdConfig("hard", tau)).values
-        soft = soft_threshold(vertex_signal(y), ThresholdConfig("logistic", tau, alpha=1e4)).values
+        hard = hard_threshold(vertex_signal(y), tau).values
+        soft = soft_threshold(vertex_signal(y), tau, 1e4).values
         assert np.array_equal(hard[keep], (soft > 0.5)[keep])
 
     def test_alpha_required_positive(self):
-        with pytest.raises(BadParams):
-            ThresholdConfig("logistic", 0.5, alpha=0.0)
+        with pytest.raises(BadParams, match="alpha"):
+            soft_threshold(vertex_signal([0.0]), 0.5, 0.0)
 
 
 class TestBindPredicates:

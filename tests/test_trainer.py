@@ -140,12 +140,6 @@ class TestGradThreshold:
         ctx, params, order = make_instance(rng)
         check_gradients(ctx, params, order, ["tau", "alpha"])
 
-    def test_tau_must_be_one_threshold(self, rng):
-        ctx, params, order = make_instance(rng)
-        params["tau"] = np.full(12, 0.3)
-        with pytest.raises(ShapeMismatch, match="tau"):
-            task_loss_and_grads(ctx, params, order)
-
 
 class TestGradientSuiteKeystone:
     def test_all_gradients_many_instances(self, rng):
