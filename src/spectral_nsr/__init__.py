@@ -20,7 +20,7 @@ from .graph import (
     normalized_laplacian,
 )
 from .harness import EvalReport, SyntheticTask, TaskSplits, evaluate, gen_dataset, gen_kinship, gen_transitive
-from .pipeline import Pipeline, PipelineConfig, PipelineOutput, run_pipeline
+from .pipeline import Pipeline, PipelineConfig, PipelineOutput
 from .rules import SpectralRule, builtin_template, rule_coefficients
 from .spectral import (
     ChebyshevFilter,
@@ -96,7 +96,6 @@ __all__ = [
     "Pipeline",
     "PipelineConfig",
     "PipelineOutput",
-    "run_pipeline",
 ]
 
 __version__ = "0.1.0"

@@ -38,7 +38,7 @@ class SyntheticTask:
     """One reasoning episode: graph, initial beliefs, KB, and oracle labels.
 
     Each node stands for the atom its label names; the pipeline binds it
-    from the graph itself (`PreparedGraph.atom_map`).
+    by that label (`PreparedGraph.labels`).
     """
 
     task_id: str
@@ -364,12 +364,12 @@ class EvalReport:
 def evaluate(pipeline, tasks, measure_latency: bool = True) -> EvalReport:
     """Run a pipeline over tasks and score against the oracle labels.
 
-    With ``measure_latency`` each task is one timed query (``run_task``),
-    after untimed runs of the first ``LATENCY_WARMUP`` tasks. Without it,
-    all tasks run as one block (``run_tasks``: stage 2 as one Chebyshev
-    recurrence for the block, stage 3 per task), which gives the same answers, and the
-    report's latency fields are None. ``pipeline`` only needs those two
-    methods.
+    With ``measure_latency`` each task is one timed query (``run_task``, a
+    block of one) after untimed runs of the first ``LATENCY_WARMUP``
+    tasks; without it all tasks run as one block (``run_tasks``), which
+    gives the same answers, and the latency fields are None. ``pipeline``
+    needs only those two methods; a `Pipeline` checked its parameters
+    when it was made, so neither re-checks them.
     """
     tasks = list(tasks)
     if not tasks:

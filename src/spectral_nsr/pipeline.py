@@ -21,15 +21,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BadParams, DimensionMismatch, DomainMismatch, FormatError, SpectralNsrError
-from .graph import COMBINATORIAL, NORMALIZED, LaplacianMatrix, NodeMeta, ReasoningGraph, laplacians
+from .errors import BadParams, FormatError, SpectralNsrError
+from .graph import COMBINATORIAL, NORMALIZED, LaplacianMatrix, ReasoningGraph, laplacians
 from .rules import SpectralRule, load_rules, rule_coefficients
 from .spectral import (
-    VERTEX,
     ChebyshevFilter,
     FrequencyResponse,
     GraphSignal,
     block_diagonal,
+    block_signal,
     chebyshev_filter,
     estimate_lambda_max,
     fit_chebyshev,
@@ -106,13 +106,13 @@ class PipelineConfig:
                 raise BadParams(f"{f.name} must be finite, got {value!r}")
             object.__setattr__(self, f.name, kind(value))
         if self.laplacian not in (COMBINATORIAL, NORMALIZED):
-            raise BadParams(f"unknown laplacian kind {self.laplacian!r}")
+            raise BadParams(f"laplacian must be {COMBINATORIAL!r} or {NORMALIZED!r}, got {self.laplacian!r}")
         if self.order < 0:
             raise BadParams("order must be >= 0")
         if self.seed < 0:
             raise BadParams("seed must be >= 0")
         if self.threshold_mode not in (HARD, LOGISTIC):
-            raise BadParams(f"unknown threshold mode {self.threshold_mode!r}")
+            raise BadParams(f"threshold_mode must be {HARD!r} or {LOGISTIC!r}, got {self.threshold_mode!r}")
 
     def to_text(self) -> str:
         lines = []
@@ -284,20 +284,20 @@ class PreparedGraph:
 
     `prepare_graph` builds it for every cold graph of a block in one pass:
     one Laplacian build, one bound call and one rule fit for the block,
-    each graph keeping exactly what it would get alone. The rule
-    coefficient rows and the node -> atom map also depend on the rules or
-    the knowledge base, so each keeps only the last one asked for. Each
-    slot is replaced by a single assignment, so a concurrent reader sees
-    either the old pair or the new one, never a mix.
+    each graph keeping exactly what it would get alone. ``labels`` holds
+    each node's label, the atom it stands for when it thresholds true
+    (`bind_predicates`). The rule coefficient rows also depend on the
+    rules, so only the last ones asked for are kept, replaced by a single
+    assignment: a concurrent reader sees either the old pair or the new
+    one, never a mix.
     """
 
-    # the graph's nodes rather than the graph: a reference back to the
+    # the graph's labels rather than the graph: a reference back to the
     # graph would form a cycle and delay freeing it until a gc pass
-    nodes: tuple[NodeMeta, ...]
+    labels: tuple[str, ...]
     laplacian: LaplacianMatrix
     lambda_max: float
     _rows: tuple = field(default=(None, None), init=False, repr=False)
-    _atoms: tuple = field(default=(None, None), init=False, repr=False)
 
     def coefficient_rows(self, rules: tuple[SpectralRule, ...], order: int) -> np.ndarray:
         """Read-only ``rule_coefficients`` rows, reused while ``(rules, order)`` stays equal."""
@@ -307,17 +307,6 @@ class PreparedGraph:
             rows.setflags(write=False)
             self._rows = ((rules, order), rows)
         return rows
-
-    def atom_map(self, kb: KnowledgeBase) -> dict[int, str]:
-        """Node id -> label for every node labelled with a declared atom of ``kb``.
-
-        Reused while ``kb`` is the same object; callers must not mutate it.
-        """
-        cached, mapping = self._atoms
-        if cached is not kb:
-            mapping = {m.id: m.label for m in self.nodes if m.label in kb.declared}
-            self._atoms = (kb, mapping)
-        return mapping
 
 
 def prepare_graph(
@@ -349,7 +338,7 @@ def prepare_graph(
         with _stage("spectral"):
             bounds = estimate_lambda_max(laps, seed=cfg.seed)
         for g, lap, bound in zip(cold, laps, bounds, strict=True):
-            g.prepared[key] = PreparedGraph(g.nodes, lap, max(bound, 1e-12))
+            g.prepared[key] = PreparedGraph(tuple(m.label for m in g.nodes), lap, max(bound, 1e-12))
     prepared = [g.prepared[key] for g in graph]
     if rules:
         rules = tuple(rules)
@@ -365,53 +354,36 @@ def prepare_graph(
 
 
 def run_pipeline(
-    cfg: PipelineConfig,
-    graph: ReasoningGraph | Sequence[ReasoningGraph],
-    x0: GraphSignal | Sequence[GraphSignal],
-    rules: list[SpectralRule] | tuple[SpectralRule, ...],
-    kb: KnowledgeBase | Sequence[KnowledgeBase],
-    params: dict[str, np.ndarray] | None = None,
-) -> PipelineOutput | list[PipelineOutput]:
-    """Execute the filter (`combined_filter`), thresholding, binding and
-    forward chaining, in that order.
-
-    A node binds to the atom its label names when ``kb`` declares it; a
-    true node whose label ``kb`` does not declare raises `UnmappedNode`.
-    The Laplacian, ``lambda_max``, rule rows and that node -> atom map
-    come from `prepare_graph`. Module errors propagate with a ``stage``
-    tag attached; passed ``params`` are checked first (`check_params`).
-
-    Several graphs run as one block when ``graph`` is a list, with ``x0``
-    and ``kb`` lists of one entry per graph. They are stacked
-    block-diagonally (`block_diagonal`), so stage 2 makes one Chebyshev
-    recurrence for all of them, each node keeping its own graph's
-    ``lambda_max`` and coefficients; stage 3 runs per graph. A list of
-    outputs comes back, each bit for bit the one its graph gives alone.
-    One graph is a block of one: nothing is assembled and ``lambda_max``
-    stays a scalar.
-    """
-    rules = tuple(rules)
-    params = init_params(cfg, rules) if params is None else check_params(cfg, params, len(rules))
-    if isinstance(graph, ReasoningGraph):
-        return _run_block(cfg, [graph], [x0], rules, [kb], params)[0]
-    return _run_block(cfg, graph, x0, rules, kb, params)
-
-
-def _run_block(
-    cfg: PipelineConfig,
+    pipe: Pipeline,
     graphs: Sequence[ReasoningGraph],
     signals: Sequence[GraphSignal],
-    rules: tuple[SpectralRule, ...],
     kbs: Sequence[KnowledgeBase],
-    params: dict[str, np.ndarray],
 ) -> list[PipelineOutput]:
+    """Run ``pipe``'s filter (`combined_filter`), thresholding, binding and
+    forward chaining, in that order, on a block of graphs with one signal
+    and one KB each. `Pipeline`'s methods are the way in: they hand over
+    its checked parameters, and call this function by its module name,
+    which perfbench's layer tracer wraps as ``pipeline.self``.
+
+    Each true node binds as the atom its label names; one whose label its
+    ``kb`` does not declare raises `UnmappedNode`. The Laplacian,
+    ``lambda_max``, rule rows and labels come from `prepare_graph`. Module
+    errors propagate with a ``stage`` tag attached.
+
+    The graphs are stacked block-diagonally (`block_diagonal`), so stage 2
+    makes one Chebyshev recurrence for all of them, each node keeping its
+    own graph's ``lambda_max`` and coefficients; stage 3 runs per graph.
+    Output i is bit for bit the one graph i gives alone. One graph is a
+    block of one: nothing is assembled and ``lambda_max`` stays a scalar.
+    """
+    cfg, rules, params = pipe.cfg, pipe.rules, pipe.params
     prepared = prepare_graph(cfg, graphs, rules)
     lap, lambda_max, starts = block_diagonal(
         [p.laplacian for p in prepared], [p.lambda_max for p in prepared]
     )
 
     with _stage("filter"):
-        x = _block_signal(signals, starts)
+        x = block_signal(signals, starts)
         rows = np.stack([p.coefficient_rows(rules, cfg.order) for p in prepared]) if rules else None
         y = chebyshev_filter(lap, combined_filter(params, lambda_max, rows, starts), x).values
 
@@ -423,23 +395,11 @@ def _run_block(
         with _stage("threshold"):
             predicates = soft_threshold(y_graph, tau, alpha) if logistic else hard_threshold(y_graph, tau)
         with _stage("bind"):
-            bound = bind_predicates(predicates, kb, p.atom_map(kb))
+            bound = bind_predicates(predicates, kb, p.labels)
         with _stage("chain"):
             closure, traces = forward_chain(bound)
         outputs.append(PipelineOutput(y_graph, predicates, closure, traces, params["theta"], p.lambda_max))
     return outputs
-
-
-def _block_signal(signals: Sequence[GraphSignal], starts: np.ndarray) -> GraphSignal:
-    """The graphs' signals end to end, each checked against its own graph."""
-    if len(signals) == 1:
-        return signals[0]
-    for i, signal in enumerate(signals):
-        if signal.domain != VERTEX:
-            raise DomainMismatch("the pipeline expects vertex-domain signals")
-        if len(signal) != starts[i + 1] - starts[i]:
-            raise DimensionMismatch(f"signal {i} has length {len(signal)}, its graph {starts[i + 1] - starts[i]} nodes")
-    return vertex_signal(np.concatenate([signal.values for signal in signals]))
 
 
 def _read_rule_file(path: str) -> list[SpectralRule]:
@@ -452,7 +412,9 @@ def _read_rule_file(path: str) -> list[SpectralRule]:
 
 
 class Pipeline:
-    """A configuration bound to a rule set and `init_params` or parameters that pass `check_params`.
+    """A configuration bound to a rule set and `init_params` or parameters
+    that pass `check_params`, checked once here; every query runs through
+    `run_pipeline` with them.
 
     Instances are immutable in use: `run`, `run_task` and `run_tasks` are
     pure apart from the `PreparedGraph` kept on each graph, so
@@ -474,11 +436,11 @@ class Pipeline:
         self.params = init_params(cfg, self.rules) if params is None else check_params(cfg, params, len(self.rules))
 
     def run(self, graph: ReasoningGraph, x0: GraphSignal, kb: KnowledgeBase) -> PipelineOutput:
-        return run_pipeline(self.cfg, graph, x0, self.rules, kb, params=self.params)
+        return run_pipeline(self, [graph], [x0], [kb])[0]
 
     def run_task(self, task) -> PipelineOutput:
         """Run a synthetic task (harness protocol)."""
-        return self.run(task.graph, vertex_signal(task.x0), task.kb)
+        return self.run_tasks([task])[0]
 
     def run_tasks(self, tasks) -> list[PipelineOutput]:
         """Run synthetic tasks as one block (see `run_pipeline`).
@@ -487,10 +449,8 @@ class Pipeline:
         """
         tasks = list(tasks)
         return run_pipeline(
-            self.cfg,
+            self,
             [task.graph for task in tasks],
             [vertex_signal(task.x0) for task in tasks],
-            self.rules,
             [task.kb for task in tasks],
-            params=self.params,
         )

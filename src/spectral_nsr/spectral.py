@@ -362,6 +362,20 @@ def block_diagonal(
     return LaplacianMatrix(kinds.pop(), matrix), lambda_max, starts
 
 
+def block_signal(signals: Sequence[GraphSignal], starts: np.ndarray) -> GraphSignal:
+    """The graphs' signals end to end, as `block_diagonal` lays out their
+    nodes (``starts``); each must be vertex-domain and as long as its own
+    graph, a block of one too, which comes back as it is."""
+    for i, signal in enumerate(signals):
+        if signal.domain != VERTEX:
+            raise DomainMismatch(f"signal {i} is not a vertex-domain signal")
+        if len(signal) != starts[i + 1] - starts[i]:
+            raise DimensionMismatch(f"signal {i} has length {len(signal)}, its graph {starts[i + 1] - starts[i]} nodes")
+    if len(signals) == 1:
+        return signals[0]
+    return vertex_signal(np.concatenate([signal.values for signal in signals]))
+
+
 def chebyshev_stack(lap: LaplacianMatrix, lambda_max, x: np.ndarray, order: int) -> np.ndarray:
     """Columns T_k(L~) x for k = 0..order, via the three-term recurrence.
 

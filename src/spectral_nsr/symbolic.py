@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import copy
 from collections import deque
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -83,9 +83,8 @@ class KnowledgeBase:
 
     ``declared`` (the atom set) and ``by_premise`` (body atom -> indices
     of the clauses it appears in) are built once, shared by every
-    `with_facts` copy, and read by binding, chaining and the pipeline's
-    cached node -> atom map. All of that relies on the KB never being
-    changed after construction.
+    `with_facts` copy, and read by binding and chaining. Both rely on the
+    KB never being changed after construction.
     """
 
     atoms: tuple[str, ...]
@@ -147,22 +146,18 @@ class ProofTrace:
     steps: tuple[tuple[str, tuple[str, ...]], ...] = ()
 
 
-def bind_predicates(p: PredicateSet, kb: KnowledgeBase, mapping: dict[int, str]) -> KnowledgeBase:
-    """Insert thresholded-true nodes into the KB as facts.
+def bind_predicates(p: PredicateSet, kb: KnowledgeBase, labels: Sequence[str]) -> KnowledgeBase:
+    """Insert each thresholded-true node i into the KB as the fact ``labels[i]``.
 
-    The mapping must cover every true node and name declared atoms; soft
-    predicate sets are cut at 0.5 first. The lowest true node that breaks
-    either condition decides the error.
+    Soft predicate sets are cut at 0.5 first. A true node whose label
+    ``kb`` does not declare raises `UnmappedNode`, naming the lowest such
+    node and its label.
     """
     nodes = p.true_nodes()
-    atoms = list(map(mapping.get, nodes))
-    new_facts = frozenset(atoms)
+    new_facts = frozenset(map(labels.__getitem__, nodes))
     if not new_facts <= kb.declared:
-        bad = new_facts - kb.declared
-        node, atom = next((node, atom) for node, atom in zip(nodes, atoms) if atom in bad)
-        if node not in mapping:
-            raise UnmappedNode(f"node {node} is true but has no atom mapping")
-        raise BadParams(f"node {node} maps to undeclared atom {atom!r}")
+        node = next(node for node in nodes if labels[node] not in kb.declared)
+        raise UnmappedNode(f"node {node} is true but its label {labels[node]!r} is not a declared atom")
     return kb._plus_checked_facts(new_facts)
 
 

@@ -29,7 +29,6 @@ from scipy.special import expit
 from . import spectral
 from .errors import (
     BadParams,
-    DimensionMismatch,
     DivergedLoss,
     EmptyLabels,
     FormatError,
@@ -39,7 +38,7 @@ from .errors import (
 from .harness import SyntheticTask, TaskSplits, evaluate
 from .pipeline import Pipeline, PipelineConfig, check_params, filter_coefficients, prepare_graph, retired_config_key
 from .rules import SpectralRule
-from .spectral import block_diagonal, chebyshev_stack, product_operator, series_operator
+from .spectral import block_diagonal, block_signal, chebyshev_stack, product_operator, series_operator, vertex_signal
 
 # prepare_graph makes these calls now; the names stay on this module
 # because perfbench's layer tracer looks them up and wraps them here
@@ -193,7 +192,7 @@ def prepare_context(
     sizes = [p.laplacian.node_count for p in prepared]
     node_starts = np.cumsum([0, *sizes])
     nodes, values, label_starts = _labels(tasks, sizes)
-    x0 = np.concatenate([_signal(t, n) for t, n in zip(tasks, sizes, strict=True)])
+    x0 = block_signal([vertex_signal(t.x0) for t in tasks], node_starts).values
     kept = []
     for lo, hi in _runs(sizes, spectral.STACK_BYTES // (8 * (degree + 1))):
         lap, lambda_max, _ = block_diagonal(
@@ -245,21 +244,14 @@ def _labels(tasks: Sequence[SyntheticTask], sizes: list[int]) -> tuple[np.ndarra
     return np.array(nodes, dtype=np.int64), np.array(values, dtype=np.float64), np.array(starts, dtype=np.int64)
 
 
-def _signal(task: SyntheticTask, n: int) -> np.ndarray:
-    x0 = np.asarray(task.x0, dtype=np.float64)
-    if x0.shape != (n,):
-        raise DimensionMismatch(f"task {task.task_id}: signal of shape {x0.shape} for {n} nodes")
-    return x0
-
-
 def task_loss_and_grads(
     ctx: TaskContext,
     params: dict[str, np.ndarray],
-    order: int,
     tasks: np.ndarray | None = None,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Loss and full analytic gradient over the context's tasks, or over
-    the tasks indexed by ``tasks`` (a minibatch).
+    the tasks indexed by ``tasks`` (a minibatch). The filter order is
+    theta's, and the context's stack must be as wide as it needs.
 
     The loss is the sum of the tasks' mean BCE, so its value and
     gradients are the sums of those of its tasks. Only dense algebra on
@@ -284,6 +276,7 @@ def task_loss_and_grads(
         rows = None if rows is None else rows[tasks]
 
     theta, weights = params["theta"], params["rule_weights"]
+    order = theta.size - 1
     degree = order if rows is None else 2 * order
     if x.shape[1] != degree + 1:
         raise ShapeMismatch(f"filter of order {order} for stack {x.shape}")
@@ -385,7 +378,10 @@ class Checkpoint:
             missing = sorted({f.name for f in fields(PipelineConfig)} - set(config))
             if missing:
                 raise FormatError(f"checkpoint config misses {missing}")
-            cfg = PipelineConfig(**config)
+            try:
+                cfg = PipelineConfig(**config)
+            except BadParams as exc:
+                raise FormatError(f"checkpoint config {exc}") from exc
             params = {name: np.asarray(value, dtype=np.float64) for name, value in payload["params"].items()}
             metadata = payload["metadata"]
         except KeyError as exc:
@@ -478,7 +474,7 @@ def train(
         losses = []
         for start in range(0, len(order), run.batch_size):
             batch = order[start : start + run.batch_size]
-            value, grads = task_loss_and_grads(context, state.params, cfg.order, batch)
+            value, grads = task_loss_and_grads(context, state.params, batch)
             if not math.isfinite(value):
                 raise DivergedLoss(f"loss diverged on the minibatch of task indices {batch.tolist()}")
             scale = 1.0 / len(batch)

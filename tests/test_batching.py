@@ -13,7 +13,7 @@ from numpy.polynomial import chebyshev as npcheb
 from spectral_nsr import spectral, trainer
 from spectral_nsr.errors import BadParams, DimensionMismatch, FormatError
 from spectral_nsr.graph import COMBINATORIAL, NORMALIZED, NodeMeta, build_graph
-from spectral_nsr.harness import evaluate, gen_dataset, gen_kinship, gen_transitive
+from spectral_nsr.harness import TaskSplits, evaluate, gen_dataset, gen_kinship, gen_transitive
 from spectral_nsr.pipeline import (
     REFERENCE_LAMBDA_MAX,
     Pipeline,
@@ -123,7 +123,7 @@ def split_and_params(rng, order=PipelineConfig.order):
     tasks = gen_dataset("transitive", 5, seed=4) + gen_dataset("kinship", 4, seed=4)
     params = random_params(cfg, len(rules), rng)
     params["alpha"] = np.asarray(rng.uniform(2.0, 6.0))
-    return tasks, prepare_context(tasks, cfg, rules), params, cfg.order
+    return tasks, prepare_context(tasks, cfg, rules), params
 
 
 def sparse_graph(n, seed, isolated=0):
@@ -216,10 +216,10 @@ class TestBlockPreparation:
 class TestBlockGradients:
     @pytest.mark.parametrize("order", [1, 3, 5])
     def test_block_is_the_sum_over_tasks(self, rng, order):
-        tasks, split, params, order = split_and_params(rng, order)
+        tasks, split, params = split_and_params(rng, order)
         assert split.task_count >= 2
-        value, grads = task_loss_and_grads(split, params, order)
-        singles = [task_loss_and_grads(prepare_context(task, PipelineConfig(order=order), rule_bank()), params, order)
+        value, grads = task_loss_and_grads(split, params)
+        singles = [task_loss_and_grads(prepare_context(task, PipelineConfig(order=order), rule_bank()), params)
                    for task in tasks]
         assert value == pytest.approx(sum(v for v, _ in singles), rel=1e-12, abs=0)
         for key, grad in grads.items():
@@ -228,10 +228,10 @@ class TestBlockGradients:
             assert np.abs(grad - expected).max() <= 1e-12 * scale, key
 
     def test_finite_differences_on_a_block(self, rng):
-        tasks, split, params, order = split_and_params(rng)
+        tasks, split, params = split_and_params(rng)
         batch = rng.permutation(split.task_count)[:4]
         assert len({tasks[i].graph.node_count for i in batch}) >= 3
-        _, analytic = task_loss_and_grads(split, params, order, batch)
+        _, analytic = task_loss_and_grads(split, params, batch)
         for key in ("theta", "rule_weights", "tau", "alpha"):
             base = {k: np.array(v, dtype=np.float64) for k, v in params.items()}
             flat = base[key].reshape(-1)
@@ -239,9 +239,9 @@ class TestBlockGradients:
             for i in range(flat.size):
                 orig = flat[i]
                 flat[i] = orig + FD_STEP
-                up, _ = task_loss_and_grads(split, base, order, batch)
+                up, _ = task_loss_and_grads(split, base, batch)
                 flat[i] = orig - FD_STEP
-                down, _ = task_loss_and_grads(split, base, order, batch)
+                down, _ = task_loss_and_grads(split, base, batch)
                 flat[i] = orig
                 fd[i] = (up - down) / (2 * FD_STEP)
             ga = np.asarray(analytic[key], dtype=np.float64).reshape(-1)
@@ -251,10 +251,10 @@ class TestBlockGradients:
 
     def test_single_context_is_its_own_block(self, rng):
         # a batch of one task of the split is that task's own context, bit for bit
-        tasks, split, params, order = split_and_params(rng)
+        tasks, split, params = split_and_params(rng)
         for i, task in enumerate(tasks):
-            value, grads = task_loss_and_grads(split, params, order, [i])
-            alone, alone_grads = task_loss_and_grads(prepare_context(task, PipelineConfig(), rule_bank()), params, order)
+            value, grads = task_loss_and_grads(split, params, [i])
+            alone, alone_grads = task_loss_and_grads(prepare_context(task, PipelineConfig(), rule_bank()), params)
             assert value == alone
             for key, grad in grads.items():
                 assert np.array_equal(grad, alone_grads[key]), key
@@ -293,6 +293,15 @@ class TestBlockGradients:
             prepare_context(replace(task, x0=task.x0[:-1]), PipelineConfig(), ())
         with pytest.raises(BadParams):
             prepare_context(replace(task, labels={**task.labels, task.graph.node_count: 1}), PipelineConfig(), ())
+        # a non-finite signal is refused as inference refuses it, not left to diverge
+        poisoned = replace(task, x0=np.where(np.arange(task.x0.size) == 0, np.nan, task.x0))
+        with pytest.raises(BadParams, match="non-finite"):
+            prepare_context([gen_transitive(3, seed=4), poisoned], PipelineConfig(), ())
+        with pytest.raises(BadParams, match="non-finite"):
+            Pipeline(PipelineConfig()).run_task(poisoned)
+        splits = TaskSplits(train=(poisoned, task), val=(task,), test=())
+        with pytest.raises(BadParams, match="non-finite"):
+            trainer.train(PipelineConfig(), splits, trainer.TrainRun(max_epochs=1, latency_probe=0))
 
 
 def declared_task(graph, x0):

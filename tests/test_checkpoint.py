@@ -191,6 +191,21 @@ class TestCheckpointFormat:
             Checkpoint.from_json(corrupt(lambda p: p["params"].update({name: value})))
 
     @pytest.mark.parametrize(
+        "name, value",
+        [("order", -1), ("order", 5.0), ("laplacian", "x"), ("tau", "abc"), ("threshold_mode", "soft"), ("seed", True)],
+    )
+    def test_malformed_config_value(self, tmp_path, name, value):
+        text = corrupt(lambda p: p["config"].update({name: value}))
+        with pytest.raises(FormatError, match=name):
+            Checkpoint.from_json(text)
+        ckpt = tmp_path / "ckpt.json"
+        ckpt.write_text(text)
+        result = CliRunner().invoke(main, ["inspect-ckpt", "--ckpt", str(ckpt), "--json-errors"])
+        assert result.exit_code == 1
+        record = json.loads(result.stderr.strip().splitlines()[-1])
+        assert record["error"] == "FormatError" and name in record["message"]
+
+    @pytest.mark.parametrize(
         "name, value, error",
         [
             ("alpha", [8.0, 8.0], "FormatError"),

@@ -95,3 +95,20 @@ def test_traced_train_times_every_adam_step(monkeypatch):
     assert result.failed == 0, result.problems
     assert result.metrics["trainer.adam_ms"] > 0.0
     assert result.metrics["trainer.adam_steps"] == result.metrics["trainer.grad_calls"] > 0
+
+
+def test_traced_inference_reaches_every_query_layer(monkeypatch):
+    """Traced small_tasks and large_graph runs at the self-test's sizes time
+    every inference layer, so `Pipeline` still runs its queries through the
+    `run_pipeline` the tracer wraps."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import selftest
+    import workloads
+
+    sizes = workloads.Sizes(**selftest.TINY)
+    for name in ("small_tasks", "large_graph"):
+        result = workloads.run(name, PERFBENCH.parent, seed=1, seconds=0.2, trace=True, sizes=sizes)
+        assert result.failed == 0, result.problems
+        for layer in ("pipeline.self", "spectral.learned_filter", "symbolic.threshold", "symbolic.bind", "symbolic.chain"):
+            assert result.metrics[f"{layer}_ms"] > 0.0, (name, layer)
+        assert result.metrics["spectral.cheb_matvecs"] > 0, name

@@ -19,7 +19,6 @@ from spectral_nsr.pipeline import (
     PipelineConfig,
     check_params,
     init_params,
-    run_pipeline,
 )
 from spectral_nsr.rules import SpectralRule, builtin_template, load_rules
 from spectral_nsr.spectral import block_diagonal, vertex_signal
@@ -52,7 +51,7 @@ def calls(monkeypatch):
 
 
 def run(cfg, task, rules):
-    return run_pipeline(cfg, task.graph, vertex_signal(task.x0), rules, task.kb)
+    return Pipeline(cfg, rules=list(rules)).run_task(task)
 
 
 def assert_same_output(a, b):
@@ -120,6 +119,31 @@ class TestBinding:
                 run_one(replace(task, kb=kb))
             assert info.value.stage == "bind"
 
+    def test_true_distractor_outside_the_kb(self):
+        # a KB of the chain alone: the distractor head given the chain's
+        # evidence thresholds true and names no declared atom
+        task = gen_transitive(3, width=2, seed=0)
+        chain = KnowledgeBase(
+            tuple(a for a in task.kb.atoms if a.startswith("P")),
+            tuple(c for c in task.kb.clauses if c.head.startswith("P")),
+        )
+        head = task.kb.atoms.index("Q0_0")
+        x0 = task.x0.copy()
+        x0[head] = x0[0]
+        pipe = reference_pipeline()
+        for run_one in (pipe.run_task, lambda t: pipe.run_tasks([task, t])):
+            with pytest.raises(UnmappedNode, match=f"node {head} is true but its label 'Q0_0'") as info:
+                run_one(replace(task, x0=x0, kb=chain))
+            assert info.value.stage == "bind"
+
+    def test_equal_kbs_bind_the_same_facts(self):
+        tasks = gen_dataset("transitive", 3, seed=4) + gen_dataset("kinship", 3, seed=4)
+        pipe = reference_pipeline()
+        again = [replace(t, kb=KnowledgeBase(t.kb.atoms, t.kb.clauses, t.kb.facts, t.kb.exclusive)) for t in tasks]
+        assert all(a.kb == t.kb and a.kb is not t.kb for a, t in zip(again, tasks))
+        for a, b in zip(pipe.run_tasks(tasks), pipe.run_tasks(again), strict=True):
+            assert a.closure == b.closure and a.traces == b.traces
+
     def test_node_atoms_is_a_read_only_view_of_the_labels(self):
         task = gen_transitive(2, width=1, seed=3)
         assert task.node_atoms == {m.id: m.label for m in task.graph.nodes}
@@ -156,8 +180,7 @@ class TestOutput:
         params = reference_pipeline().params
         for tau in ([0.4, 0.4], np.full(task.graph.node_count, 0.4)):
             with pytest.raises(BadParams, match="tau") as info:
-                run_pipeline(PipelineConfig(), task.graph, vertex_signal(task.x0), (), task.kb,
-                             params={**params, "rule_weights": np.zeros(0), "tau": np.asarray(tau)})
+                Pipeline(PipelineConfig(), params={**params, "rule_weights": np.zeros(0), "tau": np.asarray(tau)})
             assert info.value.stage is None
 
 
@@ -195,9 +218,6 @@ class TestCheckParams:
 
     TASK = gen_transitive(3, width=2, seed=0)
 
-    def run(self, cfg, rules, params):
-        return run_pipeline(cfg, self.TASK.graph, vertex_signal(self.TASK.x0), rules, self.TASK.kb, params=params)
-
     @settings(max_examples=30, deadline=None)
     @given(order=st.integers(0, 6), rule_count=st.integers(0, 3))
     def test_init_params_pass_everywhere(self, order, rule_count):
@@ -205,8 +225,9 @@ class TestCheckParams:
         params = init_params(cfg, rules)
         check_params(cfg, params, rule_count)
         check_params(cfg, params, None)
-        assert Pipeline(cfg, list(rules), params).params is params
-        self.run(cfg, rules, params)
+        pipe = Pipeline(cfg, list(rules), params)
+        assert pipe.params is params
+        pipe.run_task(self.TASK)
         loaded = Checkpoint.from_json(Checkpoint(cfg, params, {}).to_json()).params
         assert all(np.array_equal(loaded[name], params[name]) for name in PARAM_NAMES)
 
@@ -223,12 +244,7 @@ class TestCheckParams:
         cfg, rules = PipelineConfig(order=order), low_pass_rules(rule_count)
         params, named = with_fault(init_params(cfg, rules), name, fault)
         named = re.escape(repr(named))
-        refusals = (
-            lambda: check_params(cfg, params, rule_count),
-            lambda: Pipeline(cfg, list(rules), params),
-            lambda: self.run(cfg, rules, params),
-        )
-        for refuse in refusals:
+        for refuse in (lambda: check_params(cfg, params, rule_count), lambda: Pipeline(cfg, list(rules), params)):
             with pytest.raises(BadParams, match=named) as info:
                 refuse()
             assert info.value.stage is None
@@ -242,9 +258,41 @@ class TestCheckParams:
         cfg, rules = PipelineConfig(), low_pass_rules(2)
         params = {**init_params(cfg, rules), "rule_weights": np.full(3, 0.5)}
         check_params(cfg, params, None)  # a checkpoint's rules are not read yet
-        for refuse in (lambda: Pipeline(cfg, list(rules), params), lambda: self.run(cfg, rules, params)):
-            with pytest.raises(BadParams, match="'rule_weights'"):
-                refuse()
+        with pytest.raises(BadParams, match="'rule_weights'"):
+            Pipeline(cfg, list(rules), params)
+
+    @pytest.fixture
+    def checks(self, monkeypatch):
+        """A list that grows by one on each `check_params` call the pipeline module makes."""
+        calls = []
+        original = pipeline.check_params
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(pipeline, "check_params", counted)
+        return calls
+
+    def test_queries_check_nothing(self, checks):
+        pipe = reference_pipeline()
+        assert len(checks) == 1  # Pipeline.__init__
+        tasks = gen_dataset("transitive", 4, seed=2) + gen_dataset("kinship", 4, seed=2)
+        pipe.run(tasks[0].graph, vertex_signal(tasks[0].x0), tasks[0].kb)
+        pipe.run_task(tasks[1])
+        pipe.run_tasks(tasks)
+        evaluate(pipe, tasks, measure_latency=True)
+        evaluate(pipe, tasks, measure_latency=False)
+        assert len(checks) == 1
+
+    @pytest.mark.parametrize("epochs", [1, 3])
+    def test_training_checks_once_per_epoch(self, checks, epochs):
+        splits = split_dataset(gen_dataset("transitive", 30, seed=3), (20, 10, 0))
+        run = TrainRun(max_epochs=epochs, batch_size=8, patience=epochs + 1, seed=0, latency_probe=2)
+        result = train(PipelineConfig(tau=0.4), splits, run, rules=list(reference_pipeline().rules))
+        assert len(result.history) == epochs
+        # the reference pipeline's own check, then one per epoch's Pipeline
+        assert len(checks) == 1 + epochs
 
 
 class TestEvalReport:
@@ -292,18 +340,11 @@ class TestPreparedGraph:
         assert calls["rule_coefficients"] == 2
         assert calls["estimate_lambda_max"] == 1
 
-    def test_atom_map_follows_the_kb(self):
+    def test_labels_are_the_graphs(self):
         task = gen_transitive(2, width=1, seed=5)
         prepared = pipeline.prepare_graph(PipelineConfig(), task.graph)
-        full = prepared.atom_map(task.kb)
-        assert full == task.node_atoms
-        assert prepared.atom_map(task.kb) is full
-        narrow = KnowledgeBase(tuple(a for a in task.kb.atoms if a.startswith("P")))
-        assert prepared.atom_map(narrow) == {i: a for i, a in task.node_atoms.items() if a.startswith("P")}
-        # an equal but distinct KB is matched by identity, not by value
-        again = KnowledgeBase(task.kb.atoms, task.kb.clauses)
-        assert again == task.kb
-        assert prepared.atom_map(again) == full and prepared.atom_map(again) is not full
+        assert prepared.labels == tuple(m.label for m in task.graph.nodes)
+        assert prepared.labels == tuple(task.node_atoms.values())
 
     @pytest.mark.parametrize(
         "name, error, stage",

@@ -136,27 +136,26 @@ class TestBindPredicates:
 
     def test_empty_predicates_leave_kb_unchanged(self):
         kb = self.kb3()
-        out = bind_predicates(PredicateSet(np.zeros(3, dtype=bool), soft=False), kb, {})
+        out = bind_predicates(PredicateSet(np.zeros(3, dtype=bool), soft=False), kb, ("A", "B", "C"))
         assert out.facts == kb.facts
 
     def test_single_true_node(self):
         kb = self.kb3()
         p = PredicateSet(np.array([True, False, False]), soft=False)
-        out = bind_predicates(p, kb, {0: "A"})
+        out = bind_predicates(p, kb, ("A", "B", "C"))
         assert out.facts == frozenset({"A", "C"})
 
     def test_soft_cut_at_half(self):
         kb = self.kb3()
         p = PredicateSet(np.array([0.51, 0.5, 0.49]), soft=True)
-        out = bind_predicates(p, kb, {0: "A", 1: "B", 2: "C"})
+        out = bind_predicates(p, kb, ("A", "B", "C"))
         assert out.facts == frozenset({"A", "C"})
 
     def test_matches_set_union_oracle(self, rng):
         atoms = tuple(f"a{i}" for i in range(10))
         kb = KnowledgeBase(atoms, (), frozenset({"a0"}))
         values = rng.random(10) > 0.5
-        mapping = {i: f"a{i}" for i in range(10)}
-        out = bind_predicates(PredicateSet(values, soft=False), kb, mapping)
+        out = bind_predicates(PredicateSet(values, soft=False), kb, atoms)
         expected = frozenset({"a0"}) | {f"a{i}" for i in range(10) if values[i]}
         assert out.facts == expected
 
@@ -164,20 +163,21 @@ class TestBindPredicates:
         kb = self.kb3()
         p = PredicateSet(np.array([True]), soft=False)
         with pytest.raises(UnmappedNode):
-            bind_predicates(p, kb, {})
+            bind_predicates(p, kb, ("Z",))
 
     @pytest.mark.parametrize(
-        "mapping, error, message",
+        "labels, message",
         [
-            ({2: "A", 3: "Z"}, UnmappedNode, "node 1 "),  # node 1 unmapped, node 3 undeclared
-            ({1: "Z", 2: "A"}, BadParams, "node 1 maps to undeclared atom 'Z'"),  # node 3 unmapped
-            ({1: "B", 2: "Y", 3: "Z"}, BadParams, "node 2 maps to undeclared atom 'Y'"),
+            (("A", "X", "A", "Z"), "node 1 is true but its label 'X'"),  # node 3 undeclared too
+            (("A", "Z", "X", "A"), "node 1 is true but its label 'Z'"),  # node 2 undeclared too
+            (("A", "B", "Y", "Z"), "node 2 is true but its label 'Y'"),  # node 3 undeclared too
         ],
+        ids=["node-1-before-3", "node-1-before-2", "node-2-before-3"],
     )
-    def test_lowest_faulty_node_decides_the_error(self, mapping, error, message):
+    def test_lowest_undeclared_label_is_named(self, labels, message):
         p = PredicateSet(np.array([False, True, True, True]), soft=False)
-        with pytest.raises(error, match=message):
-            bind_predicates(p, self.kb3(), mapping)
+        with pytest.raises(UnmappedNode, match=message):
+            bind_predicates(p, self.kb3(), labels)
 
 
 class TestForwardChain:
