@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -64,6 +65,11 @@ class ReasoningGraph:
     @property
     def node_count(self) -> int:
         return len(self.nodes)
+
+    @cached_property
+    def labels(self) -> tuple[str, ...]:
+        """Each node's label, the atom it stands for (`symbolic.bind_predicates`); built on first use."""
+        return tuple(m.label for m in self.nodes)
 
     def degrees(self) -> np.ndarray:
         """Weighted degree d_i = sum_j A_ij."""

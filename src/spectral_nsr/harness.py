@@ -37,8 +37,8 @@ RANDOM_GRAPH_DEGREE = 8
 class SyntheticTask:
     """One reasoning episode: graph, initial beliefs, KB, and oracle labels.
 
-    Each node stands for the atom its label names; the pipeline binds it
-    by that label (`PreparedGraph.labels`).
+    Each node stands for the atom its label names (`ReasoningGraph.labels`);
+    the pipeline binds it, and `evaluate` scores it, by that label.
     """
 
     task_id: str
@@ -53,7 +53,7 @@ class SyntheticTask:
     @cached_property
     def node_atoms(self) -> MappingProxyType:
         """Read-only node id -> atom view of the graph's labels, built on first use."""
-        return MappingProxyType({m.id: m.label for m in self.graph.nodes})
+        return MappingProxyType(dict(enumerate(self.graph.labels)))
 
 
 def _closure_labels(kb: KnowledgeBase, true_facts: set[str], nodes: list[NodeMeta], query_nodes) -> dict[int, int]:
@@ -389,8 +389,9 @@ def evaluate(pipeline, tasks, measure_latency: bool = True) -> EvalReport:
     total = 0
     consistent = 0
     for task, out in zip(tasks, outputs, strict=True):
+        atoms = task.graph.labels
         for node, label in task.labels.items():
-            predicted = int(task.node_atoms[node] in out.closure)
+            predicted = int(atoms[node] in out.closure)
             correct += int(predicted == label)
             total += 1
         if not detect_conflicts(task.kb, out.closure):

@@ -216,11 +216,11 @@ def filter_coefficients(params: dict[str, np.ndarray], rows: np.ndarray | None =
     return np.matmul((params["rule_weights"] @ rows)[..., None, :], series_operator(params["theta"]))[..., 0, :]
 
 
-def combined_filter(params: dict[str, np.ndarray], lambda_max, rows=None, starts=None) -> ChebyshevFilter:
-    """`filter_coefficients` bound to a spectrum bound; on a block (one
-    ``lambda_max`` per node, ``starts`` from `block_diagonal`) each node
-    takes its own graph's row."""
-    coefficients = filter_coefficients(params, rows)
+def combined_filter(coefficients: np.ndarray, lambda_max, starts=None) -> ChebyshevFilter:
+    """Stage 2's coefficients (`filter_coefficients`) bound to a block's
+    spectrum bound. One row per graph is repeated over that graph's nodes
+    on a block (one ``lambda_max`` per node, ``starts`` from
+    `block_diagonal`); a block of one runs its one row."""
     if coefficients.ndim == 2:
         coefficients = np.repeat(coefficients, np.diff(starts), axis=0) if np.ndim(lambda_max) else coefficients[0]
     return ChebyshevFilter(coefficients, lambda_max)
@@ -230,12 +230,14 @@ def combined_filter(params: dict[str, np.ndarray], lambda_max, rows=None, starts
 class PipelineOutput:
     """Everything a pipeline run produces, including the interpretability export.
 
-    The export is the learned filter's response on this graph: its
-    coefficients ``theta_star`` over [0, ``lambda_max``]. Its
-    sampled curve is computed on first access, so callers that never read
-    it (evaluation, validation) do not pay for it; so are ``answers``, the
-    sorted ``closure``, and ``traces``, a read-only mapping from each
-    answer atom to its proof trace that builds a trace only when read.
+    The export is the stage-2 filter that ran on this graph: its row
+    ``theta_star`` of `filter_coefficients` (theta without rules,
+    chebmul(theta, w R_g) with them) over [0, ``lambda_max``], which
+    filters x0 into ``y`` bit for bit. Its sampled curve is computed on
+    first access, so callers that never read it (evaluation, validation)
+    do not pay for it; so are ``answers``, the sorted ``closure``, and
+    ``traces``, a read-only mapping from each answer atom to its proof
+    trace that builds a trace only when read.
     """
 
     y: GraphSignal
@@ -284,12 +286,12 @@ class PreparedGraph:
 
     `prepare_graph` builds it for every cold graph of a block in one pass:
     one Laplacian build, one bound call and one rule fit for the block,
-    each graph keeping exactly what it would get alone. ``labels`` holds
-    each node's label, the atom it stands for when it thresholds true
-    (`bind_predicates`). The rule coefficient rows also depend on the
-    rules, so only the last ones asked for are kept, replaced by a single
-    assignment: a concurrent reader sees either the old pair or the new
-    one, never a mix.
+    each graph keeping exactly what it would get alone. ``labels`` is the
+    graph's own `ReasoningGraph.labels` tuple, the atom each node stands
+    for when it thresholds true (`bind_predicates`). The rule coefficient
+    rows also depend on the rules, so only the last ones asked for are
+    kept, replaced by a single assignment: a concurrent reader sees either
+    the old pair or the new one, never a mix.
     """
 
     # the graph's labels rather than the graph: a reference back to the
@@ -338,7 +340,7 @@ def prepare_graph(
         with _stage("spectral"):
             bounds = estimate_lambda_max(laps, seed=cfg.seed)
         for g, lap, bound in zip(cold, laps, bounds, strict=True):
-            g.prepared[key] = PreparedGraph(tuple(m.label for m in g.nodes), lap, max(bound, 1e-12))
+            g.prepared[key] = PreparedGraph(g.labels, lap, max(bound, 1e-12))
     prepared = [g.prepared[key] for g in graph]
     if rules:
         rules = tuple(rules)
@@ -373,9 +375,13 @@ def run_pipeline(
     The graphs are stacked block-diagonally (`block_diagonal`), so stage 2
     makes one Chebyshev recurrence for all of them, each node keeping its
     own graph's ``lambda_max`` and coefficients; stage 3 runs per graph.
-    Output i is bit for bit the one graph i gives alone. One graph is a
-    block of one: nothing is assembled and ``lambda_max`` stays a scalar.
+    Each output exports its graph's row of the block's one
+    `filter_coefficients` call. Output i is bit for bit the one graph i
+    gives alone. One graph is a block of one: nothing is assembled and
+    ``lambda_max`` stays a scalar. No graphs give no outputs.
     """
+    if not graphs:
+        return []
     cfg, rules, params = pipe.cfg, pipe.rules, pipe.params
     prepared = prepare_graph(cfg, graphs, rules)
     lap, lambda_max, starts = block_diagonal(
@@ -385,12 +391,15 @@ def run_pipeline(
     with _stage("filter"):
         x = block_signal(signals, starts)
         rows = np.stack([p.coefficient_rows(rules, cfg.order) for p in prepared]) if rules else None
-        y = chebyshev_filter(lap, combined_filter(params, lambda_max, rows, starts), x).values
+        coefficients = filter_coefficients(params, rows)
+        y = chebyshev_filter(lap, combined_filter(coefficients, lambda_max, starts), x).values
+    # one read-only row per graph: without rules each is the pipeline's own theta
+    exports = np.broadcast_to(coefficients, (len(prepared), coefficients.shape[-1]))
 
     tau, alpha = float(params["tau"][0]), float(params["alpha"])
     logistic = cfg.threshold_mode == LOGISTIC
     outputs = []
-    for lo, hi, p, kb in zip(starts[:-1], starts[1:], prepared, kbs, strict=True):
+    for lo, hi, p, kb, export in zip(starts[:-1], starts[1:], prepared, kbs, exports, strict=True):
         y_graph = vertex_signal(y[lo:hi])
         with _stage("threshold"):
             predicates = soft_threshold(y_graph, tau, alpha) if logistic else hard_threshold(y_graph, tau)
@@ -398,7 +407,7 @@ def run_pipeline(
             bound = bind_predicates(predicates, kb, p.labels)
         with _stage("chain"):
             closure, traces = forward_chain(bound)
-        outputs.append(PipelineOutput(y_graph, predicates, closure, traces, params["theta"], p.lambda_max))
+        outputs.append(PipelineOutput(y_graph, predicates, closure, traces, export, p.lambda_max))
     return outputs
 
 

@@ -168,7 +168,9 @@ def _finite_float(text: str, what: str, lineno: int) -> float:
 
 
 def parse_rules(text: str, lambda_max: float, base_dir: str | Path = ".") -> list[SpectralRule]:
-    """Parse the rule DSL into SpectralRule values."""
+    """Parse the rule DSL into SpectralRule values. Malformed or invalid
+    content raises `FormatError` naming its line, as does a rule id given
+    twice: a checkpoint names its weights by rule id."""
     rules = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -178,6 +180,8 @@ def parse_rules(text: str, lambda_max: float, base_dir: str | Path = ".") -> lis
         if parts[0] != "rule" or len(parts) < 3:
             raise FormatError(f"line {lineno}: expected 'rule <id> key=value ...'")
         rule_id = parts[1]
+        if any(rule.rule_id == rule_id for rule in rules):
+            raise FormatError(f"line {lineno}: rule id {rule_id!r} is given twice")
         kv = {}
         for tok in parts[2:]:
             if "=" not in tok:
@@ -188,20 +192,19 @@ def parse_rules(text: str, lambda_max: float, base_dir: str | Path = ".") -> lis
         if kind is None:
             raise FormatError(f"line {lineno}: rule {rule_id} is missing kind=")
         weight = _finite_float(kv.pop("w", "1.0"), "weight", lineno)
-        if kind == "custom":
-            if "file" not in kv:
-                raise FormatError(f"line {lineno}: custom rule {rule_id} needs file=")
-            template = _custom_response(Path(base_dir) / kv.pop("file"))
-        else:
-            params = {}
-            for key in list(kv):
-                if key in _FLOAT_PARAMS:
-                    params[key] = _finite_float(kv.pop(key), f"param {key}", lineno)
-            template = builtin_template(kind, lambda_max, **params)
-        if kv:
-            raise FormatError(f"line {lineno}: unknown keys {sorted(kv)}")
-        kind_tag = "heat-kernel" if kind == "heat" else kind
-        rules.append(SpectralRule(rule_id, template, weight=weight, kind=kind_tag))
+        try:
+            if kind == "custom":
+                if "file" not in kv:
+                    raise FormatError(f"line {lineno}: custom rule {rule_id} needs file=")
+                template = _custom_response(Path(base_dir) / kv.pop("file"))
+            else:
+                params = {key: _finite_float(kv.pop(key), f"param {key}", lineno) for key in _FLOAT_PARAMS if key in kv}
+                template = builtin_template(kind, lambda_max, **params)
+            if kv:
+                raise FormatError(f"line {lineno}: unknown keys {sorted(kv)}")
+            rules.append(SpectralRule(rule_id, template, weight=weight, kind="heat-kernel" if kind == "heat" else kind))
+        except BadParams as exc:
+            raise FormatError(f"line {lineno}: {exc}") from exc
     return rules
 
 

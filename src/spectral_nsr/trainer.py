@@ -26,7 +26,6 @@ from typing import Sequence
 import numpy as np
 from scipy.special import expit
 
-from . import spectral
 from .errors import (
     BadParams,
     DivergedLoss,
@@ -154,10 +153,12 @@ class TaskContext:
 
     Stage 2 is one polynomial of a task's rescaled Laplacian L~, whose
     coefficients `pipeline.filter_coefficients` gives; x0 and L~ are
-    fixed, so the columns T_0(L~) x0 .. T_D(L~) x0 are computed once.
-    ``stack`` holds their rows at every labelled node of every task in
-    turn, bit for bit those of the task's own `chebyshev_stack`: D is
-    twice the filter order with rules and the filter order without.
+    fixed, so the columns T_0(L~) x0 .. T_D(L~) x0 are computed once,
+    for all tasks as one block (`prepare_context`). ``stack`` holds their
+    rows at every labelled node of every task in turn, bit for bit those
+    of the task's own `chebyshev_stack`, as a row of a block product
+    depends on its own graph only: D is twice the filter order with rules
+    and the filter order without.
     ``label_values`` are those nodes' labels, ``label_starts`` says where
     each task's rows begin, followed by their count, and ``coeff_rows``
     holds each task's (rules, order + 1) rule coefficient rows, or None
@@ -179,29 +180,20 @@ def prepare_context(
 ) -> TaskContext:
     """The `TaskContext` of the tasks; one task gives a context of one.
 
-    Their graphs are prepared together (`prepare_graph`), then stacked
-    block-diagonally (`block_diagonal`) in runs of consecutive tasks whose
-    stack fits in `STACK_BYTES` (at least one task each), and each run
-    makes one `chebyshev_stack` call, of which only the labelled rows are
-    kept.
+    The tasks are laid out as `run_pipeline` lays out a block: their
+    graphs are prepared together (`prepare_graph`) and stacked
+    block-diagonally (`block_diagonal`), their signals end to end
+    (`block_signal`), and one `chebyshev_stack` call covers the whole
+    split, of which one gather keeps the labelled rows.
     """
     if isinstance(tasks, SyntheticTask):
         tasks = [tasks]
     prepared = prepare_graph(cfg, [t.graph for t in tasks], rules)
-    degree = 2 * cfg.order if rules else cfg.order
-    sizes = [p.laplacian.node_count for p in prepared]
-    node_starts = np.cumsum([0, *sizes])
-    nodes, values, label_starts = _labels(tasks, sizes)
-    x0 = block_signal([vertex_signal(t.x0) for t in tasks], node_starts).values
-    kept = []
-    for lo, hi in _runs(sizes, spectral.STACK_BYTES // (8 * (degree + 1))):
-        lap, lambda_max, _ = block_diagonal(
-            [p.laplacian for p in prepared[lo:hi]], [p.lambda_max for p in prepared[lo:hi]]
-        )
-        stack = chebyshev_stack(lap, lambda_max, x0[node_starts[lo] : node_starts[hi]], degree)
-        kept.append(stack[nodes[label_starts[lo] : label_starts[hi]] - node_starts[lo]])
+    lap, lambda_max, starts = block_diagonal([p.laplacian for p in prepared], [p.lambda_max for p in prepared])
+    nodes, values, label_starts = _labels(tasks, starts)
+    x0 = block_signal([vertex_signal(t.x0) for t in tasks], starts).values
     ctx = TaskContext(
-        np.concatenate(kept),
+        chebyshev_stack(lap, lambda_max, x0, 2 * cfg.order if rules else cfg.order)[nodes],
         values,
         label_starts,
         np.stack([p.coefficient_rows(tuple(rules), cfg.order) for p in prepared]) if rules else None,
@@ -212,26 +204,14 @@ def prepare_context(
     return ctx
 
 
-def _runs(sizes: list[int], limit: int):
-    """[lo, hi) runs of consecutive sizes that sum to at most ``limit``, or of one size."""
-    lo, total = 0, 0
-    for i, n in enumerate(sizes):
-        if i > lo and total + n > limit:
-            yield lo, i
-            lo, total = i, 0
-        total += n
-    yield lo, len(sizes)
-
-
-def _labels(tasks: Sequence[SyntheticTask], sizes: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _labels(tasks: Sequence[SyntheticTask], node_starts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every task's labelled nodes in ascending order, as positions in the
-    tasks' nodes laid end to end; their labels; and where each task's
-    labels start, followed by their count."""
+    block whose graphs start at ``node_starts``; their labels; and where
+    each task's labels start, followed by their count."""
     nodes: list[int] = []
     values: list[int] = []
     starts = [0]
-    offset = 0
-    for task, n in zip(tasks, sizes, strict=True):
+    for task, offset, n in zip(tasks, node_starts[:-1].tolist(), np.diff(node_starts).tolist(), strict=True):
         own = sorted(task.labels)
         if not own:
             raise EmptyLabels(f"task {task.task_id} has no labels")
@@ -240,7 +220,6 @@ def _labels(tasks: Sequence[SyntheticTask], sizes: list[int]) -> tuple[np.ndarra
         nodes.extend([offset + i for i in own])
         values.extend([task.labels[i] for i in own])
         starts.append(len(nodes))
-        offset += n
     return np.array(nodes, dtype=np.int64), np.array(values, dtype=np.float64), np.array(starts, dtype=np.int64)
 
 

@@ -125,6 +125,22 @@ class TestEndToEnd:
         record = json.loads(result.stderr.strip().splitlines()[-1])
         assert record["error"] == "FormatError" and "finite" in record["message"]
 
+    @pytest.mark.parametrize("rule", [
+        "rule s kind=low-pass w=-1",
+        "rule s kind=bogus w=1.0",
+        "rule r kind=heat w=1.0",
+    ])
+    def test_invalid_rule_exits_one_naming_its_line(self, tmp_path, dataset, rule):
+        rules = tmp_path / "rules.txt"
+        rules.write_text("rule r kind=low-pass w=0.5\n" + rule + "\n")
+        config = tmp_path / "run.cfg"
+        PipelineConfig(rules=str(rules)).save(config)
+        result = invoke("train", "--config", config, "--data", dataset, "--out", tmp_path / "c.json",
+                        "--epochs", 2, "--json-errors")
+        assert result.exit_code == 1
+        record = json.loads(result.stderr.strip().splitlines()[-1])
+        assert record["error"] == "FormatError" and record["message"].startswith("line 2: ")
+
     def test_missing_rules_file_exits_one(self, tmp_path, monkeypatch, dataset):
         # the reference checkpoint names its rules file relative to the repository root
         monkeypatch.chdir(tmp_path)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from spectral_nsr import pipeline
 from spectral_nsr.errors import BadParams, ConvergenceFailure, FormatError, UnmappedNode
-from spectral_nsr.graph import COMBINATORIAL, LaplacianMatrix, combinatorial_laplacian
+from spectral_nsr.graph import COMBINATORIAL, NORMALIZED, LaplacianMatrix, combinatorial_laplacian
 from spectral_nsr.harness import evaluate, gen_dataset, gen_transitive, split_dataset
 from spectral_nsr.pipeline import (
     REFERENCE_LAMBDA_MAX,
@@ -21,7 +21,7 @@ from spectral_nsr.pipeline import (
     init_params,
 )
 from spectral_nsr.rules import SpectralRule, builtin_template, load_rules
-from spectral_nsr.spectral import block_diagonal, vertex_signal
+from spectral_nsr.spectral import ChebyshevFilter, block_diagonal, chebyshev_filter, vertex_signal
 from spectral_nsr.symbolic import KnowledgeBase
 from spectral_nsr.trainer import Checkpoint, TrainRun, train
 
@@ -172,6 +172,28 @@ class TestOutput:
         evaluate(Recording(), gen_dataset("kinship", 4, seed=2), measure_latency=False)
         assert len(outputs) == 4
         assert not any("answers" in vars(out) for out in outputs)
+
+    @pytest.mark.parametrize("laplacian", [COMBINATORIAL, NORMALIZED])
+    @pytest.mark.parametrize("with_rules", [False, True])
+    @pytest.mark.parametrize("block", [1, 5])
+    def test_export_is_the_filter_that_ran(self, laplacian, with_rules, block):
+        reference = reference_pipeline()
+        cfg = replace(reference.cfg, laplacian=laplacian)
+        rules = reference.rules if with_rules else ()
+        params = {**reference.params, "rule_weights": reference.params["rule_weights"][: len(rules)]}
+        pipe = Pipeline(cfg, rules=list(rules), params=params)
+        tasks = (gen_dataset("transitive", 3, seed=8) + gen_dataset("kinship", 2, seed=8))[:block]
+        for task, out in zip(tasks, pipe.run_tasks(tasks), strict=True):
+            assert out.theta_star.shape == (2 * cfg.order + 1 if rules else cfg.order + 1,)
+            assert not out.theta_star.flags.writeable
+            lap = pipeline.prepare_graph(cfg, task.graph, rules).laplacian
+            y = chebyshev_filter(lap, ChebyshevFilter(out.theta_star, out.lambda_max), vertex_signal(task.x0))
+            assert np.array_equal(y.values, out.y.values)
+
+    def test_an_empty_block_gives_no_outputs(self):
+        pipe = reference_pipeline()
+        assert pipe.run_tasks([]) == []
+        assert pipeline.run_pipeline(pipe, [], [], []) == []
 
     def test_tau_is_one_threshold(self):
         # a per-node threshold is refused, even one that fits the graph,
@@ -343,6 +365,7 @@ class TestPreparedGraph:
     def test_labels_are_the_graphs(self):
         task = gen_transitive(2, width=1, seed=5)
         prepared = pipeline.prepare_graph(PipelineConfig(), task.graph)
+        assert prepared.labels is task.graph.labels
         assert prepared.labels == tuple(m.label for m in task.graph.nodes)
         assert prepared.labels == tuple(task.node_atoms.values())
 

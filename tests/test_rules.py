@@ -269,6 +269,25 @@ class TestRuleDsl:
         with pytest.raises(FormatError):
             parse_rules(line + "\n", 2.0)
 
+    @pytest.mark.parametrize(
+        "line, what",
+        [
+            ("rule r1 kind=low-pass w=-1", "weight"),
+            ("rule r1 kind=low-pass w=1.0 beta=0", "beta"),
+            ("rule r1 kind=band-pass w=1.0 sigma=-1", "sigma"),
+            ("rule r1 kind=bogus w=1.0", "bogus"),
+        ],
+    )
+    def test_invalid_value_names_its_line(self, line, what):
+        with pytest.raises(FormatError, match=f"line 2: .*{what}"):
+            parse_rules("# a comment\n" + line + "\n", 2.0)
+
+    def test_repeated_rule_id_rejected(self):
+        # a checkpoint names its weights by rule id, so an id names one rule
+        text = "rule lp kind=low-pass w=1.0\nrule hp kind=high-pass\nrule lp kind=heat w=0.5\n"
+        with pytest.raises(FormatError, match="line 3: rule id 'lp' is given twice"):
+            parse_rules(text, 2.0)
+
     def test_negative_weight_rejected(self):
         with pytest.raises(BadParams):
             SpectralRule("r", FrequencyResponse(lambda lam: lam), weight=-0.1)

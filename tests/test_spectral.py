@@ -453,11 +453,11 @@ class TestSampleResponse:
 
 class TestLearnedFilter:
     def test_combined_filter_is_theta_at_the_bound(self, rng):
-        params = {"theta": rng.standard_normal(5)}
-        filt = combined_filter(params, 2.0)
-        assert np.array_equal(filt.coefficients, params["theta"]) and filt.lambda_max == 2.0
-        per_node = combined_filter(params, np.full(4, 3.0))
-        assert np.array_equal(per_node.coefficients, params["theta"]) and per_node.lambda_max.shape == (4,)
+        theta = rng.standard_normal(5)
+        filt = combined_filter(theta, 2.0)
+        assert np.array_equal(filt.coefficients, theta) and filt.lambda_max == 2.0
+        per_node = combined_filter(theta, np.full(4, 3.0))
+        assert np.array_equal(per_node.coefficients, theta) and per_node.lambda_max.shape == (4,)
 
 
 class TestFilterIO:
