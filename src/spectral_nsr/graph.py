@@ -52,9 +52,10 @@ class ReasoningGraph:
     symmetry, and non-negative weights. ``validate`` re-checks all of
     these invariants and is called by every constructor in this module.
 
-    ``prepared`` holds the pipeline's per-graph work (see
-    `pipeline.prepare_graph`), keyed by Laplacian kind and seed. That
-    cache relies on the graph never changing: mutating ``nodes`` or
+    ``prepared`` holds the pipeline's per-graph work, one
+    `pipeline.PreparedGraph` keyed by Laplacian kind and seed, replaced
+    whole when a query brings other rules (`pipeline.prepare_graph`).
+    That cache relies on the graph never changing: mutating ``nodes`` or
     ``adjacency`` in place would leave it stale.
     """
 

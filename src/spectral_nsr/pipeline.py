@@ -14,7 +14,7 @@ import math
 import numbers
 from collections.abc import Mapping
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Sequence
@@ -140,8 +140,9 @@ class PipelineConfig:
                 raise FormatError(f"line {lineno}: unknown config key {key!r}")
             try:
                 values[key] = known[key](val)
-            except ValueError as exc:
-                raise FormatError(f"line {lineno}: malformed value for {key}") from exc
+                cls(**{key: values[key]})  # each value is checked alone, so its line can be named
+            except (ValueError, BadParams) as exc:
+                raise FormatError(f"line {lineno}: malformed value for {key}: {exc}") from exc
         return cls(**values)
 
     def save(self, path: str | Path) -> None:
@@ -197,7 +198,8 @@ def check_params(cfg: PipelineConfig, params: Mapping[str, np.ndarray], rule_cou
     for name, shape in shapes.items():
         if np.shape(params[name]) != shape:
             raise BadParams(f"param {name!r} has shape {np.shape(params[name])}, needs {shape}")
-    # one test of all entries, as this runs on every query; the culprit is named on failure
+    # one test of all entries laid end to end, as every epoch of `train`
+    # checks its snapshot; the culprit is looked up only on failure
     if not np.isfinite(np.concatenate(list(params.values()), axis=None)).all():
         name = next(name for name, value in params.items() if not np.isfinite(value).all())
         raise BadParams(f"param {name!r} has non-finite entries")
@@ -280,18 +282,14 @@ def build_laplacian(
     return laplacians(graph, cfg.laplacian)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class PreparedGraph:
-    """What the pipeline needs of a graph apart from the signal.
-
-    `prepare_graph` builds it for every cold graph of a block in one pass:
-    one Laplacian build, one bound call and one rule fit for the block,
-    each graph keeping exactly what it would get alone. ``labels`` is the
-    graph's own `ReasoningGraph.labels` tuple, the atom each node stands
-    for when it thresholds true (`bind_predicates`). The rule coefficient
-    rows also depend on the rules, so only the last ones asked for are
-    kept, replaced by a single assignment: a concurrent reader sees either
-    the old pair or the new one, never a mix.
+    """What the pipeline needs of a graph apart from the signal, made whole
+    by `prepare_graph` and never changed. ``labels`` is the graph's own
+    `ReasoningGraph.labels` tuple, the atom each node stands for when it
+    thresholds true (`bind_predicates`). ``rows`` holds the read-only
+    `rule_coefficients` rows at ``lambda_max`` for ``fit``, which is
+    ``(rules, order)``; without rules ``fit`` is ``()`` and ``rows`` None.
     """
 
     # the graph's labels rather than the graph: a reference back to the
@@ -299,60 +297,44 @@ class PreparedGraph:
     labels: tuple[str, ...]
     laplacian: LaplacianMatrix
     lambda_max: float
-    _rows: tuple = field(default=(None, None), init=False, repr=False)
-
-    def coefficient_rows(self, rules: tuple[SpectralRule, ...], order: int) -> np.ndarray:
-        """Read-only ``rule_coefficients`` rows, reused while ``(rules, order)`` stays equal."""
-        key, rows = self._rows
-        if key != (rules, order):
-            rows = rule_coefficients(rules, self.lambda_max, order)
-            rows.setflags(write=False)
-            self._rows = ((rules, order), rows)
-        return rows
+    fit: tuple
+    rows: np.ndarray | None
 
 
 def prepare_graph(
-    cfg: PipelineConfig,
-    graph: ReasoningGraph | Sequence[ReasoningGraph],
-    rules: tuple[SpectralRule, ...] = (),
-) -> PreparedGraph | list[PreparedGraph]:
-    """The graph's `PreparedGraph` for ``cfg``'s Laplacian kind and seed,
-    with its coefficient rows for ``rules`` at ``cfg.order`` when rules
-    are given.
+    cfg: PipelineConfig, graphs: Sequence[ReasoningGraph], rules: tuple[SpectralRule, ...] = ()
+) -> list[PreparedGraph]:
+    """Each graph's `PreparedGraph` for ``cfg``'s Laplacian kind and seed,
+    fitted for ``rules`` at ``cfg.order``, kept on the graph so it is freed
+    with the graph.
 
-    Built on first use and kept on the graph itself, so it is freed with
-    the graph. A list of graphs gives a list, and all of them that are not
-    prepared yet are prepared together: one `build_laplacian` call, one
-    `estimate_lambda_max` call and, for the graphs whose rows are stale,
-    one `rule_coefficients` call, each result bit for bit what the graph
-    gets alone. A preparation that raises keeps nothing for any graph of
-    the block; its error carries the stage tag ``laplacian`` or
-    ``spectral`` (``rules`` for the fit).
+    Every graph whose entry is missing or was fitted for other rules gets
+    a whole new entry, all of them in one pass: one `build_laplacian`, one
+    `estimate_lambda_max` and, with rules, one `rule_coefficients` call,
+    each result bit for bit what the graph gets alone. Nothing is stored
+    until all three have succeeded, so a preparation that raises keeps
+    nothing for any graph of the block; its error carries the stage tag
+    ``laplacian``, ``spectral`` or ``rules``.
     """
-    if isinstance(graph, ReasoningGraph):
-        return prepare_graph(cfg, [graph], rules)[0]
     key = (cfg.laplacian, cfg.seed)
-    # a graph listed twice is prepared once
-    cold = list({id(g): g for g in graph if key not in g.prepared}.values())
+    fit = (tuple(rules), cfg.order) if rules else ()
+    # each entry is read once, so a record returned is the one checked; a
+    # graph listed twice is prepared once
+    entries = {id(g): g.prepared.get(key) for g in graphs}
+    cold = list({id(g): g for g in graphs if getattr(entries[id(g)], "fit", None) != fit}.values())
     if cold:
         with _stage("laplacian"):
             laps = build_laplacian(cfg, cold)
         with _stage("spectral"):
-            bounds = estimate_lambda_max(laps, seed=cfg.seed)
-        for g, lap, bound in zip(cold, laps, bounds, strict=True):
-            g.prepared[key] = PreparedGraph(g.labels, lap, max(bound, 1e-12))
-    prepared = [g.prepared[key] for g in graph]
-    if rules:
-        rules = tuple(rules)
-        fit_key = (rules, cfg.order)
-        stale = list({id(p): p for p in prepared if p._rows[0] != fit_key}.values())
-        if stale:
+            bounds = [max(bound, 1e-12) for bound in estimate_lambda_max(laps, seed=cfg.seed)]
+        rows = [None] * len(cold)
+        if rules:
             with _stage("rules"):
-                rows = rule_coefficients(rules, np.array([p.lambda_max for p in stale]), cfg.order)
+                rows = rule_coefficients(fit[0], np.array(bounds), cfg.order)
             rows.setflags(write=False)
-            for p, own in zip(stale, rows, strict=True):
-                p._rows = (fit_key, own)
-    return prepared
+        for g, lap, bound, own in zip(cold, laps, bounds, rows, strict=True):
+            entries[id(g)] = g.prepared[key] = PreparedGraph(g.labels, lap, bound, fit, own)
+    return [entries[id(g)] for g in graphs]
 
 
 def run_pipeline(
@@ -390,7 +372,7 @@ def run_pipeline(
 
     with _stage("filter"):
         x = block_signal(signals, starts)
-        rows = np.stack([p.coefficient_rows(rules, cfg.order) for p in prepared]) if rules else None
+        rows = np.stack([p.rows for p in prepared]) if rules else None
         coefficients = filter_coefficients(params, rows)
         y = chebyshev_filter(lap, combined_filter(coefficients, lambda_max, starts), x).values
     # one read-only row per graph: without rules each is the pipeline's own theta
@@ -422,8 +404,8 @@ def _read_rule_file(path: str) -> list[SpectralRule]:
 
 class Pipeline:
     """A configuration bound to a rule set and `init_params` or parameters
-    that pass `check_params`, checked once here; every query runs through
-    `run_pipeline` with them.
+    that pass `check_params`, checked once here and kept as read-only
+    copies; every query runs through `run_pipeline` with them.
 
     Instances are immutable in use: `run`, `run_task` and `run_tasks` are
     pure apart from the `PreparedGraph` kept on each graph, so
@@ -442,7 +424,10 @@ class Pipeline:
         if rules is None:
             rules = _read_rule_file(cfg.rules) if cfg.rules else []
         self.rules = tuple(rules)
-        self.params = init_params(cfg, self.rules) if params is None else check_params(cfg, params, len(self.rules))
+        params = init_params(cfg, self.rules) if params is None else check_params(cfg, params, len(self.rules))
+        self.params = {name: np.array(value) for name, value in params.items()}
+        for value in self.params.values():  # a caller editing its own arrays later changes no answer
+            value.setflags(write=False)
 
     def run(self, graph: ReasoningGraph, x0: GraphSignal, kb: KnowledgeBase) -> PipelineOutput:
         return run_pipeline(self, [graph], [x0], [kb])[0]

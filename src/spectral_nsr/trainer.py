@@ -176,9 +176,9 @@ class TaskContext:
 
 
 def prepare_context(
-    tasks: SyntheticTask | Sequence[SyntheticTask], cfg: PipelineConfig, rules: tuple[SpectralRule, ...]
+    tasks: Sequence[SyntheticTask], cfg: PipelineConfig, rules: tuple[SpectralRule, ...]
 ) -> TaskContext:
-    """The `TaskContext` of the tasks; one task gives a context of one.
+    """The `TaskContext` of the tasks.
 
     The tasks are laid out as `run_pipeline` lays out a block: their
     graphs are prepared together (`prepare_graph`) and stacked
@@ -186,8 +186,6 @@ def prepare_context(
     (`block_signal`), and one `chebyshev_stack` call covers the whole
     split, of which one gather keeps the labelled rows.
     """
-    if isinstance(tasks, SyntheticTask):
-        tasks = [tasks]
     prepared = prepare_graph(cfg, [t.graph for t in tasks], rules)
     lap, lambda_max, starts = block_diagonal([p.laplacian for p in prepared], [p.lambda_max for p in prepared])
     nodes, values, label_starts = _labels(tasks, starts)
@@ -196,7 +194,7 @@ def prepare_context(
         chebyshev_stack(lap, lambda_max, x0, 2 * cfg.order if rules else cfg.order)[nodes],
         values,
         label_starts,
-        np.stack([p.coefficient_rows(tuple(rules), cfg.order) for p in prepared]) if rules else None,
+        np.stack([p.rows for p in prepared]) if rules else None,
     )
     for array in (ctx.stack, ctx.label_values, ctx.label_starts, ctx.coeff_rows):
         if array is not None:
@@ -292,7 +290,7 @@ def task_loss_and_grads(
 
 @dataclass(frozen=True)
 class TrainRun:
-    """Protocol knobs: epoch cap, batch size, early-stopping patience."""
+    """Protocol knobs: epoch cap, batch size, early-stopping patience, shuffle seed, latency probe size."""
 
     max_epochs: int = 50
     batch_size: int = 32
@@ -303,10 +301,9 @@ class TrainRun:
     def __post_init__(self):
         if not 1 <= self.max_epochs <= 50:
             raise BadParams("max_epochs must be in 1..50")
-        if self.patience < 1:
-            raise BadParams("patience must be >= 1")
-        if self.batch_size < 1:
-            raise BadParams("batch_size must be >= 1")
+        for name, low in (("patience", 1), ("batch_size", 1), ("seed", 0), ("latency_probe", 0)):
+            if getattr(self, name) < low:
+                raise BadParams(f"{name} must be >= {low}")
 
 
 @dataclass
@@ -462,9 +459,9 @@ def train(
         # np.mean's sum and division, without its per-call dispatch
         train_loss = float(np.add.reduce(losses) / len(losses))
 
-        # the steps write the parameters in place: what is kept is a copy
-        snapshot = {name: value.copy() for name, value in state.params.items()}
-        pipe = Pipeline(cfg, rules=rules, params=snapshot)
+        # the steps write state.params in place; what is kept is the pipeline's read-only copy
+        pipe = Pipeline(cfg, rules=rules, params=state.params)
+        snapshot = pipe.params
         val_accuracy = evaluate(pipe, splits.val, measure_latency=False).accuracy
         latency = evaluate(pipe, splits.val[: run.latency_probe]).latency_median_ms if run.latency_probe > 0 else None
         history.append(EpochMetrics(epoch, train_loss, val_accuracy, latency))

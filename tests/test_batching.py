@@ -193,7 +193,7 @@ class TestBlockPreparation:
         with patch.object(spectral, "STACK_BYTES", stack_bytes):
             block = prepare_graph(cfg, preparation_block(specs, big, order_seed), rules)
         graphs = preparation_block(specs, big, order_seed)
-        alone = [prepare_graph(cfg, graph, rules) for graph in graphs]
+        alone = [prepare_graph(cfg, [graph], rules)[0] for graph in graphs]
         assert len({p.laplacian.node_count > DENSE_BOUND_LIMIT for p in block}) == (2 if big else 1)
         for b, a, graph in zip(block, alone, graphs, strict=True):
             oracle = laplacian_oracle(graph, laplacian)
@@ -207,8 +207,8 @@ class TestBlockPreparation:
                 dense = oracle.toarray()
                 pad = graph.node_count * np.finfo(np.float64).eps * float(np.abs(dense).sum(axis=0).max())
                 assert b.lambda_max == float(np.linalg.eigvalsh(dense)[-1]) + pad
-            rows = b.coefficient_rows(rules, order)
-            assert np.array_equal(rows, a.coefficient_rows(rules, order))
+            rows = b.rows
+            assert np.array_equal(rows, a.rows)
             assert np.array_equal(rows, rule_coefficients(rules, b.lambda_max, order))
             assert np.abs(rows - lstsq_rows(rules, b.lambda_max, order)).max() <= 1e-12
 
@@ -219,7 +219,7 @@ class TestBlockGradients:
         tasks, split, params = split_and_params(rng, order)
         assert split.task_count >= 2
         value, grads = task_loss_and_grads(split, params)
-        singles = [task_loss_and_grads(prepare_context(task, PipelineConfig(order=order), rule_bank()), params)
+        singles = [task_loss_and_grads(prepare_context([task], PipelineConfig(order=order), rule_bank()), params)
                    for task in tasks]
         assert value == pytest.approx(sum(v for v, _ in singles), rel=1e-12, abs=0)
         for key, grad in grads.items():
@@ -254,7 +254,7 @@ class TestBlockGradients:
         tasks, split, params = split_and_params(rng)
         for i, task in enumerate(tasks):
             value, grads = task_loss_and_grads(split, params, [i])
-            alone, alone_grads = task_loss_and_grads(prepare_context(task, PipelineConfig(), rule_bank()), params)
+            alone, alone_grads = task_loss_and_grads(prepare_context([task], PipelineConfig(), rule_bank()), params)
             assert value == alone
             for key, grad in grads.items():
                 assert np.array_equal(grad, alone_grads[key]), key
@@ -273,23 +273,23 @@ class TestBlockGradients:
         assert stack_calls.call_count == 1
         assert split.task_count == len(tasks) and split.stack.shape[1] == degree + 1
         for i, task in enumerate(tasks):
-            p = prepare_graph(cfg, task.graph, rules)
+            p = prepare_graph(cfg, [task.graph], rules)[0]
             nodes = np.asarray(sorted(task.labels))
             lo, hi = split.label_starts[i], split.label_starts[i + 1]
             own = chebyshev_stack(p.laplacian, p.lambda_max, task.x0, degree)[nodes]
             assert np.array_equal(split.stack[lo:hi], own)
             assert split.label_values[lo:hi].tolist() == [task.labels[n] for n in nodes.tolist()]
             if with_rules:
-                assert np.array_equal(split.coeff_rows[i], p.coefficient_rows(rules, cfg.order))
+                assert np.array_equal(split.coeff_rows[i], p.rows)
         assert split.coeff_rows is None or not split.coeff_rows.flags.writeable
         assert not split.stack.flags.writeable
 
     def test_tasks_must_fit_their_graphs(self):
         task = gen_transitive(2, seed=3)
         with pytest.raises(DimensionMismatch):
-            prepare_context(replace(task, x0=task.x0[:-1]), PipelineConfig(), ())
+            prepare_context([replace(task, x0=task.x0[:-1])], PipelineConfig(), ())
         with pytest.raises(BadParams):
-            prepare_context(replace(task, labels={**task.labels, task.graph.node_count: 1}), PipelineConfig(), ())
+            prepare_context([replace(task, labels={**task.labels, task.graph.node_count: 1})], PipelineConfig(), ())
         # a non-finite signal is refused as inference refuses it, not left to diverge
         poisoned = replace(task, x0=np.where(np.arange(task.x0.size) == 0, np.nan, task.x0))
         with pytest.raises(BadParams, match="non-finite"):
@@ -331,8 +331,8 @@ class TestComposedFilter:
         tasks = random_tasks(rng, count)
         outputs = pipe.run_tasks(tasks)
         for task, out in zip(tasks, outputs, strict=True):
-            p = prepare_graph(cfg, task.graph, rules)
-            coeffs = pipe.params["rule_weights"] @ p.coefficient_rows(rules, order)
+            p = prepare_graph(cfg, [task.graph], rules)[0]
+            coeffs = pipe.params["rule_weights"] @ p.rows
             ruled = chebyshev_filter(p.laplacian, ChebyshevFilter(coeffs, p.lambda_max), vertex_signal(task.x0))
             two_filters = chebyshev_filter(p.laplacian, ChebyshevFilter(pipe.params["theta"], p.lambda_max), ruled)
             scale = np.abs(two_filters.values).max()
@@ -355,10 +355,10 @@ class TestComposedFilter:
         pipe = Pipeline(cfg, rules=list(rules), params=random_params(cfg, len(rules), rng))
         tasks = random_tasks(rng, count)
         for task, out in zip(tasks, pipe.run_tasks(tasks), strict=True):
-            p = prepare_graph(cfg, task.graph, rules)
+            p = prepare_graph(cfg, [task.graph], rules)[0]
             learned = ChebyshevFilter(pipe.params["theta"], p.lambda_max)
             if with_rules:
-                coeffs = pipe.params["rule_weights"] @ p.coefficient_rows(rules, order)
+                coeffs = pipe.params["rule_weights"] @ p.rows
                 ruled = ChebyshevFilter(coeffs, p.lambda_max)
                 response = FrequencyResponse(lambda lam: sample_response(learned, lam) * sample_response(ruled, lam))
             else:
@@ -398,7 +398,8 @@ class TestBlockEvaluate:
 class TestBlockDiagonal:
     def test_stack_rows_are_each_graphs_own(self):
         cfg = PipelineConfig(laplacian=NORMALIZED)
-        prepared = [prepare_graph(cfg, task.graph) for task in make_tasks([("transitive", 3, 1), ("kinship", 4, 2)])]
+        tasks = make_tasks([("transitive", 3, 1), ("kinship", 4, 2)])
+        prepared = [prepare_graph(cfg, [task.graph])[0] for task in tasks]
         lap, lambda_max, starts = block_diagonal([p.laplacian for p in prepared], [p.lambda_max for p in prepared])
         assert lap.kind == NORMALIZED and starts.tolist() == [0, prepared[0].laplacian.node_count, lap.node_count]
         x = np.random.default_rng(0).standard_normal(lap.node_count)
@@ -407,18 +408,19 @@ class TestBlockDiagonal:
             assert np.array_equal(stack[lo:hi], chebyshev_stack(p.laplacian, p.lambda_max, x[lo:hi], 5))
 
     def test_one_graph_is_not_assembled(self):
-        p = prepare_graph(PipelineConfig(), gen_transitive(2, seed=1).graph)
+        p = prepare_graph(PipelineConfig(), [gen_transitive(2, seed=1).graph])[0]
         lap, lambda_max, starts = block_diagonal([p.laplacian], [p.lambda_max])
         assert lap is p.laplacian and lambda_max == p.lambda_max and starts.tolist() == [0, lap.node_count]
 
     def test_kinds_do_not_mix(self):
         graph = gen_transitive(2, seed=1).graph
-        laps = [prepare_graph(PipelineConfig(laplacian=kind), graph).laplacian for kind in (COMBINATORIAL, NORMALIZED)]
+        kinds = (COMBINATORIAL, NORMALIZED)
+        laps = [prepare_graph(PipelineConfig(laplacian=kind), [graph])[0].laplacian for kind in kinds]
         with pytest.raises(BadParams):
             block_diagonal(laps, [1.0, 1.0])
 
     def test_per_node_filter_checks_its_rows(self):
-        lap = prepare_graph(PipelineConfig(), gen_transitive(2, seed=1).graph).laplacian
+        lap = prepare_graph(PipelineConfig(), [gen_transitive(2, seed=1).graph])[0].laplacian
         n = lap.node_count
         x = vertex_signal(np.ones(n))
         with pytest.raises(DimensionMismatch):

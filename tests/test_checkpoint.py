@@ -76,6 +76,17 @@ class TestConfigSchema:
         assert PipelineConfig.from_text("seed=3\n").seed == 3
         assert PipelineConfig.from_text("order=3\n").seed == 0
 
+    @pytest.mark.parametrize("key, text, value", [
+        ("tau", "nan", float("nan")), ("alpha", "inf", float("inf")), ("order", "-1", -1), ("seed", "-3", -3),
+        ("laplacian", "bogus", "bogus"), ("threshold_mode", "soft", "soft"),
+    ])
+    def test_refused_value_names_its_line(self, key, text, value):
+        with pytest.raises(FormatError, match=f"line 3: malformed value for {key}: {key} must"):
+            PipelineConfig.from_text(f"order=3\n# a comment\n{key}={text}\n")
+        # called directly, the config still raises BadParams
+        with pytest.raises(BadParams, match=f"{key} must"):
+            PipelineConfig(**{key: value})
+
     @pytest.mark.parametrize("field, value", [("order", "5"), ("order", 1.5), ("tau", None), ("seed", True), ("seed", -1)])
     def test_field_types_and_seed_sign(self, field, value):
         with pytest.raises(BadParams, match=field):

@@ -107,7 +107,9 @@ class TestEndToEnd:
                         "--epochs", 2, "--json-errors")
         assert result.exit_code == 1
         record = json.loads(result.stderr.strip().splitlines()[-1])
-        assert record["error"] == "BadParams" and "finite" in record["message"]
+        line = len(config.read_text().splitlines())
+        assert record["error"] == "FormatError" and f"line {line}: " in record["message"]
+        assert "finite" in record["message"]
 
     @pytest.mark.parametrize("rule", [
         "rule r kind=low-pass w=0.5 beta=nan",

@@ -114,7 +114,7 @@ class TestNonFinite:
     @pytest.mark.parametrize("token", NON_FINITE)
     def test_config(self, token):
         for key in ("tau", "alpha"):
-            with pytest.raises(BadParams, match="finite"):
+            with pytest.raises(FormatError, match="line 1: .*finite"):
                 PipelineConfig.from_text(f"{key}={token}")
 
     @pytest.mark.parametrize("token", NON_FINITE)

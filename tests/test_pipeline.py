@@ -186,7 +186,7 @@ class TestOutput:
         for task, out in zip(tasks, pipe.run_tasks(tasks), strict=True):
             assert out.theta_star.shape == (2 * cfg.order + 1 if rules else cfg.order + 1,)
             assert not out.theta_star.flags.writeable
-            lap = pipeline.prepare_graph(cfg, task.graph, rules).laplacian
+            lap = pipeline.prepare_graph(cfg, [task.graph], rules)[0].laplacian
             y = chebyshev_filter(lap, ChebyshevFilter(out.theta_star, out.lambda_max), vertex_signal(task.x0))
             assert np.array_equal(y.values, out.y.values)
 
@@ -248,10 +248,24 @@ class TestCheckParams:
         check_params(cfg, params, rule_count)
         check_params(cfg, params, None)
         pipe = Pipeline(cfg, list(rules), params)
-        assert pipe.params is params
+        assert all(np.array_equal(pipe.params[name], params[name]) for name in PARAM_NAMES)
         pipe.run_task(self.TASK)
         loaded = Checkpoint.from_json(Checkpoint(cfg, params, {}).to_json()).params
         assert all(np.array_equal(loaded[name], params[name]) for name in PARAM_NAMES)
+
+    def test_params_are_read_only_copies(self):
+        reference = reference_pipeline()
+        params = {name: value.copy() for name, value in reference.params.items()}
+        pipe = Pipeline(reference.cfg, list(reference.rules), params)
+        before = pipe.run_task(gen_transitive(3, seed=0))
+        # editing the caller's arrays after construction reaches no answer
+        for value in params.values():
+            value += 1.0
+        after = pipe.run_task(gen_transitive(3, seed=0))
+        assert np.array_equal(after.y.values, before.y.values) and after.answers == before.answers
+        assert not any(value.flags.writeable for value in pipe.params.values())
+        with pytest.raises(ValueError, match="read-only"):
+            pipe.params["theta"][0] += 1.0
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -356,26 +370,36 @@ class TestPreparedGraph:
     def test_rule_rows_follow_the_rules(self, calls):
         pipe = reference_pipeline()
         task = gen_transitive(3, width=2, seed=5)
-        run(pipe.cfg, task, pipe.rules)
-        run(pipe.cfg, task, pipe.rules[:1])
-        run(pipe.cfg, task, pipe.rules[:1])
-        assert calls["rule_coefficients"] == 2
-        assert calls["estimate_lambda_max"] == 1
+        sequence = (pipe.rules, pipe.rules[:1], pipe.rules)
+        outputs = [run(pipe.cfg, task, rules) for rules in sequence]
+        # each change of rules replaces the graph's whole entry
+        assert calls == dict.fromkeys(PREPARATION, len(sequence))
+        assert task.graph.prepared[(pipe.cfg.laplacian, pipe.cfg.seed)].fit == (pipe.rules, pipe.cfg.order)
+        for rules, out in zip(sequence, outputs, strict=True):
+            fresh = run(pipe.cfg, gen_transitive(3, width=2, seed=5), rules)
+            assert_same_output(out, fresh)
+            assert np.array_equal(out.theta_star, fresh.theta_star)
 
     def test_labels_are_the_graphs(self):
         task = gen_transitive(2, width=1, seed=5)
-        prepared = pipeline.prepare_graph(PipelineConfig(), task.graph)
+        prepared = pipeline.prepare_graph(PipelineConfig(), [task.graph])[0]
         assert prepared.labels is task.graph.labels
         assert prepared.labels == tuple(m.label for m in task.graph.nodes)
         assert prepared.labels == tuple(task.node_atoms.values())
 
     @pytest.mark.parametrize(
         "name, error, stage",
-        [("estimate_lambda_max", ConvergenceFailure, "spectral"), ("build_laplacian", BadParams, "laplacian")],
+        [
+            ("estimate_lambda_max", ConvergenceFailure, "spectral"),
+            ("build_laplacian", BadParams, "laplacian"),
+            ("rule_coefficients", BadParams, "rules"),
+        ],
     )
     def test_failed_preparation_is_not_kept(self, monkeypatch, name, error, stage):
         task = gen_transitive(3, width=2, seed=5)
         original = getattr(pipeline, name)
+        # the rule fit runs only with rules
+        rules = reference_pipeline().rules if name == "rule_coefficients" else ()
 
         def fail(*args, **kwargs):
             raise error("injected")
@@ -384,17 +408,17 @@ class TestPreparedGraph:
         block = [gen_transitive(2, width=2, seed=6), task, gen_transitive(4, width=1, seed=7)]
         for _ in range(2):
             with pytest.raises(error) as info:
-                run(PipelineConfig(), task, ())
+                run(PipelineConfig(), task, rules)
             assert info.value.stage == stage
             assert not task.graph.prepared
             with pytest.raises(error) as info:
-                Pipeline(PipelineConfig()).run_tasks(block)
+                Pipeline(PipelineConfig(), rules=list(rules)).run_tasks(block)
             assert info.value.stage == stage
             assert not any(t.graph.prepared for t in block)
         monkeypatch.setattr(pipeline, name, original)
-        run(PipelineConfig(), task, ())
+        run(PipelineConfig(), task, rules)
         assert list(task.graph.prepared) == [(PipelineConfig().laplacian, 0)]
-        Pipeline(PipelineConfig()).run_tasks(block)
+        Pipeline(PipelineConfig(), rules=list(rules)).run_tasks(block)
         assert all(list(t.graph.prepared) == [(PipelineConfig().laplacian, 0)] for t in block)
 
     def test_block_prepares_in_one_call_per_layer(self, calls):

@@ -40,7 +40,7 @@ def make_instance(rng, n=12, order=4, n_rules=2):
     """Random task context plus randomized parameters for gradient checks."""
     g = random_graph(rng, n, density=0.3)
     cfg = PipelineConfig(order=order)
-    lam_max = prepare_graph(cfg, g).lambda_max
+    lam_max = prepare_graph(cfg, [g])[0].lambda_max
     rules = tuple(
         SpectralRule(f"r{i}", builtin_template("heat-kernel", lam_max, t=0.3 + 0.4 * i), weight=1.0)
         for i in range(n_rules)
@@ -49,7 +49,7 @@ def make_instance(rng, n=12, order=4, n_rules=2):
     labeled = rng.permutation(n)[: max(n // 2, 2)]
     label_nodes = np.sort(labeled)
     label_values = rng.integers(0, 2, size=label_nodes.size)
-    ctx = prepare_context(graph_task(g, x0, dict(zip(label_nodes.tolist(), label_values.tolist()))), cfg, rules)
+    ctx = prepare_context([graph_task(g, x0, dict(zip(label_nodes.tolist(), label_values.tolist())))], cfg, rules)
     params = {
         "theta": rng.standard_normal(order + 1) * 0.5,
         "rule_weights": rng.uniform(0.2, 1.0, size=n_rules),
@@ -120,7 +120,7 @@ class TestLoss:
     def test_empty_labels(self, rng):
         task = graph_task(random_graph(rng, 6, density=0.5), np.full(6, 0.5), {})
         with pytest.raises(EmptyLabels):
-            prepare_context(task, PipelineConfig(), ())
+            prepare_context([task], PipelineConfig(), ())
 
 
 class TestGradTheta:
@@ -358,6 +358,10 @@ class TestTrainLoop:
             TrainRun(max_epochs=51)
         with pytest.raises(BadParams):
             TrainRun(patience=0)
+        with pytest.raises(BadParams, match="seed"):
+            TrainRun(seed=-1)
+        with pytest.raises(BadParams, match="latency_probe"):
+            TrainRun(latency_probe=-5)
 
 
 class TestForwardAgreement:
@@ -377,7 +381,7 @@ class TestForwardAgreement:
             p = np.clip(out.predicates.values[nodes], 1e-7, 1 - 1e-7)
             targets = np.array([task.labels[i] for i in nodes], dtype=np.float64)
             expected = -np.mean(targets * np.log(p) + (1 - targets) * np.log(1 - p))
-            got, _ = task_loss_and_grads(prepare_context(task, cfg, rules), params)
+            got, _ = task_loss_and_grads(prepare_context([task], cfg, rules), params)
             assert got == pytest.approx(expected, rel=1e-12, abs=0), task.task_id
 
 
