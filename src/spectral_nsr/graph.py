@@ -53,8 +53,8 @@ class ReasoningGraph:
     these invariants and is called by every constructor in this module.
 
     ``prepared`` holds the pipeline's per-graph work, one
-    `pipeline.PreparedGraph` keyed by Laplacian kind and seed, replaced
-    whole when a query brings other rules (`pipeline.prepare_graph`).
+    `pipeline.PreparedGraph` keyed by Laplacian kind and seed, made once
+    and shared by every pipeline and rule set (`pipeline.prepare_graph`).
     That cache relies on the graph never changing: mutating ``nodes`` or
     ``adjacency`` in place would leave it stale.
     """

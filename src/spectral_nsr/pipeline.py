@@ -49,12 +49,10 @@ from .symbolic import (
     soft_threshold,
 )
 
-# the end of the reference interval that rule files are parsed on and the
-# initial learned filter is fitted on. The learned filter keeps its
+# the end of the reference interval that rule templates are parsed and
+# fitted on and the initial learned filter is fitted on. A series keeps its
 # coefficients on every graph, so only its shape is fixed and each graph
-# stretches it over its own [0, lambda_max]. A rule template is a function
-# of the absolute eigenvalue instead: `rule_coefficients` refits it at each
-# graph's lambda_max, and a graph sees the part of the curve its spectrum reaches
+# stretches it over its own [0, lambda_max]
 REFERENCE_LAMBDA_MAX = 2.0
 
 # samples of the exported response curve over [0, lambda_max]
@@ -139,10 +137,13 @@ class PipelineConfig:
             if key not in known:
                 raise FormatError(f"line {lineno}: unknown config key {key!r}")
             try:
-                values[key] = known[key](val)
-                cls(**{key: values[key]})  # each value is checked alone, so its line can be named
+                value = known[key](val)
+                cls(**{key: value})  # each value is checked alone, so its line can be named
             except (ValueError, BadParams) as exc:
                 raise FormatError(f"line {lineno}: malformed value for {key}: {exc}") from exc
+            if key in values:
+                raise FormatError(f"line {lineno}: config key {key!r} is given twice")
+            values[key] = value
         return cls(**values)
 
     def save(self, path: str | Path) -> None:
@@ -206,25 +207,33 @@ def check_params(cfg: PipelineConfig, params: Mapping[str, np.ndarray], rule_cou
     return params
 
 
+def rule_rows(rules: Sequence[SpectralRule], order: int) -> np.ndarray | None:
+    """The rules' read-only coefficient rows R (rules, order + 1) on the
+    reference interval, the same for every graph; None without rules. An
+    error carries the stage tag ``rules``."""
+    if not rules:
+        return None
+    with _stage("rules"):
+        rows = rule_coefficients(tuple(rules), REFERENCE_LAMBDA_MAX, order)
+    rows.setflags(write=False)
+    return rows
+
+
 def filter_coefficients(params: dict[str, np.ndarray], rows: np.ndarray | None = None) -> np.ndarray:
     """The Chebyshev coefficients of stage 2: ``theta`` without rules. With
-    rules, ``rows`` stacks each graph's rule rows R_g as (graphs, rules,
-    order + 1); the rule and learned filters are polynomials of the same
-    rescaled Laplacian, so each graph gets one row chebmul(theta, w R_g),
-    its own product, the same bits in a block of any size. ``params``
-    must pass `check_params` for the rows' rule count and order."""
+    rules (``rows`` from `rule_rows`), the rule and learned filters are
+    polynomials of the same rescaled Laplacian, so stage 2 is the one
+    series chebmul(theta, w R) of twice the order. ``params`` must pass
+    `check_params` for the rows' rule count and order."""
     if rows is None:
         return params["theta"]
-    return np.matmul((params["rule_weights"] @ rows)[..., None, :], series_operator(params["theta"]))[..., 0, :]
+    return (params["rule_weights"] @ rows) @ series_operator(params["theta"])
 
 
-def combined_filter(coefficients: np.ndarray, lambda_max, starts=None) -> ChebyshevFilter:
+def combined_filter(coefficients: np.ndarray, lambda_max) -> ChebyshevFilter:
     """Stage 2's coefficients (`filter_coefficients`) bound to a block's
-    spectrum bound. One row per graph is repeated over that graph's nodes
-    on a block (one ``lambda_max`` per node, ``starts`` from
-    `block_diagonal`); a block of one runs its one row."""
-    if coefficients.ndim == 2:
-        coefficients = np.repeat(coefficients, np.diff(starts), axis=0) if np.ndim(lambda_max) else coefficients[0]
+    spectrum bound: a scalar, or one per node on a block. Its own function
+    so that perfbench's layer tracer can mark where stage 2's filter runs."""
     return ChebyshevFilter(coefficients, lambda_max)
 
 
@@ -232,10 +241,10 @@ def combined_filter(coefficients: np.ndarray, lambda_max, starts=None) -> Chebys
 class PipelineOutput:
     """Everything a pipeline run produces, including the interpretability export.
 
-    The export is the stage-2 filter that ran on this graph: its row
-    ``theta_star`` of `filter_coefficients` (theta without rules,
-    chebmul(theta, w R_g) with them) over [0, ``lambda_max``], which
-    filters x0 into ``y`` bit for bit. Its sampled curve is computed on
+    The export is the stage-2 filter that ran on this graph: the
+    pipeline's read-only coefficients ``theta_star`` (theta without rules,
+    chebmul(theta, w R) with them) over [0, ``lambda_max``], which filters
+    x0 into ``y`` bit for bit. Its sampled curve is computed on
     first access, so callers that never read it (evaluation, validation)
     do not pay for it; so are ``answers``, the sorted ``closure``, and
     ``traces``, a read-only mapping from each answer atom to its proof
@@ -284,12 +293,10 @@ def build_laplacian(
 
 @dataclass(frozen=True, eq=False)
 class PreparedGraph:
-    """What the pipeline needs of a graph apart from the signal, made whole
-    by `prepare_graph` and never changed. ``labels`` is the graph's own
-    `ReasoningGraph.labels` tuple, the atom each node stands for when it
-    thresholds true (`bind_predicates`). ``rows`` holds the read-only
-    `rule_coefficients` rows at ``lambda_max`` for ``fit``, which is
-    ``(rules, order)``; without rules ``fit`` is ``()`` and ``rows`` None.
+    """What the pipeline needs of a graph apart from the signal and the
+    parameters, made whole by `prepare_graph` and never changed. ``labels``
+    is the graph's own `ReasoningGraph.labels` tuple, the atom each node
+    stands for when it thresholds true (`bind_predicates`).
     """
 
     # the graph's labels rather than the graph: a reference back to the
@@ -297,43 +304,32 @@ class PreparedGraph:
     labels: tuple[str, ...]
     laplacian: LaplacianMatrix
     lambda_max: float
-    fit: tuple
-    rows: np.ndarray | None
 
 
-def prepare_graph(
-    cfg: PipelineConfig, graphs: Sequence[ReasoningGraph], rules: tuple[SpectralRule, ...] = ()
-) -> list[PreparedGraph]:
+def prepare_graph(cfg: PipelineConfig, graphs: Sequence[ReasoningGraph]) -> list[PreparedGraph]:
     """Each graph's `PreparedGraph` for ``cfg``'s Laplacian kind and seed,
-    fitted for ``rules`` at ``cfg.order``, kept on the graph so it is freed
-    with the graph.
+    kept on the graph so it is freed with the graph. Rules and parameters
+    do not enter it, so any pipeline of that kind and seed reuses it.
 
-    Every graph whose entry is missing or was fitted for other rules gets
-    a whole new entry, all of them in one pass: one `build_laplacian`, one
-    `estimate_lambda_max` and, with rules, one `rule_coefficients` call,
-    each result bit for bit what the graph gets alone. Nothing is stored
-    until all three have succeeded, so a preparation that raises keeps
-    nothing for any graph of the block; its error carries the stage tag
-    ``laplacian``, ``spectral`` or ``rules``.
+    Every graph without an entry gets one, all of them in one pass: one
+    `build_laplacian` and one `estimate_lambda_max` call, each result bit
+    for bit what the graph gets alone. Nothing is stored until both have
+    succeeded, so a preparation that raises keeps nothing for any graph of
+    the block; its error carries the stage tag ``laplacian`` or
+    ``spectral``.
     """
     key = (cfg.laplacian, cfg.seed)
-    fit = (tuple(rules), cfg.order) if rules else ()
-    # each entry is read once, so a record returned is the one checked; a
+    # each entry is read once, so a record returned is the one stored; a
     # graph listed twice is prepared once
     entries = {id(g): g.prepared.get(key) for g in graphs}
-    cold = list({id(g): g for g in graphs if getattr(entries[id(g)], "fit", None) != fit}.values())
+    cold = list({id(g): g for g in graphs if entries[id(g)] is None}.values())
     if cold:
         with _stage("laplacian"):
             laps = build_laplacian(cfg, cold)
         with _stage("spectral"):
             bounds = [max(bound, 1e-12) for bound in estimate_lambda_max(laps, seed=cfg.seed)]
-        rows = [None] * len(cold)
-        if rules:
-            with _stage("rules"):
-                rows = rule_coefficients(fit[0], np.array(bounds), cfg.order)
-            rows.setflags(write=False)
-        for g, lap, bound, own in zip(cold, laps, bounds, rows, strict=True):
-            entries[id(g)] = g.prepared[key] = PreparedGraph(g.labels, lap, bound, fit, own)
+        for g, lap, bound in zip(cold, laps, bounds, strict=True):
+            entries[id(g)] = g.prepared[key] = PreparedGraph(g.labels, lap, bound)
     return [entries[id(g)] for g in graphs]
 
 
@@ -351,37 +347,32 @@ def run_pipeline(
 
     Each true node binds as the atom its label names; one whose label its
     ``kb`` does not declare raises `UnmappedNode`. The Laplacian,
-    ``lambda_max``, rule rows and labels come from `prepare_graph`. Module
-    errors propagate with a ``stage`` tag attached.
+    ``lambda_max`` and labels come from `prepare_graph`. Module errors
+    propagate with a ``stage`` tag attached.
 
     The graphs are stacked block-diagonally (`block_diagonal`), so stage 2
-    makes one Chebyshev recurrence for all of them, each node keeping its
-    own graph's ``lambda_max`` and coefficients; stage 3 runs per graph.
-    Each output exports its graph's row of the block's one
-    `filter_coefficients` call. Output i is bit for bit the one graph i
-    gives alone. One graph is a block of one: nothing is assembled and
+    makes one Chebyshev recurrence for all of them with the pipeline's one
+    coefficient vector, each node keeping its own graph's ``lambda_max``;
+    stage 3 runs per graph. Output i is bit for bit the one graph i gives
+    alone. One graph is a block of one: nothing is assembled and
     ``lambda_max`` stays a scalar. No graphs give no outputs.
     """
     if not graphs:
         return []
-    cfg, rules, params = pipe.cfg, pipe.rules, pipe.params
-    prepared = prepare_graph(cfg, graphs, rules)
+    cfg, params, coefficients = pipe.cfg, pipe.params, pipe.coefficients
+    prepared = prepare_graph(cfg, graphs)
     lap, lambda_max, starts = block_diagonal(
         [p.laplacian for p in prepared], [p.lambda_max for p in prepared]
     )
 
     with _stage("filter"):
         x = block_signal(signals, starts)
-        rows = np.stack([p.rows for p in prepared]) if rules else None
-        coefficients = filter_coefficients(params, rows)
-        y = chebyshev_filter(lap, combined_filter(coefficients, lambda_max, starts), x).values
-    # one read-only row per graph: without rules each is the pipeline's own theta
-    exports = np.broadcast_to(coefficients, (len(prepared), coefficients.shape[-1]))
+        y = chebyshev_filter(lap, combined_filter(coefficients, lambda_max), x).values
 
     tau, alpha = float(params["tau"][0]), float(params["alpha"])
     logistic = cfg.threshold_mode == LOGISTIC
     outputs = []
-    for lo, hi, p, kb, export in zip(starts[:-1], starts[1:], prepared, kbs, exports, strict=True):
+    for lo, hi, p, kb in zip(starts[:-1], starts[1:], prepared, kbs, strict=True):
         y_graph = vertex_signal(y[lo:hi])
         with _stage("threshold"):
             predicates = soft_threshold(y_graph, tau, alpha) if logistic else hard_threshold(y_graph, tau)
@@ -389,7 +380,7 @@ def run_pipeline(
             bound = bind_predicates(predicates, kb, p.labels)
         with _stage("chain"):
             closure, traces = forward_chain(bound)
-        outputs.append(PipelineOutput(y_graph, predicates, closure, traces, export, p.lambda_max))
+        outputs.append(PipelineOutput(y_graph, predicates, closure, traces, coefficients, p.lambda_max))
     return outputs
 
 
@@ -405,7 +396,9 @@ def _read_rule_file(path: str) -> list[SpectralRule]:
 class Pipeline:
     """A configuration bound to a rule set and `init_params` or parameters
     that pass `check_params`, checked once here and kept as read-only
-    copies; every query runs through `run_pipeline` with them.
+    copies; every query runs through `run_pipeline` with them. The rules'
+    rows (`rule_rows`) and stage 2's one read-only coefficient vector
+    (`filter_coefficients`) are made here too, once, and serve every graph.
 
     Instances are immutable in use: `run`, `run_task` and `run_tasks` are
     pure apart from the `PreparedGraph` kept on each graph, so
@@ -428,6 +421,9 @@ class Pipeline:
         self.params = {name: np.array(value) for name, value in params.items()}
         for value in self.params.values():  # a caller editing its own arrays later changes no answer
             value.setflags(write=False)
+        self.rows = rule_rows(self.rules, cfg.order)
+        self.coefficients = filter_coefficients(self.params, self.rows)
+        self.coefficients.setflags(write=False)
 
     def run(self, graph: ReasoningGraph, x0: GraphSignal, kb: KnowledgeBase) -> PipelineOutput:
         return run_pipeline(self, [graph], [x0], [kb])[0]

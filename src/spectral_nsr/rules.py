@@ -2,14 +2,15 @@
 
 A rule is a frequency response phi_r(lambda) with a non-negative weight:
 transitive-style rules live at low frequencies (smooth propagation),
-conflict-detection rules at high frequencies (local contrast). The
-pipeline and the trainer ground rules through `rule_coefficients`: each
-template becomes a row of Chebyshev coefficients at the graph's
-lambda_max, and a weighted sum of the rows is one polynomial filter.
-The fit is least squares at Chebyshev nodes, which has a closed form:
-one fixed linear map per order takes a template's samples to its row
-(`spectral.fit_coefficients`). So every graph of a block is fitted in one
-call, each graph getting the rows it would get alone.
+conflict-detection rules at high frequencies (local contrast). A template
+is a curve on a reference interval, for a rule file [0,
+`pipeline.REFERENCE_LAMBDA_MAX`], which every graph stretches over its
+own [0, lambda_max] as it does the learned filter. So `rule_coefficients`
+fits each template once per rule set and order, as a row of Chebyshev
+coefficients on that interval, and a weighted sum of the rows is one
+polynomial filter of every graph's rescaled Laplacian. The fit is least
+squares at Chebyshev nodes, which has a closed form: one fixed linear map
+per order takes a template's samples to its row (`spectral.fit_coefficients`).
 """
 
 from __future__ import annotations
@@ -31,13 +32,14 @@ def builtin_template(kind: str, lambda_max: float, **params) -> FrequencyRespons
     band-pass exp(-(lambda-center)^2 / (2 sigma^2)), centre lambda_max/2
     and sigma lambda_max/10 by default; heat-kernel exp(-t*lambda).
 
-    Each is a function of the absolute eigenvalue lambda. ``lambda_max``
-    is the bound the template is built at, for a rule file the parse-time
-    `pipeline.REFERENCE_LAMBDA_MAX` of 2.0, not the bound of the graph it
-    is later fitted on. Low-pass, band-pass and heat-kernel stay in
-    [0, 1] for every lambda >= 0. High-pass is gain at lambda =
-    ``lambda_max`` and keeps rising above it: on a graph with top
-    eigenvalue 6 a rule parsed at 2.0 reaches 3 * gain.
+    Each is a curve on the reference interval [0, ``lambda_max``], for a
+    rule file the parse-time `pipeline.REFERENCE_LAMBDA_MAX` of 2.0. A
+    graph sees the curve stretched over its own [0, lambda_max]: its
+    eigenvalue lambda takes the template's value at ``lambda_max`` *
+    lambda / (the graph's lambda_max). So high-pass is gain at every
+    graph's bound, and the band-pass defaults sit at the middle and a
+    tenth of every graph's spectrum. Low-pass, band-pass and heat-kernel
+    stay in [0, 1] for every lambda >= 0.
     """
     if not lambda_max > 0.0:
         raise BadParams(f"lambda_max must be positive, got {lambda_max}")
@@ -94,21 +96,15 @@ class SpectralRule:
             raise BadParams(f"rule {self.rule_id}: weight must be finite and >= 0, got {self.weight}")
 
 
-def rule_coefficients(
-    rules: tuple[SpectralRule, ...],
-    lambda_max: float | np.ndarray,
-    order: int,
-) -> np.ndarray:
-    """Per-rule Chebyshev coefficient rows (R, order+1) at a given lambda_max.
+def rule_coefficients(rules: tuple[SpectralRule, ...], lambda_max: float, order: int) -> np.ndarray:
+    """Per-rule Chebyshev coefficient rows (R, order+1) over [0, lambda_max].
 
     ``weights @ rows`` is the coefficient vector of the composed filter
     sum_r w_r phi_r: the least-squares fit is linear in its target, so
     summing the rows equals fitting the summed response. The output is
-    linear in w_r, which is what the trainer differentiates.
-
-    A vector of G bounds fits every graph of a block in one call and
-    gives (G, R, order+1), each graph's rows bit for bit those its bound
-    gives alone (`fit_coefficients`).
+    linear in w_r, which is what the trainer differentiates. Fitted at
+    the reference bound the templates were parsed at, the rows serve
+    every graph (`pipeline.rule_rows`).
     """
     if not rules:
         raise EmptyRuleSet("rule_coefficients needs at least one rule")
@@ -121,10 +117,11 @@ def rule_coefficients(
 # params: beta= (low-pass), t= (heat), center=/sigma= (band-pass),
 # gain= (high-pass), file= (custom: CSV of lambda,value samples).
 # Every rule acts on the whole graph; any other key, scope= included,
-# is a FormatError. A template is a curve over the absolute eigenvalue:
-# the high-pass slope gain/lambda_max and the band-pass defaults use the
-# lambda_max given to parse_rules (2.0 for a config's rule file), and
-# each graph samples the curve up to its own lambda_max.
+# is a FormatError. A template is a curve on the reference interval
+# [0, lambda_max] of the lambda_max given to parse_rules (2.0 for a
+# config's rule file): the high-pass slope gain/lambda_max, the band-pass
+# defaults and a custom file's lambda column are on it, and each graph
+# stretches the interval over its own [0, lambda_max].
 # ---------------------------------------------------------------------------
 
 _FLOAT_PARAMS = ("beta", "t", "center", "sigma", "gain", "w")

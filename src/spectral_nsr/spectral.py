@@ -52,9 +52,9 @@ LANCZOS_TOL = 1e-3
 # Chebyshev nodes `fit_chebyshev` samples a response at (more if the order needs them)
 FIT_NODES = 256
 
-# the largest stacked array, in bytes, that `estimate_lambda_max` and
-# `fit_coefficients` build at once; a larger block goes in chunks, so its
-# transient memory stays bounded (each graph's result is the same)
+# the largest stacked array, in bytes, that `estimate_lambda_max` builds
+# at once; a larger block goes in chunks, so its transient memory stays
+# bounded (each graph's result is the same)
 STACK_BYTES = 1 << 18
 
 VERTEX = "vertex"
@@ -295,9 +295,9 @@ class ChebyshevFilter:
 
     ``lambda_max`` fixes the rescaling lambda~ = 2 lambda / lambda_max - 1
     that maps the spectrum into [-1, 1]. On graphs stacked block-diagonally
-    (`block_diagonal`) each graph keeps its own rescaling and filter:
-    ``lambda_max`` then holds one value per node, and ``coefficients`` may
-    hold one row per node.
+    (`block_diagonal`) each graph keeps its own rescaling: ``lambda_max``
+    then holds one value per node. ``coefficients`` is one vector, the
+    same on every node; a table of rows raises `BadParams`.
     """
 
     coefficients: np.ndarray
@@ -305,9 +305,10 @@ class ChebyshevFilter:
 
     def __post_init__(self):
         coeffs = np.asarray(self.coefficients, dtype=np.float64)
-        if coeffs.ndim != 2:
-            coeffs = coeffs.reshape(-1)
-        if coeffs.shape[-1] == 0:
+        if coeffs.ndim > 1:
+            raise BadParams(f"filter coefficients must be one vector, got shape {coeffs.shape}")
+        coeffs = coeffs.reshape(-1)
+        if coeffs.size == 0:
             raise BadParams("filter needs at least one coefficient")
         if not np.isfinite(coeffs).all():
             raise BadParams("filter coefficients must be finite")
@@ -325,7 +326,7 @@ class ChebyshevFilter:
 
     @property
     def order(self) -> int:
-        return self.coefficients.shape[-1] - 1
+        return self.coefficients.size - 1
 
     def response(self) -> FrequencyResponse:
         return FrequencyResponse(lambda lam: sample_response(self, lam), kind="custom")
@@ -400,18 +401,16 @@ def chebyshev_filter(lap: LaplacianMatrix, filt: ChebyshevFilter, x: GraphSignal
 
     Requires filt.lambda_max >= the true largest eigenvalue, as
     `estimate_lambda_max` returns; below it the rescaled spectrum leaves
-    [-1, 1] and the recurrence may diverge. A per-node filter gives each
-    node its own coefficient row and rescaling.
+    [-1, 1] and the recurrence may diverge. A per-node ``lambda_max``
+    gives each node its own rescaling.
     """
     if x.domain != VERTEX:
         raise DomainMismatch("chebyshev_filter expects a vertex-domain signal")
     if len(x) != lap.node_count:
         raise DimensionMismatch(f"signal length {len(x)} != {lap.node_count}")
-    # row k holds theta_k: one scalar, or one value per node
-    theta = filt.coefficients.T
-    for values in (theta[0], filt.lambda_max):
-        if np.ndim(values) and values.shape[0] != len(x):
-            raise DimensionMismatch(f"filter has {values.shape[0]} node rows for a signal of length {len(x)}")
+    if np.ndim(filt.lambda_max) and filt.lambda_max.shape[0] != len(x):
+        raise DimensionMismatch(f"filter has {filt.lambda_max.shape[0]} node bounds for a signal of length {len(x)}")
+    theta = filt.coefficients
     prev = x.values
     y = theta[0] * prev
     if filt.order >= 1:
@@ -471,47 +470,27 @@ def _fit_operator(order: int) -> tuple[np.ndarray, np.ndarray]:
     return t, operator
 
 
-def fit_coefficients(
-    responses: Sequence[FrequencyResponse],
-    order: int,
-    lambda_max: float | np.ndarray,
-) -> np.ndarray:
+def fit_coefficients(responses: Sequence[FrequencyResponse], order: int, lambda_max: float) -> np.ndarray:
     """Least-squares Chebyshev coefficients of each response over [0, lambda_max].
 
     Samples every response at the Chebyshev nodes mapped into the
     interval and applies the closed-form least-squares operator
     (`_fit_operator`); any polynomial of degree <= order is recovered
-    exactly (up to rounding). A scalar ``lambda_max`` gives one row per
-    response, (R, order + 1). A vector of G bounds gives (G, R, order + 1),
-    fitted in chunks of `STACK_BYTES` of samples per response, where each
-    graph's rows are bit for bit those its bound gives alone: every sample
-    is computed elementwise and every fit is its own matrix-vector product.
+    exactly (up to rounding). Gives one row per response, (R, order + 1).
     """
     if order < 0:
         raise BadParams("order must be non-negative")
-    lam_max = np.asarray(lambda_max, dtype=np.float64)
-    if lam_max.ndim > 1 or not (lam_max > 0.0).all():
+    if not lambda_max > 0.0:
         raise BadParams(f"lambda_max must be positive, got {lambda_max}")
     t, operator = _fit_operator(order)
-    bounds = np.atleast_1d(lam_max)
-    step = max(1, STACK_BYTES // t.nbytes)
-    chunks = [_fit_chunk(responses, t, operator, bounds[i : i + step]) for i in range(0, bounds.size, step)]
-    out = np.concatenate(chunks)
-    return out if lam_max.ndim else out[0]
-
-
-def _fit_chunk(
-    responses: Sequence[FrequencyResponse], t: np.ndarray, operator: np.ndarray, bounds: np.ndarray
-) -> np.ndarray:
-    """(graphs, responses, order + 1) coefficients for a chunk of bounds."""
-    lam = (t + 1.0) * (bounds[:, None] / 2.0)
+    lam = (t + 1.0) * (lambda_max / 2.0)
     rows = []
     for response in responses:
         targets = response(lam)
         if not np.isfinite(targets).all():
             raise NonFiniteResponse(f"response is non-finite at lambda={lam[~np.isfinite(targets)][0]}")
-        rows.append(np.matmul(operator, targets[..., None])[..., 0])
-    return np.stack(rows, axis=1)
+        rows.append(operator @ targets)
+    return np.stack(rows)
 
 
 def fit_chebyshev(
@@ -531,7 +510,7 @@ def fit_chebyshev(
 
 def sample_response(filt: ChebyshevFilter, grid) -> np.ndarray:
     """Evaluate h(lambda) on a grid inside [0, lambda_max]."""
-    if filt.coefficients.ndim == 2 or np.ndim(filt.lambda_max):
+    if np.ndim(filt.lambda_max):
         raise BadParams("a per-node filter has no single response")
     lam = np.asarray(grid, dtype=np.float64)
     if lam.size:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from bisect import bisect_right
 from dataclasses import asdict, dataclass, fields
 from itertools import accumulate
@@ -35,9 +36,10 @@ from .errors import (
     ShapeMismatch,
 )
 from .harness import SyntheticTask, TaskSplits, evaluate
-from .pipeline import Pipeline, PipelineConfig, check_params, filter_coefficients, prepare_graph, retired_config_key
+from .pipeline import Pipeline, PipelineConfig, check_params, filter_coefficients, prepare_graph, rule_rows
+from .pipeline import retired_config_key
 from .rules import SpectralRule
-from .spectral import block_diagonal, block_signal, chebyshev_stack, product_operator, series_operator, vertex_signal
+from .spectral import block_diagonal, block_signal, chebyshev_stack, series_operator, vertex_signal
 
 # prepare_graph makes these calls now; the names stay on this module
 # because perfbench's layer tracer looks them up and wraps them here
@@ -152,23 +154,23 @@ class TaskContext:
     """What training needs of a set of tasks apart from the trainable parameters.
 
     Stage 2 is one polynomial of a task's rescaled Laplacian L~, whose
-    coefficients `pipeline.filter_coefficients` gives; x0 and L~ are
-    fixed, so the columns T_0(L~) x0 .. T_D(L~) x0 are computed once,
-    for all tasks as one block (`prepare_context`). ``stack`` holds their
-    rows at every labelled node of every task in turn, bit for bit those
-    of the task's own `chebyshev_stack`, as a row of a block product
-    depends on its own graph only: D is twice the filter order with rules
-    and the filter order without.
+    coefficients `pipeline.filter_coefficients` gives, the same for every
+    task; x0 and L~ are fixed, so the columns T_0(L~) x0 .. T_D(L~) x0
+    are computed once, for all tasks as one block (`prepare_context`).
+    ``stack`` holds their rows at every labelled node of every task in
+    turn, bit for bit those of the task's own `chebyshev_stack`, as a row
+    of a block product depends on its own graph only: D is twice the
+    filter order with rules and the filter order without.
     ``label_values`` are those nodes' labels, ``label_starts`` says where
-    each task's rows begin, followed by their count, and ``coeff_rows``
-    holds each task's (rules, order + 1) rule coefficient rows, or None
-    without rules. All arrays are read-only.
+    each task's rows begin, followed by their count, and ``rows`` holds
+    the rules' one (rules, order + 1) array of `pipeline.rule_rows`, or
+    None without rules. All arrays are read-only.
     """
 
     stack: np.ndarray
     label_values: np.ndarray
     label_starts: np.ndarray
-    coeff_rows: np.ndarray | None
+    rows: np.ndarray | None
 
     @property
     def task_count(self) -> int:
@@ -186,20 +188,14 @@ def prepare_context(
     (`block_signal`), and one `chebyshev_stack` call covers the whole
     split, of which one gather keeps the labelled rows.
     """
-    prepared = prepare_graph(cfg, [t.graph for t in tasks], rules)
+    prepared = prepare_graph(cfg, [t.graph for t in tasks])
     lap, lambda_max, starts = block_diagonal([p.laplacian for p in prepared], [p.lambda_max for p in prepared])
     nodes, values, label_starts = _labels(tasks, starts)
     x0 = block_signal([vertex_signal(t.x0) for t in tasks], starts).values
-    ctx = TaskContext(
-        chebyshev_stack(lap, lambda_max, x0, 2 * cfg.order if rules else cfg.order)[nodes],
-        values,
-        label_starts,
-        np.stack([p.rows for p in prepared]) if rules else None,
-    )
-    for array in (ctx.stack, ctx.label_values, ctx.label_starts, ctx.coeff_rows):
-        if array is not None:
-            array.setflags(write=False)
-    return ctx
+    stack = chebyshev_stack(lap, lambda_max, x0, 2 * cfg.order if rules else cfg.order)[nodes]
+    for array in (stack, values, label_starts):
+        array.setflags(write=False)
+    return TaskContext(stack, values, label_starts, rule_rows(rules, cfg.order))
 
 
 def _labels(tasks: Sequence[SyntheticTask], node_starts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -232,14 +228,13 @@ def task_loss_and_grads(
 
     The loss is the sum of the tasks' mean BCE, so its value and
     gradients are the sums of those of its tasks. Only dense algebra on
-    the context's rows X runs: y = X v_t, with v_t the coefficients
-    inference runs (`pipeline.filter_coefficients`). With rules, v_t =
-    chebmul(theta, c_t) for c_t = w R_t; with P_t = X_t^T (d loss / d y)
-    per task, d theta = sum_t B(c_t) P_t and d c_t = B(theta) P_t, where
-    B(a) is the matrix of multiplying by the series a
-    (`spectral.series_operator`).
+    the context's rows X runs: y = X v, with v the one coefficient vector
+    inference runs (`pipeline.filter_coefficients`), and d v = X^T (d loss
+    / d y). With rules, v = chebmul(theta, w R), so d theta = B(w R) d v
+    and d w = R B(theta) d v, where B(a) is the matrix of multiplying by
+    the series a (`spectral.series_operator`).
     """
-    rows, x, values = ctx.coeff_rows, ctx.stack, ctx.label_values
+    x, values = ctx.stack, ctx.label_values
     if tasks is None:
         starts, counts = ctx.label_starts[:-1], np.diff(ctx.label_starts)
     else:
@@ -250,30 +245,24 @@ def task_loss_and_grads(
         runs = np.cumsum(counts) - counts
         picked = np.repeat(starts - runs, counts) + np.arange(runs[-1] + counts[-1])
         x, values, starts = x[picked], values[picked], runs
-        rows = None if rows is None else rows[tasks]
 
-    theta, weights = params["theta"], params["rule_weights"]
-    order = theta.size - 1
-    degree = order if rows is None else 2 * order
-    if x.shape[1] != degree + 1:
-        raise ShapeMismatch(f"filter of order {order} for stack {x.shape}")
+    theta, weights, rows = params["theta"], params["rule_weights"], ctx.rows
     v = filter_coefficients(params, rows)
-    y = x @ v if rows is None else np.einsum("nm,nm->n", x, np.repeat(v, counts, axis=0))
+    if x.shape[1] != v.size:
+        raise ShapeMismatch(f"filter of order {theta.size - 1} for stack {x.shape}")
+    y = x @ v
 
     tau, steepness = float(params["tau"][0]), float(params["alpha"])
     p = expit(steepness * (y - tau))
     value, upstream_p = _bce(p, values, starts, counts)
     dz = upstream_p * p * (1.0 - p)  # d loss / d (alpha (y - tau))
-    d_y = steepness * dz
+    d_v = x.T @ (steepness * dz)
 
     if rows is None:
-        d_theta = x.T @ d_y
-        d_w = np.zeros_like(weights)
+        d_theta, d_w = d_v, np.zeros_like(weights)
     else:
-        projected = np.add.reduceat(x * d_y[:, None], starts, axis=0)
-        product = product_operator(order).reshape(order + 1, order + 1, degree + 1)
-        d_theta = np.einsum("jkm,km->j", product, (weights @ rows).T @ projected)
-        d_w = np.einsum("trk,tk->r", rows, projected @ series_operator(theta).T)
+        d_theta = series_operator(weights @ rows) @ d_v
+        d_w = rows @ (series_operator(theta) @ d_v)
 
     return value, {
         "theta": d_theta,
@@ -299,6 +288,11 @@ class TrainRun:
     latency_probe: int = 20
 
     def __post_init__(self):
+        for f in fields(self):  # bool passes for an int, so it is refused by name
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise BadParams(f"{f.name} must be int, got {value!r}")
+            object.__setattr__(self, f.name, int(value))
         if not 1 <= self.max_epochs <= 50:
             raise BadParams("max_epochs must be in 1..50")
         for name, low in (("patience", 1), ("batch_size", 1), ("seed", 0), ("latency_probe", 0)):

@@ -157,6 +157,15 @@ def laplacian_oracle(graph, kind):
     return sp.csr_array((lap + lap.T) * 0.5)
 
 
+def stretched(rules, lambda_max):
+    """The rules as a graph with bound ``lambda_max`` sees them: each template
+    sampled at REFERENCE_LAMBDA_MAX * lambda / lambda_max."""
+    def stretch(template):
+        return FrequencyResponse(lambda lam: template(REFERENCE_LAMBDA_MAX * lam / lambda_max))
+
+    return tuple(replace(rule, template=stretch(rule.template)) for rule in rules)
+
+
 def lstsq_rows(rules, lambda_max, order):
     """Rule rows by a least-squares solve at the fit's Chebyshev nodes."""
     m = max(FIT_NODES, order + 1)
@@ -183,7 +192,7 @@ class TestBlockPreparation:
         laplacian=st.sampled_from([COMBINATORIAL, NORMALIZED]),
         order=st.sampled_from([3, 5]),
         order_seed=st.integers(0, 2**16),
-        # a few kilobytes split the block's bounds and fits into many chunks
+        # a few kilobytes split the block's dense bounds into many chunks
         stack_bytes=st.sampled_from([4096, spectral.STACK_BYTES]),
     )
     def test_block_equals_each_graph_alone(self, specs, big, laplacian, order, order_seed, stack_bytes):
@@ -191,9 +200,9 @@ class TestBlockPreparation:
         rules = template_bank()
         # separate graph objects, so that each side prepares its own
         with patch.object(spectral, "STACK_BYTES", stack_bytes):
-            block = prepare_graph(cfg, preparation_block(specs, big, order_seed), rules)
+            block = prepare_graph(cfg, preparation_block(specs, big, order_seed))
         graphs = preparation_block(specs, big, order_seed)
-        alone = [prepare_graph(cfg, [graph], rules)[0] for graph in graphs]
+        alone = [prepare_graph(cfg, [graph])[0] for graph in graphs]
         assert len({p.laplacian.node_count > DENSE_BOUND_LIMIT for p in block}) == (2 if big else 1)
         for b, a, graph in zip(block, alone, graphs, strict=True):
             oracle = laplacian_oracle(graph, laplacian)
@@ -207,10 +216,10 @@ class TestBlockPreparation:
                 dense = oracle.toarray()
                 pad = graph.node_count * np.finfo(np.float64).eps * float(np.abs(dense).sum(axis=0).max())
                 assert b.lambda_max == float(np.linalg.eigvalsh(dense)[-1]) + pad
-            rows = b.rows
-            assert np.array_equal(rows, a.rows)
-            assert np.array_equal(rows, rule_coefficients(rules, b.lambda_max, order))
-            assert np.abs(rows - lstsq_rows(rules, b.lambda_max, order)).max() <= 1e-12
+        # the one rows array of every graph, fitted on the reference interval
+        rows = Pipeline(cfg, rules=list(rules)).rows
+        assert np.array_equal(rows, rule_coefficients(rules, REFERENCE_LAMBDA_MAX, order))
+        assert np.abs(rows - lstsq_rows(rules, REFERENCE_LAMBDA_MAX, order)).max() <= 1e-12
 
 
 class TestBlockGradients:
@@ -273,15 +282,18 @@ class TestBlockGradients:
         assert stack_calls.call_count == 1
         assert split.task_count == len(tasks) and split.stack.shape[1] == degree + 1
         for i, task in enumerate(tasks):
-            p = prepare_graph(cfg, [task.graph], rules)[0]
+            p = prepare_graph(cfg, [task.graph])[0]
             nodes = np.asarray(sorted(task.labels))
             lo, hi = split.label_starts[i], split.label_starts[i + 1]
             own = chebyshev_stack(p.laplacian, p.lambda_max, task.x0, degree)[nodes]
             assert np.array_equal(split.stack[lo:hi], own)
             assert split.label_values[lo:hi].tolist() == [task.labels[n] for n in nodes.tolist()]
-            if with_rules:
-                assert np.array_equal(split.coeff_rows[i], p.rows)
-        assert split.coeff_rows is None or not split.coeff_rows.flags.writeable
+        # every task shares the pipeline's one rows array
+        if with_rules:
+            assert np.array_equal(split.rows, Pipeline(cfg, rules=list(rules)).rows)
+            assert not split.rows.flags.writeable
+        else:
+            assert split.rows is None
         assert not split.stack.flags.writeable
 
     def test_tasks_must_fit_their_graphs(self):
@@ -331,8 +343,9 @@ class TestComposedFilter:
         tasks = random_tasks(rng, count)
         outputs = pipe.run_tasks(tasks)
         for task, out in zip(tasks, outputs, strict=True):
-            p = prepare_graph(cfg, [task.graph], rules)[0]
-            coeffs = pipe.params["rule_weights"] @ p.rows
+            p = prepare_graph(cfg, [task.graph])[0]
+            rows = rule_coefficients(stretched(rules, p.lambda_max), p.lambda_max, order)
+            coeffs = pipe.params["rule_weights"] @ rows
             ruled = chebyshev_filter(p.laplacian, ChebyshevFilter(coeffs, p.lambda_max), vertex_signal(task.x0))
             two_filters = chebyshev_filter(p.laplacian, ChebyshevFilter(pipe.params["theta"], p.lambda_max), ruled)
             scale = np.abs(two_filters.values).max()
@@ -355,10 +368,11 @@ class TestComposedFilter:
         pipe = Pipeline(cfg, rules=list(rules), params=random_params(cfg, len(rules), rng))
         tasks = random_tasks(rng, count)
         for task, out in zip(tasks, pipe.run_tasks(tasks), strict=True):
-            p = prepare_graph(cfg, [task.graph], rules)[0]
+            p = prepare_graph(cfg, [task.graph])[0]
             learned = ChebyshevFilter(pipe.params["theta"], p.lambda_max)
             if with_rules:
-                coeffs = pipe.params["rule_weights"] @ p.rows
+                rows = rule_coefficients(stretched(rules, p.lambda_max), p.lambda_max, order)
+                coeffs = pipe.params["rule_weights"] @ rows
                 ruled = ChebyshevFilter(coeffs, p.lambda_max)
                 response = FrequencyResponse(lambda lam: sample_response(learned, lam) * sample_response(ruled, lam))
             else:
@@ -375,7 +389,7 @@ class TestComposedFilter:
         pipe = Pipeline(cfg, rules=list(rules))
         tasks = random_tasks(np.random.default_rng(order), count)
         # prepared first, so that only stage 2 runs under the spy
-        prepare_graph(cfg, [task.graph for task in tasks], rules)
+        prepare_graph(cfg, [task.graph for task in tasks])
         with patch.object(spectral, "_shifted_apply", wraps=spectral._shifted_apply) as products:
             pipe.run_tasks(tasks)
         assert products.call_count == (2 * order if with_rules else order)
@@ -423,12 +437,13 @@ class TestBlockDiagonal:
         lap = prepare_graph(PipelineConfig(), [gen_transitive(2, seed=1).graph])[0].laplacian
         n = lap.node_count
         x = vertex_signal(np.ones(n))
-        with pytest.raises(DimensionMismatch):
-            chebyshev_filter(lap, ChebyshevFilter(np.ones((n + 1, 3)), 2.0), x)
+        # one coefficient vector serves every node: a table of rows is refused
+        with pytest.raises(BadParams, match="one vector"):
+            ChebyshevFilter(np.ones((n, 3)), np.full(n, 2.0))
         with pytest.raises(DimensionMismatch):
             chebyshev_filter(lap, ChebyshevFilter(np.ones(3), np.full(n - 1, 2.0)), x)
         shared = chebyshev_filter(lap, ChebyshevFilter([0.5, 0.2, 0.1], 2.0), x)
-        per_node = chebyshev_filter(lap, ChebyshevFilter(np.tile([0.5, 0.2, 0.1], (n, 1)), np.full(n, 2.0)), x)
+        per_node = chebyshev_filter(lap, ChebyshevFilter([0.5, 0.2, 0.1], np.full(n, 2.0)), x)
         assert np.array_equal(shared.values, per_node.values)
         with pytest.raises(BadParams):
             sample_response(ChebyshevFilter([1.0], np.full(n, 2.0)), [0.0, 1.0])

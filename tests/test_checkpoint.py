@@ -92,6 +92,12 @@ class TestConfigSchema:
         with pytest.raises(BadParams, match=field):
             PipelineConfig(**{field: value})
 
+    def test_repeated_key_names_its_second_line(self):
+        with pytest.raises(FormatError, match="line 3: config key 'order' is given twice"):
+            PipelineConfig.from_text("order=3\n# a comment\norder=4\n")
+        with pytest.raises(FormatError, match="line 2: config key 'tau' is given twice"):
+            PipelineConfig.from_text("tau=0.4\ntau=0.4\n")
+
     def test_integer_float_fields_become_floats(self):
         cfg = PipelineConfig(tau=1, alpha=np.float64(4.0), seed=np.int64(2))
         assert (type(cfg.tau), type(cfg.alpha), type(cfg.seed)) == (float, float, int)

@@ -186,7 +186,7 @@ class TestOutput:
         for task, out in zip(tasks, pipe.run_tasks(tasks), strict=True):
             assert out.theta_star.shape == (2 * cfg.order + 1 if rules else cfg.order + 1,)
             assert not out.theta_star.flags.writeable
-            lap = pipeline.prepare_graph(cfg, [task.graph], rules)[0].laplacian
+            lap = pipeline.prepare_graph(cfg, [task.graph])[0].laplacian
             y = chebyshev_filter(lap, ChebyshevFilter(out.theta_star, out.lambda_max), vertex_signal(task.x0))
             assert np.array_equal(y.values, out.y.values)
 
@@ -339,13 +339,20 @@ class TestEvalReport:
         assert set(json.loads(report.to_json())) == {"accuracy", "consistency", "n_tasks", "n_queries"} | latency
 
 
+def query_calls(**counts):
+    """Preparation call counts: ``counts`` as given, zero for the rest."""
+    return {**dict.fromkeys(PREPARATION, 0), **counts}
+
+
 class TestPreparedGraph:
     def test_second_query_prepares_nothing(self, calls):
         pipe = reference_pipeline()
+        # the rules are fitted once, by the pipeline
+        assert calls == query_calls(rule_coefficients=1)
         task = gen_transitive(4, width=2, seed=11)
-        run(pipe.cfg, task, pipe.rules)
+        pipe.run_task(task)
         assert calls == dict.fromkeys(PREPARATION, 1)
-        run(pipe.cfg, task, pipe.rules)
+        pipe.run_task(task)
         assert calls == dict.fromkeys(PREPARATION, 1)
 
     def test_warm_output_equals_cold_output(self):
@@ -368,15 +375,17 @@ class TestPreparedGraph:
             assert_same_output(run(cfg, task, ()), run(cfg, gen_transitive(3, width=2, seed=5), ()))
 
     def test_rule_rows_follow_the_rules(self, calls):
-        pipe = reference_pipeline()
+        reference = reference_pipeline()
         task = gen_transitive(3, width=2, seed=5)
-        sequence = (pipe.rules, pipe.rules[:1], pipe.rules)
-        outputs = [run(pipe.cfg, task, rules) for rules in sequence]
-        # each change of rules replaces the graph's whole entry
-        assert calls == dict.fromkeys(PREPARATION, len(sequence))
-        assert task.graph.prepared[(pipe.cfg.laplacian, pipe.cfg.seed)].fit == (pipe.rules, pipe.cfg.order)
-        for rules, out in zip(sequence, outputs, strict=True):
-            fresh = run(pipe.cfg, gen_transitive(3, width=2, seed=5), rules)
+        # rules A, B, A on one graph, each pipeline fitting its own rules once
+        pipes = [Pipeline(reference.cfg, rules=list(rules)) for rules in (reference.rules, reference.rules[:1])]
+        pipes.append(Pipeline(reference.cfg, rules=list(reference.rules)))
+        assert calls == query_calls(rule_coefficients=4)
+        outputs = [pipe.run_task(task) for pipe in pipes]
+        # the graph is prepared once for every rule set, and no query fits a rule
+        assert calls == query_calls(build_laplacian=1, estimate_lambda_max=1, rule_coefficients=4)
+        for pipe, out in zip(pipes, outputs, strict=True):
+            fresh = pipe.run_task(gen_transitive(3, width=2, seed=5))
             assert_same_output(out, fresh)
             assert np.array_equal(out.theta_star, fresh.theta_star)
 
@@ -398,8 +407,9 @@ class TestPreparedGraph:
     def test_failed_preparation_is_not_kept(self, monkeypatch, name, error, stage):
         task = gen_transitive(3, width=2, seed=5)
         original = getattr(pipeline, name)
-        # the rule fit runs only with rules
-        rules = reference_pipeline().rules if name == "rule_coefficients" else ()
+        # the rule fit runs only with rules, when the pipeline is made
+        fits = name == "rule_coefficients"
+        rules = reference_pipeline().rules if fits else ()
 
         def fail(*args, **kwargs):
             raise error("injected")
@@ -407,13 +417,16 @@ class TestPreparedGraph:
         monkeypatch.setattr(pipeline, name, fail)
         block = [gen_transitive(2, width=2, seed=6), task, gen_transitive(4, width=1, seed=7)]
         for _ in range(2):
-            with pytest.raises(error) as info:
-                run(PipelineConfig(), task, rules)
-            assert info.value.stage == stage
-            assert not task.graph.prepared
-            with pytest.raises(error) as info:
-                Pipeline(PipelineConfig(), rules=list(rules)).run_tasks(block)
-            assert info.value.stage == stage
+            if fits:
+                with pytest.raises(error) as info:
+                    Pipeline(PipelineConfig(), rules=list(rules))
+                assert info.value.stage == stage
+            else:
+                pipe = Pipeline(PipelineConfig())
+                for queried in ([task], block):
+                    with pytest.raises(error) as info:
+                        pipe.run_tasks(queried)
+                    assert info.value.stage == stage
             assert not any(t.graph.prepared for t in block)
         monkeypatch.setattr(pipeline, name, original)
         run(PipelineConfig(), task, rules)
@@ -423,12 +436,13 @@ class TestPreparedGraph:
 
     def test_block_prepares_in_one_call_per_layer(self, calls):
         pipe = reference_pipeline()
+        calls.update(query_calls())
         tasks = gen_dataset("transitive", 5, seed=8) + gen_dataset("kinship", 5, seed=8)
-        # a graph listed twice is prepared once
+        # a graph listed twice is prepared once; a query fits no rule
         pipe.run_tasks(tasks + tasks[:2])
-        assert calls == dict.fromkeys(PREPARATION, 1)
+        assert calls == query_calls(build_laplacian=1, estimate_lambda_max=1)
         pipe.run_tasks(tasks)
-        assert calls == dict.fromkeys(PREPARATION, 1)
+        assert calls == query_calls(build_laplacian=1, estimate_lambda_max=1)
 
     def test_training_twice_on_the_same_splits(self, calls):
         def splits():
@@ -436,13 +450,17 @@ class TestPreparedGraph:
 
         cfg = PipelineConfig(tau=0.4)
         rules = tuple(reference_pipeline().rules)
+        calls.update(query_calls())
         train_run = TrainRun(max_epochs=3, batch_size=16, patience=3, seed=7, latency_probe=0)
         shared = splits()
         results = [train(cfg, shared, train_run, rules=rules)]
-        # one block preparation for the training split, one for the validation split
-        assert calls == dict.fromkeys(PREPARATION, 2)
+        # one block preparation for the training split, one for the validation
+        # split; the rules are fitted once each by the first pipeline, the
+        # context and each epoch's pipeline, never per graph
+        fits = 2 + train_run.max_epochs
+        assert calls == query_calls(build_laplacian=2, estimate_lambda_max=2, rule_coefficients=fits)
         results.append(train(cfg, shared, train_run, rules=rules))
-        assert calls == dict.fromkeys(PREPARATION, 2)
+        assert calls == query_calls(build_laplacian=2, estimate_lambda_max=2, rule_coefficients=2 * fits)
         results.append(train(cfg, splits(), train_run, rules=rules))
         reference = results[-1]
         for result in results[:-1]:

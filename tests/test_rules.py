@@ -3,7 +3,7 @@ import pytest
 
 from spectral_nsr.errors import BadParams, EmptyRuleSet, FormatError
 from spectral_nsr.graph import combinatorial_laplacian
-from spectral_nsr.pipeline import REFERENCE_LAMBDA_MAX
+from spectral_nsr.pipeline import REFERENCE_LAMBDA_MAX, Pipeline, PipelineConfig
 from spectral_nsr.rules import SpectralRule, builtin_template, load_rules, parse_rules, rule_coefficients
 from spectral_nsr.spectral import (
     ChebyshevFilter,
@@ -222,13 +222,16 @@ class TestBuiltinTemplates:
 
 class TestRuleDsl:
     def test_high_pass_scale_is_the_parse_bound(self):
-        # a rule file is parsed at the reference bound 2.0; a graph with top
-        # eigenvalue 6 samples the same line gain * lambda / 2, up to 3 * gain
+        # a rule file is parsed on the reference interval [0, 2]; each graph
+        # stretches it over its own spectrum, so gain is reached at every
+        # graph's bound, from the same rows
         (rule,) = parse_rules("rule sharp kind=high-pass w=1.0 gain=0.7\n", REFERENCE_LAMBDA_MAX)
-        grid = np.linspace(0.0, 6.0, 25)
-        fitted = ChebyshevFilter(rule_coefficients((rule,), 6.0, 5)[0], 6.0)
-        assert np.abs(sample_response(fitted, grid) - 0.7 * grid / 2.0).max() <= 1e-12
-        assert sample_response(fitted, [6.0])[0] == pytest.approx(3 * 0.7, abs=1e-12)
+        (row,) = Pipeline(PipelineConfig(order=5), rules=[rule]).rows
+        for lam_max in (2.0, 6.0):
+            grid = np.linspace(0.0, lam_max, 25)
+            fitted = ChebyshevFilter(row, lam_max)
+            assert np.abs(sample_response(fitted, grid) - 0.7 * grid / lam_max).max() <= 1e-12
+            assert sample_response(fitted, [lam_max])[0] == pytest.approx(0.7, abs=1e-12)
 
     def test_parse_basic(self):
         text = "rule r1 kind=low-pass w=0.5 beta=2.0\nrule r2 kind=heat w=1.5 t=0.2\n"
