@@ -1,13 +1,14 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 validation error (bad arguments, inputs or
-files), 2 numerical failure. With --json-errors a machine-readable error
-object is printed to stderr instead of the human-readable message.
+Every command keeps one exit-code contract: 0 success, 1 validation error
+(bad arguments, inputs or files), 2 numerical failure. The token
+``--json-errors``, anywhere on the command line, prints an error to stderr
+as one JSON record ``{"error", "message", "stage"}`` instead of a message.
+`_Group.main` alone turns errors into exit codes.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import sys
 from pathlib import Path
@@ -35,62 +36,43 @@ from .symbolic import forward_chain, format_closure, load_kb
 JSON_ERRORS = "--json-errors"
 
 
-def _print_record(error: str, message: str, stage: str | None) -> None:
-    print(json.dumps({"error": error, "message": message, "stage": stage}, sort_keys=True), file=sys.stderr)
-
-
-def _fail(exc: SpectralNsrError, json_errors: bool) -> int:
-    code = 2 if isinstance(exc, NumericalError) else 1
-    if json_errors:
-        _print_record(type(exc).__name__, str(exc), exc.stage)
-    else:
-        stage = f" [stage: {exc.stage}]" if exc.stage else ""
-        print(f"error: {exc}{stage}", file=sys.stderr)
-    return code
-
-
-def handle_errors(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, json_errors: bool = False, **kwargs):
-        try:
-            fn(*args, **kwargs)
-        except SpectralNsrError as exc:
-            sys.exit(_fail(exc, json_errors))
-
-    return wrapper
-
-
-def json_errors_option(fn):
-    return click.option(JSON_ERRORS, is_flag=True, help="Emit machine-readable errors on stderr.")(fn)
-
-
-class _Context(click.Context):
-    """Turns click's usage errors (exit 2 in click) into validation errors:
-    every parse error of the group or a command leaves through this context.
-    When the command line asks for ``--json-errors``, the error is printed
-    as a record with the error ``UsageError`` and no stage instead."""
-
-    def __exit__(self, exc_type, exc_value, tb):
-        suppressed = super().__exit__(exc_type, exc_value, tb)
-        if isinstance(exc_value, click.UsageError) and not suppressed:
-            exc_value.exit_code = 1
-            if self.meta.get(JSON_ERRORS):
-                _print_record("UsageError", exc_value.format_message(), None)
-                raise click.exceptions.Exit(1) from exc_value
-        return suppressed
-
-
 class _Group(click.Group):
-    context_class = _Context
+    """The CLI's one error boundary: `main` decides every exit code.
 
-    def parse_args(self, ctx: click.Context, args: list[str]) -> list[str]:
-        # the flag may come after the argument that fails to parse, so it
-        # is looked for in the raw arguments; meta is shared with subcommands
-        ctx.meta[JSON_ERRORS] = JSON_ERRORS in args
-        return super().parse_args(ctx, args)
+    It takes the ``--json-errors`` token out of the arguments, wherever it
+    stands, and runs click with ``standalone_mode=False``, so every error
+    reaches one ``try``. Click's usage errors and ``Abort`` exit 1, any
+    other click exception with its own code, a `ValidationError` 1 and a
+    `NumericalError` 2. With the token, a usage or package error is
+    printed as one JSON record instead of a message.
+    """
+
+    def main(self, args=None, **extra):
+        args = list(sys.argv[1:] if args is None else args)
+        json_errors = JSON_ERRORS in args
+        try:
+            return super().main([arg for arg in args if arg != JSON_ERRORS], standalone_mode=False, **extra)
+        except click.Abort:
+            print("Aborted!", file=sys.stderr)
+            sys.exit(1)
+        except click.ClickException as exc:
+            usage = isinstance(exc, click.UsageError)
+            if not (usage and json_errors):
+                exc.show()
+                sys.exit(1 if usage else exc.exit_code)
+            code, record = 1, {"error": "UsageError", "message": exc.format_message(), "stage": None}
+        except SpectralNsrError as exc:
+            code = 2 if isinstance(exc, NumericalError) else 1
+            if not json_errors:
+                stage = f" [stage: {exc.stage}]" if exc.stage else ""
+                print(f"error: {exc}{stage}", file=sys.stderr)
+                sys.exit(code)
+            record = {"error": type(exc).__name__, "message": str(exc), "stage": exc.stage}
+        print(json.dumps(record, sort_keys=True), file=sys.stderr)
+        sys.exit(code)
 
 
-@click.group(cls=_Group)
+@click.group(cls=_Group, epilog=f"Add {JSON_ERRORS} anywhere to print an error on stderr as one JSON record.")
 def main():
     """Spectral neuro-symbolic reasoning toolkit."""
 
@@ -103,8 +85,6 @@ def main():
 @click.option("--seed", type=int, default=0)
 @click.option("--splits", default=None, help="train,val,test sizes, e.g. 800,100,100.")
 @click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
-@json_errors_option
-@handle_errors
 def gen_cmd(family, depth, width, count, seed, splits, out_dir):
     """Generate a synthetic reasoning dataset."""
     tasks = harness.gen_dataset(family, count, seed=seed, max_depth=depth, width=width)
@@ -137,8 +117,6 @@ def _load_splits(data_dir: str) -> harness.TaskSplits:
 @click.option("--epochs", type=int, default=50)
 @click.option("--batch-size", type=int, default=32)
 @click.option("--patience", type=int, default=5)
-@json_errors_option
-@handle_errors
 def train_cmd(config_path, data_dir, ckpt_path, metrics_path, epochs, batch_size, patience):
     """Train filter/rule/threshold parameters on a dataset."""
     cfg = PipelineConfig.load(config_path)
@@ -161,8 +139,6 @@ def train_cmd(config_path, data_dir, ckpt_path, metrics_path, epochs, batch_size
 @click.option("--report", "report_path", default=None, type=click.Path(dir_okay=False))
 @click.option("--split", type=click.Choice(["train", "val", "test", "all"]), default="test")
 @click.option("--no-latency", is_flag=True, help="Skip wall-clock measurement for reproducible reports.")
-@json_errors_option
-@handle_errors
 def eval_cmd(ckpt_path, data_dir, report_path, split, no_latency):
     """Evaluate a checkpoint on a dataset split."""
     ckpt = trainer.Checkpoint.load(ckpt_path)
@@ -187,8 +163,6 @@ def eval_cmd(ckpt_path, data_dir, report_path, split, no_latency):
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
 @click.option("--spectral-out", default=None, type=click.Path(dir_okay=False),
               help="Also write the spectral coefficients (exact path only; the Chebyshev path never forms them).")
-@json_errors_option
-@handle_errors
 def filter_cmd(graph_path, signal_path, filter_path, laplacian, route, out_path, spectral_out):
     """Filter a vertex signal through a stored Chebyshev filter."""
     g = load_graph(graph_path)
@@ -213,8 +187,6 @@ def filter_cmd(graph_path, signal_path, filter_path, laplacian, route, out_path,
 @click.option("--filter", "filter_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--grid", type=int, default=64, help="Number of sample points on [0, lambda_max].")
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
-@json_errors_option
-@handle_errors
 def response_cmd(filter_path, grid, out_path):
     """Export (lambda, h(lambda)) pairs for response inspection."""
     if grid < 1:
@@ -230,8 +202,6 @@ def response_cmd(filter_path, grid, out_path):
 @main.command("chain")
 @click.option("--kb", "kb_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--trace", is_flag=True, help="Include proof steps for derived atoms.")
-@json_errors_option
-@handle_errors
 def chain_cmd(kb_path, trace):
     """Forward-chain a knowledge base and print the closure."""
     kb = load_kb(kb_path)
@@ -241,8 +211,6 @@ def chain_cmd(kb_path, trace):
 
 @main.command("inspect-ckpt")
 @click.option("--ckpt", "ckpt_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@json_errors_option
-@handle_errors
 def inspect_cmd(ckpt_path):
     """Summarize a checkpoint: config, parameter shapes, metadata."""
     ckpt = trainer.Checkpoint.load(ckpt_path)

@@ -166,8 +166,9 @@ def _finite_float(text: str, what: str, lineno: int) -> float:
 
 def parse_rules(text: str, lambda_max: float, base_dir: str | Path = ".") -> list[SpectralRule]:
     """Parse the rule DSL into SpectralRule values. Malformed or invalid
-    content raises `FormatError` naming its line, as does a rule id given
-    twice: a checkpoint names its weights by rule id."""
+    content raises `FormatError` naming its line, as does a key given twice
+    on a line or a rule id given twice: a checkpoint names its weights by
+    rule id."""
     rules = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -184,6 +185,8 @@ def parse_rules(text: str, lambda_max: float, base_dir: str | Path = ".") -> lis
             if "=" not in tok:
                 raise FormatError(f"line {lineno}: malformed token {tok!r}")
             key, val = tok.split("=", 1)
+            if key in kv:
+                raise FormatError(f"line {lineno}: key {key!r} is given twice")
             kv[key] = val
         kind = kv.pop("kind", None)
         if kind is None:

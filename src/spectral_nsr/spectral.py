@@ -195,7 +195,10 @@ def exact_filter(basis: SpectralBasis, response: FrequencyResponse, x: GraphSign
     if not np.isfinite(gains).all():
         bad = basis.eigenvalues[~np.isfinite(gains)][0]
         raise NonFiniteResponse(f"response is non-finite at lambda={bad}")
-    return vertex_signal(basis.eigenvectors @ (gains * (basis.eigenvectors.T @ x.values)))
+    y = basis.eigenvectors @ (gains * (basis.eigenvectors.T @ x.values))
+    if not np.isfinite(y).all():
+        raise NonFiniteResponse("filter output is non-finite: the filter overflowed")
+    return vertex_signal(y)
 
 
 def estimate_lambda_max(
@@ -401,8 +404,9 @@ def chebyshev_filter(lap: LaplacianMatrix, filt: ChebyshevFilter, x: GraphSignal
 
     Requires filt.lambda_max >= the true largest eigenvalue, as
     `estimate_lambda_max` returns; below it the rescaled spectrum leaves
-    [-1, 1] and the recurrence may diverge. A per-node ``lambda_max``
-    gives each node its own rescaling.
+    [-1, 1] and the recurrence may diverge. An output that overflows raises
+    `NonFiniteResponse`. A per-node ``lambda_max`` gives each node its own
+    rescaling.
     """
     if x.domain != VERTEX:
         raise DomainMismatch("chebyshev_filter expects a vertex-domain signal")
@@ -419,6 +423,8 @@ def chebyshev_filter(lap: LaplacianMatrix, filt: ChebyshevFilter, x: GraphSignal
         for k in range(2, filt.order + 1):
             prev, cur = cur, 2.0 * _shifted_apply(lap.matrix, filt.lambda_max, cur) - prev
             y = y + theta[k] * cur
+    if not np.isfinite(y).all():
+        raise NonFiniteResponse("filter output is non-finite: the recurrence overflowed")
     return vertex_signal(y)
 
 

@@ -1,12 +1,17 @@
-"""The CLI end to end, and malformed datasets and rule files as exit code 1."""
+"""The CLI end to end, its exit codes (1 for malformed datasets and rule
+files, 2 for numerical failure), and its JSON error records."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import spectral_nsr
 from spectral_nsr.cli import main
 from spectral_nsr.errors import FormatError
 from spectral_nsr.graph import save_graph_text
@@ -131,6 +136,7 @@ class TestEndToEnd:
         "rule s kind=low-pass w=-1",
         "rule s kind=bogus w=1.0",
         "rule r kind=heat w=1.0",
+        "rule s kind=low-pass w=0.5 w=0.9 beta=1 beta=3",
     ])
     def test_invalid_rule_exits_one_naming_its_line(self, tmp_path, dataset, rule):
         rules = tmp_path / "rules.txt"
@@ -182,6 +188,62 @@ class TestBadArguments:
         result = invoke("--help")
         assert result.exit_code == 0
         assert "bench-scaling" not in result.output and "response" in result.output
+
+
+def overflowing_filter(tmp_path, route):
+    """Filter arguments whose Chebyshev series overflows on a one-edge graph;
+    a finite input signal makes a non-finite output, a numerical failure."""
+    (tmp_path / "g.txt").write_text("N 2\nnode 0 proposition a\nnode 1 proposition b\nedge 0 1 1.0\n")
+    save_signal(vertex_signal([1.0, -1.0]), tmp_path / "x.csv")
+    save_filter(ChebyshevFilter(np.array([1e308, 1e308]), 2.0), tmp_path / "f.json")
+    return ["filter", "--graph", tmp_path / "g.txt", "--signal", tmp_path / "x.csv", "--filter", tmp_path / "f.json",
+            "--out", tmp_path / "y.csv", "--path", route]
+
+
+class TestExitCodes:
+    """One boundary maps every error to 0, 1 or 2, with or without a JSON record."""
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.parametrize("route", ["chebyshev", "exact"])
+    def test_overflowing_filter_exits_two(self, tmp_path, route):
+        args = overflowing_filter(tmp_path, route)
+        result = invoke(*args)
+        assert result.exit_code == 2, result.output
+        assert result.stderr.strip().splitlines()[-1].startswith("error: ")
+        result = invoke(*args, "--json-errors")
+        assert result.exit_code == 2, result.output
+        record = json.loads(result.stderr.strip().splitlines()[-1])
+        assert record["error"] == "NonFiniteResponse" and record["stage"] is None
+        assert not (tmp_path / "y.csv").exists()
+
+    def test_json_errors_before_the_command(self, tmp_path):
+        result = invoke("--json-errors", "gen", "--n", "abc", "--out", tmp_path / "d")
+        assert result.exit_code == 1
+        record = json.loads(result.stderr.strip().splitlines()[-1])
+        assert record["error"] == "UsageError" and "'--n'" in record["message"]
+
+    def test_json_errors_is_never_an_option_value(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        result = invoke("gen", "--out", "--json-errors")
+        assert result.exit_code == 1
+        record = json.loads(result.stderr.strip().splitlines()[-1])
+        assert record["error"] == "UsageError" and "'--out'" in record["message"]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_group_help_names_json_errors_once(self):
+        assert invoke("--help").output.count("--json-errors") == 1
+        assert "--json-errors" not in invoke("gen", "--help").output
+
+    def test_exit_codes_of_a_real_process(self, tmp_path):
+        # CliRunner calls main in this process; the contract holds across a process boundary too
+        src = str(Path(spectral_nsr.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        cases = [(0, ["--help"]), (1, ["gen", "--n", "abc", "--out", tmp_path / "d"]),
+                 (2, overflowing_filter(tmp_path, "exact"))]
+        for code, args in cases:
+            command = [sys.executable, "-m", "spectral_nsr.cli", *map(str, args)]
+            done = subprocess.run(command, env=env, capture_output=True, text=True, timeout=60)
+            assert done.returncode == code, (args, done.stderr)
 
 
 class TestRetiredBandGate:

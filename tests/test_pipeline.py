@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spectral_nsr import pipeline
-from spectral_nsr.errors import BadParams, ConvergenceFailure, FormatError, UnmappedNode
+from spectral_nsr.errors import BadParams, ConvergenceFailure, FormatError, NonFiniteResponse, UnmappedNode
 from spectral_nsr.graph import COMBINATORIAL, NORMALIZED, LaplacianMatrix, combinatorial_laplacian
 from spectral_nsr.harness import evaluate, gen_dataset, gen_transitive, split_dataset
 from spectral_nsr.pipeline import (
@@ -204,6 +204,18 @@ class TestOutput:
             with pytest.raises(BadParams, match="tau") as info:
                 Pipeline(PipelineConfig(), params={**params, "rule_weights": np.zeros(0), "tau": np.asarray(tau)})
             assert info.value.stage is None
+
+    def test_overflowing_filter_carries_stage_filter(self):
+        # T_k(L~) maps the constant signal to (-1)^k of it, so these terms all add up
+        cfg = PipelineConfig()
+        params = {**init_params(cfg), "theta": 1e308 * (-1.0) ** np.arange(cfg.order + 1)}
+        task = gen_transitive(3, width=2, seed=0)
+        task = replace(task, x0=np.ones_like(task.x0))
+        pipe = Pipeline(cfg, params=params)
+        for run in (lambda: pipe.run_task(task), lambda: pipe.run_tasks([task, task])):
+            with np.errstate(over="ignore"), pytest.raises(NonFiniteResponse) as info:
+                run()
+            assert info.value.stage == "filter"
 
 
 PARAM_NAMES = ("theta", "rule_weights", "tau", "alpha")

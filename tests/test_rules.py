@@ -291,6 +291,20 @@ class TestRuleDsl:
         with pytest.raises(FormatError, match="line 3: rule id 'lp' is given twice"):
             parse_rules(text, 2.0)
 
+    @pytest.mark.parametrize(
+        "line, key",
+        [
+            ("rule r1 kind=low-pass w=0.5 w=0.9", "w"),
+            ("rule r1 kind=low-pass w=1.0 beta=1 beta=3", "beta"),
+            ("rule r1 kind=low-pass kind=heat w=1.0", "kind"),
+            ("rule r1 kind=custom w=1 file=a.csv file=b.csv", "file"),
+        ],
+    )
+    def test_repeated_key_rejected(self, line, key):
+        # the last value of a repeated key used to win silently
+        with pytest.raises(FormatError, match=f"line 2: key '{key}' is given twice"):
+            parse_rules("# a comment\n" + line + "\n", 2.0)
+
     def test_negative_weight_rejected(self):
         with pytest.raises(BadParams):
             SpectralRule("r", FrequencyResponse(lambda lam: lam), weight=-0.1)

@@ -176,6 +176,13 @@ class TestExactFilter:
         with pytest.raises(NonFiniteResponse):
             exact_filter(basis, bad, vertex_signal(np.ones(6)))
 
+    def test_overflowing_output_is_a_numerical_failure(self):
+        # every gain is finite; their product with the signal is not
+        basis = eigendecompose(combinatorial_laplacian(build_graph(make_nodes(2), [(0, 1, 1.0)])))
+        huge = FrequencyResponse(lambda lam: np.full_like(np.asarray(lam, float), 1e308))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteResponse, match="overflowed"):
+            exact_filter(basis, huge, vertex_signal([1e308, -1e308]))
+
 
     def test_scalar_response_is_rejected(self):
         scalar = FrequencyResponse(lambda lam: 2.5)
@@ -321,6 +328,13 @@ class TestChebyshevFilter:
         x = rng.standard_normal(20)
         y = exact_filter(basis, FrequencyResponse(lambda lam: np.exp(-2.0 * lam)), vertex_signal(x))
         assert y.values @ (lap.matrix @ y.values) <= x @ (lap.matrix @ x) + 1e-12
+
+    def test_overflowing_recurrence_is_a_numerical_failure(self):
+        # a non-finite output is the filter's failure, not a bad input signal
+        lap = combinatorial_laplacian(build_graph(make_nodes(2), [(0, 1, 1.0)]))
+        filt = ChebyshevFilter([1e308, 1e308], lambda_max=2.0)
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteResponse, match="overflowed"):
+            chebyshev_filter(lap, filt, vertex_signal([1.0, -1.0]))
 
     def test_dimension_mismatch(self, rng):
         g = random_graph(rng, 8)
