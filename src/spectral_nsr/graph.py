@@ -2,8 +2,10 @@
 
 A reasoning graph is an undirected, weighted graph whose nodes stand for
 entities, facts, or propositions and whose edge weights are non-negative
-similarity scores. Graphs and Laplacians are immutable after construction
-and safe to share across threads.
+similarity scores. A graph is checked once, when it is made
+(`ReasoningGraph.validate`), so every Laplacian derived from it holds its
+invariants by construction. Graphs and Laplacians are immutable after
+construction and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -49,8 +51,9 @@ class ReasoningGraph:
     """Weighted undirected graph over proposition/entity/fact nodes.
 
     The adjacency matrix is a CSR array with a zero diagonal, exact
-    symmetry, and non-negative weights. ``validate`` re-checks all of
-    these invariants and is called by every constructor in this module.
+    symmetry, and finite non-negative weights, over nodes whose ids are
+    their positions. ``validate`` checks all of these invariants and runs
+    when a graph is made, so a graph that exists is a valid one.
 
     ``prepared`` holds the pipeline's per-graph work, one
     `pipeline.PreparedGraph` keyed by Laplacian kind and seed, made once
@@ -62,6 +65,9 @@ class ReasoningGraph:
     nodes: tuple[NodeMeta, ...]
     adjacency: sp.csr_array
     prepared: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.validate()
 
     @property
     def node_count(self) -> int:
@@ -131,14 +137,14 @@ def build_graph(nodes: Sequence[NodeMeta], edges: Iterable[tuple[int, int, float
     )
     adj = coo.tocsr()  # duplicate entries are summed here
     adj.eliminate_zeros()
-    g = ReasoningGraph(metas, adj)
-    g.validate()
-    return g
+    return ReasoningGraph(metas, adj)
 
 
 @dataclass(frozen=True)
 class LaplacianMatrix:
-    """A combinatorial or normalized graph Laplacian.
+    """A combinatorial or normalized graph Laplacian, as `laplacians`
+    derives it from a valid graph: exactly symmetric, and for the
+    combinatorial kind with rows that sum to 0 up to rounding.
 
     A prepared graph shares one instance across queries and training
     runs, so its arrays must never be modified in place.
@@ -150,34 +156,6 @@ class LaplacianMatrix:
     @property
     def node_count(self) -> int:
         return self.matrix.shape[0]
-
-    def validate(self, tol: float = 1e-12, starts: np.ndarray | None = None) -> None:
-        """Check symmetry, and zero row sums for the combinatorial kind, to
-        ``tol`` times the largest absolute entry (at least 1).
-
-        On graphs stacked block-diagonally, ``starts`` says where each
-        graph's nodes begin, ending with the node count; each graph is then
-        held to its own largest entry, not to the block's.
-        """
-        m = self.matrix
-        n = m.shape[0]
-        sizes = np.diff([0, n] if starts is None else starts)
-        graph_of_row = np.repeat(np.arange(sizes.size), sizes)
-        scale = np.ones(sizes.size)
-        np.maximum.at(scale, graph_of_row[_entry_rows(m)], np.abs(m.data))
-        row_tol = tol * scale[graph_of_row]
-        asym = sp.csr_array(m - m.T)
-        if asym.nnz and (np.abs(asym.data) > row_tol[_entry_rows(asym)]).any():
-            raise BadParams(f"{self.kind} Laplacian is not symmetric")
-        if self.kind == COMBINATORIAL:
-            rows = np.asarray(np.abs(m.sum(axis=1))).reshape(-1)
-            if (rows > row_tol).any():
-                raise BadParams("combinatorial Laplacian rows do not sum to 0")
-
-
-def _entry_rows(m: sp.csr_array) -> np.ndarray:
-    """The row of each stored entry of a CSR array."""
-    return np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
 
 
 def stack_csr(mats: Sequence[sp.csr_array]) -> tuple[sp.csr_array, np.ndarray]:
@@ -205,15 +183,16 @@ def laplacians(graphs: Sequence[ReasoningGraph], kind: str) -> list[LaplacianMat
     """Each graph's Laplacian of ``kind``, built for all of them in one pass.
 
     The adjacencies are stacked block-diagonally (`stack_csr`), the
-    Laplacian is formed and validated once for the block, each graph held
-    to its own scale, and each graph's rows are sliced back out. Every
-    step acts row by row, so each result equals the graph's own build bit
-    for bit; one graph is built as it is, with nothing stacked or sliced.
+    Laplacian is formed once for the block, and each graph's rows are
+    sliced back out. Every step acts row by row, so each result equals the
+    graph's own build bit for bit; one graph is built as it is, with
+    nothing stacked or sliced.
 
-    The combinatorial kind is L = D - A. The normalized kind is
-    I - D^{-1/2} A D^{-1/2}, where isolated nodes are self-normalized:
-    their row keeps diagonal 1 and zero off-diagonals, which keeps the
-    spectrum inside [0, 2].
+    The combinatorial kind is L = D - A, exactly symmetric since A is.
+    The normalized kind is I - D^{-1/2} A D^{-1/2}, made exactly symmetric
+    by averaging it with its transpose; isolated nodes are
+    self-normalized: their row keeps diagonal 1 and zero off-diagonals,
+    which keeps the spectrum inside [0, 2].
     """
     if kind not in (COMBINATORIAL, NORMALIZED):
         raise BadParams(f"unknown laplacian kind {kind!r}")
@@ -227,10 +206,8 @@ def laplacians(graphs: Sequence[ReasoningGraph], kind: str) -> list[LaplacianMat
         scaled = adjacency.multiply(dinv[:, None]).multiply(dinv[None, :])
         lap = sp.eye_array(d.size, format="csr") - sp.csr_array(scaled)
         lap = sp.csr_array((lap + lap.T) * 0.5)  # restore exact symmetry lost to fp rounding
-    block = LaplacianMatrix(kind, lap)
-    block.validate(starts=starts)
     if len(graphs) == 1:
-        return [block]
+        return [LaplacianMatrix(kind, lap)]
     out = []
     offsets = lap.indptr[starts]
     for g, lo, hi, first, last in zip(graphs, starts[:-1], starts[1:], offsets[:-1], offsets[1:]):

@@ -293,15 +293,12 @@ def build_laplacian(
 
 @dataclass(frozen=True, eq=False)
 class PreparedGraph:
-    """What the pipeline needs of a graph apart from the signal and the
-    parameters, made whole by `prepare_graph` and never changed. ``labels``
-    is the graph's own `ReasoningGraph.labels` tuple, the atom each node
-    stands for when it thresholds true (`bind_predicates`).
+    """What preparation derives from a graph for stage 2, its Laplacian and
+    the bound on its spectrum, made whole by `prepare_graph` and never
+    changed. What the nodes stand for stays on the graph
+    (`ReasoningGraph.labels`).
     """
 
-    # the graph's labels rather than the graph: a reference back to the
-    # graph would form a cycle and delay freeing it until a gc pass
-    labels: tuple[str, ...]
     laplacian: LaplacianMatrix
     lambda_max: float
 
@@ -309,7 +306,8 @@ class PreparedGraph:
 def prepare_graph(cfg: PipelineConfig, graphs: Sequence[ReasoningGraph]) -> list[PreparedGraph]:
     """Each graph's `PreparedGraph` for ``cfg``'s Laplacian kind and seed,
     kept on the graph so it is freed with the graph. Rules and parameters
-    do not enter it, so any pipeline of that kind and seed reuses it.
+    do not enter it, so any pipeline of that kind and seed reuses it. The
+    graphs were checked when they were made, so nothing is checked here.
 
     Every graph without an entry gets one, all of them in one pass: one
     `build_laplacian` and one `estimate_lambda_max` call, each result bit
@@ -329,7 +327,7 @@ def prepare_graph(cfg: PipelineConfig, graphs: Sequence[ReasoningGraph]) -> list
         with _stage("spectral"):
             bounds = [max(bound, 1e-12) for bound in estimate_lambda_max(laps, seed=cfg.seed)]
         for g, lap, bound in zip(cold, laps, bounds, strict=True):
-            entries[id(g)] = g.prepared[key] = PreparedGraph(g.labels, lap, bound)
+            entries[id(g)] = g.prepared[key] = PreparedGraph(lap, bound)
     return [entries[id(g)] for g in graphs]
 
 
@@ -345,10 +343,10 @@ def run_pipeline(
     its checked parameters, and call this function by its module name,
     which perfbench's layer tracer wraps as ``pipeline.self``.
 
-    Each true node binds as the atom its label names; one whose label its
-    ``kb`` does not declare raises `UnmappedNode`. The Laplacian,
-    ``lambda_max`` and labels come from `prepare_graph`. Module errors
-    propagate with a ``stage`` tag attached.
+    Each true node binds as the atom its label names
+    (`ReasoningGraph.labels`); one whose label its ``kb`` does not declare
+    raises `UnmappedNode`. The Laplacian and ``lambda_max`` come from
+    `prepare_graph`. Module errors propagate with a ``stage`` tag attached.
 
     The graphs are stacked block-diagonally (`block_diagonal`), so stage 2
     makes one Chebyshev recurrence for all of them with the pipeline's one
@@ -372,12 +370,12 @@ def run_pipeline(
     tau, alpha = float(params["tau"][0]), float(params["alpha"])
     logistic = cfg.threshold_mode == LOGISTIC
     outputs = []
-    for lo, hi, p, kb in zip(starts[:-1], starts[1:], prepared, kbs, strict=True):
+    for lo, hi, graph, p, kb in zip(starts[:-1], starts[1:], graphs, prepared, kbs, strict=True):
         y_graph = vertex_signal(y[lo:hi])
         with _stage("threshold"):
             predicates = soft_threshold(y_graph, tau, alpha) if logistic else hard_threshold(y_graph, tau)
         with _stage("bind"):
-            bound = bind_predicates(predicates, kb, p.labels)
+            bound = bind_predicates(predicates, kb, graph.labels)
         with _stage("chain"):
             closure, traces = forward_chain(bound)
         outputs.append(PipelineOutput(y_graph, predicates, closure, traces, coefficients, p.lambda_max))

@@ -186,16 +186,18 @@ def igft(basis: SpectralBasis, xhat: GraphSignal) -> GraphSignal:
 
 
 def exact_filter(basis: SpectralBasis, response: FrequencyResponse, x: GraphSignal) -> GraphSignal:
-    """y = U g(Lambda) U^T x."""
+    """y = U g(Lambda) U^T x. A non-finite gain or output raises
+    `NonFiniteResponse`, with no numpy warning before it."""
     if x.domain != VERTEX:
         raise DomainMismatch("exact_filter expects a vertex-domain signal")
     if len(x) != basis.node_count:
         raise DimensionMismatch(f"signal length {len(x)} != {basis.node_count}")
-    gains = response(basis.eigenvalues)
-    if not np.isfinite(gains).all():
-        bad = basis.eigenvalues[~np.isfinite(gains)][0]
-        raise NonFiniteResponse(f"response is non-finite at lambda={bad}")
-    y = basis.eigenvectors @ (gains * (basis.eigenvectors.T @ x.values))
+    with np.errstate(over="ignore", invalid="ignore"):
+        gains = response(basis.eigenvalues)
+        if not np.isfinite(gains).all():
+            bad = basis.eigenvalues[~np.isfinite(gains)][0]
+            raise NonFiniteResponse(f"response is non-finite at lambda={bad}")
+        y = basis.eigenvectors @ (gains * (basis.eigenvectors.T @ x.values))
     if not np.isfinite(y).all():
         raise NonFiniteResponse("filter output is non-finite: the filter overflowed")
     return vertex_signal(y)
@@ -405,8 +407,8 @@ def chebyshev_filter(lap: LaplacianMatrix, filt: ChebyshevFilter, x: GraphSignal
     Requires filt.lambda_max >= the true largest eigenvalue, as
     `estimate_lambda_max` returns; below it the rescaled spectrum leaves
     [-1, 1] and the recurrence may diverge. An output that overflows raises
-    `NonFiniteResponse`. A per-node ``lambda_max`` gives each node its own
-    rescaling.
+    `NonFiniteResponse`, with no numpy warning before it. A per-node
+    ``lambda_max`` gives each node its own rescaling.
     """
     if x.domain != VERTEX:
         raise DomainMismatch("chebyshev_filter expects a vertex-domain signal")
@@ -416,13 +418,14 @@ def chebyshev_filter(lap: LaplacianMatrix, filt: ChebyshevFilter, x: GraphSignal
         raise DimensionMismatch(f"filter has {filt.lambda_max.shape[0]} node bounds for a signal of length {len(x)}")
     theta = filt.coefficients
     prev = x.values
-    y = theta[0] * prev
-    if filt.order >= 1:
-        cur = _shifted_apply(lap.matrix, filt.lambda_max, prev)
-        y = y + theta[1] * cur
-        for k in range(2, filt.order + 1):
-            prev, cur = cur, 2.0 * _shifted_apply(lap.matrix, filt.lambda_max, cur) - prev
-            y = y + theta[k] * cur
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = theta[0] * prev
+        if filt.order >= 1:
+            cur = _shifted_apply(lap.matrix, filt.lambda_max, prev)
+            y = y + theta[1] * cur
+            for k in range(2, filt.order + 1):
+                prev, cur = cur, 2.0 * _shifted_apply(lap.matrix, filt.lambda_max, cur) - prev
+                y = y + theta[k] * cur
     if not np.isfinite(y).all():
         raise NonFiniteResponse("filter output is non-finite: the recurrence overflowed")
     return vertex_signal(y)

@@ -310,8 +310,9 @@ class EpochMetrics:
 
 @dataclass
 class Checkpoint:
-    """Parameters and selection metadata, as JSON under `HEADER`. The params pass
-    `check_params` for any rule count; the metadata's ``rule_ids`` name their rules.
+    """Parameters and selection metadata, as JSON under `HEADER`. The metadata's
+    ``rule_ids`` name the rules, one per rule weight; the params pass
+    `check_params` for that rule count, or for any without ``rule_ids``.
 
     Older files also hold Adam's state under ``optimizer``; nothing reads
     it, so it is dropped on load. Files from before the band gate was
@@ -367,7 +368,7 @@ class Checkpoint:
             if "theta" in params and params["theta"].shape == (1, cfg.order + 1):
                 params["theta"] = params["theta"][0]
         try:
-            check_params(cfg, params, None)
+            check_params(cfg, params, len(rule_ids) if "rule_ids" in metadata else None)
         except BadParams as exc:
             raise FormatError(f"checkpoint {exc}") from exc
         return cls(cfg, params, metadata)

@@ -207,6 +207,17 @@ class TestCheckpointFormat:
         with pytest.raises(FormatError):
             Checkpoint.from_json(corrupt(lambda p: p["params"].update({name: value})))
 
+    def test_rule_ids_name_one_rule_per_weight(self):
+        with pytest.raises(FormatError, match="rule_weights"):
+            Checkpoint.from_json(corrupt(lambda p: p["metadata"].update(rule_ids=["transitive"])))
+        # without rule ids, any number of weights loads
+        for weights in ([], [0.5], [0.5, 0.5, 0.5]):
+            def edit(payload, weights=weights):
+                del payload["metadata"]["rule_ids"]
+                payload["params"]["rule_weights"] = weights
+
+            assert Checkpoint.from_json(corrupt(edit)).params["rule_weights"].tolist() == weights
+
     @pytest.mark.parametrize(
         "name, value",
         [("order", -1), ("order", 5.0), ("laplacian", "x"), ("tau", "abc"), ("threshold_mode", "soft"), ("seed", True)],
@@ -226,7 +237,8 @@ class TestCheckpointFormat:
         "name, value, error",
         [
             ("alpha", [8.0, 8.0], "FormatError"),
-            ("rule_weights", [0.3, 0.3, 0.3], "BadParams"),
+            # three weights for two rule ids: refused on load
+            ("rule_weights", [0.3, 0.3, 0.3], "FormatError"),
             ("tau", [0.4, 0.4], "FormatError"),
         ],
     )

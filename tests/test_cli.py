@@ -203,7 +203,6 @@ def overflowing_filter(tmp_path, route):
 class TestExitCodes:
     """One boundary maps every error to 0, 1 or 2, with or without a JSON record."""
 
-    @pytest.mark.filterwarnings("ignore:overflow")
     @pytest.mark.parametrize("route", ["chebyshev", "exact"])
     def test_overflowing_filter_exits_two(self, tmp_path, route):
         args = overflowing_filter(tmp_path, route)
@@ -239,11 +238,13 @@ class TestExitCodes:
         src = str(Path(spectral_nsr.__file__).parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         cases = [(0, ["--help"]), (1, ["gen", "--n", "abc", "--out", tmp_path / "d"]),
-                 (2, overflowing_filter(tmp_path, "exact"))]
+                 (2, overflowing_filter(tmp_path, "chebyshev")), (2, overflowing_filter(tmp_path, "exact"))]
         for code, args in cases:
             command = [sys.executable, "-m", "spectral_nsr.cli", *map(str, args)]
             done = subprocess.run(command, env=env, capture_output=True, text=True, timeout=60)
             assert done.returncode == code, (args, done.stderr)
+            if code == 2:  # the error alone, with no numpy warning before it
+                assert len(done.stderr.splitlines()) == 1, done.stderr
 
 
 class TestRetiredBandGate:

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spectral_nsr.errors import (
     BadParams,
@@ -9,9 +12,13 @@ from spectral_nsr.errors import (
     SelfLoop,
 )
 from spectral_nsr.graph import (
+    COMBINATORIAL,
+    NORMALIZED,
     NodeMeta,
+    ReasoningGraph,
     build_graph,
     combinatorial_laplacian,
+    laplacians,
     load_graph,
     load_graph_json,
     load_graph_text,
@@ -66,6 +73,27 @@ class TestBuildGraph:
     def test_bad_node_kind(self):
         with pytest.raises(BadParams):
             NodeMeta(0, "widget", "x")
+
+
+class TestDirectConstruction:
+    """A graph made without `build_graph` is checked all the same."""
+
+    @pytest.mark.parametrize(
+        "ids, dense, error, message",
+        [
+            ([0, 1], [[0.0, 1.0], [2.0, 0.0]], BadParams, "not symmetric"),
+            ([0, 1], [[0.0, -1.0], [-1.0, 0.0]], NegativeWeight, "negative"),
+            ([0, 1], [[0.0, np.nan], [np.nan, 0.0]], BadParams, "non-finite"),
+            ([0, 1], [[0.0, np.inf], [np.inf, 0.0]], BadParams, "non-finite"),
+            ([0, 1], [[1.0, 1.0], [1.0, 0.0]], SelfLoop, "diagonal"),
+            ([0, 2], [[0.0, 1.0], [1.0, 0.0]], IndexOutOfRange, "dense"),
+        ],
+        ids=["asymmetric", "negative", "nan", "inf", "diagonal", "sparse-ids"],
+    )
+    def test_invalid_graph_is_refused(self, ids, dense, error, message):
+        nodes = tuple(NodeMeta(i) for i in ids)
+        with pytest.raises(error, match=message):
+            ReasoningGraph(nodes, sp.csr_array(np.asarray(dense)))
 
 
 class TestCombinatorialLaplacian:
@@ -149,6 +177,35 @@ class TestNormalizedLaplacian:
         assert np.abs(dense[2, :2]).max() == 0.0
         eigs = np.linalg.eigvalsh(dense)
         assert eigs.max() <= 2.0 + 1e-9
+
+
+@st.composite
+def spread_graphs(draw):
+    """A valid graph of 1 to 12 nodes whose weights span up to 12 orders of
+    magnitude; any node may be isolated, and the graph may have no edge."""
+    n = draw(st.integers(1, 12))
+    density = draw(st.sampled_from([0.0, 0.2, 0.5, 1.0]))
+    low = draw(st.integers(-6, 3))
+    high = draw(st.integers(low, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < density]
+    return build_graph(make_nodes(n), [(i, j, 10.0 ** rng.uniform(low, high)) for i, j in pairs])
+
+
+class TestLaplacianInvariants:
+    """What a valid graph gives every Laplacian, alone or in a block, with no check of its own."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(graphs=st.lists(spread_graphs(), min_size=1, max_size=5), kind=st.sampled_from([COMBINATORIAL, NORMALIZED]))
+    def test_symmetric_with_vanishing_rows(self, graphs, kind):
+        alone = [laplacians([g], kind)[0] for g in graphs]
+        block = laplacians(graphs, kind)
+        for lap in alone + block:
+            m = lap.matrix
+            assert np.array_equal(m.toarray(), m.T.toarray())
+            if kind == COMBINATORIAL:
+                scale = np.abs(m.data).max(initial=0.0)
+                assert np.abs(m.sum(axis=1)).max() <= 1e-12 * scale
 
 
 class TestFileFormats:

@@ -1,7 +1,7 @@
 import hashlib
 import json
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from spectral_nsr import pipeline
 from spectral_nsr.errors import BadParams, ConvergenceFailure, FormatError, NonFiniteResponse, UnmappedNode
-from spectral_nsr.graph import COMBINATORIAL, NORMALIZED, LaplacianMatrix, combinatorial_laplacian
+from spectral_nsr.graph import COMBINATORIAL, NORMALIZED
 from spectral_nsr.harness import evaluate, gen_dataset, gen_transitive, split_dataset
 from spectral_nsr.pipeline import (
     REFERENCE_LAMBDA_MAX,
@@ -21,7 +21,7 @@ from spectral_nsr.pipeline import (
     init_params,
 )
 from spectral_nsr.rules import SpectralRule, builtin_template, load_rules
-from spectral_nsr.spectral import ChebyshevFilter, block_diagonal, chebyshev_filter, vertex_signal
+from spectral_nsr.spectral import ChebyshevFilter, chebyshev_filter, vertex_signal
 from spectral_nsr.symbolic import KnowledgeBase
 from spectral_nsr.trainer import Checkpoint, TrainRun, train
 
@@ -87,24 +87,6 @@ class TestGolden:
             for out in Pipeline(cfg, rules=list(pipe.rules), params=pipe.params).run_tasks(tasks):
                 digest.update((" ".join(out.answers) + "\n").encode())
         assert digest.hexdigest() == "e6b7436c28bc9deeb7a6afac9d4714786443667c5fe869dbec1f943ef8b14a42"
-
-
-class TestBlockValidation:
-    def test_each_graph_is_held_to_its_own_scale(self):
-        heavy = combinatorial_laplacian(gen_transitive(3, width=2, seed=1).graph)
-        heavy = LaplacianMatrix(COMBINATORIAL, heavy.matrix * 1e6)
-        light = combinatorial_laplacian(gen_transitive(2, width=2, seed=2).graph)
-        # one diagonal entry off by 1e-9: within the heavy graph's tolerance, not its own
-        matrix = light.matrix.copy()
-        matrix[0, 0] += 1e-9
-        light = LaplacianMatrix(COMBINATORIAL, matrix)
-        heavy.validate()
-        with pytest.raises(BadParams, match="rows do not sum to 0"):
-            light.validate()
-        block, _, starts = block_diagonal([heavy, light], [1.0, 1.0])
-        block.validate()  # the block's own scale lets the light graph through
-        with pytest.raises(BadParams, match="rows do not sum to 0"):
-            block.validate(starts=starts)
 
 
 class TestBinding:
@@ -403,10 +385,10 @@ class TestPreparedGraph:
 
     def test_labels_are_the_graphs(self):
         task = gen_transitive(2, width=1, seed=5)
-        prepared = pipeline.prepare_graph(PipelineConfig(), [task.graph])[0]
-        assert prepared.labels is task.graph.labels
-        assert prepared.labels == tuple(m.label for m in task.graph.nodes)
-        assert prepared.labels == tuple(task.node_atoms.values())
+        # preparation derives stage 2's inputs only; the labels stay on the graph
+        assert [f.name for f in fields(pipeline.PreparedGraph)] == ["laplacian", "lambda_max"]
+        assert task.graph.labels == tuple(m.label for m in task.graph.nodes)
+        assert task.graph.labels == tuple(task.node_atoms.values())
 
     @pytest.mark.parametrize(
         "name, error, stage",
