@@ -103,9 +103,17 @@ class ReasoningGraph:
                 raise NegativeWeight("adjacency contains a negative weight")
             if np.abs(a.diagonal()).max() > 0.0:
                 raise SelfLoop("adjacency has a non-zero diagonal entry")
-        asym = a - a.T
-        if asym.nnz and np.abs(asym.data).max() > 0.0:
-            raise BadParams("adjacency is not symmetric")
+        # a canonical CSR equal to its transpose array for array is symmetric;
+        # otherwise, as for duplicates, unsorted indices or an explicit zero
+        # facing a missing entry, the difference decides
+        if not (a.has_canonical_format and _same_arrays(a, a.T.tocsr())):
+            asym = a - a.T
+            if asym.nnz and np.abs(asym.data).max() > 0.0:
+                raise BadParams("adjacency is not symmetric")
+
+
+def _same_arrays(a: sp.csr_array, b: sp.csr_array) -> bool:
+    return all(np.array_equal(x, y) for x, y in ((a.indptr, b.indptr), (a.indices, b.indices), (a.data, b.data)))
 
 
 def build_graph(nodes: Sequence[NodeMeta], edges: Iterable[tuple[int, int, float]]) -> ReasoningGraph:

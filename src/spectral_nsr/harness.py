@@ -21,7 +21,7 @@ import numpy as np
 from .errors import BadParams, EmptyDataset, FormatError
 from .graph import NodeMeta, ReasoningGraph, build_graph, combinatorial_laplacian, load_graph_text, save_graph_text
 from .spectral import load_signal, save_signal, vertex_signal
-from .symbolic import Clause, KnowledgeBase, detect_conflicts, forward_chain, load_kb, save_kb
+from .symbolic import Clause, KnowledgeBase, forward_chain, load_kb, save_kb
 
 # belief mass drawn for each distractor's seed node
 DISTRACTOR_BELIEF = (0.05, 0.2)
@@ -370,6 +370,12 @@ def evaluate(pipeline, tasks, measure_latency: bool = True) -> EvalReport:
     gives the same answers, and the latency fields are None. ``pipeline``
     needs only those two methods; a `Pipeline` checked its parameters
     when it was made, so neither re-checks them.
+
+    Each task is scored from its output's closure bits: a label is
+    predicted true when the bit of its node's atom is set (the graph's
+    node -> atom ids, `CompiledKB.label_ids`, are made once per task), and
+    a task is consistent when no exclusive pair of its KB has both bits
+    set. No closure is built as a set of atoms.
     """
     tasks = list(tasks)
     if not tasks:
@@ -385,17 +391,14 @@ def evaluate(pipeline, tasks, measure_latency: bool = True) -> EvalReport:
             latencies.append((time.perf_counter() - start) * 1e3)
     else:
         outputs = pipeline.run_tasks(tasks)
-    correct = 0
-    total = 0
-    consistent = 0
+    correct = total = consistent = 0
     for task, out in zip(tasks, outputs, strict=True):
-        atoms = task.graph.labels
-        for node, label in task.labels.items():
-            predicted = int(atoms[node] in out.closure)
-            correct += int(predicted == label)
-            total += 1
-        if not detect_conflicts(task.kb, out.closure):
-            consistent += 1
+        # a label whose atom the KB does not declare has id -1: the false bit put last
+        known = out.closure_bits.tolist() + [False]
+        atoms = task.kb.compiled.label_ids(task.graph.labels).tolist()
+        correct += sum(known[atoms[node]] == label for node, label in task.labels.items())
+        total += len(task.labels)
+        consistent += not any(known[a] and known[b] for a, b in task.kb.compiled.exclusive)
     return EvalReport(
         accuracy=correct / total if total else 0.0,
         consistency=consistent / len(tasks),

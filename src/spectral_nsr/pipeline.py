@@ -1,23 +1,29 @@
 """Three-stage reasoning pipeline and its plain-text configuration.
 
-Stage 1 builds the Laplacian of the reasoning graph. Stage 2 applies the
+Every query runs on a block of graphs (`run_pipeline`); one graph is a
+block of one. Stage 1 builds each graph's Laplacian. Stage 2 applies the
 weighted sum of the rule templates and the learned filter as one
 Chebyshev polynomial of the Laplacian (`filter_coefficients`), so no
-eigenbasis is formed. Stage 3 thresholds the filtered beliefs into
-predicates, binds them as facts, and forward chains to the answer set
-with proof traces.
+eigenbasis is formed, in one recurrence over the block. Stage 3
+thresholds the block's filtered beliefs into predicates, binds the true
+ones as facts of their graphs' KBs and forward chains every KB to its
+answer set, each step once for the whole block. Each graph's output is a
+view of the block's arrays (`PipelineOutput`), and its proof traces are
+made only when they are read.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 import numbers
 from collections.abc import Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
+from itertools import compress
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -40,6 +46,7 @@ from .spectral import (
 from .symbolic import (
     HARD,
     LOGISTIC,
+    BoundBlock,
     KnowledgeBase,
     PredicateSet,
     ProofTrace,
@@ -237,30 +244,72 @@ def combined_filter(coefficients: np.ndarray, lambda_max) -> ChebyshevFilter:
     return ChebyshevFilter(coefficients, lambda_max)
 
 
-@dataclass(frozen=True)
+class _BlockRun(NamedTuple):
+    """Stage 3 of a block: the filtered beliefs and the predicates of all
+    its nodes, the bound KBs and the closure bits of all their atoms, and
+    where each graph's nodes and atoms start (then their counts)."""
+
+    y: np.ndarray
+    predicates: PredicateSet
+    bound: BoundBlock
+    known: np.ndarray
+    node_starts: list[int]
+    atom_starts: list[int]
+
+
 class PipelineOutput:
-    """Everything a pipeline run produces, including the interpretability export.
+    """What a pipeline run gives for one graph of a block, including the
+    interpretability export: a view of the block's arrays.
+
+    ``y``, ``predicates``, ``closure`` (a frozenset of atoms), ``answers``
+    (the sorted closure) and ``traces`` (a read-only mapping from each
+    answer atom to its proof trace) are each built when first read, so
+    callers that read only the closure bits (evaluation, validation) do not
+    pay for them. ``closure_bits`` holds one bit per atom of the graph's
+    KB, in ``kb.atoms`` order, True for the closure's atoms. The traces
+    come from `symbolic.forward_chain` on the graph's bound KB alone,
+    which runs when they are first read, and a trace is built only when
+    it is read.
 
     The export is the stage-2 filter that ran on this graph: the
     pipeline's read-only coefficients ``theta_star`` (theta without rules,
     chebmul(theta, w R) with them) over [0, ``lambda_max``], which filters
-    x0 into ``y`` bit for bit. Its sampled curve is computed on
-    first access, so callers that never read it (evaluation, validation)
-    do not pay for it; so are ``answers``, the sorted ``closure``, and
-    ``traces``, a read-only mapping from each answer atom to its proof
-    trace that builds a trace only when read.
+    x0 into ``y`` bit for bit. Its sampled curve is computed on first
+    access too.
     """
 
-    y: GraphSignal
-    predicates: PredicateSet
-    closure: frozenset[str]
-    traces: Mapping[str, ProofTrace]
-    theta_star: np.ndarray
-    lambda_max: float
+    def __init__(self, run: _BlockRun, index: int, theta_star: np.ndarray, lambda_max: float):
+        self._run = run
+        self._index = index
+        self.theta_star = theta_star
+        self.lambda_max = lambda_max
+
+    def _nodes(self) -> slice:
+        return slice(*self._run.node_starts[self._index : self._index + 2])
+
+    @cached_property
+    def y(self) -> GraphSignal:
+        return vertex_signal(self._run.y[self._nodes()])
+
+    @cached_property
+    def predicates(self) -> PredicateSet:
+        return PredicateSet(self._run.predicates.values[self._nodes()], self._run.predicates.soft)
+
+    @property
+    def closure_bits(self) -> np.ndarray:
+        return self._run.known[slice(*self._run.atom_starts[self._index : self._index + 2])]
+
+    @cached_property
+    def closure(self) -> frozenset[str]:
+        return frozenset(compress(self._run.bound.kbs[self._index].atoms, self.closure_bits.tolist()))
 
     @cached_property
     def answers(self) -> tuple[str, ...]:
         return tuple(sorted(self.closure))
+
+    @cached_property
+    def traces(self) -> Mapping[str, ProofTrace]:
+        return self._run.bound.traces(self._index)
 
     @cached_property
     def response_grid(self) -> np.ndarray:
@@ -348,12 +397,15 @@ def run_pipeline(
     raises `UnmappedNode`. The Laplacian and ``lambda_max`` come from
     `prepare_graph`. Module errors propagate with a ``stage`` tag attached.
 
-    The graphs are stacked block-diagonally (`block_diagonal`), so stage 2
-    makes one Chebyshev recurrence for all of them with the pipeline's one
-    coefficient vector, each node keeping its own graph's ``lambda_max``;
-    stage 3 runs per graph. Output i is bit for bit the one graph i gives
-    alone. One graph is a block of one: nothing is assembled and
-    ``lambda_max`` stays a scalar. No graphs give no outputs.
+    Every stage runs once for the whole block. The graphs are stacked
+    block-diagonally (`block_diagonal`), so stage 2 makes one Chebyshev
+    recurrence for all of them with the pipeline's one coefficient
+    vector, each node keeping its own graph's ``lambda_max``. Stage 3
+    makes one threshold, one `bind_predicates` and one `forward_chain`
+    call on the block, the last over the KBs' compiled forms laid end to
+    end. Output i is a view of graph i's part of the block, bit for bit
+    what graph i gives alone. One graph is a block of one: nothing is
+    assembled and ``lambda_max`` stays a scalar. No graphs give no outputs.
     """
     if not graphs:
         return []
@@ -365,21 +417,17 @@ def run_pipeline(
 
     with _stage("filter"):
         x = block_signal(signals, starts)
-        y = chebyshev_filter(lap, combined_filter(coefficients, lambda_max), x).values
+        y = chebyshev_filter(lap, combined_filter(coefficients, lambda_max), x)
 
     tau, alpha = float(params["tau"][0]), float(params["alpha"])
-    logistic = cfg.threshold_mode == LOGISTIC
-    outputs = []
-    for lo, hi, graph, p, kb in zip(starts[:-1], starts[1:], graphs, prepared, kbs, strict=True):
-        y_graph = vertex_signal(y[lo:hi])
-        with _stage("threshold"):
-            predicates = soft_threshold(y_graph, tau, alpha) if logistic else hard_threshold(y_graph, tau)
-        with _stage("bind"):
-            bound = bind_predicates(predicates, kb, graph.labels)
-        with _stage("chain"):
-            closure, traces = forward_chain(bound)
-        outputs.append(PipelineOutput(y_graph, predicates, closure, traces, coefficients, p.lambda_max))
-    return outputs
+    with _stage("threshold"):
+        predicates = soft_threshold(y, tau, alpha) if cfg.threshold_mode == LOGISTIC else hard_threshold(y, tau)
+    with _stage("bind"):
+        bound = bind_predicates(predicates, kbs, [graph.labels for graph in graphs])
+    with _stage("chain"):
+        _, known = forward_chain(bound)
+    run = _BlockRun(y.values, predicates, bound, known, starts.tolist(), bound.starts.tolist())
+    return [PipelineOutput(run, i, coefficients, p.lambda_max) for i, p in enumerate(prepared)]
 
 
 def _read_rule_file(path: str) -> list[SpectralRule]:
@@ -416,12 +464,24 @@ class Pipeline:
             rules = _read_rule_file(cfg.rules) if cfg.rules else []
         self.rules = tuple(rules)
         params = init_params(cfg, self.rules) if params is None else check_params(cfg, params, len(self.rules))
+        self.rows = rule_rows(self.rules, cfg.order)
+        self._hold(params)
+
+    def _hold(self, params: Mapping[str, np.ndarray]) -> None:
+        """Keep read-only copies of checked ``params`` and make their coefficients."""
         self.params = {name: np.array(value) for name, value in params.items()}
         for value in self.params.values():  # a caller editing its own arrays later changes no answer
             value.setflags(write=False)
-        self.rows = rule_rows(self.rules, cfg.order)
         self.coefficients = filter_coefficients(self.params, self.rows)
         self.coefficients.setflags(write=False)
+
+    def with_params(self, params: Mapping[str, np.ndarray]) -> "Pipeline":
+        """This pipeline on other parameters, which must pass `check_params`
+        and are copied as `__init__` copies them; the rules and their rows
+        are shared, not fitted again."""
+        other = copy.copy(self)
+        other._hold(check_params(self.cfg, params, len(self.rules)))
+        return other
 
     def run(self, graph: ReasoningGraph, x0: GraphSignal, kb: KnowledgeBase) -> PipelineOutput:
         return run_pipeline(self, [graph], [x0], [kb])[0]

@@ -178,7 +178,10 @@ class TaskContext:
 
 
 def prepare_context(
-    tasks: Sequence[SyntheticTask], cfg: PipelineConfig, rules: tuple[SpectralRule, ...]
+    tasks: Sequence[SyntheticTask],
+    cfg: PipelineConfig,
+    rules: tuple[SpectralRule, ...],
+    rows: np.ndarray | None = None,
 ) -> TaskContext:
     """The `TaskContext` of the tasks.
 
@@ -186,7 +189,9 @@ def prepare_context(
     graphs are prepared together (`prepare_graph`) and stacked
     block-diagonally (`block_diagonal`), their signals end to end
     (`block_signal`), and one `chebyshev_stack` call covers the whole
-    split, of which one gather keeps the labelled rows.
+    split, of which one gather keeps the labelled rows. The rules' rows
+    are ``rows`` when given (a `Pipeline`'s, on the same rules and
+    order), and fitted here (`pipeline.rule_rows`) otherwise.
     """
     prepared = prepare_graph(cfg, [t.graph for t in tasks])
     lap, lambda_max, starts = block_diagonal([p.laplacian for p in prepared], [p.lambda_max for p in prepared])
@@ -195,7 +200,7 @@ def prepare_context(
     stack = chebyshev_stack(lap, lambda_max, x0, 2 * cfg.order if rules else cfg.order)[nodes]
     for array in (stack, values, label_starts):
         array.setflags(write=False)
-    return TaskContext(stack, values, label_starts, rule_rows(rules, cfg.order))
+    return TaskContext(stack, values, label_starts, rule_rows(rules, cfg.order) if rows is None else rows)
 
 
 def _labels(tasks: Sequence[SyntheticTask], node_starts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -426,12 +431,12 @@ def train(
     if not splits.train or not splits.val:
         raise BadParams("training needs non-empty train and val splits")
     pipe0 = Pipeline(cfg, rules=rules)
-    rules = list(pipe0.rules)
     state = AdamState(pipe0.params)
-    # the training split is prepared and its Chebyshev stack made once
-    # here, the validation split prepared as one block by the first
-    # epoch's validation run
-    context = prepare_context(splits.train, cfg, tuple(rules))
+    # the rules' rows are fitted once, by pipe0, for the context and every
+    # epoch's pipeline. The training split is prepared and its Chebyshev
+    # stack made once here, the validation split prepared as one block by
+    # the first epoch's validation run
+    context = prepare_context(splits.train, cfg, pipe0.rules, pipe0.rows)
     rng = np.random.default_rng(run.seed)
 
     history: list[EpochMetrics] = []
@@ -455,7 +460,7 @@ def train(
         train_loss = float(np.add.reduce(losses) / len(losses))
 
         # the steps write state.params in place; what is kept is the pipeline's read-only copy
-        pipe = Pipeline(cfg, rules=rules, params=state.params)
+        pipe = pipe0.with_params(state.params)
         snapshot = pipe.params
         val_accuracy = evaluate(pipe, splits.val, measure_latency=False).accuracy
         latency = evaluate(pipe, splits.val[: run.latency_probe]).latency_median_ms if run.latency_probe > 0 else None
@@ -474,7 +479,7 @@ def train(
                     "val_accuracy": val_accuracy,
                     "latency_ms": latency,
                     "seed": run.seed,
-                    "rule_ids": [r.rule_id for r in rules],
+                    "rule_ids": [r.rule_id for r in pipe0.rules],
                 },
             )
         else:

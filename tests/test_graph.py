@@ -96,6 +96,39 @@ class TestDirectConstruction:
             ReasoningGraph(nodes, sp.csr_array(np.asarray(dense)))
 
 
+@st.composite
+def raw_adjacency(draw):
+    """A CSR array of non-negative off-diagonal entries made from its raw
+    arrays: indices may be unsorted or repeated within a row, and an entry
+    may be an explicit zero."""
+    n = draw(st.integers(1, 6))
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    entries = draw(st.lists(st.tuples(st.sampled_from(pairs), st.sampled_from([0.0, 0.5, 1.0, 2.0])), max_size=16)) if pairs else []
+    if draw(st.booleans()):  # mirror every entry, so that most inputs are symmetric
+        entries += [((j, i), w) for (i, j), w in entries]
+    rows = [[(j, w) for (r, j), w in entries if r == i] for i in range(n)]
+    for row in rows:
+        row[:] = draw(st.permutations(row))
+    indptr = np.cumsum([0] + [len(row) for row in rows])
+    indices = np.array([j for row in rows for j, _ in row], dtype=np.int64)
+    data = np.array([w for row in rows for _, w in row], dtype=np.float64)
+    return sp.csr_array((data, indices, indptr), shape=(n, n))
+
+
+class TestSymmetryCheck:
+    @settings(max_examples=200, deadline=None)
+    @given(a=raw_adjacency())
+    def test_agrees_with_the_difference(self, a):
+        asym = a - a.T
+        symmetric = not (asym.nnz and np.abs(asym.data).max() > 0.0)
+        nodes = tuple(NodeMeta(i) for i in range(a.shape[0]))
+        if symmetric:
+            ReasoningGraph(nodes, a)
+        else:
+            with pytest.raises(BadParams, match="not symmetric"):
+                ReasoningGraph(nodes, a)
+
+
 class TestCombinatorialLaplacian:
     def test_p3_matrix(self, p3):
         lap = combinatorial_laplacian(p3)

@@ -112,3 +112,27 @@ def test_traced_inference_reaches_every_query_layer(monkeypatch):
         for layer in ("pipeline.self", "spectral.learned_filter", "symbolic.threshold", "symbolic.bind", "symbolic.chain"):
             assert result.metrics[f"{layer}_ms"] > 0.0, (name, layer)
         assert result.metrics["spectral.cheb_matvecs"] > 0, name
+
+
+def test_stage_3_counters_add_up_over_a_block(monkeypatch):
+    """On one traced block query, the benchmark's stage-3 counters equal the
+    true nodes and the closure atoms of the block's outputs."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+    import workloads
+    from spectral_nsr import harness
+
+    pipe = workloads._reference_pipeline(PERFBENCH.parent)
+    tasks = harness.gen_dataset("transitive", 6, seed=5) + harness.gen_dataset("kinship", 6, seed=5)
+    tracer = tracing.Tracer()
+    workloads.install_layers(tracer)
+    try:
+        with tracer.query(0):
+            outputs = pipe.run_tasks(tasks)
+    finally:
+        tracer.restore()
+    true_nodes = sum(len(out.predicates.true_nodes()) for out in outputs)
+    closure_atoms = sum(len(out.closure) for out in outputs)
+    assert true_nodes > 0 and closure_atoms > true_nodes
+    assert tracer.counts["symbolic.true_predicates"] == true_nodes
+    assert tracer.counts["symbolic.closure_atoms"] == closure_atoms

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from spectral_nsr import pipeline
+from spectral_nsr import pipeline, symbolic
 from spectral_nsr.errors import BadParams, ConvergenceFailure, FormatError, NonFiniteResponse, UnmappedNode
 from spectral_nsr.graph import COMBINATORIAL, NORMALIZED
 from spectral_nsr.harness import evaluate, gen_dataset, gen_transitive, split_dataset
@@ -22,7 +22,7 @@ from spectral_nsr.pipeline import (
 )
 from spectral_nsr.rules import SpectralRule, builtin_template, load_rules
 from spectral_nsr.spectral import ChebyshevFilter, chebyshev_filter, vertex_signal
-from spectral_nsr.symbolic import KnowledgeBase
+from spectral_nsr.symbolic import HARD, LOGISTIC, KnowledgeBase
 from spectral_nsr.trainer import Checkpoint, TrainRun, train
 
 DATA = Path(__file__).parent / "data"
@@ -195,7 +195,7 @@ class TestOutput:
         task = replace(task, x0=np.ones_like(task.x0))
         pipe = Pipeline(cfg, params=params)
         for run in (lambda: pipe.run_task(task), lambda: pipe.run_tasks([task, task])):
-            with np.errstate(over="ignore"), pytest.raises(NonFiniteResponse) as info:
+            with pytest.raises(NonFiniteResponse) as info:
                 run()
             assert info.value.stage == "filter"
 
@@ -315,6 +315,19 @@ class TestCheckParams:
         evaluate(pipe, tasks, measure_latency=False)
         assert len(checks) == 1
 
+    def test_with_params_checks_them_and_shares_the_rows(self, checks):
+        reference = reference_pipeline()
+        params = {**reference.params, "theta": reference.params["theta"] * 0.5}
+        other = reference.with_params(params)
+        assert len(checks) == 2 and other.rows is reference.rows
+        fresh = Pipeline(reference.cfg, list(reference.rules), params)
+        assert np.array_equal(other.coefficients, fresh.coefficients)
+        assert not np.array_equal(other.coefficients, reference.coefficients)
+        task = gen_transitive(3, width=2, seed=0)
+        assert_same_output(other.run_task(task), fresh.run_task(task))
+        with pytest.raises(BadParams, match="'tau'"):
+            reference.with_params({**params, "tau": np.array([np.nan])})
+
     @pytest.mark.parametrize("epochs", [1, 3])
     def test_training_checks_once_per_epoch(self, checks, epochs):
         splits = split_dataset(gen_dataset("transitive", 30, seed=3), (20, 10, 0))
@@ -325,7 +338,71 @@ class TestCheckParams:
         assert len(checks) == 1 + epochs
 
 
+STAGE_3 = ("soft_threshold", "hard_threshold", "bind_predicates", "forward_chain")
+
+
+@pytest.fixture
+def stage_3(monkeypatch):
+    """Calls of the stage-3 functions as the pipeline module sees them, and
+    under ``"traces"`` calls of the one-KB chainer that proof traces come from."""
+    counts = dict.fromkeys(STAGE_3 + ("traces",), 0)
+    for module, name, key in [(pipeline, name, name) for name in STAGE_3] + [(symbolic, "forward_chain", "traces")]:
+        original = getattr(module, name)
+
+        def counted(*args, _key=key, _original=original, **kwargs):
+            counts[_key] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+class TestBlockStage3:
+    @pytest.mark.parametrize("mode", [HARD, LOGISTIC])
+    def test_one_call_per_layer_and_traces_on_read(self, stage_3, mode):
+        reference = reference_pipeline()
+        pipe = Pipeline(replace(reference.cfg, threshold_mode=mode), list(reference.rules), reference.params)
+        tasks = gen_dataset("transitive", 5, seed=9) + gen_dataset("kinship", 5, seed=9)
+        outputs = pipe.run_tasks(tasks)
+        threshold = "hard_threshold" if mode == HARD else "soft_threshold"
+        expected = {**dict.fromkeys(STAGE_3 + ("traces",), 0), threshold: 1, "bind_predicates": 1, "forward_chain": 1}
+        assert stage_3 == expected
+        for out in outputs:
+            out.y, out.predicates, out.answers
+        evaluate(pipe, tasks, measure_latency=False)
+        expected.update({threshold: 2, "bind_predicates": 2, "forward_chain": 2})
+        assert stage_3 == expected
+        # one graph's traces are made when they are first read, and kept
+        out = outputs[7]
+        assert out.traces[out.answers[-1]] == out.traces[out.answers[-1]]
+        assert stage_3 == {**expected, "traces": 1}
+
+
 class TestEvalReport:
+    def test_score_from_the_closure_bits_is_the_score_from_the_closure(self):
+        # a low threshold lets decoys into kinship closures, where exclusive
+        # pairs then conflict; one KB does not declare a labelled atom
+        reference = reference_pipeline()
+        pipe = Pipeline(reference.cfg, list(reference.rules), {**reference.params, "tau": np.array([0.1])})
+        tasks = gen_dataset("kinship", 30, seed=3) + gen_dataset("transitive", 10, seed=3)
+        task = tasks[-1]
+        dropped = max(task.labels, key=lambda node: task.graph.labels[node])
+        atom = task.graph.labels[dropped]
+        kb = KnowledgeBase(
+            tuple(a for a in task.kb.atoms if a != atom), tuple(c for c in task.kb.clauses if atom not in {c.head} | c.body)
+        )
+        tasks.append(replace(task, kb=kb))
+        assert (kb.compiled.label_ids(task.graph.labels)[list(task.labels)] < 0).sum() == 1
+        report = evaluate(pipe, tasks, measure_latency=False)
+        outputs = pipe.run_tasks(tasks)
+        scores = [[int(task.graph.labels[node] in out.closure) == label for node, label in task.labels.items()]
+                  for task, out in zip(tasks, outputs)]
+        consistent = [not symbolic.detect_conflicts(task.kb, out.closure) for task, out in zip(tasks, outputs)]
+        assert report.n_queries == sum(map(len, scores))
+        assert report.accuracy == sum(map(sum, scores)) / report.n_queries
+        assert report.consistency == sum(consistent) / len(tasks)
+        assert 0.0 < report.consistency < 1.0 and atom not in outputs[-1].closure
+
     @pytest.mark.parametrize("measure", [True, False])
     def test_latency_keys_exactly_when_measured(self, measure):
         report = evaluate(reference_pipeline(), gen_dataset("transitive", 4, seed=2), measure_latency=measure)
@@ -449,9 +526,9 @@ class TestPreparedGraph:
         shared = splits()
         results = [train(cfg, shared, train_run, rules=rules)]
         # one block preparation for the training split, one for the validation
-        # split; the rules are fitted once each by the first pipeline, the
-        # context and each epoch's pipeline, never per graph
-        fits = 2 + train_run.max_epochs
+        # split; the rules are fitted once per run, by its first pipeline, whose
+        # rows the context and each epoch's pipeline share
+        fits = 1
         assert calls == query_calls(build_laplacian=2, estimate_lambda_max=2, rule_coefficients=fits)
         results.append(train(cfg, shared, train_run, rules=rules))
         assert calls == query_calls(build_laplacian=2, estimate_lambda_max=2, rule_coefficients=2 * fits)

@@ -477,3 +477,63 @@ def test_with_facts_shares_indexes_and_checks_new_facts():
     assert bound == KnowledgeBase(kb.atoms, kb.clauses, frozenset({"A"}))
     with pytest.raises(BadParams, match="undeclared"):
         kb.with_facts({"Z"})
+
+
+def many_facts_kb(rng):
+    """A KB of 20 to 60 atoms with clauses in cycles and up to 80% of its atoms as base facts."""
+    n = int(rng.integers(20, 60))
+    atoms = [f"m{i}" for i in range(n)]
+    clauses = []
+    for k in range(int(rng.integers(n // 2, 3 * n))):
+        head = atoms[int(rng.integers(0, n))]
+        body = frozenset(atoms[int(i)] for i in rng.integers(0, n, size=int(rng.integers(0, 4))))
+        clauses.append(Clause(f"c{k}", head, body - {head}))
+    facts = frozenset(a for a in atoms if rng.random() < rng.uniform(0.0, 0.8))
+    return KnowledgeBase(tuple(atoms), tuple(clauses), facts)
+
+
+class TestBlockClosure:
+    """Binding and chaining a block of KBs gives each KB what it gives alone."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**31 - 1), queue=st.booleans())
+    def test_each_kb_closes_as_it_does_alone(self, seed, queue):
+        rng = np.random.default_rng(seed)
+        kbs = []
+        for _ in range(int(rng.integers(1, 6))):
+            if kbs and rng.random() < 0.25:
+                kbs.append(kbs[int(rng.integers(len(kbs)))])  # the same KB twice
+            else:
+                kbs.append(random_kb(rng, max_atoms=8) if rng.random() < 0.5 else many_facts_kb(rng))
+        # each graph's nodes name atoms of its KB, some more than once
+        labels = [tuple(kb.atoms[int(i)] for i in rng.integers(0, len(kb.atoms), size=int(rng.integers(0, 12)))) for kb in kbs]
+        soft = bool(rng.random() < 0.5)
+        values = rng.random(sum(map(len, labels)))
+        p = PredicateSet(values if soft else values < rng.random(), soft=soft)
+        # both ways of propagating: a queue in Python and numpy levels
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(symbolic, "QUEUE_LIMIT", 10**9 if queue else -1)
+            block = bind_predicates(p, kbs, labels)
+            atoms, known = forward_chain(block)
+        assert np.array_equal(atoms, np.flatnonzero(known))
+        assert known.size == block.starts[-1] == sum(len(kb.atoms) for kb in kbs)
+        start = 0
+        for i, (kb, own) in enumerate(zip(kbs, labels)):
+            alone = bind_predicates(PredicateSet(p.values[start : start + len(own)], soft=soft), kb, own)
+            start += len(own)
+            closure, traces = forward_chain(alone)
+            bits = known[block.starts[i] : block.starts[i + 1]]
+            assert frozenset(np.asarray(kb.atoms)[bits].tolist()) == closure
+            assert block.bound_kb(i) == alone
+            assert block.traces(i) == traces
+            if len(kb.atoms) <= 8:
+                assert closure == brute_force_minimal_model(alone)
+
+    def test_undeclared_label_names_the_first_failing_graphs_own_node(self):
+        kb = KnowledgeBase(("A", "B"))
+        p = PredicateSet(np.array([True, True, False, True, True, True]), soft=False)
+        labels = [("A", "B"), ("A", "Z", "Y"), ("X",)]
+        with pytest.raises(UnmappedNode, match="node 1 is true but its label 'Z'"):
+            bind_predicates(p, [kb, kb, kb], labels)
+        with pytest.raises(UnmappedNode, match="node 1 is true but its label 'Z'"):
+            bind_predicates(PredicateSet(p.values[2:5], soft=False), kb, labels[1])
