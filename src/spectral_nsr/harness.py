@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import BadParams, EmptyDataset, FormatError
 from .graph import NodeMeta, ReasoningGraph, build_graph, combinatorial_laplacian, load_graph_text, save_graph_text
+from .pipeline import Block
 from .spectral import load_signal, save_signal, vertex_signal
 from .symbolic import Clause, KnowledgeBase, forward_chain, load_kb, save_kb
 
@@ -362,48 +363,54 @@ class EvalReport:
 
 
 def evaluate(pipeline, tasks, measure_latency: bool = True) -> EvalReport:
-    """Run a pipeline over tasks and score against the oracle labels.
+    """Run a pipeline over tasks, or over a kept `pipeline.Block` of them,
+    and score against the oracle labels.
 
     With ``measure_latency`` each task is one timed query (``run_task``, a
     block of one) after untimed runs of the first ``LATENCY_WARMUP``
     tasks; without it all tasks run as one block (``run_tasks``), which
     gives the same answers, and the latency fields are None. ``pipeline``
     needs only those two methods; a `Pipeline` checked its parameters
-    when it was made, so neither re-checks them.
+    when it was made, so neither re-checks them. A list of tasks is made
+    into a fresh block; a kept block brings its graphs prepared, its KBs
+    laid out and its label arrays made, so a block evaluated under many
+    parameter sets pays for them once.
 
-    Each task is scored from its output's closure bits: a label is
-    predicted true when the bit of its node's atom is set (the graph's
-    node -> atom ids, `CompiledKB.label_ids`, are made once per task), and
-    a task is consistent when no exclusive pair of its KB has both bits
-    set. No closure is built as a set of atoms.
+    Scoring is one pass over the closure bits of the whole block, which
+    the block run holds (`PipelineOutput.block_closure_bits`) and the
+    timed runs give task by task: a label is predicted true when the bit
+    of its node's atom is set (`Block.label_atoms`, -1 for a label its KB
+    does not declare, which reads a false bit put last), and a task is
+    consistent when no exclusive pair of its KB has both bits set
+    (`symbolic.CompiledBlock.exclusive`). No closure is built as a set of
+    atoms.
     """
-    tasks = list(tasks)
-    if not tasks:
+    block = Block.of(tasks)
+    if not block.tasks:
         raise EmptyDataset("evaluate needs at least one task")
     latencies = []
     if measure_latency:
-        for task in tasks[:LATENCY_WARMUP]:
+        for task in block.tasks[:LATENCY_WARMUP]:
             pipeline.run_task(task)
         outputs = []
-        for task in tasks:
+        for task in block.tasks:
             start = time.perf_counter()
             outputs.append(pipeline.run_task(task))
             latencies.append((time.perf_counter() - start) * 1e3)
+        bits = [out.closure_bits for out in outputs]
     else:
-        outputs = pipeline.run_tasks(tasks)
-    correct = total = consistent = 0
-    for task, out in zip(tasks, outputs, strict=True):
-        # a label whose atom the KB does not declare has id -1: the false bit put last
-        known = out.closure_bits.tolist() + [False]
-        atoms = task.kb.compiled.label_ids(task.graph.labels).tolist()
-        correct += sum(known[atoms[node]] == label for node, label in task.labels.items())
-        total += len(task.labels)
-        consistent += not any(known[a] and known[b] for a, b in task.kb.compiled.exclusive)
+        bits = [pipeline.run_tasks(block)[0].block_closure_bits]
+    # a label whose atom its KB does not declare has atom -1: the false bit put last
+    known = np.concatenate(bits + [np.zeros(1, dtype=bool)])
+    labels = block.labelled.values
+    correct = int(np.count_nonzero(known[block.label_atoms] == labels))
+    pairs, owners = block.compiled.exclusive
+    conflicted = np.unique(owners[known[pairs].all(axis=1)]).size
     return EvalReport(
-        accuracy=correct / total if total else 0.0,
-        consistency=consistent / len(tasks),
-        n_tasks=len(tasks),
-        n_queries=total,
+        accuracy=correct / labels.size if labels.size else 0.0,
+        consistency=(len(block.tasks) - conflicted) / len(block.tasks),
+        n_tasks=len(block.tasks),
+        n_queries=labels.size,
         latency_median_ms=float(np.median(latencies)) if measure_latency else None,
         latency_p95_ms=float(np.percentile(latencies, 95)) if measure_latency else None,
     )

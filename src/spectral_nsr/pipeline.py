@@ -1,10 +1,12 @@
 """Three-stage reasoning pipeline and its plain-text configuration.
 
 Every query runs on a block of graphs (`run_pipeline`); one graph is a
-block of one. Stage 1 builds each graph's Laplacian. Stage 2 applies the
-weighted sum of the rule templates and the learned filter as one
-Chebyshev polynomial of the Laplacian (`filter_coefficients`), so no
-eigenbasis is formed, in one recurrence over the block. Stage 3
+block of one. A `Block` keeps what depends only on its tasks, so one made
+once can be run under many parameter sets. Stage 1 builds each graph's
+Laplacian. Stage 2 applies the weighted sum of the rule templates and
+the learned filter as one Chebyshev polynomial of the Laplacian
+(`filter_coefficients`), so no eigenbasis is formed, in one recurrence
+over the block. Stage 3
 thresholds the block's filtered beliefs into predicates, binds the true
 ones as facts of their graphs' KBs and forward chains every KB to its
 answer set, each step once for the whole block. Each graph's output is a
@@ -17,20 +19,23 @@ from __future__ import annotations
 import copy
 import math
 import numbers
+import os
 from collections.abc import Mapping
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from functools import cached_property, lru_cache
-from itertools import compress
+from itertools import accumulate, chain, compress
 from pathlib import Path
+from types import MappingProxyType
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import BadParams, FormatError, SpectralNsrError
+from .errors import BadParams, DomainMismatch, EmptyLabels, FormatError, SpectralNsrError
 from .graph import COMBINATORIAL, NORMALIZED, LaplacianMatrix, ReasoningGraph, laplacians
 from .rules import SpectralRule, load_rules, rule_coefficients
 from .spectral import (
+    VERTEX,
     ChebyshevFilter,
     FrequencyResponse,
     GraphSignal,
@@ -47,6 +52,7 @@ from .symbolic import (
     HARD,
     LOGISTIC,
     BoundBlock,
+    CompiledBlock,
     KnowledgeBase,
     PredicateSet,
     ProofTrace,
@@ -92,6 +98,10 @@ class PipelineConfig:
 
     laplacian: str = COMBINATORIAL
     order: int = 5
+    # the rule file. A relative path is read from the working directory; a
+    # config or checkpoint file names it from its own directory, so the
+    # path is rewritten as a file is read and written (`config_as_read`,
+    # `config_as_written`)
     rules: str = ""
     threshold_mode: str = LOGISTIC
     tau: float = 0.5
@@ -154,11 +164,29 @@ class PipelineConfig:
         return cls(**values)
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_text())
+        Path(path).write_text(config_as_written(self, path).to_text())
 
     @classmethod
     def load(cls, path: str | Path) -> "PipelineConfig":
-        return cls.from_text(Path(path).read_text())
+        return config_as_read(cls.from_text(Path(path).read_text()), path)
+
+
+def config_as_read(cfg: PipelineConfig, path: str | Path) -> PipelineConfig:
+    """``cfg`` as read from the file ``path``: a relative ``rules`` path,
+    which names the rule file from the file's directory, joined to that
+    directory, so that it names the file from the working directory."""
+    if not cfg.rules or os.path.isabs(cfg.rules):
+        return cfg
+    return replace(cfg, rules=os.path.normpath(os.path.join(os.path.dirname(path), cfg.rules)))
+
+
+def config_as_written(cfg: PipelineConfig, path: str | Path) -> PipelineConfig:
+    """``cfg`` as written to the file ``path``: a relative ``rules`` path,
+    which names the rule file from the working directory, rewritten to name
+    it from the file's directory (`config_as_read` undoes it)."""
+    if not cfg.rules or os.path.isabs(cfg.rules):
+        return cfg
+    return replace(cfg, rules=os.path.relpath(cfg.rules, os.path.dirname(os.path.abspath(path))))
 
 
 def initial_filter_response() -> FrequencyResponse:
@@ -299,9 +327,15 @@ class PipelineOutput:
     def closure_bits(self) -> np.ndarray:
         return self._run.known[slice(*self._run.atom_starts[self._index : self._index + 2])]
 
+    @property
+    def block_closure_bits(self) -> np.ndarray:
+        """The closure bits of every graph of the block this output was run
+        in, end to end; ``closure_bits`` is this graph's part."""
+        return self._run.known
+
     @cached_property
     def closure(self) -> frozenset[str]:
-        return frozenset(compress(self._run.bound.kbs[self._index].atoms, self.closure_bits.tolist()))
+        return frozenset(compress(self._run.bound.block.kbs[self._index].atoms, self.closure_bits.tolist()))
 
     @cached_property
     def answers(self) -> tuple[str, ...]:
@@ -380,14 +414,130 @@ def prepare_graph(cfg: PipelineConfig, graphs: Sequence[ReasoningGraph]) -> list
     return [entries[id(g)] for g in graphs]
 
 
-def run_pipeline(
-    pipe: Pipeline,
-    graphs: Sequence[ReasoningGraph],
-    signals: Sequence[GraphSignal],
-    kbs: Sequence[KnowledgeBase],
-) -> list[PipelineOutput]:
+class _Query(NamedTuple):
+    """One graph with its vertex signal and KB, as a task with no labels:
+    what `Pipeline.run` makes a block of."""
+
+    graph: ReasoningGraph
+    x0: GraphSignal
+    kb: KnowledgeBase
+    labels: Mapping[int, int] = MappingProxyType({})
+
+
+class _Layout(NamedTuple):
+    """A block's graphs prepared for one Laplacian kind and seed: each
+    graph's `PreparedGraph`, their block-diagonal Laplacian, and each
+    node's own graph's ``lambda_max`` (a scalar for a block of one)."""
+
+    prepared: list[PreparedGraph]
+    laplacian: LaplacianMatrix
+    lambda_max: float | np.ndarray
+
+
+class _Labelled(NamedTuple):
+    """Every task's labelled nodes in ascending order, as block nodes; their
+    labels (0.0 or 1.0); and where each task's labels start, followed by
+    their count."""
+
+    nodes: np.ndarray
+    values: np.ndarray
+    starts: np.ndarray
+
+
+class Block:
+    """A block of tasks, made once and run many times (`run_pipeline`).
+
+    A task has a ``graph``, its signal ``x0`` (the values, or a vertex
+    `GraphSignal`, which was checked when it was made), a ``kb`` and its
+    oracle ``labels`` (node -> 0 or 1), as `harness.SyntheticTask` has;
+    `Pipeline.run` makes a block of one graph without labels. Making a
+    block reads its ``graphs`` and ``node_starts``, where each graph's
+    nodes start, then their count. What else depends only on its tasks is
+    computed when first used and then kept, so a block run under many
+    parameter sets, as `trainer.train` runs its validation split every
+    epoch, pays for it once:
+
+    - ``x``, the signal values end to end, checked once (`block_signal`);
+    - `layout`, per Laplacian kind and seed: the graphs' `PreparedGraph`s
+      (`prepare_graph`), their block-diagonal Laplacian and each node's
+      ``lambda_max`` (`block_diagonal`);
+    - ``compiled``, the KBs with their graphs' labels laid out as one
+      program over the block's atoms (`symbolic.CompiledBlock`), which
+      binding, chaining and scoring share;
+    - ``labelled`` (`_Labelled`), for `trainer.prepare_context` and
+      `harness.evaluate`. Task by task, a label outside its graph raises
+      `BadParams`, and a task without labels `EmptyLabels` when the block
+      was made with ``need_labels``;
+    - ``label_atoms``, each label's block atom in ``labelled`` order, -1
+      where its KB does not declare it, for `harness.evaluate`.
+
+    The label arrays are read-only. The tasks must not change while the
+    block is in use. Concurrent first uses may each compute an entry; one
+    of the equal results is kept.
+    """
+
+    def __init__(self, tasks: Sequence, need_labels: bool = False):
+        self.tasks = tuple(tasks)
+        self.graphs = tuple(task.graph for task in self.tasks)
+        self.node_starts = list(accumulate((g.node_count for g in self.graphs), initial=0))
+        self._need_labels = need_labels
+        self._layouts: dict[tuple[str, int], _Layout] = {}
+
+    @classmethod
+    def of(cls, tasks) -> "Block":
+        """``tasks`` as a block: a `Block` as it is, a sequence of tasks as a fresh one."""
+        return tasks if isinstance(tasks, Block) else cls(tasks)
+
+    @cached_property
+    def x(self) -> GraphSignal:
+        return block_signal([task.x0 for task in self.tasks], self.node_starts)
+
+    def layout(self, cfg: PipelineConfig) -> _Layout:
+        """The graphs prepared for ``cfg``'s Laplacian kind and seed, made on
+        first use. `block_diagonal` lays the nodes out as ``node_starts`` does."""
+        key = (cfg.laplacian, cfg.seed)
+        if key not in self._layouts:
+            prepared = prepare_graph(cfg, self.graphs)
+            lap, lambda_max, _ = block_diagonal([p.laplacian for p in prepared], [p.lambda_max for p in prepared])
+            self._layouts[key] = _Layout(prepared, lap, lambda_max)
+        return self._layouts[key]
+
+    @cached_property
+    def compiled(self) -> CompiledBlock:
+        return CompiledBlock([task.kb for task in self.tasks], [graph.labels for graph in self.graphs])
+
+    @cached_property
+    def labelled(self) -> _Labelled:
+        counts = [len(task.labels) for task in self.tasks]
+        total = sum(counts)
+        local = np.fromiter(chain.from_iterable(task.labels for task in self.tasks), np.int64, total)
+        values = np.fromiter(chain.from_iterable(task.labels.values() for task in self.tasks), np.float64, total)
+        owners = np.repeat(np.arange(len(self.tasks)), counts)
+        starts = np.array(self.node_starts, dtype=np.int64)
+        outside = (local < 0) | (local >= np.diff(starts)[owners])
+        refused = {*owners[outside].tolist(), *(i for i, n in enumerate(counts) if self._need_labels and not n)}
+        if refused:
+            i = min(refused)
+            if not counts[i]:
+                raise EmptyLabels(f"task {self.tasks[i].task_id} has no labels")
+            raise BadParams(f"task {self.tasks[i].task_id} labels nodes outside its {starts[i + 1] - starts[i]} nodes")
+        # each task's labels in ascending node order
+        order = np.lexsort((local, owners))
+        labelled = _Labelled((local + starts[owners])[order], values[order], np.cumsum([0, *counts]))
+        for array in labelled:
+            array.setflags(write=False)
+        return labelled
+
+    @cached_property
+    def label_atoms(self) -> np.ndarray:
+        atoms = self.compiled.label_ids[self.labelled.nodes]
+        atoms.setflags(write=False)
+        return atoms
+
+
+def run_pipeline(pipe: Pipeline, block: Block) -> list[PipelineOutput]:
     """Run ``pipe``'s filter (`combined_filter`), thresholding, binding and
-    forward chaining, in that order, on a block of graphs with one signal
+    forward chaining, in that order, on a `Block` of graphs with one signal
     and one KB each. `Pipeline`'s methods are the way in: they hand over
     its checked parameters, and call this function by its module name,
     which perfbench's layer tracer wraps as ``pipeline.self``.
@@ -406,28 +556,27 @@ def run_pipeline(
     end. Output i is a view of graph i's part of the block, bit for bit
     what graph i gives alone. One graph is a block of one: nothing is
     assembled and ``lambda_max`` stays a scalar. No graphs give no outputs.
+
+    The block keeps its layout, its checked signal and its KBs laid out
+    as one program (`Block`), so a block run again, under any parameters,
+    repeats only the filter and stage 3's own work.
     """
-    if not graphs:
+    if not block.tasks:
         return []
     cfg, params, coefficients = pipe.cfg, pipe.params, pipe.coefficients
-    prepared = prepare_graph(cfg, graphs)
-    lap, lambda_max, starts = block_diagonal(
-        [p.laplacian for p in prepared], [p.lambda_max for p in prepared]
-    )
-
+    layout = block.layout(cfg)
     with _stage("filter"):
-        x = block_signal(signals, starts)
-        y = chebyshev_filter(lap, combined_filter(coefficients, lambda_max), x)
+        y = chebyshev_filter(layout.laplacian, combined_filter(coefficients, layout.lambda_max), block.x)
 
     tau, alpha = float(params["tau"][0]), float(params["alpha"])
     with _stage("threshold"):
         predicates = soft_threshold(y, tau, alpha) if cfg.threshold_mode == LOGISTIC else hard_threshold(y, tau)
     with _stage("bind"):
-        bound = bind_predicates(predicates, kbs, [graph.labels for graph in graphs])
+        bound = bind_predicates(predicates, block.compiled)
     with _stage("chain"):
         _, known = forward_chain(bound)
-    run = _BlockRun(y.values, predicates, bound, known, starts.tolist(), bound.starts.tolist())
-    return [PipelineOutput(run, i, coefficients, p.lambda_max) for i, p in enumerate(prepared)]
+    run = _BlockRun(y.values, predicates, bound, known, block.node_starts, bound.starts.tolist())
+    return [PipelineOutput(run, i, coefficients, p.lambda_max) for i, p in enumerate(layout.prepared)]
 
 
 def _read_rule_file(path: str) -> list[SpectralRule]:
@@ -447,10 +596,10 @@ class Pipeline:
     (`filter_coefficients`) are made here too, once, and serve every graph.
 
     Instances are immutable in use: `run`, `run_task` and `run_tasks` are
-    pure apart from the `PreparedGraph` kept on each graph, so
-    one pipeline can serve many threads. Concurrent first queries on the
-    same graph may each compute its prepared entry; one of the equal
-    results is kept, which is harmless.
+    pure apart from the `PreparedGraph` kept on each graph and what a
+    `Block` keeps, so one pipeline can serve many threads. Concurrent first
+    queries on the same graph may each compute its prepared entry; one of
+    the equal results is kept, which is harmless.
     """
 
     def __init__(
@@ -484,21 +633,19 @@ class Pipeline:
         return other
 
     def run(self, graph: ReasoningGraph, x0: GraphSignal, kb: KnowledgeBase) -> PipelineOutput:
-        return run_pipeline(self, [graph], [x0], [kb])[0]
+        if x0.domain != VERTEX:
+            with _stage("filter"):
+                raise DomainMismatch("signal 0 is not a vertex-domain signal")
+        return run_pipeline(self, Block([_Query(graph, x0, kb)]))[0]
 
     def run_task(self, task) -> PipelineOutput:
         """Run a synthetic task (harness protocol)."""
         return self.run_tasks([task])[0]
 
     def run_tasks(self, tasks) -> list[PipelineOutput]:
-        """Run synthetic tasks as one block (see `run_pipeline`).
+        """Run synthetic tasks, or a kept `Block` of them, as one block (see
+        `run_pipeline`).
 
         Output i is bit for bit ``run_task(tasks[i])``.
         """
-        tasks = list(tasks)
-        return run_pipeline(
-            self,
-            [task.graph for task in tasks],
-            [vertex_signal(task.x0) for task in tasks],
-            [task.kb for task in tasks],
-        )
+        return run_pipeline(self, Block.of(tasks))

@@ -20,6 +20,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 import json
+import operator
 
 import numpy as np
 import scipy.sparse as sp
@@ -368,18 +369,25 @@ def block_diagonal(
     return LaplacianMatrix(kinds.pop(), matrix), lambda_max, starts
 
 
-def block_signal(signals: Sequence[GraphSignal], starts: np.ndarray) -> GraphSignal:
-    """The graphs' signals end to end, as `block_diagonal` lays out their
-    nodes (``starts``); each must be vertex-domain and as long as its own
-    graph, a block of one too, which comes back as it is."""
-    for i, signal in enumerate(signals):
-        if signal.domain != VERTEX:
-            raise DomainMismatch(f"signal {i} is not a vertex-domain signal")
-        if len(signal) != starts[i + 1] - starts[i]:
-            raise DimensionMismatch(f"signal {i} has length {len(signal)}, its graph {starts[i + 1] - starts[i]} nodes")
-    if len(signals) == 1:
-        return signals[0]
-    return vertex_signal(np.concatenate([signal.values for signal in signals]))
+def block_signal(values: Sequence[np.ndarray] | Sequence[GraphSignal], starts: Sequence[int]) -> GraphSignal:
+    """The graphs' signal values end to end, as `block_diagonal` lays out
+    their nodes (``starts``), as one vertex signal. The block is checked
+    at once: one concatenation (none for a block of one), the one
+    finiteness test of `vertex_signal`, and one comparison of every
+    length with its own graph's node count, which names the first signal
+    that does not fit. A block of one vertex `GraphSignal`, checked when
+    it was made, is only measured, and comes back as it is."""
+    if len(values) == 1 and isinstance(values[0], GraphSignal):
+        x = values[0]
+        lengths = [len(x)]
+    else:
+        x = vertex_signal(values[0] if len(values) == 1 else np.concatenate(values, axis=None))
+        lengths = list(map(np.size, values))
+    counts = list(map(operator.sub, starts[1:], starts[:-1]))
+    if lengths != counts:
+        i = next(i for i, (length, count) in enumerate(zip(lengths, counts)) if length != count)
+        raise DimensionMismatch(f"signal {i} has length {lengths[i]}, its graph {counts[i]} nodes")
+    return x
 
 
 def chebyshev_stack(lap: LaplacianMatrix, lambda_max, x: np.ndarray, order: int) -> np.ndarray:

@@ -15,11 +15,12 @@ On a block of KBs, binding and chaining run once for the whole block.
 Each KB is compiled once into integer form (`CompiledKB`): an atom index,
 the clause x premise incidence held by premise, and head ids. A block's
 compiled KBs are offset-concatenated into one program over the block's
-atoms, and every closure comes from one counter-based propagation
-(Dowling & Gallier 1984): each clause counts its premises not yet known
-and fires its head when the count reaches zero. The result is one bit
-per block atom; a KB's traces are made from its bound KB by the
-one-KB chainer, and only when they are read.
+atoms (`CompiledBlock`, made once for a block run many times), and every
+closure comes from one counter-based propagation (Dowling & Gallier
+1984): each clause counts its premises not yet known and fires its head
+when the count reaches zero. The result is one bit per block atom; a
+KB's traces are made from its bound KB by the one-KB chainer, and only
+when they are read.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from bisect import bisect_right
 from collections import deque
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import accumulate, repeat
 from pathlib import Path
 
@@ -166,9 +168,9 @@ class CompiledKB:
     holds it: entry e says that atom ``premises[e]`` is a premise of
     clause ``clauses[e]``, and entries are grouped by atom in ascending
     order. ``sizes`` counts each clause's premises and ``heads`` gives
-    its head. ``exclusive`` holds the exclusive pairs as pairs of ids. Base
-    facts are not compiled, so a `with_facts` copy can share the form.
-    The arrays are read-only.
+    its head. ``exclusive`` holds the exclusive pairs as an (m, 2) array
+    of ids. Base facts are not compiled, so a `with_facts` copy can share
+    the form. The arrays are read-only.
     """
 
     def __init__(self, kb: KnowledgeBase):
@@ -178,8 +180,8 @@ class CompiledKB:
         grouped = sorted((index[atom], clauses) for atom, clauses in kb.by_premise.items())
         self.premises = np.array([atom for atom, clauses in grouped for _ in clauses], dtype=np.int64)
         self.clauses = np.array([c for _, clauses in grouped for c in clauses], dtype=np.int64)
-        self.exclusive = tuple((index[a], index[b]) for a, b in kb.exclusive)
-        for array in (self.heads, self.sizes, self.premises, self.clauses):
+        self.exclusive = np.array([(index[a], index[b]) for a, b in kb.exclusive], dtype=np.int64).reshape(-1, 2)
+        for array in (self.heads, self.sizes, self.premises, self.clauses, self.exclusive):
             array.setflags(write=False)
         self._labels = (None, None)
 
@@ -198,25 +200,92 @@ class CompiledKB:
         return ids
 
 
+class CompiledBlock:
+    """A block of KBs, each with its graph's node labels, in integer form
+    laid end to end: what `bind_predicates` binds a block's true nodes in
+    and `forward_chain` closes. Made once, it serves every run of the
+    block.
+
+    Atom j of KB i is block atom ``starts[i] + j``; ``starts`` ends with
+    the block's atom count. ``label_ids`` holds the block atom of every
+    node's label, graph after graph, and -1 where the graph's KB does not
+    declare it; ``facts`` holds the block atoms of the KBs' base facts.
+    The KBs' clauses as one program (`program`) and their exclusive pairs
+    (`exclusive`) are laid end to end when first read. The arrays are
+    read-only.
+    """
+
+    def __init__(self, kbs: Sequence[KnowledgeBase], labels: Sequence[Sequence[str]]):
+        self.kbs = tuple(kbs)
+        self.labels = tuple(labels)
+        ids = [kb.compiled.label_ids(own) for kb, own in zip(self.kbs, self.labels, strict=True)]
+        self.starts = np.fromiter(accumulate((len(kb.atoms) for kb in self.kbs), initial=0), np.int64, len(self.kbs) + 1)
+        if len(ids) == 1:
+            self.label_ids = ids[0]
+        else:
+            local = np.concatenate(ids)
+            self.label_ids = np.where(local < 0, -1, local + np.repeat(self.starts[:-1], [own.size for own in ids]))
+        base = [kb.compiled.index[a] + start for kb, start in zip(self.kbs, self.starts.tolist()) for a in kb.facts]
+        self.facts = np.array(base, dtype=np.int64)
+        for array in (self.starts, self.label_ids, self.facts):
+            array.setflags(write=False)
+
+    @cached_property
+    def program(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The clauses of every KB over the block's atoms: ``heads``,
+        ``sizes``, ``premises`` and ``clauses`` as `CompiledKB` holds them,
+        offset-concatenated (a block of one KB's own arrays)."""
+        compiled = [kb.compiled for kb in self.kbs]
+        if len(compiled) == 1:
+            c = compiled[0]
+            return c.heads, c.sizes, c.premises, c.clauses
+        counts = [(c.sizes.size, c.premises.size) for c in compiled]
+        clause_counts, entry_counts = np.array(counts, dtype=np.int64).T
+        atom_starts = self.starts[:-1]
+        clause_starts = np.cumsum(clause_counts) - clause_counts
+        heads = np.concatenate([c.heads for c in compiled]) + np.repeat(atom_starts, clause_counts)
+        sizes = np.concatenate([c.sizes for c in compiled])
+        premises = np.concatenate([c.premises for c in compiled]) + np.repeat(atom_starts, entry_counts)
+        clauses = np.concatenate([c.clauses for c in compiled]) + np.repeat(clause_starts, entry_counts)
+        for array in (heads, sizes, premises, clauses):
+            array.setflags(write=False)
+        return heads, sizes, premises, clauses
+
+    @cached_property
+    def exclusive(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every KB's exclusive pairs as block atoms, (m, 2), and the index
+        of the KB of each pair."""
+        compiled = [kb.compiled for kb in self.kbs]
+        owners = np.repeat(np.arange(len(compiled)), [c.exclusive.shape[0] for c in compiled])
+        pairs = np.concatenate([c.exclusive for c in compiled]) + self.starts[owners, None]
+        for array in (pairs, owners):
+            array.setflags(write=False)
+        return pairs, owners
+
+
 @dataclass(frozen=True, eq=False)
 class BoundBlock:
     """A block of KBs with their graphs' true nodes bound as facts: what
     `bind_predicates` gives for a block, and `forward_chain` closes.
 
-    Atom j of KB i is block atom ``starts[i] + j``; ``starts`` ends with
-    the block's atom count. ``facts`` holds the block atoms of every base
-    fact and every bound node (an atom may appear more than once).
+    ``block`` lays out the KBs' atoms (`CompiledBlock`), and ``facts``
+    holds the block atoms of every bound node and every base fact (an
+    atom may appear more than once).
     """
 
-    kbs: tuple[KnowledgeBase, ...]
-    starts: np.ndarray
+    block: CompiledBlock
     facts: np.ndarray
+
+    @property
+    def starts(self) -> np.ndarray:
+        """Where each KB's atoms start in the block, then the block's atom count."""
+        return self.block.starts
 
     def bound_kb(self, i: int) -> KnowledgeBase:
         """KB i with its bound facts, the KB `bind_predicates` gives for its graph alone."""
         lo, hi = self.starts[i], self.starts[i + 1]
         own = self.facts[(self.facts >= lo) & (self.facts < hi)] - lo
-        kb = self.kbs[i]
+        kb = self.block.kbs[i]
         return kb._plus_checked_facts(frozenset(map(kb.atoms.__getitem__, own.tolist())))
 
     def traces(self, i: int) -> Mapping[str, ProofTrace]:
@@ -237,8 +306,8 @@ class ProofTrace:
 
 def bind_predicates(
     p: PredicateSet,
-    kb: KnowledgeBase | Sequence[KnowledgeBase],
-    labels: Sequence[str] | Sequence[Sequence[str]],
+    kb: KnowledgeBase | Sequence[KnowledgeBase] | CompiledBlock,
+    labels: Sequence[str] | Sequence[Sequence[str]] | None = None,
 ) -> KnowledgeBase | BoundBlock:
     """Insert each thresholded-true node i into the KB as the fact ``labels[i]``.
 
@@ -250,10 +319,14 @@ def bind_predicates(
     holds the nodes of every graph end to end, graph i's nodes as many as
     ``labels[i]``. The result is a `BoundBlock`. The first graph with an
     undeclared true label raises the error it raises alone, naming its
-    own node index.
+    own node index. A `CompiledBlock` of the KBs and labels, given without
+    ``labels``, binds the same way, so a block bound many times is laid
+    out once.
     """
+    if isinstance(kb, CompiledBlock):
+        return _bind_block(p, kb)
     if not isinstance(kb, KnowledgeBase):
-        return _bind_block(p, tuple(kb), labels)
+        return _bind_block(p, CompiledBlock(kb, labels))
     nodes = p.true_nodes()
     new_facts = frozenset(map(labels.__getitem__, nodes))
     if not new_facts <= kb.declared:
@@ -262,23 +335,18 @@ def bind_predicates(
     return kb._plus_checked_facts(new_facts)
 
 
-def _bind_block(p: PredicateSet, kbs: tuple[KnowledgeBase, ...], labels) -> BoundBlock:
-    ids = [kb.compiled.label_ids(own) for kb, own in zip(kbs, labels, strict=True)]
-    starts = np.fromiter(accumulate(map(len, (kb.atoms for kb in kbs)), initial=0), np.int64, len(kbs) + 1)
+def _bind_block(p: PredicateSet, block: CompiledBlock) -> BoundBlock:
     true = p._true()
-    facts = (ids[0] if len(ids) == 1 else np.concatenate(ids))[true]
-    sizes = [own.size for own in ids]
+    facts = block.label_ids[true]
     if facts.size and facts.min() < 0:
         node = int(true[np.argmax(facts < 0)])
+        sizes = list(map(len, block.labels))
         graph = bisect_right(list(accumulate(sizes)), node)
         node -= sum(sizes[:graph])
-        raise UnmappedNode(f"node {node} is true but its label {labels[graph][node]!r} is not a declared atom")
-    if len(ids) > 1:
-        facts += np.repeat(starts[:-1], sizes)[true]
-    if any(kb.facts for kb in kbs):
-        base = [kb.compiled.index[a] + start for kb, start in zip(kbs, starts.tolist()) for a in kb.facts]
-        facts = np.concatenate([facts, np.array(base, dtype=np.int64)])
-    return BoundBlock(kbs, starts, facts)
+        raise UnmappedNode(f"node {node} is true but its label {block.labels[graph][node]!r} is not a declared atom")
+    if block.facts.size:
+        facts = np.concatenate([facts, block.facts])
+    return BoundBlock(block, facts)
 
 
 def forward_chain(
@@ -333,24 +401,12 @@ def forward_chain(
 QUEUE_LIMIT = 512
 
 
-def _block_closure(block: BoundBlock) -> tuple[np.ndarray, np.ndarray]:
-    """Every closure of the block, from its KBs' compiled forms laid end to end."""
-    compiled = [kb.compiled for kb in block.kbs]
-    if len(compiled) == 1:
-        c = compiled[0]
-        heads, sizes, premises, clauses = c.heads, c.sizes, c.premises, c.clauses
-    else:
-        counts = [(c.sizes.size, c.premises.size) for c in compiled]
-        clause_counts, entry_counts = np.array(counts, dtype=np.int64).T
-        atom_starts = block.starts[:-1]
-        clause_starts = np.cumsum(clause_counts) - clause_counts
-        heads = np.concatenate([c.heads for c in compiled]) + np.repeat(atom_starts, clause_counts)
-        sizes = np.concatenate([c.sizes for c in compiled])
-        premises = np.concatenate([c.premises for c in compiled]) + np.repeat(atom_starts, entry_counts)
-        clauses = np.concatenate([c.clauses for c in compiled]) + np.repeat(clause_starts, entry_counts)
+def _block_closure(bound: BoundBlock) -> tuple[np.ndarray, np.ndarray]:
+    """Every closure of the block, from its KBs' program laid end to end."""
+    heads, sizes, premises, clauses = bound.block.program
     # the facts, and the heads of clauses without premises, are known first
-    first = np.concatenate([block.facts, heads[sizes == 0]])
-    n = int(block.starts[-1])
+    first = np.concatenate([bound.facts, heads[sizes == 0]])
+    n = int(bound.block.starts[-1])
     close = _close_by_queue if n + premises.size <= QUEUE_LIMIT else _close_by_levels
     known = close(n, first, heads, sizes, premises, clauses)
     known.setflags(write=False)

@@ -6,11 +6,13 @@ chebmul(theta, w R) are bilinear in the rule and filter coefficients, and
 the threshold is a logistic, so the whole stage-2/3 chain differentiates
 in closed form. `prepare_context` computes the Chebyshev columns of that
 polynomial once per training split, and a training step is dense algebra
-on their labelled rows, with no sparse product. Adam with a learning rate
-per parameter (filter and rule weights fast, threshold slow) drives the
-updates on the parameters laid end to end in one vector (`AdamState`);
-rule weights are clamped non-negative after every step. A checkpoint
-keeps the parameters and how they were selected, not the optimizer state.
+on their labelled rows, with no sparse product. Validation runs every
+epoch's pipeline on one `pipeline.Block` of the validation split, laid
+out once per run. Adam with a learning rate per parameter (filter and
+rule weights fast, threshold slow) drives the updates on the parameters
+laid end to end in one vector (`AdamState`); rule weights are clamped
+non-negative after every step. A checkpoint keeps the parameters and how
+they were selected, not the optimizer state.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import json
 import math
 import numbers
 from bisect import bisect_right
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from itertools import accumulate
 from pathlib import Path
 from typing import Sequence
@@ -30,16 +32,15 @@ from scipy.special import expit
 from .errors import (
     BadParams,
     DivergedLoss,
-    EmptyLabels,
     FormatError,
     NonFiniteGradient,
     ShapeMismatch,
 )
 from .harness import SyntheticTask, TaskSplits, evaluate
-from .pipeline import Pipeline, PipelineConfig, check_params, filter_coefficients, prepare_graph, rule_rows
-from .pipeline import retired_config_key
+from .pipeline import Block, Pipeline, PipelineConfig, check_params, filter_coefficients, rule_rows
+from .pipeline import config_as_read, config_as_written, retired_config_key
 from .rules import SpectralRule
-from .spectral import block_diagonal, block_signal, chebyshev_stack, series_operator, vertex_signal
+from .spectral import chebyshev_stack, series_operator
 
 # prepare_graph makes these calls now; the names stay on this module
 # because perfbench's layer tracer looks them up and wraps them here
@@ -185,41 +186,23 @@ def prepare_context(
 ) -> TaskContext:
     """The `TaskContext` of the tasks.
 
-    The tasks are laid out as `run_pipeline` lays out a block: their
-    graphs are prepared together (`prepare_graph`) and stacked
-    block-diagonally (`block_diagonal`), their signals end to end
-    (`block_signal`), and one `chebyshev_stack` call covers the whole
-    split, of which one gather keeps the labelled rows. The rules' rows
-    are ``rows`` when given (a `Pipeline`'s, on the same rules and
-    order), and fitted here (`pipeline.rule_rows`) otherwise.
+    The tasks are laid out as `run_pipeline` lays out a block, by a
+    `pipeline.Block` of them: their graphs prepared together and stacked
+    block-diagonally (`Block.layout`), their signals end to end and
+    checked once (`Block.x`). One `chebyshev_stack` call covers the whole
+    split, of which one gather keeps the labelled rows
+    (`Block.labelled`). After the graphs are prepared, the first task
+    without labels raises `EmptyLabels`, or one that labels a node outside
+    its graph, if it comes first, `BadParams`. The rules' rows are
+    ``rows`` when given (a `Pipeline`'s, on the same rules and order), and
+    fitted here (`pipeline.rule_rows`) otherwise.
     """
-    prepared = prepare_graph(cfg, [t.graph for t in tasks])
-    lap, lambda_max, starts = block_diagonal([p.laplacian for p in prepared], [p.lambda_max for p in prepared])
-    nodes, values, label_starts = _labels(tasks, starts)
-    x0 = block_signal([vertex_signal(t.x0) for t in tasks], starts).values
-    stack = chebyshev_stack(lap, lambda_max, x0, 2 * cfg.order if rules else cfg.order)[nodes]
-    for array in (stack, values, label_starts):
-        array.setflags(write=False)
-    return TaskContext(stack, values, label_starts, rule_rows(rules, cfg.order) if rows is None else rows)
-
-
-def _labels(tasks: Sequence[SyntheticTask], node_starts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every task's labelled nodes in ascending order, as positions in the
-    block whose graphs start at ``node_starts``; their labels; and where
-    each task's labels start, followed by their count."""
-    nodes: list[int] = []
-    values: list[int] = []
-    starts = [0]
-    for task, offset, n in zip(tasks, node_starts[:-1].tolist(), np.diff(node_starts).tolist(), strict=True):
-        own = sorted(task.labels)
-        if not own:
-            raise EmptyLabels(f"task {task.task_id} has no labels")
-        if own[0] < 0 or own[-1] >= n:
-            raise BadParams(f"task {task.task_id} labels nodes outside its {n} nodes")
-        nodes.extend([offset + i for i in own])
-        values.extend([task.labels[i] for i in own])
-        starts.append(len(nodes))
-    return np.array(nodes, dtype=np.int64), np.array(values, dtype=np.float64), np.array(starts, dtype=np.int64)
+    block = Block(tasks, need_labels=True)
+    layout, labelled = block.layout(cfg), block.labelled
+    stack = chebyshev_stack(layout.laplacian, layout.lambda_max, block.x.values, 2 * cfg.order if rules else cfg.order)
+    stack = stack[labelled.nodes]
+    stack.setflags(write=False)
+    return TaskContext(stack, labelled.values, labelled.starts, rule_rows(rules, cfg.order) if rows is None else rows)
 
 
 def task_loss_and_grads(
@@ -379,11 +362,16 @@ class Checkpoint:
         return cls(cfg, params, metadata)
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_json() + "\n")
+        """Write the checkpoint, its config's relative ``rules`` path
+        rewritten to name the rule file from the file's directory."""
+        Path(path).write_text(replace(self, config=config_as_written(self.config, path)).to_json() + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "Checkpoint":
-        return cls.from_json(Path(path).read_text())
+        """The checkpoint a file holds, its config's relative ``rules`` path
+        read from the file's directory (`pipeline.config_as_read`)."""
+        ckpt = cls.from_json(Path(path).read_text())
+        return replace(ckpt, config=config_as_read(ckpt.config, path))
 
     def pipeline(self, rules: list[SpectralRule] | None = None) -> Pipeline:
         """The pipeline on ``rules`` (default: the config's), which must be the ``rule_ids``, in order."""
@@ -420,23 +408,27 @@ def train(
     checkpoint of highest validation accuracy (ties: the earliest epoch).
 
     Each minibatch is one `task_loss_and_grads` call on the rows of its
-    tasks in the split's one context, and each epoch's validation one block run
-    (`evaluate` without latency). The latency probe, `evaluate`'s median
-    latency on the first ``run.latency_probe`` validation tasks (none at
-    0), is recorded in the history and the checkpoint metadata but never
-    picks the checkpoint, so a run is reproducible. Training starts from
-    `init_params`: the low-pass filter, and each rule's ``w=`` as its
-    weight.
+    tasks in the split's one context. The validation split is one
+    `pipeline.Block`, made once per run: the first epoch's validation
+    (`evaluate` without latency) prepares and stacks its graphs, checks its
+    signals, lays out its KBs and makes its label arrays, and every epoch
+    runs its own parameters on what that block keeps. The latency probe, `evaluate`'s
+    median latency on the first ``run.latency_probe`` validation tasks
+    (none at 0), is recorded in the history and the checkpoint metadata
+    but never picks the checkpoint, so a run is reproducible. Training
+    starts from `init_params`: the low-pass filter, and each rule's ``w=``
+    as its weight.
     """
     if not splits.train or not splits.val:
         raise BadParams("training needs non-empty train and val splits")
     pipe0 = Pipeline(cfg, rules=rules)
     state = AdamState(pipe0.params)
     # the rules' rows are fitted once, by pipe0, for the context and every
-    # epoch's pipeline. The training split is prepared and its Chebyshev
-    # stack made once here, the validation split prepared as one block by
-    # the first epoch's validation run
+    # epoch's pipeline. The training split is laid out and its Chebyshev
+    # stack made once here; the validation block is laid out by the first
+    # epoch's validation, and kept for every later one
     context = prepare_context(splits.train, cfg, pipe0.rules, pipe0.rows)
+    val = Block(splits.val)
     rng = np.random.default_rng(run.seed)
 
     history: list[EpochMetrics] = []
@@ -462,7 +454,7 @@ def train(
         # the steps write state.params in place; what is kept is the pipeline's read-only copy
         pipe = pipe0.with_params(state.params)
         snapshot = pipe.params
-        val_accuracy = evaluate(pipe, splits.val, measure_latency=False).accuracy
+        val_accuracy = evaluate(pipe, val, measure_latency=False).accuracy
         latency = evaluate(pipe, splits.val[: run.latency_probe]).latency_median_ms if run.latency_probe > 0 else None
         history.append(EpochMetrics(epoch, train_loss, val_accuracy, latency))
         trajectory.append(snapshot)

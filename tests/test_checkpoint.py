@@ -107,7 +107,7 @@ class TestCheckpointFormat:
     def test_reference_checkpoint_loads_without_retired_keys(self):
         assert {"crossover", "path", "bands"} <= set(reference_payload()["config"])
         ckpt = Checkpoint.load(REFERENCE)
-        assert ckpt.config == PipelineConfig(rules="tests/data/reference_rules.txt", tau=0.4)
+        assert ckpt.config == PipelineConfig(rules=str(RULES), tau=0.4)
         assert set(json.loads(ckpt.to_json())["config"]) == {f.name for f in fields(PipelineConfig)}
 
     @pytest.mark.parametrize("bands", [1, "1"], ids=["number", "text"])
@@ -335,9 +335,9 @@ class TestCheckpointFormat:
 
 def swapped_reference_rules(directory):
     """The reference rules with their two lines swapped, where the reference
-    checkpoint's relative ``rules=`` path resolves from ``directory``."""
-    path = directory / "tests" / "data" / RULES.name
-    path.parent.mkdir(parents=True)
+    checkpoint's relative ``rules=`` path resolves from a copy of it in
+    ``directory``."""
+    path = directory / RULES.name
     lines = [line for line in RULES.read_text().splitlines() if line.startswith("rule ")]
     assert len(lines) == 2
     path.write_text("\n".join(reversed(lines)) + "\n")
@@ -350,9 +350,12 @@ class TestRuleIds:
     def test_rules_in_another_order_exit_one_from_eval(self, tmp_path, monkeypatch):
         data = tmp_path / "data"
         save_dataset(gen_dataset("transitive", 3, seed=1), data, splits=(1, 1, 1))
-        monkeypatch.chdir(tmp_path)
+        # a copy of the checkpoint reads the swapped rules beside it, from
+        # whatever directory it is run
+        (tmp_path / REFERENCE.name).write_text(REFERENCE.read_text())
         swapped_reference_rules(tmp_path)
-        args = ["eval", "--ckpt", str(REFERENCE), "--data", str(data), "--no-latency", "--json-errors"]
+        monkeypatch.chdir(REFERENCE.parent)
+        args = ["eval", "--ckpt", str(tmp_path / REFERENCE.name), "--data", str(data), "--no-latency", "--json-errors"]
         result = CliRunner().invoke(main, args)
         assert result.exit_code == 1
         record = json.loads(result.stderr.strip().splitlines()[-1])

@@ -3,6 +3,7 @@ files, 2 for numerical failure), and its JSON error records."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -150,13 +151,17 @@ class TestEndToEnd:
         assert record["error"] == "FormatError" and record["message"].startswith("line 2: ")
 
     def test_missing_rules_file_exits_one(self, tmp_path, monkeypatch, dataset):
-        # the reference checkpoint names its rules file relative to the repository root
-        monkeypatch.chdir(tmp_path)
-        result = invoke("eval", "--ckpt", DATA / "reference_checkpoint.json", "--data", dataset, "--json-errors")
+        # the reference checkpoint names its rules file relative to its own
+        # directory, so a copy without the rules beside it finds none, even
+        # run from the directory that holds them
+        ckpt = tmp_path / "ckpt.json"
+        ckpt.write_text((DATA / "reference_checkpoint.json").read_text())
+        monkeypatch.chdir(DATA)
+        result = invoke("eval", "--ckpt", ckpt, "--data", dataset, "--json-errors")
         assert result.exit_code == 1
         record = json.loads(result.stderr.strip().splitlines()[-1])
         assert record["error"] == "FormatError"
-        assert str(tmp_path / "tests" / "data" / "reference_rules.txt") in record["message"]
+        assert str(tmp_path / "reference_rules.txt") in record["message"]
 
 
 class TestBadArguments:
@@ -335,6 +340,67 @@ class TestMissingRules:
     def test_pipeline_names_the_path_it_tried(self, tmp_path):
         with pytest.raises(FormatError, match="nowhere.txt"):
             Pipeline(PipelineConfig(rules=str(tmp_path / "nowhere.txt")))
+
+
+class TestRulesBesideTheirFile:
+    """A relative ``rules=`` path is read from the directory of the config
+    or checkpoint file that names it, and written relative to the file it
+    is saved in; a config made in code reads it from the working
+    directory."""
+
+    def test_reference_checkpoint_runs_from_any_directory(self, tmp_path, monkeypatch, dataset):
+        outputs = []
+        for directory, ckpt, rules in ((DATA.parents[1], Path("tests/data/reference_checkpoint.json"),
+                                        "tests/data/reference_rules.txt"),
+                                       (tmp_path, DATA / "reference_checkpoint.json", DATA / "reference_rules.txt")):
+            monkeypatch.chdir(directory)
+            evaluated = invoke("eval", "--ckpt", ckpt, "--data", dataset, "--no-latency")
+            inspected = invoke("inspect-ckpt", "--ckpt", ckpt)
+            assert evaluated.exit_code == 0 and inspected.exit_code == 0, (evaluated.output, inspected.output)
+            # inspect-ckpt shows the rules path it reads, as seen from the working directory
+            assert f"  rules={rules}\n" in inspected.output
+            outputs.append((evaluated.output, inspected.output.replace(f"rules={rules}", "rules=")))
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0][0])["accuracy"] == 1.0
+
+    def test_train_and_eval_with_config_checkpoint_and_work_apart(self, tmp_path, monkeypatch, dataset):
+        cfgs, ckpts, work = (tmp_path / name for name in ("cfgs", "ckpts", "work"))
+        for directory in (cfgs, ckpts, work):
+            directory.mkdir()
+        (cfgs / "rules.txt").write_text((DATA / "reference_rules.txt").read_text())
+        (cfgs / "run.cfg").write_text("tau=0.4\nrules=rules.txt\n")
+        monkeypatch.chdir(work)
+        trained = invoke("train", "--config", "../cfgs/run.cfg", "--data", dataset, "--out", "../ckpts/c.json",
+                         "--epochs", 1)
+        assert trained.exit_code == 0, trained.output
+        assert json.loads((ckpts / "c.json").read_text())["config"]["rules"] == "../cfgs/rules.txt"
+        reports = []
+        for directory, ckpt in ((work, "../ckpts/c.json"), (tmp_path, ckpts / "c.json"), (cfgs, "../ckpts/c.json")):
+            monkeypatch.chdir(directory)
+            evaluated = invoke("eval", "--ckpt", ckpt, "--data", dataset, "--no-latency")
+            assert evaluated.exit_code == 0, evaluated.output
+            reports.append(evaluated.output)
+        assert reports[0] == reports[1] == reports[2]
+
+    def test_a_config_keeps_its_rules_when_saved_elsewhere(self, tmp_path, monkeypatch):
+        beside = tmp_path / "run"
+        beside.mkdir()
+        (beside / "rules.txt").write_text((DATA / "reference_rules.txt").read_text())
+        (beside / "run.cfg").write_text("tau=0.4\nrules=rules.txt\n")
+        assert PipelineConfig.load(beside / "run.cfg").rules == str(beside / "rules.txt")
+        monkeypatch.chdir(tmp_path)
+        cfg = PipelineConfig.load("run/run.cfg")
+        assert cfg == PipelineConfig(tau=0.4, rules="run/rules.txt")
+        (tmp_path / "out").mkdir()
+        cfg.save("out/copy.cfg")
+        assert "rules=../run/rules.txt\n" in (tmp_path / "out" / "copy.cfg").read_text()
+        assert PipelineConfig.load("out/copy.cfg") == cfg
+        # the same config made in code reads from the working directory
+        with pytest.raises(FormatError, match=re.escape(str(tmp_path / "rules.txt"))):
+            Pipeline(PipelineConfig(tau=0.4, rules="rules.txt"))
+        monkeypatch.chdir(beside)
+        assert [rule.rule_id for rule in Pipeline(PipelineConfig(tau=0.4, rules="rules.txt")).rules] == [
+            "transitive", "conflict"]
 
 
 @pytest.fixture

@@ -10,7 +10,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spectral_nsr import pipeline, symbolic
-from spectral_nsr.errors import BadParams, ConvergenceFailure, FormatError, NonFiniteResponse, UnmappedNode
+from spectral_nsr.errors import (
+    BadParams,
+    ConvergenceFailure,
+    DimensionMismatch,
+    DomainMismatch,
+    FormatError,
+    NonFiniteResponse,
+    UnmappedNode,
+)
 from spectral_nsr.graph import COMBINATORIAL, NORMALIZED
 from spectral_nsr.harness import evaluate, gen_dataset, gen_transitive, split_dataset
 from spectral_nsr.pipeline import (
@@ -21,7 +29,7 @@ from spectral_nsr.pipeline import (
     init_params,
 )
 from spectral_nsr.rules import SpectralRule, builtin_template, load_rules
-from spectral_nsr.spectral import ChebyshevFilter, chebyshev_filter, vertex_signal
+from spectral_nsr.spectral import ChebyshevFilter, chebyshev_filter, spectral_signal, vertex_signal
 from spectral_nsr.symbolic import HARD, LOGISTIC, KnowledgeBase
 from spectral_nsr.trainer import Checkpoint, TrainRun, train
 
@@ -175,7 +183,7 @@ class TestOutput:
     def test_an_empty_block_gives_no_outputs(self):
         pipe = reference_pipeline()
         assert pipe.run_tasks([]) == []
-        assert pipeline.run_pipeline(pipe, [], [], []) == []
+        assert pipeline.run_pipeline(pipe, pipeline.Block([])) == []
 
     def test_tau_is_one_threshold(self):
         # a per-node threshold is refused, even one that fits the graph,
@@ -378,21 +386,29 @@ class TestBlockStage3:
         assert stage_3 == {**expected, "traces": 1}
 
 
+def scoring_tasks():
+    """Kinship and transitive tasks, the last a copy of a transitive one
+    whose KB does not declare one of its labelled atoms (a distractor's, so
+    the reference checkpoint does not hold it true); and that atom. A low
+    threshold lets decoys into kinship closures, where exclusive pairs
+    then conflict."""
+    tasks = gen_dataset("kinship", 30, seed=3) + gen_dataset("transitive", 10, seed=3)
+    task = tasks[-1]
+    dropped = max(task.labels, key=lambda node: task.graph.labels[node])
+    atom = task.graph.labels[dropped]
+    kb = KnowledgeBase(
+        tuple(a for a in task.kb.atoms if a != atom), tuple(c for c in task.kb.clauses if atom not in {c.head} | c.body)
+    )
+    tasks.append(replace(task, kb=kb))
+    assert (kb.compiled.label_ids(task.graph.labels)[list(task.labels)] < 0).sum() == 1
+    return tasks, atom
+
+
 class TestEvalReport:
     def test_score_from_the_closure_bits_is_the_score_from_the_closure(self):
-        # a low threshold lets decoys into kinship closures, where exclusive
-        # pairs then conflict; one KB does not declare a labelled atom
         reference = reference_pipeline()
         pipe = Pipeline(reference.cfg, list(reference.rules), {**reference.params, "tau": np.array([0.1])})
-        tasks = gen_dataset("kinship", 30, seed=3) + gen_dataset("transitive", 10, seed=3)
-        task = tasks[-1]
-        dropped = max(task.labels, key=lambda node: task.graph.labels[node])
-        atom = task.graph.labels[dropped]
-        kb = KnowledgeBase(
-            tuple(a for a in task.kb.atoms if a != atom), tuple(c for c in task.kb.clauses if atom not in {c.head} | c.body)
-        )
-        tasks.append(replace(task, kb=kb))
-        assert (kb.compiled.label_ids(task.graph.labels)[list(task.labels)] < 0).sum() == 1
+        tasks, atom = scoring_tasks()
         report = evaluate(pipe, tasks, measure_latency=False)
         outputs = pipe.run_tasks(tasks)
         scores = [[int(task.graph.labels[node] in out.closure) == label for node, label in task.labels.items()]
@@ -402,6 +418,36 @@ class TestEvalReport:
         assert report.accuracy == sum(map(sum, scores)) / report.n_queries
         assert report.consistency == sum(consistent) / len(tasks)
         assert 0.0 < report.consistency < 1.0 and atom not in outputs[-1].closure
+
+    def test_kept_block_scores_as_fresh_tasks(self):
+        # one block, kept and run under five parameter sets, as train runs
+        # its validation split every epoch
+        reference = reference_pipeline()
+        tasks, _ = scoring_tasks()
+        block = pipeline.Block(tasks)
+        consistencies = set()
+        for tau, scale in ((0.1, 1.0), (0.2, 0.8), (0.3, 1.2), (0.4, 1.0), (0.05, 0.9)):
+            pipe = reference.with_params({**reference.params, "tau": np.array([tau]),
+                                          "theta": reference.params["theta"] * scale})
+            kept = evaluate(pipe, block, measure_latency=False)
+            assert kept == evaluate(pipe, list(tasks), measure_latency=False)
+            ys = [[out.y.values.tobytes() for out in pipe.run_tasks(run)] for run in (block, list(tasks))]
+            assert ys[0] == ys[1]
+            consistencies.add(kept.consistency)
+        timed = evaluate(pipe, block)
+        assert (timed.accuracy, timed.consistency, timed.n_queries) == (kept.accuracy, kept.consistency, kept.n_queries)
+        assert len(consistencies) > 1 and 0.0 < min(consistencies) < 1.0
+
+    def test_block_names_the_signal_that_does_not_fit(self):
+        tasks = gen_dataset("transitive", 3, seed=2)
+        short = replace(tasks[1], x0=tasks[1].x0[:-1])
+        with pytest.raises(DimensionMismatch, match=f"signal 1 has length {short.x0.size}, its graph"):
+            reference_pipeline().run_tasks([tasks[0], short, tasks[2]])
+        with pytest.raises(BadParams, match="signal contains non-finite entries"):
+            reference_pipeline().run_tasks([tasks[0], replace(tasks[2], x0=np.full(tasks[2].x0.size, np.inf))])
+        with pytest.raises(DomainMismatch, match="signal 0 is not a vertex-domain signal") as info:
+            reference_pipeline().run(tasks[0].graph, spectral_signal(tasks[0].x0), tasks[0].kb)
+        assert info.value.stage == "filter"
 
     @pytest.mark.parametrize("measure", [True, False])
     def test_latency_keys_exactly_when_measured(self, measure):
@@ -514,6 +560,23 @@ class TestPreparedGraph:
         assert calls == query_calls(build_laplacian=1, estimate_lambda_max=1)
         pipe.run_tasks(tasks)
         assert calls == query_calls(build_laplacian=1, estimate_lambda_max=1)
+
+    def test_train_lays_out_each_split_once(self, monkeypatch):
+        counts = {"prepare_graph": 0, "block_diagonal": 0}
+        for name in counts:
+            original = getattr(pipeline, name)
+
+            def counted(*args, _name=name, _original=original):
+                counts[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(pipeline, name, counted)
+        splits = split_dataset(gen_dataset("transitive", 60, seed=3), (40, 20, 0))
+        train_run = TrainRun(max_epochs=4, batch_size=16, patience=5, seed=7, latency_probe=0)
+        result = train(PipelineConfig(tau=0.4), splits, train_run, rules=tuple(reference_pipeline().rules))
+        assert len(result.history) == 4
+        # one pass for the training split, one for the validation block its four epochs share
+        assert counts == {"prepare_graph": 2, "block_diagonal": 2}
 
     def test_training_twice_on_the_same_splits(self, calls):
         def splits():

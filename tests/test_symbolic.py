@@ -14,6 +14,7 @@ from spectral_nsr.rules import load_rules
 from spectral_nsr.spectral import vertex_signal
 from spectral_nsr.symbolic import (
     Clause,
+    CompiledBlock,
     KnowledgeBase,
     PredicateSet,
     ProofTrace,
@@ -528,6 +529,20 @@ class TestBlockClosure:
             assert block.traces(i) == traces
             if len(kb.atoms) <= 8:
                 assert closure == brute_force_minimal_model(alone)
+
+    def test_a_compiled_block_binds_as_its_lists_every_time(self):
+        rng = np.random.default_rng(11)
+        kbs = [random_kb(rng, max_atoms=8), many_facts_kb(rng), random_kb(rng, max_atoms=8)]
+        kbs[0] = KnowledgeBase(kbs[0].atoms, kbs[0].clauses, exclusive=((kbs[0].atoms[0], kbs[0].atoms[1]),))
+        labels = [tuple(kb.atoms[int(i)] for i in rng.integers(0, len(kb.atoms), size=6)) for kb in kbs]
+        block = CompiledBlock(kbs, labels)
+        for _ in range(3):
+            p = PredicateSet(rng.random(18) < 0.4, soft=False)
+            kept, fresh = bind_predicates(p, block), bind_predicates(p, kbs, labels)
+            assert np.array_equal(kept.facts, fresh.facts) and np.array_equal(kept.starts, fresh.starts)
+            assert np.array_equal(forward_chain(kept)[1], forward_chain(fresh)[1])
+        pairs, owners = block.exclusive
+        assert pairs.tolist() == [[0, 1]] and owners.tolist() == [0]
 
     def test_undeclared_label_names_the_first_failing_graphs_own_node(self):
         kb = KnowledgeBase(("A", "B"))

@@ -122,6 +122,14 @@ class TestLoss:
         with pytest.raises(EmptyLabels):
             prepare_context([task], PipelineConfig(), ())
 
+    def test_refusals_come_in_task_order(self, rng):
+        empty = graph_task(random_graph(rng, 6, density=0.5), np.full(6, 0.5), {})
+        outside = graph_task(random_graph(rng, 5, density=0.5), np.full(5, 0.5), {1: 1, 5: 0})
+        with pytest.raises(EmptyLabels):
+            prepare_context([empty, outside], PipelineConfig(), ())
+        with pytest.raises(BadParams, match="labels nodes outside its 5 nodes"):
+            prepare_context([outside, empty], PipelineConfig(), ())
+
 
 class TestGradTheta:
     def test_finite_differences(self, rng):
