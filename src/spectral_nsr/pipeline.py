@@ -6,12 +6,11 @@ once can be run under many parameter sets. Stage 1 builds each graph's
 Laplacian. Stage 2 applies the weighted sum of the rule templates and
 the learned filter as one Chebyshev polynomial of the Laplacian
 (`filter_coefficients`), so no eigenbasis is formed, in one recurrence
-over the block. Stage 3
-thresholds the block's filtered beliefs into predicates, binds the true
-ones as facts of their graphs' KBs and forward chains every KB to its
-answer set, each step once for the whole block. Each graph's output is a
-view of the block's arrays (`PipelineOutput`), and its proof traces are
-made only when they are read.
+over the block. Stage 3 holds a node true when its filtered belief y
+exceeds the threshold tau, binds the true nodes as facts of their graphs'
+KBs and forward chains every KB to its answer set, each step once for the
+whole block. Each graph's output is a view of the block's arrays
+(`PipelineOutput`), and its proof traces are made only when they are read.
 """
 
 from __future__ import annotations
@@ -49,8 +48,6 @@ from .spectral import (
     vertex_signal,
 )
 from .symbolic import (
-    HARD,
-    LOGISTIC,
     BoundBlock,
     CompiledBlock,
     KnowledgeBase,
@@ -59,8 +56,9 @@ from .symbolic import (
     bind_predicates,
     forward_chain,
     hard_threshold,
-    soft_threshold,
 )
+
+from .symbolic import soft_threshold  # noqa: F401  (not called; perfbench's layer tracer wraps it here)
 
 # the end of the reference interval that rule templates are parsed and
 # fitted on and the initial learned filter is fitted on. A series keeps its
@@ -72,24 +70,25 @@ REFERENCE_LAMBDA_MAX = 2.0
 RESPONSE_POINTS = 64
 
 
-def retired_config_key(key: str, value) -> bool:
-    """True for a retired key that is dropped on load.
+# keys older configs and checkpoints carry for retired settings: the values
+# each is dropped with (None: any), and why any other would change answers
+RETIRED_KEYS = {
+    "crossover": (None, ""),  # a setting of the retired dense-eigenbasis path
+    "path": ({"chebyshev"}, "only the Chebyshev path remains"),
+    "bands": ({"1"}, "the band gate is retired"),
+    "threshold_mode": ({"hard", "logistic"}, "stage 3 binds y > tau, as both modes did"),
+}
 
-    Older config files and checkpoints carry ``crossover`` and ``path``,
-    the settings of a dense-eigenbasis pipeline path that no longer
-    exists, and ``bands``, the band count of a retired gate over several
-    learned filters. ``crossover``, ``path=chebyshev`` and ``bands=1``
-    (text or number) are dropped. Any other ``path`` or ``bands`` raises
-    `FormatError`: running such a config on the one Chebyshev filter
-    would silently change its answers.
-    """
-    if key == "crossover":
-        return True
-    if key == "path" and value != "chebyshev":
-        raise FormatError(f"path={value!r} is no longer supported; only the Chebyshev path remains")
-    if key == "bands" and str(value) != "1":
-        raise FormatError(f"bands={value!r} is no longer supported; the band gate is retired")
-    return key in ("path", "bands")
+
+def retired_config_key(key: str, value) -> bool:
+    """True for a retired key (`RETIRED_KEYS`) with a value it is dropped
+    with, text or number; `FormatError` for one with any other value."""
+    if key not in RETIRED_KEYS:
+        return False
+    accepted, reason = RETIRED_KEYS[key]
+    if accepted is not None and str(value) not in accepted:
+        raise FormatError(f"{key}={value!r} is no longer supported; {reason}")
+    return True
 
 
 @dataclass(frozen=True)
@@ -103,7 +102,6 @@ class PipelineConfig:
     # path is rewritten as a file is read and written (`config_as_read`,
     # `config_as_written`)
     rules: str = ""
-    threshold_mode: str = LOGISTIC
     tau: float = 0.5
     alpha: float = 8.0
     # draws the Lanczos start vector of graphs above DENSE_BOUND_LIMIT nodes
@@ -126,8 +124,8 @@ class PipelineConfig:
             raise BadParams("order must be >= 0")
         if self.seed < 0:
             raise BadParams("seed must be >= 0")
-        if self.threshold_mode not in (HARD, LOGISTIC):
-            raise BadParams(f"threshold_mode must be {HARD!r} or {LOGISTIC!r}, got {self.threshold_mode!r}")
+        if not self.alpha > 0.0:
+            raise BadParams(f"alpha must be > 0, got {self.alpha!r}")
 
     def to_text(self) -> str:
         lines = []
@@ -149,14 +147,14 @@ class PipelineConfig:
             if "=" not in line:
                 raise FormatError(f"line {lineno}: expected key=value, got {line!r}")
             key, val = (part.strip() for part in line.split("=", 1))
-            if retired_config_key(key, val):
-                continue
-            if key not in known:
+            if key not in known and key not in RETIRED_KEYS:
                 raise FormatError(f"line {lineno}: unknown config key {key!r}")
-            try:
+            try:  # each value is checked alone, so its line can be named
+                if retired_config_key(key, val):
+                    continue
                 value = known[key](val)
-                cls(**{key: value})  # each value is checked alone, so its line can be named
-            except (ValueError, BadParams) as exc:
+                cls(**{key: value})
+            except (ValueError, BadParams, FormatError) as exc:
                 raise FormatError(f"line {lineno}: malformed value for {key}: {exc}") from exc
             if key in values:
                 raise FormatError(f"line {lineno}: config key {key!r} is given twice")
@@ -224,7 +222,7 @@ def init_params(cfg: PipelineConfig, rules: Sequence[SpectralRule] = ()) -> dict
 def check_params(cfg: PipelineConfig, params: Mapping[str, np.ndarray], rule_count: int | None) -> Mapping:
     """``params``, if it holds exactly the names `init_params` gives, each finite
     and shaped as there: theta (order + 1,), rule_weights (``rule_count``,) or
-    1-D for None, tau (1,), alpha (). Otherwise `BadParams` names the parameter."""
+    1-D for None, tau (1,), alpha () and > 0. Otherwise `BadParams` names it."""
     shapes = {"theta": (cfg.order + 1,), "rule_weights": (rule_count,), "tau": (1,), "alpha": ()}
     if params.keys() != shapes.keys():
         missing, unknown = sorted(shapes.keys() - params.keys()), sorted(params.keys() - shapes.keys())
@@ -239,6 +237,8 @@ def check_params(cfg: PipelineConfig, params: Mapping[str, np.ndarray], rule_cou
     if not np.isfinite(np.concatenate(list(params.values()), axis=None)).all():
         name = next(name for name, value in params.items() if not np.isfinite(value).all())
         raise BadParams(f"param {name!r} has non-finite entries")
+    if not params["alpha"] > 0.0:
+        raise BadParams(f"param 'alpha' must be > 0, got {float(params['alpha'])}")
     return params
 
 
@@ -289,9 +289,10 @@ class PipelineOutput:
     """What a pipeline run gives for one graph of a block, including the
     interpretability export: a view of the block's arrays.
 
-    ``y``, ``predicates``, ``closure`` (a frozenset of atoms), ``answers``
-    (the sorted closure) and ``traces`` (a read-only mapping from each
-    answer atom to its proof trace) are each built when first read, so
+    ``y``, ``predicates`` (one boolean per node, true where y > tau),
+    ``closure`` (a frozenset of atoms), ``answers`` (the sorted closure)
+    and ``traces`` (a read-only mapping from each answer atom to its proof
+    trace) are each built when first read, so
     callers that read only the closure bits (evaluation, validation) do not
     pay for them. ``closure_bits`` holds one bit per atom of the graph's
     KB, in ``kb.atoms`` order, True for the closure's atoms. The traces
@@ -321,7 +322,7 @@ class PipelineOutput:
 
     @cached_property
     def predicates(self) -> PredicateSet:
-        return PredicateSet(self._run.predicates.values[self._nodes()], self._run.predicates.soft)
+        return PredicateSet(self._run.predicates.values[self._nodes()], soft=False)
 
     @property
     def closure_bits(self) -> np.ndarray:
@@ -542,20 +543,21 @@ def run_pipeline(pipe: Pipeline, block: Block) -> list[PipelineOutput]:
     its checked parameters, and call this function by its module name,
     which perfbench's layer tracer wraps as ``pipeline.self``.
 
-    Each true node binds as the atom its label names
-    (`ReasoningGraph.labels`); one whose label its ``kb`` does not declare
-    raises `UnmappedNode`. The Laplacian and ``lambda_max`` come from
-    `prepare_graph`. Module errors propagate with a ``stage`` tag attached.
+    Stage 3 binds y > tau: each node whose filtered belief exceeds the
+    threshold binds as the atom its label names (`ReasoningGraph.labels`);
+    one whose label its ``kb`` does not declare raises `UnmappedNode`. The
+    Laplacian and ``lambda_max`` come from `prepare_graph`. Module errors propagate with a ``stage`` tag attached.
 
     Every stage runs once for the whole block. The graphs are stacked
     block-diagonally (`block_diagonal`), so stage 2 makes one Chebyshev
     recurrence for all of them with the pipeline's one coefficient
     vector, each node keeping its own graph's ``lambda_max``. Stage 3
-    makes one threshold, one `bind_predicates` and one `forward_chain`
-    call on the block, the last over the KBs' compiled forms laid end to
-    end. Output i is a view of graph i's part of the block, bit for bit
-    what graph i gives alone. One graph is a block of one: nothing is
-    assembled and ``lambda_max`` stays a scalar. No graphs give no outputs.
+    makes one `hard_threshold`, one `bind_predicates` and one
+    `forward_chain` call on the block, the last over the KBs' compiled
+    forms laid end to end. Output i is a view of graph i's part of the
+    block, bit for bit what graph i gives alone. One graph is a block of
+    one: nothing is assembled and ``lambda_max`` stays a scalar. No graphs
+    give no outputs.
 
     The block keeps its layout, its checked signal and its KBs laid out
     as one program (`Block`), so a block run again, under any parameters,
@@ -568,9 +570,8 @@ def run_pipeline(pipe: Pipeline, block: Block) -> list[PipelineOutput]:
     with _stage("filter"):
         y = chebyshev_filter(layout.laplacian, combined_filter(coefficients, layout.lambda_max), block.x)
 
-    tau, alpha = float(params["tau"][0]), float(params["alpha"])
     with _stage("threshold"):
-        predicates = soft_threshold(y, tau, alpha) if cfg.threshold_mode == LOGISTIC else hard_threshold(y, tau)
+        predicates = hard_threshold(y, float(params["tau"][0]))
     with _stage("bind"):
         bound = bind_predicates(predicates, block.compiled)
     with _stage("chain"):

@@ -23,7 +23,6 @@ import json
 import operator
 
 import numpy as np
-import scipy.sparse as sp
 from numpy.polynomial import chebyshev as npcheb
 
 from .errors import (

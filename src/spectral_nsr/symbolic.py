@@ -1,9 +1,10 @@
 """Projection to predicates and forward-chaining inference.
 
-Filtered belief signals are mapped to discrete predicates by hard or
-logistic thresholding; true predicates become facts of a propositional
-Horn-clause knowledge base, and forward chaining computes the least fixed
-point.
+Filtered belief signals are mapped to discrete predicates: node i is true
+when y_i > tau (`hard_threshold`), the 0.5 cut of the logistic
+expit(alpha (y_i - tau)) (`soft_threshold`) for alpha > 0. True predicates
+become facts of a propositional Horn-clause knowledge base, and forward
+chaining computes the least fixed point.
 
 On one KB, a semi-naive chainer (`forward_chain`) gives the closure as
 atoms together with replayable proof traces. It queues only the facts
@@ -39,9 +40,6 @@ from scipy.special import expit
 
 from .errors import BadParams, FormatError, UnmappedNode
 from .spectral import GraphSignal
-
-HARD = "hard"
-LOGISTIC = "logistic"
 
 
 @dataclass(frozen=True)

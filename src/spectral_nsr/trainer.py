@@ -4,7 +4,8 @@ Every gradient is analytic. Stage 2 is the pipeline's own one polynomial
 (`pipeline.filter_coefficients`): with rules, its coefficients
 chebmul(theta, w R) are bilinear in the rule and filter coefficients, and
 the threshold is a logistic, so the whole stage-2/3 chain differentiates
-in closed form. `prepare_context` computes the Chebyshev columns of that
+in closed form. Inference binds y > tau, which is the logistic's 0.5 cut
+when alpha > 0. `prepare_context` computes the Chebyshev columns of that
 polynomial once per training split, and a training step is dense algebra
 on their labelled rows, with no sparse product. Validation runs every
 epoch's pipeline on one `pipeline.Block` of the validation split, laid

@@ -37,7 +37,7 @@ from spectral_nsr.spectral import (
     sample_response,
     vertex_signal,
 )
-from spectral_nsr.symbolic import HARD, LOGISTIC, KnowledgeBase
+from spectral_nsr.symbolic import KnowledgeBase
 from spectral_nsr.trainer import prepare_context, task_loss_and_grads
 
 from conftest import graph_task
@@ -80,11 +80,10 @@ class TestBlockPipeline:
         specs=task_specs,
         laplacian=st.sampled_from([COMBINATORIAL, NORMALIZED]),
         with_rules=st.booleans(),
-        mode=st.sampled_from([HARD, LOGISTIC]),
         seed=st.integers(0, 2**16),
     )
-    def test_block_equals_each_task_alone(self, specs, laplacian, with_rules, mode, seed):
-        cfg = PipelineConfig(laplacian=laplacian, threshold_mode=mode, tau=0.4)
+    def test_block_equals_each_task_alone(self, specs, laplacian, with_rules, seed):
+        cfg = PipelineConfig(laplacian=laplacian, tau=0.4)
         rules = rule_bank() if with_rules else ()
         pipe = Pipeline(cfg, rules=list(rules), params=random_params(cfg, len(rules), np.random.default_rng(seed)))
         # separate task objects, so that the block prepares its graphs itself

@@ -45,17 +45,15 @@ def unknown(request):
 
 
 class TestConfigSchema:
-    def test_seven_fields(self):
-        assert [f.name for f in fields(PipelineConfig)] == [
-            "laplacian", "order", "rules", "threshold_mode", "tau", "alpha", "seed",
-        ]
+    def test_six_fields(self):
+        assert [f.name for f in fields(PipelineConfig)] == ["laplacian", "order", "rules", "tau", "alpha", "seed"]
 
     def test_text_round_trip(self):
         cfg = PipelineConfig(laplacian="normalized", order=3, rules="r.txt", tau=0.25, alpha=4.5, seed=9)
         assert PipelineConfig.from_text(cfg.to_text()) == cfg
 
     def test_retired_keys_are_dropped(self):
-        text = "order=3\ncrossover=64\npath=chebyshev\nbands=1\n"
+        text = "order=3\ncrossover=64\npath=chebyshev\nbands=1\nthreshold_mode=hard\nthreshold_mode=logistic\n"
         assert PipelineConfig.from_text(text) == PipelineConfig(order=3)
 
     def test_exact_path_rejected(self):
@@ -78,7 +76,7 @@ class TestConfigSchema:
 
     @pytest.mark.parametrize("key, text, value", [
         ("tau", "nan", float("nan")), ("alpha", "inf", float("inf")), ("order", "-1", -1), ("seed", "-3", -3),
-        ("laplacian", "bogus", "bogus"), ("threshold_mode", "soft", "soft"),
+        ("laplacian", "bogus", "bogus"), ("alpha", "0", 0.0), ("alpha", "-1", -1.0),
     ])
     def test_refused_value_names_its_line(self, key, text, value):
         with pytest.raises(FormatError, match=f"line 3: malformed value for {key}: {key} must"):
@@ -86,6 +84,16 @@ class TestConfigSchema:
         # called directly, the config still raises BadParams
         with pytest.raises(BadParams, match=f"{key} must"):
             PipelineConfig(**{key: value})
+
+    @pytest.mark.parametrize("key, text, reason", [
+        ("bands", "2", "the band gate is retired"),
+        ("path", "dense", "only the Chebyshev path remains"),
+        ("threshold_mode", "soft", "stage 3 binds y > tau"),
+    ], ids=["bands", "path", "threshold_mode"])
+    def test_refused_retired_value_names_its_line(self, key, text, reason):
+        with pytest.raises(FormatError, match=f"line 2: malformed value for {key}: {key}='{text}' is no longer") as info:
+            PipelineConfig.from_text(f"order=3\n{key}={text}\n")
+        assert reason in str(info.value)
 
     @pytest.mark.parametrize("field, value", [("order", "5"), ("order", 1.5), ("tau", None), ("seed", True), ("seed", -1)])
     def test_field_types_and_seed_sign(self, field, value):
@@ -105,10 +113,28 @@ class TestConfigSchema:
 
 class TestCheckpointFormat:
     def test_reference_checkpoint_loads_without_retired_keys(self):
-        assert {"crossover", "path", "bands"} <= set(reference_payload()["config"])
+        assert {"crossover", "path", "bands", "threshold_mode"} <= set(reference_payload()["config"])
         ckpt = Checkpoint.load(REFERENCE)
         assert ckpt.config == PipelineConfig(rules=str(RULES), tau=0.4)
         assert set(json.loads(ckpt.to_json())["config"]) == {f.name for f in fields(PipelineConfig)}
+
+    def test_either_threshold_mode_loads_as_the_one_threshold(self, tmp_path):
+        # the reference file says logistic; both modes are dropped, and the
+        # pipeline binds y > tau under either
+        assert reference_payload()["config"]["threshold_mode"] == "logistic"
+        tasks = gen_dataset("transitive", 20, seed=7) + gen_dataset("kinship", 20, seed=7)
+        runs = []
+        for mode in ("hard", "logistic"):
+            path, saved = tmp_path / f"{mode}.json", tmp_path / f"{mode}-saved.json"
+            path.write_text(corrupt(lambda p: p["config"].update(threshold_mode=mode, rules=str(RULES))))
+            ckpt = Checkpoint.load(path)
+            outputs = ckpt.pipeline().run_tasks(tasks)
+            assert all(out.predicates.values.dtype == bool for out in outputs)
+            runs.append([(out.y.values.tobytes(), out.answers, out.theta_star.tobytes()) for out in outputs])
+            ckpt.save(saved)
+            assert "threshold_mode" not in json.loads(saved.read_text())["config"]
+            assert Checkpoint.load(saved).config == ckpt.config
+        assert runs[0] == runs[1]
 
     @pytest.mark.parametrize("bands", [1, "1"], ids=["number", "text"])
     def test_gated_checkpoint_keeps_its_one_theta_row(self, bands):
@@ -240,6 +266,8 @@ class TestCheckpointFormat:
             # three weights for two rule ids: refused on load
             ("rule_weights", [0.3, 0.3, 0.3], "FormatError"),
             ("tau", [0.4, 0.4], "FormatError"),
+            # the logistic the loss trains needs alpha > 0
+            ("alpha", -1.0, "FormatError"),
         ],
     )
     def test_params_that_do_not_fit_exit_one_from_eval(self, tmp_path, name, value, error):

@@ -30,7 +30,7 @@ from spectral_nsr.pipeline import (
 )
 from spectral_nsr.rules import SpectralRule, builtin_template, load_rules
 from spectral_nsr.spectral import ChebyshevFilter, chebyshev_filter, spectral_signal, vertex_signal
-from spectral_nsr.symbolic import HARD, LOGISTIC, KnowledgeBase
+from spectral_nsr.symbolic import KnowledgeBase
 from spectral_nsr.trainer import Checkpoint, TrainRun, train
 
 DATA = Path(__file__).parent / "data"
@@ -84,14 +84,16 @@ class TestGolden:
 
     def test_reference_checkpoint_answers_hash(self):
         """The reference parameters' answers on 400 transitive and 400 kinship
-        tasks under three configs: the checkpoint's own, the normalized
-        Laplacian, and the hard threshold. The digest was generated before
-        the rule and learned filters ran as one polynomial at inference, by
-        the two-recurrence stage 2, and pins the answers across that change."""
+        tasks under three passes: the checkpoint's own config, the normalized
+        Laplacian, and the checkpoint's own config again. The digest was
+        generated before the rule and learned filters ran as one polynomial
+        at inference, by the two-recurrence stage 2, with a hard threshold
+        in the third pass and a logistic one in the first two, and pins the
+        answers across both changes."""
         pipe = reference_pipeline()
         tasks = gen_dataset("transitive", 400, seed=5) + gen_dataset("kinship", 400, seed=5)
         digest = hashlib.sha256()
-        for cfg in (pipe.cfg, replace(pipe.cfg, laplacian="normalized"), replace(pipe.cfg, threshold_mode="hard")):
+        for cfg in (pipe.cfg, replace(pipe.cfg, laplacian="normalized"), pipe.cfg):
             for out in Pipeline(cfg, rules=list(pipe.rules), params=pipe.params).run_tasks(tasks):
                 digest.update((" ".join(out.answers) + "\n").encode())
         assert digest.hexdigest() == "e6b7436c28bc9deeb7a6afac9d4714786443667c5fe869dbec1f943ef8b14a42"
@@ -366,19 +368,23 @@ def stage_3(monkeypatch):
 
 
 class TestBlockStage3:
-    @pytest.mark.parametrize("mode", [HARD, LOGISTIC])
+    @pytest.mark.parametrize("mode", ["hard", "logistic"])
     def test_one_call_per_layer_and_traces_on_read(self, stage_3, mode):
+        # a config that still names either retired threshold_mode binds
+        # y > tau once per block; the logistic is never computed
         reference = reference_pipeline()
-        pipe = Pipeline(replace(reference.cfg, threshold_mode=mode), list(reference.rules), reference.params)
+        cfg = PipelineConfig.from_text(reference.cfg.to_text() + f"threshold_mode={mode}\n")
+        assert cfg == reference.cfg
+        pipe = Pipeline(cfg, list(reference.rules), reference.params)
         tasks = gen_dataset("transitive", 5, seed=9) + gen_dataset("kinship", 5, seed=9)
         outputs = pipe.run_tasks(tasks)
-        threshold = "hard_threshold" if mode == HARD else "soft_threshold"
-        expected = {**dict.fromkeys(STAGE_3 + ("traces",), 0), threshold: 1, "bind_predicates": 1, "forward_chain": 1}
+        expected = dict.fromkeys(STAGE_3 + ("traces",), 0)
+        expected.update({"hard_threshold": 1, "bind_predicates": 1, "forward_chain": 1})
         assert stage_3 == expected
         for out in outputs:
             out.y, out.predicates, out.answers
         evaluate(pipe, tasks, measure_latency=False)
-        expected.update({threshold: 2, "bind_predicates": 2, "forward_chain": 2})
+        expected.update({"hard_threshold": 2, "bind_predicates": 2, "forward_chain": 2})
         assert stage_3 == expected
         # one graph's traces are made when they are first read, and kept
         out = outputs[7]

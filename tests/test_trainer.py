@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from spectral_nsr import trainer
 from spectral_nsr.errors import (
@@ -391,7 +392,9 @@ class TestForwardAgreement:
         for task in tasks:
             out = pipe.run_task(task)
             nodes = sorted(task.labels)
-            p = np.clip(out.predicates.values[nodes], 1e-7, 1 - 1e-7)
+            # the logistic of the pipeline's own y and params, which only the loss computes
+            tau, alpha = pipe.params["tau"][0], pipe.params["alpha"]
+            p = np.clip(expit(alpha * (out.y.values[nodes] - tau)), 1e-7, 1 - 1e-7)
             targets = np.array([task.labels[i] for i in nodes], dtype=np.float64)
             expected = -np.mean(targets * np.log(p) + (1 - targets) * np.log(1 - p))
             got, _ = task_loss_and_grads(prepare_context([task], cfg, rules), params)
