@@ -11,10 +11,10 @@ construction and safe to share across threads.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -187,14 +187,49 @@ def stack_csr(mats: Sequence[sp.csr_array]) -> tuple[sp.csr_array, np.ndarray]:
     return sp.csr_array((data, indices, indptr), shape=(n, n)), starts
 
 
-def laplacians(graphs: Sequence[ReasoningGraph], kind: str) -> list[LaplacianMatrix]:
-    """Each graph's Laplacian of ``kind``, built for all of them in one pass.
+@dataclass(frozen=True, eq=False)
+class LaplacianBlock(Sequence):
+    """Several graphs' Laplacians of one kind as `laplacians` builds them:
+    one block-diagonal `LaplacianMatrix` (``laplacian``), where each
+    graph's rows start followed by the total row count (``starts``), and
+    each graph's own index type (``index_dtypes``).
 
-    The adjacencies are stacked block-diagonally (`stack_csr`), the
-    Laplacian is formed once for the block, and each graph's rows are
-    sliced back out. Every step acts row by row, so each result equals the
-    graph's own build bit for bit; one graph is built as it is, with
-    nothing stacked or sliced.
+    As a sequence, item i is graph i's own `LaplacianMatrix`, cut from the
+    block's arrays when it is asked for and bit for bit the graph's own
+    build; a block of one gives its Laplacian as it is. The arrays are
+    shared, so they must never be modified in place.
+    """
+
+    laplacian: LaplacianMatrix
+    starts: np.ndarray
+    index_dtypes: tuple[np.dtype, ...]
+
+    def __len__(self) -> int:
+        return len(self.index_dtypes)
+
+    def __getitem__(self, i: int) -> LaplacianMatrix:
+        i = range(len(self))[i]
+        if len(self) == 1:
+            return self.laplacian
+        lap = self.laplacian.matrix
+        lo, hi = self.starts[i], self.starts[i + 1]
+        first, last = lap.indptr[lo], lap.indptr[hi]
+        # each graph's index type is its adjacency's, as its own build keeps it
+        dtype = self.index_dtypes[i]
+        indptr = (lap.indptr[lo : hi + 1] - first).astype(dtype)
+        indices = (lap.indices[first:last] - lo).astype(dtype)
+        # a copy, so a graph's own matrix does not keep the block's arrays alive
+        matrix = sp.csr_array((lap.data[first:last].copy(), indices, indptr), shape=(hi - lo, hi - lo))
+        return LaplacianMatrix(self.laplacian.kind, matrix)
+
+
+def laplacians(graphs: Sequence[ReasoningGraph], kind: str) -> LaplacianBlock:
+    """The graphs' Laplacians of ``kind``, built as one block in one pass.
+
+    The adjacencies are stacked block-diagonally (`stack_csr`) and the
+    Laplacian is formed once for the block, with no matrix per graph.
+    Every step acts row by row, so each graph's rows are bit for bit its
+    own build's; one graph is built as it is, with nothing stacked.
 
     The combinatorial kind is L = D - A, exactly symmetric since A is.
     The normalized kind is I - D^{-1/2} A D^{-1/2}, made exactly symmetric
@@ -214,18 +249,7 @@ def laplacians(graphs: Sequence[ReasoningGraph], kind: str) -> list[LaplacianMat
         scaled = adjacency.multiply(dinv[:, None]).multiply(dinv[None, :])
         lap = sp.eye_array(d.size, format="csr") - sp.csr_array(scaled)
         lap = sp.csr_array((lap + lap.T) * 0.5)  # restore exact symmetry lost to fp rounding
-    if len(graphs) == 1:
-        return [LaplacianMatrix(kind, lap)]
-    out = []
-    offsets = lap.indptr[starts]
-    for g, lo, hi, first, last in zip(graphs, starts[:-1], starts[1:], offsets[:-1], offsets[1:]):
-        # each graph's index type is its adjacency's, as its own build keeps it
-        index_dtype = g.adjacency.indices.dtype
-        indptr = (lap.indptr[lo : hi + 1] - first).astype(index_dtype)
-        indices = (lap.indices[first:last] - lo).astype(index_dtype)
-        matrix = sp.csr_array((lap.data[first:last].copy(), indices, indptr), shape=(hi - lo, hi - lo))
-        out.append(LaplacianMatrix(kind, matrix))
-    return out
+    return LaplacianBlock(LaplacianMatrix(kind, lap), starts, tuple(g.adjacency.indices.dtype for g in graphs))
 
 
 def combinatorial_laplacian(g: ReasoningGraph) -> LaplacianMatrix:

@@ -31,7 +31,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import BadParams, DomainMismatch, EmptyLabels, FormatError, SpectralNsrError
-from .graph import COMBINATORIAL, NORMALIZED, LaplacianMatrix, ReasoningGraph, laplacians
+from .graph import COMBINATORIAL, NORMALIZED, LaplacianBlock, LaplacianMatrix, ReasoningGraph, laplacians
 from .rules import SpectralRule, load_rules, rule_coefficients
 from .spectral import (
     VERTEX,
@@ -367,9 +367,9 @@ def _stage(name: str):
 
 def build_laplacian(
     cfg: PipelineConfig, graph: ReasoningGraph | Sequence[ReasoningGraph]
-) -> LaplacianMatrix | list[LaplacianMatrix]:
-    """The graph's Laplacian of ``cfg``'s kind; a list of graphs gives a
-    list of Laplacians, built in one pass (`graph.laplacians`)."""
+) -> LaplacianMatrix | LaplacianBlock:
+    """The graph's Laplacian of ``cfg``'s kind; a list of graphs gives their
+    Laplacians as one block, built in one pass (`graph.laplacians`)."""
     if isinstance(graph, ReasoningGraph):
         return laplacians([graph], cfg.laplacian)[0]
     return laplacians(graph, cfg.laplacian)
@@ -377,14 +377,26 @@ def build_laplacian(
 
 @dataclass(frozen=True, eq=False)
 class PreparedGraph:
-    """What preparation derives from a graph for stage 2, its Laplacian and
-    the bound on its spectrum, made whole by `prepare_graph` and never
-    changed. What the nodes stand for stays on the graph
-    (`ReasoningGraph.labels`).
+    """What preparation derives from a graph for stage 2, made whole by
+    `prepare_graph` and never changed: the bound on its spectrum
+    (``lambda_max``), and its rows (``index``) in the `LaplacianBlock` of
+    the pass that prepared it (``block``). What the nodes stand for stays
+    on the graph (`ReasoningGraph.labels`).
+
+    The graph's own `LaplacianMatrix`, ``laplacian``, is cut from the
+    block's arrays when it is first read and then kept; a graph prepared
+    alone reads its pass's matrix as it is. A block laid out from one
+    pass's graphs in its order reads none (`Block.layout`). The block's
+    arrays live as long as the entry of any of its graphs.
     """
 
-    laplacian: LaplacianMatrix
+    block: LaplacianBlock
+    index: int
     lambda_max: float
+
+    @cached_property
+    def laplacian(self) -> LaplacianMatrix:
+        return self.block[self.index]
 
 
 def prepare_graph(cfg: PipelineConfig, graphs: Sequence[ReasoningGraph]) -> list[PreparedGraph]:
@@ -394,11 +406,12 @@ def prepare_graph(cfg: PipelineConfig, graphs: Sequence[ReasoningGraph]) -> list
     graphs were checked when they were made, so nothing is checked here.
 
     Every graph without an entry gets one, all of them in one pass: one
-    `build_laplacian` and one `estimate_lambda_max` call, each result bit
-    for bit what the graph gets alone. Nothing is stored until both have
-    succeeded, so a preparation that raises keeps nothing for any graph of
-    the block; its error carries the stage tag ``laplacian`` or
-    ``spectral``.
+    `build_laplacian` call gives their Laplacians as one block, and one
+    `estimate_lambda_max` call bounds them all from the block's arrays, so
+    no matrix is built per graph. Each result is bit for bit what the
+    graph gets alone. Nothing is stored until both have succeeded, so a
+    preparation that raises keeps nothing for any graph of the block; its
+    error carries the stage tag ``laplacian`` or ``spectral``.
     """
     key = (cfg.laplacian, cfg.seed)
     # each entry is read once, so a record returned is the one stored; a
@@ -407,11 +420,11 @@ def prepare_graph(cfg: PipelineConfig, graphs: Sequence[ReasoningGraph]) -> list
     cold = list({id(g): g for g in graphs if entries[id(g)] is None}.values())
     if cold:
         with _stage("laplacian"):
-            laps = build_laplacian(cfg, cold)
+            block = build_laplacian(cfg, cold)
         with _stage("spectral"):
-            bounds = [max(bound, 1e-12) for bound in estimate_lambda_max(laps, seed=cfg.seed)]
-        for g, lap, bound in zip(cold, laps, bounds, strict=True):
-            entries[id(g)] = g.prepared[key] = PreparedGraph(lap, bound)
+            bounds = [max(bound, 1e-12) for bound in estimate_lambda_max(block, seed=cfg.seed)]
+        for i, (g, bound) in enumerate(zip(cold, bounds, strict=True)):
+            entries[id(g)] = g.prepared[key] = PreparedGraph(block, i, bound)
     return [entries[id(g)] for g in graphs]
 
 
@@ -428,11 +441,27 @@ class _Query(NamedTuple):
 class _Layout(NamedTuple):
     """A block's graphs prepared for one Laplacian kind and seed: each
     graph's `PreparedGraph`, their block-diagonal Laplacian, and each
-    node's own graph's ``lambda_max`` (a scalar for a block of one)."""
+    node's own graph's ``lambda_max`` (a scalar for a block of one).
+
+    When the graphs are exactly one preparation pass's graphs in its
+    order, as a cold block's are, the layout is that pass's
+    `LaplacianBlock`: its matrix as it is, and each graph's bound repeated
+    over its rows. Otherwise each graph's own Laplacian is read and
+    stacked (`block_diagonal`)."""
 
     prepared: list[PreparedGraph]
     laplacian: LaplacianMatrix
     lambda_max: float | np.ndarray
+
+    @classmethod
+    def of(cls, prepared: list[PreparedGraph]) -> "_Layout":
+        bounds = [p.lambda_max for p in prepared]
+        if len(prepared) > 1:
+            block = prepared[0].block
+            if len(block) == len(prepared) and all(p.block is block and p.index == i for i, p in enumerate(prepared)):
+                return cls(prepared, block.laplacian, np.repeat(np.asarray(bounds), np.diff(block.starts)))
+        lap, lambda_max, _ = block_diagonal([p.laplacian for p in prepared], bounds)
+        return cls(prepared, lap, lambda_max)
 
 
 class _Labelled(NamedTuple):
@@ -461,7 +490,8 @@ class Block:
     - ``x``, the signal values end to end, checked once (`block_signal`);
     - `layout`, per Laplacian kind and seed: the graphs' `PreparedGraph`s
       (`prepare_graph`), their block-diagonal Laplacian and each node's
-      ``lambda_max`` (`block_diagonal`);
+      ``lambda_max`` (`_Layout`); when the graphs were cold, that is their
+      preparation pass's own block, with no matrix made per graph;
     - ``compiled``, the KBs with their graphs' labels laid out as one
       program over the block's atoms (`symbolic.CompiledBlock`), which
       binding, chaining and scoring share;
@@ -495,12 +525,11 @@ class Block:
 
     def layout(self, cfg: PipelineConfig) -> _Layout:
         """The graphs prepared for ``cfg``'s Laplacian kind and seed, made on
-        first use. `block_diagonal` lays the nodes out as ``node_starts`` does."""
+        first use and laid out as ``node_starts`` lays out the nodes
+        (`_Layout`): a cold block as its preparation pass's own block."""
         key = (cfg.laplacian, cfg.seed)
         if key not in self._layouts:
-            prepared = prepare_graph(cfg, self.graphs)
-            lap, lambda_max, _ = block_diagonal([p.laplacian for p in prepared], [p.lambda_max for p in prepared])
-            self._layouts[key] = _Layout(prepared, lap, lambda_max)
+            self._layouts[key] = _Layout.of(prepare_graph(cfg, self.graphs))
         return self._layouts[key]
 
     @cached_property
@@ -548,8 +577,8 @@ def run_pipeline(pipe: Pipeline, block: Block) -> list[PipelineOutput]:
     one whose label its ``kb`` does not declare raises `UnmappedNode`. The
     Laplacian and ``lambda_max`` come from `prepare_graph`. Module errors propagate with a ``stage`` tag attached.
 
-    Every stage runs once for the whole block. The graphs are stacked
-    block-diagonally (`block_diagonal`), so stage 2 makes one Chebyshev
+    Every stage runs once for the whole block. The graphs are laid out
+    block-diagonally (`Block.layout`), so stage 2 makes one Chebyshev
     recurrence for all of them with the pipeline's one coefficient
     vector, each node keeping its own graph's ``lambda_max``. Stage 3
     makes one `hard_threshold`, one `bind_predicates` and one

@@ -16,6 +16,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -35,7 +36,7 @@ from .errors import (
     OutOfRange,
     TooLarge,
 )
-from .graph import NORMALIZED, LaplacianMatrix, stack_csr
+from .graph import NORMALIZED, LaplacianBlock, LaplacianMatrix, stack_csr
 
 DENSE_LIMIT = 512
 
@@ -203,9 +204,7 @@ def exact_filter(basis: SpectralBasis, response: FrequencyResponse, x: GraphSign
     return vertex_signal(y)
 
 
-def estimate_lambda_max(
-    lap: LaplacianMatrix | Sequence[LaplacianMatrix], seed: int = 0
-) -> float | list[float]:
+def estimate_lambda_max(lap: LaplacianMatrix | LaplacianBlock, seed: int = 0) -> float | list[float]:
     """An upper bound on the largest eigenvalue, for the Chebyshev rescaling.
 
     Up to `DENSE_BOUND_LIMIT` nodes the top eigenvalue comes from a dense
@@ -216,51 +215,69 @@ def estimate_lambda_max(
     spectrum first, so theta plus the residual bounds the top eigenvalue;
     it is capped at the Gershgorin row-sum bound, and at 2 for a
     normalized Laplacian. A solver that does not converge gives that cap,
-    which always holds.
+    which always holds. A graph with no entry gets 0.
 
-    A list of Laplacians gives a list of bounds, each the one its
-    Laplacian gives alone. The dense ones of each node count are stacked
-    into one array and take one ``eigvalsh`` call (per `STACK_BYTES`).
+    A `LaplacianBlock` gives a list of bounds, each the one its graph's
+    Laplacian gives alone, in one pass over the block's arrays: the dense
+    graphs of each node count are scattered from them into one stacked
+    array and take one ``eigvalsh`` call (per `STACK_BYTES`), and only the
+    graphs above `DENSE_BOUND_LIMIT` are cut out (`_lanczos_bound`). Every
+    bound is a Python float.
     """
     if isinstance(lap, LaplacianMatrix):
-        return estimate_lambda_max([lap], seed)[0]
-    bounds = [0.0] * len(lap)
-    dense_groups = defaultdict(list)
-    for i, one in enumerate(lap):
-        n = one.node_count
-        if n == 0 or one.matrix.nnz == 0:
-            continue
-        if n <= DENSE_BOUND_LIMIT:
-            dense_groups[n].append(i)
-        else:
-            bounds[i] = _lanczos_bound(one, seed)
-    for n, members in dense_groups.items():
-        step = max(1, STACK_BYTES // (8 * n * n))
-        for start in range(0, len(members), step):
-            chunk = members[start : start + step]
-            for i, bound in zip(chunk, _dense_bounds([lap[i] for i in chunk], n), strict=True):
-                bounds[i] = bound
-    return bounds
+        one = LaplacianBlock(lap, np.array([0, lap.node_count]), (lap.matrix.indices.dtype,))
+        return estimate_lambda_max(one, seed)[0]
+    m, starts, kind = lap.laplacian.matrix, lap.starts, lap.laplacian.kind
+    sizes, ptr = np.diff(starts), m.indptr[starts]
+    bounds = np.zeros(sizes.size)
+    groups = defaultdict(list)  # the dense graphs of each node count
+    for i, (n, nnz) in enumerate(zip(sizes.tolist(), np.diff(ptr).tolist())):
+        if nnz and n <= DENSE_BOUND_LIMIT:
+            groups[n].append(i)
+        elif nnz:
+            bounds[i] = _lanczos_bound(lap[i], seed)
+    if not groups:
+        return bounds.tolist()
+    if len(lap) == 1:
+        # one dense graph is its own stack, with nothing to gather
+        return _dense_bounds(m.toarray()[None], kind).tolist()
+    # dense graph k, group by group, takes the n^2 slots from at[k] of a flat
+    # array that each chunk builds its own part of, and its entries are the
+    # ones from first[k] of all their entries gathered in that order
+    order = np.fromiter(chain.from_iterable(groups.values()), np.int64)
+    nodes, lo, nnz = sizes[order], starts[order], ptr[order + 1] - ptr[order]
+    at = np.concatenate(([0], np.cumsum(nodes * nodes)))
+    first = np.concatenate(([0], np.cumsum(nnz)))
+    where = np.arange(first[-1]) + np.repeat(ptr[order] - first[:-1], nnz)
+    rows = np.searchsorted(m.indptr, where, side="right") - 1
+    slots = np.repeat(at[:-1] - lo * (nodes + 1), nnz) + rows * np.repeat(nodes, nnz) + m.indices[where]
+    data = m.data[where]
+    end = 0
+    for n, members in groups.items():
+        start, end, step = end, end + len(members), max(1, STACK_BYTES // (8 * n * n))
+        for a in range(start, end, step):
+            b = min(a + step, end)
+            # bincount sums duplicate entries in order, as toarray does
+            stack = np.bincount(
+                slots[first[a] : first[b]] - at[a], weights=data[first[a] : first[b]], minlength=at[b] - at[a]
+            )
+            bounds[order[a:b]] = _dense_bounds(stack.reshape(-1, n, n), kind)
+    return bounds.tolist()
 
 
-def _dense_bounds(laps: list[LaplacianMatrix], n: int) -> list[float]:
-    """The dense-path bounds of ``n``-node Laplacians, from one stacked ``eigvalsh``."""
-    mats = [lap.matrix for lap in laps]
-    # scatter into one (graphs, n, n) array; bincount sums duplicate
-    # entries in order, as toarray does
-    rows = np.repeat(np.arange(len(mats) * n), np.concatenate([np.diff(m.indptr) for m in mats]))
-    cols = np.concatenate([m.indices for m in mats])
-    data = np.concatenate([m.data for m in mats])
-    dense = np.bincount(rows * n + cols, weights=data, minlength=len(mats) * n * n).reshape(-1, n, n)
-    norm1 = np.abs(dense).sum(axis=1).max(axis=1)
+def _dense_bounds(stack: np.ndarray, kind: str) -> np.ndarray:
+    """The dense-path bounds of a (graphs, n, n) stack of Laplacians of
+    ``kind``, from one ``eigvalsh`` call."""
+    norm1 = np.abs(stack).sum(axis=1).max(axis=1)
+    pad = stack.shape[1] * np.finfo(np.float64).eps * norm1
     try:
-        top = np.linalg.eigvalsh(dense)[:, -1]
+        return np.linalg.eigvalsh(stack)[:, -1] + pad
     except np.linalg.LinAlgError:
-        top = [_top_eigenvalue(matrix) for matrix in dense]
-    return [
-        _gershgorin(lap, float(norm)) if t is None else float(t) + n * np.finfo(np.float64).eps * float(norm)
-        for lap, t, norm in zip(laps, top, norm1, strict=True)
-    ]
+        tops = [_top_eigenvalue(matrix) for matrix in stack]
+    return np.array([
+        _gershgorin(kind, norm) if top is None else top + margin
+        for top, norm, margin in zip(tops, norm1.tolist(), pad.tolist(), strict=True)
+    ])
 
 
 def _top_eigenvalue(dense: np.ndarray) -> float | None:
@@ -277,7 +294,7 @@ def _lanczos_bound(lap: LaplacianMatrix, seed: int) -> float:
     # imported here: the module adds about 8 MB of resident memory
     from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
-    cap = _gershgorin(lap, float(abs(m).sum(axis=1).max()))
+    cap = _gershgorin(lap.kind, float(abs(m).sum(axis=1).max()))
     v0 = np.random.default_rng(seed).standard_normal(n)
     try:
         theta, vecs = eigsh(m, k=1, which="LA", ncv=LANCZOS_BASIS, tol=LANCZOS_TOL, v0=v0)
@@ -288,10 +305,10 @@ def _lanczos_bound(lap: LaplacianMatrix, seed: int) -> float:
     return min(float(theta[0]) + residual, cap)
 
 
-def _gershgorin(lap: LaplacianMatrix, row_sum: float) -> float:
+def _gershgorin(kind: str, row_sum: float) -> float:
     # the largest absolute row sum bounds every eigenvalue; a normalized
     # Laplacian's spectrum also lies in [0, 2]
-    return min(row_sum, 2.0) if lap.kind == NORMALIZED else row_sum
+    return min(row_sum, 2.0) if kind == NORMALIZED else row_sum
 
 
 @dataclass(frozen=True)

@@ -10,12 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import chebyshev as npcheb
 
-from spectral_nsr import spectral, trainer
+from spectral_nsr import graph, pipeline, spectral, trainer
 from spectral_nsr.errors import BadParams, DimensionMismatch, FormatError
-from spectral_nsr.graph import COMBINATORIAL, NORMALIZED, NodeMeta, build_graph
+from spectral_nsr.graph import COMBINATORIAL, NORMALIZED, LaplacianMatrix, NodeMeta, build_graph, laplacians
 from spectral_nsr.harness import TaskSplits, evaluate, gen_dataset, gen_kinship, gen_transitive
 from spectral_nsr.pipeline import (
     REFERENCE_LAMBDA_MAX,
+    Block,
     Pipeline,
     PipelineConfig,
     init_params,
@@ -219,6 +220,57 @@ class TestBlockPreparation:
         rows = Pipeline(cfg, rules=list(rules)).rows
         assert np.array_equal(rows, rule_coefficients(rules, REFERENCE_LAMBDA_MAX, order))
         assert np.abs(rows - lstsq_rows(rules, REFERENCE_LAMBDA_MAX, order)).max() <= 1e-12
+
+
+class TestBlockBounds:
+    @pytest.mark.parametrize("kind", [COMBINATORIAL, NORMALIZED])
+    def test_block_bounds_equal_each_graph_alone(self, kind):
+        # more 20-node graphs than one STACK_BYTES chunk holds, node counts on
+        # both sides of DENSE_BOUND_LIMIT, an edgeless graph, task graphs
+        n = 20
+        per_chunk = spectral.STACK_BYTES // (8 * n * n)
+        graphs = [sparse_graph(n, seed, isolated=seed % 3) for seed in range(per_chunk + 5)]
+        graphs += [sparse_graph(size, seed) for seed, size in enumerate([7, DENSE_BOUND_LIMIT, DENSE_BOUND_LIMIT + 1, 250])]
+        graphs += [sparse_graph(6, 0, isolated=6)] + [task.graph for task in make_tasks([("kinship", 4, 2)] * 3)]
+        graphs = [graphs[i] for i in np.random.default_rng(5).permutation(len(graphs))]
+        block = laplacians(graphs, kind)
+        with patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eigvalsh:
+            bounds = estimate_lambda_max(block, seed=3)
+        # the n-node graphs, task graphs among them, take two stacks
+        count = sum(g.node_count == n for g in graphs)
+        stacks = [call.args[0].shape for call in eigvalsh.call_args_list]
+        assert sorted(k for k, rows, _ in stacks if rows == n) == [count - per_chunk, per_chunk]
+        alone = [estimate_lambda_max(laplacians([g], kind)[0], seed=3) for g in graphs]
+        assert [type(bound) for bound in bounds] == [float] * len(graphs)
+        assert bounds == alone
+        edgeless = graphs.index(next(g for g in graphs if g.edge_count() == 0))
+        assert bounds[edgeless] == (0.0 if kind == COMBINATORIAL else 1.0 + 6 * np.finfo(np.float64).eps)
+
+    def test_cold_block_builds_no_matrix_per_graph(self, monkeypatch):
+        made = []
+
+        class Counted(LaplacianMatrix):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        monkeypatch.setattr(graph, "LaplacianMatrix", Counted)
+        stacked = patch.object(pipeline, "block_diagonal", wraps=pipeline.block_diagonal)
+        cfg = PipelineConfig()
+        tasks = make_tasks([("transitive", 1 + i % 5, i) if i % 2 else ("kinship", 2 + i % 4, i) for i in range(100)])
+        block = Block(tasks)
+        with stacked as block_diagonal:
+            evaluate(Pipeline(cfg), block, measure_latency=False)
+        layout = block.layout(cfg)
+        # one matrix, the pass's block, laid out as it is: nothing per graph, nothing restacked
+        assert len(made) == 1 and layout.laplacian is made[0] and block_diagonal.call_count == 0
+        assert all(p.block.laplacian is made[0] for p in layout.prepared)
+        # a graph's own Laplacian is cut from the block when it is read, then kept
+        lap = layout.prepared[7].laplacian
+        assert made == [layout.laplacian, lap] and layout.prepared[7].laplacian is lap
+        alone = prepare_graph(cfg, [make_tasks([("transitive", 3, 7)])[0].graph])[0].laplacian.matrix
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(lap.matrix, name), getattr(alone, name)), name
 
 
 class TestBlockGradients:

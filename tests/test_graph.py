@@ -232,7 +232,7 @@ class TestLaplacianInvariants:
     @given(graphs=st.lists(spread_graphs(), min_size=1, max_size=5), kind=st.sampled_from([COMBINATORIAL, NORMALIZED]))
     def test_symmetric_with_vanishing_rows(self, graphs, kind):
         alone = [laplacians([g], kind)[0] for g in graphs]
-        block = laplacians(graphs, kind)
+        block = list(laplacians(graphs, kind))
         for lap in alone + block:
             m = lap.matrix
             assert np.array_equal(m.toarray(), m.T.toarray())

@@ -514,8 +514,9 @@ class TestPreparedGraph:
 
     def test_labels_are_the_graphs(self):
         task = gen_transitive(2, width=1, seed=5)
-        # preparation derives stage 2's inputs only; the labels stay on the graph
-        assert [f.name for f in fields(pipeline.PreparedGraph)] == ["laplacian", "lambda_max"]
+        # preparation derives stage 2's inputs only, the graph's rows of its
+        # pass's Laplacian block and its bound; the labels stay on the graph
+        assert [f.name for f in fields(pipeline.PreparedGraph)] == ["block", "index", "lambda_max"]
         assert task.graph.labels == tuple(m.label for m in task.graph.nodes)
         assert task.graph.labels == tuple(task.node_atoms.values())
 
@@ -581,8 +582,10 @@ class TestPreparedGraph:
         train_run = TrainRun(max_epochs=4, batch_size=16, patience=5, seed=7, latency_probe=0)
         result = train(PipelineConfig(tau=0.4), splits, train_run, rules=tuple(reference_pipeline().rules))
         assert len(result.history) == 4
-        # one pass for the training split, one for the validation block its four epochs share
-        assert counts == {"prepare_graph": 2, "block_diagonal": 2}
+        # one pass for the training split, one for the validation block its four
+        # epochs share; each split is cold, so it is laid out as its pass's own
+        # block, with nothing restacked
+        assert counts == {"prepare_graph": 2, "block_diagonal": 0}
 
     def test_training_twice_on_the_same_splits(self, calls):
         def splits():

@@ -15,9 +15,9 @@ from spectral_nsr.errors import (
     OutOfRange,
     TooLarge,
 )
-from spectral_nsr.graph import build_graph, combinatorial_laplacian, normalized_laplacian
+from spectral_nsr.graph import COMBINATORIAL, build_graph, combinatorial_laplacian, laplacians, normalized_laplacian
 from spectral_nsr.harness import gen_dataset, random_sparse_laplacian
-from spectral_nsr.pipeline import combined_filter
+from spectral_nsr.pipeline import Pipeline, PipelineConfig, combined_filter
 from spectral_nsr.spectral import (
     DENSE_BOUND_LIMIT,
     ChebyshevFilter,
@@ -239,6 +239,16 @@ class TestEstimateLambdaMax:
             true = float(eigsh(lap.matrix, k=1, which="LA", return_eigenvectors=False)[0])
             est = estimate_lambda_max(lap)
             assert true <= est <= true * (1 + 1e-2), lap.kind
+
+    def test_bounds_are_python_floats(self, rng):
+        graphs = [random_graph(rng, 20), random_graph(rng, DENSE_BOUND_LIMIT + 20, density=0.1)]
+        for g in graphs:  # the dense path, then the Lanczos path
+            for lap in (combinatorial_laplacian(g), normalized_laplacian(g)):
+                assert type(estimate_lambda_max(lap)) is float, (g.node_count, lap.kind)
+        bounds = estimate_lambda_max(laplacians(graphs, COMBINATORIAL))
+        assert [type(bound) for bound in bounds] == [float, float]
+        out = Pipeline(PipelineConfig()).run_task(gen_dataset("transitive", 1, seed=0)[0])
+        assert type(out.lambda_max) is float
 
     def test_unconverged_lanczos_gives_gershgorin(self, rng, monkeypatch):
         def fail(*args, **kwargs):
