@@ -38,7 +38,6 @@ from .spectral import (
     ChebyshevFilter,
     FrequencyResponse,
     GraphSignal,
-    block_diagonal,
     block_signal,
     chebyshev_filter,
     estimate_lambda_max,
@@ -381,51 +380,51 @@ class PreparedGraph:
     `prepare_graph` and never changed: the bound on its spectrum
     (``lambda_max``), and its rows (``index``) in the `LaplacianBlock` of
     the pass that prepared it (``block``). What the nodes stand for stays
-    on the graph (`ReasoningGraph.labels`).
-
-    The graph's own `LaplacianMatrix`, ``laplacian``, is cut from the
-    block's arrays when it is first read and then kept; a graph prepared
-    alone reads its pass's matrix as it is. A block laid out from one
-    pass's graphs in its order reads none (`Block.layout`). The block's
-    arrays live as long as the entry of any of its graphs.
+    on the graph (`ReasoningGraph.labels`). The block's arrays live as
+    long as the entry of any of its graphs.
     """
 
     block: LaplacianBlock
     index: int
     lambda_max: float
 
-    @cached_property
-    def laplacian(self) -> LaplacianMatrix:
-        return self.block[self.index]
-
 
 def prepare_graph(cfg: PipelineConfig, graphs: Sequence[ReasoningGraph]) -> list[PreparedGraph]:
-    """Each graph's `PreparedGraph` for ``cfg``'s Laplacian kind and seed,
-    kept on the graph so it is freed with the graph. Rules and parameters
-    do not enter it, so any pipeline of that kind and seed reuses it. The
-    graphs were checked when they were made, so nothing is checked here.
+    """The entries of one preparation pass over exactly ``graphs``, in their
+    order, for ``cfg``'s Laplacian kind and seed. Each graph keeps its
+    entry, so it is freed with the graph. Rules and parameters do not
+    enter it, so any pipeline of that kind and seed reuses it. The graphs
+    were checked when they were made, so nothing is checked here.
 
-    Every graph without an entry gets one, all of them in one pass: one
-    `build_laplacian` call gives their Laplacians as one block, and one
-    `estimate_lambda_max` call bounds them all from the block's arrays, so
-    no matrix is built per graph. Each result is bit for bit what the
-    graph gets alone. Nothing is stored until both have succeeded, so a
-    preparation that raises keeps nothing for any graph of the block; its
-    error carries the stage tag ``laplacian`` or ``spectral``.
+    Graphs whose entries are one pass's, at indices 0..n-1, get them as
+    they are. Any other list (a warm block regrouped, warm and cold graphs
+    mixed, a graph listed twice) is prepared again as one pass: one
+    `build_laplacian` call gives the Laplacians as one block, and when a
+    graph is cold, one `estimate_lambda_max` call bounds them all from the
+    block's arrays; a warm list keeps its bounds, which are the ones the
+    block gives. No matrix is built per graph, and each result is bit for
+    bit what the graph gets alone. Nothing is stored until both calls have
+    succeeded, so a preparation that raises keeps nothing for any graph of
+    the list; its error carries the stage tag ``laplacian`` or
+    ``spectral``.
     """
     key = (cfg.laplacian, cfg.seed)
-    # each entry is read once, so a record returned is the one stored; a
-    # graph listed twice is prepared once
-    entries = {id(g): g.prepared.get(key) for g in graphs}
-    cold = list({id(g): g for g in graphs if entries[id(g)] is None}.values())
-    if cold:
-        with _stage("laplacian"):
-            block = build_laplacian(cfg, cold)
+    entries = [g.prepared.get(key) for g in graphs]
+    first = entries[0] if entries else None
+    if first and len(first.block) == len(entries):
+        if all(p and p.block is first.block and p.index == i for i, p in enumerate(entries)):
+            return entries
+    with _stage("laplacian"):
+        block = build_laplacian(cfg, graphs)
+    if None in entries:
         with _stage("spectral"):
             bounds = [max(bound, 1e-12) for bound in estimate_lambda_max(block, seed=cfg.seed)]
-        for i, (g, bound) in enumerate(zip(cold, bounds, strict=True)):
-            entries[id(g)] = g.prepared[key] = PreparedGraph(block, i, bound)
-    return [entries[id(g)] for g in graphs]
+    else:
+        bounds = [p.lambda_max for p in entries]
+    entries = [PreparedGraph(block, i, bound) for i, bound in enumerate(bounds)]
+    for g, p in zip(graphs, entries, strict=True):
+        g.prepared[key] = p
+    return entries
 
 
 class _Query(NamedTuple):
@@ -439,15 +438,10 @@ class _Query(NamedTuple):
 
 
 class _Layout(NamedTuple):
-    """A block's graphs prepared for one Laplacian kind and seed: each
-    graph's `PreparedGraph`, their block-diagonal Laplacian, and each
-    node's own graph's ``lambda_max`` (a scalar for a block of one).
-
-    When the graphs are exactly one preparation pass's graphs in its
-    order, as a cold block's are, the layout is that pass's
-    `LaplacianBlock`: its matrix as it is, and each graph's bound repeated
-    over its rows. Otherwise each graph's own Laplacian is read and
-    stacked (`block_diagonal`)."""
+    """A block's graphs prepared for one Laplacian kind and seed as one
+    pass (`prepare_graph`): each graph's `PreparedGraph`, the pass's
+    block-diagonal Laplacian as it is, and each node's own graph's
+    ``lambda_max``, repeated over its rows (a scalar for a block of one)."""
 
     prepared: list[PreparedGraph]
     laplacian: LaplacianMatrix
@@ -455,13 +449,10 @@ class _Layout(NamedTuple):
 
     @classmethod
     def of(cls, prepared: list[PreparedGraph]) -> "_Layout":
-        bounds = [p.lambda_max for p in prepared]
-        if len(prepared) > 1:
-            block = prepared[0].block
-            if len(block) == len(prepared) and all(p.block is block and p.index == i for i, p in enumerate(prepared)):
-                return cls(prepared, block.laplacian, np.repeat(np.asarray(bounds), np.diff(block.starts)))
-        lap, lambda_max, _ = block_diagonal([p.laplacian for p in prepared], bounds)
-        return cls(prepared, lap, lambda_max)
+        block = prepared[0].block
+        if len(prepared) == 1:
+            return cls(prepared, block.laplacian, prepared[0].lambda_max)
+        return cls(prepared, block.laplacian, np.repeat([p.lambda_max for p in prepared], np.diff(block.starts)))
 
 
 class _Labelled(NamedTuple):
@@ -488,10 +479,10 @@ class Block:
     epoch, pays for it once:
 
     - ``x``, the signal values end to end, checked once (`block_signal`);
-    - `layout`, per Laplacian kind and seed: the graphs' `PreparedGraph`s
-      (`prepare_graph`), their block-diagonal Laplacian and each node's
-      ``lambda_max`` (`_Layout`); when the graphs were cold, that is their
-      preparation pass's own block, with no matrix made per graph;
+    - `layout`, per Laplacian kind and seed: the `PreparedGraph`s of one
+      preparation pass over the graphs (`prepare_graph`), that pass's
+      block-diagonal Laplacian as it is and each node's ``lambda_max``
+      (`_Layout`), with no matrix made per graph;
     - ``compiled``, the KBs with their graphs' labels laid out as one
       program over the block's atoms (`symbolic.CompiledBlock`), which
       binding, chaining and scoring share;
@@ -524,9 +515,11 @@ class Block:
         return block_signal([task.x0 for task in self.tasks], self.node_starts)
 
     def layout(self, cfg: PipelineConfig) -> _Layout:
-        """The graphs prepared for ``cfg``'s Laplacian kind and seed, made on
-        first use and laid out as ``node_starts`` lays out the nodes
-        (`_Layout`): a cold block as its preparation pass's own block."""
+        """The graphs prepared for ``cfg``'s Laplacian kind and seed as one
+        pass, made on first use and laid out as ``node_starts`` lays out
+        the nodes (`_Layout`). A block of no tasks raises `BadParams`."""
+        if not self.graphs:
+            raise BadParams("a block of no tasks has no layout")
         key = (cfg.laplacian, cfg.seed)
         if key not in self._layouts:
             self._layouts[key] = _Layout.of(prepare_graph(cfg, self.graphs))
@@ -574,11 +567,12 @@ def run_pipeline(pipe: Pipeline, block: Block) -> list[PipelineOutput]:
 
     Stage 3 binds y > tau: each node whose filtered belief exceeds the
     threshold binds as the atom its label names (`ReasoningGraph.labels`);
-    one whose label its ``kb`` does not declare raises `UnmappedNode`. The
-    Laplacian and ``lambda_max`` come from `prepare_graph`. Module errors propagate with a ``stage`` tag attached.
+    one whose label its ``kb`` does not declare raises `UnmappedNode`.
+    Module errors propagate with a ``stage`` tag attached.
 
-    Every stage runs once for the whole block. The graphs are laid out
-    block-diagonally (`Block.layout`), so stage 2 makes one Chebyshev
+    Every stage runs once for the whole block. The graphs are laid out as
+    one preparation pass over them (`Block.layout`, `prepare_graph`): its
+    block-diagonal Laplacian as it is, so stage 2 makes one Chebyshev
     recurrence for all of them with the pipeline's one coefficient
     vector, each node keeping its own graph's ``lambda_max``. Stage 3
     makes one `hard_threshold`, one `bind_predicates` and one

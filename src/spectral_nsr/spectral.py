@@ -36,7 +36,7 @@ from .errors import (
     OutOfRange,
     TooLarge,
 )
-from .graph import NORMALIZED, LaplacianBlock, LaplacianMatrix, stack_csr
+from .graph import NORMALIZED, LaplacianBlock, LaplacianMatrix
 
 DENSE_LIMIT = 512
 
@@ -316,10 +316,11 @@ class ChebyshevFilter:
     """Polynomial filter h(lambda) = sum_k theta_k T_k(lambda~).
 
     ``lambda_max`` fixes the rescaling lambda~ = 2 lambda / lambda_max - 1
-    that maps the spectrum into [-1, 1]. On graphs stacked block-diagonally
-    (`block_diagonal`) each graph keeps its own rescaling: ``lambda_max``
-    then holds one value per node. ``coefficients`` is one vector, the
-    same on every node; a table of rows raises `BadParams`.
+    that maps the spectrum into [-1, 1]. On a block of graphs (a
+    `LaplacianBlock`'s block-diagonal matrix) each graph keeps its own
+    rescaling: ``lambda_max`` then holds one value per node.
+    ``coefficients`` is one vector, the same on every node; a table of
+    rows raises `BadParams`.
     """
 
     coefficients: np.ndarray
@@ -360,35 +361,10 @@ def _shifted_apply(matrix, lambda_max, x: np.ndarray) -> np.ndarray:
     return (2.0 / lambda_max) * (matrix @ x) - x
 
 
-def block_diagonal(
-    laplacians: Sequence[LaplacianMatrix], lambda_maxes: Sequence[float]
-) -> tuple[LaplacianMatrix, float | np.ndarray, np.ndarray]:
-    """Several graphs as one system, for one Chebyshev recurrence over all.
-
-    Returns the block-diagonal Laplacian (the graphs' CSR arrays,
-    offset-concatenated in order), each node's own graph's lambda_max, and
-    where each graph's nodes start, followed by the total node count. The
-    rescaling L~ = diag(2 / lambda_max) L - I then keeps every graph's
-    spectrum in [-1, 1], and each row of a product is the one its graph
-    gives alone. A single graph comes back as it is, with its scalar
-    lambda_max: nothing is assembled.
-    """
-    if len(laplacians) != len(lambda_maxes) or not laplacians:
-        raise BadParams(f"{len(laplacians)} Laplacians for {len(lambda_maxes)} lambda_max values")
-    matrix, starts = stack_csr([lap.matrix for lap in laplacians])
-    if len(laplacians) == 1:
-        return laplacians[0], lambda_maxes[0], starts
-    kinds = {lap.kind for lap in laplacians}
-    if len(kinds) != 1:
-        raise BadParams(f"cannot stack Laplacians of kinds {sorted(kinds)}")
-    lambda_max = np.repeat(np.asarray(lambda_maxes, dtype=np.float64), np.diff(starts))
-    return LaplacianMatrix(kinds.pop(), matrix), lambda_max, starts
-
-
 def block_signal(values: Sequence[np.ndarray] | Sequence[GraphSignal], starts: Sequence[int]) -> GraphSignal:
-    """The graphs' signal values end to end, as `block_diagonal` lays out
-    their nodes (``starts``), as one vertex signal. The block is checked
-    at once: one concatenation (none for a block of one), the one
+    """The graphs' signal values end to end, as a `LaplacianBlock` lays
+    out their nodes (``starts``), as one vertex signal. The block is
+    checked at once: one concatenation (none for a block of one), the one
     finiteness test of `vertex_signal`, and one comparison of every
     length with its own graph's node count, which names the first signal
     that does not fit. A block of one vertex `GraphSignal`, checked when
@@ -412,7 +388,8 @@ def chebyshev_stack(lap: LaplacianMatrix, lambda_max, x: np.ndarray, order: int)
     Costs exactly ``order`` sparse matrix-vector products. The stack is
     reused by the trainer: the filter output is linear in the
     coefficients, so d y / d theta_k is column k. ``lambda_max`` is a
-    scalar, or one value per node on a block (`block_diagonal`).
+    scalar, or one value per node on a block of graphs (a
+    `LaplacianBlock`'s block-diagonal matrix).
     """
     if order < 0:
         raise BadParams("order must be non-negative")

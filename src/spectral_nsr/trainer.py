@@ -38,7 +38,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .harness import SyntheticTask, TaskSplits, evaluate
-from .pipeline import Block, Pipeline, PipelineConfig, check_params, filter_coefficients, rule_rows
+from .pipeline import Block, Pipeline, PipelineConfig, check_params, filter_coefficients
 from .pipeline import config_as_read, config_as_written, retired_config_key
 from .rules import SpectralRule
 from .spectral import chebyshev_stack, series_operator
@@ -179,31 +179,26 @@ class TaskContext:
         return self.label_starts.size - 1
 
 
-def prepare_context(
-    tasks: Sequence[SyntheticTask],
-    cfg: PipelineConfig,
-    rules: tuple[SpectralRule, ...],
-    rows: np.ndarray | None = None,
-) -> TaskContext:
-    """The `TaskContext` of the tasks.
+def prepare_context(tasks: Sequence[SyntheticTask], cfg: PipelineConfig, rows: np.ndarray | None) -> TaskContext:
+    """The `TaskContext` of the tasks, with the rules' rows ``rows`` (a
+    `Pipeline`'s, on ``cfg``'s order), or None without rules.
 
     The tasks are laid out as `run_pipeline` lays out a block, by a
-    `pipeline.Block` of them: their graphs prepared together and stacked
-    block-diagonally (`Block.layout`), their signals end to end and
-    checked once (`Block.x`). One `chebyshev_stack` call covers the whole
-    split, of which one gather keeps the labelled rows
-    (`Block.labelled`). After the graphs are prepared, the first task
-    without labels raises `EmptyLabels`, or one that labels a node outside
-    its graph, if it comes first, `BadParams`. The rules' rows are
-    ``rows`` when given (a `Pipeline`'s, on the same rules and order), and
-    fitted here (`pipeline.rule_rows`) otherwise.
+    `pipeline.Block` of them: their graphs prepared as one pass, whose
+    block-diagonal Laplacian is used as it is (`Block.layout`), their
+    signals end to end and checked once (`Block.x`). One
+    `chebyshev_stack` call covers the whole split, of which one gather
+    keeps the labelled rows (`Block.labelled`). No tasks raise
+    `BadParams`. After the graphs are prepared, the first task without
+    labels raises `EmptyLabels`, or one that labels a node outside its
+    graph, if it comes first, `BadParams`.
     """
     block = Block(tasks, need_labels=True)
     layout, labelled = block.layout(cfg), block.labelled
-    stack = chebyshev_stack(layout.laplacian, layout.lambda_max, block.x.values, 2 * cfg.order if rules else cfg.order)
-    stack = stack[labelled.nodes]
+    degree = cfg.order if rows is None else 2 * cfg.order
+    stack = chebyshev_stack(layout.laplacian, layout.lambda_max, block.x.values, degree)[labelled.nodes]
     stack.setflags(write=False)
-    return TaskContext(stack, labelled.values, labelled.starts, rule_rows(rules, cfg.order) if rows is None else rows)
+    return TaskContext(stack, labelled.values, labelled.starts, rows)
 
 
 def task_loss_and_grads(
@@ -428,7 +423,7 @@ def train(
     # epoch's pipeline. The training split is laid out and its Chebyshev
     # stack made once here; the validation block is laid out by the first
     # epoch's validation, and kept for every later one
-    context = prepare_context(splits.train, cfg, pipe0.rules, pipe0.rows)
+    context = prepare_context(splits.train, cfg, pipe0.rows)
     val = Block(splits.val)
     rng = np.random.default_rng(run.seed)
 

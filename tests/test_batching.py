@@ -19,8 +19,10 @@ from spectral_nsr.pipeline import (
     Block,
     Pipeline,
     PipelineConfig,
+    build_laplacian,
     init_params,
     prepare_graph,
+    rule_rows,
 )
 from spectral_nsr.rules import SpectralRule, builtin_template, rule_coefficients
 from spectral_nsr.spectral import (
@@ -28,7 +30,6 @@ from spectral_nsr.spectral import (
     FIT_NODES,
     ChebyshevFilter,
     FrequencyResponse,
-    block_diagonal,
     chebyshev_filter,
     chebyshev_stack,
     eigendecompose,
@@ -123,7 +124,7 @@ def split_and_params(rng, order=PipelineConfig.order):
     tasks = gen_dataset("transitive", 5, seed=4) + gen_dataset("kinship", 4, seed=4)
     params = random_params(cfg, len(rules), rng)
     params["alpha"] = np.asarray(rng.uniform(2.0, 6.0))
-    return tasks, prepare_context(tasks, cfg, rules), params
+    return tasks, prepare_context(tasks, cfg, rule_rows(rules, order)), params
 
 
 def sparse_graph(n, seed, isolated=0):
@@ -203,15 +204,15 @@ class TestBlockPreparation:
             block = prepare_graph(cfg, preparation_block(specs, big, order_seed))
         graphs = preparation_block(specs, big, order_seed)
         alone = [prepare_graph(cfg, [graph])[0] for graph in graphs]
-        assert len({p.laplacian.node_count > DENSE_BOUND_LIMIT for p in block}) == (2 if big else 1)
+        assert len({graph.node_count > DENSE_BOUND_LIMIT for graph in graphs}) == (2 if big else 1)
         for b, a, graph in zip(block, alone, graphs, strict=True):
             oracle = laplacian_oracle(graph, laplacian)
-            for matrix in (b.laplacian.matrix, a.laplacian.matrix):
+            for matrix in (b.block[b.index].matrix, a.block[a.index].matrix):
                 assert matrix.shape == oracle.shape
                 for name in ("data", "indices", "indptr"):
                     got, want = getattr(matrix, name), getattr(oracle, name)
                     assert got.dtype == want.dtype and np.array_equal(got, want), name
-            assert b.lambda_max == a.lambda_max == max(estimate_lambda_max(a.laplacian), 1e-12)
+            assert b.lambda_max == a.lambda_max == max(estimate_lambda_max(a.block[a.index]), 1e-12)
             if 0 < graph.node_count <= DENSE_BOUND_LIMIT and oracle.nnz:
                 dense = oracle.toarray()
                 pad = graph.node_count * np.finfo(np.float64).eps * float(np.abs(dense).sum(axis=0).max())
@@ -255,22 +256,14 @@ class TestBlockBounds:
                 made.append(self)
 
         monkeypatch.setattr(graph, "LaplacianMatrix", Counted)
-        stacked = patch.object(pipeline, "block_diagonal", wraps=pipeline.block_diagonal)
         cfg = PipelineConfig()
         tasks = make_tasks([("transitive", 1 + i % 5, i) if i % 2 else ("kinship", 2 + i % 4, i) for i in range(100)])
         block = Block(tasks)
-        with stacked as block_diagonal:
-            evaluate(Pipeline(cfg), block, measure_latency=False)
+        evaluate(Pipeline(cfg), block, measure_latency=False)
         layout = block.layout(cfg)
-        # one matrix, the pass's block, laid out as it is: nothing per graph, nothing restacked
-        assert len(made) == 1 and layout.laplacian is made[0] and block_diagonal.call_count == 0
+        # one matrix, the pass's block, laid out as it is: nothing per graph
+        assert len(made) == 1 and layout.laplacian is made[0]
         assert all(p.block.laplacian is made[0] for p in layout.prepared)
-        # a graph's own Laplacian is cut from the block when it is read, then kept
-        lap = layout.prepared[7].laplacian
-        assert made == [layout.laplacian, lap] and layout.prepared[7].laplacian is lap
-        alone = prepare_graph(cfg, [make_tasks([("transitive", 3, 7)])[0].graph])[0].laplacian.matrix
-        for name in ("data", "indices", "indptr"):
-            assert np.array_equal(getattr(lap.matrix, name), getattr(alone, name)), name
 
 
 class TestBlockGradients:
@@ -279,7 +272,8 @@ class TestBlockGradients:
         tasks, split, params = split_and_params(rng, order)
         assert split.task_count >= 2
         value, grads = task_loss_and_grads(split, params)
-        singles = [task_loss_and_grads(prepare_context([task], PipelineConfig(order=order), rule_bank()), params)
+        rows = rule_rows(rule_bank(), order)
+        singles = [task_loss_and_grads(prepare_context([task], PipelineConfig(order=order), rows), params)
                    for task in tasks]
         assert value == pytest.approx(sum(v for v, _ in singles), rel=1e-12, abs=0)
         for key, grad in grads.items():
@@ -312,9 +306,10 @@ class TestBlockGradients:
     def test_single_context_is_its_own_block(self, rng):
         # a batch of one task of the split is that task's own context, bit for bit
         tasks, split, params = split_and_params(rng)
+        rows = rule_rows(rule_bank(), PipelineConfig.order)
         for i, task in enumerate(tasks):
             value, grads = task_loss_and_grads(split, params, [i])
-            alone, alone_grads = task_loss_and_grads(prepare_context([task], PipelineConfig(), rule_bank()), params)
+            alone, alone_grads = task_loss_and_grads(prepare_context([task], PipelineConfig(), rows), params)
             assert value == alone
             for key, grad in grads.items():
                 assert np.array_equal(grad, alone_grads[key]), key
@@ -329,14 +324,14 @@ class TestBlockGradients:
         spy = patch.object(trainer, "chebyshev_stack", wraps=trainer.chebyshev_stack)
         # the split is one block, one stack, however few bytes the chunked builders may take
         with patch.object(spectral, "STACK_BYTES", limit), spy as stack_calls:
-            split = prepare_context(tasks, cfg, rules)
+            split = prepare_context(tasks, cfg, Pipeline(cfg, rules=list(rules)).rows)
         assert stack_calls.call_count == 1
         assert split.task_count == len(tasks) and split.stack.shape[1] == degree + 1
         for i, task in enumerate(tasks):
             p = prepare_graph(cfg, [task.graph])[0]
             nodes = np.asarray(sorted(task.labels))
             lo, hi = split.label_starts[i], split.label_starts[i + 1]
-            own = chebyshev_stack(p.laplacian, p.lambda_max, task.x0, degree)[nodes]
+            own = chebyshev_stack(p.block[p.index], p.lambda_max, task.x0, degree)[nodes]
             assert np.array_equal(split.stack[lo:hi], own)
             assert split.label_values[lo:hi].tolist() == [task.labels[n] for n in nodes.tolist()]
         # every task shares the pipeline's one rows array
@@ -350,13 +345,13 @@ class TestBlockGradients:
     def test_tasks_must_fit_their_graphs(self):
         task = gen_transitive(2, seed=3)
         with pytest.raises(DimensionMismatch):
-            prepare_context([replace(task, x0=task.x0[:-1])], PipelineConfig(), ())
+            prepare_context([replace(task, x0=task.x0[:-1])], PipelineConfig(), None)
         with pytest.raises(BadParams):
-            prepare_context([replace(task, labels={**task.labels, task.graph.node_count: 1})], PipelineConfig(), ())
+            prepare_context([replace(task, labels={**task.labels, task.graph.node_count: 1})], PipelineConfig(), None)
         # a non-finite signal is refused as inference refuses it, not left to diverge
         poisoned = replace(task, x0=np.where(np.arange(task.x0.size) == 0, np.nan, task.x0))
         with pytest.raises(BadParams, match="non-finite"):
-            prepare_context([gen_transitive(3, seed=4), poisoned], PipelineConfig(), ())
+            prepare_context([gen_transitive(3, seed=4), poisoned], PipelineConfig(), None)
         with pytest.raises(BadParams, match="non-finite"):
             Pipeline(PipelineConfig()).run_task(poisoned)
         splits = TaskSplits(train=(poisoned, task), val=(task,), test=())
@@ -395,10 +390,11 @@ class TestComposedFilter:
         outputs = pipe.run_tasks(tasks)
         for task, out in zip(tasks, outputs, strict=True):
             p = prepare_graph(cfg, [task.graph])[0]
+            lap = p.block[p.index]
             rows = rule_coefficients(stretched(rules, p.lambda_max), p.lambda_max, order)
             coeffs = pipe.params["rule_weights"] @ rows
-            ruled = chebyshev_filter(p.laplacian, ChebyshevFilter(coeffs, p.lambda_max), vertex_signal(task.x0))
-            two_filters = chebyshev_filter(p.laplacian, ChebyshevFilter(pipe.params["theta"], p.lambda_max), ruled)
+            ruled = chebyshev_filter(lap, ChebyshevFilter(coeffs, p.lambda_max), vertex_signal(task.x0))
+            two_filters = chebyshev_filter(lap, ChebyshevFilter(pipe.params["theta"], p.lambda_max), ruled)
             scale = np.abs(two_filters.values).max()
             assert np.abs(out.y.values - two_filters.values).max() <= 1e-12 * scale
 
@@ -428,7 +424,7 @@ class TestComposedFilter:
                 response = FrequencyResponse(lambda lam: sample_response(learned, lam) * sample_response(ruled, lam))
             else:
                 response = learned.response()
-            want = exact_filter(eigendecompose(p.laplacian), response, vertex_signal(task.x0)).values
+            want = exact_filter(eigendecompose(p.block[p.index]), response, vertex_signal(task.x0)).values
             assert np.abs(out.y.values - want).max() <= 1e-12 * max(np.abs(want).max(), 1.0)
 
     @pytest.mark.parametrize("with_rules", [False, True])
@@ -461,31 +457,8 @@ class TestBlockEvaluate:
 
 
 class TestBlockDiagonal:
-    def test_stack_rows_are_each_graphs_own(self):
-        cfg = PipelineConfig(laplacian=NORMALIZED)
-        tasks = make_tasks([("transitive", 3, 1), ("kinship", 4, 2)])
-        prepared = [prepare_graph(cfg, [task.graph])[0] for task in tasks]
-        lap, lambda_max, starts = block_diagonal([p.laplacian for p in prepared], [p.lambda_max for p in prepared])
-        assert lap.kind == NORMALIZED and starts.tolist() == [0, prepared[0].laplacian.node_count, lap.node_count]
-        x = np.random.default_rng(0).standard_normal(lap.node_count)
-        stack = chebyshev_stack(lap, lambda_max, x, 5)
-        for p, lo, hi in zip(prepared, starts[:-1], starts[1:]):
-            assert np.array_equal(stack[lo:hi], chebyshev_stack(p.laplacian, p.lambda_max, x[lo:hi], 5))
-
-    def test_one_graph_is_not_assembled(self):
-        p = prepare_graph(PipelineConfig(), [gen_transitive(2, seed=1).graph])[0]
-        lap, lambda_max, starts = block_diagonal([p.laplacian], [p.lambda_max])
-        assert lap is p.laplacian and lambda_max == p.lambda_max and starts.tolist() == [0, lap.node_count]
-
-    def test_kinds_do_not_mix(self):
-        graph = gen_transitive(2, seed=1).graph
-        kinds = (COMBINATORIAL, NORMALIZED)
-        laps = [prepare_graph(PipelineConfig(laplacian=kind), [graph])[0].laplacian for kind in kinds]
-        with pytest.raises(BadParams):
-            block_diagonal(laps, [1.0, 1.0])
-
     def test_per_node_filter_checks_its_rows(self):
-        lap = prepare_graph(PipelineConfig(), [gen_transitive(2, seed=1).graph])[0].laplacian
+        lap = build_laplacian(PipelineConfig(), gen_transitive(2, seed=1).graph)
         n = lap.node_count
         x = vertex_signal(np.ones(n))
         # one coefficient vector serves every node: a table of rows is refused

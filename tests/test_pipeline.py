@@ -31,7 +31,7 @@ from spectral_nsr.pipeline import (
 from spectral_nsr.rules import SpectralRule, builtin_template, load_rules
 from spectral_nsr.spectral import ChebyshevFilter, chebyshev_filter, spectral_signal, vertex_signal
 from spectral_nsr.symbolic import KnowledgeBase
-from spectral_nsr.trainer import Checkpoint, TrainRun, train
+from spectral_nsr.trainer import Checkpoint, TrainRun, prepare_context, train
 
 DATA = Path(__file__).parent / "data"
 
@@ -178,7 +178,7 @@ class TestOutput:
         for task, out in zip(tasks, pipe.run_tasks(tasks), strict=True):
             assert out.theta_star.shape == (2 * cfg.order + 1 if rules else cfg.order + 1,)
             assert not out.theta_star.flags.writeable
-            lap = pipeline.prepare_graph(cfg, [task.graph])[0].laplacian
+            lap = pipeline.build_laplacian(cfg, task.graph)
             y = chebyshev_filter(lap, ChebyshevFilter(out.theta_star, out.lambda_max), vertex_signal(task.x0))
             assert np.array_equal(y.values, out.y.values)
 
@@ -186,6 +186,13 @@ class TestOutput:
         pipe = reference_pipeline()
         assert pipe.run_tasks([]) == []
         assert pipeline.run_pipeline(pipe, pipeline.Block([])) == []
+
+    def test_an_empty_block_has_no_layout(self):
+        # refused with a package error, which the CLI's exit codes map
+        with pytest.raises(BadParams):
+            pipeline.Block([]).layout(PipelineConfig())
+        with pytest.raises(BadParams):
+            prepare_context([], PipelineConfig(), None)
 
     def test_tau_is_one_threshold(self):
         # a per-node threshold is refused, even one that fits the graph,
@@ -562,14 +569,70 @@ class TestPreparedGraph:
         pipe = reference_pipeline()
         calls.update(query_calls())
         tasks = gen_dataset("transitive", 5, seed=8) + gen_dataset("kinship", 5, seed=8)
-        # a graph listed twice is prepared once; a query fits no rule
+        # a block with a graph listed twice is one pass; a query fits no rule
         pipe.run_tasks(tasks + tasks[:2])
         assert calls == query_calls(build_laplacian=1, estimate_lambda_max=1)
+        # a sub-block of warm graphs is laid out again as one pass, with its bounds kept
         pipe.run_tasks(tasks)
+        assert calls == query_calls(build_laplacian=2, estimate_lambda_max=1)
+
+    @pytest.mark.parametrize("laplacian", [COMBINATORIAL, NORMALIZED])
+    def test_regrouped_block_equals_its_cold_block(self, laplacian):
+        reference = reference_pipeline()
+        cfg = replace(reference.cfg, laplacian=laplacian)
+        pipe = Pipeline(cfg, rules=list(reference.rules), params=reference.params)
+        tasks = gen_dataset("transitive", 5, seed=9) + gen_dataset("kinship", 5, seed=9)
+        cold = pipe.run_tasks(tasks)
+        alone = [pipe.run_task(task) for task in tasks]
+        halves = pipe.run_tasks(tasks[:4]) + pipe.run_tasks(tasks[4:])
+        for regrouped in (alone, halves):
+            for out, want in zip(regrouped, cold, strict=True):
+                assert out.y.values.tobytes() == want.y.values.tobytes()
+                assert out.answers == want.answers
+                assert out.lambda_max == want.lambda_max
+
+    def test_regroup_builds_once_and_bounds_nothing(self, calls):
+        pipe = reference_pipeline()
+        tasks = gen_dataset("transitive", 3, seed=9) + gen_dataset("kinship", 3, seed=9)
+        pipe.run_tasks(tasks)
+        calls.update(query_calls())
+        # warm graphs keep their bounds: one Laplacian pass, no bound
+        pipe.run_tasks(tasks[1:4])
+        assert calls == query_calls(build_laplacian=1)
+        # the regrouped pass is kept, so the same grouping prepares nothing
+        pipe.run_tasks(tasks[1:4])
+        assert calls == query_calls(build_laplacian=1)
+
+    def test_mixed_block_is_bounded_in_one_call(self, calls):
+        pipe = reference_pipeline()
+
+        def tasks():
+            return gen_dataset("transitive", 3, seed=9) + gen_dataset("kinship", 3, seed=9)
+
+        mixed = tasks()
+        pipe.run_tasks(mixed[:2])
+        calls.update(query_calls())
+        outputs = pipe.run_tasks(mixed)
+        # two warm graphs and four cold ones: one pass, one bound call over all six
         assert calls == query_calls(build_laplacian=1, estimate_lambda_max=1)
+        for out, want in zip(outputs, pipe.run_tasks(tasks()), strict=True):
+            assert_same_output(out, want)
+            assert out.lambda_max == want.lambda_max
+
+    def test_graph_listed_twice_gives_its_own_output(self):
+        pipe = reference_pipeline()
+        task = gen_transitive(4, width=2, seed=11)
+        other = gen_dataset("kinship", 1, seed=3)[0]
+        # cold, then warm beside a cold graph, then warm
+        for block in ([task, task], [task, other, task], [task, task]):
+            first, *_, last = pipe.run_tasks(block)
+            alone = pipe.run_task(gen_transitive(4, width=2, seed=11))
+            for out in (first, last):
+                assert_same_output(out, alone)
+                assert out.lambda_max == alone.lambda_max
 
     def test_train_lays_out_each_split_once(self, monkeypatch):
-        counts = {"prepare_graph": 0, "block_diagonal": 0}
+        counts = {"prepare_graph": 0, "build_laplacian": 0}
         for name in counts:
             original = getattr(pipeline, name)
 
@@ -583,9 +646,8 @@ class TestPreparedGraph:
         result = train(PipelineConfig(tau=0.4), splits, train_run, rules=tuple(reference_pipeline().rules))
         assert len(result.history) == 4
         # one pass for the training split, one for the validation block its four
-        # epochs share; each split is cold, so it is laid out as its pass's own
-        # block, with nothing restacked
-        assert counts == {"prepare_graph": 2, "block_diagonal": 0}
+        # epochs share; each split is cold, so each is one pass, built once
+        assert counts == {"prepare_graph": 2, "build_laplacian": 2}
 
     def test_training_twice_on_the_same_splits(self, calls):
         def splits():

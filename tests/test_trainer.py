@@ -18,6 +18,7 @@ from spectral_nsr.pipeline import (
     init_params,
     initial_filter_response,
     prepare_graph,
+    rule_rows,
 )
 from spectral_nsr.rules import SpectralRule, builtin_template
 from spectral_nsr.spectral import fit_chebyshev, sample_response
@@ -50,7 +51,7 @@ def make_instance(rng, n=12, order=4, n_rules=2):
     labeled = rng.permutation(n)[: max(n // 2, 2)]
     label_nodes = np.sort(labeled)
     label_values = rng.integers(0, 2, size=label_nodes.size)
-    ctx = prepare_context([graph_task(g, x0, dict(zip(label_nodes.tolist(), label_values.tolist())))], cfg, rules)
+    ctx = prepare_context([graph_task(g, x0, dict(zip(label_nodes.tolist(), label_values.tolist())))], cfg, rule_rows(rules, order))
     params = {
         "theta": rng.standard_normal(order + 1) * 0.5,
         "rule_weights": rng.uniform(0.2, 1.0, size=n_rules),
@@ -121,15 +122,15 @@ class TestLoss:
     def test_empty_labels(self, rng):
         task = graph_task(random_graph(rng, 6, density=0.5), np.full(6, 0.5), {})
         with pytest.raises(EmptyLabels):
-            prepare_context([task], PipelineConfig(), ())
+            prepare_context([task], PipelineConfig(), None)
 
     def test_refusals_come_in_task_order(self, rng):
         empty = graph_task(random_graph(rng, 6, density=0.5), np.full(6, 0.5), {})
         outside = graph_task(random_graph(rng, 5, density=0.5), np.full(5, 0.5), {1: 1, 5: 0})
         with pytest.raises(EmptyLabels):
-            prepare_context([empty, outside], PipelineConfig(), ())
+            prepare_context([empty, outside], PipelineConfig(), None)
         with pytest.raises(BadParams, match="labels nodes outside its 5 nodes"):
-            prepare_context([outside, empty], PipelineConfig(), ())
+            prepare_context([outside, empty], PipelineConfig(), None)
 
 
 class TestGradTheta:
@@ -397,7 +398,7 @@ class TestForwardAgreement:
             p = np.clip(expit(alpha * (out.y.values[nodes] - tau)), 1e-7, 1 - 1e-7)
             targets = np.array([task.labels[i] for i in nodes], dtype=np.float64)
             expected = -np.mean(targets * np.log(p) + (1 - targets) * np.log(1 - p))
-            got, _ = task_loss_and_grads(prepare_context([task], cfg, rules), params)
+            got, _ = task_loss_and_grads(prepare_context([task], cfg, pipe.rows), params)
             assert got == pytest.approx(expected, rel=1e-12, abs=0), task.task_id
 
 
