@@ -12,7 +12,7 @@ an evaluation harness; the ``spectral-nsr`` command exposes all of it.
 
 from .errors import NumericalError, SpectralNsrError, ValidationError
 from .graph import (
-    LaplacianMatrix,
+    Laplacian,
     NodeMeta,
     ReasoningGraph,
     build_graph,
@@ -33,7 +33,6 @@ from .spectral import (
     exact_filter,
     fit_chebyshev,
     gft,
-    igft,
     sample_response,
 )
 from .symbolic import (
@@ -54,7 +53,7 @@ __all__ = [
     "NumericalError",
     "ReasoningGraph",
     "NodeMeta",
-    "LaplacianMatrix",
+    "Laplacian",
     "build_graph",
     "combinatorial_laplacian",
     "normalized_laplacian",
@@ -64,7 +63,6 @@ __all__ = [
     "ChebyshevFilter",
     "eigendecompose",
     "gft",
-    "igft",
     "exact_filter",
     "estimate_lambda_max",
     "chebyshev_filter",

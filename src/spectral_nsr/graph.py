@@ -4,8 +4,11 @@ A reasoning graph is an undirected, weighted graph whose nodes stand for
 entities, facts, or propositions and whose edge weights are non-negative
 similarity scores. A graph is checked once, when it is made
 (`ReasoningGraph.validate`), so every Laplacian derived from it holds its
-invariants by construction. Graphs and Laplacians are immutable after
-construction and safe to share across threads.
+invariants by construction. A Laplacian is an operator on the graphs'
+stacked adjacency and their degrees (`Laplacian`): L x is a diagonal term
+plus one adjacency product, and no D - A is ever assembled. Graphs and
+Laplacians are immutable after construction and safe to share across
+threads.
 """
 
 from __future__ import annotations
@@ -149,24 +152,6 @@ def build_graph(nodes: Sequence[NodeMeta], edges: Iterable[tuple[int, int, float
     return ReasoningGraph(metas, adj)
 
 
-@dataclass(frozen=True)
-class LaplacianMatrix:
-    """A combinatorial or normalized graph Laplacian, as `laplacians`
-    derives it from a valid graph: exactly symmetric, and for the
-    combinatorial kind with rows that sum to 0 up to rounding.
-
-    A prepared graph shares one instance across queries and training
-    runs, so its arrays must never be modified in place.
-    """
-
-    kind: str
-    matrix: sp.csr_array
-
-    @property
-    def node_count(self) -> int:
-        return self.matrix.shape[0]
-
-
 def stack_csr(mats: Sequence[sp.csr_array]) -> tuple[sp.csr_array, np.ndarray]:
     """Square CSR arrays as one block-diagonal array, and where each block's
     rows start, followed by the total row count.
@@ -189,78 +174,95 @@ def stack_csr(mats: Sequence[sp.csr_array]) -> tuple[sp.csr_array, np.ndarray]:
 
 
 @dataclass(frozen=True, eq=False)
-class LaplacianBlock(Sequence):
-    """Several graphs' Laplacians of one kind as `laplacians` builds them:
-    one block-diagonal `LaplacianMatrix` (``laplacian``), where each
-    graph's rows start followed by the total row count (``starts``), and
-    each graph's own index type (``index_dtypes``).
+class Laplacian:
+    """The Laplacian of one or more graphs of one kind, as `laplacians`
+    derives it: an operator on their block-diagonal adjacency
+    (``adjacency``, `stack_csr`), with where each graph's rows start
+    followed by the total row count (``starts``) and the row sums
+    (``degrees``). No D - A is assembled; ``lap @ x`` is
 
-    As a sequence, item i is graph i's own `LaplacianMatrix`, cut from the
-    block's arrays when it is asked for and bit for bit the graph's own
-    build; a block of one gives its Laplacian as it is. The arrays are
-    shared, so they must never be modified in place.
+    - combinatorial: L x = d * x - A x;
+    - normalized: L x = x - s * A (s * x), with s = d^(-1/2) (``scale``)
+      and 0 on an isolated node, whose row thus keeps diagonal 1, which
+      keeps the spectrum inside [0, 2].
+
+    Every step acts row by row, so each graph's rows of ``lap @ x`` are bit
+    for bit those of its own operator. A prepared graph shares one
+    instance across queries and training runs, so its arrays must never be
+    modified in place.
     """
 
-    laplacian: LaplacianMatrix
+    kind: str
+    adjacency: sp.csr_array
     starts: np.ndarray
-    index_dtypes: tuple[np.dtype, ...]
+    degrees: np.ndarray
 
-    def __len__(self) -> int:
-        return len(self.index_dtypes)
+    @property
+    def node_count(self) -> int:
+        return self.degrees.size
 
-    def __getitem__(self, i: int) -> LaplacianMatrix:
-        i = range(len(self))[i]
-        if len(self) == 1:
-            return self.laplacian
-        lap = self.laplacian.matrix
-        lo, hi = self.starts[i], self.starts[i + 1]
-        first, last = lap.indptr[lo], lap.indptr[hi]
-        # each graph's index type is its adjacency's, as its own build keeps it
-        dtype = self.index_dtypes[i]
-        indptr = (lap.indptr[lo : hi + 1] - first).astype(dtype)
-        indices = (lap.indices[first:last] - lo).astype(dtype)
-        # a copy, so a graph's own matrix does not keep the block's arrays alive
-        matrix = sp.csr_array((lap.data[first:last].copy(), indices, indptr), shape=(hi - lo, hi - lo))
-        return LaplacianMatrix(self.laplacian.kind, matrix)
+    @property
+    def graph_count(self) -> int:
+        return self.starts.size - 1
+
+    @cached_property
+    def scale(self) -> np.ndarray:
+        d = self.degrees
+        return np.where(d > 0.0, 1.0 / np.sqrt(np.where(d > 0.0, d, 1.0)), 0.0)
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        # each in-place step is the same operation as its plain form, with one
+        # temporary fewer on a large graph
+        if self.kind == NORMALIZED:
+            y = self.adjacency @ (self.scale * x)
+            y *= self.scale
+            return np.subtract(x, y, out=y)
+        y = self.degrees * x
+        y -= self.adjacency @ x
+        return y
+
+    def entries(self) -> tuple[np.ndarray, np.ndarray]:
+        """The row of each stacked adjacency entry, and its off-diagonal
+        entry of L: -a_ij, or -a_ij (s_i s_j) for the normalized kind,
+        which is exactly symmetric."""
+        a = self.adjacency
+        rows = np.repeat(np.arange(self.node_count), np.diff(a.indptr))
+        if self.kind == COMBINATORIAL:
+            return rows, -a.data
+        return rows, -a.data * (self.scale[rows] * self.scale[a.indices])
+
+    def diagonal(self) -> np.ndarray:
+        """The diagonal of L: the degrees, or 1 for the normalized kind."""
+        return self.degrees if self.kind == COMBINATORIAL else np.ones(self.node_count)
+
+    def toarray(self) -> np.ndarray:
+        """L as a dense array: the entries summed in order, as scipy's
+        ``toarray`` sums them, with the diagonal set."""
+        n = self.node_count
+        rows, values = self.entries()
+        dense = np.bincount(rows * n + self.adjacency.indices, weights=values, minlength=n * n).reshape(n, n)
+        np.fill_diagonal(dense, self.diagonal())
+        return dense
 
 
-def laplacians(graphs: Sequence[ReasoningGraph], kind: str) -> LaplacianBlock:
-    """The graphs' Laplacians of ``kind``, built as one block in one pass.
-
-    The adjacencies are stacked block-diagonally (`stack_csr`) and the
-    Laplacian is formed once for the block, with no matrix per graph.
-    Every step acts row by row, so each graph's rows are bit for bit its
-    own build's; one graph is built as it is, with nothing stacked.
-
-    The combinatorial kind is L = D - A, exactly symmetric since A is.
-    The normalized kind is I - D^{-1/2} A D^{-1/2}, made exactly symmetric
-    by averaging it with its transpose; isolated nodes are
-    self-normalized: their row keeps diagonal 1 and zero off-diagonals,
-    which keeps the spectrum inside [0, 2].
-    """
+def laplacians(graphs: Sequence[ReasoningGraph], kind: str) -> Laplacian:
+    """The graphs' Laplacian of ``kind`` as one operator: their adjacencies
+    stacked block-diagonally (`stack_csr`; one graph as it is) and their
+    degrees in one row-sum pass, with no matrix per graph."""
     if kind not in (COMBINATORIAL, NORMALIZED):
         raise BadParams(f"unknown laplacian kind {kind!r}")
     adjacency, starts = stack_csr([g.adjacency for g in graphs])
-    d = np.asarray(adjacency.sum(axis=1), dtype=np.float64).reshape(-1)
-    if kind == COMBINATORIAL:
-        lap = sp.csr_array(sp.diags_array(d, format="csr") - adjacency)
-    else:
-        with np.errstate(divide="ignore"):
-            dinv = np.where(d > 0.0, 1.0 / np.sqrt(np.where(d > 0.0, d, 1.0)), 0.0)
-        scaled = adjacency.multiply(dinv[:, None]).multiply(dinv[None, :])
-        lap = sp.eye_array(d.size, format="csr") - sp.csr_array(scaled)
-        lap = sp.csr_array((lap + lap.T) * 0.5)  # restore exact symmetry lost to fp rounding
-    return LaplacianBlock(LaplacianMatrix(kind, lap), starts, tuple(g.adjacency.indices.dtype for g in graphs))
+    return Laplacian(kind, adjacency, starts, np.asarray(adjacency.sum(axis=1), dtype=np.float64).reshape(-1))
 
 
-def combinatorial_laplacian(g: ReasoningGraph) -> LaplacianMatrix:
+def combinatorial_laplacian(g: ReasoningGraph) -> Laplacian:
     """L = D - A."""
-    return laplacians([g], COMBINATORIAL)[0]
+    return laplacians([g], COMBINATORIAL)
 
 
-def normalized_laplacian(g: ReasoningGraph) -> LaplacianMatrix:
-    """Normalized Laplacian I - D^{-1/2} A D^{-1/2}; see `laplacians`."""
-    return laplacians([g], NORMALIZED)[0]
+def normalized_laplacian(g: ReasoningGraph) -> Laplacian:
+    """Normalized Laplacian I - D^{-1/2} A D^{-1/2}; see `Laplacian`."""
+    return laplacians([g], NORMALIZED)
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,13 @@
 
 Every query runs on a block of graphs (`run_pipeline`); one graph is a
 block of one. A `Block` keeps what depends only on its tasks, so one made
-once can be run under many parameter sets. Stage 1 builds each graph's
-Laplacian. Stage 2 applies the weighted sum of the rule templates and
-the learned filter as one Chebyshev polynomial of the Laplacian
-(`filter_coefficients`), so no eigenbasis is formed, in one recurrence
-over the block. Stage 3 holds a node true when its filtered belief y
-exceeds the threshold tau, binds the true nodes as facts of their graphs'
+once can be run under many parameter sets. Stage 1 lays out the block's
+Laplacian, an operator on the graphs' stacked adjacency and degrees
+(`graph.Laplacian`), and bounds each graph's spectrum. Stage 2 applies
+the weighted sum of the rule templates and the learned filter as one
+Chebyshev polynomial of the Laplacian (`filter_coefficients`), so no
+eigenbasis is formed, in one recurrence over the block. Stage 3 holds a
+node true when its filtered belief y exceeds the threshold tau, binds the true nodes as facts of their graphs'
 KBs and forward chains every KB to its answer set, each step once for the
 whole block. Each graph's output is a view of the block's arrays
 (`PipelineOutput`), and its proof traces are made only when they are read.
@@ -31,7 +32,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import BadParams, DomainMismatch, EmptyLabels, FormatError, SpectralNsrError
-from .graph import COMBINATORIAL, NORMALIZED, LaplacianBlock, LaplacianMatrix, ReasoningGraph, laplacians
+from .graph import COMBINATORIAL, NORMALIZED, Laplacian, ReasoningGraph, laplacians
 from .rules import SpectralRule, load_rules, rule_coefficients
 from .spectral import (
     VERTEX,
@@ -364,27 +365,23 @@ def _stage(name: str):
         raise
 
 
-def build_laplacian(
-    cfg: PipelineConfig, graph: ReasoningGraph | Sequence[ReasoningGraph]
-) -> LaplacianMatrix | LaplacianBlock:
-    """The graph's Laplacian of ``cfg``'s kind; a list of graphs gives their
-    Laplacians as one block, built in one pass (`graph.laplacians`)."""
-    if isinstance(graph, ReasoningGraph):
-        return laplacians([graph], cfg.laplacian)[0]
-    return laplacians(graph, cfg.laplacian)
+def build_laplacian(cfg: PipelineConfig, graph: ReasoningGraph | Sequence[ReasoningGraph]) -> Laplacian:
+    """The Laplacian operator of ``cfg``'s kind of a graph, or of a list of
+    graphs as one block (`graph.laplacians`)."""
+    return laplacians([graph] if isinstance(graph, ReasoningGraph) else graph, cfg.laplacian)
 
 
 @dataclass(frozen=True, eq=False)
 class PreparedGraph:
     """What preparation derives from a graph for stage 2, made whole by
     `prepare_graph` and never changed: the bound on its spectrum
-    (``lambda_max``), and its rows (``index``) in the `LaplacianBlock` of
-    the pass that prepared it (``block``). What the nodes stand for stays
-    on the graph (`ReasoningGraph.labels`). The block's arrays live as
-    long as the entry of any of its graphs.
+    (``lambda_max``), and its place (``index``) in the `Laplacian`
+    operator of the pass that prepared it (``block``). What the nodes
+    stand for stays on the graph (`ReasoningGraph.labels`). The block's
+    arrays live as long as the entry of any of its graphs.
     """
 
-    block: LaplacianBlock
+    block: Laplacian
     index: int
     lambda_max: float
 
@@ -399,19 +396,19 @@ def prepare_graph(cfg: PipelineConfig, graphs: Sequence[ReasoningGraph]) -> list
     Graphs whose entries are one pass's, at indices 0..n-1, get them as
     they are. Any other list (a warm block regrouped, warm and cold graphs
     mixed, a graph listed twice) is prepared again as one pass: one
-    `build_laplacian` call gives the Laplacians as one block, and when a
-    graph is cold, one `estimate_lambda_max` call bounds them all from the
-    block's arrays; a warm list keeps its bounds, which are the ones the
-    block gives. No matrix is built per graph, and each result is bit for
-    bit what the graph gets alone. Nothing is stored until both calls have
-    succeeded, so a preparation that raises keeps nothing for any graph of
-    the list; its error carries the stage tag ``laplacian`` or
-    ``spectral``.
+    `build_laplacian` call gives the block's Laplacian operator, its
+    stacked adjacency and degrees, and when a graph is cold, one
+    `estimate_lambda_max` call bounds them all from the operator's arrays;
+    a warm list keeps its bounds, which are the ones the block gives. No
+    matrix is built per graph, and each result is bit for bit what the
+    graph gets alone. Nothing is stored until both calls have succeeded,
+    so a preparation that raises keeps nothing for any graph of the list;
+    its error carries the stage tag ``laplacian`` or ``spectral``.
     """
     key = (cfg.laplacian, cfg.seed)
     entries = [g.prepared.get(key) for g in graphs]
     first = entries[0] if entries else None
-    if first and len(first.block) == len(entries):
+    if first and first.block.graph_count == len(entries):
         if all(p and p.block is first.block and p.index == i for i, p in enumerate(entries)):
             return entries
     with _stage("laplacian"):
@@ -440,19 +437,19 @@ class _Query(NamedTuple):
 class _Layout(NamedTuple):
     """A block's graphs prepared for one Laplacian kind and seed as one
     pass (`prepare_graph`): each graph's `PreparedGraph`, the pass's
-    block-diagonal Laplacian as it is, and each node's own graph's
+    Laplacian operator as it is, and each node's own graph's
     ``lambda_max``, repeated over its rows (a scalar for a block of one)."""
 
     prepared: list[PreparedGraph]
-    laplacian: LaplacianMatrix
+    laplacian: Laplacian
     lambda_max: float | np.ndarray
 
     @classmethod
     def of(cls, prepared: list[PreparedGraph]) -> "_Layout":
         block = prepared[0].block
         if len(prepared) == 1:
-            return cls(prepared, block.laplacian, prepared[0].lambda_max)
-        return cls(prepared, block.laplacian, np.repeat([p.lambda_max for p in prepared], np.diff(block.starts)))
+            return cls(prepared, block, prepared[0].lambda_max)
+        return cls(prepared, block, np.repeat([p.lambda_max for p in prepared], np.diff(block.starts)))
 
 
 class _Labelled(NamedTuple):
@@ -481,7 +478,7 @@ class Block:
     - ``x``, the signal values end to end, checked once (`block_signal`);
     - `layout`, per Laplacian kind and seed: the `PreparedGraph`s of one
       preparation pass over the graphs (`prepare_graph`), that pass's
-      block-diagonal Laplacian as it is and each node's ``lambda_max``
+      Laplacian operator as it is and each node's ``lambda_max``
       (`_Layout`), with no matrix made per graph;
     - ``compiled``, the KBs with their graphs' labels laid out as one
       program over the block's atoms (`symbolic.CompiledBlock`), which
@@ -572,10 +569,10 @@ def run_pipeline(pipe: Pipeline, block: Block) -> list[PipelineOutput]:
 
     Every stage runs once for the whole block. The graphs are laid out as
     one preparation pass over them (`Block.layout`, `prepare_graph`): its
-    block-diagonal Laplacian as it is, so stage 2 makes one Chebyshev
-    recurrence for all of them with the pipeline's one coefficient
-    vector, each node keeping its own graph's ``lambda_max``. Stage 3
-    makes one `hard_threshold`, one `bind_predicates` and one
+    Laplacian operator on their stacked adjacency as it is, so stage 2
+    makes one Chebyshev recurrence for all of them with the pipeline's one
+    coefficient vector, each node keeping its own graph's ``lambda_max``.
+    Stage 3 makes one `hard_threshold`, one `bind_predicates` and one
     `forward_chain` call on the block, the last over the KBs' compiled
     forms laid end to end. Output i is a view of graph i's part of the
     block, bit for bit what graph i gives alone. One graph is a block of

@@ -2,11 +2,12 @@
 
 Two filtering routes are provided. The Chebyshev route, which the
 pipeline and the trainer use, evaluates a polynomial response with K
-sparse matrix-vector products and never materializes the basis, so it
-scales linearly in the edge count. It maps the spectrum into [-1, 1] with
-an upper bound on the top eigenvalue, which `estimate_lambda_max`
-guarantees. The exact route diagonalizes the Laplacian and applies an
-arbitrary frequency response in the eigenbasis; it is limited to graphs
+products with the Laplacian operator (`graph.Laplacian`, one adjacency
+product each) and never materializes the basis, so it scales linearly in
+the edge count. It maps the spectrum into [-1, 1] with an upper bound on
+the top eigenvalue, which `estimate_lambda_max` guarantees. The exact
+route diagonalizes the Laplacian's dense form and applies an arbitrary
+frequency response in the eigenbasis; it is limited to graphs
 small enough for a dense eigendecomposition and serves as the reference
 the Chebyshev route is checked against.
 """
@@ -36,7 +37,7 @@ from .errors import (
     OutOfRange,
     TooLarge,
 )
-from .graph import NORMALIZED, LaplacianBlock, LaplacianMatrix
+from .graph import NORMALIZED, Laplacian
 
 DENSE_LIMIT = 512
 
@@ -124,22 +125,6 @@ class SpectralBasis:
     def node_count(self) -> int:
         return self.eigenvalues.shape[0]
 
-    def validate(self, laplacian: LaplacianMatrix | None = None) -> None:
-        lam, u = self.eigenvalues, self.eigenvectors
-        if np.any(np.diff(lam) < 0):
-            raise BadParams("eigenvalues are not ascending")
-        if lam[0] < -1e-9:
-            raise BadParams(f"smallest eigenvalue {lam[0]} below -1e-9")
-        gram = u.T @ u - np.eye(len(lam))
-        if np.abs(gram).max() > 1e-8:
-            raise BadParams("eigenvectors are not orthonormal")
-        if laplacian is not None:
-            rec = (u * lam) @ u.T
-            dense = laplacian.matrix.toarray()
-            scale = max(np.abs(dense).max(), 1.0)
-            if np.abs(rec - dense).max() > 1e-7 * scale:
-                raise BadParams("eigenpairs do not reconstruct the Laplacian")
-
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     """Flip eigenvector signs so the first non-negligible entry is positive."""
@@ -152,8 +137,8 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
-def eigendecompose(lap: LaplacianMatrix, limit: int = DENSE_LIMIT) -> SpectralBasis:
-    """Full dense eigendecomposition of a Laplacian.
+def eigendecompose(lap: Laplacian, limit: int = DENSE_LIMIT) -> SpectralBasis:
+    """Full dense eigendecomposition of a Laplacian (`Laplacian.toarray`).
 
     Refuses graphs larger than ``limit`` nodes (TooLarge); callers above
     the limit should stay on the Chebyshev path.
@@ -162,7 +147,7 @@ def eigendecompose(lap: LaplacianMatrix, limit: int = DENSE_LIMIT) -> SpectralBa
     if n > limit:
         raise TooLarge(f"N={n} exceeds the dense eigendecomposition limit {limit}")
     try:
-        vals, vecs = np.linalg.eigh(lap.matrix.toarray())
+        vals, vecs = np.linalg.eigh(lap.toarray())
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigendecomposition failed: {exc}") from exc
     return SpectralBasis(vals, _fix_signs(vecs))
@@ -175,15 +160,6 @@ def gft(basis: SpectralBasis, x: GraphSignal) -> GraphSignal:
     if len(x) != basis.node_count:
         raise DimensionMismatch(f"signal length {len(x)} != {basis.node_count}")
     return spectral_signal(basis.eigenvectors.T @ x.values)
-
-
-def igft(basis: SpectralBasis, xhat: GraphSignal) -> GraphSignal:
-    """Inverse transform: x = U xhat."""
-    if xhat.domain != SPECTRAL:
-        raise DomainMismatch("igft expects a spectral-domain signal")
-    if len(xhat) != basis.node_count:
-        raise DimensionMismatch(f"signal length {len(xhat)} != {basis.node_count}")
-    return vertex_signal(basis.eigenvectors @ xhat.values)
 
 
 def exact_filter(basis: SpectralBasis, response: FrequencyResponse, x: GraphSignal) -> GraphSignal:
@@ -204,43 +180,42 @@ def exact_filter(basis: SpectralBasis, response: FrequencyResponse, x: GraphSign
     return vertex_signal(y)
 
 
-def estimate_lambda_max(lap: LaplacianMatrix | LaplacianBlock, seed: int = 0) -> float | list[float]:
-    """An upper bound on the largest eigenvalue, for the Chebyshev rescaling.
+def estimate_lambda_max(lap: Laplacian, seed: int = 0) -> list[float]:
+    """An upper bound on the largest eigenvalue of each graph's Laplacian,
+    for the Chebyshev rescaling: one Python float per graph, each the one
+    the graph gives alone.
 
     Up to `DENSE_BOUND_LIMIT` nodes the top eigenvalue comes from a dense
     ``eigvalsh``, padded by n eps ||L||_1, which covers its rounding error.
-    Larger graphs take the top Ritz pair (theta, v) of a Lanczos run
-    started from a ``seed``-drawn vector. Some eigenvalue lies within the
-    residual ||L v - theta v|| of theta, and Lanczos reaches the top of the
-    spectrum first, so theta plus the residual bounds the top eigenvalue;
-    it is capped at the Gershgorin row-sum bound, and at 2 for a
+    The dense graphs of each node count are gathered from the operator's
+    stacked arrays into one stacked array, the off-diagonal entries of L
+    scattered and the diagonal set (`Laplacian.entries`,
+    `Laplacian.diagonal`; a block of one takes `Laplacian.toarray`), and
+    take one ``eigvalsh`` call (per `STACK_BYTES`). Larger graphs take the
+    top Ritz pair (theta, v) of a Lanczos run on the operator, started from
+    a ``seed``-drawn vector. Some eigenvalue lies within the residual
+    ||L v - theta v|| of theta, and Lanczos reaches the top of the spectrum
+    first, so theta plus the residual bounds the top eigenvalue; it is
+    capped at the Gershgorin bound from the degrees, 2 max d_i, or 2 for a
     normalized Laplacian. A solver that does not converge gives that cap,
-    which always holds. A graph with no entry gets 0.
-
-    A `LaplacianBlock` gives a list of bounds, each the one its graph's
-    Laplacian gives alone, in one pass over the block's arrays: the dense
-    graphs of each node count are scattered from them into one stacked
-    array and take one ``eigvalsh`` call (per `STACK_BYTES`), and only the
-    graphs above `DENSE_BOUND_LIMIT` are cut out (`_lanczos_bound`). Every
-    bound is a Python float.
+    which always holds. A combinatorial graph with no entry gets 0.
     """
-    if isinstance(lap, LaplacianMatrix):
-        one = LaplacianBlock(lap, np.array([0, lap.node_count]), (lap.matrix.indices.dtype,))
-        return estimate_lambda_max(one, seed)[0]
-    m, starts, kind = lap.laplacian.matrix, lap.starts, lap.laplacian.kind
-    sizes, ptr = np.diff(starts), m.indptr[starts]
+    indptr, starts, kind = lap.adjacency.indptr, lap.starts, lap.kind
+    sizes, ptr = np.diff(starts), indptr[starts]
+    # a normalized Laplacian is the identity on a graph with no edge
+    filled = sizes if kind == NORMALIZED else np.diff(ptr)
     bounds = np.zeros(sizes.size)
     groups = defaultdict(list)  # the dense graphs of each node count
-    for i, (n, nnz) in enumerate(zip(sizes.tolist(), np.diff(ptr).tolist())):
+    for i, (n, nnz) in enumerate(zip(sizes.tolist(), filled.tolist())):
         if nnz and n <= DENSE_BOUND_LIMIT:
             groups[n].append(i)
         elif nnz:
-            bounds[i] = _lanczos_bound(lap[i], seed)
+            bounds[i] = _lanczos_bound(lap, i, seed)
     if not groups:
         return bounds.tolist()
-    if len(lap) == 1:
+    if lap.graph_count == 1:
         # one dense graph is its own stack, with nothing to gather
-        return _dense_bounds(m.toarray()[None], kind).tolist()
+        return _dense_bounds(lap.toarray()[None], kind).tolist()
     # dense graph k, group by group, takes the n^2 slots from at[k] of a flat
     # array that each chunk builds its own part of, and its entries are the
     # ones from first[k] of all their entries gathered in that order
@@ -249,9 +224,10 @@ def estimate_lambda_max(lap: LaplacianMatrix | LaplacianBlock, seed: int = 0) ->
     at = np.concatenate(([0], np.cumsum(nodes * nodes)))
     first = np.concatenate(([0], np.cumsum(nnz)))
     where = np.arange(first[-1]) + np.repeat(ptr[order] - first[:-1], nnz)
-    rows = np.searchsorted(m.indptr, where, side="right") - 1
-    slots = np.repeat(at[:-1] - lo * (nodes + 1), nnz) + rows * np.repeat(nodes, nnz) + m.indices[where]
-    data = m.data[where]
+    rows, values = lap.entries()
+    cols = lap.adjacency.indices[where]
+    slots = np.repeat(at[:-1] - lo * (nodes + 1), nnz) + rows[where] * np.repeat(nodes, nnz) + cols
+    data, diagonal = values[where], lap.diagonal()
     end = 0
     for n, members in groups.items():
         start, end, step = end, end + len(members), max(1, STACK_BYTES // (8 * n * n))
@@ -260,8 +236,9 @@ def estimate_lambda_max(lap: LaplacianMatrix | LaplacianBlock, seed: int = 0) ->
             # bincount sums duplicate entries in order, as toarray does
             stack = np.bincount(
                 slots[first[a] : first[b]] - at[a], weights=data[first[a] : first[b]], minlength=at[b] - at[a]
-            )
-            bounds[order[a:b]] = _dense_bounds(stack.reshape(-1, n, n), kind)
+            ).reshape(-1, n, n)
+            stack[:, np.arange(n), np.arange(n)] = diagonal[lo[a:b, None] + np.arange(n)]
+            bounds[order[a:b]] = _dense_bounds(stack, kind)
     return bounds.tolist()
 
 
@@ -288,20 +265,24 @@ def _top_eigenvalue(dense: np.ndarray) -> float | None:
         return None
 
 
-def _lanczos_bound(lap: LaplacianMatrix, seed: int) -> float:
-    m = lap.matrix
-    n = m.shape[0]
+def _lanczos_bound(lap: Laplacian, i: int, seed: int) -> float:
+    """The Lanczos bound of graph ``i`` of the operator's block, on its own rows."""
+    lo, hi = lap.starts[i : i + 2].tolist()
+    if lap.graph_count > 1:
+        lap = Laplacian(lap.kind, lap.adjacency[lo:hi, lo:hi], np.array([0, hi - lo]), lap.degrees[lo:hi])
+    n = hi - lo
     # imported here: the module adds about 8 MB of resident memory
-    from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
-    cap = _gershgorin(lap.kind, float(abs(m).sum(axis=1).max()))
+    cap = 2.0 if lap.kind == NORMALIZED else 2.0 * float(lap.degrees.max())
+    operator = LinearOperator((n, n), matvec=lambda v: lap @ v.reshape(-1), dtype=np.float64)
     v0 = np.random.default_rng(seed).standard_normal(n)
     try:
-        theta, vecs = eigsh(m, k=1, which="LA", ncv=LANCZOS_BASIS, tol=LANCZOS_TOL, v0=v0)
+        theta, vecs = eigsh(operator, k=1, which="LA", ncv=LANCZOS_BASIS, tol=LANCZOS_TOL, v0=v0)
     except ArpackNoConvergence:
         return cap
     v = vecs[:, 0]
-    residual = float(np.linalg.norm(m @ v - theta[0] * v))
+    residual = float(np.linalg.norm(lap @ v - theta[0] * v))
     return min(float(theta[0]) + residual, cap)
 
 
@@ -317,8 +298,8 @@ class ChebyshevFilter:
 
     ``lambda_max`` fixes the rescaling lambda~ = 2 lambda / lambda_max - 1
     that maps the spectrum into [-1, 1]. On a block of graphs (a
-    `LaplacianBlock`'s block-diagonal matrix) each graph keeps its own
-    rescaling: ``lambda_max`` then holds one value per node.
+    `Laplacian` of several) each graph keeps its own rescaling:
+    ``lambda_max`` then holds one value per node.
     ``coefficients`` is one vector, the same on every node; a table of
     rows raises `BadParams`.
     """
@@ -355,14 +336,14 @@ class ChebyshevFilter:
         return FrequencyResponse(lambda lam: sample_response(self, lam), kind="custom")
 
 
-def _shifted_apply(matrix, lambda_max, x: np.ndarray) -> np.ndarray:
-    # L~ x = (2 / lambda_max) L x - x, one sparse product; a per-node
+def _shifted_apply(lap: Laplacian, lambda_max, x: np.ndarray) -> np.ndarray:
+    # L~ x = (2 / lambda_max) L x - x, one adjacency product; a per-node
     # lambda_max scales each row by its own graph's bound
-    return (2.0 / lambda_max) * (matrix @ x) - x
+    return (2.0 / lambda_max) * (lap @ x) - x
 
 
 def block_signal(values: Sequence[np.ndarray] | Sequence[GraphSignal], starts: Sequence[int]) -> GraphSignal:
-    """The graphs' signal values end to end, as a `LaplacianBlock` lays
+    """The graphs' signal values end to end, as a `Laplacian` of them lays
     out their nodes (``starts``), as one vertex signal. The block is
     checked at once: one concatenation (none for a block of one), the one
     finiteness test of `vertex_signal`, and one comparison of every
@@ -382,27 +363,26 @@ def block_signal(values: Sequence[np.ndarray] | Sequence[GraphSignal], starts: S
     return x
 
 
-def chebyshev_stack(lap: LaplacianMatrix, lambda_max, x: np.ndarray, order: int) -> np.ndarray:
+def chebyshev_stack(lap: Laplacian, lambda_max, x: np.ndarray, order: int) -> np.ndarray:
     """Columns T_k(L~) x for k = 0..order, via the three-term recurrence.
 
-    Costs exactly ``order`` sparse matrix-vector products. The stack is
+    Costs exactly ``order`` products with the operator. The stack is
     reused by the trainer: the filter output is linear in the
     coefficients, so d y / d theta_k is column k. ``lambda_max`` is a
-    scalar, or one value per node on a block of graphs (a
-    `LaplacianBlock`'s block-diagonal matrix).
+    scalar, or one value per node on a block of graphs.
     """
     if order < 0:
         raise BadParams("order must be non-negative")
     x = np.asarray(x, dtype=np.float64)
     cols = [x]
     if order >= 1:
-        cols.append(_shifted_apply(lap.matrix, lambda_max, x))
+        cols.append(_shifted_apply(lap, lambda_max, x))
     for _ in range(2, order + 1):
-        cols.append(2.0 * _shifted_apply(lap.matrix, lambda_max, cols[-1]) - cols[-2])
+        cols.append(2.0 * _shifted_apply(lap, lambda_max, cols[-1]) - cols[-2])
     return np.stack(cols, axis=1)
 
 
-def chebyshev_filter(lap: LaplacianMatrix, filt: ChebyshevFilter, x: GraphSignal) -> GraphSignal:
+def chebyshev_filter(lap: Laplacian, filt: ChebyshevFilter, x: GraphSignal) -> GraphSignal:
     """Apply a polynomial filter without eigendecomposition.
 
     Requires filt.lambda_max >= the true largest eigenvalue, as
@@ -422,10 +402,10 @@ def chebyshev_filter(lap: LaplacianMatrix, filt: ChebyshevFilter, x: GraphSignal
     with np.errstate(over="ignore", invalid="ignore"):
         y = theta[0] * prev
         if filt.order >= 1:
-            cur = _shifted_apply(lap.matrix, filt.lambda_max, prev)
+            cur = _shifted_apply(lap, filt.lambda_max, prev)
             y = y + theta[1] * cur
             for k in range(2, filt.order + 1):
-                prev, cur = cur, 2.0 * _shifted_apply(lap.matrix, filt.lambda_max, cur) - prev
+                prev, cur = cur, 2.0 * _shifted_apply(lap, filt.lambda_max, cur) - prev
                 y = y + theta[k] * cur
     if not np.isfinite(y).all():
         raise NonFiniteResponse("filter output is non-finite: the recurrence overflowed")

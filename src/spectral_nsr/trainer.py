@@ -158,7 +158,8 @@ class TaskContext:
     Stage 2 is one polynomial of a task's rescaled Laplacian L~, whose
     coefficients `pipeline.filter_coefficients` gives, the same for every
     task; x0 and L~ are fixed, so the columns T_0(L~) x0 .. T_D(L~) x0
-    are computed once, for all tasks as one block (`prepare_context`).
+    are computed once, for all tasks as one block, by products with the
+    block's Laplacian operator (`graph.Laplacian`, `prepare_context`).
     ``stack`` holds their rows at every labelled node of every task in
     turn, bit for bit those of the task's own `chebyshev_stack`, as a row
     of a block product depends on its own graph only: D is twice the
@@ -185,13 +186,13 @@ def prepare_context(tasks: Sequence[SyntheticTask], cfg: PipelineConfig, rows: n
 
     The tasks are laid out as `run_pipeline` lays out a block, by a
     `pipeline.Block` of them: their graphs prepared as one pass, whose
-    block-diagonal Laplacian is used as it is (`Block.layout`), their
-    signals end to end and checked once (`Block.x`). One
-    `chebyshev_stack` call covers the whole split, of which one gather
-    keeps the labelled rows (`Block.labelled`). No tasks raise
-    `BadParams`. After the graphs are prepared, the first task without
-    labels raises `EmptyLabels`, or one that labels a node outside its
-    graph, if it comes first, `BadParams`.
+    Laplacian operator on their stacked adjacency is used as it is
+    (`Block.layout`), their signals end to end and checked once
+    (`Block.x`). One `chebyshev_stack` call covers the whole split, of
+    which one gather keeps the labelled rows (`Block.labelled`). No tasks
+    raise `BadParams`. After the graphs are prepared, the first task
+    without labels raises `EmptyLabels`, or one that labels a node outside
+    its graph, if it comes first, `BadParams`.
     """
     block = Block(tasks, need_labels=True)
     layout, labelled = block.layout(cfg), block.labelled

@@ -5,14 +5,14 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import chebyshev as npcheb
 
 from spectral_nsr import graph, pipeline, spectral, trainer
 from spectral_nsr.errors import BadParams, DimensionMismatch, FormatError
-from spectral_nsr.graph import COMBINATORIAL, NORMALIZED, LaplacianMatrix, NodeMeta, build_graph, laplacians
+from spectral_nsr.graph import COMBINATORIAL, NORMALIZED, Laplacian, NodeMeta, build_graph, laplacians
 from spectral_nsr.harness import TaskSplits, evaluate, gen_dataset, gen_kinship, gen_transitive
 from spectral_nsr.pipeline import (
     REFERENCE_LAMBDA_MAX,
@@ -147,15 +147,14 @@ def preparation_block(specs, big, order_seed):
 
 
 def laplacian_oracle(graph, kind):
-    """The per-graph Laplacian, formed as the pipeline formed it before blocks."""
-    d = graph.degrees()
+    """The graph's Laplacian as a dense array, from its own degrees and
+    adjacency: diag(d) - A, or I - A * s s^T with s = d^(-1/2) and 0 on an
+    isolated node."""
+    d, a = graph.degrees(), graph.adjacency.toarray()
     if kind == COMBINATORIAL:
-        return sp.csr_array(sp.diags_array(d, format="csr") - graph.adjacency)
-    with np.errstate(divide="ignore"):
-        dinv = np.where(d > 0.0, 1.0 / np.sqrt(np.where(d > 0.0, d, 1.0)), 0.0)
-    scaled = graph.adjacency.multiply(dinv[:, None]).multiply(dinv[None, :])
-    lap = sp.eye_array(graph.node_count, format="csr") - sp.csr_array(scaled)
-    return sp.csr_array((lap + lap.T) * 0.5)
+        return np.diag(d) - a
+    s = np.where(d > 0.0, 1.0 / np.sqrt(np.where(d > 0.0, d, 1.0)), 0.0)
+    return np.eye(graph.node_count) - a * np.outer(s, s)
 
 
 def stretched(rules, lambda_max):
@@ -206,15 +205,19 @@ class TestBlockPreparation:
         alone = [prepare_graph(cfg, [graph])[0] for graph in graphs]
         assert len({graph.node_count > DENSE_BOUND_LIMIT for graph in graphs}) == (2 if big else 1)
         for b, a, graph in zip(block, alone, graphs, strict=True):
-            oracle = laplacian_oracle(graph, laplacian)
-            for matrix in (b.block[b.index].matrix, a.block[a.index].matrix):
-                assert matrix.shape == oracle.shape
-                for name in ("data", "indices", "indptr"):
-                    got, want = getattr(matrix, name), getattr(oracle, name)
-                    assert got.dtype == want.dtype and np.array_equal(got, want), name
-            assert b.lambda_max == a.lambda_max == max(estimate_lambda_max(a.block[a.index]), 1e-12)
-            if 0 < graph.node_count <= DENSE_BOUND_LIMIT and oracle.nnz:
-                dense = oracle.toarray()
+            # a pass of one graph is the graph's own adjacency; in a block, the
+            # graph's rows of the stacked adjacency and degrees are its own
+            assert a.block.adjacency is graph.adjacency and a.block.starts.tolist() == [0, graph.node_count]
+            lo, hi = b.block.starts[b.index : b.index + 2]
+            rows = b.block.adjacency[lo:hi]
+            assert np.array_equal(rows.indptr - rows.indptr[0], graph.adjacency.indptr)
+            assert np.array_equal(rows.indices - lo, graph.adjacency.indices)
+            assert np.array_equal(rows.data, graph.adjacency.data)
+            assert b.block.degrees[lo:hi].tobytes() == a.block.degrees.tobytes() == graph.degrees().tobytes()
+            dense = laplacian_oracle(graph, laplacian)
+            assert np.array_equal(a.block.toarray(), dense)
+            assert b.lambda_max == a.lambda_max == max(estimate_lambda_max(a.block)[0], 1e-12)
+            if 0 < graph.node_count <= DENSE_BOUND_LIMIT and (laplacian == NORMALIZED or graph.adjacency.nnz):
                 pad = graph.node_count * np.finfo(np.float64).eps * float(np.abs(dense).sum(axis=0).max())
                 assert b.lambda_max == float(np.linalg.eigvalsh(dense)[-1]) + pad
         # the one rows array of every graph, fitted on the reference interval
@@ -241,7 +244,7 @@ class TestBlockBounds:
         count = sum(g.node_count == n for g in graphs)
         stacks = [call.args[0].shape for call in eigvalsh.call_args_list]
         assert sorted(k for k, rows, _ in stacks if rows == n) == [count - per_chunk, per_chunk]
-        alone = [estimate_lambda_max(laplacians([g], kind)[0], seed=3) for g in graphs]
+        alone = [estimate_lambda_max(laplacians([g], kind), seed=3)[0] for g in graphs]
         assert [type(bound) for bound in bounds] == [float] * len(graphs)
         assert bounds == alone
         edgeless = graphs.index(next(g for g in graphs if g.edge_count() == 0))
@@ -250,20 +253,20 @@ class TestBlockBounds:
     def test_cold_block_builds_no_matrix_per_graph(self, monkeypatch):
         made = []
 
-        class Counted(LaplacianMatrix):
+        class Counted(Laplacian):
             def __init__(self, *args):
                 super().__init__(*args)
                 made.append(self)
 
-        monkeypatch.setattr(graph, "LaplacianMatrix", Counted)
+        monkeypatch.setattr(graph, "Laplacian", Counted)
         cfg = PipelineConfig()
         tasks = make_tasks([("transitive", 1 + i % 5, i) if i % 2 else ("kinship", 2 + i % 4, i) for i in range(100)])
         block = Block(tasks)
         evaluate(Pipeline(cfg), block, measure_latency=False)
         layout = block.layout(cfg)
-        # one matrix, the pass's block, laid out as it is: nothing per graph
+        # one operator, the pass's block, laid out as it is: nothing per graph
         assert len(made) == 1 and layout.laplacian is made[0]
-        assert all(p.block.laplacian is made[0] for p in layout.prepared)
+        assert all(p.block is made[0] for p in layout.prepared)
 
 
 class TestBlockGradients:
@@ -331,7 +334,7 @@ class TestBlockGradients:
             p = prepare_graph(cfg, [task.graph])[0]
             nodes = np.asarray(sorted(task.labels))
             lo, hi = split.label_starts[i], split.label_starts[i + 1]
-            own = chebyshev_stack(p.block[p.index], p.lambda_max, task.x0, degree)[nodes]
+            own = chebyshev_stack(p.block, p.lambda_max, task.x0, degree)[nodes]
             assert np.array_equal(split.stack[lo:hi], own)
             assert split.label_values[lo:hi].tolist() == [task.labels[n] for n in nodes.tolist()]
         # every task shares the pipeline's one rows array
@@ -390,7 +393,7 @@ class TestComposedFilter:
         outputs = pipe.run_tasks(tasks)
         for task, out in zip(tasks, outputs, strict=True):
             p = prepare_graph(cfg, [task.graph])[0]
-            lap = p.block[p.index]
+            lap = p.block
             rows = rule_coefficients(stretched(rules, p.lambda_max), p.lambda_max, order)
             coeffs = pipe.params["rule_weights"] @ rows
             ruled = chebyshev_filter(lap, ChebyshevFilter(coeffs, p.lambda_max), vertex_signal(task.x0))
@@ -424,7 +427,7 @@ class TestComposedFilter:
                 response = FrequencyResponse(lambda lam: sample_response(learned, lam) * sample_response(ruled, lam))
             else:
                 response = learned.response()
-            want = exact_filter(eigendecompose(p.block[p.index]), response, vertex_signal(task.x0)).values
+            want = exact_filter(eigendecompose(p.block), response, vertex_signal(task.x0)).values
             assert np.abs(out.y.values - want).max() <= 1e-12 * max(np.abs(want).max(), 1.0)
 
     @pytest.mark.parametrize("with_rules", [False, True])
@@ -477,3 +480,26 @@ class TestBlockDiagonal:
         path.write_text('{"lambda_max": 2.0, "coefficients": [[1.0, 0.5], [1.0, 0.5]]}')
         with pytest.raises(FormatError, match="flat list"):
             load_filter(path)
+
+
+class TestNoAssembledLaplacian:
+    @pytest.mark.parametrize("laplacian", [COMBINATORIAL, NORMALIZED])
+    def test_queries_training_and_bounds_assemble_no_sparse_laplacian(self, monkeypatch, laplacian):
+        # stage 2, training's stack and both bound paths work on the operator:
+        # no scipy diagonal or identity is built for a D - A
+        def refuse(*args, **kwargs):
+            raise AssertionError("a sparse Laplacian was assembled")
+
+        monkeypatch.setattr(scipy.sparse, "diags_array", refuse)
+        monkeypatch.setattr(scipy.sparse, "eye_array", refuse)
+        cfg = PipelineConfig(laplacian=laplacian)
+        n = DENSE_BOUND_LIMIT + 50
+        big = declared_task(sparse_graph(n, 1), np.random.default_rng(1).uniform(0.0, 1.0, n))
+        small = make_tasks([("transitive", 3, 1), ("kinship", 3, 2)])
+        pipe = Pipeline(cfg, rules=list(rule_bank()))
+        pipe.run_task(big)
+        pipe.run_tasks([*small, replace(big, graph=sparse_graph(n, 1))])
+        context = prepare_context([*small, replace(big, labels={0: 1, 1: 0})], cfg, pipe.rows)
+        assert context.task_count == 3
+        bounds = estimate_lambda_max(laplacians([sparse_graph(n, 2), small[0].graph], laplacian), seed=cfg.seed)
+        assert len(bounds) == 2 and min(bounds) > 0.0

@@ -27,6 +27,8 @@ from spectral_nsr.graph import (
     save_graph_text,
 )
 
+from spectral_nsr.spectral import estimate_lambda_max
+
 from conftest import make_nodes, path_graph, random_graph
 
 
@@ -133,12 +135,13 @@ class TestCombinatorialLaplacian:
     def test_p3_matrix(self, p3):
         lap = combinatorial_laplacian(p3)
         expected = [[1, -1, 0], [-1, 2, -1], [0, -1, 1]]
-        assert np.allclose(lap.matrix.toarray(), expected, atol=0)
+        assert np.array_equal(lap.toarray(), expected)
 
     def test_edgeless_graph_is_zero(self):
         g = build_graph(make_nodes(4), [])
         lap = combinatorial_laplacian(g)
-        assert lap.matrix.nnz == 0
+        assert not lap.toarray().any()
+        assert not (lap @ np.arange(4.0)).any()
 
     def test_quadratic_form_matches_edge_sum(self, rng):
         # x^T L x must equal sum over edges of w_ij (x_i - x_j)^2
@@ -147,7 +150,7 @@ class TestCombinatorialLaplacian:
         dense_adj = g.adjacency.toarray()
         for _ in range(100):
             x = rng.standard_normal(20)
-            quad = float(x @ (lap.matrix @ x))
+            quad = float(x @ (lap @ x))
             edge_sum = 0.0
             for i in range(20):
                 for j in range(i + 1, 20):
@@ -157,13 +160,13 @@ class TestCombinatorialLaplacian:
     def test_row_sums_vanish(self, rng):
         g = random_graph(rng, 15)
         lap = combinatorial_laplacian(g)
-        rows = np.asarray(lap.matrix.sum(axis=1)).reshape(-1)
-        assert np.abs(rows).max() <= 1e-12 * max(np.abs(lap.matrix.data).max(), 1.0)
+        dense = lap.toarray()
+        assert np.abs(dense.sum(axis=1)).max() <= 1e-12 * max(np.abs(dense).max(), 1.0)
 
     def test_ones_vector_in_nullspace(self, rng):
         g = random_graph(rng, 12)
         lap = combinatorial_laplacian(g)
-        assert np.abs(lap.matrix @ np.ones(12)).max() <= 1e-12
+        assert np.abs(lap @ np.ones(12)).max() <= 1e-12
 
     def test_psd_on_random_unit_vectors(self, rng):
         g = random_graph(rng, 25, density=0.3)
@@ -171,7 +174,7 @@ class TestCombinatorialLaplacian:
         for _ in range(1000):
             x = rng.standard_normal(25)
             x /= np.linalg.norm(x)
-            assert float(x @ (lap.matrix @ x)) >= -1e-9
+            assert float(x @ (lap @ x)) >= -1e-9
 
     def test_zero_eigenvalue_count_equals_components(self):
         # two disjoint paths plus an isolated node: 3 components
@@ -179,7 +182,7 @@ class TestCombinatorialLaplacian:
         edges = [(0, 1, 1.0), (1, 2, 0.5), (3, 4, 2.0), (4, 5, 1.0)]
         g = build_graph(nodes, edges)
         lap = combinatorial_laplacian(g)
-        eigs = np.linalg.eigvalsh(lap.matrix.toarray())
+        eigs = np.linalg.eigvalsh(lap.toarray())
         assert int(np.sum(np.abs(eigs) < 1e-8)) == 3
 
 
@@ -187,25 +190,25 @@ class TestNormalizedLaplacian:
     def test_single_edge(self):
         g = build_graph(make_nodes(2), [(0, 1, 1.0)])
         lap = normalized_laplacian(g)
-        assert np.allclose(lap.matrix.toarray(), [[1, -1], [-1, 1]], atol=1e-15)
+        assert np.allclose(lap.toarray(), [[1, -1], [-1, 1]], atol=1e-15)
 
     def test_k2_eigenvalues(self):
         g = build_graph(make_nodes(2), [(0, 1, 1.0)])
         lap = normalized_laplacian(g)
-        eigs = np.linalg.eigvalsh(lap.matrix.toarray())
+        eigs = np.linalg.eigvalsh(lap.toarray())
         assert np.allclose(eigs, [0.0, 2.0], atol=1e-12)
 
     def test_spectrum_bounded_by_two(self, rng):
         g = random_graph(rng, 30, density=0.2)
         lap = normalized_laplacian(g)
-        eigs = np.linalg.eigvalsh(lap.matrix.toarray())
+        eigs = np.linalg.eigvalsh(lap.toarray())
         assert eigs.max() <= 2.0 + 1e-9
         assert eigs.min() >= -1e-9
 
     def test_isolated_node_row(self):
         g = build_graph(make_nodes(3), [(0, 1, 1.0)])
         lap = normalized_laplacian(g)
-        dense = lap.matrix.toarray()
+        dense = lap.toarray()
         assert dense[2, 2] == pytest.approx(1.0)
         assert np.abs(dense[2, :2]).max() == 0.0
         eigs = np.linalg.eigvalsh(dense)
@@ -225,20 +228,47 @@ def spread_graphs(draw):
     return build_graph(make_nodes(n), [(i, j, 10.0 ** rng.uniform(low, high)) for i, j in pairs])
 
 
+def dense_bound(g):
+    """The dense-path bound of ``g``'s combinatorial Laplacian, from diag(d) - A."""
+    if not g.adjacency.nnz:
+        return 0.0
+    dense = np.diag(g.degrees()) - g.adjacency.toarray()
+    pad = g.node_count * np.finfo(np.float64).eps * float(np.abs(dense).sum(axis=0).max())
+    return float(np.linalg.eigvalsh(dense)[-1]) + pad
+
+
 class TestLaplacianInvariants:
     """What a valid graph gives every Laplacian, alone or in a block, with no check of its own."""
 
     @settings(max_examples=60, deadline=None)
     @given(graphs=st.lists(spread_graphs(), min_size=1, max_size=5), kind=st.sampled_from([COMBINATORIAL, NORMALIZED]))
     def test_symmetric_with_vanishing_rows(self, graphs, kind):
-        alone = [laplacians([g], kind)[0] for g in graphs]
-        block = list(laplacians(graphs, kind))
-        for lap in alone + block:
-            m = lap.matrix
-            assert np.array_equal(m.toarray(), m.T.toarray())
+        for lap in [laplacians([g], kind) for g in graphs] + [laplacians(graphs, kind)]:
+            dense = lap.toarray()
+            scale = np.abs(dense).max(initial=0.0)
+            assert np.array_equal(dense, dense.T)
+            assert np.linalg.eigvalsh(dense).min(initial=0.0) >= -1e-10 * scale
             if kind == COMBINATORIAL:
-                scale = np.abs(m.data).max(initial=0.0)
-                assert np.abs(m.sum(axis=1)).max() <= 1e-12 * scale
+                assert np.abs(dense.sum(axis=1)).max() <= 1e-12 * scale
+            else:
+                assert np.array_equal(np.diag(dense), np.ones(lap.node_count))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        graphs=st.lists(spread_graphs(), min_size=1, max_size=5),
+        kind=st.sampled_from([COMBINATORIAL, NORMALIZED]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_operator_equals_its_dense_form_and_each_graph_alone(self, graphs, kind, seed):
+        block = laplacians(graphs, kind)
+        x = np.random.default_rng(seed).standard_normal(block.node_count)
+        dense = block.toarray()
+        y = block @ x
+        assert np.all(np.abs(y - dense @ x) <= 1e-12 * (np.abs(dense) @ np.abs(x)))
+        for g, lo, hi in zip(graphs, block.starts[:-1], block.starts[1:], strict=True):
+            assert (laplacians([g], kind) @ x[lo:hi]).tobytes() == y[lo:hi].tobytes()
+        if kind == COMBINATORIAL:
+            assert estimate_lambda_max(block) == [dense_bound(g) for g in graphs]
 
 
 class TestFileFormats:

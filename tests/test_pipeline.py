@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+import time
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from spectral_nsr import pipeline, symbolic
+from spectral_nsr import harness, pipeline, symbolic
 from spectral_nsr.errors import (
     BadParams,
     ConvergenceFailure,
@@ -467,6 +468,29 @@ class TestEvalReport:
         report = evaluate(reference_pipeline(), gen_dataset("transitive", 4, seed=2), measure_latency=measure)
         latency = {"latency_median_ms", "latency_p95_ms"} if measure else set()
         assert set(json.loads(report.to_json())) == {"accuracy", "consistency", "n_tasks", "n_queries"} | latency
+
+    def test_latency_clock_times_no_preparation(self, monkeypatch):
+        # a block prepared as one pass, then timed task by task: each task is
+        # regrouped as a block of one by its untimed run, before its clock starts
+        pipe = reference_pipeline()
+        block = pipeline.Block(gen_dataset("transitive", 4, seed=2) + gen_dataset("kinship", 4, seed=2))
+        evaluate(pipe, block, measure_latency=False)
+        built = {True: 0, False: 0}
+        timing = [False]
+
+        def perf_counter():
+            timing[0] = not timing[0]
+            return time.perf_counter()
+
+        def build_laplacian(*args, _original=pipeline.build_laplacian):
+            built[timing[0]] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(harness, "time", type("Clock", (), {"perf_counter": staticmethod(perf_counter)}))
+        monkeypatch.setattr(pipeline, "build_laplacian", build_laplacian)
+        report = evaluate(pipe, block)
+        assert report.latency_median_ms is not None
+        assert built == {True: 0, False: len(block.tasks)}
 
 
 def query_calls(**counts):

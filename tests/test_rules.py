@@ -66,7 +66,7 @@ class TestRuleOperator:
     def test_lambda_template_reconstructs_laplacian(self, basis30):
         lap, basis = basis30
         op = operator_matrix(lap, rule_filter([SpectralRule("lam", FrequencyResponse(lambda lam: lam))], top(basis)))
-        assert np.abs(op - lap.matrix.toarray()).max() <= 1e-7
+        assert np.abs(op - lap.toarray()).max() <= 1e-7
 
     def test_low_pass_matches_dense_oracle(self, basis30, rng):
         lap, basis = basis30

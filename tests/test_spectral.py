@@ -30,7 +30,6 @@ from spectral_nsr.spectral import (
     exact_filter,
     fit_chebyshev,
     gft,
-    igft,
     load_filter,
     product_operator,
     series_operator,
@@ -49,13 +48,16 @@ class TestEigendecompose:
         lap = combinatorial_laplacian(p3)
         basis = eigendecompose(lap)
         assert np.allclose(basis.eigenvalues, [0.0, 1.0, 3.0], atol=1e-9)
-        basis.validate(lap)
+        u = basis.eigenvectors
+        assert np.abs(u.T @ u - np.eye(3)).max() <= 1e-12
+        assert np.abs((u * basis.eigenvalues) @ u.T - lap.toarray()).max() <= 1e-12
 
     def test_edgeless_graph(self):
         g = build_graph(make_nodes(5), [])
         basis = eigendecompose(combinatorial_laplacian(g))
         assert np.allclose(basis.eigenvalues, 0.0, atol=0)
-        basis.validate(combinatorial_laplacian(g))
+        assert np.array_equal(basis.eigenvectors.T @ basis.eigenvectors, np.eye(5))
+        assert not combinatorial_laplacian(g).toarray().any()
 
     def test_k2_with_weight(self):
         w = 1.7
@@ -70,7 +72,7 @@ class TestEigendecompose:
         u = basis.eigenvectors
         assert np.abs(u.T @ u - np.eye(40)).max() <= 1e-8
         rec = (u * basis.eigenvalues) @ u.T
-        dense = lap.matrix.toarray()
+        dense = lap.toarray()
         assert np.abs(rec - dense).max() <= 1e-7 * max(np.abs(dense).max(), 1.0)
 
     def test_sign_convention(self, rng):
@@ -99,16 +101,16 @@ class TestTransforms:
         g = random_graph(rng, 6)
         basis = eigendecompose(combinatorial_laplacian(g))
         assert np.allclose(gft(basis, vertex_signal(np.zeros(6))).values, 0.0, atol=0)
-        assert np.allclose(igft(basis, spectral_signal(np.zeros(6))).values, 0.0, atol=0)
+        assert np.allclose(basis.eigenvectors @ np.zeros(6), 0.0, atol=0)
 
     def test_round_trip(self, rng):
         g = random_graph(rng, 50, density=0.15)
         basis = eigendecompose(combinatorial_laplacian(g))
         x = rng.standard_normal(50)
-        back = igft(basis, gft(basis, vertex_signal(x)))
-        assert np.abs(back.values - x).max() <= 1e-10
+        back = basis.eigenvectors @ gft(basis, vertex_signal(x)).values
+        assert np.abs(back - x).max() <= 1e-10
         xhat = rng.standard_normal(50)
-        forth = gft(basis, igft(basis, spectral_signal(xhat)))
+        forth = gft(basis, vertex_signal(basis.eigenvectors @ xhat))
         assert np.abs(forth.values - xhat).max() <= 1e-10
 
     def test_parseval(self, rng):
@@ -124,16 +126,14 @@ class TestTransforms:
         basis = eigendecompose(combinatorial_laplacian(g))
         e0 = np.zeros(8)
         e0[0] = 1.0
-        x = igft(basis, spectral_signal(e0))
-        assert np.allclose(x.values, 1.0 / np.sqrt(8), atol=1e-10)
+        x = basis.eigenvectors @ e0
+        assert np.allclose(x, 1.0 / np.sqrt(8), atol=1e-10)
 
     def test_domain_mismatch(self, rng):
         g = random_graph(rng, 5)
         basis = eigendecompose(combinatorial_laplacian(g))
         with pytest.raises(DomainMismatch):
             gft(basis, spectral_signal(np.zeros(5)))
-        with pytest.raises(DomainMismatch):
-            igft(basis, vertex_signal(np.zeros(5)))
 
     def test_dimension_mismatch(self, rng):
         g = random_graph(rng, 5)
@@ -156,7 +156,7 @@ class TestExactFilter:
         basis = eigendecompose(lap)
         x = rng.standard_normal(10)
         y = exact_filter(basis, FrequencyResponse(lambda lam: lam), vertex_signal(x))
-        assert np.allclose(y.values, lap.matrix @ x, atol=1e-9)
+        assert np.allclose(y.values, lap @ x, atol=1e-9)
 
     def test_heat_filter_matches_dense_oracle(self, rng):
         g = random_graph(rng, 40, density=0.2)
@@ -165,7 +165,7 @@ class TestExactFilter:
         x = rng.standard_normal(40)
         y = exact_filter(basis, FrequencyResponse(lambda lam: np.exp(-0.5 * lam)), vertex_signal(x))
         # oracle: independent eigh and explicit U exp(-0.5 Lambda) U^T x
-        vals, vecs = np.linalg.eigh(lap.matrix.toarray())
+        vals, vecs = np.linalg.eigh(lap.toarray())
         oracle = vecs @ np.diag(np.exp(-0.5 * vals)) @ vecs.T @ x
         assert np.abs(y.values - oracle).max() <= 1e-8
 
@@ -195,40 +195,40 @@ class TestExactFilter:
 class TestEstimateLambdaMax:
     def test_k2_unit_weight(self):
         g = build_graph(make_nodes(2), [(0, 1, 1.0)])
-        est = estimate_lambda_max(combinatorial_laplacian(g))
+        [est] = estimate_lambda_max(combinatorial_laplacian(g))
         assert abs(est - 2.0) / 2.0 <= 0.005
 
     def test_normalized_bounded(self, rng):
         g = random_graph(rng, 25)
-        est = estimate_lambda_max(normalized_laplacian(g))
+        [est] = estimate_lambda_max(normalized_laplacian(g))
         assert est <= 2.02
 
     def test_random_graph_close_to_dense_oracle(self, rng):
         g = random_graph(rng, 100, density=0.05)
         lap = combinatorial_laplacian(g)
-        est = estimate_lambda_max(lap)
-        true = float(np.linalg.eigvalsh(lap.matrix.toarray()).max())
+        [est] = estimate_lambda_max(lap)
+        true = float(np.linalg.eigvalsh(lap.toarray()).max())
         assert est >= true
         assert abs(est - true) / true <= 0.0101
 
     def test_edgeless(self):
         g = build_graph(make_nodes(3), [])
-        assert estimate_lambda_max(combinatorial_laplacian(g)) == 0.0
+        assert estimate_lambda_max(combinatorial_laplacian(g)) == [0.0]
 
     @pytest.mark.parametrize("family", ["transitive", "kinship"])
     def test_bound_holds_on_every_generated_task(self, family):
         for task in gen_dataset(family, 200, seed=5):
             for lap in (combinatorial_laplacian(task.graph), normalized_laplacian(task.graph)):
-                true = float(np.linalg.eigvalsh(lap.matrix.toarray())[-1])
-                assert estimate_lambda_max(lap) >= true, (task.task_id, lap.kind)
+                true = float(np.linalg.eigvalsh(lap.toarray())[-1])
+                assert estimate_lambda_max(lap)[0] >= true, (task.task_id, lap.kind)
 
     @pytest.mark.parametrize("n", [DENSE_BOUND_LIMIT // 2, DENSE_BOUND_LIMIT, DENSE_BOUND_LIMIT + 1, 3 * DENSE_BOUND_LIMIT])
     def test_bound_holds_on_both_sides_of_the_crossover(self, rng, n):
         for trial in range(3):
             g = random_graph(rng, n, density=float(rng.uniform(0.02, 0.2)))
             for lap in (combinatorial_laplacian(g), normalized_laplacian(g)):
-                true = float(np.linalg.eigvalsh(lap.matrix.toarray())[-1])
-                est = estimate_lambda_max(lap, seed=trial)
+                true = float(np.linalg.eigvalsh(lap.toarray())[-1])
+                [est] = estimate_lambda_max(lap, seed=trial)
                 assert true <= est <= true * (1 + 1e-2), (n, trial, lap.kind)
 
     def test_lanczos_bound_on_a_large_sparse_graph(self):
@@ -236,15 +236,16 @@ class TestEstimateLambdaMax:
         assert g.edge_count() > 90_000
         for lap in (comb, normalized_laplacian(g)):
             # ARPACK run to machine precision stands in for the dense oracle
-            true = float(eigsh(lap.matrix, k=1, which="LA", return_eigenvectors=False)[0])
-            est = estimate_lambda_max(lap)
+            operator = scipy.sparse.linalg.LinearOperator(lap.adjacency.shape, matvec=lap.__matmul__, dtype=float)
+            true = float(eigsh(operator, k=1, which="LA", return_eigenvectors=False)[0])
+            [est] = estimate_lambda_max(lap)
             assert true <= est <= true * (1 + 1e-2), lap.kind
 
     def test_bounds_are_python_floats(self, rng):
         graphs = [random_graph(rng, 20), random_graph(rng, DENSE_BOUND_LIMIT + 20, density=0.1)]
         for g in graphs:  # the dense path, then the Lanczos path
             for lap in (combinatorial_laplacian(g), normalized_laplacian(g)):
-                assert type(estimate_lambda_max(lap)) is float, (g.node_count, lap.kind)
+                assert [type(bound) for bound in estimate_lambda_max(lap)] == [float], (g.node_count, lap.kind)
         bounds = estimate_lambda_max(laplacians(graphs, COMBINATORIAL))
         assert [type(bound) for bound in bounds] == [float, float]
         out = Pipeline(PipelineConfig()).run_task(gen_dataset("transitive", 1, seed=0)[0])
@@ -257,8 +258,8 @@ class TestEstimateLambdaMax:
         monkeypatch.setattr(scipy.sparse.linalg, "eigsh", fail)
         g = random_graph(rng, DENSE_BOUND_LIMIT + 20, density=0.1)
         comb = combinatorial_laplacian(g)
-        assert estimate_lambda_max(comb) == pytest.approx(2.0 * g.degrees().max(), rel=1e-12)
-        assert estimate_lambda_max(normalized_laplacian(g)) == 2.0
+        assert estimate_lambda_max(comb) == [2.0 * g.degrees().max()]
+        assert estimate_lambda_max(normalized_laplacian(g)) == [2.0]
 
     def test_failed_dense_solve_gives_gershgorin(self, rng, monkeypatch):
         def fail(*args, **kwargs):
@@ -267,7 +268,7 @@ class TestEstimateLambdaMax:
         monkeypatch.setattr(np.linalg, "eigvalsh", fail)
         g = random_graph(rng, 20)
         comb = combinatorial_laplacian(g)
-        assert estimate_lambda_max(comb) == pytest.approx(2.0 * g.degrees().max(), rel=1e-12)
+        assert estimate_lambda_max(comb)[0] == pytest.approx(2.0 * g.degrees().max(), rel=1e-12)
 
 
 class TestChebyshevFilter:
@@ -286,7 +287,7 @@ class TestChebyshevFilter:
         x = rng.standard_normal(12)
         filt = ChebyshevFilter([0.0, 1.0], lambda_max=lam_max)
         y = chebyshev_filter(lap, filt, vertex_signal(x))
-        expected = (2.0 / lam_max) * (lap.matrix @ x) - x
+        expected = (2.0 / lam_max) * (lap @ x) - x
         assert np.allclose(y.values, expected, atol=1e-14)
 
     def test_fit_matches_exact_filter(self, rng):
@@ -321,7 +322,7 @@ class TestChebyshevFilter:
     def test_linearity(self, rng):
         g = random_graph(rng, 15)
         lap = combinatorial_laplacian(g)
-        filt = ChebyshevFilter(rng.standard_normal(6), lambda_max=estimate_lambda_max(lap))
+        filt = ChebyshevFilter(rng.standard_normal(6), lambda_max=estimate_lambda_max(lap)[0])
         x, z = rng.standard_normal(15), rng.standard_normal(15)
         a, b = 0.7, -1.3
         lhs = chebyshev_filter(lap, filt, vertex_signal(a * x + b * z)).values
@@ -337,7 +338,7 @@ class TestChebyshevFilter:
         basis = eigendecompose(lap)
         x = rng.standard_normal(20)
         y = exact_filter(basis, FrequencyResponse(lambda lam: np.exp(-2.0 * lam)), vertex_signal(x))
-        assert y.values @ (lap.matrix @ y.values) <= x @ (lap.matrix @ x) + 1e-12
+        assert y.values @ (lap @ y.values) <= x @ (lap @ x) + 1e-12
 
     def test_overflowing_recurrence_is_a_numerical_failure(self):
         # a non-finite output is the filter's failure, not a bad input signal
@@ -359,7 +360,7 @@ class TestChebyshevFilter:
         lam_max = 3.0
         x = rng.standard_normal(9)
         stack = chebyshev_stack(lap, lam_max, x, 4)
-        shifted = (2.0 / lam_max) * lap.matrix.toarray() - np.eye(9)
+        shifted = (2.0 / lam_max) * lap.toarray() - np.eye(9)
         t_prev, t_cur = x, shifted @ x
         assert np.allclose(stack[:, 0], t_prev, atol=0)
         assert np.allclose(stack[:, 1], t_cur, atol=1e-14)
