@@ -1,15 +1,20 @@
 """Spectral machinery: eigenbasis, graph Fourier transforms, and filters.
 
 Two filtering routes are provided. The Chebyshev route, which the
-pipeline and the trainer use, evaluates a polynomial response with K
-products with the Laplacian operator (`graph.Laplacian`, one adjacency
-product each) and never materializes the basis, so it scales linearly in
-the edge count. It maps the spectrum into [-1, 1] with an upper bound on
-the top eigenvalue, which `estimate_lambda_max` guarantees. The exact
-route diagonalizes the Laplacian's dense form and applies an arbitrary
-frequency response in the eigenbasis; it is limited to graphs
-small enough for a dense eigendecomposition and serves as the reference
-the Chebyshev route is checked against.
+pipeline and the trainer use, evaluates an order-K polynomial response
+with exactly K products with the Laplacian operator and never
+materializes the basis, so it scales linearly in the edge count. Its
+filter and its stack share one recurrence (`_recurrence`), whose in-place
+step writes each product (`graph.Laplacian.apply`, one direct call of
+scipy's CSR kernel) into buffers made once per call, because on a graph
+of a few dozen nodes a sparse-product dispatch and fresh temporaries at
+each step would cost more than the arithmetic. It maps the spectrum into
+[-1, 1] with an upper bound on the top eigenvalue, which
+`estimate_lambda_max` guarantees. The exact route diagonalizes the
+Laplacian's dense form and applies an arbitrary frequency response in the
+eigenbasis; it is limited to graphs small enough for a dense
+eigendecomposition and serves as the reference the Chebyshev route is
+checked against.
 """
 
 from __future__ import annotations
@@ -336,12 +341,6 @@ class ChebyshevFilter:
         return FrequencyResponse(lambda lam: sample_response(self, lam), kind="custom")
 
 
-def _shifted_apply(lap: Laplacian, lambda_max, x: np.ndarray) -> np.ndarray:
-    # L~ x = (2 / lambda_max) L x - x, one adjacency product; a per-node
-    # lambda_max scales each row by its own graph's bound
-    return (2.0 / lambda_max) * (lap @ x) - x
-
-
 def block_signal(values: Sequence[np.ndarray] | Sequence[GraphSignal], starts: Sequence[int]) -> GraphSignal:
     """The graphs' signal values end to end, as a `Laplacian` of them lays
     out their nodes (``starts``), as one vertex signal. The block is
@@ -363,27 +362,83 @@ def block_signal(values: Sequence[np.ndarray] | Sequence[GraphSignal], starts: S
     return x
 
 
-def chebyshev_stack(lap: Laplacian, lambda_max, x: np.ndarray, order: int) -> np.ndarray:
-    """Columns T_k(L~) x for k = 0..order, via the three-term recurrence.
+def _recurrence(lap: Laplacian, lambda_max, x: np.ndarray, order: int):
+    """Yield T_k(L~) x for k = 1..order, by the three-term recurrence
+    T_k = 2 L~ T_(k-1) - T_(k-2), with exactly ``order`` products with the
+    operator.
 
-    Costs exactly ``order`` products with the operator. The stack is
-    reused by the trainer: the filter output is linear in the
-    coefficients, so d y / d theta_k is column k. ``lambda_max`` is a
-    scalar, or one value per node on a block of graphs.
+    Each step is one in-place shifted step L~ v = (2 / lambda_max) (L v) - v,
+    with 2 / lambda_max computed once (one value per node for a per-node
+    ``lambda_max``): `Laplacian.apply` writes L v into a buffer where it is
+    then scaled and shifted. Four buffers made once serve every step, so no
+    step makes a temporary, and a yielded term is overwritten three steps
+    later; ``x`` is copied, never written. Every operation is the one the
+    plain expression makes, in its order, so each term is bit for bit its
+    value.
+    """
+    if order < 1:
+        return
+    # an array, as numpy multiplies by one faster than by a Python float
+    c = np.asarray(2.0 / lambda_max)
+    work, prev, cur, nxt = np.empty((4, x.size))
+    prev[:] = x
+    lap.apply(prev, cur, work)
+    cur *= c
+    cur -= prev
+    yield cur
+    for _ in range(order - 1):
+        lap.apply(cur, nxt, work)
+        nxt *= c
+        nxt -= cur
+        nxt += nxt  # bit for bit 2.0 * s: doubling is exact
+        nxt -= prev
+        yield nxt
+        prev, cur, nxt = cur, nxt, prev
+
+
+def _check_rows(lap: Laplacian, lambda_max, length: int) -> None:
+    """Refuse a signal, or a per-node ``lambda_max``, whose length is not the operator's node count."""
+    if length != lap.node_count:
+        raise DimensionMismatch(f"signal length {length} != {lap.node_count}")
+    if isinstance(lambda_max, np.ndarray) and lambda_max.ndim and lambda_max.shape != (length,):
+        raise DimensionMismatch(f"filter has {lambda_max.shape[0]} node bounds for a signal of length {length}")
+
+
+def chebyshev_stack(lap: Laplacian, lambda_max, x: np.ndarray, order: int) -> np.ndarray:
+    """Columns T_k(L~) x for k = 0..order, as one C-order (nodes, order + 1)
+    array, so that a product with a coefficient vector takes BLAS.
+
+    Costs exactly ``order`` products with the operator, each a direct call
+    of scipy's CSR kernel, in the in-place recurrence that
+    `chebyshev_filter` runs too (`_recurrence`); each term is copied into
+    its column of the preallocated stack as it comes. The stack is reused
+    by the trainer: the filter output is linear in the coefficients, so
+    d y / d theta_k is column k. ``lambda_max`` is a scalar, or one value
+    per node on a block of graphs. An x that is not one value per node, or
+    a per-node ``lambda_max`` of another length, raises `DimensionMismatch`.
     """
     if order < 0:
         raise BadParams("order must be non-negative")
     x = np.asarray(x, dtype=np.float64)
-    cols = [x]
-    if order >= 1:
-        cols.append(_shifted_apply(lap, lambda_max, x))
-    for _ in range(2, order + 1):
-        cols.append(2.0 * _shifted_apply(lap, lambda_max, cols[-1]) - cols[-2])
-    return np.stack(cols, axis=1)
+    if x.ndim != 1:
+        raise DimensionMismatch(f"signal of shape {x.shape} is not one value per node")
+    _check_rows(lap, lambda_max, x.size)
+    stack = np.empty((x.size, order + 1))
+    stack[:, 0] = x
+    for k, term in enumerate(_recurrence(lap, lambda_max, x, order), start=1):
+        stack[:, k] = term
+    return stack
 
 
 def chebyshev_filter(lap: Laplacian, filt: ChebyshevFilter, x: GraphSignal) -> GraphSignal:
     """Apply a polynomial filter without eigendecomposition.
+
+    Runs the in-place recurrence (`_recurrence`): exactly ``filt.order``
+    products with the operator, each a direct call of scipy's CSR kernel,
+    into buffers made once per call, with theta_k T_k(L~) x added to the
+    output as each term comes. On a graph of a few dozen nodes, Python and
+    scipy call overhead outweighs the arithmetic, so no step makes a
+    sparse-product dispatch or a temporary.
 
     Requires filt.lambda_max >= the true largest eigenvalue, as
     `estimate_lambda_max` returns; below it the rescaled spectrum leaves
@@ -393,23 +448,17 @@ def chebyshev_filter(lap: Laplacian, filt: ChebyshevFilter, x: GraphSignal) -> G
     """
     if x.domain != VERTEX:
         raise DomainMismatch("chebyshev_filter expects a vertex-domain signal")
-    if len(x) != lap.node_count:
-        raise DimensionMismatch(f"signal length {len(x)} != {lap.node_count}")
-    if np.ndim(filt.lambda_max) and filt.lambda_max.shape[0] != len(x):
-        raise DimensionMismatch(f"filter has {filt.lambda_max.shape[0]} node bounds for a signal of length {len(x)}")
+    _check_rows(lap, filt.lambda_max, len(x))
     theta = filt.coefficients
-    prev = x.values
     with np.errstate(over="ignore", invalid="ignore"):
-        y = theta[0] * prev
-        if filt.order >= 1:
-            cur = _shifted_apply(lap, filt.lambda_max, prev)
-            y = y + theta[1] * cur
-            for k in range(2, filt.order + 1):
-                prev, cur = cur, 2.0 * _shifted_apply(lap, filt.lambda_max, cur) - prev
-                y = y + theta[k] * cur
-    if not np.isfinite(y).all():
-        raise NonFiniteResponse("filter output is non-finite: the recurrence overflowed")
-    return vertex_signal(y)
+        y = theta[0] * x.values
+        weighted = np.empty_like(y)
+        for k, term in enumerate(_recurrence(lap, filt.lambda_max, x.values, filt.order), start=1):
+            y += np.multiply(theta[k], term, weighted)
+    try:
+        return vertex_signal(y)  # its finiteness test is the output's one
+    except BadParams:
+        raise NonFiniteResponse("filter output is non-finite: the recurrence overflowed") from None
 
 
 @lru_cache(maxsize=None)

@@ -438,11 +438,65 @@ class TestComposedFilter:
         rules = rule_bank() if with_rules else ()
         pipe = Pipeline(cfg, rules=list(rules))
         tasks = random_tasks(np.random.default_rng(order), count)
-        # prepared first, so that only stage 2 runs under the spy
+        # prepared first, so that only stage 2 runs under the spy; every
+        # product with the operator is one call of the CSR kernel
         prepare_graph(cfg, [task.graph for task in tasks])
-        with patch.object(spectral, "_shifted_apply", wraps=spectral._shifted_apply) as products:
+        with patch.object(graph, "csr_matvec", wraps=graph.csr_matvec) as products:
             pipe.run_tasks(tasks)
         assert products.call_count == (2 * order if with_rules else order)
+
+    @pytest.mark.parametrize("laplacian", [COMBINATORIAL, NORMALIZED])
+    @pytest.mark.parametrize("order", [0, 1, 3, 5])
+    @pytest.mark.parametrize("count", [1, 6], ids=["single", "block"])
+    def test_stack_makes_order_products(self, laplacian, order, count):
+        cfg = PipelineConfig(laplacian=laplacian)
+        tasks = random_tasks(np.random.default_rng(order), count)
+        prepared = prepare_graph(cfg, [task.graph for task in tasks])
+        lap = prepared[0].block
+        lambda_max = np.repeat([p.lambda_max for p in prepared], np.diff(lap.starts))
+        with patch.object(graph, "csr_matvec", wraps=graph.csr_matvec) as products:
+            chebyshev_stack(lap, lambda_max, np.concatenate([task.x0 for task in tasks]), order)
+        assert products.call_count == order
+
+
+class TestInPlaceRecurrence:
+    """The recurrence writes into buffers of its own: nothing it was given changes."""
+
+    @pytest.mark.parametrize("laplacian", [COMBINATORIAL, NORMALIZED])
+    def test_a_query_leaves_its_signal_as_it_was(self, laplacian):
+        pipe = Pipeline(PipelineConfig(laplacian=laplacian), rules=list(rule_bank()))
+        task = gen_kinship(4, seed=3)
+        x0 = task.x0.copy()
+        # a block of one hands the filter a view of the task's own array
+        assert np.shares_memory(Block([task]).x.values, task.x0)
+        pipe.run_task(task)
+        assert task.x0.tobytes() == x0.tobytes()
+
+    @pytest.mark.parametrize("laplacian", [COMBINATORIAL, NORMALIZED])
+    @pytest.mark.parametrize("count", [1, 6], ids=["single", "block"])
+    def test_a_kept_block_runs_twice_alike(self, laplacian, count):
+        pipe = Pipeline(PipelineConfig(laplacian=laplacian), rules=list(rule_bank()))
+        block = Block(random_tasks(np.random.default_rng(count), count))
+        x = block.x.values.copy()
+        first = [out.y.values.tobytes() for out in pipe.run_tasks(block)]
+        assert [out.y.values.tobytes() for out in pipe.run_tasks(block)] == first
+        assert block.x.values.tobytes() == x.tobytes()
+
+    @pytest.mark.parametrize("laplacian", [COMBINATORIAL, NORMALIZED])
+    @pytest.mark.parametrize("order", [0, 1, 4])
+    @pytest.mark.parametrize("count", [1, 6], ids=["single", "block"])
+    def test_outputs_share_no_memory_with_their_input(self, laplacian, order, count):
+        tasks = random_tasks(np.random.default_rng(order), count)
+        prepared = prepare_graph(PipelineConfig(laplacian=laplacian), [task.graph for task in tasks])
+        lap = prepared[0].block
+        lambda_max = np.repeat([p.lambda_max for p in prepared], np.diff(lap.starts))
+        x = vertex_signal(tasks[0].x0 if count == 1 else np.concatenate([task.x0 for task in tasks]))
+        before = x.values.copy()
+        y = chebyshev_filter(lap, ChebyshevFilter(np.linspace(1.0, 0.2, order + 1), lambda_max), x)
+        stack = chebyshev_stack(lap, lambda_max, x.values, order)
+        assert not np.shares_memory(y.values, x.values)
+        assert not np.shares_memory(stack, x.values)
+        assert x.values.tobytes() == before.tobytes()
 
 
 class TestBlockEvaluate:

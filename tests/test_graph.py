@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from spectral_nsr.errors import (
     BadParams,
+    DimensionMismatch,
     FormatError,
     IndexOutOfRange,
     NegativeWeight,
@@ -269,6 +270,47 @@ class TestLaplacianInvariants:
             assert (laplacians([g], kind) @ x[lo:hi]).tobytes() == y[lo:hi].tobytes()
         if kind == COMBINATORIAL:
             assert estimate_lambda_max(block) == [dense_bound(g) for g in graphs]
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        graphs=st.lists(spread_graphs(), min_size=1, max_size=5),
+        kind=st.sampled_from([COMBINATORIAL, NORMALIZED]),
+        form=st.sampled_from(["contiguous", "strided", "integer"]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_kernel_product_is_scipys_public_product(self, graphs, kind, form, seed):
+        # `Laplacian` calls scipy's private CSR kernel and sums the degrees
+        # itself; through scipy's public ``@`` and ``sum`` every bit agrees,
+        # or a scipy release has changed what the kernel computes
+        block = laplacians(graphs, kind)
+        a, n = block.adjacency, block.node_count
+        rng = np.random.default_rng(seed)
+        if form == "integer":
+            x = rng.integers(-5, 6, n)
+        elif form == "strided":
+            x = rng.standard_normal(2 * n)[::2]
+        else:
+            x = rng.standard_normal(n)
+        degrees = np.asarray(a.sum(axis=1), dtype=np.float64).reshape(-1)
+        assert block.degrees.tobytes() == degrees.tobytes()
+        if kind == COMBINATORIAL:
+            want = degrees * x - a @ x
+        else:
+            s = np.where(degrees > 0.0, 1.0 / np.sqrt(np.where(degrees > 0.0, degrees, 1.0)), 0.0)
+            want = x - s * (a @ (s * x))
+        assert (block @ x).tobytes() == want.tobytes()
+
+
+class TestProductShapes:
+    """A product takes one value per node; the kernel checks no length, so the operator does."""
+
+    @pytest.mark.parametrize("kind", [COMBINATORIAL, NORMALIZED])
+    @pytest.mark.parametrize("shape", [(4, 1), (3,), (5,)])
+    def test_other_shapes_are_refused(self, kind, shape):
+        # at (4, 1) the diagonal term used to broadcast to a (4, 4) array
+        lap = laplacians([path_graph(4)], kind)
+        with pytest.raises(DimensionMismatch):
+            lap @ np.ones(shape)
 
 
 class TestFileFormats:

@@ -354,6 +354,17 @@ class TestChebyshevFilter:
         with pytest.raises(DimensionMismatch):
             chebyshev_filter(lap, filt, vertex_signal(np.zeros(7)))
 
+    @pytest.mark.parametrize("shape", [(7,), (9,), (8, 1)])
+    def test_stack_refuses_a_signal_of_another_shape(self, rng, shape):
+        lap = combinatorial_laplacian(random_graph(rng, 8))
+        with pytest.raises(DimensionMismatch):
+            chebyshev_stack(lap, 3.0, np.ones(shape), 3)
+
+    def test_stack_refuses_node_bounds_of_another_length(self, rng):
+        lap = combinatorial_laplacian(random_graph(rng, 8))
+        with pytest.raises(DimensionMismatch):
+            chebyshev_stack(lap, np.full(7, 3.0), np.ones(8), 3)
+
     def test_stack_columns_match_manual_recurrence(self, rng):
         g = random_graph(rng, 9)
         lap = combinatorial_laplacian(g)
