@@ -255,7 +255,7 @@ class Laplacian:
         entry of L: -a_ij, or -a_ij (s_i s_j) for the normalized kind,
         which is exactly symmetric."""
         a = self.adjacency
-        rows = np.repeat(np.arange(self.node_count), np.diff(a.indptr))
+        rows = np.repeat(np.arange(self.node_count), a.indptr[1:] - a.indptr[:-1])
         if self.kind == COMBINATORIAL:
             return rows, -a.data
         return rows, -a.data * (self.scale[rows] * self.scale[a.indices])
@@ -285,7 +285,7 @@ def laplacians(graphs: Sequence[ReasoningGraph], kind: str) -> Laplacian:
         raise BadParams(f"unknown laplacian kind {kind!r}")
     adjacency, starts = stack_csr([g.adjacency for g in graphs])
     indptr = adjacency.indptr
-    rows = np.flatnonzero(np.diff(indptr))
+    rows = np.flatnonzero(indptr[1:] - indptr[:-1])
     degrees = np.zeros(indptr.size - 1)
     degrees[rows] = np.add.reduceat(adjacency.data, indptr[rows])
     return Laplacian(kind, adjacency, starts, degrees)

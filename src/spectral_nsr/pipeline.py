@@ -541,9 +541,12 @@ class Block:
             if not counts[i]:
                 raise EmptyLabels(f"task {self.tasks[i].task_id} has no labels")
             raise BadParams(f"task {self.tasks[i].task_id} labels nodes outside its {starts[i + 1] - starts[i]} nodes")
-        # each task's labels in ascending node order
-        order = np.lexsort((local, owners))
-        labelled = _Labelled((local + starts[owners])[order], values[order], np.cumsum([0, *counts]))
+        # each task's labels in ascending node order: the tasks' nodes are
+        # disjoint ascending ranges of the block, so one sort of the block
+        # node ids orders by task, then by node
+        nodes = local + starts[owners]
+        order = np.argsort(nodes, kind="stable")
+        labelled = _Labelled(nodes[order], values[order], np.cumsum([0, *counts]))
         for array in labelled:
             array.setflags(write=False)
         return labelled

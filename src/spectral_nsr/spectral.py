@@ -206,9 +206,9 @@ def estimate_lambda_max(lap: Laplacian, seed: int = 0) -> list[float]:
     which always holds. A combinatorial graph with no entry gets 0.
     """
     indptr, starts, kind = lap.adjacency.indptr, lap.starts, lap.kind
-    sizes, ptr = np.diff(starts), indptr[starts]
+    sizes, ptr = starts[1:] - starts[:-1], indptr[starts]
     # a normalized Laplacian is the identity on a graph with no edge
-    filled = sizes if kind == NORMALIZED else np.diff(ptr)
+    filled = sizes if kind == NORMALIZED else ptr[1:] - ptr[:-1]
     bounds = np.zeros(sizes.size)
     groups = defaultdict(list)  # the dense graphs of each node count
     for i, (n, nnz) in enumerate(zip(sizes.tolist(), filled.tolist())):

@@ -1,6 +1,8 @@
+from unittest.mock import patch
+
 import numpy as np
 import pytest
-from scipy.special import expit
+from scipy.special import expit, logit
 
 from spectral_nsr import trainer
 from spectral_nsr.errors import (
@@ -15,18 +17,20 @@ from spectral_nsr.pipeline import (
     REFERENCE_LAMBDA_MAX,
     Pipeline,
     PipelineConfig,
+    filter_coefficients,
     init_params,
     initial_filter_response,
     prepare_graph,
     rule_rows,
 )
 from spectral_nsr.rules import SpectralRule, builtin_template
-from spectral_nsr.spectral import fit_chebyshev, sample_response
+from spectral_nsr.spectral import fit_chebyshev, sample_response, series_operator
 from spectral_nsr.trainer import (
     LEARNING_RATES,
+    PROB_CLIP,
     AdamState,
+    TaskContext,
     TrainRun,
-    _bce,
     adam_step,
     prepare_context,
     task_loss_and_grads,
@@ -89,35 +93,55 @@ def check_gradients(ctx, params, order, keys, rel_tol=1e-5):
         assert rel <= rel_tol, f"{key}: relative error {rel}"
 
 
-def one_task_bce(p, targets):
-    p = np.asarray(p, dtype=np.float64)
-    return _bce(p, np.asarray(targets, dtype=np.float64), np.array([0]), np.array([p.size]))
+def logit_step(logits, targets, counts=None):
+    """The step on a context of one stack column holding ``logits``, with
+    theta = [1], tau = 0 and alpha = 1, so that p = expit(logits); the
+    tasks' label counts are ``counts`` (default: one task)."""
+    logits = np.asarray(logits, dtype=np.float64)
+    counts = np.array([logits.size] if counts is None else counts)
+    ctx = TaskContext(
+        logits[:, None],
+        np.asarray(targets, dtype=np.float64),
+        np.repeat(counts.astype(np.float64), counts),
+        np.cumsum([0, *counts]),
+        None,
+    )
+    params = {"theta": np.array([1.0]), "rule_weights": np.zeros(0), "tau": np.array([0.0]), "alpha": np.asarray(1.0)}
+    return task_loss_and_grads(ctx, params)
 
 
 class TestLoss:
     def test_half_everywhere_is_ln2(self):
-        value, _ = one_task_bce(np.full(10, 0.5), [i % 2 for i in range(10)])
+        value, _ = logit_step(np.zeros(10), [i % 2 for i in range(10)])
         assert value == pytest.approx(np.log(2.0), abs=1e-12)
 
     def test_perfect_prediction_is_clip_scale(self):
-        value, upstream = one_task_bce([1.0, 0.0, 1.0], [1, 0, 1])
+        # expit(40) rounds to 1 and expit(-40) is below the clip
+        value, grads = logit_step([40.0, -40.0, 40.0], [1, 0, 1])
         assert value == pytest.approx(1e-7, rel=1e-3)
         # the clip is active everywhere, so is the zero derivative
-        assert np.array_equal(upstream, np.zeros(3))
+        for key, grad in grads.items():
+            assert not np.any(grad), key
 
     def test_matches_scalar_loop(self, rng):
-        # two tasks of 12 and 8 labels: the sum of each task's mean
-        values = rng.uniform(0.0, 1.0, size=20)
+        # two tasks of 12 and 8 labels: the sum of each task's mean, and its
+        # derivative in theta, which is sum x (p - t) / n over unclipped labels
+        logits = logit(rng.uniform(0.0, 1.0, size=20))
+        logits[[3, 15]] = (-40.0, 40.0)  # one clipped label in each task
         targets = rng.integers(0, 2, size=20).astype(np.float64)
-        expected = 0.0
+        expected = expected_theta = 0.0
         for lo, hi in ((0, 12), (12, 20)):
             acc = 0.0
             for i in range(lo, hi):
-                q = min(max(values[i], 1e-7), 1 - 1e-7)
+                p = expit(logits[i])
+                q = min(max(p, PROB_CLIP), 1 - PROB_CLIP)
                 acc += -(targets[i] * np.log(q) + (1 - targets[i]) * np.log(1 - q))
+                if q == p:
+                    expected_theta += logits[i] * (p - targets[i]) / (hi - lo)
             expected += acc / (hi - lo)
-        value, _ = _bce(values, targets, np.array([0, 12]), np.array([12, 8]))
+        value, grads = logit_step(logits, targets, [12, 8])
         assert value == pytest.approx(expected, abs=1e-12)
+        assert grads["theta"][0] == pytest.approx(expected_theta, rel=1e-12)
 
     def test_empty_labels(self, rng):
         task = graph_task(random_graph(rng, 6, density=0.5), np.full(6, 0.5), {})
@@ -166,6 +190,114 @@ class TestGradientSuiteKeystone:
             if n_rules:
                 keys.append("rule_weights")
             check_gradients(ctx, params, order, keys)
+
+
+def gather_step(ctx, params, tasks):
+    """The step as a per-batch gather and a separate BCE derivative in p
+    computed it, three series operators included: the oracle of the
+    closed-form step."""
+    tasks = np.asarray(tasks, dtype=np.int64)
+    starts = ctx.label_starts[tasks]
+    counts = ctx.label_starts[tasks + 1] - starts
+    runs = np.cumsum(counts) - counts
+    picked = np.repeat(starts - runs, counts) + np.arange(runs[-1] + counts[-1])
+    x, targets = ctx.stack[picked], ctx.label_values[picked]
+    theta, weights, rows = params["theta"], params["rule_weights"], ctx.rows
+    y = x @ filter_coefficients(params, rows)
+    tau, alpha = float(params["tau"][0]), float(params["alpha"])
+    p = expit(alpha * (y - tau))
+    clipped = np.clip(p, PROB_CLIP, 1.0 - PROB_CLIP)
+    terms = targets * np.log(clipped) + (1.0 - targets) * np.log(1.0 - clipped)
+    value = float(-(np.add.reduceat(terms, runs) / counts).sum())
+    inside = (p > PROB_CLIP) & (p < 1.0 - PROB_CLIP)
+    per_label = np.repeat(counts, counts)
+    upstream = np.zeros_like(p)
+    upstream[inside] = (p[inside] - targets[inside]) / (p[inside] * (1.0 - p[inside])) / per_label[inside]
+    dz = upstream * p * (1.0 - p)
+    d_v = x.T @ (alpha * dz)
+    if rows is None:
+        d_theta, d_w = d_v, np.zeros_like(weights)
+    else:
+        d_theta = series_operator(weights @ rows) @ d_v
+        d_w = rows @ (series_operator(theta) @ d_v)
+    grads = {"theta": d_theta, "rule_weights": d_w, "tau": np.asarray([(-alpha * dz).sum()]),
+             "alpha": np.asarray(float(dz @ (y - tau)))}
+    return value, grads
+
+
+def mixed_context(with_rules, order=3):
+    """The context of a split of 7 transitive and 6 kinship tasks."""
+    cfg = PipelineConfig(order=order, tau=0.4)
+    rules = reference_rules() if with_rules else []
+    tasks = gen_dataset("transitive", 7, seed=3) + gen_dataset("kinship", 6, seed=3)
+    return prepare_context(tasks, cfg, rule_rows(rules, order) if rules else None), init_params(cfg, rules)
+
+
+class TestEpochLayout:
+    @pytest.mark.parametrize("with_rules", [False, True])
+    def test_rows_are_each_tasks_own_in_order(self, rng, with_rules):
+        ctx, _ = mixed_context(with_rules)
+        order = rng.permutation(ctx.task_count)
+        laid = ctx.reordered(order)
+        assert laid.task_count == ctx.task_count and laid.rows is ctx.rows
+        assert laid.label_starts[0] == 0 and laid.label_starts[-1] == ctx.label_starts[-1]
+        for k, i in enumerate(order.tolist()):
+            new = slice(laid.label_starts[k], laid.label_starts[k + 1])
+            own = slice(ctx.label_starts[i], ctx.label_starts[i + 1])
+            assert np.array_equal(laid.stack[new], ctx.stack[own])
+            assert np.array_equal(laid.label_values[new], ctx.label_values[own])
+            assert laid.label_counts[new].tolist() == [own.stop - own.start] * (own.stop - own.start)
+        for array in (laid.stack, laid.label_values, laid.label_counts, laid.label_starts):
+            assert not array.flags.writeable
+        # a layout of a layout is the composed order
+        again = rng.permutation(ctx.task_count)
+        assert np.array_equal(laid.reordered(again).stack, ctx.reordered(order[again]).stack)
+
+    def test_every_batch_is_a_view_of_the_layout(self, rng):
+        ctx, _ = mixed_context(True)
+        laid = ctx.reordered(rng.permutation(ctx.task_count))
+        rows = []
+        for start in range(0, laid.task_count, 4):
+            batch = laid.tasks(start, start + 4)
+            assert batch.task_count == min(4, laid.task_count - start)
+            for part, whole in ((batch.stack, laid.stack), (batch.label_values, laid.label_values),
+                                (batch.label_counts, laid.label_counts)):
+                assert part.base is not None and np.shares_memory(part, whole)
+            lo = laid.label_starts[start]
+            assert np.array_equal(batch.label_starts, laid.label_starts[start : start + 5] - lo)
+            rows.append(batch.stack)
+        assert np.array_equal(np.concatenate(rows), laid.stack)
+
+    @pytest.mark.parametrize("with_rules", [False, True])
+    @pytest.mark.parametrize("steepness", [4.0, 60.0])
+    def test_step_matches_the_gather_chain(self, rng, with_rules, steepness):
+        # at alpha = 60 some labels are clipped
+        ctx, params = mixed_context(with_rules)
+        params["theta"] = params["theta"] + 0.1 * rng.standard_normal(params["theta"].size)
+        params["alpha"] = np.asarray(steepness)
+        for batch in (rng.permutation(ctx.task_count)[:5], np.arange(ctx.task_count)):
+            value, grads = task_loss_and_grads(ctx, params, batch)
+            laid = task_loss_and_grads(ctx.reordered(batch).tasks(0, batch.size), params)
+            expected_value, expected = gather_step(ctx, params, batch)
+            assert value == laid[0] and value == pytest.approx(expected_value, rel=1e-12, abs=0)
+            assert grads.keys() == expected.keys()
+            for key, grad in grads.items():
+                assert np.array_equal(grad, laid[1][key]), key
+                scale = max(np.abs(expected[key]).max(initial=0.0), 1e-300)
+                assert np.abs(grad - expected[key]).max(initial=0.0) <= 1e-12 * scale, key
+        if steepness > 10:
+            p = expit(steepness * (ctx.stack @ filter_coefficients(params, ctx.rows) - params["tau"][0]))
+            assert np.any((p < PROB_CLIP) | (p > 1 - PROB_CLIP))
+
+    def test_train_lays_out_each_epoch_once(self):
+        spy = patch.object(TaskContext, "reordered", autospec=True, side_effect=TaskContext.reordered)
+        run = TrainRun(max_epochs=3, batch_size=16, patience=5, seed=7, latency_probe=0)
+        splits = small_splits()
+        with spy as reordered:
+            result = train(PipelineConfig(tau=0.4), splits, run, rules=reference_rules())
+        assert len(result.history) == 3 and reordered.call_count == 3
+        for call in reordered.call_args_list:
+            assert sorted(call.args[1].tolist()) == list(range(len(splits.train)))
 
 
 class TestAdam:
