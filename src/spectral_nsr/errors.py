@@ -49,10 +49,6 @@ class TooLarge(ValidationError):
     """Dense eigendecomposition refused; use the Chebyshev path."""
 
 
-class DomainMismatch(ValidationError):
-    pass
-
-
 class DimensionMismatch(ValidationError):
     pass
 

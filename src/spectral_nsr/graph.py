@@ -69,10 +69,10 @@ class ReasoningGraph:
     their positions. ``validate`` checks all of these invariants and runs
     when a graph is made, so a graph that exists is a valid one.
 
-    ``prepared`` holds the pipeline's per-graph work, one
-    `pipeline.PreparedGraph` keyed by Laplacian kind and seed: the graph's
-    place in its latest preparation pass, shared by every pipeline and
-    rule set (`pipeline.prepare_graph`).
+    ``prepared`` holds the pipeline's per-graph work, keyed by Laplacian
+    kind and seed: the graph's latest preparation pass (`pipeline.Layout`)
+    and its first position in it, shared by every pipeline and rule set
+    (`pipeline.prepare_graph`).
     That cache relies on the graph never changing: mutating ``nodes`` or
     ``adjacency`` in place would leave it stale.
     """

@@ -31,11 +31,10 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import BadParams, DomainMismatch, EmptyLabels, FormatError, SpectralNsrError
+from .errors import BadParams, EmptyLabels, FormatError, SpectralNsrError
 from .graph import COMBINATORIAL, NORMALIZED, Laplacian, ReasoningGraph, laplacians
 from .rules import SpectralRule, load_rules, rule_coefficients
 from .spectral import (
-    VERTEX,
     ChebyshevFilter,
     FrequencyResponse,
     GraphSignal,
@@ -372,56 +371,67 @@ def build_laplacian(cfg: PipelineConfig, graph: ReasoningGraph | Sequence[Reason
 
 
 @dataclass(frozen=True, eq=False)
-class PreparedGraph:
-    """What preparation derives from a graph for stage 2, made whole by
-    `prepare_graph` and never changed: the bound on its spectrum
-    (``lambda_max``), and its place (``index``) in the `Laplacian`
-    operator of the pass that prepared it (``block``). What the nodes
-    stand for stays on the graph (`ReasoningGraph.labels`). The block's
-    arrays live as long as the entry of any of its graphs.
+class Layout:
+    """One preparation pass over a list of graphs for one Laplacian kind
+    and seed, made whole by `prepare_graph` and never changed: the pass's
+    `Laplacian` operator on the graphs' stacked adjacency, as it is, each
+    graph's spectrum bound (``bounds``), and each node's (``lambda_max``),
+    its own graph's repeated over its rows (a scalar for a pass of one
+    graph). ``firsts`` gives each position of the list the first position
+    that lists the same graph. It holds no graph, so it keeps none alive;
+    what the nodes stand for stays on the graph (`ReasoningGraph.labels`).
     """
 
-    block: Laplacian
-    index: int
-    lambda_max: float
+    laplacian: Laplacian
+    bounds: list[float]
+    lambda_max: float | np.ndarray
+    firsts: tuple[int, ...]
 
 
-def prepare_graph(cfg: PipelineConfig, graphs: Sequence[ReasoningGraph]) -> list[PreparedGraph]:
-    """The entries of one preparation pass over exactly ``graphs``, in their
-    order, for ``cfg``'s Laplacian kind and seed. Each graph keeps its
-    entry, so it is freed with the graph. Rules and parameters do not
-    enter it, so any pipeline of that kind and seed reuses it. The graphs
-    were checked when they were made, so nothing is checked here.
+def prepare_graph(cfg: PipelineConfig, graphs: Sequence[ReasoningGraph]) -> Layout:
+    """One preparation pass over exactly ``graphs``, in their order, for
+    ``cfg``'s Laplacian kind and seed (`Layout`). Each graph keeps the pass
+    and its first position in it, so the pass lives as long as any of its
+    graphs. Rules and parameters do not enter it, so any pipeline of that
+    kind and seed reuses it. The graphs were checked when they were made,
+    so nothing is checked here.
 
-    Graphs whose entries are one pass's, at indices 0..n-1, get them as
-    they are. Any other list (a warm block regrouped, warm and cold graphs
-    mixed, a graph listed twice) is prepared again as one pass: one
-    `build_laplacian` call gives the block's Laplacian operator, its
-    stacked adjacency and degrees, and when a graph is cold, one
-    `estimate_lambda_max` call bounds them all from the operator's arrays;
-    a warm list keeps its bounds, which are the ones the block gives. No
-    matrix is built per graph, and each result is bit for bit what the
-    graph gets alone. Nothing is stored until both calls have succeeded,
-    so a preparation that raises keeps nothing for any graph of the list;
-    its error carries the stage tag ``laplacian`` or ``spectral``.
+    The same graphs, in the same order, that all still keep one pass get
+    that pass as it is. Any other list (a warm block regrouped, warm and
+    cold graphs mixed) is prepared again as one pass: one `build_laplacian`
+    call gives the block's Laplacian operator, its stacked adjacency and
+    degrees, and when a graph is cold, one `estimate_lambda_max` call
+    bounds them all from the operator's arrays; a warm list keeps its
+    bounds, which are the ones the block gives. No matrix is built per
+    graph, and each result is bit for bit what the graph gets alone.
+    Nothing is stored until both calls have succeeded, so a preparation
+    that raises keeps nothing for any graph of the list; its error carries
+    the stage tag ``laplacian`` or ``spectral``.
     """
     key = (cfg.laplacian, cfg.seed)
     entries = [g.prepared.get(key) for g in graphs]
-    first = entries[0] if entries else None
-    if first and first.block.graph_count == len(entries):
-        if all(p and p.block is first.block and p.index == i for i, p in enumerate(entries)):
-            return entries
+    if entries and entries[0]:
+        kept = entries[0][0]
+        if len(kept.firsts) == len(entries) and all(e == (kept, i) for e, i in zip(entries, kept.firsts)):
+            return kept
     with _stage("laplacian"):
-        block = build_laplacian(cfg, graphs)
+        laplacian = build_laplacian(cfg, graphs)
     if None in entries:
         with _stage("spectral"):
-            bounds = [max(bound, 1e-12) for bound in estimate_lambda_max(block, seed=cfg.seed)]
+            bounds = [max(bound, 1e-12) for bound in estimate_lambda_max(laplacian, seed=cfg.seed)]
     else:
-        bounds = [p.lambda_max for p in entries]
-    entries = [PreparedGraph(block, i, bound) for i, bound in enumerate(bounds)]
-    for g, p in zip(graphs, entries, strict=True):
-        g.prepared[key] = p
-    return entries
+        bounds = [layout.bounds[i] for layout, i in entries]
+    if len(bounds) == 1:
+        lambda_max = bounds[0]
+    else:
+        lambda_max = np.repeat(bounds, np.diff(laplacian.starts))
+        lambda_max.setflags(write=False)
+    positions: dict[int, int] = {}
+    firsts = tuple(positions.setdefault(id(g), i) for i, g in enumerate(graphs))
+    layout = Layout(laplacian, bounds, lambda_max, firsts)
+    for g, i in zip(graphs, firsts):
+        g.prepared[key] = (layout, i)
+    return layout
 
 
 class _Query(NamedTuple):
@@ -432,24 +442,6 @@ class _Query(NamedTuple):
     x0: GraphSignal
     kb: KnowledgeBase
     labels: Mapping[int, int] = MappingProxyType({})
-
-
-class _Layout(NamedTuple):
-    """A block's graphs prepared for one Laplacian kind and seed as one
-    pass (`prepare_graph`): each graph's `PreparedGraph`, the pass's
-    Laplacian operator as it is, and each node's own graph's
-    ``lambda_max``, repeated over its rows (a scalar for a block of one)."""
-
-    prepared: list[PreparedGraph]
-    laplacian: Laplacian
-    lambda_max: float | np.ndarray
-
-    @classmethod
-    def of(cls, prepared: list[PreparedGraph]) -> "_Layout":
-        block = prepared[0].block
-        if len(prepared) == 1:
-            return cls(prepared, block, prepared[0].lambda_max)
-        return cls(prepared, block, np.repeat([p.lambda_max for p in prepared], np.diff(block.starts)))
 
 
 class _Labelled(NamedTuple):
@@ -476,17 +468,15 @@ class Block:
     epoch, pays for it once:
 
     - ``x``, the signal values end to end, checked once (`block_signal`);
-    - `layout`, per Laplacian kind and seed: the `PreparedGraph`s of one
-      preparation pass over the graphs (`prepare_graph`), that pass's
-      Laplacian operator as it is and each node's ``lambda_max``
-      (`_Layout`), with no matrix made per graph;
+    - `layout`, per Laplacian kind and seed: one preparation pass over the
+      graphs (`prepare_graph`, `Layout`), with no matrix made per graph;
     - ``compiled``, the KBs with their graphs' labels laid out as one
       program over the block's atoms (`symbolic.CompiledBlock`), which
       binding, chaining and scoring share;
     - ``labelled`` (`_Labelled`), for `trainer.prepare_context` and
-      `harness.evaluate`. Task by task, a label outside its graph raises
-      `BadParams`, and a task without labels `EmptyLabels` when the block
-      was made with ``need_labels``;
+      `harness.evaluate`. Task by task, a label outside its graph or other
+      than 0 and 1 raises `BadParams`, and a task without labels
+      `EmptyLabels` when the block was made with ``need_labels``;
     - ``label_atoms``, each label's block atom in ``labelled`` order, -1
       where its KB does not declare it, for `harness.evaluate`.
 
@@ -500,7 +490,7 @@ class Block:
         self.graphs = tuple(task.graph for task in self.tasks)
         self.node_starts = list(accumulate((g.node_count for g in self.graphs), initial=0))
         self._need_labels = need_labels
-        self._layouts: dict[tuple[str, int], _Layout] = {}
+        self._layouts: dict[tuple[str, int], Layout] = {}
 
     @classmethod
     def of(cls, tasks) -> "Block":
@@ -511,15 +501,16 @@ class Block:
     def x(self) -> GraphSignal:
         return block_signal([task.x0 for task in self.tasks], self.node_starts)
 
-    def layout(self, cfg: PipelineConfig) -> _Layout:
+    def layout(self, cfg: PipelineConfig) -> Layout:
         """The graphs prepared for ``cfg``'s Laplacian kind and seed as one
-        pass, made on first use and laid out as ``node_starts`` lays out
-        the nodes (`_Layout`). A block of no tasks raises `BadParams`."""
+        pass (`prepare_graph`), kept from first use; its rows are laid out
+        as ``node_starts`` lays out the nodes. A block of no tasks raises
+        `BadParams`."""
         if not self.graphs:
             raise BadParams("a block of no tasks has no layout")
         key = (cfg.laplacian, cfg.seed)
         if key not in self._layouts:
-            self._layouts[key] = _Layout.of(prepare_graph(cfg, self.graphs))
+            self._layouts[key] = prepare_graph(cfg, self.graphs)
         return self._layouts[key]
 
     @cached_property
@@ -535,12 +526,16 @@ class Block:
         owners = np.repeat(np.arange(len(self.tasks)), counts)
         starts = np.array(self.node_starts, dtype=np.int64)
         outside = (local < 0) | (local >= np.diff(starts)[owners])
-        refused = {*owners[outside].tolist(), *(i for i, n in enumerate(counts) if self._need_labels and not n)}
+        nonbinary = (values != 0.0) & (values != 1.0)
+        empty = (i for i, n in enumerate(counts) if self._need_labels and not n)
+        refused = {*owners[outside | nonbinary].tolist(), *empty}
         if refused:
             i = min(refused)
             if not counts[i]:
                 raise EmptyLabels(f"task {self.tasks[i].task_id} has no labels")
-            raise BadParams(f"task {self.tasks[i].task_id} labels nodes outside its {starts[i + 1] - starts[i]} nodes")
+            if outside[owners == i].any():
+                raise BadParams(f"task {self.tasks[i].task_id} labels nodes outside its {starts[i + 1] - starts[i]} nodes")
+            raise BadParams(f"task {self.tasks[i].task_id} has labels other than 0 and 1")
         # each task's labels in ascending node order: the tasks' nodes are
         # disjoint ascending ranges of the block, so one sort of the block
         # node ids orders by task, then by node
@@ -600,7 +595,7 @@ def run_pipeline(pipe: Pipeline, block: Block) -> list[PipelineOutput]:
     with _stage("chain"):
         _, known = forward_chain(bound)
     run = _BlockRun(y.values, predicates, bound, known, block.node_starts, bound.starts.tolist())
-    return [PipelineOutput(run, i, coefficients, p.lambda_max) for i, p in enumerate(layout.prepared)]
+    return [PipelineOutput(run, i, coefficients, bound) for i, bound in enumerate(layout.bounds)]
 
 
 def _read_rule_file(path: str) -> list[SpectralRule]:
@@ -620,10 +615,10 @@ class Pipeline:
     (`filter_coefficients`) are made here too, once, and serve every graph.
 
     Instances are immutable in use: `run`, `run_task` and `run_tasks` are
-    pure apart from the `PreparedGraph` kept on each graph and what a
-    `Block` keeps, so one pipeline can serve many threads. Concurrent first
-    queries on the same graph may each compute its prepared entry; one of
-    the equal results is kept, which is harmless.
+    pure apart from the preparation pass kept on each graph (`Layout`) and
+    what a `Block` keeps, so one pipeline can serve many threads.
+    Concurrent first queries on the same graph may each compute its pass;
+    one of the equal results is kept, which is harmless.
     """
 
     def __init__(
@@ -657,9 +652,6 @@ class Pipeline:
         return other
 
     def run(self, graph: ReasoningGraph, x0: GraphSignal, kb: KnowledgeBase) -> PipelineOutput:
-        if x0.domain != VERTEX:
-            with _stage("filter"):
-                raise DomainMismatch("signal 0 is not a vertex-domain signal")
         return run_pipeline(self, Block([_Query(graph, x0, kb)]))[0]
 
     def run_task(self, task) -> PipelineOutput:

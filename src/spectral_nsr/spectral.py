@@ -36,7 +36,6 @@ from .errors import (
     BadParams,
     ConvergenceFailure,
     DimensionMismatch,
-    DomainMismatch,
     FormatError,
     NonFiniteResponse,
     OutOfRange,
@@ -64,23 +63,17 @@ FIT_NODES = 256
 # bounded (each graph's result is the same)
 STACK_BYTES = 1 << 18
 
-VERTEX = "vertex"
-SPECTRAL = "spectral"
-
 
 @dataclass(frozen=True)
 class GraphSignal:
-    """Real vector over nodes, tagged with the domain it lives in."""
+    """Real vector over nodes: a signal, or its graph Fourier coefficients (`gft`)."""
 
     values: np.ndarray
-    domain: str = VERTEX
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64).reshape(-1)
         if not np.isfinite(v).all():
             raise BadParams("signal contains non-finite entries")
-        if self.domain not in (VERTEX, SPECTRAL):
-            raise BadParams(f"unknown signal domain {self.domain!r}")
         object.__setattr__(self, "values", v)
 
     def __len__(self) -> int:
@@ -88,11 +81,7 @@ class GraphSignal:
 
 
 def vertex_signal(values) -> GraphSignal:
-    return GraphSignal(values, VERTEX)
-
-
-def spectral_signal(values) -> GraphSignal:
-    return GraphSignal(values, SPECTRAL)
+    return GraphSignal(values)
 
 
 @dataclass(frozen=True)
@@ -160,18 +149,14 @@ def eigendecompose(lap: Laplacian, limit: int = DENSE_LIMIT) -> SpectralBasis:
 
 def gft(basis: SpectralBasis, x: GraphSignal) -> GraphSignal:
     """Project a vertex signal onto the eigenbasis: xhat = U^T x."""
-    if x.domain != VERTEX:
-        raise DomainMismatch("gft expects a vertex-domain signal")
     if len(x) != basis.node_count:
         raise DimensionMismatch(f"signal length {len(x)} != {basis.node_count}")
-    return spectral_signal(basis.eigenvectors.T @ x.values)
+    return GraphSignal(basis.eigenvectors.T @ x.values)
 
 
 def exact_filter(basis: SpectralBasis, response: FrequencyResponse, x: GraphSignal) -> GraphSignal:
     """y = U g(Lambda) U^T x. A non-finite gain or output raises
     `NonFiniteResponse`, with no numpy warning before it."""
-    if x.domain != VERTEX:
-        raise DomainMismatch("exact_filter expects a vertex-domain signal")
     if len(x) != basis.node_count:
         raise DimensionMismatch(f"signal length {len(x)} != {basis.node_count}")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -446,8 +431,6 @@ def chebyshev_filter(lap: Laplacian, filt: ChebyshevFilter, x: GraphSignal) -> G
     `NonFiniteResponse`, with no numpy warning before it. A per-node
     ``lambda_max`` gives each node its own rescaling.
     """
-    if x.domain != VERTEX:
-        raise DomainMismatch("chebyshev_filter expects a vertex-domain signal")
     _check_rows(lap, filt.lambda_max, len(x))
     theta = filt.coefficients
     with np.errstate(over="ignore", invalid="ignore"):

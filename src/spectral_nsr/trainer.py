@@ -218,7 +218,8 @@ def prepare_context(tasks: Sequence[SyntheticTask], cfg: PipelineConfig, rows: n
     which one gather keeps the labelled rows (`Block.labelled`). No tasks
     raise `BadParams`. After the graphs are prepared, the first task
     without labels raises `EmptyLabels`, or one that labels a node outside
-    its graph, if it comes first, `BadParams`.
+    its graph or with a value other than 0 and 1, if it comes first,
+    `BadParams`.
     """
     block = Block(tasks, need_labels=True)
     layout, labelled = block.layout(cfg), block.labelled
@@ -232,15 +233,10 @@ def prepare_context(tasks: Sequence[SyntheticTask], cfg: PipelineConfig, rows: n
     return TaskContext(stack, labelled.values, label_counts, starts, rows)
 
 
-def task_loss_and_grads(
-    ctx: TaskContext,
-    params: dict[str, np.ndarray],
-    tasks: np.ndarray | None = None,
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Loss and full analytic gradient over the context's tasks, or over
-    the tasks indexed by ``tasks`` (``ctx.reordered(tasks)``'s). The
-    filter order is theta's, and the context's stack must be as wide as it
-    needs.
+def task_loss_and_grads(ctx: TaskContext, params: dict[str, np.ndarray]) -> tuple[float, dict[str, np.ndarray]]:
+    """Loss and full analytic gradient over the context's tasks; a subset
+    of them, in any order, is ``ctx.reordered(indices)``. The filter order
+    is theta's, and the context's stack must be as wide as it needs.
 
     The loss is the sum of the tasks' mean BCE, with p clipped to
     [PROB_CLIP, 1 - PROB_CLIP], so its value and gradients are the sums of
@@ -255,8 +251,6 @@ def task_loss_and_grads(
     series a (`spectral.series_operator`): one reshape of
     `spectral.product_operator` makes both.
     """
-    if tasks is not None:
-        ctx = ctx.reordered(tasks)
     x, targets, counts, rows = ctx.stack, ctx.label_values, ctx.label_counts, ctx.rows
     theta, weights = params["theta"], params["rule_weights"]
     if rows is None:
@@ -276,7 +270,8 @@ def task_loss_and_grads(
     p = expit(steepness * shifted)
     # np.clip's arithmetic, and np.sum's, without their per-call dispatch
     clipped = np.minimum(np.maximum(p, PROB_CLIP), 1.0 - PROB_CLIP)
-    terms = targets * np.log(clipped) + (1.0 - targets) * np.log(1.0 - clipped)
+    # a label is 0 or 1 (`Block.labelled`), so a row's BCE term is one log
+    terms = np.log(np.where(targets, clipped, 1.0 - clipped))
     terms /= counts
     value = -float(np.add.reduce(terms))
     dz = np.where(clipped == p, p - targets, 0.0)  # d loss / d (alpha (y - tau))

@@ -202,24 +202,24 @@ class TestBlockPreparation:
         with patch.object(spectral, "STACK_BYTES", stack_bytes):
             block = prepare_graph(cfg, preparation_block(specs, big, order_seed))
         graphs = preparation_block(specs, big, order_seed)
-        alone = [prepare_graph(cfg, [graph])[0] for graph in graphs]
+        alone = [prepare_graph(cfg, [graph]) for graph in graphs]
         assert len({graph.node_count > DENSE_BOUND_LIMIT for graph in graphs}) == (2 if big else 1)
-        for b, a, graph in zip(block, alone, graphs, strict=True):
+        for i, (b, a, graph) in enumerate(zip(block.bounds, alone, graphs, strict=True)):
             # a pass of one graph is the graph's own adjacency; in a block, the
             # graph's rows of the stacked adjacency and degrees are its own
-            assert a.block.adjacency is graph.adjacency and a.block.starts.tolist() == [0, graph.node_count]
-            lo, hi = b.block.starts[b.index : b.index + 2]
-            rows = b.block.adjacency[lo:hi]
+            assert a.laplacian.adjacency is graph.adjacency and a.laplacian.starts.tolist() == [0, graph.node_count]
+            lo, hi = block.laplacian.starts[i : i + 2]
+            rows = block.laplacian.adjacency[lo:hi]
             assert np.array_equal(rows.indptr - rows.indptr[0], graph.adjacency.indptr)
             assert np.array_equal(rows.indices - lo, graph.adjacency.indices)
             assert np.array_equal(rows.data, graph.adjacency.data)
-            assert b.block.degrees[lo:hi].tobytes() == a.block.degrees.tobytes() == graph.degrees().tobytes()
+            assert block.laplacian.degrees[lo:hi].tobytes() == a.laplacian.degrees.tobytes() == graph.degrees().tobytes()
             dense = laplacian_oracle(graph, laplacian)
-            assert np.array_equal(a.block.toarray(), dense)
-            assert b.lambda_max == a.lambda_max == max(estimate_lambda_max(a.block)[0], 1e-12)
+            assert np.array_equal(a.laplacian.toarray(), dense)
+            assert b == a.lambda_max == max(estimate_lambda_max(a.laplacian)[0], 1e-12)
             if 0 < graph.node_count <= DENSE_BOUND_LIMIT and (laplacian == NORMALIZED or graph.adjacency.nnz):
                 pad = graph.node_count * np.finfo(np.float64).eps * float(np.abs(dense).sum(axis=0).max())
-                assert b.lambda_max == float(np.linalg.eigvalsh(dense)[-1]) + pad
+                assert b == float(np.linalg.eigvalsh(dense)[-1]) + pad
         # the one rows array of every graph, fitted on the reference interval
         rows = Pipeline(cfg, rules=list(rules)).rows
         assert np.array_equal(rows, rule_coefficients(rules, REFERENCE_LAMBDA_MAX, order))
@@ -266,7 +266,7 @@ class TestBlockBounds:
         layout = block.layout(cfg)
         # one operator, the pass's block, laid out as it is: nothing per graph
         assert len(made) == 1 and layout.laplacian is made[0]
-        assert all(p.block is made[0] for p in layout.prepared)
+        assert all(task.graph.prepared[(cfg.laplacian, cfg.seed)][0] is layout for task in tasks)
 
 
 class TestBlockGradients:
@@ -288,7 +288,7 @@ class TestBlockGradients:
         tasks, split, params = split_and_params(rng)
         batch = rng.permutation(split.task_count)[:4]
         assert len({tasks[i].graph.node_count for i in batch}) >= 3
-        _, analytic = task_loss_and_grads(split, params, batch)
+        _, analytic = task_loss_and_grads(split.reordered(batch), params)
         for key in ("theta", "rule_weights", "tau", "alpha"):
             base = {k: np.array(v, dtype=np.float64) for k, v in params.items()}
             flat = base[key].reshape(-1)
@@ -296,9 +296,9 @@ class TestBlockGradients:
             for i in range(flat.size):
                 orig = flat[i]
                 flat[i] = orig + FD_STEP
-                up, _ = task_loss_and_grads(split, base, batch)
+                up, _ = task_loss_and_grads(split.reordered(batch), base)
                 flat[i] = orig - FD_STEP
-                down, _ = task_loss_and_grads(split, base, batch)
+                down, _ = task_loss_and_grads(split.reordered(batch), base)
                 flat[i] = orig
                 fd[i] = (up - down) / (2 * FD_STEP)
             ga = np.asarray(analytic[key], dtype=np.float64).reshape(-1)
@@ -311,7 +311,7 @@ class TestBlockGradients:
         tasks, split, params = split_and_params(rng)
         rows = rule_rows(rule_bank(), PipelineConfig.order)
         for i, task in enumerate(tasks):
-            value, grads = task_loss_and_grads(split, params, [i])
+            value, grads = task_loss_and_grads(split.reordered([i]), params)
             alone, alone_grads = task_loss_and_grads(prepare_context([task], PipelineConfig(), rows), params)
             assert value == alone
             for key, grad in grads.items():
@@ -331,10 +331,10 @@ class TestBlockGradients:
         assert stack_calls.call_count == 1
         assert split.task_count == len(tasks) and split.stack.shape[1] == degree + 1
         for i, task in enumerate(tasks):
-            p = prepare_graph(cfg, [task.graph])[0]
+            p = prepare_graph(cfg, [task.graph])
             nodes = np.asarray(sorted(task.labels))
             lo, hi = split.label_starts[i], split.label_starts[i + 1]
-            own = chebyshev_stack(p.block, p.lambda_max, task.x0, degree)[nodes]
+            own = chebyshev_stack(p.laplacian, p.lambda_max, task.x0, degree)[nodes]
             assert np.array_equal(split.stack[lo:hi], own)
             assert split.label_values[lo:hi].tolist() == [task.labels[n] for n in nodes.tolist()]
         # every task shares the pipeline's one rows array
@@ -344,6 +344,16 @@ class TestBlockGradients:
         else:
             assert split.rows is None
         assert not split.stack.flags.writeable
+
+    def test_labels_are_zero_or_one(self):
+        tasks = gen_dataset("transitive", 3, seed=2)
+        block = [tasks[0], replace(tasks[1], labels={0: 2, 1: -1}), tasks[2]]
+        message = f"task {tasks[1].task_id} has labels other than 0 and 1"
+        with pytest.raises(BadParams, match=message):
+            prepare_context(block, PipelineConfig(), None)
+        for measure in (False, True):
+            with pytest.raises(BadParams, match=message):
+                evaluate(Pipeline(PipelineConfig()), block, measure_latency=measure)
 
     def test_tasks_must_fit_their_graphs(self):
         task = gen_transitive(2, seed=3)
@@ -392,8 +402,8 @@ class TestComposedFilter:
         tasks = random_tasks(rng, count)
         outputs = pipe.run_tasks(tasks)
         for task, out in zip(tasks, outputs, strict=True):
-            p = prepare_graph(cfg, [task.graph])[0]
-            lap = p.block
+            p = prepare_graph(cfg, [task.graph])
+            lap = p.laplacian
             rows = rule_coefficients(stretched(rules, p.lambda_max), p.lambda_max, order)
             coeffs = pipe.params["rule_weights"] @ rows
             ruled = chebyshev_filter(lap, ChebyshevFilter(coeffs, p.lambda_max), vertex_signal(task.x0))
@@ -418,7 +428,7 @@ class TestComposedFilter:
         pipe = Pipeline(cfg, rules=list(rules), params=random_params(cfg, len(rules), rng))
         tasks = random_tasks(rng, count)
         for task, out in zip(tasks, pipe.run_tasks(tasks), strict=True):
-            p = prepare_graph(cfg, [task.graph])[0]
+            p = prepare_graph(cfg, [task.graph])
             learned = ChebyshevFilter(pipe.params["theta"], p.lambda_max)
             if with_rules:
                 rows = rule_coefficients(stretched(rules, p.lambda_max), p.lambda_max, order)
@@ -427,7 +437,7 @@ class TestComposedFilter:
                 response = FrequencyResponse(lambda lam: sample_response(learned, lam) * sample_response(ruled, lam))
             else:
                 response = learned.response()
-            want = exact_filter(eigendecompose(p.block), response, vertex_signal(task.x0)).values
+            want = exact_filter(eigendecompose(p.laplacian), response, vertex_signal(task.x0)).values
             assert np.abs(out.y.values - want).max() <= 1e-12 * max(np.abs(want).max(), 1.0)
 
     @pytest.mark.parametrize("with_rules", [False, True])
@@ -451,9 +461,9 @@ class TestComposedFilter:
     def test_stack_makes_order_products(self, laplacian, order, count):
         cfg = PipelineConfig(laplacian=laplacian)
         tasks = random_tasks(np.random.default_rng(order), count)
-        prepared = prepare_graph(cfg, [task.graph for task in tasks])
-        lap = prepared[0].block
-        lambda_max = np.repeat([p.lambda_max for p in prepared], np.diff(lap.starts))
+        layout = prepare_graph(cfg, [task.graph for task in tasks])
+        lap = layout.laplacian
+        lambda_max = np.repeat(layout.bounds, np.diff(lap.starts))
         with patch.object(graph, "csr_matvec", wraps=graph.csr_matvec) as products:
             chebyshev_stack(lap, lambda_max, np.concatenate([task.x0 for task in tasks]), order)
         assert products.call_count == order
@@ -487,9 +497,9 @@ class TestInPlaceRecurrence:
     @pytest.mark.parametrize("count", [1, 6], ids=["single", "block"])
     def test_outputs_share_no_memory_with_their_input(self, laplacian, order, count):
         tasks = random_tasks(np.random.default_rng(order), count)
-        prepared = prepare_graph(PipelineConfig(laplacian=laplacian), [task.graph for task in tasks])
-        lap = prepared[0].block
-        lambda_max = np.repeat([p.lambda_max for p in prepared], np.diff(lap.starts))
+        layout = prepare_graph(PipelineConfig(laplacian=laplacian), [task.graph for task in tasks])
+        lap = layout.laplacian
+        lambda_max = np.repeat(layout.bounds, np.diff(lap.starts))
         x = vertex_signal(tasks[0].x0 if count == 1 else np.concatenate([task.x0 for task in tasks]))
         before = x.values.copy()
         y = chebyshev_filter(lap, ChebyshevFilter(np.linspace(1.0, 0.2, order + 1), lambda_max), x)

@@ -15,10 +15,18 @@ from click.testing import CliRunner
 import spectral_nsr
 from spectral_nsr.cli import main
 from spectral_nsr.errors import FormatError
-from spectral_nsr.graph import save_graph_text
+from spectral_nsr.graph import load_graph, save_graph_text
 from spectral_nsr.harness import gen_dataset, gen_transitive, load_dataset, save_dataset
-from spectral_nsr.pipeline import Pipeline, PipelineConfig
-from spectral_nsr.spectral import ChebyshevFilter, save_filter, save_signal, vertex_signal
+from spectral_nsr.pipeline import Pipeline, PipelineConfig, build_laplacian
+from spectral_nsr.spectral import (
+    ChebyshevFilter,
+    eigendecompose,
+    gft,
+    load_signal,
+    save_filter,
+    save_signal,
+    vertex_signal,
+)
 from spectral_nsr.trainer import Checkpoint
 
 DATA = Path(__file__).parent / "data"
@@ -288,6 +296,36 @@ class TestRetiredBandGate:
         reference.write_text(json.dumps(payload))
         result = invoke("eval", "--ckpt", reference, "--data", dataset, "--no-latency")
         assert result.exit_code == 0, result.output
+
+
+class TestSpectralOut:
+    """``filter --spectral-out`` writes the signal's graph Fourier coefficients, on the exact path only."""
+
+    def filter_args(self, tmp_path, route):
+        task = gen_transitive(3, seed=0)
+        save_graph_text(task.graph, tmp_path / "g.txt")
+        save_signal(vertex_signal(task.x0), tmp_path / "x.csv")
+        # a bound above the graph's spectrum, as the exact path needs
+        save_filter(ChebyshevFilter(np.array([1.0, 0.5]), 10.0), tmp_path / "f.json")
+        return ["filter", "--graph", tmp_path / "g.txt", "--signal", tmp_path / "x.csv", "--filter",
+                tmp_path / "f.json", "--out", tmp_path / "y.csv", "--path", route,
+                "--spectral-out", tmp_path / "xhat.csv"]
+
+    def test_exact_path_writes_the_coefficients(self, tmp_path):
+        result = invoke(*self.filter_args(tmp_path, "exact"))
+        assert result.exit_code == 0, result.output
+        x = load_signal(tmp_path / "x.csv")
+        basis = eigendecompose(build_laplacian(PipelineConfig(), load_graph(tmp_path / "g.txt")))
+        xhat = load_signal(tmp_path / "xhat.csv")
+        assert xhat.values.tobytes() == gft(basis, x).values.tobytes()
+        assert np.abs(basis.eigenvectors @ xhat.values - x.values).max() <= 1e-12
+
+    def test_chebyshev_path_refuses_it(self, tmp_path):
+        result = invoke(*self.filter_args(tmp_path, "chebyshev"), "--json-errors")
+        assert result.exit_code == 1, result.output
+        record = json.loads(result.stderr.strip().splitlines()[-1])
+        assert record["error"] == "ValidationError" and "--path exact" in record["message"]
+        assert not (tmp_path / "xhat.csv").exists() and not (tmp_path / "y.csv").exists()
 
 
 class TestInvalidFilterFile:

@@ -19,6 +19,7 @@ from spectral_nsr.graph import (
     ReasoningGraph,
     build_graph,
     combinatorial_laplacian,
+    csr_matvec,
     laplacians,
     load_graph,
     load_graph_json,
@@ -311,6 +312,30 @@ class TestProductShapes:
         lap = laplacians([path_graph(4)], kind)
         with pytest.raises(DimensionMismatch):
             lap @ np.ones(shape)
+
+
+class TestCsrKernel:
+    """`csr_matvec`, scipy's private CSR kernel that `Laplacian.apply` calls:
+    imported by name here, so a scipy release that moves it fails with its
+    cause named."""
+
+    def test_into_zeros_it_is_the_product(self, rng):
+        a = random_graph(rng, 30, density=0.2).adjacency
+        x = rng.standard_normal(30)
+        out = np.zeros(30)
+        csr_matvec(30, 30, a.indptr, a.indices, a.data, x, out)
+        assert out.tobytes() == (a @ x).tobytes()
+
+    def test_into_other_values_it_adds_the_product(self, rng):
+        a = random_graph(rng, 30, density=0.2).adjacency
+        x, out = rng.standard_normal(30), rng.standard_normal(30)
+        # each row's sum starts from the output's entry and adds its terms in order
+        want = out.copy()
+        for i in range(30):
+            for k in range(a.indptr[i], a.indptr[i + 1]):
+                want[i] += a.data[k] * x[a.indices[k]]
+        csr_matvec(30, 30, a.indptr, a.indices, a.data, x, out)
+        assert out.tobytes() == want.tobytes()
 
 
 class TestFileFormats:

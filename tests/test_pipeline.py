@@ -2,6 +2,7 @@ import hashlib
 import json
 import re
 import time
+import weakref
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -15,7 +16,6 @@ from spectral_nsr.errors import (
     BadParams,
     ConvergenceFailure,
     DimensionMismatch,
-    DomainMismatch,
     FormatError,
     NonFiniteResponse,
     UnmappedNode,
@@ -30,7 +30,7 @@ from spectral_nsr.pipeline import (
     init_params,
 )
 from spectral_nsr.rules import SpectralRule, builtin_template, load_rules
-from spectral_nsr.spectral import ChebyshevFilter, chebyshev_filter, spectral_signal, vertex_signal
+from spectral_nsr.spectral import ChebyshevFilter, chebyshev_filter, vertex_signal
 from spectral_nsr.symbolic import KnowledgeBase
 from spectral_nsr.trainer import Checkpoint, TrainRun, prepare_context, train
 
@@ -459,9 +459,6 @@ class TestEvalReport:
             reference_pipeline().run_tasks([tasks[0], short, tasks[2]])
         with pytest.raises(BadParams, match="signal contains non-finite entries"):
             reference_pipeline().run_tasks([tasks[0], replace(tasks[2], x0=np.full(tasks[2].x0.size, np.inf))])
-        with pytest.raises(DomainMismatch, match="signal 0 is not a vertex-domain signal") as info:
-            reference_pipeline().run(tasks[0].graph, spectral_signal(tasks[0].x0), tasks[0].kb)
-        assert info.value.stage == "filter"
 
     @pytest.mark.parametrize("measure", [True, False])
     def test_latency_keys_exactly_when_measured(self, measure):
@@ -545,9 +542,9 @@ class TestPreparedGraph:
 
     def test_labels_are_the_graphs(self):
         task = gen_transitive(2, width=1, seed=5)
-        # preparation derives stage 2's inputs only, the graph's rows of its
-        # pass's Laplacian block and its bound; the labels stay on the graph
-        assert [f.name for f in fields(pipeline.PreparedGraph)] == ["block", "index", "lambda_max"]
+        # preparation derives stage 2's inputs only, its pass's Laplacian
+        # operator and bounds; the labels stay on the graph
+        assert [f.name for f in fields(pipeline.Layout)] == ["laplacian", "bounds", "lambda_max", "firsts"]
         assert task.graph.labels == tuple(m.label for m in task.graph.nodes)
         assert task.graph.labels == tuple(task.node_atoms.values())
 
@@ -654,6 +651,38 @@ class TestPreparedGraph:
             for out in (first, last):
                 assert_same_output(out, alone)
                 assert out.lambda_max == alone.lambda_max
+
+    def test_graph_listed_twice_is_prepared_once(self, calls):
+        pipe = reference_pipeline()
+        calls.update(query_calls())
+        task = gen_transitive(4, width=2, seed=11)
+        # each run is a fresh block over the same list, which the kept pass serves
+        for _ in range(3):
+            pipe.run_tasks([task, task])
+        assert calls == query_calls(build_laplacian=1, estimate_lambda_max=1)
+        layout = pipeline.prepare_graph(pipe.cfg, [task.graph, task.graph])
+        assert task.graph.prepared[(pipe.cfg.laplacian, pipe.cfg.seed)] == (layout, 0)
+        assert layout.firsts == (0, 0) and layout.bounds[0] == layout.bounds[1]
+        assert calls == query_calls(build_laplacian=1, estimate_lambda_max=1)
+
+    def test_pass_is_not_reused_once_a_graph_drops_it(self, calls):
+        cfg = PipelineConfig()
+        graphs = [task.graph for task in gen_dataset("transitive", 3, seed=9)]
+        first = pipeline.prepare_graph(cfg, graphs)
+        assert pipeline.prepare_graph(cfg, graphs) is first
+        del graphs[1].prepared[(cfg.laplacian, cfg.seed)]
+        # the graph is cold again, so the list is one new pass, bounded again
+        second = pipeline.prepare_graph(cfg, graphs)
+        assert second is not first and second.bounds == first.bounds
+        assert calls == query_calls(build_laplacian=2, estimate_lambda_max=2)
+        assert all(g.prepared[(cfg.laplacian, cfg.seed)] == (second, i) for i, g in enumerate(graphs))
+
+    def test_pass_keeps_no_graph_alive(self):
+        graphs = [task.graph for task in gen_dataset("kinship", 2, seed=4)]
+        layout = pipeline.prepare_graph(PipelineConfig(), graphs)
+        freed = weakref.ref(graphs.pop())
+        assert freed() is None
+        assert layout.laplacian.graph_count == 2
 
     def test_train_lays_out_each_split_once(self, monkeypatch):
         counts = {"prepare_graph": 0, "build_laplacian": 0}

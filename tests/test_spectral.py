@@ -9,7 +9,6 @@ from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 from spectral_nsr.errors import (
     BadParams,
     DimensionMismatch,
-    DomainMismatch,
     FormatError,
     NonFiniteResponse,
     OutOfRange,
@@ -35,7 +34,6 @@ from spectral_nsr.spectral import (
     series_operator,
     sample_response,
     save_filter,
-    spectral_signal,
     vertex_signal,
 )
 
@@ -128,12 +126,6 @@ class TestTransforms:
         e0[0] = 1.0
         x = basis.eigenvectors @ e0
         assert np.allclose(x, 1.0 / np.sqrt(8), atol=1e-10)
-
-    def test_domain_mismatch(self, rng):
-        g = random_graph(rng, 5)
-        basis = eigendecompose(combinatorial_laplacian(g))
-        with pytest.raises(DomainMismatch):
-            gft(basis, spectral_signal(np.zeros(5)))
 
     def test_dimension_mismatch(self, rng):
         g = random_graph(rng, 5)

@@ -46,7 +46,7 @@ def make_instance(rng, n=12, order=4, n_rules=2):
     """Random task context plus randomized parameters for gradient checks."""
     g = random_graph(rng, n, density=0.3)
     cfg = PipelineConfig(order=order)
-    lam_max = prepare_graph(cfg, [g])[0].lambda_max
+    lam_max = prepare_graph(cfg, [g]).lambda_max
     rules = tuple(
         SpectralRule(f"r{i}", builtin_template("heat-kernel", lam_max, t=0.3 + 0.4 * i), weight=1.0)
         for i in range(n_rules)
@@ -276,7 +276,7 @@ class TestEpochLayout:
         params["theta"] = params["theta"] + 0.1 * rng.standard_normal(params["theta"].size)
         params["alpha"] = np.asarray(steepness)
         for batch in (rng.permutation(ctx.task_count)[:5], np.arange(ctx.task_count)):
-            value, grads = task_loss_and_grads(ctx, params, batch)
+            value, grads = task_loss_and_grads(ctx.reordered(batch), params)
             laid = task_loss_and_grads(ctx.reordered(batch).tasks(0, batch.size), params)
             expected_value, expected = gather_step(ctx, params, batch)
             assert value == laid[0] and value == pytest.approx(expected_value, rel=1e-12, abs=0)
