@@ -194,7 +194,7 @@ def response_cmd(filter_path, grid, out_path):
     filt = load_filter(filter_path)
     lams = np.linspace(0.0, filt.lambda_max, grid)
     values = sample_response(filt, lams)
-    lines = [f"{lam!r},{val!r}" for lam, val in zip(lams, values)]
+    lines = [f"{float(lam)!r},{float(val)!r}" for lam, val in zip(lams, values)]
     Path(out_path).write_text("\n".join(lines) + "\n")
     click.echo(f"response samples -> {out_path}")
 

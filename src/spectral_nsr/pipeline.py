@@ -406,11 +406,14 @@ def prepare_graph(cfg: PipelineConfig, graphs: Sequence[ReasoningGraph]) -> Layo
     graph, and each result is bit for bit what the graph gets alone.
     Nothing is stored until both calls have succeeded, so a preparation
     that raises keeps nothing for any graph of the list; its error carries
-    the stage tag ``laplacian`` or ``spectral``.
+    the stage tag ``laplacian`` or ``spectral``. A list of no graphs raises
+    `BadParams`.
     """
+    if not graphs:
+        raise BadParams("a pass over no graphs has no layout")
     key = (cfg.laplacian, cfg.seed)
     entries = [g.prepared.get(key) for g in graphs]
-    if entries and entries[0]:
+    if entries[0]:
         kept = entries[0][0]
         if len(kept.firsts) == len(entries) and all(e == (kept, i) for e, i in zip(entries, kept.firsts)):
             return kept
@@ -506,8 +509,6 @@ class Block:
         pass (`prepare_graph`), kept from first use; its rows are laid out
         as ``node_starts`` lays out the nodes. A block of no tasks raises
         `BadParams`."""
-        if not self.graphs:
-            raise BadParams("a block of no tasks has no layout")
         key = (cfg.laplacian, cfg.seed)
         if key not in self._layouts:
             self._layouts[key] = prepare_graph(cfg, self.graphs)

@@ -291,7 +291,8 @@ class ChebyshevFilter:
     `Laplacian` of several) each graph keeps its own rescaling:
     ``lambda_max`` then holds one value per node.
     ``coefficients`` is one vector, the same on every node; a table of
-    rows raises `BadParams`.
+    rows raises `BadParams`, as does a ``lambda_max`` that is not positive
+    and finite.
     """
 
     coefficients: np.ndarray
@@ -309,10 +310,10 @@ class ChebyshevFilter:
         lam = self.lambda_max
         if isinstance(lam, np.ndarray) and lam.ndim:
             lam = lam.astype(np.float64, copy=False)
-            if lam.ndim > 1 or not (lam > 0.0).all():
-                raise BadParams(f"lambda_max must be positive, got {self.lambda_max}")
-        elif not lam > 0.0:
-            raise BadParams(f"lambda_max must be positive, got {self.lambda_max}")
+            if lam.ndim > 1 or not ((lam > 0.0) & (lam < np.inf)).all():
+                raise BadParams(f"lambda_max must be positive and finite, got {self.lambda_max}")
+        elif not 0.0 < lam < np.inf:
+            raise BadParams(f"lambda_max must be positive and finite, got {self.lambda_max}")
         else:
             lam = float(lam)
         object.__setattr__(self, "coefficients", coeffs)
@@ -555,7 +556,8 @@ def save_filter(filt: ChebyshevFilter, path: str | Path) -> None:
 
 def load_filter(path: str | Path) -> ChebyshevFilter:
     """The filter a `save_filter` file holds; malformed or invalid content
-    (no coefficients, a non-finite one, ``lambda_max`` not positive) raises
+    (no coefficients, a non-finite one, ``lambda_max`` not positive and
+    finite) raises
     `FormatError` naming the file."""
     try:
         payload = json.loads(Path(path).read_text())

@@ -6,29 +6,24 @@ expit(alpha (y_i - tau)) (`soft_threshold`) for alpha > 0. True predicates
 become facts of a propositional Horn-clause knowledge base, and forward
 chaining computes the least fixed point.
 
-On one KB, a semi-naive chainer (`forward_chain`) gives the closure as
-atoms together with replayable proof traces. It queues only the facts
-that are premises of some clause, and records one justifying clause per
-derived atom; a proof trace is built from those justifications only when
-it is read, since most callers read none.
-
-On a block of KBs, binding and chaining run once for the whole block.
-Each KB is compiled once into integer form (`CompiledKB`): an atom index,
-the clause x premise incidence held by premise, and head ids. A block's
-compiled KBs are offset-concatenated into one program over the block's
-atoms (`CompiledBlock`, made once for a block run many times), and every
-closure comes from one counter-based propagation (Dowling & Gallier
-1984): each clause counts its premises not yet known and fires its head
-when the count reaches zero. The result is one bit per block atom; a
-KB's traces are made from its bound KB by the one-KB chainer, and only
-when they are read.
+Each KB is compiled once, with the KB, into integer form (`CompiledKB`):
+an atom index, the clause x premise incidence held by premise, and head
+ids. Every closure comes from this form by one counter-based propagation
+(Dowling & Gallier 1984): each clause counts its premises not yet known
+and fires its head when the count reaches zero. A block's compiled KBs
+are laid end to end over the block's atoms (`CompiledBlock`, made once
+for a block run many times); `bind_predicates` binds a block's true nodes
+in it, and `forward_chain` closes the block at once, one bit per block
+atom. On one KB, `forward_chain` runs the same propagation as a queue
+that also records one justifying clause per derived atom, and gives the
+closure as atoms with replayable proof traces, each built from those
+justifications only when it is read, since most callers read none.
 """
 
 from __future__ import annotations
 
 import copy
 from bisect import bisect_right
-from collections import deque
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -38,7 +33,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import expit
 
-from .errors import BadParams, FormatError, UnmappedNode
+from .errors import BadParams, DimensionMismatch, FormatError, UnmappedNode
 from .spectral import GraphSignal
 
 
@@ -99,12 +94,10 @@ class Clause:
 class KnowledgeBase:
     """Atoms, Horn clauses, base facts, and mutually exclusive atom pairs.
 
-    ``declared`` (the atom set) and ``by_premise`` (body atom -> indices
-    of the clauses it appears in) are read by binding and chaining one
-    KB, and ``compiled`` (the integer form, `CompiledKB`) by binding and
-    chaining a block. All three are built once, with the KB, and shared
-    by every `with_facts` copy. They rely on the KB never being changed
-    after construction.
+    ``declared`` (the atom set) checks facts, and ``compiled`` (the
+    integer form, `CompiledKB`) is what binding and chaining read. Both
+    are built once, with the KB, and shared by every `with_facts` copy.
+    They rely on the KB never being changed after construction.
     """
 
     atoms: tuple[str, ...]
@@ -112,7 +105,6 @@ class KnowledgeBase:
     facts: frozenset[str] = frozenset()
     exclusive: tuple[tuple[str, str], ...] = ()
     declared: frozenset[str] = field(init=False, repr=False, compare=False)
-    by_premise: dict[str, tuple[int, ...]] = field(init=False, repr=False, compare=False)
     compiled: CompiledKB = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -123,19 +115,15 @@ class KnowledgeBase:
         declared = frozenset(self.atoms)
         if len(declared) != len(self.atoms):
             raise BadParams("duplicate atom declarations")
-        by_premise: dict[str, list[int]] = {}
-        for idx, c in enumerate(self.clauses):
+        for c in self.clauses:
             missing = ({c.head} | c.body) - declared
             if missing:
                 raise BadParams(f"clause {c.clause_id} references undeclared atoms {sorted(missing)}")
-            for atom in c.body:
-                by_premise.setdefault(atom, []).append(idx)
         self._check_facts(self.facts, declared)
         for a, b in self.exclusive:
             if a not in declared or b not in declared:
                 raise BadParams(f"exclusive pair ({a}, {b}) references undeclared atoms")
         object.__setattr__(self, "declared", declared)
-        object.__setattr__(self, "by_premise", {atom: tuple(idx) for atom, idx in by_premise.items()})
         object.__setattr__(self, "compiled", CompiledKB(self))
 
     @staticmethod
@@ -158,26 +146,28 @@ class KnowledgeBase:
 
 
 class CompiledKB:
-    """A KB's atoms and clauses in integer form, for binding, chaining and
-    scoring a block of KBs.
+    """A KB's atoms and clauses in integer form: what binding, chaining and
+    scoring read, for one KB and for a block of KBs.
 
     Atom i is ``kb.atoms[i]``, and ``index`` maps each atom to its id. The
-    clause x premise incidence P is held by premise, as ``by_premise``
-    holds it: entry e says that atom ``premises[e]`` is a premise of
-    clause ``clauses[e]``, and entries are grouped by atom in ascending
-    order. ``sizes`` counts each clause's premises and ``heads`` gives
-    its head. ``exclusive`` holds the exclusive pairs as an (m, 2) array
-    of ids. Base facts are not compiled, so a `with_facts` copy can share
-    the form. The arrays are read-only.
+    clause x premise incidence P is held by premise: entry e says that
+    atom ``premises[e]`` is a premise of clause ``clauses[e]``, and
+    entries are ordered by atom id, then by clause index. ``premised``
+    holds the atoms that are a premise of some clause. ``sizes`` counts
+    each clause's premises and ``heads`` gives its head. ``exclusive``
+    holds the exclusive pairs as an (m, 2) array of ids. Base facts are
+    not compiled, so a `with_facts` copy can share the form. The arrays
+    are read-only.
     """
 
     def __init__(self, kb: KnowledgeBase):
         self.index = index = dict(zip(kb.atoms, range(len(kb.atoms))))
         self.heads = np.array([index[c.head] for c in kb.clauses], dtype=np.int64)
         self.sizes = np.array([len(c.body) for c in kb.clauses], dtype=np.int64)
-        grouped = sorted((index[atom], clauses) for atom, clauses in kb.by_premise.items())
-        self.premises = np.array([atom for atom, clauses in grouped for _ in clauses], dtype=np.int64)
-        self.clauses = np.array([c for _, clauses in grouped for c in clauses], dtype=np.int64)
+        entries = sorted((index[atom], i) for i, c in enumerate(kb.clauses) for atom in c.body)
+        self.premises = np.array([atom for atom, _ in entries], dtype=np.int64)
+        self.clauses = np.array([i for _, i in entries], dtype=np.int64)
+        self.premised = frozenset().union(*(c.body for c in kb.clauses))
         self.exclusive = np.array([(index[a], index[b]) for a, b in kb.exclusive], dtype=np.int64).reshape(-1, 2)
         for array in (self.heads, self.sizes, self.premises, self.clauses, self.exclusive):
             array.setflags(write=False)
@@ -280,7 +270,7 @@ class BoundBlock:
         return self.block.starts
 
     def bound_kb(self, i: int) -> KnowledgeBase:
-        """KB i with its bound facts, the KB `bind_predicates` gives for its graph alone."""
+        """KB i with its bound facts: its base facts and its graph's true labels."""
         lo, hi = self.starts[i], self.starts[i + 1]
         own = self.facts[(self.facts >= lo) & (self.facts < hi)] - lo
         kb = self.block.kbs[i]
@@ -302,38 +292,18 @@ class ProofTrace:
     steps: tuple[tuple[str, tuple[str, ...]], ...] = ()
 
 
-def bind_predicates(
-    p: PredicateSet,
-    kb: KnowledgeBase | Sequence[KnowledgeBase] | CompiledBlock,
-    labels: Sequence[str] | Sequence[Sequence[str]] | None = None,
-) -> KnowledgeBase | BoundBlock:
-    """Insert each thresholded-true node i into the KB as the fact ``labels[i]``.
+def bind_predicates(p: PredicateSet, block: CompiledBlock) -> BoundBlock:
+    """Bind each thresholded-true node of a block as a fact of its graph's
+    KB: the KB's atom named by the node's label.
 
-    Soft predicate sets are cut at 0.5 first. A true node whose label
-    ``kb`` does not declare raises `UnmappedNode`, naming the lowest such
-    node and its label.
-
-    A list of KBs, with one label sequence per KB, binds a block: ``p``
-    holds the nodes of every graph end to end, graph i's nodes as many as
-    ``labels[i]``. The result is a `BoundBlock`. The first graph with an
-    undeclared true label raises the error it raises alone, naming its
-    own node index. A `CompiledBlock` of the KBs and labels, given without
-    ``labels``, binds the same way, so a block bound many times is laid
-    out once.
+    ``p`` holds the nodes of every graph of ``block`` end to end, one value
+    per node; any other length raises `DimensionMismatch`. Soft predicate
+    sets are cut at 0.5 first. The first graph with a true node whose
+    label its KB does not declare raises `UnmappedNode`, naming that
+    graph's lowest such node, as its own node index, and its label.
     """
-    if isinstance(kb, CompiledBlock):
-        return _bind_block(p, kb)
-    if not isinstance(kb, KnowledgeBase):
-        return _bind_block(p, CompiledBlock(kb, labels))
-    nodes = p.true_nodes()
-    new_facts = frozenset(map(labels.__getitem__, nodes))
-    if not new_facts <= kb.declared:
-        node = next(node for node in nodes if labels[node] not in kb.declared)
-        raise UnmappedNode(f"node {node} is true but its label {labels[node]!r} is not a declared atom")
-    return kb._plus_checked_facts(new_facts)
-
-
-def _bind_block(p: PredicateSet, block: CompiledBlock) -> BoundBlock:
+    if len(p) != block.label_ids.size:
+        raise DimensionMismatch(f"{len(p)} predicates for a block of {block.label_ids.size} nodes")
     true = p._true()
     facts = block.label_ids[true]
     if facts.size and facts.min() < 0:
@@ -352,13 +322,14 @@ def forward_chain(
 ) -> tuple[frozenset[str], Mapping[str, ProofTrace]] | tuple[np.ndarray, np.ndarray]:
     """Least fixed point of the clause set over the facts.
 
-    Semi-naive: each clause keeps a count of unsatisfied premises and
-    fires exactly once, when the count reaches zero, so total work is
-    linear in the sum of clause body sizes. The queue starts with the
-    facts that are premises of some clause, in sorted order; popping any
-    other fact would decrement nothing. Returns the closure and a
+    One KB is closed by the queue (`_close_by_queue`) on its compiled
+    form, started from its facts that are premises of some clause, in
+    sorted order (popping any other fact would count down nothing). Each
+    clause fires once, when its last premise is popped, so total work is
+    linear in the sum of clause body sizes. Returns the closure and a
     read-only mapping from each closure atom to its replayable trace
-    (facts get empty traces), which builds a trace only when it is read.
+    (facts get empty traces), which builds a trace from the first clause
+    that derived each atom, only when it is read.
 
     A `BoundBlock` closes every KB in it at once (`_block_closure`) and
     gives the block atoms of the closures, ascending, and one bit per
@@ -367,26 +338,13 @@ def forward_chain(
     """
     if isinstance(kb, BoundBlock):
         return _block_closure(kb)
-    remaining = [len(c.body) for c in kb.clauses]
-    justification: dict[str, tuple[str, tuple[str, ...]]] = {}
-    queue: deque[str] = deque(sorted(kb.facts.intersection(kb.by_premise)))
-
-    def fire(idx: int) -> None:
-        clause = kb.clauses[idx]
-        if clause.head not in kb.facts and clause.head not in justification:
-            justification[clause.head] = (clause.clause_id, tuple(sorted(clause.body)))
-            queue.append(clause.head)
-
-    for idx, count in enumerate(remaining):
-        if count == 0:
-            fire(idx)
-    while queue:
-        atom = queue.popleft()
-        for idx in kb.by_premise.get(atom, ()):
-            remaining[idx] -= 1
-            if remaining[idx] == 0:
-                fire(idx)
-
+    c = kb.compiled
+    first = np.fromiter(map(c.index.__getitem__, sorted(kb.facts & c.premised)), np.int64)
+    _, why = _close_by_queue(len(kb.atoms), first, c.heads, c.sizes, c.premises, c.clauses)
+    # a clause may also fire for a fact that is not a premise, since only the
+    # premises start the queue; such a fact keeps its empty trace
+    derived = ((kb.atoms[atom], kb.clauses[clause]) for atom, clause in why.items())
+    justification = {atom: clause for atom, clause in derived if atom not in kb.facts}
     closure = kb.facts.union(justification)
     return closure, _LazyTraces(closure, kb.facts, justification)
 
@@ -402,22 +360,25 @@ QUEUE_LIMIT = 512
 def _block_closure(bound: BoundBlock) -> tuple[np.ndarray, np.ndarray]:
     """Every closure of the block, from its KBs' program laid end to end."""
     heads, sizes, premises, clauses = bound.block.program
-    # the facts, and the heads of clauses without premises, are known first
-    first = np.concatenate([bound.facts, heads[sizes == 0]])
     n = int(bound.block.starts[-1])
-    close = _close_by_queue if n + premises.size <= QUEUE_LIMIT else _close_by_levels
-    known = close(n, first, heads, sizes, premises, clauses)
+    if n + premises.size <= QUEUE_LIMIT:
+        bits, _ = _close_by_queue(n, bound.facts, heads, sizes, premises, clauses)
+        known = np.array(bits, dtype=bool)
+    else:
+        known = _close_by_levels(n, bound.facts, heads, sizes, premises, clauses)
     known.setflags(write=False)
     return np.flatnonzero(known), known
 
 
-def _close_by_levels(n, first, heads, sizes, premises, clauses) -> np.ndarray:
-    """The bits of the atoms known from ``first``, one level of newly known
-    atoms per step: remaining -= P @ frontier, and every clause whose count
-    reaches zero makes its head known. Each atom enters the frontier once,
-    so each clause fires once."""
+def _close_by_levels(n, facts, heads, sizes, premises, clauses) -> np.ndarray:
+    """The bits of the atoms known from ``facts`` and the heads of clauses
+    without premises, one level of newly known atoms per step: remaining
+    -= P @ frontier, and every clause whose count reaches zero makes its
+    head known. Each atom enters the frontier once, so each clause fires
+    once."""
     known = np.zeros(n, dtype=bool)
-    known[first] = True
+    known[facts] = True
+    known[heads[sizes == 0]] = True
     remaining = sizes.copy()
     frontier = known.copy()
     while True:
@@ -431,25 +392,35 @@ def _close_by_levels(n, first, heads, sizes, premises, clauses) -> np.ndarray:
         known |= frontier
 
 
-def _close_by_queue(n, first, heads, sizes, premises, clauses) -> np.ndarray:
-    """`_close_by_levels` one atom at a time: each atom enters the queue
-    once, when it becomes known, and counts down the clauses it is a
-    premise of."""
+def _close_by_queue(n, facts, heads, sizes, premises, clauses) -> tuple[list[bool], dict[int, int]]:
+    """`_close_by_levels` one atom at a time. The queue starts with
+    ``facts`` in their order, then fires the clauses without premises in
+    clause order; each atom enters it once, when it becomes known, and
+    counts down the clauses it is a premise of, in clause order. Returns
+    the bits, as a list, and for each atom a clause made known, that
+    clause."""
     starts = np.searchsorted(premises, np.arange(n + 1)).tolist()
     heads, remaining, clauses = heads.tolist(), sizes.tolist(), clauses.tolist()
     known = [False] * n
     queue = []
-    for atom in first.tolist():
+    for atom in facts.tolist():
         if not known[atom]:
             known[atom] = True
             queue.append(atom)
+    why = {}
+    for c, size in enumerate(remaining):
+        if not size and not known[heads[c]]:
+            known[heads[c]] = True
+            why[heads[c]] = c
+            queue.append(heads[c])
     for atom in queue:  # grows while it is read
         for c in clauses[starts[atom] : starts[atom + 1]]:
             remaining[c] -= 1
             if not remaining[c] and not known[heads[c]]:
                 known[heads[c]] = True
+                why[heads[c]] = c
                 queue.append(heads[c])
-    return np.array(known, dtype=bool)
+    return known, why
 
 
 class _LazyTraces(Mapping):
@@ -458,12 +429,7 @@ class _LazyTraces(Mapping):
     Iterates in sorted atom order; ``len`` and ``in`` read the closure.
     """
 
-    def __init__(
-        self,
-        closure: frozenset[str],
-        facts: frozenset[str],
-        justification: dict[str, tuple[str, tuple[str, ...]]],
-    ):
+    def __init__(self, closure: frozenset[str], facts: frozenset[str], justification: dict[str, Clause]):
         self._closure = closure
         self._facts = facts
         self._justification = justification
@@ -495,10 +461,11 @@ def _build_trace(atom, facts, justification) -> ProofTrace:
         current, expanded = stack.pop()
         if current in facts or current in done:
             continue
-        cid, premises = justification[current]
+        clause = justification[current]
+        premises = tuple(sorted(clause.body))
         if expanded:
             done.add(current)
-            steps.append((cid, premises))
+            steps.append((clause.clause_id, premises))
         else:
             stack.append((current, True))
             for p in premises:

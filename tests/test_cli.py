@@ -23,6 +23,7 @@ from spectral_nsr.spectral import (
     eigendecompose,
     gft,
     load_signal,
+    sample_response,
     save_filter,
     save_signal,
     vertex_signal,
@@ -344,6 +345,32 @@ class TestInvalidFilterFile:
         assert result.exit_code == 1, result.output
         record = json.loads(result.stderr.strip().splitlines()[-1])
         assert record["error"] == "FormatError" and "f.json" in record["message"]
+
+
+    @pytest.mark.parametrize("command", ["filter", "response"])
+    def test_infinite_bound_exits_one(self, tmp_path, command):
+        # an infinite bound would squeeze the spectrum to one point
+        task = gen_transitive(3, seed=0)
+        save_graph_text(task.graph, tmp_path / "g.txt")
+        save_signal(vertex_signal(task.x0), tmp_path / "x.csv")
+        (tmp_path / "f.json").write_text('{"lambda_max": Infinity, "coefficients": [1.0, 0.5]}')
+        inputs = ["--graph", tmp_path / "g.txt", "--signal", tmp_path / "x.csv"] if command == "filter" else []
+        result = invoke(command, *inputs, "--filter", tmp_path / "f.json", "--out", tmp_path / "out.csv", "--json-errors")
+        assert result.exit_code == 1, result.output
+        record = json.loads(result.stderr.strip().splitlines()[-1])
+        assert record["error"] == "FormatError" and "positive and finite" in record["message"]
+        assert not (tmp_path / "out.csv").exists()
+
+
+class TestResponse:
+    def test_every_line_is_two_floats(self, tmp_path):
+        filt = ChebyshevFilter(np.array([1.0, -0.5, 0.25]), 2.0)
+        save_filter(filt, tmp_path / "f.json")
+        result = invoke("response", "--filter", tmp_path / "f.json", "--grid", 5, "--out", tmp_path / "r.csv")
+        assert result.exit_code == 0, result.output
+        pairs = [tuple(map(float, line.split(","))) for line in (tmp_path / "r.csv").read_text().splitlines()]
+        lams = np.linspace(0.0, 2.0, 5)
+        assert pairs == list(zip(lams.tolist(), sample_response(filt, lams).tolist()))
 
 
 class TestChain:

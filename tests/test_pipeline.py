@@ -195,6 +195,11 @@ class TestOutput:
         with pytest.raises(BadParams):
             prepare_context([], PipelineConfig(), None)
 
+    def test_a_pass_over_no_graphs_is_refused(self):
+        # one place refuses an empty list, before numpy's concatenate would
+        with pytest.raises(BadParams, match="no graphs"):
+            pipeline.prepare_graph(PipelineConfig(), [])
+
     def test_tau_is_one_threshold(self):
         # a per-node threshold is refused, even one that fits the graph,
         # before any stage runs

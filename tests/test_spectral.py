@@ -488,6 +488,14 @@ class TestLearnedFilter:
         assert np.array_equal(per_node.coefficients, theta) and per_node.lambda_max.shape == (4,)
 
 
+class TestFilterBound:
+    @pytest.mark.parametrize("bound", [np.inf, np.nan, 0.0, np.array([2.0, np.inf]), np.array([2.0, np.nan])],
+                             ids=["inf", "nan", "zero", "inf-node", "nan-node"])
+    def test_bound_must_be_positive_and_finite(self, bound):
+        with pytest.raises(BadParams, match="positive and finite"):
+            ChebyshevFilter(np.array([1.0, 0.5]), bound)
+
+
 class TestFilterIO:
     def test_round_trip(self, tmp_path, rng):
         filt = ChebyshevFilter(rng.standard_normal(6), 2.5)
@@ -503,11 +511,12 @@ class TestFilterIO:
             '{"lambda_max": -1, "coefficients": [1.0, 0.5]}',
             '{"lambda_max": 0, "coefficients": [1.0]}',
             '{"lambda_max": NaN, "coefficients": [1.0]}',
+            '{"lambda_max": Infinity, "coefficients": [1.0, 0.5]}',
             '{"lambda_max": 2.0, "coefficients": []}',
             '{"lambda_max": 2.0, "coefficients": [1.0, NaN]}',
             '{"lambda_max": 2.0, "coefficients": [Infinity]}',
         ],
-        ids=["negative-bound", "zero-bound", "nan-bound", "no-coefficients", "nan-coefficient", "inf-coefficient"],
+        ids=["negative-bound", "zero-bound", "nan-bound", "inf-bound", "no-coefficients", "nan-coefficient", "inf-coefficient"],
     )
     def test_invalid_filter_is_a_format_error(self, tmp_path, text):
         path = tmp_path / "f.json"

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spectral_nsr import symbolic
-from spectral_nsr.errors import BadParams, FormatError, UnmappedNode
+from spectral_nsr.errors import BadParams, DimensionMismatch, FormatError, UnmappedNode
 from spectral_nsr.harness import evaluate, gen_dataset
 from spectral_nsr.pipeline import REFERENCE_LAMBDA_MAX
 from spectral_nsr.rules import load_rules
@@ -131,32 +131,37 @@ class TestSoftThreshold:
             soft_threshold(vertex_signal([0.0]), 0.5, 0.0)
 
 
+def bind_alone(p, kb, labels):
+    """The KB ``kb`` with ``p``'s true nodes bound, from a block of one graph."""
+    return bind_predicates(p, CompiledBlock([kb], [labels])).bound_kb(0)
+
+
 class TestBindPredicates:
     def kb3(self):
         return KnowledgeBase(("A", "B", "C"), (), frozenset({"C"}))
 
     def test_empty_predicates_leave_kb_unchanged(self):
         kb = self.kb3()
-        out = bind_predicates(PredicateSet(np.zeros(3, dtype=bool), soft=False), kb, ("A", "B", "C"))
+        out = bind_alone(PredicateSet(np.zeros(3, dtype=bool), soft=False), kb, ("A", "B", "C"))
         assert out.facts == kb.facts
 
     def test_single_true_node(self):
         kb = self.kb3()
         p = PredicateSet(np.array([True, False, False]), soft=False)
-        out = bind_predicates(p, kb, ("A", "B", "C"))
+        out = bind_alone(p, kb, ("A", "B", "C"))
         assert out.facts == frozenset({"A", "C"})
 
     def test_soft_cut_at_half(self):
         kb = self.kb3()
         p = PredicateSet(np.array([0.51, 0.5, 0.49]), soft=True)
-        out = bind_predicates(p, kb, ("A", "B", "C"))
+        out = bind_alone(p, kb, ("A", "B", "C"))
         assert out.facts == frozenset({"A", "C"})
 
     def test_matches_set_union_oracle(self, rng):
         atoms = tuple(f"a{i}" for i in range(10))
         kb = KnowledgeBase(atoms, (), frozenset({"a0"}))
         values = rng.random(10) > 0.5
-        out = bind_predicates(PredicateSet(values, soft=False), kb, atoms)
+        out = bind_alone(PredicateSet(values, soft=False), kb, atoms)
         expected = frozenset({"a0"}) | {f"a{i}" for i in range(10) if values[i]}
         assert out.facts == expected
 
@@ -164,7 +169,7 @@ class TestBindPredicates:
         kb = self.kb3()
         p = PredicateSet(np.array([True]), soft=False)
         with pytest.raises(UnmappedNode):
-            bind_predicates(p, kb, ("Z",))
+            bind_alone(p, kb, ("Z",))
 
     @pytest.mark.parametrize(
         "labels, message",
@@ -178,7 +183,16 @@ class TestBindPredicates:
     def test_lowest_undeclared_label_is_named(self, labels, message):
         p = PredicateSet(np.array([False, True, True, True]), soft=False)
         with pytest.raises(UnmappedNode, match=message):
-            bind_predicates(p, self.kb3(), labels)
+            bind_alone(p, self.kb3(), labels)
+
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_predicates_cover_the_block_exactly(self, n):
+        # a shorter p would bind only the nodes it covers, a longer one
+        # would index past the block's labels
+        block = CompiledBlock([self.kb3()], [("A", "B")])
+        with pytest.raises(DimensionMismatch, match=f"{n} predicates for a block of 2 nodes"):
+            bind_predicates(PredicateSet(np.ones(n, dtype=bool), soft=False), block)
 
 
 class TestForwardChain:
@@ -474,7 +488,7 @@ def test_with_facts_shares_indexes_and_checks_new_facts():
     kb = KnowledgeBase(("A", "B"), (Clause("c0", "B", frozenset({"A"})),))
     bound = kb.with_facts({"A"})
     assert bound.facts == frozenset({"A"}) and kb.facts == frozenset()
-    assert bound.declared is kb.declared and bound.by_premise is kb.by_premise
+    assert bound.declared is kb.declared and bound.compiled is kb.compiled
     assert bound == KnowledgeBase(kb.atoms, kb.clauses, frozenset({"A"}))
     with pytest.raises(BadParams, match="undeclared"):
         kb.with_facts({"Z"})
@@ -514,13 +528,13 @@ class TestBlockClosure:
         # both ways of propagating: a queue in Python and numpy levels
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(symbolic, "QUEUE_LIMIT", 10**9 if queue else -1)
-            block = bind_predicates(p, kbs, labels)
+            block = bind_predicates(p, CompiledBlock(kbs, labels))
             atoms, known = forward_chain(block)
         assert np.array_equal(atoms, np.flatnonzero(known))
         assert known.size == block.starts[-1] == sum(len(kb.atoms) for kb in kbs)
         start = 0
         for i, (kb, own) in enumerate(zip(kbs, labels)):
-            alone = bind_predicates(PredicateSet(p.values[start : start + len(own)], soft=soft), kb, own)
+            alone = bind_alone(PredicateSet(p.values[start : start + len(own)], soft=soft), kb, own)
             start += len(own)
             closure, traces = forward_chain(alone)
             bits = known[block.starts[i] : block.starts[i + 1]]
@@ -538,7 +552,7 @@ class TestBlockClosure:
         block = CompiledBlock(kbs, labels)
         for _ in range(3):
             p = PredicateSet(rng.random(18) < 0.4, soft=False)
-            kept, fresh = bind_predicates(p, block), bind_predicates(p, kbs, labels)
+            kept, fresh = bind_predicates(p, block), bind_predicates(p, CompiledBlock(kbs, labels))
             assert np.array_equal(kept.facts, fresh.facts) and np.array_equal(kept.starts, fresh.starts)
             assert np.array_equal(forward_chain(kept)[1], forward_chain(fresh)[1])
         pairs, owners = block.exclusive
@@ -549,6 +563,6 @@ class TestBlockClosure:
         p = PredicateSet(np.array([True, True, False, True, True, True]), soft=False)
         labels = [("A", "B"), ("A", "Z", "Y"), ("X",)]
         with pytest.raises(UnmappedNode, match="node 1 is true but its label 'Z'"):
-            bind_predicates(p, [kb, kb, kb], labels)
+            bind_predicates(p, CompiledBlock([kb, kb, kb], labels))
         with pytest.raises(UnmappedNode, match="node 1 is true but its label 'Z'"):
-            bind_predicates(PredicateSet(p.values[2:5], soft=False), kb, labels[1])
+            bind_predicates(PredicateSet(p.values[2:5], soft=False), CompiledBlock([kb], [labels[1]]))
