@@ -1,4 +1,4 @@
-"""Exception taxonomy shared across the package.
+"""Exception taxonomy, and the record-line reader, shared across the package.
 
 Two broad families: validation errors (bad inputs, bad files, contract
 violations) and numerical errors (a computation failed on otherwise valid
@@ -7,6 +7,8 @@ errors to exit code 2.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterator
 
 
 class SpectralNsrError(Exception):
@@ -100,3 +102,12 @@ class EmptyDataset(ValidationError):
 # file parsing
 class FormatError(ValidationError):
     pass
+
+
+def records(text: str) -> Iterator[tuple[int, str]]:
+    """The lines of a record file that hold a record, stripped, each with
+    its number from 1: blank lines and ``#`` comments hold none."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line

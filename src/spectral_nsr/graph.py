@@ -39,6 +39,8 @@ from .errors import (
     IndexOutOfRange,
     NegativeWeight,
     SelfLoop,
+    ValidationError,
+    records,
 )
 
 NODE_KINDS = ("entity", "fact", "proposition")
@@ -331,21 +333,27 @@ def save_graph_text(g: ReasoningGraph, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _loaded_graph(path, nodes: list[tuple[int, str, str]], edges: list[tuple[int, int, float]]) -> ReasoningGraph:
+    """A graph file's (id, kind, label) nodes, in any order, and edges as a
+    graph; content the graph refuses raises `FormatError` naming the file."""
+    try:
+        return build_graph(sorted((NodeMeta(*node) for node in nodes), key=lambda m: m.id), edges)
+    except ValidationError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+
+
 def load_graph_text(path: str | Path) -> ReasoningGraph:
-    nodes: list[NodeMeta] = []
+    nodes: list[tuple[int, str, str]] = []
     edges: list[tuple[int, int, float]] = []
     n = None
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in records(Path(path).read_text()):
         parts = line.split(maxsplit=3)
         try:
             if parts[0] == "N":
                 n = int(parts[1])
             elif parts[0] == "node":
                 label = parts[3] if len(parts) > 3 else ""
-                nodes.append(NodeMeta(int(parts[1]), parts[2], label))
+                nodes.append((int(parts[1]), parts[2], label))
             elif parts[0] == "edge":
                 i, j, w = line.split()[1:4]
                 edges.append((int(i), int(j), float(w)))
@@ -357,8 +365,7 @@ def load_graph_text(path: str | Path) -> ReasoningGraph:
         raise FormatError(f"{path}: missing 'N <count>' header")
     if len(nodes) != n:
         raise FormatError(f"{path}: header says {n} nodes, found {len(nodes)}")
-    nodes.sort(key=lambda m: m.id)
-    return build_graph(nodes, edges)
+    return _loaded_graph(path, nodes, edges)
 
 
 def save_graph_json(g: ReasoningGraph, path: str | Path) -> None:
@@ -372,12 +379,11 @@ def save_graph_json(g: ReasoningGraph, path: str | Path) -> None:
 def load_graph_json(path: str | Path) -> ReasoningGraph:
     try:
         payload = json.loads(Path(path).read_text())
-        nodes = [NodeMeta(int(m["id"]), m.get("kind", "proposition"), m.get("label", "")) for m in payload["nodes"]]
+        nodes = [(int(m["id"]), m.get("kind", "proposition"), m.get("label", "")) for m in payload["nodes"]]
         edges = [(int(i), int(j), float(w)) for i, j, w in payload["edges"]]
     except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: malformed graph JSON: {exc}") from exc
-    nodes.sort(key=lambda m: m.id)
-    return build_graph(nodes, edges)
+    return _loaded_graph(path, nodes, edges)
 
 
 def load_graph(path: str | Path) -> ReasoningGraph:

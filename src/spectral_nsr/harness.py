@@ -3,7 +3,9 @@
 Tasks mirror the structure of multi-hop deduction and kinship
 composition benchmarks at desk scale: a seeded implication chain the
 pipeline must ground from the signal, plus noise-seeded distractor
-structures it must reject. Labels always come from the generator's own
+structures it must reject. Both families, which stand in for the paper's
+benchmarks, build through one `_TaskBuilder`: a task's KB declares its
+graph's labels as its atoms, and labels always come from that KB's own
 forward-chaining closure, never from sampling.
 """
 
@@ -26,6 +28,9 @@ from .symbolic import Clause, KnowledgeBase, forward_chain, load_kb, save_kb
 
 # belief mass drawn for each distractor's seed node
 DISTRACTOR_BELIEF = (0.05, 0.2)
+
+# the deepest transitive chain, which `gen_transitive` and `gen_dataset` accept
+MAX_TRANSITIVE_DEPTH = 8
 
 # mean node degree of `random_sparse_laplacian`
 RANDOM_GRAPH_DEGREE = 8
@@ -54,62 +59,69 @@ class SyntheticTask:
         return MappingProxyType(dict(enumerate(self.graph.labels)))
 
 
-def _closure_labels(kb: KnowledgeBase, true_facts: set[str], nodes: list[NodeMeta], query_nodes) -> dict[int, int]:
-    closure, _ = forward_chain(kb.with_facts(true_facts))
-    return {i: int(nodes[i].label in closure) for i in query_nodes}
+class _TaskBuilder:
+    """A task as it is built: proposition nodes, each the atom its label
+    names; edges weighted from the task's own rng; and clauses."""
+
+    def __init__(self, seed: int):
+        self.rng = np.random.default_rng(seed)
+        self.nodes: list[NodeMeta] = []
+        self.edges: list[tuple[int, int, float]] = []
+        self.clauses: list[Clause] = []
+
+    def node(self, label: str) -> int:
+        self.nodes.append(NodeMeta(len(self.nodes), "proposition", label))
+        return len(self.nodes) - 1
+
+    def edge(self, a: int, b: int) -> None:
+        self.edges.append((a, b, float(self.rng.uniform(0.75, 1.0))))
+
+    def chain(self, labels: list[str], clause_prefix: str) -> list[int]:
+        """A node per label, an edge between each two in a row, then the
+        clauses ``<clause_prefix><i>``: label i implies label i + 1."""
+        ids = [self.node(label) for label in labels]
+        for a, b in zip(ids, ids[1:]):
+            self.edge(a, b)
+        for i, (a, b) in enumerate(zip(labels, labels[1:])):
+            self.clauses.append(Clause(f"{clause_prefix}{i}", b, frozenset({a})))
+        return ids
+
+    def task(self, task_id, family, depth, seed, x0, queries, true_facts, exclusive=()) -> SyntheticTask:
+        """The graph, a KB whose atoms are its labels, and each query node's
+        label: 1 when its atom is in the KB's closure from ``true_facts``."""
+        graph = build_graph(self.nodes, self.edges)
+        kb = KnowledgeBase(graph.labels, tuple(self.clauses), frozenset(), exclusive)
+        closure, _ = forward_chain(kb.with_facts(true_facts))
+        labels = {i: int(graph.labels[i] in closure) for i in queries}
+        return SyntheticTask(task_id, family, depth, seed, graph, x0, kb, labels)
 
 
 def gen_transitive(depth: int, width: int = 2, seed: int = 0) -> SyntheticTask:
     """Implication chain P0 -> ... -> P<depth> with noise-seeded distractor chains.
 
-    The signal carries unit mass on the chain's base fact and small noise
-    on each distractor head; the KB holds every implication but no facts,
-    so grounding the base fact is the spectral stage's job. Queries are
-    all proposition nodes except the base fact.
+    The chain and each distractor Q<j>_0 -> ... -> Q<j>_<length> are
+    built alike (`_TaskBuilder.chain`), the distractor's length drawn up
+    to ``depth``. The signal carries mass on the chain's base fact and
+    small noise on each distractor head; the KB holds every implication
+    but no facts, so grounding the base fact is the spectral stage's job.
+    Queries are all proposition nodes except the base fact.
     """
-    if not 1 <= depth <= 8:
-        raise BadParams(f"depth must be in 1..8, got {depth}")
+    if not 1 <= depth <= MAX_TRANSITIVE_DEPTH:
+        raise BadParams(f"depth must be in 1..{MAX_TRANSITIVE_DEPTH}, got {depth}")
     if width < 0:
         raise BadParams("width must be >= 0")
-    rng = np.random.default_rng(seed)
-
-    nodes: list[NodeMeta] = []
-    edges: list[tuple[int, int, float]] = []
-    atoms: list[str] = []
-    clauses: list[Clause] = []
-
-    def add_node(label: str) -> int:
-        idx = len(nodes)
-        nodes.append(NodeMeta(idx, "proposition", label))
-        atoms.append(label)
-        return idx
-
-    chain = [add_node(f"P{i}") for i in range(depth + 1)]
-    for a, b in zip(chain, chain[1:]):
-        edges.append((a, b, float(rng.uniform(0.75, 1.0))))
-    for i in range(depth):
-        clauses.append(Clause(f"t{i}", f"P{i + 1}", frozenset({f"P{i}"})))
-
-    noise_nodes: list[int] = []
+    b = _TaskBuilder(seed)
+    base = b.chain([f"P{i}" for i in range(depth + 1)], "t")[0]
+    noise_nodes = []
     for j in range(width):
-        length = int(rng.integers(1, depth + 1))
-        dchain = [add_node(f"Q{j}_{i}") for i in range(length + 1)]
-        for a, b in zip(dchain, dchain[1:]):
-            edges.append((a, b, float(rng.uniform(0.75, 1.0))))
-        for i in range(length):
-            clauses.append(Clause(f"d{j}_{i}", f"Q{j}_{i + 1}", frozenset({f"Q{j}_{i}"})))
-        noise_nodes.append(dchain[0])
-
-    graph = build_graph(nodes, edges)
-    x0 = np.zeros(len(nodes))
-    x0[chain[0]] = float(rng.uniform(0.8, 1.0))  # evidence strength varies per task
+        length = int(b.rng.integers(1, depth + 1))
+        noise_nodes.append(b.chain([f"Q{j}_{i}" for i in range(length + 1)], f"d{j}_")[0])
+    x0 = np.zeros(len(b.nodes))
+    x0[base] = float(b.rng.uniform(0.8, 1.0))  # evidence strength varies per task
     for idx in noise_nodes:
-        x0[idx] = float(rng.uniform(*DISTRACTOR_BELIEF))
-
-    kb = KnowledgeBase(tuple(atoms), tuple(clauses))
-    queries = [i for i in range(len(nodes)) if i != chain[0]]
-    labels = _closure_labels(kb, {"P0"}, nodes, queries)
-    return SyntheticTask(f"transitive-d{depth}-s{seed}", "transitive", depth, seed, graph, x0, kb, labels)
+        x0[idx] = float(b.rng.uniform(*DISTRACTOR_BELIEF))
+    queries = [i for i in range(len(b.nodes)) if i != base]
+    return b.task(f"transitive-d{depth}-s{seed}", "transitive", depth, seed, x0, queries, {"P0"})
 
 
 def gen_kinship(chain_length: int, seed: int = 0) -> SyntheticTask:
@@ -124,62 +136,35 @@ def gen_kinship(chain_length: int, seed: int = 0) -> SyntheticTask:
     """
     if chain_length < 2:
         raise BadParams(f"chain_length must be >= 2, got {chain_length}")
-    rng = np.random.default_rng(seed)
+    b = _TaskBuilder(seed)
 
-    nodes: list[NodeMeta] = []
-    edges: list[tuple[int, int, float]] = []
-    atoms: list[str] = []
-    clauses: list[Clause] = []
-
-    def add_node(label: str) -> int:
-        idx = len(nodes)
-        nodes.append(NodeMeta(idx, "proposition", label))
-        atoms.append(label)
-        return idx
+    def atom(prefix: str, k: int, i: int) -> str:
+        # instance (k, i) = "person i is a k-step ancestor of person i+k"
+        return f"{prefix}_anc{k}_{i}_{i + k}"
 
     def family(prefix: str) -> dict[tuple[int, int], int]:
-        # instance (k, i) = "person i is a k-step ancestor of person i+k"
-        index: dict[tuple[int, int], int] = {}
-        for i in range(chain_length):
-            index[(1, i)] = add_node(f"{prefix}_anc1_{i}_{i + 1}")
+        index = {(1, i): b.node(atom(prefix, 1, i)) for i in range(chain_length)}
         for k in range(2, chain_length + 1):
             for i in range(chain_length + 1 - k):
-                inst = add_node(f"{prefix}_anc{k}_{i}_{i + k}")
-                index[(k, i)] = inst
-                left = index[(1, i)]
-                right = index[(k - 1, i + 1)]
-                edges.append((inst, left, float(rng.uniform(0.75, 1.0))))
-                edges.append((inst, right, float(rng.uniform(0.75, 1.0))))
-                clauses.append(
-                    Clause(
-                        f"{prefix}_k{k}_{i}",
-                        nodes[inst].label,
-                        frozenset({nodes[left].label, nodes[right].label}),
-                    )
-                )
+                index[(k, i)] = inst = b.node(atom(prefix, k, i))
+                b.edge(inst, index[(1, i)])
+                b.edge(inst, index[(k - 1, i + 1)])
+                body = frozenset({atom(prefix, 1, i), atom(prefix, k - 1, i + 1)})
+                b.clauses.append(Clause(f"{prefix}_k{k}_{i}", atom(prefix, k, i), body))
         for i in range(chain_length - 1):
-            edges.append((index[(1, i)], index[(1, i + 1)], float(rng.uniform(0.75, 1.0))))
+            b.edge(index[(1, i)], index[(1, i + 1)])
         return index
 
-    true_index = family("a")
-    decoy_index = family("b")
+    true_index, decoy_index = family("a"), family("b")
 
-    graph = build_graph(nodes, edges)
-    x0 = np.zeros(len(nodes))
+    x0 = np.zeros(len(b.nodes))
     for i in range(chain_length):
         x0[true_index[(1, i)]] = 1.0
-        x0[decoy_index[(1, i)]] = float(rng.uniform(*DISTRACTOR_BELIEF))
-
-    exclusive = tuple(
-        (nodes[true_index[key]].label, nodes[decoy_index[key]].label) for key in sorted(true_index)
-    )
-    kb = KnowledgeBase(tuple(atoms), tuple(clauses), frozenset(), exclusive)
-    true_parent_atoms = {nodes[true_index[(1, i)]].label for i in range(chain_length)}
-    queries = sorted(
-        [idx for key, idx in true_index.items() if key[0] >= 2] + list(decoy_index.values())
-    )
-    labels = _closure_labels(kb, true_parent_atoms, nodes, queries)
-    return SyntheticTask(f"kinship-l{chain_length}-s{seed}", "kinship", chain_length, seed, graph, x0, kb, labels)
+        x0[decoy_index[(1, i)]] = float(b.rng.uniform(*DISTRACTOR_BELIEF))
+    exclusive = tuple((atom("a", *key), atom("b", *key)) for key in sorted(true_index))
+    parents = {atom("a", 1, i) for i in range(chain_length)}
+    queries = sorted([idx for key, idx in true_index.items() if key[0] >= 2] + list(decoy_index.values()))
+    return b.task(f"kinship-l{chain_length}-s{seed}", "kinship", chain_length, seed, x0, queries, parents, exclusive)
 
 
 @dataclass(frozen=True)
@@ -199,13 +184,16 @@ def gen_dataset(
     """Generate ``n`` tasks with per-task seeds ``seed*1_000_003 + index``.
 
     Per-task depth (or kinship chain length) is drawn uniformly up to
-    ``max_depth``; seed partitioning keeps any two datasets with
-    different base seeds disjoint.
+    ``max_depth``, checked first against transitive's `MAX_TRANSITIVE_DEPTH`;
+    seed partitioning keeps any two datasets with different base seeds
+    disjoint.
     """
     if n < 1 or max_depth < 1:
         raise BadParams(f"n and max_depth must be >= 1, got {n} and {max_depth}")
     if family not in ("transitive", "kinship"):
         raise BadParams(f"unknown task family {family!r}")
+    if family == "transitive" and max_depth > MAX_TRANSITIVE_DEPTH:
+        raise BadParams(f"max_depth must be in 1..{MAX_TRANSITIVE_DEPTH} for transitive tasks, got {max_depth}")
     tasks = []
     for i in range(n):
         task_seed = seed * 1_000_003 + i

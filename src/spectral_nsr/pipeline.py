@@ -31,7 +31,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import BadParams, EmptyLabels, FormatError, SpectralNsrError
+from .errors import BadParams, EmptyLabels, FormatError, SpectralNsrError, records
 from .graph import COMBINATORIAL, NORMALIZED, Laplacian, ReasoningGraph, laplacians
 from .rules import SpectralRule, load_rules, rule_coefficients
 from .spectral import (
@@ -139,10 +139,7 @@ class PipelineConfig:
     def from_text(cls, text: str) -> "PipelineConfig":
         known = {f.name: type(f.default) for f in fields(cls)}
         values = {}
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
+        for lineno, line in records(text):
             if "=" not in line:
                 raise FormatError(f"line {lineno}: expected key=value, got {line!r}")
             key, val = (part.strip() for part in line.split("=", 1))

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BadParams, EmptyRuleSet, FormatError
+from .errors import BadParams, EmptyRuleSet, FormatError, records
 from .spectral import FrequencyResponse, fit_coefficients
 
 
@@ -133,10 +133,7 @@ def _custom_response(path: Path) -> FrequencyResponse:
     except OSError as exc:
         raise FormatError(f"cannot read custom response file {str(path)!r}: {exc.strerror}") from exc
     lams, vals = [], []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in records(text):
         try:
             a, b = line.split(",")
             lams.append(float(a))
@@ -170,10 +167,7 @@ def parse_rules(text: str, lambda_max: float, base_dir: str | Path = ".") -> lis
     on a line or a rule id given twice: a checkpoint names its weights by
     rule id."""
     rules = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in records(text):
         parts = line.split()
         if parts[0] != "rule" or len(parts) < 3:
             raise FormatError(f"line {lineno}: expected 'rule <id> key=value ...'")

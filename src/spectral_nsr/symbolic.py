@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import expit
 
-from .errors import BadParams, DimensionMismatch, FormatError, UnmappedNode
+from .errors import BadParams, DimensionMismatch, FormatError, UnmappedNode, records
 from .spectral import GraphSignal
 
 
@@ -151,8 +151,9 @@ class CompiledKB:
 
     Atom i is ``kb.atoms[i]``, and ``index`` maps each atom to its id. The
     clause x premise incidence P is held by premise: entry e says that
-    atom ``premises[e]`` is a premise of clause ``clauses[e]``, and
-    entries are ordered by atom id, then by clause index. ``premised``
+    atom ``premises[e]`` is a premise of clause ``clauses[e]``; entries
+    are ordered by atom id, then by clause index, so atom a's are
+    ``ranges[a]:ranges[a + 1]``, which the chaining queue reads. ``premised``
     holds the atoms that are a premise of some clause. ``sizes`` counts
     each clause's premises and ``heads`` gives its head. ``exclusive``
     holds the exclusive pairs as an (m, 2) array of ids. Base facts are
@@ -167,6 +168,7 @@ class CompiledKB:
         entries = sorted((index[atom], i) for i, c in enumerate(kb.clauses) for atom in c.body)
         self.premises = np.array([atom for atom, _ in entries], dtype=np.int64)
         self.clauses = np.array([i for _, i in entries], dtype=np.int64)
+        self.ranges = tuple(np.searchsorted(self.premises, np.arange(len(kb.atoms) + 1)).tolist())
         self.premised = frozenset().union(*(c.body for c in kb.clauses))
         self.exclusive = np.array([(index[a], index[b]) for a, b in kb.exclusive], dtype=np.int64).reshape(-1, 2)
         for array in (self.heads, self.sizes, self.premises, self.clauses, self.exclusive):
@@ -199,8 +201,8 @@ class CompiledBlock:
     node's label, graph after graph, and -1 where the graph's KB does not
     declare it; ``facts`` holds the block atoms of the KBs' base facts.
     The KBs' clauses as one program (`program`) and their exclusive pairs
-    (`exclusive`) are laid end to end when first read. The arrays are
-    read-only.
+    (`exclusive`) are laid end to end, and its premise ranges (`ranges`)
+    found, when first read. The arrays are read-only.
     """
 
     def __init__(self, kbs: Sequence[KnowledgeBase], labels: Sequence[Sequence[str]]):
@@ -238,6 +240,14 @@ class CompiledBlock:
         for array in (heads, sizes, premises, clauses):
             array.setflags(write=False)
         return heads, sizes, premises, clauses
+
+    @cached_property
+    def ranges(self) -> tuple[int, ...]:
+        """Where each block atom's entries of `program` start, then the
+        entry count, as `CompiledKB.ranges` (a block of one KB's own)."""
+        if len(self.kbs) == 1:
+            return self.kbs[0].compiled.ranges
+        return tuple(np.searchsorted(self.program[2], np.arange(int(self.starts[-1]) + 1)).tolist())
 
     @cached_property
     def exclusive(self) -> tuple[np.ndarray, np.ndarray]:
@@ -340,7 +350,7 @@ def forward_chain(
         return _block_closure(kb)
     c = kb.compiled
     first = np.fromiter(map(c.index.__getitem__, sorted(kb.facts & c.premised)), np.int64)
-    _, why = _close_by_queue(len(kb.atoms), first, c.heads, c.sizes, c.premises, c.clauses)
+    _, why = _close_by_queue(c.ranges, first, c.heads, c.sizes, c.clauses)
     # a clause may also fire for a fact that is not a premise, since only the
     # premises start the queue; such a fact keeps its empty trace
     derived = ((kb.atoms[atom], kb.clauses[clause]) for atom, clause in why.items())
@@ -362,7 +372,7 @@ def _block_closure(bound: BoundBlock) -> tuple[np.ndarray, np.ndarray]:
     heads, sizes, premises, clauses = bound.block.program
     n = int(bound.block.starts[-1])
     if n + premises.size <= QUEUE_LIMIT:
-        bits, _ = _close_by_queue(n, bound.facts, heads, sizes, premises, clauses)
+        bits, _ = _close_by_queue(bound.block.ranges, bound.facts, heads, sizes, clauses)
         known = np.array(bits, dtype=bool)
     else:
         known = _close_by_levels(n, bound.facts, heads, sizes, premises, clauses)
@@ -392,16 +402,15 @@ def _close_by_levels(n, facts, heads, sizes, premises, clauses) -> np.ndarray:
         known |= frontier
 
 
-def _close_by_queue(n, facts, heads, sizes, premises, clauses) -> tuple[list[bool], dict[int, int]]:
-    """`_close_by_levels` one atom at a time. The queue starts with
-    ``facts`` in their order, then fires the clauses without premises in
-    clause order; each atom enters it once, when it becomes known, and
-    counts down the clauses it is a premise of, in clause order. Returns
-    the bits, as a list, and for each atom a clause made known, that
-    clause."""
-    starts = np.searchsorted(premises, np.arange(n + 1)).tolist()
+def _close_by_queue(ranges, facts, heads, sizes, clauses) -> tuple[list[bool], dict[int, int]]:
+    """`_close_by_levels` one atom at a time, on premise ``ranges`` as
+    `CompiledKB.ranges` holds them. The queue starts with ``facts`` in
+    their order, then fires the clauses without premises in clause order;
+    each atom enters it once, when it becomes known, and counts down the
+    clauses it is a premise of, in clause order. Returns the bits, as a
+    list, and for each atom a clause made known, that clause."""
     heads, remaining, clauses = heads.tolist(), sizes.tolist(), clauses.tolist()
-    known = [False] * n
+    known = [False] * (len(ranges) - 1)
     queue = []
     for atom in facts.tolist():
         if not known[atom]:
@@ -414,7 +423,7 @@ def _close_by_queue(n, facts, heads, sizes, premises, clauses) -> tuple[list[boo
             why[heads[c]] = c
             queue.append(heads[c])
     for atom in queue:  # grows while it is read
-        for c in clauses[starts[atom] : starts[atom + 1]]:
+        for c in clauses[ranges[atom] : ranges[atom + 1]]:
             remaining[c] -= 1
             if not remaining[c] and not known[heads[c]]:
                 known[heads[c]] = True
@@ -510,10 +519,7 @@ def parse_kb(text: str) -> KnowledgeBase:
     clauses: list[Clause] = []
     facts: set[str] = set()
     exclusive: list[tuple[str, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in records(text):
         parts = line.split(maxsplit=1)
         kind = parts[0]
         rest = parts[1] if len(parts) > 1 else ""

@@ -43,7 +43,7 @@ from .harness import SyntheticTask, TaskSplits, evaluate
 from .pipeline import Block, Pipeline, PipelineConfig, check_params
 from .pipeline import config_as_read, config_as_written, retired_config_key
 from .rules import SpectralRule
-from .spectral import chebyshev_stack, product_operator
+from .spectral import chebyshev_stack, series_operator
 
 # prepare_graph makes these calls now; the names stay on this module
 # because perfbench's layer tracer looks them up and wraps them here
@@ -248,19 +248,15 @@ def task_loss_and_grads(ctx: TaskContext, params: dict[str, np.ndarray]) -> tupl
     clip moves p, as the clipped loss is flat there. Then d v = X^T (alpha
     d z). With rules, v = chebmul(theta, w R), so d theta = B(w R) d v and
     d w = R B(theta) d v, where B(a) is the matrix of multiplying by the
-    series a (`spectral.series_operator`): one reshape of
-    `spectral.product_operator` makes both.
+    series a (`spectral.series_operator`).
     """
     x, targets, counts, rows = ctx.stack, ctx.label_values, ctx.label_counts, ctx.rows
     theta, weights = params["theta"], params["rule_weights"]
     if rows is None:
         v = theta
     else:
-        # series_operator's arithmetic, on one reshape for both series
-        order = theta.shape[0] - 1
-        pairs = product_operator(order).reshape(order + 1, -1)
         mixed = weights @ rows
-        by_theta = (theta @ pairs).reshape(order + 1, 2 * order + 1)
+        by_theta = series_operator(theta)
         v = mixed @ by_theta
     if x.shape[1] != v.size:
         raise ShapeMismatch(f"filter of order {theta.size - 1} for stack {x.shape}")
@@ -282,7 +278,7 @@ def task_loss_and_grads(ctx: TaskContext, params: dict[str, np.ndarray]) -> tupl
     if rows is None:
         d_theta, d_w = d_v, np.zeros_like(weights)
     else:
-        d_theta = (mixed @ pairs).reshape(order + 1, 2 * order + 1) @ d_v
+        d_theta = series_operator(mixed) @ d_v
         d_w = rows @ (by_theta @ d_v)
 
     return value, {

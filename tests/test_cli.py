@@ -113,7 +113,8 @@ class TestEndToEnd:
         result = invoke("eval", "--ckpt", DATA / "reference_checkpoint.json", "--data", dataset, "--json-errors")
         assert result.exit_code == 1
         record = json.loads(result.stderr.strip().splitlines()[-1])
-        assert record["error"] == "BadParams" and "non-finite weight" in record["message"]
+        assert record["error"] == "FormatError" and "non-finite weight" in record["message"]
+        assert record["message"].startswith(f"{path}: ")
 
     @pytest.mark.parametrize("setting", ["tau=nan", "alpha=inf", "tau=-inf"])
     def test_non_finite_config_value_exits_one(self, tmp_path, dataset, config, setting):

@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -338,6 +341,20 @@ class TestCsrKernel:
         assert out.tobytes() == want.tobytes()
 
 
+TWO_NODES = [(0, "entity", "a"), (1, "fact", "b")]
+
+# content a graph file may hold that the graph refuses: nodes, edges, the
+# graph's own error, and the message the loader prefixes with the path
+REFUSED_GRAPHS = {
+    "unknown kind": ([(0, "entity", "a"), (1, "bogus", "b")], [(0, 1, 1.0)], BadParams, "unknown node kind 'bogus'"),
+    "negative weight": (TWO_NODES, [(0, 1, -0.5)], NegativeWeight, r"edge \(0, 1\) has negative weight"),
+    "self-loop": (TWO_NODES, [(1, 1, 1.0)], SelfLoop, "self-loop at node 1"),
+    "repeated id": ([(0, "entity", "a"), (0, "fact", "b")], [], IndexOutOfRange, "node ids must be dense"),
+    "missing node": (TWO_NODES, [(0, 5, 1.0)], IndexOutOfRange, r"edge \(0, 5\) outside"),
+    "non-finite weight": (TWO_NODES, [(0, 1, float("inf"))], BadParams, r"edge \(0, 1\) has non-finite weight"),
+}
+
+
 class TestFileFormats:
     def test_text_round_trip(self, tmp_path, rng):
         g = random_graph(rng, 9, density=0.3)
@@ -364,15 +381,31 @@ class TestFileFormats:
     def test_text_non_finite_weight(self, tmp_path, weight):
         path = tmp_path / "g.txt"
         path.write_text(f"N 3\nnode 0 entity a\nnode 1 entity b\nnode 2 entity c\nedge 0 1 1.0\nedge 1 2 {weight}\n")
-        with pytest.raises(BadParams, match=r"edge \(1, 2\) has non-finite weight"):
+        with pytest.raises(FormatError, match=re.escape(str(path)) + r": edge \(1, 2\) has non-finite weight"):
             load_graph_text(path)
 
     @pytest.mark.parametrize("weight", ["NaN", "Infinity"])
     def test_json_non_finite_weight(self, tmp_path, weight):
         path = tmp_path / "g.json"
         path.write_text(f'{{"nodes": [{{"id": 0}}, {{"id": 1}}], "edges": [[0, 1, {weight}]]}}')
-        with pytest.raises(BadParams, match=r"edge \(0, 1\) has non-finite weight"):
+        with pytest.raises(FormatError, match=re.escape(str(path)) + r": edge \(0, 1\) has non-finite weight"):
             load_graph_json(path)
+
+    @pytest.mark.parametrize("suffix", [".txt", ".json"])
+    @pytest.mark.parametrize("fault", sorted(REFUSED_GRAPHS))
+    def test_refused_graph_is_a_format_error_naming_the_file(self, tmp_path, suffix, fault):
+        nodes, edges, refusal, message = REFUSED_GRAPHS[fault]
+        path = tmp_path / f"g{suffix}"
+        if suffix == ".json":
+            payload = {"nodes": [dict(id=i, kind=kind, label=label) for i, kind, label in nodes], "edges": edges}
+            path.write_text(json.dumps(payload))
+        else:
+            lines = [f"N {len(nodes)}"] + [f"node {i} {kind} {label}" for i, kind, label in nodes]
+            path.write_text("\n".join(lines + [f"edge {i} {j} {w!r}" for i, j, w in edges]) + "\n")
+        with pytest.raises(FormatError, match=re.escape(str(path)) + ": " + message) as caught:
+            load_graph(path)
+        # the graph itself, made directly, refuses the same content as before
+        assert type(caught.value.__cause__) is refusal
 
     def test_json_infinite_node_id(self, tmp_path):
         path = tmp_path / "g.json"

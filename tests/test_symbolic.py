@@ -566,3 +566,17 @@ class TestBlockClosure:
             bind_predicates(p, CompiledBlock([kb, kb, kb], labels))
         with pytest.raises(UnmappedNode, match="node 1 is true but its label 'Z'"):
             bind_predicates(PredicateSet(p.values[2:5], soft=False), CompiledBlock([kb], [labels[1]]))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_premise_ranges_are_made_once_per_kb_and_per_block(self, seed):
+        rng = np.random.default_rng(seed)
+        kbs = [random_kb(rng, max_atoms=8), many_facts_kb(rng)]
+        for kb in kbs:
+            c = kb.compiled
+            # atom a's entries, and only those, lie in its range
+            assert np.array_equal(np.repeat(np.arange(len(kb.atoms)), np.diff(c.ranges)), c.premises)
+            assert CompiledBlock([kb], [kb.atoms]).ranges is c.ranges
+        block = CompiledBlock(kbs, [kb.atoms for kb in kbs])
+        atoms = np.arange(int(block.starts[-1]))
+        assert np.array_equal(np.repeat(atoms, np.diff(block.ranges)), block.program[2])
+        assert block.ranges is block.ranges
