@@ -1,26 +1,29 @@
-"""Reasoning graphs: construction, validation, degrees, and Laplacians.
+"""Reasoning graphs: construction, validation, Laplacians and files.
 
-A reasoning graph is an undirected, weighted graph whose nodes stand for
-entities, facts, or propositions and whose edge weights are non-negative
-similarity scores. A graph is checked once, when it is made
-(`ReasoningGraph.validate`), so every Laplacian derived from it holds its
-invariants by construction. A Laplacian is an operator on the graphs'
-stacked adjacency and their degrees (`Laplacian`): L x is a diagonal term
-plus one adjacency product, and no D - A is ever assembled. That product
-calls scipy's compiled CSR kernel itself, into a buffer the caller may
-reuse (`Laplacian.apply`), because on a graph of a few dozen nodes the
-dispatch of scipy's ``@`` costs several times the arithmetic. Graphs and
-Laplacians are immutable after construction and safe to share across
-threads.
+A reasoning graph is an undirected, weighted graph whose nodes (`NodeMeta`,
+plain records) stand for entities, facts, or propositions and whose edge
+weights are non-negative similarity scores. A graph is made in one pass
+over arrays, with no Python loop per edge (`build_graph`), and checks
+itself once, when it is made (`ReasoningGraph.validate`), so every
+Laplacian derived from it holds its invariants by construction. A
+Laplacian is an operator on the graphs' stacked adjacency and their
+degrees (`Laplacian`): L x is a diagonal term plus one adjacency product,
+and no D - A is ever assembled. That product calls scipy's compiled CSR
+kernel itself, into a buffer the caller may reuse (`Laplacian.apply`),
+because on a graph of a few dozen nodes the dispatch of scipy's ``@``
+costs several times the arithmetic. Graphs and Laplacians are immutable
+after construction and safe to share across threads.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -29,19 +32,11 @@ import scipy.sparse as sp
 # A x into a zeroed output and checks no shape. On a 2-core x86 machine it
 # took 0.85 us on a 20-node, 60-entry graph, against 3.4 us through ``@``,
 # whose dispatch was most of a small graph's filter time. The same kernel
-# runs either way, so the bits are the same.
-from scipy.sparse._sparsetools import csr_matvec
+# runs either way, so the bits are the same. Its CSR-to-CSC kernel, which
+# ``tocsc`` ends in, took 1.5 us on a 10-node graph against 22 us for ``tocsc``.
+from scipy.sparse._sparsetools import csr_matvec, csr_tocsc
 
-from .errors import (
-    BadParams,
-    DimensionMismatch,
-    FormatError,
-    IndexOutOfRange,
-    NegativeWeight,
-    SelfLoop,
-    ValidationError,
-    records,
-)
+from .errors import BadParams, DimensionMismatch, FormatError, IndexOutOfRange, NegativeWeight, SelfLoop, ValidationError, records
 
 NODE_KINDS = ("entity", "fact", "proposition")
 
@@ -49,17 +44,13 @@ COMBINATORIAL = "combinatorial"
 NORMALIZED = "normalized"
 
 
-@dataclass(frozen=True)
-class NodeMeta:
-    """Identity, role, and display label of a single node."""
+class NodeMeta(NamedTuple):
+    """A node's id, its position; its kind, one of `NODE_KINDS`; and its label,
+    the atom it stands for. The graph that holds it checks all three."""
 
     id: int
     kind: str = "proposition"
     label: str = ""
-
-    def __post_init__(self):
-        if self.kind not in NODE_KINDS:
-            raise BadParams(f"unknown node kind {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -95,22 +86,27 @@ class ReasoningGraph:
         """Each node's label, the atom it stands for (`symbolic.bind_predicates`); built on first use."""
         return tuple(m.label for m in self.nodes)
 
-    def degrees(self) -> np.ndarray:
-        """Weighted degree d_i = sum_j A_ij."""
-        return np.asarray(self.adjacency.sum(axis=1), dtype=np.float64).reshape(-1)
-
     def edge_count(self) -> int:
         """Number of undirected edges with non-zero weight."""
         return int(self.adjacency.nnz // 2)
 
     def validate(self) -> None:
+        """Raise for the graph's first fault: its shape and index arrays; then,
+        in one pass over the nodes, each id, kind and label; then its weights."""
         n = self.node_count
         a = self.adjacency
         if a.shape != (n, n):
             raise IndexOutOfRange(f"adjacency shape {a.shape} does not match {n} nodes")
-        for idx, meta in enumerate(self.nodes):
-            if meta.id != idx:
-                raise IndexOutOfRange(f"node ids must be dense in [0, {n}); got {meta.id} at {idx}")
+        # scipy's full format check, which its constructor skips and its kernels rely on
+        if a.indices.min(initial=0) < 0 or a.indices.max(initial=-1) >= n or np.diff(a.indptr).min(initial=0) < 0:
+            raise IndexOutOfRange(f"adjacency has an index outside [0, {n}) or decreasing row pointers")
+        for idx, (node_id, kind, label) in enumerate(self.nodes):
+            if node_id != idx:
+                raise IndexOutOfRange(f"node ids must be dense in [0, {n}); got {node_id} at {idx}")
+            if kind not in NODE_KINDS:
+                raise BadParams(f"unknown node kind {kind!r}")
+            if not isinstance(label, str):
+                raise BadParams(f"node {idx} has label {label!r}, not a string")
         if a.nnz:
             bad = np.flatnonzero(~np.isfinite(a.data))
             if bad.size:
@@ -120,47 +116,61 @@ class ReasoningGraph:
                 raise NegativeWeight("adjacency contains a negative weight")
             if np.abs(a.diagonal()).max() > 0.0:
                 raise SelfLoop("adjacency has a non-zero diagonal entry")
-        # a canonical CSR equal to its transpose array for array is symmetric;
-        # otherwise, as for duplicates, unsorted indices or an explicit zero
-        # facing a missing entry, the difference decides
-        if not (a.has_canonical_format and _same_arrays(a, a.T.tocsr())):
+        # a canonical CSR whose transpose, laid out by scipy's kernel, has its bytes
+        # is symmetric; otherwise (duplicates, unsorted indices, an explicit zero
+        # facing a missing entry, a -0.0 facing a 0.0) the difference decides
+        arrays = (a.indptr, a.indices, a.data)
+        transpose = tuple(map(np.empty_like, arrays))
+        if a.has_canonical_format:
+            csr_tocsc(n, n, *arrays, *transpose)
+        if not (a.has_canonical_format and all(x.tobytes() == y.tobytes() for x, y in zip(arrays, transpose))):
             asym = a - a.T
             if asym.nnz and np.abs(asym.data).max() > 0.0:
                 raise BadParams("adjacency is not symmetric")
 
 
-def _same_arrays(a: sp.csr_array, b: sp.csr_array) -> bool:
-    return all(np.array_equal(x, y) for x, y in ((a.indptr, b.indptr), (a.indices, b.indices), (a.data, b.data)))
+def build_graph(nodes: Sequence[NodeMeta], edges: Iterable) -> ReasoningGraph:
+    """The graph over ``nodes`` with ``edges``, (i, j, w) rows as a sequence or
+    an (m, 3) array (another iterable is read into a list). Each edge adds w
+    to A[i][j] and then to A[j][i]; duplicates sum, and zero sums drop.
 
-
-def build_graph(nodes: Sequence[NodeMeta], edges: Iterable[tuple[int, int, float]]) -> ReasoningGraph:
-    """Assemble a symmetric adjacency from an edge list.
-
-    Each entry (i, j, w) contributes w to both A[i][j] and A[j][i];
-    duplicate entries are summed. A negative or non-finite weight raises
-    a `ValidationError` naming its edge.
-    """
+    The first faulty edge in input order raises, naming its ends as given:
+    an end that is not an integer in [0, n), NaN included, `IndexOutOfRange`;
+    i == j `SelfLoop`; a negative w `NegativeWeight`. Rows that are not three
+    numbers raise `BadParams`, ragged ones numpy's `ValueError`. Sound edges
+    cost two reductions, a cast and two comparisons; a mask per check is made
+    only to find a fault."""
     metas = tuple(nodes)
     n = len(metas)
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    for i, j, w in edges:
-        if not (0 <= i < n and 0 <= j < n):
-            raise IndexOutOfRange(f"edge ({i}, {j}) outside [0, {n})")
-        if i == j:
-            raise SelfLoop(f"self-loop at node {i}")
-        w = float(w)
-        if w < 0.0:
-            raise NegativeWeight(f"edge ({i}, {j}) has negative weight {w}")
-        rows += [i, j]
-        cols += [j, i]
-        vals += [w, w]
-    coo = sp.coo_array(
-        (np.asarray(vals, dtype=np.float64), (np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64))),
-        shape=(n, n),
-    )
+    if not isinstance(edges, (Sequence, np.ndarray)):
+        edges = list(edges)
+    e = np.asarray(edges)  # ragged rows raise numpy's ValueError
+    e = e.reshape(0, 3) if e.shape == (0,) else e
+    if e.ndim != 2 or e.shape[1] != 3 or e.dtype.kind in "SU":
+        raise BadParams(f"edges must be (i, j, w) rows of numbers; got an array of {e.dtype} and shape {e.shape}")
+    e = e.astype(np.float64, copy=False)
+    ends, w = e[:, :2], e[:, 2]
+    lo = e.min(axis=0, initial=0.0).tolist()  # a column's entry is NaN if any of its values is
+    ij = ends.astype(np.int64) if all(x >= 0.0 for x in lo) and ends.max(initial=-1.0) < n else None
+    if ij is None or np.count_nonzero(ij != ends) or np.count_nonzero(ij[:, 0] == ij[:, 1]):
+        outside = ~((ends >= 0.0) & (ends < n) & (np.floor(ends) == ends)).all(axis=1)
+        faulty = np.flatnonzero(outside | (ends[:, 0] == ends[:, 1]) | (w < 0.0))
+        if faulty.size:
+            k = faulty[0]
+            i, j = edges[k][0], edges[k][1]
+            if outside[k]:
+                raise IndexOutOfRange(f"edge ({i}, {j}) outside [0, {n})")
+            if ends[k, 0] == ends[k, 1]:
+                raise SelfLoop(f"self-loop at node {i}")
+            raise NegativeWeight(f"edge ({i}, {j}) has negative weight {w[k]}")
+        ij = ends.astype(np.int64)  # only a NaN weight, which the graph refuses
+    coo = sp.coo_array((np.repeat(w, 2), (ij.ravel(), ij[:, ::-1].ravel())), shape=(n, n))
     adj = coo.tocsr()  # duplicate entries are summed here
+    if adj.nnz < ij.size:
+        # scipy sorts rows of over 16 entries unstably, so copies of an edge may sum to
+        # other bits at (j, i): the upper sums, the CSC data's mirrors here, stand for both
+        lower = np.repeat(np.arange(n), np.diff(adj.indptr)) > adj.indices
+        adj.data[lower] = adj.tocsc().data[lower]
     adj.eliminate_zeros()
     return ReasoningGraph(metas, adj)
 
@@ -314,48 +324,39 @@ def normalized_laplacian(g: ReasoningGraph) -> Laplacian:
 # ---------------------------------------------------------------------------
 
 
-def _undirected_edges(g: ReasoningGraph) -> list[tuple[int, int, float]]:
-    coo = sp.coo_array(g.adjacency)
-    out = []
-    for i, j, w in zip(coo.row, coo.col, coo.data):
-        if i < j:
-            out.append((int(i), int(j), float(w)))
-    out.sort()
-    return out
+def _undirected_edges(g: ReasoningGraph) -> Iterator[tuple[int, int, float]]:
+    """The upper triangle's entries (i, j, w) in row-major order, duplicates summed."""
+    upper = sp.triu(g.adjacency, k=1, format="coo")
+    upper.sum_duplicates()
+    return zip(upper.row.tolist(), upper.col.tolist(), upper.data.tolist())
 
 
 def save_graph_text(g: ReasoningGraph, path: str | Path) -> None:
-    lines = [f"N {g.node_count}"]
-    for meta in g.nodes:
-        lines.append(f"node {meta.id} {meta.kind} {meta.label}")
-    for i, j, w in _undirected_edges(g):
-        lines.append(f"edge {i} {j} {w!r}")
+    lines = [f"N {g.node_count}"] + [f"node {i} {kind} {label}" for i, kind, label in g.nodes]
+    lines += [f"edge {i} {j} {w!r}" for i, j, w in _undirected_edges(g)]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _loaded_graph(path, nodes: list[tuple[int, str, str]], edges: list[tuple[int, int, float]]) -> ReasoningGraph:
-    """A graph file's (id, kind, label) nodes, in any order, and edges as a
-    graph; content the graph refuses raises `FormatError` naming the file."""
+def _loaded_graph(path, nodes: list[NodeMeta], edges: list[tuple[int, int, float]]) -> ReasoningGraph:
+    """A graph file's nodes, in any order, and edges as a graph; content
+    the graph refuses raises `FormatError` naming the file."""
     try:
-        return build_graph(sorted((NodeMeta(*node) for node in nodes), key=lambda m: m.id), edges)
+        return build_graph(sorted(nodes, key=itemgetter(0)), edges)
     except ValidationError as exc:
         raise FormatError(f"{path}: {exc}") from exc
 
 
 def load_graph_text(path: str | Path) -> ReasoningGraph:
-    nodes: list[tuple[int, str, str]] = []
-    edges: list[tuple[int, int, float]] = []
-    n = None
+    nodes, edges, n = [], [], None
     for lineno, line in records(Path(path).read_text()):
         parts = line.split(maxsplit=3)
         try:
             if parts[0] == "N":
-                n = int(parts[1])
+                (n,) = map(int, parts[1:])
             elif parts[0] == "node":
-                label = parts[3] if len(parts) > 3 else ""
-                nodes.append((int(parts[1]), parts[2], label))
+                nodes.append(NodeMeta(int(parts[1]), parts[2], parts[3] if len(parts) > 3 else ""))
             elif parts[0] == "edge":
-                i, j, w = line.split()[1:4]
+                _, i, j, w = line.split()
                 edges.append((int(i), int(j), float(w)))
             else:
                 raise FormatError(f"{path}:{lineno}: unknown record {parts[0]!r}")
@@ -369,18 +370,19 @@ def load_graph_text(path: str | Path) -> ReasoningGraph:
 
 
 def save_graph_json(g: ReasoningGraph, path: str | Path) -> None:
-    payload = {
-        "nodes": [{"id": m.id, "kind": m.kind, "label": m.label} for m in g.nodes],
-        "edges": [[i, j, w] for i, j, w in _undirected_edges(g)],
-    }
+    nodes = [{"id": i, "kind": kind, "label": label} for i, kind, label in g.nodes]
+    payload = {"nodes": nodes, "edges": [list(edge) for edge in _undirected_edges(g)]}
     Path(path).write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def load_graph_json(path: str | Path) -> ReasoningGraph:
     try:
         payload = json.loads(Path(path).read_text())
-        nodes = [(int(m["id"]), m.get("kind", "proposition"), m.get("label", "")) for m in payload["nodes"]]
-        edges = [(int(i), int(j), float(w)) for i, j, w in payload["edges"]]
+        nodes = [NodeMeta(m["id"], m.get("kind", "proposition"), m.get("label", "")) for m in payload["nodes"]]
+        edges = [(i, j, float(w)) for i, j, w in payload["edges"]]
+        for value in [m.id for m in nodes] + [end for i, j, _ in edges for end in (i, j)]:
+            if type(value) is not int:  # a bool, a float or a string
+                raise TypeError(f"{value!r} is not an integer")
     except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: malformed graph JSON: {exc}") from exc
     return _loaded_graph(path, nodes, edges)
@@ -388,8 +390,5 @@ def load_graph_json(path: str | Path) -> ReasoningGraph:
 
 def load_graph(path: str | Path) -> ReasoningGraph:
     """Dispatch on extension: .json, otherwise the line-oriented text format."""
-    p = Path(path)
-    if p.suffix == ".json":
-        return load_graph_json(p)
-    return load_graph_text(p)
+    return load_graph_json(path) if Path(path).suffix == ".json" else load_graph_text(path)
 

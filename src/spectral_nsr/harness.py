@@ -413,5 +413,5 @@ def random_sparse_laplacian(n_edges: int, seed: int = 0):
     i, j = i[keep], j[keep]
     w = rng.uniform(0.2, 1.0, size=i.shape[0])
     nodes = [NodeMeta(k, "proposition", f"n{k}") for k in range(n)]
-    g = build_graph(nodes, zip(i.tolist(), j.tolist(), w.tolist()))
+    g = build_graph(nodes, np.column_stack((i, j, w)))
     return g, combinatorial_laplacian(g)

@@ -23,6 +23,7 @@ from spectral_nsr.graph import (
     build_graph,
     combinatorial_laplacian,
     csr_matvec,
+    csr_tocsc,
     laplacians,
     load_graph,
     load_graph_json,
@@ -44,7 +45,7 @@ class TestBuildGraph:
 
     def test_p3_degrees(self):
         g = build_graph(make_nodes(3), [(0, 1, 1.0), (1, 2, 1.0)])
-        assert np.array_equal(g.degrees(), [1.0, 2.0, 1.0])
+        assert np.array_equal(combinatorial_laplacian(g).degrees, [1.0, 2.0, 1.0])
 
     def test_duplicate_edges_sum(self):
         g = build_graph(make_nodes(2), [(0, 1, 0.5), (1, 0, 0.5)])
@@ -78,8 +79,122 @@ class TestBuildGraph:
             build_graph(make_nodes(2), [(1, 1, 1.0)])
 
     def test_bad_node_kind(self):
-        with pytest.raises(BadParams):
-            NodeMeta(0, "widget", "x")
+        # a node is a plain record; the graph that holds it checks its kind
+        with pytest.raises(BadParams, match="unknown node kind 'widget'"):
+            build_graph([NodeMeta(0, "widget", "x")], [])
+
+    def test_edges_given_as_list_array_tuple_or_generator_agree(self):
+        edges = [(0, 1, 0.5), (2, 1, 1.5), (1, 0, 0.25)]
+        want = build_graph(make_nodes(3), edges).adjacency
+        for given_edges in (np.array(edges), tuple(edges), (edge for edge in edges)):
+            got = build_graph(make_nodes(3), given_edges).adjacency
+            assert got.indptr.tobytes() == want.indptr.tobytes()
+            assert got.indices.tobytes() == want.indices.tobytes()
+            assert got.data.tobytes() == want.data.tobytes()
+        for empty in ([], (), np.empty((0, 3))):
+            assert build_graph(make_nodes(3), empty).adjacency.nnz == 0
+
+    @pytest.mark.parametrize(
+        "edges, error, message",
+        [
+            (np.array([0.0, 1.0, 1.0]), BadParams, r"shape \(3,\)"),
+            (np.zeros((2, 4)), BadParams, r"shape \(2, 4\)"),
+            (np.zeros((0, 2)), BadParams, r"shape \(0, 2\)"),
+            ([(0, 1)], BadParams, r"shape \(1, 2\)"),
+            ([("0", 1, 1.0)], BadParams, "rows of numbers"),
+            ([(0, 1, 1.0), (1, 2)], ValueError, "inhomogeneous"),
+        ],
+        ids=["flat", "four-columns", "empty-two-columns", "two-columns", "string-end", "ragged"],
+    )
+    def test_edges_that_are_not_rows_of_three_numbers(self, edges, error, message):
+        # refused, never reshaped or parsed
+        with pytest.raises(error, match=message):
+            build_graph(make_nodes(3), edges)
+
+    @pytest.mark.parametrize(
+        "faulty, error, message",
+        [
+            ((0, 3, 1.0), IndexOutOfRange, r"edge \(0, 3\) outside \[0, 3\)"),
+            ((-1, 2, 1.0), IndexOutOfRange, r"edge \(-1, 2\) outside \[0, 3\)"),
+            ((float("nan"), 2, 1.0), IndexOutOfRange, r"edge \(nan, 2\) outside \[0, 3\)"),
+            ((0, 1.5, 1.0), IndexOutOfRange, r"edge \(0, 1.5\) outside \[0, 3\)"),
+            ((0, float("inf"), 1.0), IndexOutOfRange, r"edge \(0, inf\) outside \[0, 3\)"),
+            ((10**30, 1, 1.0), IndexOutOfRange, r"edge \(1000000000000000000000000000000, 1\) outside"),
+            ((2, 2, -1.0), SelfLoop, "self-loop at node 2"),
+            ((1, 2, -0.5), NegativeWeight, r"edge \(1, 2\) has negative weight -0.5"),
+            ((1, 2, -1), NegativeWeight, r"edge \(1, 2\) has negative weight -1.0"),
+        ],
+        ids=["past-the-end", "negative-end", "nan-end", "fractional-end", "infinite-end", "huge-end", "self-loop", "negative", "negative-int"],
+    )
+    def test_first_faulty_edge_in_input_order_raises(self, faulty, error, message):
+        # the faulty edge alone after a sound one; then after a NaN weight,
+        # which the graph refuses only after the edges, and before one of
+        # every other fault
+        others = [(0, 5, 1.0), (1.5, 0, 1.0), (float("nan"), 1, 1.0), (1, 1, 1.0), (0, 1, -2.0)]
+        for edges in ([(0, 1, 1.0), faulty], [(0, 1, 1.0), (1, 2, float("nan")), faulty, *others]):
+            with pytest.raises(error, match=message):
+                build_graph(make_nodes(3), edges)
+            # the same edges as an array: the same edge and fault
+            with pytest.raises(error):
+                build_graph(make_nodes(3), np.array(edges, dtype=np.float64))
+
+    def test_an_array_edge_is_named_as_given(self):
+        with pytest.raises(IndexOutOfRange, match=r"edge \(0.0, 5.0\) outside \[0, 2\)"):
+            build_graph(make_nodes(2), np.array([[0, 1, 1.0], [0, 5, 1.0]]))
+        with pytest.raises(IndexOutOfRange, match=r"edge \(0, 5\) outside \[0, 2\)"):
+            build_graph(make_nodes(2), np.array([[0, 1, 1], [0, 5, 1]]))
+
+    def test_copies_of_an_edge_in_a_long_row_sum_alike_both_ways(self):
+        # scipy sorts a row of over 16 entries unstably, so summed as one
+        # COO these copies of (0, 2) get other bits at (2, 0)
+        edges = [(0, 2, 0.1), (0, 2, 0.0)] + [(0, 1, 0.0)] * 9 + [(0, 2, 1.0)] + [(2, 0, 0.1)] * 5
+        a = build_graph(make_nodes(3), edges).adjacency
+        assert a[0, 2] == a[2, 0] == pytest.approx(1.6)
+        assert a.nnz == 2
+
+    def test_a_nan_weight_is_refused_by_the_graph(self):
+        with pytest.raises(BadParams, match=r"edge \(1, 2\) has non-finite weight nan"):
+            build_graph(make_nodes(3), [(0, 1, 1.0), (1, 2, float("nan"))])
+
+
+@st.composite
+def edge_lists(draw):
+    """Edges over up to 8 nodes with repeats, both orientations of a pair
+    and zero weights, as a list of tuples or as an (m, 3) array."""
+    n = draw(st.integers(2, 8))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+    weight = st.sampled_from([0.0, 0.1, 0.5, 1.0, 3.0, 1e-300, 1e300]) | st.floats(0.0, 10.0)
+    edges = draw(st.lists(st.tuples(pair, weight).map(lambda e: (*e[0], e[1])), max_size=30))
+    edges += [(j, i, w) for i, j, w in draw(st.lists(st.sampled_from(edges), max_size=5))] if edges else []
+    return n, edges, draw(st.booleans())
+
+
+class TestBuildGraphArrays:
+    @settings(max_examples=200, deadline=None)
+    @given(case=edge_lists())
+    def test_csr_is_the_reference_coo_byte_for_byte(self, case):
+        # the reference: each edge's (i, j) and then (j, i), summed by
+        # scipy in that order, with the entries that sum to zero dropped;
+        # its upper triangle stands for both, which changes nothing unless
+        # scipy summed a pair's copies in two orders
+        n, edges, as_array = case
+        rows, cols, vals = [], [], []
+        for i, j, w in edges:
+            rows += [i, j]
+            cols += [j, i]
+            vals += [w, w]
+        ref = sp.coo_array(
+            (np.asarray(vals, dtype=np.float64), (np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64))),
+            shape=(n, n),
+        ).tocsr()
+        ref.eliminate_zeros()
+        rows = np.repeat(np.arange(n), np.diff(ref.indptr))
+        for k in np.flatnonzero(rows > ref.indices):
+            ref.data[k] = ref[ref.indices[k], rows[k]]
+        given_edges = np.array(edges, dtype=np.float64).reshape(-1, 3) if as_array else edges
+        got = build_graph(make_nodes(n), given_edges).adjacency
+        for x, y in ((got.indptr, ref.indptr), (got.indices, ref.indices), (got.data, ref.data)):
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
 
 
 class TestDirectConstruction:
@@ -101,6 +216,18 @@ class TestDirectConstruction:
         nodes = tuple(NodeMeta(i) for i in ids)
         with pytest.raises(error, match=message):
             ReasoningGraph(nodes, sp.csr_array(np.asarray(dense)))
+
+    @pytest.mark.parametrize(
+        "indices, indptr",
+        [([50000], [0, 1, 1]), ([-1], [0, 1, 1]), ([1, 0], [0, 2, 1]), ([], [0, 1, 0])],
+        ids=["index-past-the-end", "negative-index", "decreasing-indptr", "decreasing-indptr-no-entries"],
+    )
+    def test_index_arrays_outside_the_graph_are_refused(self, indices, indptr):
+        # scipy's constructor takes these, and its kernels read and write out
+        # of bounds on them: unchecked, the first crashes the interpreter
+        a = sp.csr_array((np.ones(len(indices)), np.array(indices, dtype=np.int64), np.array(indptr)), shape=(2, 2))
+        with pytest.raises(IndexOutOfRange, match=r"index outside \[0, 2\) or decreasing row pointers"):
+            ReasoningGraph((NodeMeta(0), NodeMeta(1)), a)
 
 
 @st.composite
@@ -237,7 +364,7 @@ def dense_bound(g):
     """The dense-path bound of ``g``'s combinatorial Laplacian, from diag(d) - A."""
     if not g.adjacency.nnz:
         return 0.0
-    dense = np.diag(g.degrees()) - g.adjacency.toarray()
+    dense = np.diag(g.adjacency.sum(axis=1)) - g.adjacency.toarray()
     pad = g.node_count * np.finfo(np.float64).eps * float(np.abs(dense).sum(axis=0).max())
     return float(np.linalg.eigvalsh(dense)[-1]) + pad
 
@@ -318,9 +445,21 @@ class TestProductShapes:
 
 
 class TestCsrKernel:
-    """`csr_matvec`, scipy's private CSR kernel that `Laplacian.apply` calls:
-    imported by name here, so a scipy release that moves it fails with its
-    cause named."""
+    """`csr_matvec`, scipy's private CSR kernel that `Laplacian.apply` calls,
+    and `csr_tocsc`, which `ReasoningGraph.validate` calls to lay out a
+    transpose: imported by name here, so a scipy release that moves them
+    fails with its cause named."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(a=raw_adjacency())
+    def test_transpose_kernel_lays_out_tocsc(self, a):
+        # on any CSR, canonical or not, the kernel writes what ``tocsc``
+        # holds: the transpose's CSR arrays, byte for byte
+        out = tuple(np.empty_like(x) for x in (a.indptr, a.indices, a.data))
+        csr_tocsc(*a.shape, a.indptr, a.indices, a.data, *out)
+        want = a.tocsc()
+        for x, y in zip(out, (want.indptr, want.indices, want.data), strict=True):
+            assert x.tobytes() == y.tobytes()
 
     def test_into_zeros_it_is_the_product(self, rng):
         a = random_graph(rng, 30, density=0.2).adjacency
@@ -352,7 +491,14 @@ REFUSED_GRAPHS = {
     "repeated id": ([(0, "entity", "a"), (0, "fact", "b")], [], IndexOutOfRange, "node ids must be dense"),
     "missing node": (TWO_NODES, [(0, 5, 1.0)], IndexOutOfRange, r"edge \(0, 5\) outside"),
     "non-finite weight": (TWO_NODES, [(0, 1, float("inf"))], BadParams, r"edge \(0, 1\) has non-finite weight"),
+    "list label": ([(0, "entity", ["a"]), (1, "fact", "b")], [], BadParams, r"node 0 has label \['a'\], not a string"),
+    "number label": ([(0, "entity", "a"), (1, "fact", 7)], [(0, 1, 1.0)], BadParams, "node 1 has label 7, not a string"),
 }
+
+# a text file's label is the rest of its line, always a string
+REFUSED_FILES = [(fault, ".json") for fault in sorted(REFUSED_GRAPHS)] + [
+    (fault, ".txt") for fault, (nodes, *_) in sorted(REFUSED_GRAPHS.items()) if all(isinstance(m[2], str) for m in nodes)
+]
 
 
 class TestFileFormats:
@@ -391,9 +537,14 @@ class TestFileFormats:
         with pytest.raises(FormatError, match=re.escape(str(path)) + r": edge \(0, 1\) has non-finite weight"):
             load_graph_json(path)
 
-    @pytest.mark.parametrize("suffix", [".txt", ".json"])
     @pytest.mark.parametrize("fault", sorted(REFUSED_GRAPHS))
-    def test_refused_graph_is_a_format_error_naming_the_file(self, tmp_path, suffix, fault):
+    def test_refused_graph_made_directly(self, fault):
+        nodes, edges, refusal, message = REFUSED_GRAPHS[fault]
+        with pytest.raises(refusal, match=message):
+            build_graph([NodeMeta(*node) for node in nodes], edges)
+
+    @pytest.mark.parametrize("fault, suffix", REFUSED_FILES)
+    def test_refused_graph_is_a_format_error_naming_the_file(self, tmp_path, fault, suffix):
         nodes, edges, refusal, message = REFUSED_GRAPHS[fault]
         path = tmp_path / f"g{suffix}"
         if suffix == ".json":
@@ -412,3 +563,42 @@ class TestFileFormats:
         path.write_text('{"nodes": [{"id": Infinity}], "edges": []}')
         with pytest.raises(FormatError):
             load_graph_json(path)
+
+    @pytest.mark.parametrize(
+        "nodes, edges, value",
+        [
+            ('{"id": "0"}, {"id": 1}', "[[0, 1, 1.0]]", "'0'"),
+            ('{"id": 0}, {"id": 1.9}', "[[0, 1, 1.0]]", "1.9"),
+            ('{"id": 0}, {"id": 1.0}', "[]", "1.0"),
+            ('{"id": false}, {"id": 1}', "[]", "False"),
+            ('{"id": 0}, {"id": 1}, {"id": 2}', "[[0, 1.9, 1.0]]", "1.9"),
+            ('{"id": 0}, {"id": 1}, {"id": 2}', "[[true, 2, 1.0]]", "True"),
+            ('{"id": 0}, {"id": 1}, {"id": 2}', '[[0, "2", 1.0]]', "'2'"),
+            ('{"id": 0}, {"id": 1}, {"id": 2}', "[[0, 1, 1.0], [1, NaN, 1.0]]", "nan"),
+        ],
+        ids=["string-id", "fractional-id", "float-id", "bool-id", "fractional-end", "bool-end", "string-end", "nan-end"],
+    )
+    def test_json_ids_and_ends_must_be_integers(self, tmp_path, nodes, edges, value):
+        # each of these used to load, after int(), as a different graph
+        path = tmp_path / "g.json"
+        path.write_text(f'{{"nodes": [{nodes}], "edges": {edges}}}')
+        with pytest.raises(FormatError, match=re.escape(f"{path}: malformed graph JSON: {value} is not an integer")):
+            load_graph_json(path)
+
+    @pytest.mark.parametrize(
+        "line, lineno",
+        [("N 2 7", 1), ("edge 0 1 1.0 9 9", 4), ("edge 0 1", 4), ("N", 1)],
+        ids=["header", "edge", "short-edge", "bare-header"],
+    )
+    def test_text_extra_or_missing_tokens_are_malformed(self, tmp_path, line, lineno):
+        records = ["N 2", "node 0 entity a", "node 1 fact b", "edge 0 1 1.0"]
+        records[lineno - 1] = line
+        path = tmp_path / "g.txt"
+        path.write_text("\n".join(records) + "\n")
+        with pytest.raises(FormatError, match=re.escape(f"{path}:{lineno}: malformed line {line!r}")):
+            load_graph_text(path)
+
+    def test_text_labels_keep_their_words(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("N 3\nnode 0 entity two words\nnode 1 fact  a  b  c \nnode 2 proposition\nedge 0 1 1.0\n")
+        assert load_graph_text(path).labels == ("two words", "a  b  c", "")
