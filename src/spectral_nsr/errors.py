@@ -1,4 +1,4 @@
-"""Exception taxonomy, and the record-line reader, shared across the package.
+"""Exception taxonomy, the record-line reader and the JSON number test.
 
 Two broad families: validation errors (bad inputs, bad files, contract
 violations) and numerical errors (a computation failed on otherwise valid
@@ -111,3 +111,9 @@ def records(text: str) -> Iterator[tuple[int, str]]:
         line = raw.strip()
         if line and not line.startswith("#"):
             yield lineno, line
+
+
+def is_json_number(value, integral: bool = False) -> bool:
+    """Whether ``value``, read from JSON, is a number: an int or a float, an
+    int only if ``integral``; never a bool, a string, null, a list or an object."""
+    return not isinstance(value, bool) and isinstance(value, int if integral else (int, float))

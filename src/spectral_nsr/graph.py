@@ -36,7 +36,8 @@ import scipy.sparse as sp
 # ``tocsc`` ends in, took 1.5 us on a 10-node graph against 22 us for ``tocsc``.
 from scipy.sparse._sparsetools import csr_matvec, csr_tocsc
 
-from .errors import BadParams, DimensionMismatch, FormatError, IndexOutOfRange, NegativeWeight, SelfLoop, ValidationError, records
+from .errors import BadParams, DimensionMismatch, FormatError, IndexOutOfRange, NegativeWeight, SelfLoop, ValidationError
+from .errors import is_json_number, records
 
 NODE_KINDS = ("entity", "fact", "proposition")
 
@@ -64,7 +65,7 @@ class ReasoningGraph:
 
     ``prepared`` holds the pipeline's per-graph work, keyed by Laplacian
     kind and seed: the graph's latest preparation pass (`pipeline.Layout`)
-    and its first position in it, shared by every pipeline and rule set
+    and its position in it, shared by every pipeline and rule set
     (`pipeline.prepare_graph`).
     That cache relies on the graph never changing: mutating ``nodes`` or
     ``adjacency`` in place would leave it stale.
@@ -276,6 +277,13 @@ class Laplacian:
         """The diagonal of L: the degrees, or 1 for the normalized kind."""
         return self.degrees if self.kind == COMBINATORIAL else np.ones(self.node_count)
 
+    def gershgorin(self) -> np.ndarray:
+        """Each graph's Gershgorin bound on its spectrum: 2 max d_i over its rows, or 2 for the normalized kind."""
+        if self.kind == NORMALIZED:
+            return np.full(self.graph_count, 2.0)
+        # a 0 after the degrees, which are >= 0, lets a graph of no nodes end the block
+        return 2.0 * np.maximum.reduceat(np.append(self.degrees, 0.0), self.starts[:-1])
+
     def toarray(self) -> np.ndarray:
         """L as a dense array: the entries summed in order, as scipy's
         ``toarray`` sums them, with the diagonal set."""
@@ -379,10 +387,14 @@ def load_graph_json(path: str | Path) -> ReasoningGraph:
     try:
         payload = json.loads(Path(path).read_text())
         nodes = [NodeMeta(m["id"], m.get("kind", "proposition"), m.get("label", "")) for m in payload["nodes"]]
-        edges = [(i, j, float(w)) for i, j, w in payload["edges"]]
+        edges = [(i, j, w) for i, j, w in payload["edges"]]
         for value in [m.id for m in nodes] + [end for i, j, _ in edges for end in (i, j)]:
-            if type(value) is not int:  # a bool, a float or a string
+            if not is_json_number(value, integral=True):
                 raise TypeError(f"{value!r} is not an integer")
+        for *_, w in edges:
+            if not is_json_number(w):
+                raise TypeError(f"weight {w!r} is not a number")
+        edges = [(i, j, float(w)) for i, j, w in edges]
     except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: malformed graph JSON: {exc}") from exc
     return _loaded_graph(path, nodes, edges)

@@ -20,7 +20,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import BadParams, EmptyDataset, FormatError
+from .errors import BadParams, EmptyDataset, FormatError, is_json_number
 from .graph import NodeMeta, ReasoningGraph, build_graph, combinatorial_laplacian, load_graph_text, save_graph_text
 from .pipeline import Block
 from .spectral import load_signal, save_signal, vertex_signal
@@ -315,9 +315,9 @@ def load_dataset(directory: str | Path) -> tuple[list[SyntheticTask], tuple[int,
 
 
 def _manifest_field(entry: dict, key: str, kind: type):
-    """``entry[key]``, which must be a JSON value of type ``kind`` (no bool for int)."""
+    """``entry[key]``, which must be a JSON string (``kind`` str) or integer (int)."""
     value = entry[key]
-    if not isinstance(value, kind) or isinstance(value, bool):
+    if not (is_json_number(value, integral=True) if kind is int else isinstance(value, kind)):
         raise TypeError(f"{key} must be {kind.__name__}, got {value!r}")
     return value
 
@@ -352,16 +352,14 @@ def evaluate(pipeline, tasks, measure_latency: bool = True) -> EvalReport:
     and score against the oracle labels.
 
     With ``measure_latency`` each task is one timed query (``run_task``, a
-    block of one), run once untimed just before, so the clock sees a warm
-    query: a graph prepared in another grouping (a kept block's pass) is
-    prepared again as a block of one before its clock starts. Without it
-    all tasks run as one block (``run_tasks``), which gives the same
-    answers, and the latency fields are None. ``pipeline`` needs only
-    those two methods; a `Pipeline` checked its parameters when it was
-    made, so neither re-checks them. A list of tasks is made
-    into a fresh block; a kept block brings its graphs prepared, its KBs
-    laid out and its label arrays made, so a block evaluated under many
-    parameter sets pays for them once.
+    block of one), run once untimed just before, so the clock times no
+    preparation. Without it all tasks run as one block (``run_tasks``),
+    which gives the same answers, and the latency fields are None.
+    ``pipeline`` needs only those two methods; a `Pipeline` checked its
+    parameters when it was made, so neither re-checks them. A list of
+    tasks is made into a fresh block; a kept block brings its graphs
+    prepared, its KBs laid out and its label arrays made, so a block
+    evaluated under many parameter sets pays for them once.
 
     Scoring is one pass over the closure bits of the whole block, which
     the block run holds (`PipelineOutput.block_closure_bits`) and the

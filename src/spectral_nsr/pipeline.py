@@ -374,62 +374,49 @@ class Layout:
     `Laplacian` operator on the graphs' stacked adjacency, as it is, each
     graph's spectrum bound (``bounds``), and each node's (``lambda_max``),
     its own graph's repeated over its rows (a scalar for a pass of one
-    graph). ``firsts`` gives each position of the list the first position
-    that lists the same graph. It holds no graph, so it keeps none alive;
-    what the nodes stand for stays on the graph (`ReasoningGraph.labels`).
+    graph). It holds no graph, so it keeps none alive; what the nodes stand
+    for stays on the graph (`ReasoningGraph.labels`).
     """
 
     laplacian: Laplacian
     bounds: list[float]
     lambda_max: float | np.ndarray
-    firsts: tuple[int, ...]
 
 
 def prepare_graph(cfg: PipelineConfig, graphs: Sequence[ReasoningGraph]) -> Layout:
     """One preparation pass over exactly ``graphs``, in their order, for
-    ``cfg``'s Laplacian kind and seed (`Layout`). Each graph keeps the pass
-    and its first position in it, so the pass lives as long as any of its
-    graphs. Rules and parameters do not enter it, so any pipeline of that
-    kind and seed reuses it. The graphs were checked when they were made,
-    so nothing is checked here.
+    ``cfg``'s Laplacian kind and seed (`Layout`). Rules and parameters do
+    not enter it, so any pipeline of that kind and seed reuses it. The
+    graphs were checked when they were made, so nothing is checked here.
 
-    The same graphs, in the same order, that all still keep one pass get
-    that pass as it is. Any other list (a warm block regrouped, warm and
-    cold graphs mixed) is prepared again as one pass: one `build_laplacian`
-    call gives the block's Laplacian operator, its stacked adjacency and
-    degrees, and when a graph is cold, one `estimate_lambda_max` call
-    bounds them all from the operator's arrays; a warm list keeps its
-    bounds, which are the ones the block gives. No matrix is built per
-    graph, and each result is bit for bit what the graph gets alone.
-    Nothing is stored until both calls have succeeded, so a preparation
-    that raises keeps nothing for any graph of the list; its error carries
-    the stage tag ``laplacian`` or ``spectral``. A list of no graphs raises
-    `BadParams`.
+    A list whose every graph keeps the same pass at its own position gets
+    that pass as it is. Any other list is a new pass: one `build_laplacian`
+    call lays out its Laplacian operator, and one `estimate_lambda_max`
+    call bounds every graph from it, each bound bit for bit what the graph
+    gets alone. Each graph then keeps the pass and its position in it, so
+    the pass lives as long as any of its graphs. Nothing is stored until
+    both calls have succeeded, so a preparation that raises keeps nothing
+    for any graph of the list; its error carries the stage tag
+    ``laplacian`` or ``spectral``. A list of no graphs raises `BadParams`.
     """
     if not graphs:
         raise BadParams("a pass over no graphs has no layout")
     key = (cfg.laplacian, cfg.seed)
     entries = [g.prepared.get(key) for g in graphs]
-    if entries[0]:
-        kept = entries[0][0]
-        if len(kept.firsts) == len(entries) and all(e == (kept, i) for e, i in zip(entries, kept.firsts)):
-            return kept
+    kept = entries[0] and entries[0][0]
+    if kept and entries == [(kept, i) for i in range(len(kept.bounds))]:
+        return kept
     with _stage("laplacian"):
         laplacian = build_laplacian(cfg, graphs)
-    if None in entries:
-        with _stage("spectral"):
-            bounds = [max(bound, 1e-12) for bound in estimate_lambda_max(laplacian, seed=cfg.seed)]
-    else:
-        bounds = [layout.bounds[i] for layout, i in entries]
+    with _stage("spectral"):
+        bounds = [max(bound, 1e-12) for bound in estimate_lambda_max(laplacian, seed=cfg.seed)]
     if len(bounds) == 1:
         lambda_max = bounds[0]
     else:
         lambda_max = np.repeat(bounds, np.diff(laplacian.starts))
         lambda_max.setflags(write=False)
-    positions: dict[int, int] = {}
-    firsts = tuple(positions.setdefault(id(g), i) for i, g in enumerate(graphs))
-    layout = Layout(laplacian, bounds, lambda_max, firsts)
-    for g, i in zip(graphs, firsts):
+    layout = Layout(laplacian, bounds, lambda_max)
+    for i, g in enumerate(graphs):
         g.prepared[key] = (layout, i)
     return layout
 
@@ -502,10 +489,8 @@ class Block:
         return block_signal([task.x0 for task in self.tasks], self.node_starts)
 
     def layout(self, cfg: PipelineConfig) -> Layout:
-        """The graphs prepared for ``cfg``'s Laplacian kind and seed as one
-        pass (`prepare_graph`), kept from first use; its rows are laid out
-        as ``node_starts`` lays out the nodes. A block of no tasks raises
-        `BadParams`."""
+        """The graphs' preparation pass for ``cfg``'s Laplacian kind and seed
+        (`prepare_graph`), kept from first use; a block of no tasks raises `BadParams`."""
         key = (cfg.laplacian, cfg.seed)
         if key not in self._layouts:
             self._layouts[key] = prepare_graph(cfg, self.graphs)

@@ -89,7 +89,7 @@ class SpectralRule:
     rule_id: str
     template: FrequencyResponse
     weight: float = 1.0
-    kind: str = "custom"
+    kind = property(lambda self: self.template.kind)
 
     def __post_init__(self):
         if not 0.0 <= self.weight < math.inf:
@@ -196,7 +196,7 @@ def parse_rules(text: str, lambda_max: float, base_dir: str | Path = ".") -> lis
                 template = builtin_template(kind, lambda_max, **params)
             if kv:
                 raise FormatError(f"line {lineno}: unknown keys {sorted(kv)}")
-            rules.append(SpectralRule(rule_id, template, weight=weight, kind="heat-kernel" if kind == "heat" else kind))
+            rules.append(SpectralRule(rule_id, template, weight=weight))
         except BadParams as exc:
             raise FormatError(f"line {lineno}: {exc}") from exc
     return rules

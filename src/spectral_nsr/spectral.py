@@ -20,6 +20,7 @@ checked against.
 from __future__ import annotations
 
 from collections import defaultdict
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
@@ -40,6 +41,7 @@ from .errors import (
     NonFiniteResponse,
     OutOfRange,
     TooLarge,
+    is_json_number,
 )
 from .graph import NORMALIZED, Laplacian
 
@@ -186,11 +188,12 @@ def estimate_lambda_max(lap: Laplacian, seed: int = 0) -> list[float]:
     a ``seed``-drawn vector. Some eigenvalue lies within the residual
     ||L v - theta v|| of theta, and Lanczos reaches the top of the spectrum
     first, so theta plus the residual bounds the top eigenvalue; it is
-    capped at the Gershgorin bound from the degrees, 2 max d_i, or 2 for a
-    normalized Laplacian. A solver that does not converge gives that cap,
-    which always holds. A combinatorial graph with no entry gets 0.
+    capped at the Gershgorin bound from the degrees (`Laplacian.gershgorin`),
+    2 max d_i, or 2 for a normalized Laplacian. A solver that does not
+    converge, dense or Lanczos, gives that cap, which always holds. A
+    combinatorial graph with no entry gets 0.
     """
-    indptr, starts, kind = lap.adjacency.indptr, lap.starts, lap.kind
+    indptr, starts, kind, caps = lap.adjacency.indptr, lap.starts, lap.kind, lap.gershgorin()
     sizes, ptr = starts[1:] - starts[:-1], indptr[starts]
     # a normalized Laplacian is the identity on a graph with no edge
     filled = sizes if kind == NORMALIZED else ptr[1:] - ptr[:-1]
@@ -200,12 +203,12 @@ def estimate_lambda_max(lap: Laplacian, seed: int = 0) -> list[float]:
         if nnz and n <= DENSE_BOUND_LIMIT:
             groups[n].append(i)
         elif nnz:
-            bounds[i] = _lanczos_bound(lap, i, seed)
+            bounds[i] = _lanczos_bound(lap, i, seed, float(caps[i]))
     if not groups:
         return bounds.tolist()
     if lap.graph_count == 1:
         # one dense graph is its own stack, with nothing to gather
-        return _dense_bounds(lap.toarray()[None], kind).tolist()
+        return _dense_bounds(lap.toarray()[None], caps).tolist()
     # dense graph k, group by group, takes the n^2 slots from at[k] of a flat
     # array that each chunk builds its own part of, and its entries are the
     # ones from first[k] of all their entries gathered in that order
@@ -228,35 +231,27 @@ def estimate_lambda_max(lap: Laplacian, seed: int = 0) -> list[float]:
                 slots[first[a] : first[b]] - at[a], weights=data[first[a] : first[b]], minlength=at[b] - at[a]
             ).reshape(-1, n, n)
             stack[:, np.arange(n), np.arange(n)] = diagonal[lo[a:b, None] + np.arange(n)]
-            bounds[order[a:b]] = _dense_bounds(stack, kind)
+            bounds[order[a:b]] = _dense_bounds(stack, caps[order[a:b]])
     return bounds.tolist()
 
 
-def _dense_bounds(stack: np.ndarray, kind: str) -> np.ndarray:
-    """The dense-path bounds of a (graphs, n, n) stack of Laplacians of
-    ``kind``, from one ``eigvalsh`` call."""
-    norm1 = np.abs(stack).sum(axis=1).max(axis=1)
-    pad = stack.shape[1] * np.finfo(np.float64).eps * norm1
+def _dense_bounds(stack: np.ndarray, caps: np.ndarray) -> np.ndarray:
+    """The dense-path bounds of a (graphs, n, n) stack of Laplacians, from
+    one ``eigvalsh`` call. If it fails, each graph is solved alone, and one
+    whose own solve fails keeps its Gershgorin bound from ``caps``."""
+    pad = stack.shape[1] * np.finfo(np.float64).eps * np.abs(stack).sum(axis=1).max(axis=1)
     try:
         return np.linalg.eigvalsh(stack)[:, -1] + pad
     except np.linalg.LinAlgError:
-        tops = [_top_eigenvalue(matrix) for matrix in stack]
-    return np.array([
-        _gershgorin(kind, norm) if top is None else top + margin
-        for top, norm, margin in zip(tops, norm1.tolist(), pad.tolist(), strict=True)
-    ])
+        bounds = np.array(caps, dtype=np.float64)
+    for k, matrix in enumerate(stack):
+        with suppress(np.linalg.LinAlgError):
+            bounds[k] = np.linalg.eigvalsh(matrix)[-1] + pad[k]
+    return bounds
 
 
-def _top_eigenvalue(dense: np.ndarray) -> float | None:
-    """The top eigenvalue of one dense symmetric matrix, or None if ``eigvalsh`` fails."""
-    try:
-        return float(np.linalg.eigvalsh(dense)[-1])
-    except np.linalg.LinAlgError:
-        return None
-
-
-def _lanczos_bound(lap: Laplacian, i: int, seed: int) -> float:
-    """The Lanczos bound of graph ``i`` of the operator's block, on its own rows."""
+def _lanczos_bound(lap: Laplacian, i: int, seed: int, cap: float) -> float:
+    """The Lanczos bound of graph ``i`` of the operator's block, on its own rows, capped at ``cap``."""
     lo, hi = lap.starts[i : i + 2].tolist()
     if lap.graph_count > 1:
         lap = Laplacian(lap.kind, lap.adjacency[lo:hi, lo:hi], np.array([0, hi - lo]), lap.degrees[lo:hi])
@@ -264,7 +259,6 @@ def _lanczos_bound(lap: Laplacian, i: int, seed: int) -> float:
     # imported here: the module adds about 8 MB of resident memory
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
-    cap = 2.0 if lap.kind == NORMALIZED else 2.0 * float(lap.degrees.max())
     operator = LinearOperator((n, n), matvec=lambda v: lap @ v.reshape(-1), dtype=np.float64)
     v0 = np.random.default_rng(seed).standard_normal(n)
     try:
@@ -274,12 +268,6 @@ def _lanczos_bound(lap: Laplacian, i: int, seed: int) -> float:
     v = vecs[:, 0]
     residual = float(np.linalg.norm(lap @ v - theta[0] * v))
     return min(float(theta[0]) + residual, cap)
-
-
-def _gershgorin(kind: str, row_sum: float) -> float:
-    # the largest absolute row sum bounds every eigenvalue; a normalized
-    # Laplacian's spectrum also lies in [0, 2]
-    return min(row_sum, 2.0) if kind == NORMALIZED else row_sum
 
 
 @dataclass(frozen=True)
@@ -561,11 +549,13 @@ def load_filter(path: str | Path) -> ChebyshevFilter:
     `FormatError` naming the file."""
     try:
         payload = json.loads(Path(path).read_text())
-        coefficients = np.asarray(payload["coefficients"], dtype=np.float64)
+        lambda_max, coefficients = payload["lambda_max"], np.asarray(payload["coefficients"], dtype=object)
+        if not (is_json_number(lambda_max) and all(map(is_json_number, coefficients.flat))):
+            raise TypeError("lambda_max and every coefficient must be numbers")
         if coefficients.ndim != 1:
             raise ValueError(f"coefficients must be a flat list, got shape {coefficients.shape}")
-        return ChebyshevFilter(coefficients, float(payload["lambda_max"]))
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+        return ChebyshevFilter(coefficients.astype(np.float64), lambda_max)
+    except (KeyError, OverflowError, TypeError, ValueError, json.JSONDecodeError) as exc:
         raise FormatError(f"{path}: malformed filter JSON: {exc}") from exc
     except BadParams as exc:
         raise FormatError(f"{path}: invalid filter: {exc}") from exc

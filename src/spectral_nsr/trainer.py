@@ -38,6 +38,7 @@ from .errors import (
     FormatError,
     NonFiniteGradient,
     ShapeMismatch,
+    is_json_number,
 )
 from .harness import SyntheticTask, TaskSplits, evaluate
 from .pipeline import Block, Pipeline, PipelineConfig, check_params
@@ -370,7 +371,11 @@ class Checkpoint:
                 cfg = PipelineConfig(**config)
             except BadParams as exc:
                 raise FormatError(f"checkpoint config {exc}") from exc
-            params = {name: np.asarray(value, dtype=np.float64) for name, value in payload["params"].items()}
+            params = {name: np.asarray(value, dtype=object) for name, value in payload["params"].items()}
+            for name, value in params.items():
+                if not all(map(is_json_number, value.flat)):
+                    raise TypeError(f"param {name!r} holds {payload['params'][name]!r}, not numbers")
+            params = {name: value.astype(np.float64) for name, value in params.items()}
             metadata = payload["metadata"]
         except KeyError as exc:
             raise FormatError(f"checkpoint is missing key {exc}") from exc
@@ -398,8 +403,11 @@ class Checkpoint:
     @classmethod
     def load(cls, path: str | Path) -> "Checkpoint":
         """The checkpoint a file holds, its config's relative ``rules`` path
-        read from the file's directory (`pipeline.config_as_read`)."""
-        ckpt = cls.from_json(Path(path).read_text())
+        read from the file's directory (`pipeline.config_as_read`); an error names the file."""
+        try:
+            ckpt = cls.from_json(Path(path).read_text())
+        except FormatError as exc:
+            raise FormatError(f"{path}: {exc}") from exc
         return replace(ckpt, config=config_as_read(ckpt.config, path))
 
     def pipeline(self, rules: list[SpectralRule] | None = None) -> Pipeline:

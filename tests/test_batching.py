@@ -64,8 +64,8 @@ def make_tasks(specs):
 
 def rule_bank():
     return (
-        SpectralRule("smooth", builtin_template("low-pass", REFERENCE_LAMBDA_MAX, beta=1.0), kind="low-pass"),
-        SpectralRule("sharp", builtin_template("high-pass", REFERENCE_LAMBDA_MAX), kind="high-pass"),
+        SpectralRule("smooth", builtin_template("low-pass", REFERENCE_LAMBDA_MAX, beta=1.0)),
+        SpectralRule("sharp", builtin_template("high-pass", REFERENCE_LAMBDA_MAX)),
     )
 
 
@@ -177,10 +177,8 @@ def lstsq_rows(rules, lambda_max, order):
 
 def template_bank():
     return rule_bank() + (
-        SpectralRule(
-            "band", builtin_template("band-pass", REFERENCE_LAMBDA_MAX, center=1.0, sigma=0.3), kind="band-pass"
-        ),
-        SpectralRule("heat", builtin_template("heat-kernel", REFERENCE_LAMBDA_MAX, t=0.7), kind="heat-kernel"),
+        SpectralRule("band", builtin_template("band-pass", REFERENCE_LAMBDA_MAX, center=1.0, sigma=0.3)),
+        SpectralRule("heat", builtin_template("heat-kernel", REFERENCE_LAMBDA_MAX, t=0.7)),
     )
 
 

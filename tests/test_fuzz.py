@@ -4,6 +4,7 @@ and a checkpoint that does not load must be refused with a `FormatError`."""
 
 import copy
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ from spectral_nsr.graph import load_graph_json, load_graph_text
 from spectral_nsr.harness import gen_transitive
 from spectral_nsr.pipeline import REFERENCE_LAMBDA_MAX, PipelineConfig
 from spectral_nsr.rules import parse_rules
+from spectral_nsr.spectral import load_filter
 from spectral_nsr.symbolic import parse_kb
 from spectral_nsr.trainer import Checkpoint
 
@@ -165,3 +167,25 @@ class TestMutatedCheckpoint:
         ckpt = load_checkpoint(json.dumps(payload))
         if ckpt is not None:
             only_package_errors(run_checkpoint, ckpt)
+
+
+class TestJsonNumbers:
+    """A bool, a string or null where a file needs a number is a `FormatError` naming the file."""
+
+    @pytest.mark.parametrize("value", [True, "0.5", None], ids=["bool", "string", "null"])
+    @pytest.mark.parametrize(
+        "load, payload",
+        [
+            (load_graph_json, lambda v: {"nodes": [{"id": 0}, {"id": 1}], "edges": [[0, 1, v]]}),
+            (load_filter, lambda v: {"lambda_max": v, "coefficients": [1.0]}),
+            (load_filter, lambda v: {"lambda_max": 2.0, "coefficients": [1.0, v]}),
+            (Checkpoint.load, lambda v: {**REFERENCE, "params": {**REFERENCE["params"], "tau": [v]}}),
+            (Checkpoint.load, lambda v: {**REFERENCE, "params": {**REFERENCE["params"], "alpha": v}}),
+        ],
+        ids=["edge-weight", "lambda-max", "coefficient", "tau", "alpha"],
+    )
+    def test_non_number_is_refused(self, tmp_path, load, payload, value):
+        path = tmp_path / "file.json"
+        path.write_text(json.dumps(payload(value)))
+        with pytest.raises(FormatError, match=re.escape(f"{path}: ")):
+            load(path)

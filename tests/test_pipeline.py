@@ -4,7 +4,9 @@ import re
 import time
 import weakref
 from dataclasses import fields, replace
+from itertools import chain
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -229,7 +231,7 @@ PARAM_FAULTS = ("shape", "nan", "inf", "extra", "missing")
 
 def low_pass_rules(count):
     return tuple(
-        SpectralRule(f"r{i}", builtin_template("low-pass", REFERENCE_LAMBDA_MAX, beta=1.0 + i), kind="low-pass")
+        SpectralRule(f"r{i}", builtin_template("low-pass", REFERENCE_LAMBDA_MAX, beta=1.0 + i))
         for i in range(count)
     )
 
@@ -549,7 +551,7 @@ class TestPreparedGraph:
         task = gen_transitive(2, width=1, seed=5)
         # preparation derives stage 2's inputs only, its pass's Laplacian
         # operator and bounds; the labels stay on the graph
-        assert [f.name for f in fields(pipeline.Layout)] == ["laplacian", "bounds", "lambda_max", "firsts"]
+        assert [f.name for f in fields(pipeline.Layout)] == ["laplacian", "bounds", "lambda_max"]
         assert task.graph.labels == tuple(m.label for m in task.graph.nodes)
         assert task.graph.labels == tuple(task.node_atoms.values())
 
@@ -598,9 +600,9 @@ class TestPreparedGraph:
         # a block with a graph listed twice is one pass; a query fits no rule
         pipe.run_tasks(tasks + tasks[:2])
         assert calls == query_calls(build_laplacian=1, estimate_lambda_max=1)
-        # a sub-block of warm graphs is laid out again as one pass, with its bounds kept
+        # a sub-block of warm graphs is a new pass, bounded again in one call
         pipe.run_tasks(tasks)
-        assert calls == query_calls(build_laplacian=2, estimate_lambda_max=1)
+        assert calls == query_calls(build_laplacian=2, estimate_lambda_max=2)
 
     @pytest.mark.parametrize("laplacian", [COMBINATORIAL, NORMALIZED])
     def test_regrouped_block_equals_its_cold_block(self, laplacian):
@@ -617,17 +619,20 @@ class TestPreparedGraph:
                 assert out.answers == want.answers
                 assert out.lambda_max == want.lambda_max
 
-    def test_regroup_builds_once_and_bounds_nothing(self, calls):
+    def test_regroup_is_one_new_pass_then_kept(self, calls):
         pipe = reference_pipeline()
         tasks = gen_dataset("transitive", 3, seed=9) + gen_dataset("kinship", 3, seed=9)
         pipe.run_tasks(tasks)
         calls.update(query_calls())
-        # warm graphs keep their bounds: one Laplacian pass, no bound
+        # warm graphs regrouped are a new pass: one Laplacian call, one bound call
         pipe.run_tasks(tasks[1:4])
-        assert calls == query_calls(build_laplacian=1)
+        assert calls == query_calls(build_laplacian=1, estimate_lambda_max=1)
         # the regrouped pass is kept, so the same grouping prepares nothing
         pipe.run_tasks(tasks[1:4])
-        assert calls == query_calls(build_laplacian=1)
+        assert calls == query_calls(build_laplacian=1, estimate_lambda_max=1)
+        # a prefix of a kept list is a list of its own
+        pipe.run_tasks(tasks[1:3])
+        assert calls == query_calls(build_laplacian=2, estimate_lambda_max=2)
 
     def test_mixed_block_is_bounded_in_one_call(self, calls):
         pipe = reference_pipeline()
@@ -657,18 +662,19 @@ class TestPreparedGraph:
                 assert_same_output(out, alone)
                 assert out.lambda_max == alone.lambda_max
 
-    def test_graph_listed_twice_is_prepared_once(self, calls):
+    def test_graph_listed_twice_is_a_new_pass_each_time(self, calls):
         pipe = reference_pipeline()
         calls.update(query_calls())
         task = gen_transitive(4, width=2, seed=11)
-        # each run is a fresh block over the same list, which the kept pass serves
+        # the graph keeps its last position, so its first one never holds the
+        # pass: each fresh block over the list is one new pass
         for _ in range(3):
             pipe.run_tasks([task, task])
-        assert calls == query_calls(build_laplacian=1, estimate_lambda_max=1)
+        assert calls == query_calls(build_laplacian=3, estimate_lambda_max=3)
         layout = pipeline.prepare_graph(pipe.cfg, [task.graph, task.graph])
-        assert task.graph.prepared[(pipe.cfg.laplacian, pipe.cfg.seed)] == (layout, 0)
-        assert layout.firsts == (0, 0) and layout.bounds[0] == layout.bounds[1]
-        assert calls == query_calls(build_laplacian=1, estimate_lambda_max=1)
+        assert task.graph.prepared[(pipe.cfg.laplacian, pipe.cfg.seed)] == (layout, 1)
+        assert layout.bounds[0] == layout.bounds[1]
+        assert calls == query_calls(build_laplacian=4, estimate_lambda_max=4)
 
     def test_pass_is_not_reused_once_a_graph_drops_it(self, calls):
         cfg = PipelineConfig()
@@ -688,6 +694,50 @@ class TestPreparedGraph:
         freed = weakref.ref(graphs.pop())
         assert freed() is None
         assert layout.laplacian.graph_count == 2
+
+    @settings(max_examples=50, deadline=None)
+    @given(laplacian=st.sampled_from([COMBINATORIAL, NORMALIZED]), data=st.data())
+    def test_kept_pass_rule(self, laplacian, data):
+        def tasks():
+            return gen_dataset("transitive", 3, seed=9) + gen_dataset("kinship", 3, seed=9)
+
+        reference = reference_pipeline()
+        pipe = Pipeline(replace(reference.cfg, laplacian=laplacian), rules=list(reference.rules), params=reference.params)
+        alone = [pipe.run_task(task) for task in tasks()]
+        pool, passes, listed = tasks(), [], []
+
+        def kept(listed):
+            # a list that made a pass, with no graph twice, none of whose
+            # graphs a later pass has taken
+            return any(
+                made == listed and len(set(made)) == len(made) and set(made).isdisjoint(chain(*passes[k + 1 :]))
+                for k, made in enumerate(passes)
+            )
+
+        # lists over six graphs, cold at first: a new one, with or without
+        # duplicates, warm graphs beside cold ones; the last again, permuted,
+        # or a sub-list or prefix of it
+        graphs = st.integers(0, 5)
+        fresh = st.lists(graphs, min_size=1, max_size=6, unique=True) | st.lists(graphs, min_size=2, max_size=7)
+        for _ in range(data.draw(st.integers(1, 6), label="steps")):
+            positions = st.sets(st.sampled_from(range(len(listed) or 1)), min_size=1)
+            sub = positions.map(lambda ks, last=listed: [last[k] for k in sorted(ks)])
+            prefix = st.integers(1, max(len(listed) - 1, 1)).map(lambda n, last=listed: last[:n])
+            again = [st.just(listed), st.permutations(listed), sub, prefix]
+            listed = data.draw(st.one_of(fresh, *again) if listed else fresh)
+            new = 0 if kept(listed) else 1
+            with (
+                patch.object(pipeline, "build_laplacian", wraps=pipeline.build_laplacian) as built,
+                patch.object(pipeline, "estimate_lambda_max", wraps=pipeline.estimate_lambda_max) as bounded,
+            ):
+                outputs = pipe.run_tasks([pool[i] for i in listed])
+            assert built.call_count == bounded.call_count == new
+            if new:
+                passes.append(listed)
+            for out, i in zip(outputs, listed, strict=True):
+                assert out.y.values.tobytes() == alone[i].y.values.tobytes()
+                assert out.answers == alone[i].answers
+                assert out.lambda_max == alone[i].lambda_max
 
     def test_train_lays_out_each_split_once(self, monkeypatch):
         counts = {"prepare_graph": 0, "build_laplacian": 0}

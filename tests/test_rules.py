@@ -233,6 +233,12 @@ class TestRuleDsl:
             assert np.abs(sample_response(fitted, grid) - 0.7 * grid / lam_max).max() <= 1e-12
             assert sample_response(fitted, [lam_max])[0] == pytest.approx(0.7, abs=1e-12)
 
+    def test_rule_kind_is_its_templates(self):
+        assert SpectralRule("r", builtin_template("heat-kernel", 2.0)).kind == "heat-kernel"
+        assert SpectralRule("r", FrequencyResponse(lambda lam: lam)).kind == "custom"
+        with pytest.raises(TypeError):
+            SpectralRule("r", builtin_template("low-pass", 2.0), kind="high-pass")
+
     def test_parse_basic(self):
         text = "rule r1 kind=low-pass w=0.5 beta=2.0\nrule r2 kind=heat w=1.5 t=0.2\n"
         rules = parse_rules(text, 2.0)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg
@@ -14,7 +16,7 @@ from spectral_nsr.errors import (
     OutOfRange,
     TooLarge,
 )
-from spectral_nsr.graph import COMBINATORIAL, build_graph, combinatorial_laplacian, laplacians, normalized_laplacian
+from spectral_nsr.graph import COMBINATORIAL, NORMALIZED, build_graph, combinatorial_laplacian, laplacians, normalized_laplacian
 from spectral_nsr.harness import gen_dataset, random_sparse_laplacian
 from spectral_nsr.pipeline import Pipeline, PipelineConfig, combined_filter
 from spectral_nsr.spectral import (
@@ -261,6 +263,12 @@ class TestEstimateLambdaMax:
         g = random_graph(rng, 20)
         comb = combinatorial_laplacian(g)
         assert estimate_lambda_max(comb)[0] == pytest.approx(2.0 * g.adjacency.sum(axis=1).max(), rel=1e-12)
+        assert estimate_lambda_max(normalized_laplacian(g)) == [2.0]
+        # a block of several graphs, of two node counts: each its own bound
+        graphs = [g, random_graph(rng, 12), random_graph(rng, 20, density=0.4)]
+        degrees = [2.0 * float(graph.adjacency.sum(axis=1).max()) for graph in graphs]
+        assert estimate_lambda_max(laplacians(graphs, COMBINATORIAL)) == pytest.approx(degrees, rel=1e-12)
+        assert estimate_lambda_max(laplacians(graphs, NORMALIZED)) == [2.0, 2.0, 2.0]
 
 
 class TestChebyshevFilter:
@@ -521,6 +529,16 @@ class TestFilterIO:
     def test_invalid_filter_is_a_format_error(self, tmp_path, text):
         path = tmp_path / "f.json"
         path.write_text(text)
+        with pytest.raises(FormatError, match="f.json"):
+            load_filter(path)
+
+    @pytest.mark.parametrize("field", ["lambda_max", "coefficients"])
+    def test_integer_past_float_range_is_a_format_error(self, tmp_path, field):
+        # a JSON integer has no size limit; one past float range is malformed
+        payload = {"lambda_max": 2.0, "coefficients": [1.0]}
+        payload[field] = [10**400] if field == "coefficients" else 10**400
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(payload))
         with pytest.raises(FormatError, match="f.json"):
             load_filter(path)
 

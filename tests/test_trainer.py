@@ -384,10 +384,8 @@ class TestAdam:
 
 def reference_rules():
     return [
-        SpectralRule(
-            "transitive", builtin_template("low-pass", REFERENCE_LAMBDA_MAX, beta=1.0), weight=0.5, kind="low-pass"
-        ),
-        SpectralRule("conflict", builtin_template("high-pass", REFERENCE_LAMBDA_MAX), weight=0.5, kind="high-pass"),
+        SpectralRule("transitive", builtin_template("low-pass", REFERENCE_LAMBDA_MAX, beta=1.0), weight=0.5),
+        SpectralRule("conflict", builtin_template("high-pass", REFERENCE_LAMBDA_MAX), weight=0.5),
     ]
 
 
