@@ -104,6 +104,9 @@ def _load_splits(data_dir: str) -> harness.TaskSplits:
     tasks, splits = harness.load_dataset(data_dir)
     if splits is None:
         n = len(tasks)
+        if n < 3:
+            raise ValidationError(f"{data_dir} holds {n} task(s) and no manifest splits, and a default split needs 3; "
+                                  "write splits with gen --splits, or evaluate every task with --split all")
         n_val = max(n // 10, 1)
         splits = (n - 2 * n_val, n_val, n_val)
     return harness.split_dataset(tasks, splits)
@@ -212,16 +215,13 @@ def chain_cmd(kb_path, trace):
 @main.command("inspect-ckpt")
 @click.option("--ckpt", "ckpt_path", required=True, type=click.Path(exists=True, dir_okay=False))
 def inspect_cmd(ckpt_path):
-    """Summarize a checkpoint: config, parameter shapes, metadata."""
+    """Summarize a checkpoint: config, the filter it runs, metadata."""
     ckpt = trainer.Checkpoint.load(ckpt_path)
     click.echo("config:")
     for line in ckpt.config.to_text().strip().splitlines():
         click.echo(f"  {line}")
-    click.echo("params:")
-    for name, value in sorted(ckpt.params.items()):
-        # a checkpoint trained without rules holds no rule weights
-        peak = f", |max| {np.abs(value).max():.6g}" if value.size else ""
-        click.echo(f"  {name}: shape {list(value.shape)}{peak}")
+    click.echo(f"series: length {ckpt.series.size}, |max| {np.abs(ckpt.series).max():.6g}")
+    click.echo(f"tau: {ckpt.tau!r}")
     click.echo("metadata:")
     for key, value in sorted(ckpt.metadata.items()):
         click.echo(f"  {key}: {value}")

@@ -1,4 +1,4 @@
-"""Exception taxonomy, the record-line reader and the JSON number test.
+"""Exception taxonomy, the text-file and record-line readers and the JSON number test.
 
 Two broad families: validation errors (bad inputs, bad files, contract
 violations) and numerical errors (a computation failed on otherwise valid
@@ -9,6 +9,7 @@ errors to exit code 2.
 from __future__ import annotations
 
 from collections.abc import Iterator
+from pathlib import Path
 
 
 class SpectralNsrError(Exception):
@@ -102,6 +103,15 @@ class EmptyDataset(ValidationError):
 # file parsing
 class FormatError(ValidationError):
     pass
+
+
+def read_text(path: str | Path) -> str:
+    """The file ``path`` as UTF-8 text, as every loader reads it; bytes that
+    do not decode raise `FormatError` naming the path."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
 def records(text: str) -> Iterator[tuple[int, str]]:

@@ -37,7 +37,7 @@ import scipy.sparse as sp
 from scipy.sparse._sparsetools import csr_matvec, csr_tocsc
 
 from .errors import BadParams, DimensionMismatch, FormatError, IndexOutOfRange, NegativeWeight, SelfLoop, ValidationError
-from .errors import is_json_number, records
+from .errors import is_json_number, read_text, records
 
 NODE_KINDS = ("entity", "fact", "proposition")
 
@@ -356,7 +356,7 @@ def _loaded_graph(path, nodes: list[NodeMeta], edges: list[tuple[int, int, float
 
 def load_graph_text(path: str | Path) -> ReasoningGraph:
     nodes, edges, n = [], [], None
-    for lineno, line in records(Path(path).read_text()):
+    for lineno, line in records(read_text(path)):
         parts = line.split(maxsplit=3)
         try:
             if parts[0] == "N":
@@ -385,7 +385,7 @@ def save_graph_json(g: ReasoningGraph, path: str | Path) -> None:
 
 def load_graph_json(path: str | Path) -> ReasoningGraph:
     try:
-        payload = json.loads(Path(path).read_text())
+        payload = json.loads(read_text(path))
         nodes = [NodeMeta(m["id"], m.get("kind", "proposition"), m.get("label", "")) for m in payload["nodes"]]
         edges = [(i, j, w) for i, j, w in payload["edges"]]
         for value in [m.id for m in nodes] + [end for i, j, _ in edges for end in (i, j)]:

@@ -20,7 +20,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import BadParams, EmptyDataset, FormatError, is_json_number
+from .errors import BadParams, EmptyDataset, FormatError, is_json_number, read_text
 from .graph import NodeMeta, ReasoningGraph, build_graph, combinatorial_laplacian, load_graph_text, save_graph_text
 from .pipeline import Block
 from .spectral import load_signal, save_signal, vertex_signal
@@ -248,7 +248,7 @@ def load_task(directory: str | Path, task_id: str, family: str, depth: int, seed
         x0_path = d / f"{task_id}.x0.csv"
         x0 = load_signal(x0_path).values
         labels_path = d / f"{task_id}.labels.csv"
-        labels_text = labels_path.read_text()
+        labels_text = read_text(labels_path)
     except OSError as exc:
         raise FormatError(f"{d}: cannot read task {task_id!r}: {exc}") from exc
     if x0.shape[0] != graph.node_count:
@@ -292,7 +292,7 @@ def load_dataset(directory: str | Path) -> tuple[list[SyntheticTask], tuple[int,
     if not manifest_path.exists():
         raise FormatError(f"{d}: missing manifest.json")
     try:
-        manifest = json.loads(manifest_path.read_text())
+        manifest = json.loads(read_text(manifest_path))
         entries = [
             (
                 _manifest_field(entry, "task_id", str),
@@ -356,10 +356,10 @@ def evaluate(pipeline, tasks, measure_latency: bool = True) -> EvalReport:
     preparation. Without it all tasks run as one block (``run_tasks``),
     which gives the same answers, and the latency fields are None.
     ``pipeline`` needs only those two methods; a `Pipeline` checked its
-    parameters when it was made, so neither re-checks them. A list of
+    series and tau when it was made, so neither re-checks them. A list of
     tasks is made into a fresh block; a kept block brings its graphs
     prepared, its KBs laid out and its label arrays made, so a block
-    evaluated under many parameter sets pays for them once.
+    evaluated by many pipelines pays for them once.
 
     Scoring is one pass over the closure bits of the whole block, which
     the block run holds (`PipelineOutput.block_closure_bits`) and the

@@ -2,7 +2,7 @@
 
 Every query runs on a block of graphs (`run_pipeline`); one graph is a
 block of one. A `Block` keeps what depends only on its tasks, so one made
-once can be run under many parameter sets. Stage 1 lays out the block's
+once can be run by many pipelines. Stage 1 lays out the block's
 Laplacian, an operator on the graphs' stacked adjacency and degrees
 (`graph.Laplacian`), and bounds each graph's spectrum. Stage 2 applies
 the weighted sum of the rule templates and the learned filter as one
@@ -16,7 +16,6 @@ whole block. Each graph's output is a view of the block's arrays
 
 from __future__ import annotations
 
-import copy
 import math
 import numbers
 import os
@@ -31,9 +30,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import BadParams, EmptyLabels, FormatError, SpectralNsrError, records
+from .errors import BadParams, EmptyLabels, FormatError, SpectralNsrError, read_text, records
 from .graph import COMBINATORIAL, NORMALIZED, Laplacian, ReasoningGraph, laplacians
-from .rules import SpectralRule, load_rules, rule_coefficients
+from .rules import SpectralRule, rule_coefficients
 from .spectral import (
     ChebyshevFilter,
     FrequencyResponse,
@@ -69,25 +68,14 @@ REFERENCE_LAMBDA_MAX = 2.0
 RESPONSE_POINTS = 64
 
 
-# keys older configs and checkpoints carry for retired settings: the values
-# each is dropped with (None: any), and why any other would change answers
+# keys older config files carry for retired settings: the values each is
+# dropped with (None: any), and why any other would change answers
 RETIRED_KEYS = {
     "crossover": (None, ""),  # a setting of the retired dense-eigenbasis path
     "path": ({"chebyshev"}, "only the Chebyshev path remains"),
     "bands": ({"1"}, "the band gate is retired"),
     "threshold_mode": ({"hard", "logistic"}, "stage 3 binds y > tau, as both modes did"),
 }
-
-
-def retired_config_key(key: str, value) -> bool:
-    """True for a retired key (`RETIRED_KEYS`) with a value it is dropped
-    with, text or number; `FormatError` for one with any other value."""
-    if key not in RETIRED_KEYS:
-        return False
-    accepted, reason = RETIRED_KEYS[key]
-    if accepted is not None and str(value) not in accepted:
-        raise FormatError(f"{key}={value!r} is no longer supported; {reason}")
-    return True
 
 
 @dataclass(frozen=True)
@@ -146,7 +134,10 @@ class PipelineConfig:
             if key not in known and key not in RETIRED_KEYS:
                 raise FormatError(f"line {lineno}: unknown config key {key!r}")
             try:  # each value is checked alone, so its line can be named
-                if retired_config_key(key, val):
+                if key in RETIRED_KEYS:
+                    accepted, reason = RETIRED_KEYS[key]
+                    if accepted is not None and val not in accepted:
+                        raise FormatError(f"{key}={val!r} is no longer supported; {reason}")
                     continue
                 value = known[key](val)
                 cls(**{key: value})
@@ -162,7 +153,7 @@ class PipelineConfig:
 
     @classmethod
     def load(cls, path: str | Path) -> "PipelineConfig":
-        return config_as_read(cls.from_text(Path(path).read_text()), path)
+        return config_as_read(cls.from_text(read_text(path)), path)
 
 
 def config_as_read(cfg: PipelineConfig, path: str | Path) -> PipelineConfig:
@@ -215,16 +206,14 @@ def init_params(cfg: PipelineConfig, rules: Sequence[SpectralRule] = ()) -> dict
     }
 
 
-def check_params(cfg: PipelineConfig, params: Mapping[str, np.ndarray], rule_count: int | None) -> Mapping:
+def check_params(cfg: PipelineConfig, params: Mapping[str, np.ndarray], rule_count: int) -> Mapping:
     """``params``, if it holds exactly the names `init_params` gives, each finite
-    and shaped as there: theta (order + 1,), rule_weights (``rule_count``,) or
-    1-D for None, tau (1,), alpha () and > 0. Otherwise `BadParams` names it."""
+    and shaped as there: theta (order + 1,), rule_weights (``rule_count``,),
+    tau (1,), alpha () and > 0. Otherwise `BadParams` names it."""
     shapes = {"theta": (cfg.order + 1,), "rule_weights": (rule_count,), "tau": (1,), "alpha": ()}
     if params.keys() != shapes.keys():
         missing, unknown = sorted(shapes.keys() - params.keys()), sorted(params.keys() - shapes.keys())
         raise BadParams(f"params miss {missing} and hold unknown {unknown}")
-    if rule_count is None:  # a 1-D array is one whose shape is its size
-        shapes["rule_weights"] = (np.size(params["rule_weights"]),)
     for name, shape in shapes.items():
         if np.shape(params[name]) != shape:
             raise BadParams(f"param {name!r} has shape {np.shape(params[name])}, needs {shape}")
@@ -450,9 +439,9 @@ class Block:
     `Pipeline.run` makes a block of one graph without labels. Making a
     block reads its ``graphs`` and ``node_starts``, where each graph's
     nodes start, then their count. What else depends only on its tasks is
-    computed when first used and then kept, so a block run under many
-    parameter sets, as `trainer.train` runs its validation split every
-    epoch, pays for it once:
+    computed when first used and then kept, so a block run by many
+    pipelines, as `trainer.train` runs its validation split every epoch,
+    pays for it once:
 
     - ``x``, the signal values end to end, checked once (`block_signal`);
     - `layout`, per Laplacian kind and seed: one preparation pass over the
@@ -537,11 +526,12 @@ class Block:
 
 
 def run_pipeline(pipe: Pipeline, block: Block) -> list[PipelineOutput]:
-    """Run ``pipe``'s filter (`combined_filter`), thresholding, binding and
-    forward chaining, in that order, on a `Block` of graphs with one signal
-    and one KB each. `Pipeline`'s methods are the way in: they hand over
-    its checked parameters, and call this function by its module name,
-    which perfbench's layer tracer wraps as ``pipeline.self``.
+    """Run ``pipe``'s filter (`combined_filter` of its series), thresholding
+    at its tau, binding and forward chaining, in that order, on a `Block`
+    of graphs with one signal and one KB each. `Pipeline`'s methods are the
+    way in: they hand over its checked series and tau, and call this
+    function by its module name, which perfbench's layer tracer wraps as
+    ``pipeline.self``.
 
     Stage 3 binds y > tau: each node whose filtered belief exceeds the
     threshold binds as the atom its label names (`ReasoningGraph.labels`);
@@ -561,18 +551,18 @@ def run_pipeline(pipe: Pipeline, block: Block) -> list[PipelineOutput]:
     give no outputs.
 
     The block keeps its layout, its checked signal and its KBs laid out
-    as one program (`Block`), so a block run again, under any parameters,
+    as one program (`Block`), so a block run again, by any pipeline,
     repeats only the filter and stage 3's own work.
     """
     if not block.tasks:
         return []
-    cfg, params, coefficients = pipe.cfg, pipe.params, pipe.coefficients
-    layout = block.layout(cfg)
+    coefficients = pipe.coefficients
+    layout = block.layout(pipe.cfg)
     with _stage("filter"):
         y = chebyshev_filter(layout.laplacian, combined_filter(coefficients, layout.lambda_max), block.x)
 
     with _stage("threshold"):
-        predicates = hard_threshold(y, float(params["tau"][0]))
+        predicates = hard_threshold(y, pipe.tau)
     with _stage("bind"):
         bound = bind_predicates(predicates, block.compiled)
     with _stage("chain"):
@@ -581,21 +571,14 @@ def run_pipeline(pipe: Pipeline, block: Block) -> list[PipelineOutput]:
     return [PipelineOutput(run, i, coefficients, bound) for i, bound in enumerate(layout.bounds)]
 
 
-def _read_rule_file(path: str) -> list[SpectralRule]:
-    """The config's rule file, with ``path`` resolved against the working
-    directory; an unreadable file raises `FormatError` naming the path tried."""
-    try:
-        return load_rules(path, REFERENCE_LAMBDA_MAX)
-    except OSError as exc:
-        raise FormatError(f"cannot read rules file {path!r} (tried {Path(path).absolute()}): {exc.strerror}") from exc
-
-
 class Pipeline:
-    """A configuration bound to a rule set and `init_params` or parameters
-    that pass `check_params`, checked once here and kept as read-only
-    copies; every query runs through `run_pipeline` with them. The rules'
-    rows (`rule_rows`) and stage 2's one read-only coefficient vector
-    (`filter_coefficients`) are made here too, once, and serve every graph.
+    """The filter a query runs: a configuration, stage 2's one Chebyshev
+    series and the threshold tau, checked once here and kept, the series
+    as a read-only copy; every query runs through `run_pipeline` with them.
+    The series is finite, of order + 1 coefficients, or 2·order + 1 for a
+    rule mix (`filter_coefficients`), and tau a finite number; otherwise
+    `BadParams`. Of the config, only the Laplacian kind and seed are read:
+    the series holds the rules and parameters it was made from.
 
     Instances are immutable in use: `run`, `run_task` and `run_tasks` are
     pure apart from the preparation pass kept on each graph (`Layout`) and
@@ -604,35 +587,16 @@ class Pipeline:
     one of the equal results is kept, which is harmless.
     """
 
-    def __init__(
-        self,
-        cfg: PipelineConfig,
-        rules: list[SpectralRule] | None = None,
-        params: dict[str, np.ndarray] | None = None,
-    ):
-        self.cfg = cfg
-        if rules is None:
-            rules = _read_rule_file(cfg.rules) if cfg.rules else []
-        self.rules = tuple(rules)
-        params = init_params(cfg, self.rules) if params is None else check_params(cfg, params, len(self.rules))
-        self.rows = rule_rows(self.rules, cfg.order)
-        self._hold(params)
-
-    def _hold(self, params: Mapping[str, np.ndarray]) -> None:
-        """Keep read-only copies of checked ``params`` and make their coefficients."""
-        self.params = {name: np.array(value) for name, value in params.items()}
-        for value in self.params.values():  # a caller editing its own arrays later changes no answer
-            value.setflags(write=False)
-        self.coefficients = filter_coefficients(self.params, self.rows)
-        self.coefficients.setflags(write=False)
-
-    def with_params(self, params: Mapping[str, np.ndarray]) -> "Pipeline":
-        """This pipeline on other parameters, which must pass `check_params`
-        and are copied as `__init__` copies them; the rules and their rows
-        are shared, not fitted again."""
-        other = copy.copy(self)
-        other._hold(check_params(self.cfg, params, len(self.rules)))
-        return other
+    def __init__(self, cfg: PipelineConfig, series: Sequence[float] | np.ndarray, tau: float):
+        coefficients = np.array(series, dtype=np.float64)  # a caller editing its own array later changes no answer
+        if coefficients.shape not in ((cfg.order + 1,), (2 * cfg.order + 1,)):
+            raise BadParams(f"series has shape {coefficients.shape}, needs {cfg.order + 1} or {2 * cfg.order + 1} entries")
+        if not np.isfinite(coefficients).all():
+            raise BadParams("series has non-finite entries")
+        if isinstance(tau, bool) or not isinstance(tau, numbers.Real) or not math.isfinite(tau):
+            raise BadParams(f"tau must be a finite number, got {tau!r}")
+        coefficients.setflags(write=False)
+        self.cfg, self.coefficients, self.tau = cfg, coefficients, float(tau)
 
     def run(self, graph: ReasoningGraph, x0: GraphSignal, kb: KnowledgeBase) -> PipelineOutput:
         return run_pipeline(self, Block([_Query(graph, x0, kb)]))[0]

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BadParams, EmptyRuleSet, FormatError, records
+from .errors import BadParams, EmptyRuleSet, FormatError, read_text, records
 from .spectral import FrequencyResponse, fit_coefficients
 
 
@@ -129,7 +129,7 @@ _FLOAT_PARAMS = ("beta", "t", "center", "sigma", "gain", "w")
 
 def _custom_response(path: Path) -> FrequencyResponse:
     try:
-        text = path.read_text()
+        text = read_text(path)
     except OSError as exc:
         raise FormatError(f"cannot read custom response file {str(path)!r}: {exc.strerror}") from exc
     lams, vals = [], []
@@ -204,4 +204,4 @@ def parse_rules(text: str, lambda_max: float, base_dir: str | Path = ".") -> lis
 
 def load_rules(path: str | Path, lambda_max: float) -> list[SpectralRule]:
     p = Path(path)
-    return parse_rules(p.read_text(), lambda_max, base_dir=p.parent)
+    return parse_rules(read_text(p), lambda_max, base_dir=p.parent)

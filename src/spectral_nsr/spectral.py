@@ -42,6 +42,7 @@ from .errors import (
     OutOfRange,
     TooLarge,
     is_json_number,
+    read_text,
 )
 from .graph import NORMALIZED, Laplacian
 
@@ -548,7 +549,7 @@ def load_filter(path: str | Path) -> ChebyshevFilter:
     finite) raises
     `FormatError` naming the file."""
     try:
-        payload = json.loads(Path(path).read_text())
+        payload = json.loads(read_text(path))
         lambda_max, coefficients = payload["lambda_max"], np.asarray(payload["coefficients"], dtype=object)
         if not (is_json_number(lambda_max) and all(map(is_json_number, coefficients.flat))):
             raise TypeError("lambda_max and every coefficient must be numbers")
@@ -567,7 +568,7 @@ def save_signal(x: GraphSignal, path: str | Path) -> None:
 
 def load_signal(path: str | Path) -> GraphSignal:
     vals = []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue

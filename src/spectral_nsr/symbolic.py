@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import expit
 
-from .errors import BadParams, DimensionMismatch, FormatError, UnmappedNode, records
+from .errors import BadParams, DimensionMismatch, FormatError, UnmappedNode, read_text, records
 from .spectral import GraphSignal
 
 
@@ -564,7 +564,7 @@ def serialize_kb(kb: KnowledgeBase) -> str:
 
 
 def load_kb(path: str | Path) -> KnowledgeBase:
-    return parse_kb(Path(path).read_text())
+    return parse_kb(read_text(path))
 
 
 def save_kb(kb: KnowledgeBase, path: str | Path) -> None:

@@ -15,7 +15,9 @@ the validation split, laid out once per run. Adam with a learning rate
 per parameter (filter and rule weights fast, threshold slow) updates the
 parameters laid end to end in one vector in place (`AdamState`); rule
 weights are clamped non-negative after every step. A checkpoint keeps the
-parameters and how they were selected, not the optimizer state.
+filter that the selected epoch's pipeline ran, its series and tau, and
+as metadata the parameters it was made from and how they were selected;
+not the optimizer state.
 """
 
 from __future__ import annotations
@@ -39,11 +41,12 @@ from .errors import (
     NonFiniteGradient,
     ShapeMismatch,
     is_json_number,
+    read_text,
 )
 from .harness import SyntheticTask, TaskSplits, evaluate
-from .pipeline import Block, Pipeline, PipelineConfig, check_params
-from .pipeline import config_as_read, config_as_written, retired_config_key
-from .rules import SpectralRule
+from .pipeline import REFERENCE_LAMBDA_MAX, Block, Pipeline, PipelineConfig, check_params, filter_coefficients
+from .pipeline import config_as_read, config_as_written, init_params, rule_rows
+from .rules import SpectralRule, load_rules
 from .spectral import chebyshev_stack, series_operator
 
 # prepare_graph makes these calls now; the names stay on this module
@@ -328,29 +331,33 @@ class EpochMetrics:
 
 @dataclass
 class Checkpoint:
-    """Parameters and selection metadata, as JSON under `HEADER`. The metadata's
-    ``rule_ids`` name the rules, one per rule weight; the params pass
-    `check_params` for that rule count, or for any without ``rule_ids``.
+    """The filter a training run selected, as JSON under `HEADER`: its
+    config, stage 2's one Chebyshev series (`pipeline.filter_coefficients`)
+    and the threshold tau, which are all that `Pipeline` runs, and
+    ``metadata`` on how they were made. The metadata's ``rule_ids`` name
+    the rules the series mixes and its ``params`` hold the trained
+    parameters; inference reads neither.
 
-    Older files also hold Adam's state under ``optimizer``; nothing reads
-    it, so it is dropped on load. Files from before the band gate was
-    retired say ``bands=1`` and hold theta as one (1, order + 1) row and
-    the gate vectors ``s`` and ``q``, which a single band never read:
-    theta becomes its row and ``s`` and ``q`` are dropped. Any other
-    parameter (``s`` and ``q`` too, without ``bands``) is a `FormatError`.
+    Loading checks the file once: the header, no key but these, a config
+    of exactly the `PipelineConfig` fields, JSON numbers that `Pipeline`
+    accepts, and a metadata object whose ``rule_ids`` (if any) are
+    strings. Anything else is a `FormatError`. A version-1 file, which held
+    the training parameters instead, names its version and says to re-train.
     """
 
-    HEADER = {"format": "spectral-nsr-checkpoint", "version": 1}
+    HEADER = {"format": "spectral-nsr-checkpoint", "version": 2}
 
     config: PipelineConfig
-    params: dict[str, np.ndarray]
+    series: np.ndarray
+    tau: float
     metadata: dict
 
     def to_json(self) -> str:
         payload = {
             **self.HEADER,
             "config": asdict(self.config),
-            "params": {k: np.asarray(v).tolist() for k, v in self.params.items()},
+            "series": np.asarray(self.series).tolist(),
+            "tau": float(self.tau),
             "metadata": self.metadata,
         }
         return json.dumps(payload, sort_keys=True, indent=1)
@@ -360,40 +367,35 @@ class Checkpoint:
         """Parse a checkpoint; malformed content raises `FormatError`."""
         try:
             payload = json.loads(text)
-            if {key: payload[key] for key in cls.HEADER} != cls.HEADER:
+            header = {key: payload[key] for key in cls.HEADER}
+            if header == {**cls.HEADER, "version": 1}:
+                raise FormatError("checkpoint version 1 holds training parameters, not the filter it runs; "
+                                  "re-train to write version 2")
+            if header != cls.HEADER:
                 raise FormatError(f"not a checkpoint file: its format and version must be {cls.HEADER}")
-            gated = "bands" in payload["config"]
-            config = {k: v for k, v in payload["config"].items() if not retired_config_key(k, v)}
-            missing = sorted({f.name for f in fields(PipelineConfig)} - set(config))
-            if missing:
-                raise FormatError(f"checkpoint config misses {missing}")
-            try:
-                cfg = PipelineConfig(**config)
-            except BadParams as exc:
-                raise FormatError(f"checkpoint config {exc}") from exc
-            params = {name: np.asarray(value, dtype=object) for name, value in payload["params"].items()}
-            for name, value in params.items():
-                if not all(map(is_json_number, value.flat)):
-                    raise TypeError(f"param {name!r} holds {payload['params'][name]!r}, not numbers")
-            params = {name: value.astype(np.float64) for name, value in params.items()}
-            metadata = payload["metadata"]
+            known = {*cls.HEADER, "config", "series", "tau", "metadata"}
+            names = {f.name for f in fields(PipelineConfig)}
+            config, series, tau, metadata = (payload[key] for key in ("config", "series", "tau", "metadata"))
+            if payload.keys() != known:
+                raise FormatError(f"checkpoint holds unknown keys {sorted(payload.keys() - known)}")
+            if config.keys() != names:
+                missing, unknown = sorted(names - config.keys()), sorted(config.keys() - names)
+                raise FormatError(f"checkpoint config misses {missing} and holds unknown {unknown}")
+            if not (isinstance(series, list) and all(map(is_json_number, series))):
+                raise TypeError(f"series must be a list of numbers, got {series!r}")
+            if not is_json_number(tau):
+                raise TypeError(f"tau must be a number, got {tau!r}")
+            pipe = Pipeline(PipelineConfig(**config), series, tau)
         except KeyError as exc:
             raise FormatError(f"checkpoint is missing key {exc}") from exc
         except (AttributeError, OverflowError, TypeError, ValueError) as exc:
             raise FormatError(f"malformed checkpoint: {exc}") from exc
+        except BadParams as exc:
+            raise FormatError(f"checkpoint {exc}") from exc
         rule_ids = metadata.get("rule_ids", []) if isinstance(metadata, dict) else None
         if not isinstance(rule_ids, list) or not all(isinstance(rule_id, str) for rule_id in rule_ids):
             raise FormatError(f"checkpoint metadata must be an object whose rule_ids are strings, got {metadata!r}")
-        if gated:
-            params.pop("s", None)
-            params.pop("q", None)
-            if "theta" in params and params["theta"].shape == (1, cfg.order + 1):
-                params["theta"] = params["theta"][0]
-        try:
-            check_params(cfg, params, len(rule_ids) if "rule_ids" in metadata else None)
-        except BadParams as exc:
-            raise FormatError(f"checkpoint {exc}") from exc
-        return cls(cfg, params, metadata)
+        return cls(pipe.cfg, pipe.coefficients, pipe.tau, metadata)
 
     def save(self, path: str | Path) -> None:
         """Write the checkpoint, its config's relative ``rules`` path
@@ -404,19 +406,21 @@ class Checkpoint:
     def load(cls, path: str | Path) -> "Checkpoint":
         """The checkpoint a file holds, its config's relative ``rules`` path
         read from the file's directory (`pipeline.config_as_read`); an error names the file."""
+        text = read_text(path)
         try:
-            ckpt = cls.from_json(Path(path).read_text())
+            ckpt = cls.from_json(text)
         except FormatError as exc:
             raise FormatError(f"{path}: {exc}") from exc
         return replace(ckpt, config=config_as_read(ckpt.config, path))
 
-    def pipeline(self, rules: list[SpectralRule] | None = None) -> Pipeline:
-        """The pipeline on ``rules`` (default: the config's), which must be the ``rule_ids``, in order."""
-        pipe = Pipeline(self.config, rules=rules, params=self.params)
-        ids = [rule.rule_id for rule in pipe.rules]
-        if ids != self.metadata.get("rule_ids", ids):
+    def pipeline(self, rules: Sequence[SpectralRule] | None = None) -> Pipeline:
+        """The pipeline that runs the checkpoint's series and tau. Given
+        ``rules``, they must be the ones it names (``rule_ids``), in order;
+        no rule file is read."""
+        ids = [rule.rule_id for rule in rules or ()]
+        if rules is not None and ids != self.metadata.get("rule_ids", ids):
             raise FormatError(f"checkpoint was trained on rules {self.metadata['rule_ids']}, not on {ids}")
-        return pipe
+        return Pipeline(self.config, self.series, self.tau)
 
 
 @dataclass
@@ -435,11 +439,20 @@ def history_csv(history: list[EpochMetrics]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _read_rule_file(path: str) -> list[SpectralRule]:
+    """The config's rule file, with ``path`` resolved against the working
+    directory; an unreadable file raises `FormatError` naming the path tried."""
+    try:
+        return load_rules(path, REFERENCE_LAMBDA_MAX)
+    except OSError as exc:
+        raise FormatError(f"cannot read rules file {path!r} (tried {Path(path).absolute()}): {exc.strerror}") from exc
+
+
 def train(
     cfg: PipelineConfig,
     splits: TaskSplits,
     run: TrainRun,
-    rules: list[SpectralRule] | None = None,
+    rules: Sequence[SpectralRule] | None = None,
 ) -> TrainResult:
     """Epoch loop with per-epoch validation, early stopping, and the
     checkpoint of highest validation accuracy (ties: the earliest epoch).
@@ -453,22 +466,27 @@ def train(
     `pipeline.Block`, made once per run: the first epoch's validation
     (`evaluate` without latency) prepares and stacks its graphs, checks its
     signals, lays out its KBs and makes its label arrays, and every epoch
-    runs its own parameters on what that block keeps. The latency probe, `evaluate`'s
+    runs its own pipeline on what that block keeps: the filter that
+    `filter_coefficients` makes of the epoch's parameters, which pass
+    `check_params` first. The latency probe, `evaluate`'s
     median latency on the first ``run.latency_probe`` validation tasks
     (none at 0), is recorded in the history and the checkpoint metadata
     but never picks the checkpoint, so a run is reproducible. Training
     starts from `init_params`: the low-pass filter, and each rule's ``w=``
-    as its weight.
+    as its weight. Without ``rules``, the config's rule file is read, if
+    it names one.
     """
     if not splits.train or not splits.val:
         raise BadParams("training needs non-empty train and val splits")
-    pipe0 = Pipeline(cfg, rules=rules)
-    state = AdamState(pipe0.params)
-    # the rules' rows are fitted once, by pipe0, for the context and every
-    # epoch's pipeline. The training split is laid out and its Chebyshev
-    # stack made once here; the validation block is laid out by the first
-    # epoch's validation, and kept for every later one
-    context = prepare_context(splits.train, cfg, pipe0.rows)
+    if rules is None:
+        rules = _read_rule_file(cfg.rules) if cfg.rules else []
+    state = AdamState(init_params(cfg, rules))
+    # the rules' rows are fitted once, for the context and every epoch's
+    # pipeline. The training split is laid out and its Chebyshev stack made
+    # once here; the validation block is laid out by the first epoch's
+    # validation, and kept for every later one
+    rows = rule_rows(rules, cfg.order)
+    context = prepare_context(splits.train, cfg, rows)
     val = Block(splits.val)
     rng = np.random.default_rng(run.seed)
 
@@ -494,9 +512,12 @@ def train(
         # np.mean's sum and division, without its per-call dispatch
         train_loss = float(np.add.reduce(losses) / len(losses))
 
-        # the steps write state.params in place; what is kept is the pipeline's read-only copy
-        pipe = pipe0.with_params(state.params)
-        snapshot = pipe.params
+        # the steps write state.params in place; what is kept is a read-only copy
+        snapshot = {name: np.array(value) for name, value in state.params.items()}
+        for value in snapshot.values():
+            value.setflags(write=False)
+        check_params(cfg, snapshot, len(rules))
+        pipe = Pipeline(cfg, filter_coefficients(snapshot, rows), snapshot["tau"][0])
         val_accuracy = evaluate(pipe, val, measure_latency=False).accuracy
         latency = evaluate(pipe, splits.val[: run.latency_probe]).latency_median_ms if run.latency_probe > 0 else None
         history.append(EpochMetrics(epoch, train_loss, val_accuracy, latency))
@@ -508,13 +529,15 @@ def train(
             epochs_since_improvement = 0
             best = Checkpoint(
                 config=cfg,
-                params=snapshot,
+                series=pipe.coefficients,
+                tau=pipe.tau,
                 metadata={
                     "epoch": epoch,
                     "val_accuracy": val_accuracy,
                     "latency_ms": latency,
                     "seed": run.seed,
-                    "rule_ids": [r.rule_id for r in pipe0.rules],
+                    "rule_ids": [r.rule_id for r in rules],
+                    "params": {name: value.tolist() for name, value in snapshot.items()},
                 },
             )
         else:

@@ -3,6 +3,7 @@ import pytest
 
 from spectral_nsr.graph import NodeMeta, ReasoningGraph, build_graph
 from spectral_nsr.harness import SyntheticTask
+from spectral_nsr.pipeline import Pipeline, filter_coefficients, init_params, rule_rows
 from spectral_nsr.symbolic import KnowledgeBase
 
 
@@ -30,6 +31,13 @@ def random_graph(rng, n, density=0.2, max_weight=1.0):
 def graph_task(graph, x0, labels):
     """A task on ``graph`` with signal ``x0`` and node -> 0/1 ``labels``, for the trainer."""
     return SyntheticTask("graph", "random", 0, 0, graph, np.asarray(x0, dtype=np.float64), KnowledgeBase(()), labels)
+
+
+def make_pipeline(cfg, rules=(), params=None):
+    """The `Pipeline` of ``cfg`` that runs the filter ``params`` (default:
+    `init_params`) make with ``rules``, as `trainer.train` makes each epoch's."""
+    params = init_params(cfg, rules) if params is None else params
+    return Pipeline(cfg, filter_coefficients(params, rule_rows(rules, cfg.order)), params["tau"][0])
 
 
 @pytest.fixture

@@ -17,7 +17,6 @@ from spectral_nsr.harness import TaskSplits, evaluate, gen_dataset, gen_kinship,
 from spectral_nsr.pipeline import (
     REFERENCE_LAMBDA_MAX,
     Block,
-    Pipeline,
     PipelineConfig,
     build_laplacian,
     init_params,
@@ -42,7 +41,7 @@ from spectral_nsr.spectral import (
 from spectral_nsr.symbolic import KnowledgeBase
 from spectral_nsr.trainer import prepare_context, task_loss_and_grads
 
-from conftest import graph_task
+from conftest import graph_task, make_pipeline
 
 FD_STEP = 1e-6
 
@@ -87,7 +86,7 @@ class TestBlockPipeline:
     def test_block_equals_each_task_alone(self, specs, laplacian, with_rules, seed):
         cfg = PipelineConfig(laplacian=laplacian, tau=0.4)
         rules = rule_bank() if with_rules else ()
-        pipe = Pipeline(cfg, rules=list(rules), params=random_params(cfg, len(rules), np.random.default_rng(seed)))
+        pipe = make_pipeline(cfg, rules, random_params(cfg, len(rules), np.random.default_rng(seed)))
         # separate task objects, so that the block prepares its graphs itself
         block = pipe.run_tasks(make_tasks(specs))
         alone = [pipe.run_task(task) for task in make_tasks(specs)]
@@ -104,13 +103,13 @@ class TestBlockPipeline:
         tasks = make_tasks([("transitive", 2, 1), ("kinship", 3, 2)])
         short = replace(tasks[0], x0=tasks[0].x0[:-1])
         with pytest.raises(DimensionMismatch):
-            Pipeline(PipelineConfig()).run_tasks([short, tasks[1]])
+            make_pipeline(PipelineConfig()).run_tasks([short, tasks[1]])
 
     @pytest.mark.parametrize("with_rules", [False, True])
     def test_mismatched_signal_carries_stage_filter(self, with_rules):
         tasks = make_tasks([("transitive", 2, 1), ("kinship", 3, 2)])
         short = replace(tasks[0], x0=tasks[0].x0[:-1])
-        pipe = Pipeline(PipelineConfig(), rules=list(rule_bank() if with_rules else ()))
+        pipe = make_pipeline(PipelineConfig(), rule_bank() if with_rules else ())
         for run in (lambda: pipe.run_tasks([short, tasks[1]]), lambda: pipe.run_task(short)):
             with pytest.raises(DimensionMismatch) as info:
                 run()
@@ -219,7 +218,7 @@ class TestBlockPreparation:
                 pad = graph.node_count * np.finfo(np.float64).eps * float(np.abs(dense).sum(axis=0).max())
                 assert b == float(np.linalg.eigvalsh(dense)[-1]) + pad
         # the one rows array of every graph, fitted on the reference interval
-        rows = Pipeline(cfg, rules=list(rules)).rows
+        rows = rule_rows(rules, cfg.order)
         assert np.array_equal(rows, rule_coefficients(rules, REFERENCE_LAMBDA_MAX, order))
         assert np.abs(rows - lstsq_rows(rules, REFERENCE_LAMBDA_MAX, order)).max() <= 1e-12
 
@@ -260,7 +259,7 @@ class TestBlockBounds:
         cfg = PipelineConfig()
         tasks = make_tasks([("transitive", 1 + i % 5, i) if i % 2 else ("kinship", 2 + i % 4, i) for i in range(100)])
         block = Block(tasks)
-        evaluate(Pipeline(cfg), block, measure_latency=False)
+        evaluate(make_pipeline(cfg), block, measure_latency=False)
         layout = block.layout(cfg)
         # one operator, the pass's block, laid out as it is: nothing per graph
         assert len(made) == 1 and layout.laplacian is made[0]
@@ -325,7 +324,7 @@ class TestBlockGradients:
         spy = patch.object(trainer, "chebyshev_stack", wraps=trainer.chebyshev_stack)
         # the split is one block, one stack, however few bytes the chunked builders may take
         with patch.object(spectral, "STACK_BYTES", limit), spy as stack_calls:
-            split = prepare_context(tasks, cfg, Pipeline(cfg, rules=list(rules)).rows)
+            split = prepare_context(tasks, cfg, rule_rows(rules, cfg.order))
         assert stack_calls.call_count == 1
         assert split.task_count == len(tasks) and split.stack.shape[1] == degree + 1
         for i, task in enumerate(tasks):
@@ -335,9 +334,9 @@ class TestBlockGradients:
             own = chebyshev_stack(p.laplacian, p.lambda_max, task.x0, degree)[nodes]
             assert np.array_equal(split.stack[lo:hi], own)
             assert split.label_values[lo:hi].tolist() == [task.labels[n] for n in nodes.tolist()]
-        # every task shares the pipeline's one rows array
+        # every task shares the rules' one rows array
         if with_rules:
-            assert np.array_equal(split.rows, Pipeline(cfg, rules=list(rules)).rows)
+            assert np.array_equal(split.rows, rule_rows(rules, cfg.order))
             assert not split.rows.flags.writeable
         else:
             assert split.rows is None
@@ -351,7 +350,7 @@ class TestBlockGradients:
             prepare_context(block, PipelineConfig(), None)
         for measure in (False, True):
             with pytest.raises(BadParams, match=message):
-                evaluate(Pipeline(PipelineConfig()), block, measure_latency=measure)
+                evaluate(make_pipeline(PipelineConfig()), block, measure_latency=measure)
 
     def test_tasks_must_fit_their_graphs(self):
         task = gen_transitive(2, seed=3)
@@ -364,7 +363,7 @@ class TestBlockGradients:
         with pytest.raises(BadParams, match="non-finite"):
             prepare_context([gen_transitive(3, seed=4), poisoned], PipelineConfig(), None)
         with pytest.raises(BadParams, match="non-finite"):
-            Pipeline(PipelineConfig()).run_task(poisoned)
+            make_pipeline(PipelineConfig()).run_task(poisoned)
         splits = TaskSplits(train=(poisoned, task), val=(task,), test=())
         with pytest.raises(BadParams, match="non-finite"):
             trainer.train(PipelineConfig(), splits, trainer.TrainRun(max_epochs=1, latency_probe=0))
@@ -396,16 +395,17 @@ class TestComposedFilter:
         rng = np.random.default_rng(count * order)
         cfg = PipelineConfig(laplacian=laplacian, order=order)
         rules = rule_bank()
-        pipe = Pipeline(cfg, rules=list(rules), params=random_params(cfg, len(rules), rng))
+        params = random_params(cfg, len(rules), rng)
+        pipe = make_pipeline(cfg, rules, params)
         tasks = random_tasks(rng, count)
         outputs = pipe.run_tasks(tasks)
         for task, out in zip(tasks, outputs, strict=True):
             p = prepare_graph(cfg, [task.graph])
             lap = p.laplacian
             rows = rule_coefficients(stretched(rules, p.lambda_max), p.lambda_max, order)
-            coeffs = pipe.params["rule_weights"] @ rows
+            coeffs = params["rule_weights"] @ rows
             ruled = chebyshev_filter(lap, ChebyshevFilter(coeffs, p.lambda_max), vertex_signal(task.x0))
-            two_filters = chebyshev_filter(lap, ChebyshevFilter(pipe.params["theta"], p.lambda_max), ruled)
+            two_filters = chebyshev_filter(lap, ChebyshevFilter(params["theta"], p.lambda_max), ruled)
             scale = np.abs(two_filters.values).max()
             assert np.abs(out.y.values - two_filters.values).max() <= 1e-12 * scale
 
@@ -423,14 +423,15 @@ class TestComposedFilter:
         rng = np.random.default_rng(seed)
         cfg = PipelineConfig(laplacian=laplacian, order=order)
         rules = rule_bank() if with_rules else ()
-        pipe = Pipeline(cfg, rules=list(rules), params=random_params(cfg, len(rules), rng))
+        params = random_params(cfg, len(rules), rng)
+        pipe = make_pipeline(cfg, rules, params)
         tasks = random_tasks(rng, count)
         for task, out in zip(tasks, pipe.run_tasks(tasks), strict=True):
             p = prepare_graph(cfg, [task.graph])
-            learned = ChebyshevFilter(pipe.params["theta"], p.lambda_max)
+            learned = ChebyshevFilter(params["theta"], p.lambda_max)
             if with_rules:
                 rows = rule_coefficients(stretched(rules, p.lambda_max), p.lambda_max, order)
-                coeffs = pipe.params["rule_weights"] @ rows
+                coeffs = params["rule_weights"] @ rows
                 ruled = ChebyshevFilter(coeffs, p.lambda_max)
                 response = FrequencyResponse(lambda lam: sample_response(learned, lam) * sample_response(ruled, lam))
             else:
@@ -444,7 +445,7 @@ class TestComposedFilter:
     def test_one_recurrence_of_twice_the_order(self, with_rules, order, count):
         cfg = PipelineConfig(order=order)
         rules = rule_bank() if with_rules else ()
-        pipe = Pipeline(cfg, rules=list(rules))
+        pipe = make_pipeline(cfg, rules)
         tasks = random_tasks(np.random.default_rng(order), count)
         # prepared first, so that only stage 2 runs under the spy; every
         # product with the operator is one call of the CSR kernel
@@ -472,7 +473,7 @@ class TestInPlaceRecurrence:
 
     @pytest.mark.parametrize("laplacian", [COMBINATORIAL, NORMALIZED])
     def test_a_query_leaves_its_signal_as_it_was(self, laplacian):
-        pipe = Pipeline(PipelineConfig(laplacian=laplacian), rules=list(rule_bank()))
+        pipe = make_pipeline(PipelineConfig(laplacian=laplacian), rule_bank())
         task = gen_kinship(4, seed=3)
         x0 = task.x0.copy()
         # a block of one hands the filter a view of the task's own array
@@ -483,7 +484,7 @@ class TestInPlaceRecurrence:
     @pytest.mark.parametrize("laplacian", [COMBINATORIAL, NORMALIZED])
     @pytest.mark.parametrize("count", [1, 6], ids=["single", "block"])
     def test_a_kept_block_runs_twice_alike(self, laplacian, count):
-        pipe = Pipeline(PipelineConfig(laplacian=laplacian), rules=list(rule_bank()))
+        pipe = make_pipeline(PipelineConfig(laplacian=laplacian), rule_bank())
         block = Block(random_tasks(np.random.default_rng(count), count))
         x = block.x.values.copy()
         first = [out.y.values.tobytes() for out in pipe.run_tasks(block)]
@@ -511,7 +512,7 @@ class TestBlockEvaluate:
     @pytest.mark.parametrize("laplacian", [COMBINATORIAL, NORMALIZED])
     def test_batched_report_equals_task_at_a_time(self, laplacian):
         cfg = PipelineConfig(laplacian=laplacian, tau=0.4)
-        pipe = Pipeline(cfg, rules=list(rule_bank()))
+        pipe = make_pipeline(cfg, rule_bank())
         tasks = gen_dataset("transitive", 30, seed=6) + gen_dataset("kinship", 30, seed=6)
         batched = evaluate(pipe, tasks, measure_latency=False)
         one_at_a_time = evaluate(pipe, gen_dataset("transitive", 30, seed=6) + gen_dataset("kinship", 30, seed=6))
@@ -558,10 +559,10 @@ class TestNoAssembledLaplacian:
         n = DENSE_BOUND_LIMIT + 50
         big = declared_task(sparse_graph(n, 1), np.random.default_rng(1).uniform(0.0, 1.0, n))
         small = make_tasks([("transitive", 3, 1), ("kinship", 3, 2)])
-        pipe = Pipeline(cfg, rules=list(rule_bank()))
+        pipe = make_pipeline(cfg, rule_bank())
         pipe.run_task(big)
         pipe.run_tasks([*small, replace(big, graph=sparse_graph(n, 1))])
-        context = prepare_context([*small, replace(big, labels={0: 1, 1: 0})], cfg, pipe.rows)
+        context = prepare_context([*small, replace(big, labels={0: 1, 1: 0})], cfg, rule_rows(rule_bank(), cfg.order))
         assert context.task_count == 3
         bounds = estimate_lambda_max(laplacians([sparse_graph(n, 2), small[0].graph], laplacian), seed=cfg.seed)
         assert len(bounds) == 2 and min(bounds) > 0.0

@@ -9,7 +9,7 @@ from click.testing import CliRunner
 from spectral_nsr.cli import main
 from spectral_nsr.errors import BadParams, FormatError
 from spectral_nsr.harness import gen_dataset, save_dataset, split_dataset
-from spectral_nsr.pipeline import REFERENCE_LAMBDA_MAX, PipelineConfig
+from spectral_nsr.pipeline import REFERENCE_LAMBDA_MAX, PipelineConfig, check_params, filter_coefficients, rule_rows
 from spectral_nsr.rules import load_rules
 from spectral_nsr.trainer import Checkpoint, TrainRun, train
 
@@ -27,20 +27,19 @@ def corrupt(edit):
     return json.dumps(payload)
 
 
-def extra_param(payload):
-    payload["params"]["bogus"] = [0.0]
+def extra_key(payload):
+    payload["bogus"] = [0.0]
 
 
-def ungated_with_gate_vectors(payload):
-    # the gate vectors without the bands key that says the file is gated
-    del payload["config"]["bands"]
-    payload["params"]["theta"] = payload["params"]["theta"][0]
+def gate_vectors(payload):
+    # version 1's band gate vectors, for which version 2 has no place
+    payload["s"], payload["q"] = [[0.0] * 8], [0.0] * 8
 
 
-@pytest.fixture(params=[(extra_param, ["bogus"]), (ungated_with_gate_vectors, ["q", "s"])], ids=["bogus", "s-q"])
+@pytest.fixture(params=[(extra_key, ["bogus"]), (gate_vectors, ["q", "s"])], ids=["bogus", "s-q"])
 def unknown(request):
-    """An edit of the reference checkpoint that leaves params it does not
-    know, and their names."""
+    """An edit of the reference checkpoint that adds top-level keys it does
+    not know, and their names."""
     return request.param
 
 
@@ -113,47 +112,17 @@ class TestConfigSchema:
 
 class TestCheckpointFormat:
     def test_reference_checkpoint_loads_without_retired_keys(self):
-        assert {"crossover", "path", "bands", "threshold_mode"} <= set(reference_payload()["config"])
+        payload = reference_payload()
+        assert set(payload) == {"format", "version", "config", "series", "tau", "metadata"}
+        assert set(payload["config"]) == {f.name for f in fields(PipelineConfig)}
         ckpt = Checkpoint.load(REFERENCE)
         assert ckpt.config == PipelineConfig(rules=str(RULES), tau=0.4)
         assert set(json.loads(ckpt.to_json())["config"]) == {f.name for f in fields(PipelineConfig)}
 
-    def test_either_threshold_mode_loads_as_the_one_threshold(self, tmp_path):
-        # the reference file says logistic; both modes are dropped, and the
-        # pipeline binds y > tau under either
-        assert reference_payload()["config"]["threshold_mode"] == "logistic"
-        tasks = gen_dataset("transitive", 20, seed=7) + gen_dataset("kinship", 20, seed=7)
-        runs = []
-        for mode in ("hard", "logistic"):
-            path, saved = tmp_path / f"{mode}.json", tmp_path / f"{mode}-saved.json"
-            path.write_text(corrupt(lambda p: p["config"].update(threshold_mode=mode, rules=str(RULES))))
-            ckpt = Checkpoint.load(path)
-            outputs = ckpt.pipeline().run_tasks(tasks)
-            assert all(out.predicates.values.dtype == bool for out in outputs)
-            runs.append([(out.y.values.tobytes(), out.answers, out.theta_star.tobytes()) for out in outputs])
-            ckpt.save(saved)
-            assert "threshold_mode" not in json.loads(saved.read_text())["config"]
-            assert Checkpoint.load(saved).config == ckpt.config
-        assert runs[0] == runs[1]
-
-    @pytest.mark.parametrize("bands", [1, "1"], ids=["number", "text"])
-    def test_gated_checkpoint_keeps_its_one_theta_row(self, bands):
-        # files from before the band gate was retired hold theta as one row
-        # and the gate vectors s and q, which a single band never read
-        reference = reference_payload()
-        assert reference["config"]["bands"] == 1 and {"s", "q"} <= set(reference["params"])
-        ckpt = Checkpoint.from_json(corrupt(lambda p: p["config"].update(bands=bands)))
-        assert sorted(ckpt.params) == ["alpha", "rule_weights", "tau", "theta"]
-        assert np.array_equal(ckpt.params["theta"], np.asarray(reference["params"]["theta"][0]))
-        assert set(json.loads(ckpt.to_json())["params"]) == set(ckpt.params)
-
-    def test_only_a_gated_checkpoint_holds_theta_as_a_row(self):
-        def ungated(payload):
-            del payload["config"]["bands"]
-            del payload["params"]["s"], payload["params"]["q"]
-
-        with pytest.raises(FormatError, match="theta"):
-            Checkpoint.from_json(corrupt(ungated))
+    def test_version_one_says_to_re_train(self):
+        # a version-1 file held the training parameters, not the filter
+        with pytest.raises(FormatError, match="version 1 .* re-train"):
+            Checkpoint.from_json(corrupt(lambda p: p.update(version=1)))
 
     def test_unknown_params_rejected(self, unknown):
         edit, names = unknown
@@ -178,7 +147,8 @@ class TestCheckpointFormat:
 
     @pytest.mark.parametrize("value", [2, 0, "2", 1.5, None, [1]], ids=["2", "0", "text-2", "1.5", "null", "list"])
     def test_band_gate_rejected(self, value):
-        with pytest.raises(FormatError, match="band gate is retired"):
+        # a checkpoint's config holds exactly the config's fields
+        with pytest.raises(FormatError, match="'bands'"):
             Checkpoint.from_json(corrupt(lambda p: p["config"].update(bands=value)))
 
     def test_round_trip(self):
@@ -186,9 +156,7 @@ class TestCheckpointFormat:
         back = Checkpoint.from_json(ckpt.to_json())
         assert back.config == ckpt.config
         assert back.metadata == ckpt.metadata
-        assert back.params.keys() == ckpt.params.keys()
-        for key, value in ckpt.params.items():
-            assert np.array_equal(back.params[key], value)
+        assert back.series.tobytes() == ckpt.series.tobytes() and back.tau == ckpt.tau
         assert json.loads(back.to_json())["config"] == asdict(ckpt.config)
 
     def test_exact_path_rejected(self):
@@ -199,7 +167,7 @@ class TestCheckpointFormat:
         with pytest.raises(FormatError):
             Checkpoint.from_json(REFERENCE.read_text()[:200])
 
-    @pytest.mark.parametrize("where", [("metadata",), ("config", "order"), ("params", "theta")])
+    @pytest.mark.parametrize("where", [("metadata",), ("config", "order"), ("series",)])
     def test_missing_key(self, where):
         def drop(payload):
             *path, last = where
@@ -213,7 +181,7 @@ class TestCheckpointFormat:
     @pytest.mark.parametrize("value", [["a", "b"], [None], [[1.0], [1.0, 2.0]], {"x": 1.0}])
     def test_non_numeric_array(self, value):
         with pytest.raises(FormatError):
-            Checkpoint.from_json(corrupt(lambda p: p["params"].update(rule_weights=value)))
+            Checkpoint.from_json(corrupt(lambda p: p.update(series=value)))
 
     @pytest.mark.parametrize(
         "name, value",
@@ -230,19 +198,22 @@ class TestCheckpointFormat:
         ],
     )
     def test_param_shape_disagrees_with_config(self, name, value):
-        with pytest.raises(FormatError):
-            Checkpoint.from_json(corrupt(lambda p: p["params"].update({name: value})))
+        # the parameters a checkpoint's metadata keeps are the trainer's:
+        # each epoch's pass `check_params` before their series is made
+        params = {key: np.asarray(v) for key, v in reference_payload()["metadata"]["params"].items()}
+        with pytest.raises(BadParams, match=repr(name)):
+            check_params(PipelineConfig(), {**params, name: np.asarray(value)}, 2)
 
     def test_rule_ids_name_one_rule_per_weight(self):
-        with pytest.raises(FormatError, match="rule_weights"):
-            Checkpoint.from_json(corrupt(lambda p: p["metadata"].update(rule_ids=["transitive"])))
-        # without rule ids, any number of weights loads
-        for weights in ([], [0.5], [0.5, 0.5, 0.5]):
-            def edit(payload, weights=weights):
-                del payload["metadata"]["rule_ids"]
-                payload["params"]["rule_weights"] = weights
-
-            assert Checkpoint.from_json(corrupt(edit)).params["rule_weights"].tolist() == weights
+        # a trained checkpoint names the rules its series mixes, in order, one per weight
+        tasks = gen_dataset("transitive", 12, seed=1)
+        run = TrainRun(max_epochs=1, batch_size=4, seed=0, latency_probe=0)
+        rules = load_rules(RULES, REFERENCE_LAMBDA_MAX)
+        ckpt = train(PipelineConfig(tau=0.4), split_dataset(tasks, (8, 4, 0)), run, rules=rules).checkpoint
+        assert ckpt.metadata["rule_ids"] == [rule.rule_id for rule in rules] == ["transitive", "conflict"]
+        assert len(ckpt.metadata["params"]["rule_weights"]) == 2
+        metadata = reference_payload()["metadata"]
+        assert len(metadata["rule_ids"]) == len(metadata["params"]["rule_weights"])
 
     @pytest.mark.parametrize(
         "name, value",
@@ -260,29 +231,26 @@ class TestCheckpointFormat:
         assert record["error"] == "FormatError" and name in record["message"]
 
     @pytest.mark.parametrize(
-        "name, value, error",
+        "name, value",
         [
-            ("alpha", [8.0, 8.0], "FormatError"),
-            # three weights for two rule ids: refused on load
-            ("rule_weights", [0.3, 0.3, 0.3], "FormatError"),
-            ("tau", [0.4, 0.4], "FormatError"),
-            # the logistic the loss trains needs alpha > 0
-            ("alpha", -1.0, "FormatError"),
+            # neither order + 1 nor 2 order + 1 coefficients under order=5
+            ("series", [0.5] * 7),
+            ("series", [0.5] * 12),
+            # one threshold for every node
+            ("tau", [0.4, 0.4]),
+            ("tau", float("inf")),
         ],
+        ids=["series-7", "series-12", "tau-list", "tau-inf"],
     )
-    def test_params_that_do_not_fit_exit_one_from_eval(self, tmp_path, name, value, error):
-        def edit(payload):
-            payload["config"].update(rules=str(RULES))
-            payload["params"][name] = value
-
+    def test_filter_that_does_not_fit_exits_one_from_eval(self, tmp_path, name, value):
         ckpt = tmp_path / "ckpt.json"
-        ckpt.write_text(corrupt(edit))
+        ckpt.write_text(corrupt(lambda p: p.update({name: value})))
         data = tmp_path / "data"
         save_dataset(gen_dataset("transitive", 3, seed=1), data, splits=(1, 1, 1))
         result = CliRunner().invoke(main, ["eval", "--ckpt", str(ckpt), "--data", str(data), "--json-errors"])
         assert result.exit_code == 1
         record = json.loads(result.stderr.strip().splitlines()[-1])
-        assert record["error"] == error and name in record["message"]
+        assert record["error"] == "FormatError" and name in record["message"] and str(ckpt) in record["message"]
 
     @pytest.mark.parametrize(
         "edit",
@@ -316,49 +284,44 @@ class TestCheckpointFormat:
         tasks = gen_dataset("transitive", 12, seed=1)
         run = TrainRun(max_epochs=1, batch_size=4, seed=0, latency_probe=0)
         ckpt = train(PipelineConfig(tau=0.4, rules=str(RULES)), split_dataset(tasks, (8, 4, 0)), run).checkpoint
-        assert set(json.loads(ckpt.to_json())) == {"format", "version", "config", "params", "metadata"}
-
-    @pytest.mark.parametrize(
-        "edit",
-        [
-            lambda o: o["m"].pop("theta"),
-            lambda o: o["v"].update(extra=[0.0]),
-            lambda o: o["m"].update(q=[0.0] * 7),
-            lambda o: o["v"].update(theta=[[0.0] * 5]),
-            lambda o: o.update(step=-1),
-            lambda o: o.clear(),
-        ],
-        ids=["missing", "extra", "short-q", "narrow-theta", "negative-step", "empty"],
-    )
-    def test_optimizer_state_is_dropped_on_load(self, edit):
-        # older files carry Adam's state; whatever it holds, the params load unchanged
-        reference = reference_payload()
-        assert reference["optimizer"]["step"] > 0
-        ckpt = Checkpoint.from_json(corrupt(lambda p: edit(p["optimizer"])))
-        # the file's gate vectors go too, and its one theta row is the filter
-        expected = {name: value for name, value in reference["params"].items() if name not in ("s", "q")}
-        expected["theta"] = expected["theta"][0]
-        assert ckpt.params.keys() == expected.keys()
-        for name, value in expected.items():
-            assert np.array_equal(ckpt.params[name], np.asarray(value, dtype=np.float64)), name
-        assert "optimizer" not in json.loads(ckpt.to_json())
+        assert set(json.loads(ckpt.to_json())) == {"format", "version", "config", "series", "tau", "metadata"}
 
     def test_inspect_ckpt_lists_no_gate_vectors(self):
         result = CliRunner().invoke(main, ["inspect-ckpt", "--ckpt", str(REFERENCE)])
         assert result.exit_code == 0, result.output
-        params = result.output.split("params:\n")[1].split("metadata:")[0]
-        assert [line.split(":")[0].strip() for line in params.splitlines()] == ["alpha", "rule_weights", "tau", "theta"]
-        assert "theta: shape [6]" in params
+        # the filter it runs, between the config and the metadata
+        shown = result.output.split("metadata:")[0].split("\n  seed=0\n")[1]
+        assert shown == "series: length 11, |max| 0.382563\ntau: 0.3971356335954758\n"
 
     def test_inspect_ckpt_exit_codes(self, tmp_path):
         runner = CliRunner()
         assert runner.invoke(main, ["inspect-ckpt", "--ckpt", str(REFERENCE)]).exit_code == 0
         bad = tmp_path / "bad.json"
-        for text in (REFERENCE.read_text()[:200], corrupt(lambda p: p["params"].update(theta=[[0.5, 0.1, 0.0]]))):
+        for text in (REFERENCE.read_text()[:200], corrupt(lambda p: p.update(series=[0.5, 0.1, 0.0]))):
             bad.write_text(text)
             result = runner.invoke(main, ["inspect-ckpt", "--ckpt", str(bad)])
             assert result.exit_code == 1
             assert isinstance(result.exception, SystemExit)
+
+
+class TestReferenceFile:
+    """The committed reference checkpoint is canonical, and its series is
+    the filter its trained parameters and rules make."""
+
+    def test_saved_copy_is_the_committed_text(self, tmp_path, monkeypatch):
+        # a copy read and written by relative paths in one directory, whose
+        # rules path names a file beside it, as the original's does
+        (tmp_path / REFERENCE.name).write_text(REFERENCE.read_text())
+        monkeypatch.chdir(tmp_path)
+        Checkpoint.load(REFERENCE.name).save("saved.json")
+        assert (tmp_path / "saved.json").read_bytes() == REFERENCE.read_bytes()
+
+    def test_series_is_the_trained_filter(self):
+        payload = reference_payload()
+        params = {name: np.asarray(value, dtype=np.float64) for name, value in payload["metadata"]["params"].items()}
+        rows = rule_rows(load_rules(RULES, REFERENCE_LAMBDA_MAX), payload["config"]["order"])
+        assert filter_coefficients(params, rows).tobytes() == np.asarray(payload["series"], dtype=np.float64).tobytes()
+        assert params["tau"].tobytes() == np.float64(payload["tau"]).tobytes()
 
 
 def swapped_reference_rules(directory):
@@ -375,21 +338,15 @@ def swapped_reference_rules(directory):
 class TestRuleIds:
     """A checkpoint's rule weights belong to the rules its metadata names, in order."""
 
-    def test_rules_in_another_order_exit_one_from_eval(self, tmp_path, monkeypatch):
-        data = tmp_path / "data"
-        save_dataset(gen_dataset("transitive", 3, seed=1), data, splits=(1, 1, 1))
-        # a copy of the checkpoint reads the swapped rules beside it, from
-        # whatever directory it is run
-        (tmp_path / REFERENCE.name).write_text(REFERENCE.read_text())
-        swapped_reference_rules(tmp_path)
-        monkeypatch.chdir(REFERENCE.parent)
-        args = ["eval", "--ckpt", str(tmp_path / REFERENCE.name), "--data", str(data), "--no-latency", "--json-errors"]
-        result = CliRunner().invoke(main, args)
-        assert result.exit_code == 1
-        record = json.loads(result.stderr.strip().splitlines()[-1])
-        assert record["error"] == "FormatError"
-        assert "['transitive', 'conflict']" in record["message"]
-        assert "['conflict', 'transitive']" in record["message"]
+    def test_rules_in_another_order_are_refused(self, tmp_path):
+        ckpt = Checkpoint.load(REFERENCE)
+        with pytest.raises(FormatError) as info:
+            ckpt.pipeline(rules=load_rules(swapped_reference_rules(tmp_path), REFERENCE_LAMBDA_MAX))
+        assert "['transitive', 'conflict']" in str(info.value)
+        assert "['conflict', 'transitive']" in str(info.value)
+        # the rules it names, in order, run the checkpoint's own series
+        pipe = ckpt.pipeline(rules=load_rules(RULES, REFERENCE_LAMBDA_MAX))
+        assert pipe.coefficients.tobytes() == ckpt.series.tobytes() and pipe.tau == ckpt.tau
 
     def test_a_checkpoint_without_rule_ids_still_runs(self, tmp_path):
         # with nothing to compare against, any two rules fit its two weights

@@ -16,8 +16,8 @@ import spectral_nsr
 from spectral_nsr.cli import main
 from spectral_nsr.errors import FormatError
 from spectral_nsr.graph import load_graph, save_graph_text
-from spectral_nsr.harness import gen_dataset, gen_transitive, load_dataset, save_dataset
-from spectral_nsr.pipeline import Pipeline, PipelineConfig, build_laplacian
+from spectral_nsr.harness import gen_dataset, gen_transitive, load_dataset, save_dataset, split_dataset
+from spectral_nsr.pipeline import PipelineConfig, build_laplacian
 from spectral_nsr.spectral import (
     ChebyshevFilter,
     eigendecompose,
@@ -28,7 +28,7 @@ from spectral_nsr.spectral import (
     save_signal,
     vertex_signal,
 )
-from spectral_nsr.trainer import Checkpoint
+from spectral_nsr.trainer import Checkpoint, TrainRun, train
 
 DATA = Path(__file__).parent / "data"
 
@@ -74,8 +74,8 @@ class TestEndToEnd:
         assert result.exit_code == 0, result.output
         result = invoke("inspect-ckpt", "--ckpt", ckpt)
         assert result.exit_code == 0, result.output
-        assert "  rule_weights: shape [0]\n" in result.output
-        assert "  theta: shape [6], |max| " in result.output
+        assert "\nseries: length 6, |max| " in result.output
+        assert "'rule_weights': []" in result.output
 
     def test_training_twice_picks_the_same_checkpoint(self, tmp_path, dataset, config):
         paths = [tmp_path / "a.json", tmp_path / "b.json"]
@@ -85,8 +85,8 @@ class TestEndToEnd:
         a, b = (Checkpoint.load(path) for path in paths)
         assert a.metadata["epoch"] == b.metadata["epoch"]
         assert a.metadata["val_accuracy"] == b.metadata["val_accuracy"]
-        for key, value in a.params.items():
-            assert np.array_equal(value, b.params[key]), key
+        assert a.series.tobytes() == b.series.tobytes() and a.tau == b.tau
+        assert a.metadata["params"] == b.metadata["params"]
 
     def test_truncated_manifest_is_a_json_error_record(self, tmp_path, dataset):
         manifest = dataset / "manifest.json"
@@ -161,17 +161,32 @@ class TestEndToEnd:
         assert record["error"] == "FormatError" and record["message"].startswith("line 2: ")
 
     def test_missing_rules_file_exits_one(self, tmp_path, monkeypatch, dataset):
-        # the reference checkpoint names its rules file relative to its own
-        # directory, so a copy without the rules beside it finds none, even
-        # run from the directory that holds them
-        ckpt = tmp_path / "ckpt.json"
-        ckpt.write_text((DATA / "reference_checkpoint.json").read_text())
+        # a config names its rules file relative to its own directory, so a
+        # config without the rules beside it finds none, even run from the
+        # directory that holds them
+        config = tmp_path / "run.cfg"
+        config.write_text("tau=0.4\nrules=reference_rules.txt\n")
         monkeypatch.chdir(DATA)
-        result = invoke("eval", "--ckpt", ckpt, "--data", dataset, "--json-errors")
+        result = invoke("train", "--config", config, "--data", dataset, "--out", tmp_path / "c.json", "--epochs", 1,
+                        "--json-errors")
         assert result.exit_code == 1
         record = json.loads(result.stderr.strip().splitlines()[-1])
         assert record["error"] == "FormatError"
         assert str(tmp_path / "reference_rules.txt") in record["message"]
+        assert not (tmp_path / "c.json").exists()
+
+    def test_dataset_too_small_to_split_names_the_ways_out(self, tmp_path):
+        data = tmp_path / "one"
+        assert invoke("gen", "--n", 1, "--out", data).exit_code == 0
+        result = invoke("eval", "--ckpt", DATA / "reference_checkpoint.json", "--data", data, "--json-errors")
+        assert result.exit_code == 1
+        message = json.loads(result.stderr.strip().splitlines()[-1])["message"]
+        assert str(data) in message and "1 task(s)" in message and "needs 3" in message
+        assert "gen --splits" in message and "--split all" in message
+        result = invoke("eval", "--ckpt", DATA / "reference_checkpoint.json", "--data", data, "--split", "all",
+                        "--no-latency")
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output)["n_tasks"] == 1
 
 
 class TestBadArguments:
@@ -263,7 +278,9 @@ class TestExitCodes:
 
 
 class TestRetiredBandGate:
-    """``bands=1`` is dropped on load; any other band count is malformed input."""
+    """A config's ``bands=1`` is dropped on load; any other band count is
+    malformed input. A checkpoint from before the gate retired is a
+    version-1 file, which no longer loads."""
 
     def last_record(self, result):
         assert result.exit_code == 1, result.output
@@ -279,11 +296,13 @@ class TestRetiredBandGate:
 
     def test_gated_checkpoint_exits_one_from_eval(self, tmp_path, dataset):
         payload = json.loads((DATA / "reference_checkpoint.json").read_text())
+        payload.update(version=1)
         payload["config"].update(bands=2, rules=str(DATA / "reference_rules.txt"))
         ckpt = tmp_path / "gated.json"
         ckpt.write_text(json.dumps(payload))
         record = self.last_record(invoke("eval", "--ckpt", ckpt, "--data", dataset, "--no-latency", "--json-errors"))
-        assert record["error"] == "FormatError" and "bands=2" in record["message"]
+        assert record["error"] == "FormatError" and str(ckpt) in record["message"]
+        assert "version 1" in record["message"] and "re-train" in record["message"]
 
     def test_single_band_still_loads(self, tmp_path, dataset, config):
         config.write_text(config.read_text() + "bands=1\n")
@@ -291,12 +310,7 @@ class TestRetiredBandGate:
         result = invoke("train", "--config", config, "--data", dataset, "--out", ckpt, "--epochs", 1)
         assert result.exit_code == 0, result.output
         assert "bands" not in json.loads(ckpt.read_text())["config"]
-        payload = json.loads((DATA / "reference_checkpoint.json").read_text())
-        assert payload["config"]["bands"] == 1
-        payload["config"]["rules"] = str(DATA / "reference_rules.txt")
-        reference = tmp_path / "reference.json"
-        reference.write_text(json.dumps(payload))
-        result = invoke("eval", "--ckpt", reference, "--data", dataset, "--no-latency")
+        result = invoke("eval", "--ckpt", ckpt, "--data", dataset, "--no-latency")
         assert result.exit_code == 0, result.output
 
 
@@ -402,10 +416,17 @@ class TestChain:
         assert result.stdout == expected
 
 
+def tiny_splits():
+    return split_dataset(gen_dataset("transitive", 6, seed=1), (4, 2, 0))
+
+
+TINY_RUN = TrainRun(max_epochs=1, batch_size=4, latency_probe=0)
+
+
 class TestMissingRules:
-    def test_pipeline_names_the_path_it_tried(self, tmp_path):
+    def test_train_names_the_path_it_tried(self, tmp_path):
         with pytest.raises(FormatError, match="nowhere.txt"):
-            Pipeline(PipelineConfig(rules=str(tmp_path / "nowhere.txt")))
+            train(PipelineConfig(rules=str(tmp_path / "nowhere.txt")), tiny_splits(), TINY_RUN)
 
 
 class TestRulesBesideTheirFile:
@@ -428,6 +449,18 @@ class TestRulesBesideTheirFile:
             outputs.append((evaluated.output, inspected.output.replace(f"rules={rules}", "rules=")))
         assert outputs[0] == outputs[1]
         assert json.loads(outputs[0][0])["accuracy"] == 1.0
+
+    def test_reference_checkpoint_runs_without_its_rules(self, tmp_path, dataset):
+        # inference runs the checkpoint's series and tau and reads no rule file
+        alone = tmp_path / "alone"
+        alone.mkdir()
+        copy = alone / "reference_checkpoint.json"
+        copy.write_text((DATA / "reference_checkpoint.json").read_text())
+        reports = [invoke("eval", "--ckpt", ckpt, "--data", dataset, "--no-latency")
+                   for ckpt in (DATA / "reference_checkpoint.json", copy)]
+        assert [report.exit_code for report in reports] == [0, 0], [report.output for report in reports]
+        assert reports[0].output == reports[1].output
+        assert list(alone.iterdir()) == [copy]
 
     def test_train_and_eval_with_config_checkpoint_and_work_apart(self, tmp_path, monkeypatch, dataset):
         cfgs, ckpts, work = (tmp_path / name for name in ("cfgs", "ckpts", "work"))
@@ -461,12 +494,52 @@ class TestRulesBesideTheirFile:
         cfg.save("out/copy.cfg")
         assert "rules=../run/rules.txt\n" in (tmp_path / "out" / "copy.cfg").read_text()
         assert PipelineConfig.load("out/copy.cfg") == cfg
-        # the same config made in code reads from the working directory
+        # the same config made in code is trained on rules read from the working directory
         with pytest.raises(FormatError, match=re.escape(str(tmp_path / "rules.txt"))):
-            Pipeline(PipelineConfig(tau=0.4, rules="rules.txt"))
+            train(PipelineConfig(tau=0.4, rules="rules.txt"), tiny_splits(), TINY_RUN)
         monkeypatch.chdir(beside)
-        assert [rule.rule_id for rule in Pipeline(PipelineConfig(tau=0.4, rules="rules.txt")).rules] == [
-            "transitive", "conflict"]
+        trained = train(PipelineConfig(tau=0.4, rules="rules.txt"), tiny_splits(), TINY_RUN)
+        assert trained.checkpoint.metadata["rule_ids"] == ["transitive", "conflict"]
+
+
+class TestUndecodableFiles:
+    """Every loader reads its file as UTF-8 text; bytes that do not decode
+    are a `FormatError` naming the file, from every command that reads one."""
+
+    @pytest.mark.parametrize(
+        "args, bad",
+        [
+            (["inspect-ckpt", "--ckpt", "{bad}"], "c.json"),
+            (["eval", "--ckpt", "{bad}", "--data", "{data}"], "c.json"),
+            (["chain", "--kb", "{bad}"], "k.kb.txt"),
+            (["filter", "--graph", "{bad}", "--signal", "{signal}", "--filter", "{filter}", "--out", "{out}"], "x.txt"),
+            (["filter", "--graph", "{bad}", "--signal", "{signal}", "--filter", "{filter}", "--out", "{out}"], "x.json"),
+            (["filter", "--graph", "{graph}", "--signal", "{bad}", "--filter", "{filter}", "--out", "{out}"], "x.csv"),
+            (["filter", "--graph", "{graph}", "--signal", "{signal}", "--filter", "{bad}", "--out", "{out}"], "f.json"),
+            (["train", "--config", "{bad}", "--data", "{data}", "--out", "{out}"], "bad.cfg"),
+            (["train", "--config", "{config}", "--data", "{data}", "--out", "{out}"], "rules.txt"),
+            (["eval", "--ckpt", "{ckpt}", "--data", "{data}"], "data/manifest.json"),
+            (["eval", "--ckpt", "{ckpt}", "--data", "{data}"], "data/*.kb.txt"),
+            (["eval", "--ckpt", "{ckpt}", "--data", "{data}"], "data/*.labels.csv"),
+        ],
+        ids=["inspect-ckpt", "eval-ckpt", "chain-kb", "filter-graph-text", "filter-graph-json", "filter-signal",
+             "filter-filter", "train-config", "train-rules", "eval-manifest", "eval-task-kb", "eval-task-labels"],
+    )
+    def test_exits_one_naming_the_file(self, tmp_path, dataset, args, bad):
+        task = gen_transitive(2, width=1, seed=0)
+        graph, signal, filt, config = (tmp_path / name for name in ("g.txt", "s.csv", "f-ok.json", "run.cfg"))
+        save_graph_text(task.graph, graph)
+        save_signal(vertex_signal(task.x0), signal)
+        save_filter(ChebyshevFilter(np.ones(3), 2.0), filt)
+        config.write_text("tau=0.4\nrules=rules.txt\n")
+        bad = sorted(tmp_path.glob(bad))[0] if "*" in bad else tmp_path / bad
+        bad.write_bytes(b"\xff\xfe")
+        paths = {"bad": bad, "data": dataset, "graph": graph, "signal": signal, "filter": filt, "config": config,
+                 "out": tmp_path / "out", "ckpt": DATA / "reference_checkpoint.json"}
+        result = invoke(*(arg.format(**paths) for arg in args), "--json-errors")
+        assert result.exit_code == 1, result.output
+        record = json.loads(result.stderr.strip().splitlines()[-1])
+        assert record["error"] == "FormatError" and str(bad) in record["message"]
 
 
 @pytest.fixture

@@ -139,11 +139,12 @@ class TestNonFinite:
 REFERENCE = json.loads((DATA / "reference_checkpoint.json").read_text())
 # independent of the working directory
 REFERENCE["config"]["rules"] = str(DATA / "reference_rules.txt")
-# a field is its path in the checkpoint: the header keys, the metadata as a
-# whole, and every key of the config, params, optimizer and metadata
-FIELDS = [("format",), ("version",), ("metadata",)] + [
-    (section, key) for section in ("config", "params", "optimizer", "metadata") for key in REFERENCE[section]
-]
+# a field is its path in the checkpoint: the header keys, the series, tau and
+# the metadata as wholes, every entry of the series and every key of the
+# config and metadata
+FIELDS = [("format",), ("version",), ("series",), ("tau",), ("metadata",)] + [
+    ("series", i) for i in range(len(REFERENCE["series"]))
+] + [(section, key) for section in ("config", "metadata") for key in REFERENCE[section]]
 TASK = gen_transitive(3, width=2, seed=0)
 
 
@@ -179,10 +180,10 @@ class TestJsonNumbers:
             (load_graph_json, lambda v: {"nodes": [{"id": 0}, {"id": 1}], "edges": [[0, 1, v]]}),
             (load_filter, lambda v: {"lambda_max": v, "coefficients": [1.0]}),
             (load_filter, lambda v: {"lambda_max": 2.0, "coefficients": [1.0, v]}),
-            (Checkpoint.load, lambda v: {**REFERENCE, "params": {**REFERENCE["params"], "tau": [v]}}),
-            (Checkpoint.load, lambda v: {**REFERENCE, "params": {**REFERENCE["params"], "alpha": v}}),
+            (Checkpoint.load, lambda v: {**REFERENCE, "tau": v}),
+            (Checkpoint.load, lambda v: {**REFERENCE, "series": [*REFERENCE["series"][:-1], v]}),
         ],
-        ids=["edge-weight", "lambda-max", "coefficient", "tau", "alpha"],
+        ids=["edge-weight", "lambda-max", "coefficient", "tau", "series"],
     )
     def test_non_number_is_refused(self, tmp_path, load, payload, value):
         path = tmp_path / "file.json"

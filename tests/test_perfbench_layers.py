@@ -17,14 +17,20 @@ def test_benchmark_tracer_finds_every_layer(monkeypatch):
 
 
 def test_reference_pipeline_runs_the_rules_its_checkpoint_names(monkeypatch):
-    """The benchmark's reference pipeline passes the checkpoint's rule-id check."""
+    """The benchmark's reference pipeline passes the checkpoint's rule-id check
+    with the benchmark's rule file, and runs the checkpoint's series and tau."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import workloads
+    from spectral_nsr.pipeline import REFERENCE_LAMBDA_MAX
+    from spectral_nsr.rules import load_rules
     from spectral_nsr.trainer import Checkpoint
 
     root = PERFBENCH.parent
+    ckpt = Checkpoint.load(root / workloads.CHECKPOINT)
     pipe = workloads._reference_pipeline(root)
-    assert [rule.rule_id for rule in pipe.rules] == Checkpoint.load(root / workloads.CHECKPOINT).metadata["rule_ids"]
+    assert pipe.coefficients.tobytes() == ckpt.series.tobytes() and pipe.tau == ckpt.tau
+    rules = load_rules(root / workloads.RULES, REFERENCE_LAMBDA_MAX)
+    assert [rule.rule_id for rule in rules] == ckpt.metadata["rule_ids"]
 
 
 def test_small_tasks_screen_calls_the_library(monkeypatch):

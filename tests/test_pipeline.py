@@ -13,12 +13,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from spectral_nsr import harness, pipeline, symbolic
+from spectral_nsr import harness, pipeline, symbolic, trainer
 from spectral_nsr.errors import (
     BadParams,
     ConvergenceFailure,
     DimensionMismatch,
-    FormatError,
     NonFiniteResponse,
     UnmappedNode,
 )
@@ -36,14 +35,25 @@ from spectral_nsr.spectral import ChebyshevFilter, chebyshev_filter, vertex_sign
 from spectral_nsr.symbolic import KnowledgeBase
 from spectral_nsr.trainer import Checkpoint, TrainRun, prepare_context, train
 
+from conftest import make_pipeline
+
 DATA = Path(__file__).parent / "data"
 
 PREPARATION = ("build_laplacian", "estimate_lambda_max", "rule_coefficients")
 
 
+def reference_rules():
+    return load_rules(DATA / "reference_rules.txt", REFERENCE_LAMBDA_MAX)
+
+
 def reference_pipeline():
-    rules = load_rules(DATA / "reference_rules.txt", REFERENCE_LAMBDA_MAX)
-    return Checkpoint.load(DATA / "reference_checkpoint.json").pipeline(rules=rules)
+    return Checkpoint.load(DATA / "reference_checkpoint.json").pipeline(rules=reference_rules())
+
+
+def reference_params():
+    """The trained parameters the reference checkpoint's series was made from."""
+    params = Checkpoint.load(DATA / "reference_checkpoint.json").metadata["params"]
+    return {name: np.asarray(value, dtype=np.float64) for name, value in params.items()}
 
 
 @pytest.fixture
@@ -62,7 +72,7 @@ def calls(monkeypatch):
 
 
 def run(cfg, task, rules):
-    return Pipeline(cfg, rules=list(rules)).run_task(task)
+    return make_pipeline(cfg, rules).run_task(task)
 
 
 def assert_same_output(a, b):
@@ -97,7 +107,7 @@ class TestGolden:
         tasks = gen_dataset("transitive", 400, seed=5) + gen_dataset("kinship", 400, seed=5)
         digest = hashlib.sha256()
         for cfg in (pipe.cfg, replace(pipe.cfg, laplacian="normalized"), pipe.cfg):
-            for out in Pipeline(cfg, rules=list(pipe.rules), params=pipe.params).run_tasks(tasks):
+            for out in Pipeline(cfg, pipe.coefficients, pipe.tau).run_tasks(tasks):
                 digest.update((" ".join(out.answers) + "\n").encode())
         assert digest.hexdigest() == "e6b7436c28bc9deeb7a6afac9d4714786443667c5fe869dbec1f943ef8b14a42"
 
@@ -172,11 +182,10 @@ class TestOutput:
     @pytest.mark.parametrize("with_rules", [False, True])
     @pytest.mark.parametrize("block", [1, 5])
     def test_export_is_the_filter_that_ran(self, laplacian, with_rules, block):
-        reference = reference_pipeline()
-        cfg = replace(reference.cfg, laplacian=laplacian)
-        rules = reference.rules if with_rules else ()
-        params = {**reference.params, "rule_weights": reference.params["rule_weights"][: len(rules)]}
-        pipe = Pipeline(cfg, rules=list(rules), params=params)
+        cfg = replace(reference_pipeline().cfg, laplacian=laplacian)
+        rules, params = reference_rules() if with_rules else (), reference_params()
+        params["rule_weights"] = params["rule_weights"][: len(rules)]
+        pipe = make_pipeline(cfg, rules, params)
         tasks = (gen_dataset("transitive", 3, seed=8) + gen_dataset("kinship", 2, seed=8))[:block]
         for task, out in zip(tasks, pipe.run_tasks(tasks), strict=True):
             assert out.theta_star.shape == (2 * cfg.order + 1 if rules else cfg.order + 1,)
@@ -206,11 +215,20 @@ class TestOutput:
         # a per-node threshold is refused, even one that fits the graph,
         # before any stage runs
         task = gen_transitive(3, width=2, seed=0)
-        params = reference_pipeline().params
-        for tau in ([0.4, 0.4], np.full(task.graph.node_count, 0.4)):
+        series = reference_pipeline().coefficients
+        for tau in ([0.4, 0.4], np.full(task.graph.node_count, 0.4), [0.4], True, np.nan):
             with pytest.raises(BadParams, match="tau") as info:
-                Pipeline(PipelineConfig(), params={**params, "rule_weights": np.zeros(0), "tau": np.asarray(tau)})
+                Pipeline(PipelineConfig(), series, np.asarray(tau) if isinstance(tau, list) else tau)
             assert info.value.stage is None
+
+    def test_series_fits_the_order(self):
+        # order + 1 coefficients, or 2 order + 1 for a rule mix, all finite
+        for series in (np.zeros(7), np.zeros((1, 6)), np.zeros(12), [0.0] * 5 + [np.inf]):
+            with pytest.raises(BadParams, match="series") as info:
+                Pipeline(PipelineConfig(), series, 0.4)
+            assert info.value.stage is None
+        for size in (6, 11):
+            assert Pipeline(PipelineConfig(), np.zeros(size), 0.4).coefficients.shape == (size,)
 
     def test_overflowing_filter_carries_stage_filter(self):
         # T_k(L~) maps the constant signal to (-1)^k of it, so these terms all add up
@@ -218,7 +236,7 @@ class TestOutput:
         params = {**init_params(cfg), "theta": 1e308 * (-1.0) ** np.arange(cfg.order + 1)}
         task = gen_transitive(3, width=2, seed=0)
         task = replace(task, x0=np.ones_like(task.x0))
-        pipe = Pipeline(cfg, params=params)
+        pipe = make_pipeline(cfg, params=params)
         for run in (lambda: pipe.run_task(task), lambda: pipe.run_tasks([task, task])):
             with pytest.raises(NonFiniteResponse) as info:
                 run()
@@ -254,8 +272,10 @@ def with_fault(params, name, fault):
 
 
 class TestCheckParams:
-    """`check_params` is the one definition of a valid parameter set, and
-    every way a parameter set enters the program applies it."""
+    """`check_params` is the one definition of a valid parameter set, which
+    training applies to every epoch's parameters before it makes their
+    pipeline; a `Pipeline` checks the series and tau it runs once, when it
+    is made."""
 
     TASK = gen_transitive(3, width=2, seed=0)
 
@@ -265,26 +285,25 @@ class TestCheckParams:
         cfg, rules = PipelineConfig(order=order), low_pass_rules(rule_count)
         params = init_params(cfg, rules)
         check_params(cfg, params, rule_count)
-        check_params(cfg, params, None)
-        pipe = Pipeline(cfg, list(rules), params)
-        assert all(np.array_equal(pipe.params[name], params[name]) for name in PARAM_NAMES)
+        pipe = make_pipeline(cfg, rules, params)
+        assert pipe.coefficients.shape == (2 * order + 1 if rule_count else order + 1,)
         pipe.run_task(self.TASK)
-        loaded = Checkpoint.from_json(Checkpoint(cfg, params, {}).to_json()).params
-        assert all(np.array_equal(loaded[name], params[name]) for name in PARAM_NAMES)
+        loaded = Checkpoint.from_json(Checkpoint(cfg, pipe.coefficients, pipe.tau, {}).to_json())
+        assert loaded.series.tobytes() == pipe.coefficients.tobytes() and loaded.tau == pipe.tau
 
     def test_params_are_read_only_copies(self):
+        # what a pipeline keeps of its parameters is the series they make
         reference = reference_pipeline()
-        params = {name: value.copy() for name, value in reference.params.items()}
-        pipe = Pipeline(reference.cfg, list(reference.rules), params)
+        series = reference.coefficients.copy()
+        pipe = Pipeline(reference.cfg, series, reference.tau)
         before = pipe.run_task(gen_transitive(3, seed=0))
-        # editing the caller's arrays after construction reaches no answer
-        for value in params.values():
-            value += 1.0
+        # editing the caller's array after construction reaches no answer
+        series += 1.0
         after = pipe.run_task(gen_transitive(3, seed=0))
         assert np.array_equal(after.y.values, before.y.values) and after.answers == before.answers
-        assert not any(value.flags.writeable for value in pipe.params.values())
+        assert not pipe.coefficients.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
-            pipe.params["theta"][0] += 1.0
+            pipe.coefficients[0] += 1.0
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -299,68 +318,63 @@ class TestCheckParams:
         cfg, rules = PipelineConfig(order=order), low_pass_rules(rule_count)
         params, named = with_fault(init_params(cfg, rules), name, fault)
         named = re.escape(repr(named))
-        for refuse in (lambda: check_params(cfg, params, rule_count), lambda: Pipeline(cfg, list(rules), params)):
-            with pytest.raises(BadParams, match=named) as info:
-                refuse()
-            assert info.value.stage is None
+        with pytest.raises(BadParams, match=named) as info:
+            check_params(cfg, params, rule_count)
+        assert info.value.stage is None
         if fault == "extra":
             with pytest.raises(BadParams, match="unknown"):
                 check_params(cfg, params, rule_count)
-        with pytest.raises(FormatError, match=named):
-            Checkpoint.from_json(Checkpoint(cfg, params, {}).to_json())
 
     def test_rule_weights_must_fit_the_rules(self):
         cfg, rules = PipelineConfig(), low_pass_rules(2)
         params = {**init_params(cfg, rules), "rule_weights": np.full(3, 0.5)}
-        check_params(cfg, params, None)  # a checkpoint's rules are not read yet
         with pytest.raises(BadParams, match="'rule_weights'"):
-            Pipeline(cfg, list(rules), params)
+            check_params(cfg, params, len(rules))
+
+    def test_alpha_must_be_positive(self):
+        # the logistic the loss trains needs alpha > 0
+        cfg = PipelineConfig()
+        for alpha in (0.0, -1.0):
+            with pytest.raises(BadParams, match="'alpha' must be > 0"):
+                check_params(cfg, {**init_params(cfg), "alpha": np.asarray(alpha)}, 0)
 
     @pytest.fixture
     def checks(self, monkeypatch):
-        """A list that grows by one on each `check_params` call the pipeline module makes."""
+        """A list that grows by one on each `check_params` call the trainer makes."""
         calls = []
-        original = pipeline.check_params
+        original = trainer.check_params
 
         def counted(*args):
             calls.append(args)
             return original(*args)
 
-        monkeypatch.setattr(pipeline, "check_params", counted)
+        monkeypatch.setattr(trainer, "check_params", counted)
         return calls
 
-    def test_queries_check_nothing(self, checks):
+    def test_queries_check_nothing(self, checks, monkeypatch):
         pipe = reference_pipeline()
-        assert len(checks) == 1  # Pipeline.__init__
+
+        def refuse(*args):
+            raise AssertionError("a query made a pipeline")
+
+        # the series and tau were checked once, when pipe was made
+        monkeypatch.setattr(Pipeline, "__init__", refuse)
         tasks = gen_dataset("transitive", 4, seed=2) + gen_dataset("kinship", 4, seed=2)
         pipe.run(tasks[0].graph, vertex_signal(tasks[0].x0), tasks[0].kb)
         pipe.run_task(tasks[1])
         pipe.run_tasks(tasks)
         evaluate(pipe, tasks, measure_latency=True)
         evaluate(pipe, tasks, measure_latency=False)
-        assert len(checks) == 1
-
-    def test_with_params_checks_them_and_shares_the_rows(self, checks):
-        reference = reference_pipeline()
-        params = {**reference.params, "theta": reference.params["theta"] * 0.5}
-        other = reference.with_params(params)
-        assert len(checks) == 2 and other.rows is reference.rows
-        fresh = Pipeline(reference.cfg, list(reference.rules), params)
-        assert np.array_equal(other.coefficients, fresh.coefficients)
-        assert not np.array_equal(other.coefficients, reference.coefficients)
-        task = gen_transitive(3, width=2, seed=0)
-        assert_same_output(other.run_task(task), fresh.run_task(task))
-        with pytest.raises(BadParams, match="'tau'"):
-            reference.with_params({**params, "tau": np.array([np.nan])})
+        assert checks == []
 
     @pytest.mark.parametrize("epochs", [1, 3])
     def test_training_checks_once_per_epoch(self, checks, epochs):
         splits = split_dataset(gen_dataset("transitive", 30, seed=3), (20, 10, 0))
         run = TrainRun(max_epochs=epochs, batch_size=8, patience=epochs + 1, seed=0, latency_probe=2)
-        result = train(PipelineConfig(tau=0.4), splits, run, rules=list(reference_pipeline().rules))
+        result = train(PipelineConfig(tau=0.4), splits, run, rules=reference_rules())
         assert len(result.history) == epochs
-        # the reference pipeline's own check, then one per epoch's Pipeline
-        assert len(checks) == 1 + epochs
+        # one per epoch's parameters, before their pipeline is made
+        assert len(checks) == epochs
 
 
 STAGE_3 = ("soft_threshold", "hard_threshold", "bind_predicates", "forward_chain")
@@ -390,7 +404,7 @@ class TestBlockStage3:
         reference = reference_pipeline()
         cfg = PipelineConfig.from_text(reference.cfg.to_text() + f"threshold_mode={mode}\n")
         assert cfg == reference.cfg
-        pipe = Pipeline(cfg, list(reference.rules), reference.params)
+        pipe = Pipeline(cfg, reference.coefficients, reference.tau)
         tasks = gen_dataset("transitive", 5, seed=9) + gen_dataset("kinship", 5, seed=9)
         outputs = pipe.run_tasks(tasks)
         expected = dict.fromkeys(STAGE_3 + ("traces",), 0)
@@ -428,7 +442,7 @@ def scoring_tasks():
 class TestEvalReport:
     def test_score_from_the_closure_bits_is_the_score_from_the_closure(self):
         reference = reference_pipeline()
-        pipe = Pipeline(reference.cfg, list(reference.rules), {**reference.params, "tau": np.array([0.1])})
+        pipe = Pipeline(reference.cfg, reference.coefficients, 0.1)
         tasks, atom = scoring_tasks()
         report = evaluate(pipe, tasks, measure_latency=False)
         outputs = pipe.run_tasks(tasks)
@@ -443,13 +457,12 @@ class TestEvalReport:
     def test_kept_block_scores_as_fresh_tasks(self):
         # one block, kept and run under five parameter sets, as train runs
         # its validation split every epoch
-        reference = reference_pipeline()
+        cfg, rules, params = reference_pipeline().cfg, reference_rules(), reference_params()
         tasks, _ = scoring_tasks()
         block = pipeline.Block(tasks)
         consistencies = set()
         for tau, scale in ((0.1, 1.0), (0.2, 0.8), (0.3, 1.2), (0.4, 1.0), (0.05, 0.9)):
-            pipe = reference.with_params({**reference.params, "tau": np.array([tau]),
-                                          "theta": reference.params["theta"] * scale})
+            pipe = make_pipeline(cfg, rules, {**params, "tau": np.array([tau]), "theta": params["theta"] * scale})
             kept = evaluate(pipe, block, measure_latency=False)
             assert kept == evaluate(pipe, list(tasks), measure_latency=False)
             ys = [[out.y.values.tobytes() for out in pipe.run_tasks(run)] for run in (block, list(tasks))]
@@ -505,19 +518,19 @@ def query_calls(**counts):
 class TestPreparedGraph:
     def test_second_query_prepares_nothing(self, calls):
         pipe = reference_pipeline()
-        # the rules are fitted once, by the pipeline
-        assert calls == query_calls(rule_coefficients=1)
+        # the checkpoint's series holds its rules, so none is fitted
+        assert calls == query_calls()
         task = gen_transitive(4, width=2, seed=11)
         pipe.run_task(task)
-        assert calls == dict.fromkeys(PREPARATION, 1)
+        assert calls == query_calls(build_laplacian=1, estimate_lambda_max=1)
         pipe.run_task(task)
-        assert calls == dict.fromkeys(PREPARATION, 1)
+        assert calls == query_calls(build_laplacian=1, estimate_lambda_max=1)
 
     def test_warm_output_equals_cold_output(self):
         pipe = reference_pipeline()
         task = gen_transitive(4, width=2, seed=11)
-        outputs = [run(pipe.cfg, task, pipe.rules) for _ in range(2)]
-        cold = run(pipe.cfg, gen_transitive(4, width=2, seed=11), pipe.rules)
+        outputs = [pipe.run_task(task) for _ in range(2)]
+        cold = reference_pipeline().run_task(gen_transitive(4, width=2, seed=11))
         assert task.graph.prepared
         for out in outputs:
             assert_same_output(out, cold)
@@ -533,15 +546,14 @@ class TestPreparedGraph:
             assert_same_output(run(cfg, task, ()), run(cfg, gen_transitive(3, width=2, seed=5), ()))
 
     def test_rule_rows_follow_the_rules(self, calls):
-        reference = reference_pipeline()
+        cfg, rules = PipelineConfig(tau=0.4), reference_rules()
         task = gen_transitive(3, width=2, seed=5)
-        # rules A, B, A on one graph, each pipeline fitting its own rules once
-        pipes = [Pipeline(reference.cfg, rules=list(rules)) for rules in (reference.rules, reference.rules[:1])]
-        pipes.append(Pipeline(reference.cfg, rules=list(reference.rules)))
-        assert calls == query_calls(rule_coefficients=4)
+        # rules A, B, A on one graph, the rows of each pipeline's rules fitted once
+        pipes = [make_pipeline(cfg, rules) for rules in (rules, rules[:1], rules)]
+        assert calls == query_calls(rule_coefficients=3)
         outputs = [pipe.run_task(task) for pipe in pipes]
         # the graph is prepared once for every rule set, and no query fits a rule
-        assert calls == query_calls(build_laplacian=1, estimate_lambda_max=1, rule_coefficients=4)
+        assert calls == query_calls(build_laplacian=1, estimate_lambda_max=1, rule_coefficients=3)
         for pipe, out in zip(pipes, outputs, strict=True):
             fresh = pipe.run_task(gen_transitive(3, width=2, seed=5))
             assert_same_output(out, fresh)
@@ -566,9 +578,9 @@ class TestPreparedGraph:
     def test_failed_preparation_is_not_kept(self, monkeypatch, name, error, stage):
         task = gen_transitive(3, width=2, seed=5)
         original = getattr(pipeline, name)
-        # the rule fit runs only with rules, when the pipeline is made
+        # the rule fit runs only with rules, when the pipeline's series is made
         fits = name == "rule_coefficients"
-        rules = reference_pipeline().rules if fits else ()
+        rules = reference_rules() if fits else ()
 
         def fail(*args, **kwargs):
             raise error("injected")
@@ -578,10 +590,10 @@ class TestPreparedGraph:
         for _ in range(2):
             if fits:
                 with pytest.raises(error) as info:
-                    Pipeline(PipelineConfig(), rules=list(rules))
+                    make_pipeline(PipelineConfig(), rules)
                 assert info.value.stage == stage
             else:
-                pipe = Pipeline(PipelineConfig())
+                pipe = make_pipeline(PipelineConfig())
                 for queried in ([task], block):
                     with pytest.raises(error) as info:
                         pipe.run_tasks(queried)
@@ -590,7 +602,7 @@ class TestPreparedGraph:
         monkeypatch.setattr(pipeline, name, original)
         run(PipelineConfig(), task, rules)
         assert list(task.graph.prepared) == [(PipelineConfig().laplacian, 0)]
-        Pipeline(PipelineConfig(), rules=list(rules)).run_tasks(block)
+        make_pipeline(PipelineConfig(), rules).run_tasks(block)
         assert all(list(t.graph.prepared) == [(PipelineConfig().laplacian, 0)] for t in block)
 
     def test_block_prepares_in_one_call_per_layer(self, calls):
@@ -608,7 +620,7 @@ class TestPreparedGraph:
     def test_regrouped_block_equals_its_cold_block(self, laplacian):
         reference = reference_pipeline()
         cfg = replace(reference.cfg, laplacian=laplacian)
-        pipe = Pipeline(cfg, rules=list(reference.rules), params=reference.params)
+        pipe = Pipeline(cfg, reference.coefficients, reference.tau)
         tasks = gen_dataset("transitive", 5, seed=9) + gen_dataset("kinship", 5, seed=9)
         cold = pipe.run_tasks(tasks)
         alone = [pipe.run_task(task) for task in tasks]
@@ -702,7 +714,7 @@ class TestPreparedGraph:
             return gen_dataset("transitive", 3, seed=9) + gen_dataset("kinship", 3, seed=9)
 
         reference = reference_pipeline()
-        pipe = Pipeline(replace(reference.cfg, laplacian=laplacian), rules=list(reference.rules), params=reference.params)
+        pipe = Pipeline(replace(reference.cfg, laplacian=laplacian), reference.coefficients, reference.tau)
         alone = [pipe.run_task(task) for task in tasks()]
         pool, passes, listed = tasks(), [], []
 
@@ -751,7 +763,7 @@ class TestPreparedGraph:
             monkeypatch.setattr(pipeline, name, counted)
         splits = split_dataset(gen_dataset("transitive", 60, seed=3), (40, 20, 0))
         train_run = TrainRun(max_epochs=4, batch_size=16, patience=5, seed=7, latency_probe=0)
-        result = train(PipelineConfig(tau=0.4), splits, train_run, rules=tuple(reference_pipeline().rules))
+        result = train(PipelineConfig(tau=0.4), splits, train_run, rules=tuple(reference_rules()))
         assert len(result.history) == 4
         # one pass for the training split, one for the validation block its four
         # epochs share; each split is cold, so each is one pass, built once
@@ -762,14 +774,14 @@ class TestPreparedGraph:
             return split_dataset(gen_dataset("transitive", 60, seed=3), (40, 20, 0))
 
         cfg = PipelineConfig(tau=0.4)
-        rules = tuple(reference_pipeline().rules)
+        rules = tuple(reference_rules())
         calls.update(query_calls())
         train_run = TrainRun(max_epochs=3, batch_size=16, patience=3, seed=7, latency_probe=0)
         shared = splits()
         results = [train(cfg, shared, train_run, rules=rules)]
         # one block preparation for the training split, one for the validation
-        # split; the rules are fitted once per run, by its first pipeline, whose
-        # rows the context and each epoch's pipeline share
+        # split; the rules are fitted once per run, and the context and each
+        # epoch's pipeline share their rows
         fits = 1
         assert calls == query_calls(build_laplacian=2, estimate_lambda_max=2, rule_coefficients=fits)
         results.append(train(cfg, shared, train_run, rules=rules))

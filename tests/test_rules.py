@@ -3,7 +3,7 @@ import pytest
 
 from spectral_nsr.errors import BadParams, EmptyRuleSet, FormatError
 from spectral_nsr.graph import combinatorial_laplacian
-from spectral_nsr.pipeline import REFERENCE_LAMBDA_MAX, Pipeline, PipelineConfig
+from spectral_nsr.pipeline import REFERENCE_LAMBDA_MAX, rule_rows
 from spectral_nsr.rules import SpectralRule, builtin_template, load_rules, parse_rules, rule_coefficients
 from spectral_nsr.spectral import (
     ChebyshevFilter,
@@ -226,7 +226,7 @@ class TestRuleDsl:
         # stretches it over its own spectrum, so gain is reached at every
         # graph's bound, from the same rows
         (rule,) = parse_rules("rule sharp kind=high-pass w=1.0 gain=0.7\n", REFERENCE_LAMBDA_MAX)
-        (row,) = Pipeline(PipelineConfig(order=5), rules=[rule]).rows
+        (row,) = rule_rows([rule], 5)
         for lam_max in (2.0, 6.0):
             grid = np.linspace(0.0, lam_max, 25)
             fitted = ChebyshevFilter(row, lam_max)

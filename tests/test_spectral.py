@@ -18,7 +18,7 @@ from spectral_nsr.errors import (
 )
 from spectral_nsr.graph import COMBINATORIAL, NORMALIZED, build_graph, combinatorial_laplacian, laplacians, normalized_laplacian
 from spectral_nsr.harness import gen_dataset, random_sparse_laplacian
-from spectral_nsr.pipeline import Pipeline, PipelineConfig, combined_filter
+from spectral_nsr.pipeline import PipelineConfig, combined_filter
 from spectral_nsr.spectral import (
     DENSE_BOUND_LIMIT,
     ChebyshevFilter,
@@ -39,7 +39,7 @@ from spectral_nsr.spectral import (
     vertex_signal,
 )
 
-from conftest import make_nodes, path_graph, random_graph
+from conftest import make_nodes, make_pipeline, path_graph, random_graph
 
 
 class TestEigendecompose:
@@ -242,7 +242,7 @@ class TestEstimateLambdaMax:
                 assert [type(bound) for bound in estimate_lambda_max(lap)] == [float], (g.node_count, lap.kind)
         bounds = estimate_lambda_max(laplacians(graphs, COMBINATORIAL))
         assert [type(bound) for bound in bounds] == [float, float]
-        out = Pipeline(PipelineConfig()).run_task(gen_dataset("transitive", 1, seed=0)[0])
+        out = make_pipeline(PipelineConfig()).run_task(gen_dataset("transitive", 1, seed=0)[0])
         assert type(out.lambda_max) is float
 
     def test_unconverged_lanczos_gives_gershgorin(self, rng, monkeypatch):

@@ -15,7 +15,6 @@ from spectral_nsr.errors import (
 from spectral_nsr.harness import gen_dataset, split_dataset
 from spectral_nsr.pipeline import (
     REFERENCE_LAMBDA_MAX,
-    Pipeline,
     PipelineConfig,
     filter_coefficients,
     init_params,
@@ -23,7 +22,7 @@ from spectral_nsr.pipeline import (
     prepare_graph,
     rule_rows,
 )
-from spectral_nsr.rules import SpectralRule, builtin_template
+from spectral_nsr.rules import SpectralRule, builtin_template, load_rules
 from spectral_nsr.spectral import fit_chebyshev, sample_response, series_operator
 from spectral_nsr.trainer import (
     LEARNING_RATES,
@@ -37,7 +36,7 @@ from spectral_nsr.trainer import (
     train,
 )
 
-from conftest import graph_task, random_graph
+from conftest import graph_task, make_pipeline, random_graph
 
 FD_STEP = 1e-5
 
@@ -460,8 +459,8 @@ class TestTrainLoop:
         path = tmp_path / "ckpt.json"
         result.checkpoint.save(path)
         loaded = Checkpoint.load(path)
-        for key, value in result.checkpoint.params.items():
-            assert np.array_equal(loaded.params[key], value)
+        assert loaded.series.tobytes() == result.checkpoint.series.tobytes()
+        assert loaded.tau == result.checkpoint.tau and loaded.metadata == result.checkpoint.metadata
         acc = evaluate(loaded.pipeline(rules=rules), splits.val, measure_latency=False).accuracy
         assert acc == result.checkpoint.metadata["val_accuracy"]
 
@@ -484,11 +483,13 @@ class TestTrainLoop:
             for epochs in (1, 3)
         )
         assert len(three.history) == 3 and three.checkpoint.metadata["epoch"] == 1
-        pairs = ((one.trajectory[0], three.trajectory[0]), (one.checkpoint.params, three.checkpoint.params))
+        kept = [result.checkpoint.metadata["params"] for result in (one, three)]
+        pairs = ((one.trajectory[0], three.trajectory[0]), kept)
         for kept_one, kept_three in pairs:
             assert kept_one.keys() == kept_three.keys()
             for key in kept_one:
                 assert np.array_equal(kept_one[key], kept_three[key]), key
+        assert one.checkpoint.series.tobytes() == three.checkpoint.series.tobytes()
         assert not np.array_equal(three.trajectory[0]["theta"], three.trajectory[2]["theta"])
 
     def test_run_validation(self):
@@ -519,16 +520,16 @@ class TestForwardAgreement:
         params = init_params(cfg, rules)
         params["rule_weights"] = np.array([0.7, 0.3])
         tasks = gen_dataset("transitive", 4, seed=2) + gen_dataset("kinship", 4, seed=2)
-        pipe = Pipeline(cfg, rules=list(rules), params=params)
+        pipe = make_pipeline(cfg, rules, params)
         for task in tasks:
             out = pipe.run_task(task)
             nodes = sorted(task.labels)
             # the logistic of the pipeline's own y and params, which only the loss computes
-            tau, alpha = pipe.params["tau"][0], pipe.params["alpha"]
+            tau, alpha = params["tau"][0], params["alpha"]
             p = np.clip(expit(alpha * (out.y.values[nodes] - tau)), 1e-7, 1 - 1e-7)
             targets = np.array([task.labels[i] for i in nodes], dtype=np.float64)
             expected = -np.mean(targets * np.log(p) + (1 - targets) * np.log(1 - p))
-            got, _ = task_loss_and_grads(prepare_context([task], cfg, pipe.rows), params)
+            got, _ = task_loss_and_grads(prepare_context([task], cfg, rule_rows(rules, cfg.order)), params)
             assert got == pytest.approx(expected, rel=1e-12, abs=0), task.task_id
 
 
@@ -551,4 +552,5 @@ class TestLowPassInit:
     def test_rule_weights_start_at_w(self, tmp_path):
         rules = tmp_path / "rules.txt"
         rules.write_text("rule smooth kind=low-pass w=0.2 beta=1.0\nrule sharp kind=high-pass w=0.9\n")
-        assert Pipeline(PipelineConfig(rules=str(rules))).params["rule_weights"].tolist() == [0.2, 0.9]
+        params = init_params(PipelineConfig(), load_rules(rules, REFERENCE_LAMBDA_MAX))
+        assert params["rule_weights"].tolist() == [0.2, 0.9]
