@@ -1,13 +1,23 @@
-"""Exception taxonomy, the text-file and record-line readers and the JSON number test.
+"""Exception taxonomy, the one policy for a bad file, and the JSON number test.
 
 Two broad families: validation errors (bad inputs, bad files, contract
 violations) and numerical errors (a computation failed on otherwise valid
 inputs). The CLI maps validation errors to exit code 1 and numerical
 errors to exit code 2.
+
+Every file loader reads its text with `read_text`, its lines with
+`records`, and reports a bad file through `reading` alone, opened once
+per file with the path and once per record with ``line <n>``: a fault
+reads ``<path>: line <n>: <what>`` or ``<path>: <what>``. A text-level
+parser (`symbolic.parse_kb`, `rules.parse_rules`, `PipelineConfig.from_text`,
+`Checkpoint.from_json`) opens only the record level, so only a file
+loader names the path.
 """
 
 from __future__ import annotations
 
+import json
+import os
 from collections.abc import Iterator
 from pathlib import Path
 
@@ -105,13 +115,49 @@ class FormatError(ValidationError):
     pass
 
 
+# what a parse refuses: a package validation error and every fault a read,
+# a decode (UTF-8 or JSON), a conversion or a lookup in parsed content raises
+REFUSED = (OSError, ValidationError, ValueError, KeyError, IndexError, TypeError, OverflowError, AttributeError)
+
+
+def _what(exc: BaseException) -> str:
+    """A refused fault's message after its place: a missing key and a failed
+    read or JSON decode say what they are, the read with the absolute path tried."""
+    if isinstance(exc, KeyError):
+        return f"missing key {exc}"
+    if isinstance(exc, json.JSONDecodeError):
+        return f"malformed JSON: {exc}"
+    if isinstance(exc, OSError) and exc.filename is not None:
+        return f"cannot read {os.path.abspath(exc.filename)}: {exc.strerror}"
+    return str(exc)
+
+
+class reading:
+    """The one policy for a bad file, as a context: whatever its block
+    refuses (`REFUSED`) becomes one `FormatError` whose message starts
+    ``<where>: ``, or is the fault's own without ``where``. An inner
+    reading's `FormatError` is refused again by the outer one, so each
+    level adds its place. Any other error passes through. A class: a
+    loader opens one per line, and a generator context cost 3.4 us per
+    line against 0.8 us (Python 3.11, 2-core x86)."""
+
+    __slots__ = ("where",)
+
+    def __init__(self, where: str | Path | None = None):
+        self.where = where
+
+    def __enter__(self) -> None:
+        pass
+
+    def __exit__(self, kind, exc, traceback) -> None:
+        if isinstance(exc, REFUSED):
+            raise FormatError(_what(exc) if self.where is None else f"{self.where}: {_what(exc)}") from exc
+
+
 def read_text(path: str | Path) -> str:
-    """The file ``path`` as UTF-8 text, as every loader reads it; bytes that
-    do not decode raise `FormatError` naming the path."""
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: not UTF-8 text: {exc}") from exc
+    """The file ``path`` as UTF-8 text, as every loader reads it, inside its
+    `reading` of the path, which reports a file that is missing or does not decode."""
+    return Path(path).read_text(encoding="utf-8")
 
 
 def records(text: str) -> Iterator[tuple[int, str]]:

@@ -20,7 +20,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import BadParams, EmptyDataset, FormatError, is_json_number, read_text
+from .errors import BadParams, EmptyDataset, FormatError, is_json_number, read_text, reading, records
 from .graph import NodeMeta, ReasoningGraph, build_graph, combinatorial_laplacian, load_graph_text, save_graph_text
 from .pipeline import Block
 from .spectral import load_signal, save_signal, vertex_signal
@@ -240,30 +240,24 @@ def save_task(task: SyntheticTask, directory: str | Path) -> None:
 
 
 def load_task(directory: str | Path, task_id: str, family: str, depth: int, seed: int) -> SyntheticTask:
-    """One task's files; a missing or malformed file raises `FormatError`."""
+    """One task's files; a missing or malformed file raises `FormatError` naming it."""
     d = Path(directory)
-    try:
-        graph = load_graph_text(d / f"{task_id}.graph.txt")
-        kb = load_kb(d / f"{task_id}.kb.txt")
-        x0_path = d / f"{task_id}.x0.csv"
-        x0 = load_signal(x0_path).values
-        labels_path = d / f"{task_id}.labels.csv"
-        labels_text = read_text(labels_path)
-    except OSError as exc:
-        raise FormatError(f"{d}: cannot read task {task_id!r}: {exc}") from exc
-    if x0.shape[0] != graph.node_count:
-        raise FormatError(f"{x0_path}: {x0.shape[0]} values for {graph.node_count} nodes")
+    graph = load_graph_text(d / f"{task_id}.graph.txt")
+    kb = load_kb(d / f"{task_id}.kb.txt")
+    x0_path = d / f"{task_id}.x0.csv"
+    x0 = load_signal(x0_path).values
+    with reading(x0_path):
+        if x0.shape[0] != graph.node_count:
+            raise FormatError(f"{x0.shape[0]} values for {graph.node_count} nodes")
+    labels_path = d / f"{task_id}.labels.csv"
     labels = {}
-    for lineno, line in enumerate(labels_text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            i, lab = (int(part) for part in line.split(","))
-        except ValueError as exc:
-            raise FormatError(f"{labels_path}:{lineno}: expected node,label, got {line!r}") from exc
-        if not 0 <= i < graph.node_count or lab not in (0, 1):
-            raise FormatError(f"{labels_path}:{lineno}: node {i} label {lab} is not a 0/1 label of a graph node")
-        labels[i] = lab
+    with reading(labels_path):
+        for lineno, line in records(read_text(labels_path)):
+            with reading(f"line {lineno}"):
+                i, lab = (int(part) for part in line.split(","))
+                if not 0 <= i < graph.node_count or lab not in (0, 1):
+                    raise FormatError(f"node {i} label {lab} is not a 0/1 label of a graph node")
+                labels[i] = lab
     return SyntheticTask(task_id, family, depth, seed, graph, x0, kb, labels)
 
 
@@ -289,9 +283,7 @@ def load_dataset(directory: str | Path) -> tuple[list[SyntheticTask], tuple[int,
     """
     d = Path(directory)
     manifest_path = d / "manifest.json"
-    if not manifest_path.exists():
-        raise FormatError(f"{d}: missing manifest.json")
-    try:
+    with reading(manifest_path):
         manifest = json.loads(read_text(manifest_path))
         entries = [
             (
@@ -305,12 +297,6 @@ def load_dataset(directory: str | Path) -> tuple[list[SyntheticTask], tuple[int,
         splits = None
         if "splits" in manifest:
             splits = tuple(_manifest_field(manifest["splits"], key, int) for key in ("train", "val", "test"))
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{manifest_path}: malformed JSON: {exc}") from exc
-    except KeyError as exc:
-        raise FormatError(f"{manifest_path}: missing key {exc}") from exc
-    except TypeError as exc:
-        raise FormatError(f"{manifest_path}: malformed manifest: {exc}") from exc
     return [load_task(d, *entry) for entry in entries], splits
 
 

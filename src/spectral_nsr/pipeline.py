@@ -30,7 +30,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import BadParams, EmptyLabels, FormatError, SpectralNsrError, read_text, records
+from .errors import BadParams, EmptyLabels, FormatError, SpectralNsrError, read_text, reading, records
 from .graph import COMBINATORIAL, NORMALIZED, Laplacian, ReasoningGraph, laplacians
 from .rules import SpectralRule, rule_coefficients
 from .spectral import (
@@ -66,16 +66,6 @@ REFERENCE_LAMBDA_MAX = 2.0
 
 # samples of the exported response curve over [0, lambda_max]
 RESPONSE_POINTS = 64
-
-
-# keys older config files carry for retired settings: the values each is
-# dropped with (None: any), and why any other would change answers
-RETIRED_KEYS = {
-    "crossover": (None, ""),  # a setting of the retired dense-eigenbasis path
-    "path": ({"chebyshev"}, "only the Chebyshev path remains"),
-    "bands": ({"1"}, "the band gate is retired"),
-    "threshold_mode": ({"hard", "logistic"}, "stage 3 binds y > tau, as both modes did"),
-}
 
 
 @dataclass(frozen=True)
@@ -128,24 +118,17 @@ class PipelineConfig:
         known = {f.name: type(f.default) for f in fields(cls)}
         values = {}
         for lineno, line in records(text):
-            if "=" not in line:
-                raise FormatError(f"line {lineno}: expected key=value, got {line!r}")
-            key, val = (part.strip() for part in line.split("=", 1))
-            if key not in known and key not in RETIRED_KEYS:
-                raise FormatError(f"line {lineno}: unknown config key {key!r}")
-            try:  # each value is checked alone, so its line can be named
-                if key in RETIRED_KEYS:
-                    accepted, reason = RETIRED_KEYS[key]
-                    if accepted is not None and val not in accepted:
-                        raise FormatError(f"{key}={val!r} is no longer supported; {reason}")
-                    continue
+            with reading(f"line {lineno}"):
+                if "=" not in line:
+                    raise FormatError(f"expected key=value, got {line!r}")
+                key, val = (part.strip() for part in line.split("=", 1))
+                if key not in known:
+                    raise FormatError(f"unknown config key {key!r}")
                 value = known[key](val)
-                cls(**{key: value})
-            except (ValueError, BadParams, FormatError) as exc:
-                raise FormatError(f"line {lineno}: malformed value for {key}: {exc}") from exc
-            if key in values:
-                raise FormatError(f"line {lineno}: config key {key!r} is given twice")
-            values[key] = value
+                cls(**{key: value})  # each value is checked alone, so its line can be named
+                if key in values:
+                    raise FormatError(f"config key {key!r} is given twice")
+                values[key] = value
         return cls(**values)
 
     def save(self, path: str | Path) -> None:
@@ -153,7 +136,8 @@ class PipelineConfig:
 
     @classmethod
     def load(cls, path: str | Path) -> "PipelineConfig":
-        return config_as_read(cls.from_text(read_text(path)), path)
+        with reading(path):
+            return config_as_read(cls.from_text(read_text(path)), path)
 
 
 def config_as_read(cfg: PipelineConfig, path: str | Path) -> PipelineConfig:
@@ -166,10 +150,11 @@ def config_as_read(cfg: PipelineConfig, path: str | Path) -> PipelineConfig:
 
 
 def config_as_written(cfg: PipelineConfig, path: str | Path) -> PipelineConfig:
-    """``cfg`` as written to the file ``path``: a relative ``rules`` path,
-    which names the rule file from the working directory, rewritten to name
-    it from the file's directory (`config_as_read` undoes it)."""
-    if not cfg.rules or os.path.isabs(cfg.rules):
+    """``cfg`` as written to the file ``path``: its ``rules`` path, relative
+    or absolute, rewritten to name the rule file from the file's directory
+    (`config_as_read` undoes it), so a file keeps naming its rules as it
+    was given them, whichever way it was loaded."""
+    if not cfg.rules:
         return cfg
     return replace(cfg, rules=os.path.relpath(cfg.rules, os.path.dirname(os.path.abspath(path))))
 

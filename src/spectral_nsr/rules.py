@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BadParams, EmptyRuleSet, FormatError, read_text, records
+from .errors import BadParams, EmptyRuleSet, FormatError, read_text, reading, records
 from .spectral import FrequencyResponse, fit_coefficients
 
 
@@ -128,22 +128,17 @@ _FLOAT_PARAMS = ("beta", "t", "center", "sigma", "gain", "w")
 
 
 def _custom_response(path: Path) -> FrequencyResponse:
-    try:
-        text = read_text(path)
-    except OSError as exc:
-        raise FormatError(f"cannot read custom response file {str(path)!r}: {exc.strerror}") from exc
     lams, vals = [], []
-    for lineno, line in records(text):
-        try:
-            a, b = line.split(",")
-            lams.append(float(a))
-            vals.append(float(b))
-        except ValueError as exc:
-            raise FormatError(f"{path}:{lineno}: malformed sample {line!r}") from exc
-        if not (math.isfinite(lams[-1]) and math.isfinite(vals[-1])):
-            raise FormatError(f"{path}:{lineno}: sample {line!r} is not finite")
-    if len(lams) < 2:
-        raise FormatError(f"{path}: custom response needs >= 2 samples")
+    with reading(path):
+        for lineno, line in records(read_text(path)):
+            with reading(f"line {lineno}"):
+                lam, val = map(float, line.split(","))
+                if not (math.isfinite(lam) and math.isfinite(val)):
+                    raise FormatError(f"sample {line!r} is not finite")
+                lams.append(lam)
+                vals.append(val)
+        if len(lams) < 2:
+            raise FormatError("custom response needs >= 2 samples")
     lam = np.asarray(lams)
     val = np.asarray(vals)
     idx = np.argsort(lam)
@@ -151,13 +146,10 @@ def _custom_response(path: Path) -> FrequencyResponse:
     return FrequencyResponse(lambda x: np.interp(np.asarray(x), lam, val), kind="custom")
 
 
-def _finite_float(text: str, what: str, lineno: int) -> float:
-    try:
-        value = float(text)
-    except ValueError as exc:
-        raise FormatError(f"line {lineno}: malformed {what}") from exc
+def _finite_float(text: str, what: str) -> float:
+    value = float(text)
     if not math.isfinite(value):
-        raise FormatError(f"line {lineno}: {what} must be finite, got {text!r}")
+        raise FormatError(f"{what} must be finite, got {text!r}")
     return value
 
 
@@ -168,40 +160,38 @@ def parse_rules(text: str, lambda_max: float, base_dir: str | Path = ".") -> lis
     rule id."""
     rules = []
     for lineno, line in records(text):
-        parts = line.split()
-        if parts[0] != "rule" or len(parts) < 3:
-            raise FormatError(f"line {lineno}: expected 'rule <id> key=value ...'")
-        rule_id = parts[1]
-        if any(rule.rule_id == rule_id for rule in rules):
-            raise FormatError(f"line {lineno}: rule id {rule_id!r} is given twice")
-        kv = {}
-        for tok in parts[2:]:
-            if "=" not in tok:
-                raise FormatError(f"line {lineno}: malformed token {tok!r}")
-            key, val = tok.split("=", 1)
-            if key in kv:
-                raise FormatError(f"line {lineno}: key {key!r} is given twice")
-            kv[key] = val
-        kind = kv.pop("kind", None)
-        if kind is None:
-            raise FormatError(f"line {lineno}: rule {rule_id} is missing kind=")
-        weight = _finite_float(kv.pop("w", "1.0"), "weight", lineno)
-        try:
+        with reading(f"line {lineno}"):
+            parts = line.split()
+            if parts[0] != "rule" or len(parts) < 3:
+                raise FormatError("expected 'rule <id> key=value ...'")
+            rule_id = parts[1]
+            if any(rule.rule_id == rule_id for rule in rules):
+                raise FormatError(f"rule id {rule_id!r} is given twice")
+            kv = {}
+            for tok in parts[2:]:
+                if "=" not in tok:
+                    raise FormatError(f"malformed token {tok!r}")
+                key, val = tok.split("=", 1)
+                if key in kv:
+                    raise FormatError(f"key {key!r} is given twice")
+                kv[key] = val
+            kind = kv.pop("kind", None)
+            if kind is None:
+                raise FormatError(f"rule {rule_id} is missing kind=")
+            weight = _finite_float(kv.pop("w", "1.0"), "weight")
             if kind == "custom":
                 if "file" not in kv:
-                    raise FormatError(f"line {lineno}: custom rule {rule_id} needs file=")
+                    raise FormatError(f"custom rule {rule_id} needs file=")
                 template = _custom_response(Path(base_dir) / kv.pop("file"))
             else:
-                params = {key: _finite_float(kv.pop(key), f"param {key}", lineno) for key in _FLOAT_PARAMS if key in kv}
+                params = {key: _finite_float(kv.pop(key), f"param {key}") for key in _FLOAT_PARAMS if key in kv}
                 template = builtin_template(kind, lambda_max, **params)
             if kv:
-                raise FormatError(f"line {lineno}: unknown keys {sorted(kv)}")
+                raise FormatError(f"unknown keys {sorted(kv)}")
             rules.append(SpectralRule(rule_id, template, weight=weight))
-        except BadParams as exc:
-            raise FormatError(f"line {lineno}: {exc}") from exc
     return rules
 
 
 def load_rules(path: str | Path, lambda_max: float) -> list[SpectralRule]:
-    p = Path(path)
-    return parse_rules(read_text(p), lambda_max, base_dir=p.parent)
+    with reading(path):
+        return parse_rules(read_text(path), lambda_max, base_dir=Path(path).parent)

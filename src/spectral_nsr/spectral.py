@@ -37,12 +37,13 @@ from .errors import (
     BadParams,
     ConvergenceFailure,
     DimensionMismatch,
-    FormatError,
     NonFiniteResponse,
     OutOfRange,
     TooLarge,
     is_json_number,
     read_text,
+    reading,
+    records,
 )
 from .graph import NORMALIZED, Laplacian
 
@@ -546,9 +547,8 @@ def save_filter(filt: ChebyshevFilter, path: str | Path) -> None:
 def load_filter(path: str | Path) -> ChebyshevFilter:
     """The filter a `save_filter` file holds; malformed or invalid content
     (no coefficients, a non-finite one, ``lambda_max`` not positive and
-    finite) raises
-    `FormatError` naming the file."""
-    try:
+    finite) raises `FormatError` naming the file."""
+    with reading(path):
         payload = json.loads(read_text(path))
         lambda_max, coefficients = payload["lambda_max"], np.asarray(payload["coefficients"], dtype=object)
         if not (is_json_number(lambda_max) and all(map(is_json_number, coefficients.flat))):
@@ -556,10 +556,6 @@ def load_filter(path: str | Path) -> ChebyshevFilter:
         if coefficients.ndim != 1:
             raise ValueError(f"coefficients must be a flat list, got shape {coefficients.shape}")
         return ChebyshevFilter(coefficients.astype(np.float64), lambda_max)
-    except (KeyError, OverflowError, TypeError, ValueError, json.JSONDecodeError) as exc:
-        raise FormatError(f"{path}: malformed filter JSON: {exc}") from exc
-    except BadParams as exc:
-        raise FormatError(f"{path}: invalid filter: {exc}") from exc
 
 
 def save_signal(x: GraphSignal, path: str | Path) -> None:
@@ -568,15 +564,8 @@ def save_signal(x: GraphSignal, path: str | Path) -> None:
 
 def load_signal(path: str | Path) -> GraphSignal:
     vals = []
-    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            vals.append(float(line))
-        except ValueError as exc:
-            raise FormatError(f"{path}:{lineno}: malformed signal value {line!r}") from exc
-    try:
+    with reading(path):
+        for lineno, line in records(read_text(path)):
+            with reading(f"line {lineno}"):
+                vals.append(float(line))
         return vertex_signal(np.asarray(vals, dtype=np.float64))
-    except BadParams as exc:
-        raise FormatError(f"{path}: {exc}") from exc

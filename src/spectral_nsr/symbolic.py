@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import expit
 
-from .errors import BadParams, DimensionMismatch, FormatError, UnmappedNode, read_text, records
+from .errors import BadParams, DimensionMismatch, FormatError, UnmappedNode, read_text, reading, records
 from .spectral import GraphSignal
 
 
@@ -520,37 +520,36 @@ def parse_kb(text: str) -> KnowledgeBase:
     facts: set[str] = set()
     exclusive: list[tuple[str, str]] = []
     for lineno, line in records(text):
-        parts = line.split(maxsplit=1)
-        kind = parts[0]
-        rest = parts[1] if len(parts) > 1 else ""
-        if kind == "atom":
-            if not rest or len(rest.split()) != 1:
-                raise FormatError(f"line {lineno}: expected 'atom <name>'")
-            atoms.append(rest)
-        elif kind == "fact":
-            if not rest or len(rest.split()) != 1:
-                raise FormatError(f"line {lineno}: expected 'fact <name>'")
-            facts.add(rest)
-        elif kind == "clause":
-            if ":-" not in rest:
-                raise FormatError(f"line {lineno}: expected 'clause <head> :- <body>'")
-            head, body_text = rest.split(":-", 1)
-            head = head.strip()
-            body = frozenset(tok.strip() for tok in body_text.split(",") if tok.strip())
-            if not head:
-                raise FormatError(f"line {lineno}: clause without a head")
-            clauses.append(Clause(f"c{len(clauses)}", head, body))
-        elif kind == "exclusive":
-            toks = rest.split()
-            if len(toks) != 2:
-                raise FormatError(f"line {lineno}: expected 'exclusive <a> <b>'")
-            exclusive.append((toks[0], toks[1]))
-        else:
-            raise FormatError(f"line {lineno}: unknown record {kind!r}")
-    try:
+        with reading(f"line {lineno}"):
+            parts = line.split(maxsplit=1)
+            kind = parts[0]
+            rest = parts[1] if len(parts) > 1 else ""
+            if kind == "atom":
+                if not rest or len(rest.split()) != 1:
+                    raise FormatError("expected 'atom <name>'")
+                atoms.append(rest)
+            elif kind == "fact":
+                if not rest or len(rest.split()) != 1:
+                    raise FormatError("expected 'fact <name>'")
+                facts.add(rest)
+            elif kind == "clause":
+                if ":-" not in rest:
+                    raise FormatError("expected 'clause <head> :- <body>'")
+                head, body_text = rest.split(":-", 1)
+                head = head.strip()
+                body = frozenset(tok.strip() for tok in body_text.split(",") if tok.strip())
+                if not head:
+                    raise FormatError("clause without a head")
+                clauses.append(Clause(f"c{len(clauses)}", head, body))
+            elif kind == "exclusive":
+                toks = rest.split()
+                if len(toks) != 2:
+                    raise FormatError("expected 'exclusive <a> <b>'")
+                exclusive.append((toks[0], toks[1]))
+            else:
+                raise FormatError(f"unknown record {kind!r}")
+    with reading():
         return KnowledgeBase(tuple(atoms), tuple(clauses), frozenset(facts), tuple(exclusive))
-    except BadParams as exc:
-        raise FormatError(str(exc)) from exc
 
 
 def serialize_kb(kb: KnowledgeBase) -> str:
@@ -564,7 +563,8 @@ def serialize_kb(kb: KnowledgeBase) -> str:
 
 
 def load_kb(path: str | Path) -> KnowledgeBase:
-    return parse_kb(read_text(path))
+    with reading(path):
+        return parse_kb(read_text(path))
 
 
 def save_kb(kb: KnowledgeBase, path: str | Path) -> None:

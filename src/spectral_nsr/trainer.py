@@ -42,6 +42,7 @@ from .errors import (
     ShapeMismatch,
     is_json_number,
     read_text,
+    reading,
 )
 from .harness import SyntheticTask, TaskSplits, evaluate
 from .pipeline import REFERENCE_LAMBDA_MAX, Block, Pipeline, PipelineConfig, check_params, filter_coefficients
@@ -338,10 +339,10 @@ class Checkpoint:
     the rules the series mixes and its ``params`` hold the trained
     parameters; inference reads neither.
 
-    Loading checks the file once: the header, no key but these, a config
-    of exactly the `PipelineConfig` fields, JSON numbers that `Pipeline`
-    accepts, and a metadata object whose ``rule_ids`` (if any) are
-    strings. Anything else is a `FormatError`. A version-1 file, which held
+    Loading checks the file once: the header, whose version is a JSON
+    integer, no key but these, a config of exactly the `PipelineConfig`
+    fields, JSON numbers that `Pipeline` accepts, and a metadata object
+    whose ``rule_ids`` (if any) are strings. Anything else is a `FormatError`. A version-1 file, which held
     the training parameters instead, names its version and says to re-train.
     """
 
@@ -365,13 +366,14 @@ class Checkpoint:
     @classmethod
     def from_json(cls, text: str) -> "Checkpoint":
         """Parse a checkpoint; malformed content raises `FormatError`."""
-        try:
+        with reading():
             payload = json.loads(text)
             header = {key: payload[key] for key in cls.HEADER}
-            if header == {**cls.HEADER, "version": 1}:
+            integral = is_json_number(header["version"], integral=True)  # 2.0 and true equal 2 and 1 in Python
+            if integral and header == {**cls.HEADER, "version": 1}:
                 raise FormatError("checkpoint version 1 holds training parameters, not the filter it runs; "
                                   "re-train to write version 2")
-            if header != cls.HEADER:
+            if not (integral and header == cls.HEADER):
                 raise FormatError(f"not a checkpoint file: its format and version must be {cls.HEADER}")
             known = {*cls.HEADER, "config", "series", "tau", "metadata"}
             names = {f.name for f in fields(PipelineConfig)}
@@ -386,15 +388,9 @@ class Checkpoint:
             if not is_json_number(tau):
                 raise TypeError(f"tau must be a number, got {tau!r}")
             pipe = Pipeline(PipelineConfig(**config), series, tau)
-        except KeyError as exc:
-            raise FormatError(f"checkpoint is missing key {exc}") from exc
-        except (AttributeError, OverflowError, TypeError, ValueError) as exc:
-            raise FormatError(f"malformed checkpoint: {exc}") from exc
-        except BadParams as exc:
-            raise FormatError(f"checkpoint {exc}") from exc
-        rule_ids = metadata.get("rule_ids", []) if isinstance(metadata, dict) else None
-        if not isinstance(rule_ids, list) or not all(isinstance(rule_id, str) for rule_id in rule_ids):
-            raise FormatError(f"checkpoint metadata must be an object whose rule_ids are strings, got {metadata!r}")
+            rule_ids = metadata.get("rule_ids", []) if isinstance(metadata, dict) else None
+            if not isinstance(rule_ids, list) or not all(isinstance(rule_id, str) for rule_id in rule_ids):
+                raise FormatError(f"checkpoint metadata must be an object whose rule_ids are strings, got {metadata!r}")
         return cls(pipe.cfg, pipe.coefficients, pipe.tau, metadata)
 
     def save(self, path: str | Path) -> None:
@@ -405,12 +401,9 @@ class Checkpoint:
     @classmethod
     def load(cls, path: str | Path) -> "Checkpoint":
         """The checkpoint a file holds, its config's relative ``rules`` path
-        read from the file's directory (`pipeline.config_as_read`); an error names the file."""
-        text = read_text(path)
-        try:
-            ckpt = cls.from_json(text)
-        except FormatError as exc:
-            raise FormatError(f"{path}: {exc}") from exc
+        read from the file's directory (`pipeline.config_as_read`); a fault names the file."""
+        with reading(path):
+            ckpt = cls.from_json(read_text(path))
         return replace(ckpt, config=config_as_read(ckpt.config, path))
 
     def pipeline(self, rules: Sequence[SpectralRule] | None = None) -> Pipeline:
@@ -437,15 +430,6 @@ def history_csv(history: list[EpochMetrics]) -> str:
         latency = "" if row.latency_ms is None else repr(row.latency_ms)
         lines.append(f"{row.epoch},{row.train_loss!r},{row.val_accuracy!r},{latency}")
     return "\n".join(lines) + "\n"
-
-
-def _read_rule_file(path: str) -> list[SpectralRule]:
-    """The config's rule file, with ``path`` resolved against the working
-    directory; an unreadable file raises `FormatError` naming the path tried."""
-    try:
-        return load_rules(path, REFERENCE_LAMBDA_MAX)
-    except OSError as exc:
-        raise FormatError(f"cannot read rules file {path!r} (tried {Path(path).absolute()}): {exc.strerror}") from exc
 
 
 def train(
@@ -479,7 +463,7 @@ def train(
     if not splits.train or not splits.val:
         raise BadParams("training needs non-empty train and val splits")
     if rules is None:
-        rules = _read_rule_file(cfg.rules) if cfg.rules else []
+        rules = load_rules(cfg.rules, REFERENCE_LAMBDA_MAX) if cfg.rules else []
     state = AdamState(init_params(cfg, rules))
     # the rules' rows are fitted once, for the context and every epoch's
     # pipeline. The training split is laid out and its Chebyshev stack made

@@ -15,7 +15,7 @@ from click.testing import CliRunner
 import spectral_nsr
 from spectral_nsr.cli import main
 from spectral_nsr.errors import FormatError
-from spectral_nsr.graph import load_graph, save_graph_text
+from spectral_nsr.graph import load_graph, save_graph_json, save_graph_text
 from spectral_nsr.harness import gen_dataset, gen_transitive, load_dataset, save_dataset, split_dataset
 from spectral_nsr.pipeline import PipelineConfig, build_laplacian
 from spectral_nsr.spectral import (
@@ -28,6 +28,7 @@ from spectral_nsr.spectral import (
     save_signal,
     vertex_signal,
 )
+from spectral_nsr.symbolic import save_kb
 from spectral_nsr.trainer import Checkpoint, TrainRun, train
 
 DATA = Path(__file__).parent / "data"
@@ -158,7 +159,7 @@ class TestEndToEnd:
                         "--epochs", 2, "--json-errors")
         assert result.exit_code == 1
         record = json.loads(result.stderr.strip().splitlines()[-1])
-        assert record["error"] == "FormatError" and record["message"].startswith("line 2: ")
+        assert record["error"] == "FormatError" and record["message"].startswith(f"{rules}: line 2: ")
 
     def test_missing_rules_file_exits_one(self, tmp_path, monkeypatch, dataset):
         # a config names its rules file relative to its own directory, so a
@@ -278,9 +279,9 @@ class TestExitCodes:
 
 
 class TestRetiredBandGate:
-    """A config's ``bands=1`` is dropped on load; any other band count is
-    malformed input. A checkpoint from before the gate retired is a
-    version-1 file, which no longer loads."""
+    """A config's ``bands`` is an unknown key, whatever its count. A
+    checkpoint from before the gate retired is a version-1 file, which no
+    longer loads."""
 
     def last_record(self, result):
         assert result.exit_code == 1, result.output
@@ -291,7 +292,9 @@ class TestRetiredBandGate:
         result = invoke("train", "--config", config, "--data", dataset, "--out", tmp_path / "c.json",
                         "--epochs", 1, "--json-errors")
         record = self.last_record(result)
-        assert record["error"] == "FormatError" and "band gate is retired" in record["message"]
+        line = len(config.read_text().splitlines())
+        assert record["error"] == "FormatError"
+        assert record["message"] == f"{config}: line {line}: unknown config key 'bands'"
         assert not (tmp_path / "c.json").exists()
 
     def test_gated_checkpoint_exits_one_from_eval(self, tmp_path, dataset):
@@ -303,15 +306,6 @@ class TestRetiredBandGate:
         record = self.last_record(invoke("eval", "--ckpt", ckpt, "--data", dataset, "--no-latency", "--json-errors"))
         assert record["error"] == "FormatError" and str(ckpt) in record["message"]
         assert "version 1" in record["message"] and "re-train" in record["message"]
-
-    def test_single_band_still_loads(self, tmp_path, dataset, config):
-        config.write_text(config.read_text() + "bands=1\n")
-        ckpt = tmp_path / "c.json"
-        result = invoke("train", "--config", config, "--data", dataset, "--out", ckpt, "--epochs", 1)
-        assert result.exit_code == 0, result.output
-        assert "bands" not in json.loads(ckpt.read_text())["config"]
-        result = invoke("eval", "--ckpt", ckpt, "--data", dataset, "--no-latency")
-        assert result.exit_code == 0, result.output
 
 
 class TestSpectralOut:
@@ -542,6 +536,85 @@ class TestUndecodableFiles:
         assert record["error"] == "FormatError" and str(bad) in record["message"]
 
 
+EVAL = ["eval", "--ckpt", "{ckpt}", "--data", "{data}"]
+TRAIN = ["train", "--config", "{config}", "--data", "{data}", "--out", "{out}", "--epochs", "1"]
+FILTER = ["filter", "--graph", "{graph}", "--signal", "{signal}", "--filter", "{filter}", "--out", "{out}"]
+
+
+def plant(path, fault):
+    """Put ``fault`` into ``path``: a (line number, text) pair replaces that
+    line, a function edits the file's JSON in place."""
+    if callable(fault):
+        payload = json.loads(path.read_text())
+        fault(payload)
+        path.write_text(json.dumps(payload))
+    else:
+        lineno, text = fault
+        lines = path.read_text().splitlines()
+        lines[lineno - 1] = text
+        path.write_text("\n".join(lines) + "\n")
+
+
+class TestPlantedFaults:
+    """One malformed line or field in each kind of file the CLI reads exits
+    1 with one `FormatError` record whose message starts with the file's
+    path, and with ``<path>: line <n>: `` for a record file. A custom
+    response file is read for a line of the rule file, so its fault names
+    that line first."""
+
+    @pytest.mark.parametrize(
+        "args, places, fault",
+        [
+            (EVAL, [("data/*.graph.txt", 2)], (2, "node x entity a")),
+            (EVAL, [("data/*.kb.txt", 1)], (1, "bogus a")),
+            (EVAL, [("data/*.x0.csv", 2)], (2, "abc")),
+            (EVAL, [("data/*.labels.csv", 1)], (1, "x,1")),
+            (EVAL, [("data/manifest.json", None)], lambda p: p["tasks"][0].update(depth="3")),
+            (TRAIN, [("run.cfg", 2)], (2, "tau=abc")),
+            (TRAIN, [("rules.txt", 2)], (2, "rule r kind=low-pass w=abc")),
+            (TRAIN, [("rules.txt", 3), ("resp.csv", 2)], (2, "x,0.5")),
+            (["chain", "--kb", "{kb}"], [("k.kb.txt", 1)], (1, "bogus a")),
+            (FILTER, [("g.txt", 1)], (1, "N x")),
+            ([arg.replace("{graph}", "{graph_json}") for arg in FILTER], [("g.json", None)],
+             lambda p: p["edges"][0].__setitem__(2, "x")),
+            (FILTER, [("s.csv", 1)], (1, "abc")),
+            (FILTER, [("f.json", None)], lambda p: p.update(lambda_max=-1.0)),
+            ([arg.replace("{ckpt}", "{ckpt_copy}") for arg in EVAL], [("c.json", None)], lambda p: p.update(tau="x")),
+            (["inspect-ckpt", "--ckpt", "{ckpt_copy}"], [("c.json", None)], lambda p: p.update(tau="x")),
+        ],
+        ids=["eval-task-graph", "eval-task-kb", "eval-task-signal", "eval-task-labels", "eval-manifest",
+             "train-config", "train-rules", "train-custom-response", "chain-kb", "filter-graph-text",
+             "filter-graph-json", "filter-signal", "filter-filter", "eval-ckpt", "inspect-ckpt"],
+    )
+    def test_exits_one_naming_the_file_and_line(self, tmp_path, dataset, args, places, fault):
+        task = gen_transitive(2, width=1, seed=0)
+        save_graph_text(task.graph, tmp_path / "g.txt")
+        save_graph_json(task.graph, tmp_path / "g.json")
+        save_signal(vertex_signal(task.x0), tmp_path / "s.csv")
+        save_filter(ChebyshevFilter(np.ones(3), 2.0), tmp_path / "f.json")
+        save_kb(task.kb, tmp_path / "k.kb.txt")
+        (tmp_path / "c.json").write_text((DATA / "reference_checkpoint.json").read_text())
+        (tmp_path / "run.cfg").write_text("tau=0.4\nrules=rules.txt\n")
+        rules = [line for line in (DATA / "reference_rules.txt").read_text().splitlines() if line.startswith("rule ")]
+        (tmp_path / "rules.txt").write_text("\n".join(rules + ["rule c kind=custom w=1.0 file=resp.csv"]) + "\n")
+        (tmp_path / "resp.csv").write_text("0.0,1.0\n2.0,0.0\n")
+        paths = [sorted(tmp_path.glob(name))[0] for name, _ in places]
+        plant(paths[-1], fault)
+        files = {"data": dataset, "graph": tmp_path / "g.txt", "graph_json": tmp_path / "g.json",
+                 "signal": tmp_path / "s.csv", "filter": tmp_path / "f.json", "kb": tmp_path / "k.kb.txt",
+                 "config": tmp_path / "run.cfg", "out": tmp_path / "out", "ckpt": DATA / "reference_checkpoint.json",
+                 "ckpt_copy": tmp_path / "c.json"}
+        result = invoke(*(arg.format(**files) for arg in args), "--json-errors")
+        assert result.exit_code == 1, result.output
+        lines = result.stderr.strip().splitlines()
+        assert len(lines) == 1
+        record = json.loads(lines[0])
+        assert record["error"] == "FormatError"
+        prefix = "".join(f"{path}: " + (f"line {lineno}: " if lineno else "") for path, (_, lineno) in zip(paths, places))
+        assert record["message"].startswith(prefix), record["message"]
+        assert not (tmp_path / "out").exists()
+
+
 @pytest.fixture
 def saved(tmp_path):
     out = tmp_path / "set"
@@ -612,8 +685,9 @@ class TestMalformedDataset:
     @pytest.mark.parametrize("line", ["1", "1,2,3", "x,1", "1,2", "999,1"])
     def test_malformed_labels(self, saved, line):
         out, tasks = saved
-        (out / f"{tasks[2].task_id}.labels.csv").write_text(f"0,1\n{line}\n")
-        with pytest.raises(FormatError, match="labels.csv:2"):
+        path = out / f"{tasks[2].task_id}.labels.csv"
+        path.write_text(f"0,1\n{line}\n")
+        with pytest.raises(FormatError, match=re.escape(f"{path}: line 2: ")):
             load_dataset(out)
 
     def test_missing_task_file(self, saved):

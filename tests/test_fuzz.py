@@ -36,8 +36,8 @@ VALUES = [
 ]
 NON_FINITE = ["nan", "inf", "-inf", "1e999", "NaN", "-Infinity"]
 KEYS = [
-    "kind", "w", "beta", "t", "center", "sigma", "gain", "file", "scope", "laplacian", "order", "bands", "rules",
-    "threshold_mode", "tau", "alpha", "seed", "crossover", "path",
+    "kind", "w", "beta", "t", "center", "sigma", "gain", "file", "scope", "laplacian", "order", "rules", "tau",
+    "alpha", "seed",
 ]
 TOKEN = st.one_of(
     st.sampled_from(WORDS + VALUES),

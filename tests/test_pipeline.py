@@ -18,6 +18,7 @@ from spectral_nsr.errors import (
     BadParams,
     ConvergenceFailure,
     DimensionMismatch,
+    FormatError,
     NonFiniteResponse,
     UnmappedNode,
 )
@@ -399,12 +400,13 @@ def stage_3(monkeypatch):
 class TestBlockStage3:
     @pytest.mark.parametrize("mode", ["hard", "logistic"])
     def test_one_call_per_layer_and_traces_on_read(self, stage_3, mode):
-        # a config that still names either retired threshold_mode binds
-        # y > tau once per block; the logistic is never computed
+        # stage 3 binds y > tau once per block, as either retired
+        # threshold_mode did, which a config no longer names; the logistic
+        # is never computed
         reference = reference_pipeline()
-        cfg = PipelineConfig.from_text(reference.cfg.to_text() + f"threshold_mode={mode}\n")
-        assert cfg == reference.cfg
-        pipe = Pipeline(cfg, reference.coefficients, reference.tau)
+        with pytest.raises(FormatError, match="unknown config key 'threshold_mode'"):
+            PipelineConfig.from_text(reference.cfg.to_text() + f"threshold_mode={mode}\n")
+        pipe = Pipeline(reference.cfg, reference.coefficients, reference.tau)
         tasks = gen_dataset("transitive", 5, seed=9) + gen_dataset("kinship", 5, seed=9)
         outputs = pipe.run_tasks(tasks)
         expected = dict.fromkeys(STAGE_3 + ("traces",), 0)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -255,7 +257,8 @@ class TestRuleDsl:
 
     @pytest.mark.parametrize("name", ["missing.csv", "."])
     def test_unreadable_custom_file(self, tmp_path, name):
-        with pytest.raises(FormatError, match="custom response file"):
+        path = tmp_path / name
+        with pytest.raises(FormatError, match=re.escape(f"line 1: {path}: cannot read {path}: ")):
             parse_rules(f"rule c kind=custom w=1 file={name}\n", 2.0, base_dir=tmp_path)
 
     def test_load_rules_file(self, tmp_path):
