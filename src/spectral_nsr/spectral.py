@@ -5,10 +5,12 @@ pipeline and the trainer use, evaluates an order-K polynomial response
 with exactly K products with the Laplacian operator and never
 materializes the basis, so it scales linearly in the edge count. Its
 filter and its stack share one recurrence (`_recurrence`), whose in-place
-step writes each product (`graph.Laplacian.apply`, one direct call of
-scipy's CSR kernel) into buffers made once per call, because on a graph
-of a few dozen nodes a sparse-product dispatch and fresh temporaries at
-each step would cost more than the arithmetic. It maps the spectrum into
+step is three elementwise calls and one direct call of scipy's CSR
+kernel, which adds the off-diagonal product into the step's buffer
+(`graph.Laplacian.add_offdiagonal`), with the rescaling on its input;
+buffers are made once per call, because on a graph of a few dozen nodes a
+sparse-product dispatch and fresh temporaries at each step would cost
+more than the arithmetic. It maps the spectrum into
 [-1, 1] with an upper bound on the top eigenvalue, which
 `estimate_lambda_max` guarantees. The exact route diagonalizes the
 Laplacian's dense form and applies an arbitrary frequency response in the
@@ -195,7 +197,7 @@ def estimate_lambda_max(lap: Laplacian, seed: int = 0) -> list[float]:
     converge, dense or Lanczos, gives that cap, which always holds. A
     combinatorial graph with no entry gets 0.
     """
-    indptr, starts, kind, caps = lap.adjacency.indptr, lap.starts, lap.kind, lap.gershgorin()
+    indptr, starts, kind = lap.adjacency.indptr, lap.starts, lap.kind
     sizes, ptr = starts[1:] - starts[:-1], indptr[starts]
     # a normalized Laplacian is the identity on a graph with no edge
     filled = sizes if kind == NORMALIZED else ptr[1:] - ptr[:-1]
@@ -205,12 +207,12 @@ def estimate_lambda_max(lap: Laplacian, seed: int = 0) -> list[float]:
         if nnz and n <= DENSE_BOUND_LIMIT:
             groups[n].append(i)
         elif nnz:
-            bounds[i] = _lanczos_bound(lap, i, seed, float(caps[i]))
+            bounds[i] = _lanczos_bound(lap, i, seed)
     if not groups:
         return bounds.tolist()
     if lap.graph_count == 1:
         # one dense graph is its own stack, with nothing to gather
-        return _dense_bounds(lap.toarray()[None], caps).tolist()
+        return _dense_bounds(lap.toarray()[None], lap, [0]).tolist()
     # dense graph k, group by group, takes the n^2 slots from at[k] of a flat
     # array that each chunk builds its own part of, and its entries are the
     # ones from first[k] of all their entries gathered in that order
@@ -233,27 +235,29 @@ def estimate_lambda_max(lap: Laplacian, seed: int = 0) -> list[float]:
                 slots[first[a] : first[b]] - at[a], weights=data[first[a] : first[b]], minlength=at[b] - at[a]
             ).reshape(-1, n, n)
             stack[:, np.arange(n), np.arange(n)] = diagonal[lo[a:b, None] + np.arange(n)]
-            bounds[order[a:b]] = _dense_bounds(stack, caps[order[a:b]])
+            bounds[order[a:b]] = _dense_bounds(stack, lap, order[a:b])
     return bounds.tolist()
 
 
-def _dense_bounds(stack: np.ndarray, caps: np.ndarray) -> np.ndarray:
-    """The dense-path bounds of a (graphs, n, n) stack of Laplacians, from
-    one ``eigvalsh`` call. If it fails, each graph is solved alone, and one
-    whose own solve fails keeps its Gershgorin bound from ``caps``."""
+def _dense_bounds(stack: np.ndarray, lap: Laplacian, members) -> np.ndarray:
+    """The dense-path bounds of a (graphs, n, n) stack of Laplacians, graphs
+    ``members`` of ``lap``, from one ``eigvalsh`` call. If it fails, each
+    graph is solved alone, and one whose own solve fails keeps its
+    Gershgorin bound (`Laplacian.gershgorin`), computed only then."""
     pad = stack.shape[1] * np.finfo(np.float64).eps * np.abs(stack).sum(axis=1).max(axis=1)
     try:
         return np.linalg.eigvalsh(stack)[:, -1] + pad
     except np.linalg.LinAlgError:
-        bounds = np.array(caps, dtype=np.float64)
+        bounds = lap.gershgorin()[members]
     for k, matrix in enumerate(stack):
         with suppress(np.linalg.LinAlgError):
             bounds[k] = np.linalg.eigvalsh(matrix)[-1] + pad[k]
     return bounds
 
 
-def _lanczos_bound(lap: Laplacian, i: int, seed: int, cap: float) -> float:
-    """The Lanczos bound of graph ``i`` of the operator's block, on its own rows, capped at ``cap``."""
+def _lanczos_bound(lap: Laplacian, i: int, seed: int) -> float:
+    """The Lanczos bound of graph ``i`` of the operator's block, on its own
+    rows, capped at its Gershgorin bound."""
     lo, hi = lap.starts[i : i + 2].tolist()
     if lap.graph_count > 1:
         lap = Laplacian(lap.kind, lap.adjacency[lo:hi, lo:hi], np.array([0, hi - lo]), lap.degrees[lo:hi])
@@ -263,6 +267,7 @@ def _lanczos_bound(lap: Laplacian, i: int, seed: int, cap: float) -> float:
 
     operator = LinearOperator((n, n), matvec=lambda v: lap @ v.reshape(-1), dtype=np.float64)
     v0 = np.random.default_rng(seed).standard_normal(n)
+    cap = float(lap.gershgorin()[0])
     try:
         theta, vecs = eigsh(operator, k=1, which="LA", ncv=LANCZOS_BASIS, tol=LANCZOS_TOL, v0=v0)
     except ArpackNoConvergence:
@@ -343,31 +348,37 @@ def _recurrence(lap: Laplacian, lambda_max, x: np.ndarray, order: int):
     T_k = 2 L~ T_(k-1) - T_(k-2), with exactly ``order`` products with the
     operator.
 
-    Each step is one in-place shifted step L~ v = (2 / lambda_max) (L v) - v,
-    with 2 / lambda_max computed once (one value per node for a per-node
-    ``lambda_max``): `Laplacian.apply` writes L v into a buffer where it is
-    then scaled and shifted. Four buffers made once serve every step, so no
-    step makes a temporary, and a yielded term is overwritten three steps
-    later; ``x`` is copied, never written. Every operation is the one the
-    plain expression makes, in its order, so each term is bit for bit its
-    value.
+    With L = diag(L) - W (`graph.Laplacian`) and c = 2 / lambda_max (one
+    value per node for a per-node ``lambda_max``), L~ = c L - 1, so
+
+        T_1 = (c diag(L) - 1) x + W (-c x),
+        T_(k+1) = d2 T_k - T_(k-1) + W z,  d2 = 2 c diag(L) - 2, z = -2 c T_k.
+
+    c is constant on each graph, and W keeps each graph's rows to its own
+    columns, so the rescaling rides on W's input. A step is three in-place
+    elementwise calls, which leave d2 T_k - T_(k-1) in the step's buffer
+    and z in another, and one kernel call, which adds W z into the first
+    (`Laplacian.add_offdiagonal`). Four buffers made once serve every
+    step, so no step makes a temporary, and a yielded term is overwritten
+    three steps later; ``x`` is copied, never written.
     """
     if order < 1:
         return
-    # an array, as numpy multiplies by one faster than by a Python float
+    # arrays, as numpy multiplies by one faster than by a Python float
     c = np.asarray(2.0 / lambda_max)
+    diagonal, scale = c * lap.diagonal() - 1.0, np.asarray(-c)
     work, prev, cur, nxt = np.empty((4, x.size))
     prev[:] = x
-    lap.apply(prev, cur, work)
-    cur *= c
-    cur -= prev
+    np.multiply(diagonal, x, cur)
+    lap.add_offdiagonal(np.multiply(scale, x, work), cur)
     yield cur
+    # d2 and -2 c: doubling is exact
+    diagonal += diagonal
+    scale += scale
     for _ in range(order - 1):
-        lap.apply(cur, nxt, work)
-        nxt *= c
-        nxt -= cur
-        nxt += nxt  # bit for bit 2.0 * s: doubling is exact
+        np.multiply(diagonal, cur, nxt)
         nxt -= prev
+        lap.add_offdiagonal(np.multiply(scale, cur, work), nxt)
         yield nxt
         prev, cur, nxt = cur, nxt, prev
 
@@ -384,8 +395,8 @@ def chebyshev_stack(lap: Laplacian, lambda_max, x: np.ndarray, order: int) -> np
     """Columns T_k(L~) x for k = 0..order, as one C-order (nodes, order + 1)
     array, so that a product with a coefficient vector takes BLAS.
 
-    Costs exactly ``order`` products with the operator, each a direct call
-    of scipy's CSR kernel, in the in-place recurrence that
+    Costs exactly ``order`` products with the off-diagonal weights, each a
+    direct call of scipy's CSR kernel, in the in-place recurrence that
     `chebyshev_filter` runs too (`_recurrence`); each term is copied into
     its column of the preallocated stack as it comes. The stack is reused
     by the trainer: the filter output is linear in the coefficients, so
@@ -410,11 +421,12 @@ def chebyshev_filter(lap: Laplacian, filt: ChebyshevFilter, x: GraphSignal) -> G
     """Apply a polynomial filter without eigendecomposition.
 
     Runs the in-place recurrence (`_recurrence`): exactly ``filt.order``
-    products with the operator, each a direct call of scipy's CSR kernel,
-    into buffers made once per call, with theta_k T_k(L~) x added to the
-    output as each term comes. On a graph of a few dozen nodes, Python and
-    scipy call overhead outweighs the arithmetic, so no step makes a
-    sparse-product dispatch or a temporary.
+    products with the off-diagonal weights, each a direct call of scipy's
+    CSR kernel that adds into the step's buffer, in buffers made once per
+    call, with theta_k T_k(L~) x added to the output as each term comes.
+    On a graph of a few dozen nodes, Python and scipy call overhead
+    outweighs the arithmetic, so no step makes a sparse-product dispatch
+    or a temporary.
 
     Requires filt.lambda_max >= the true largest eigenvalue, as
     `estimate_lambda_max` returns; below it the rescaled spectrum leaves

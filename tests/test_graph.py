@@ -445,7 +445,7 @@ class TestProductShapes:
 
 
 class TestCsrKernel:
-    """`csr_matvec`, scipy's private CSR kernel that `Laplacian.apply` calls,
+    """`csr_matvec`, scipy's private CSR kernel that `Laplacian` calls,
     and `csr_tocsc`, which `ReasoningGraph.validate` calls to lay out a
     transpose: imported by name here, so a scipy release that moves them
     fails with its cause named."""

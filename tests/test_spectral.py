@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -288,7 +289,7 @@ class TestChebyshevFilter:
         filt = ChebyshevFilter([0.0, 1.0], lambda_max=lam_max)
         y = chebyshev_filter(lap, filt, vertex_signal(x))
         expected = (2.0 / lam_max) * (lap @ x) - x
-        assert np.allclose(y.values, expected, atol=1e-14)
+        assert np.allclose(y.values, expected, rtol=0, atol=1e-14)
 
     def test_fit_matches_exact_filter(self, rng):
         g = random_graph(rng, 60, density=0.12)
@@ -367,17 +368,105 @@ class TestChebyshevFilter:
 
     def test_stack_columns_match_manual_recurrence(self, rng):
         g = random_graph(rng, 9)
-        lap = combinatorial_laplacian(g)
-        lam_max = 3.0
-        x = rng.standard_normal(9)
-        stack = chebyshev_stack(lap, lam_max, x, 4)
-        shifted = (2.0 / lam_max) * lap.toarray() - np.eye(9)
-        t_prev, t_cur = x, shifted @ x
-        assert np.allclose(stack[:, 0], t_prev, atol=0)
-        assert np.allclose(stack[:, 1], t_cur, atol=1e-14)
-        for k in range(2, 5):
-            t_prev, t_cur = t_cur, 2 * shifted @ t_cur - t_prev
-            assert np.allclose(stack[:, k], t_cur, atol=1e-12)
+        # both kinds, with one bound, and on a block of two graphs with a bound per node
+        for kind in (COMBINATORIAL, NORMALIZED):
+            for graphs, lam_max in (([g], 3.0), ([g, random_graph(rng, 5)], np.repeat([3.0, 4.0], [9, 5]))):
+                lap = laplacians(graphs, kind)
+                n = lap.node_count
+                x = rng.standard_normal(n)
+                stack = chebyshev_stack(lap, lam_max, x, 4)
+                shifted = (2.0 / np.broadcast_to(lam_max, n))[:, None] * dense_laplacian(graphs, kind) - np.eye(n)
+                t_prev, t_cur = x, shifted @ x
+                assert np.allclose(stack[:, 0], t_prev, rtol=0, atol=0)
+                assert np.allclose(stack[:, 1], t_cur, rtol=0, atol=1e-14)
+                for k in range(2, 5):
+                    t_prev, t_cur = t_cur, 2 * shifted @ t_cur - t_prev
+                    assert np.allclose(stack[:, k], t_cur, rtol=0, atol=1e-12)
+
+
+def dense_laplacian(graphs, kind):
+    """The graphs' Laplacian of ``kind``, block-diagonal and dense, made from
+    their adjacencies alone: D - A, or I - S A S with s = d^(-1/2) and 0 on
+    an isolated node."""
+    a = scipy.sparse.block_diag([g.adjacency for g in graphs]).toarray()
+    d = a.sum(axis=1)
+    if kind == COMBINATORIAL:
+        return np.diag(d) - a
+    s = np.where(d > 0.0, 1.0 / np.sqrt(np.where(d > 0.0, d, 1.0)), 0.0)
+    return np.eye(d.size) - s[:, None] * a * s
+
+
+@st.composite
+def filter_blocks(draw):
+    """A block of 1 to 5 graphs of 1 to 12 nodes, any of them with isolated
+    nodes or no edge, a Laplacian kind, an order from 0 to 10 and a seed
+    for the signal and the coefficients."""
+    graphs = []
+    for _ in range(draw(st.integers(1, 5))):
+        n = draw(st.integers(1, 12))
+        density = draw(st.sampled_from([0.0, 0.2, 0.5, 1.0]))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < density]
+        graphs.append(build_graph(make_nodes(n), [(i, j, float(rng.uniform(0.1, 2.0))) for i, j in pairs]))
+    return graphs, draw(st.sampled_from([COMBINATORIAL, NORMALIZED])), draw(st.integers(0, 10)), draw(st.integers(0, 2**32 - 1))
+
+
+class TestRecurrenceStep:
+    """The step T_(k+1) = d2 T_k - T_(k-1) + W (-2 c T_k), whose kernel call
+    adds the off-diagonal product into the rest of the step."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=filter_blocks())
+    def test_block_rows_are_each_graph_alone_and_the_dense_recurrence(self, case):
+        graphs, kind, order, seed = case
+        rng = np.random.default_rng(seed)
+        lap = laplacians(graphs, kind)
+        bounds = [max(bound, 1e-12) for bound in estimate_lambda_max(lap)]
+        theta, x = rng.standard_normal(order + 1), rng.standard_normal(lap.node_count)
+        per_node = np.repeat(bounds, np.diff(lap.starts))
+        y = chebyshev_filter(lap, ChebyshevFilter(theta, per_node), vertex_signal(x)).values
+        stack = chebyshev_stack(lap, per_node, x, order)
+        for g, bound, lo, hi in zip(graphs, bounds, lap.starts[:-1], lap.starts[1:]):
+            alone = laplacians([g], kind)
+            own_y = chebyshev_filter(alone, ChebyshevFilter(theta, bound), vertex_signal(x[lo:hi])).values
+            own_stack = chebyshev_stack(alone, bound, x[lo:hi], order)
+            assert y[lo:hi].tobytes() == own_y.tobytes()
+            assert stack[lo:hi].tobytes() == own_stack.tobytes()
+            # the dense oracle: the plain recurrence on the graph's dense Laplacian
+            shifted = (2.0 / bound) * dense_laplacian([g], kind) - np.eye(hi - lo)
+            terms = [x[lo:hi], shifted @ x[lo:hi]][: order + 1]
+            while len(terms) < order + 1:
+                terms.append(2.0 * shifted @ terms[-1] - terms[-2])
+            want = np.column_stack(terms)
+            assert np.abs(own_stack - want).max() <= 1e-12 * np.abs(want).max()
+            # each node's scale is that of the terms it sums, which may cancel
+            assert np.all(np.abs(own_y - want @ theta) <= 1e-12 * (np.abs(want) @ np.abs(theta)))
+
+    @pytest.mark.parametrize("kind", [COMBINATORIAL, NORMALIZED])
+    def test_no_step_makes_a_temporary(self, kind):
+        # a higher order adds steps, not memory: the peak traced allocation of
+        # one call grows by less than half a vector from order 1, which runs
+        # no step after T_1, to order 20, so even a temporary that a step
+        # frees shows (the two peaks may fall at other points of the call)
+        g, _ = random_sparse_laplacian(8000, seed=3)
+        lap = laplacians([g], kind)
+        lam_max = estimate_lambda_max(lap)[0]
+        x = vertex_signal(np.random.default_rng(3).standard_normal(lap.node_count))
+
+        def peak(call):
+            call()  # anything cached on first use, such as the off-diagonal weights, is made here
+            tracemalloc.start()
+            try:
+                out = call()
+                return tracemalloc.get_traced_memory()[1] - (out.nbytes if isinstance(out, np.ndarray) else 0)
+            finally:
+                tracemalloc.stop()
+
+        for run in (
+            lambda order: chebyshev_filter(lap, ChebyshevFilter(np.ones(order + 1), lam_max), x),
+            lambda order: chebyshev_stack(lap, lam_max, x.values, order),  # the stack itself aside
+        ):
+            assert peak(lambda: run(20)) - peak(lambda: run(1)) < x.values.nbytes / 2
 
 
 class TestProductOperator:
